@@ -13,12 +13,17 @@ the analytical model in :mod:`repro.analysis` instead (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.client import OpenLoopClientPool, SpotLessClient
 from repro.core.config import SpotLessConfig
 from repro.core.node import SpotLessReplica
 from repro.net.sizes import MessageSizeModel
+from repro.protocols.common import BftConfig
+from repro.protocols.hotstuff import HotStuffReplica
+from repro.protocols.narwhal import NarwhalHsReplica
+from repro.protocols.pbft import PbftReplica
+from repro.protocols.rcc import RccReplica
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
@@ -28,6 +33,16 @@ from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 
 #: Either a stationary arrival process or a time-varying load schedule.
 ArrivalLike = Union[ArrivalProcess, LoadProfile]
+
+#: Replica class of every implemented protocol, by name.
+REPLICA_CLASSES = {
+    "spotless": SpotLessReplica,
+    "pbft": PbftReplica,
+    "rcc": RccReplica,
+    "hotstuff": HotStuffReplica,
+    "narwhal-hs": NarwhalHsReplica,
+    "narwhal": NarwhalHsReplica,
+}
 
 
 def _build_clients(
@@ -117,55 +132,16 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def spotless(
-        config: SpotLessConfig,
-        clients: int = 4,
-        outstanding_per_client: int = 8,
-        network_config: Optional[NetworkConfig] = None,
-        workload_config: Optional[YcsbConfig] = None,
-        seed: int = 1,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
-    ) -> "SimulatedCluster":
-        """Build a SpotLess cluster with closed-loop YCSB clients.
-
-        Passing ``arrival`` swaps the closed-loop actors for a single
-        open-loop client pool driven by that arrival process or load
-        profile (``clients``/``outstanding_per_client`` are then ignored).
-        """
-        simulator = Simulator()
-        metrics = MetricsRegistry()
-        rng = DeterministicRng(seed)
-        network = Network(simulator, network_config or NetworkConfig(), rng=rng, metrics=metrics)
-        size_model = MessageSizeModel(batch_size=config.batch_size)
-        replicas = [
-            SpotLessReplica(
-                node_id=replica_id,
-                config=config,
-                simulator=simulator,
-                network=network,
-                size_model=size_model,
-            )
-            for replica_id in config.replica_ids()
-        ]
-        workload = YcsbWorkload(workload_config or YcsbConfig(), rng=rng)
-        client_actors = _build_clients(
-            config, clients, outstanding_per_client, simulator, network, workload, rng,
-            arrival, simulated_users,
-        )
-        return SimulatedCluster(simulator, network, replicas, client_actors, metrics)
-
-    @staticmethod
-    def _baseline(
+    def _build(
         replica_class: type,
-        config: "BftConfig",
+        config: object,
         clients: int,
         outstanding_per_client: int,
         network_config: Optional[NetworkConfig],
         workload_config: Optional[YcsbConfig],
         seed: int,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
+        arrival: Optional[ArrivalLike],
+        simulated_users: int,
     ) -> "SimulatedCluster":
         simulator = Simulator()
         metrics = MetricsRegistry()
@@ -190,8 +166,8 @@ class SimulatedCluster:
         return SimulatedCluster(simulator, network, replicas, client_actors, metrics)
 
     @staticmethod
-    def pbft(
-        config: "BftConfig",
+    def spotless(
+        config: SpotLessConfig,
         clients: int = 4,
         outstanding_per_client: int = 8,
         network_config: Optional[NetworkConfig] = None,
@@ -200,69 +176,15 @@ class SimulatedCluster:
         arrival: Optional[ArrivalLike] = None,
         simulated_users: int = 0,
     ) -> "SimulatedCluster":
-        """Build a PBFT cluster with closed-loop YCSB clients."""
-        from repro.protocols.pbft import PbftReplica
+        """Build a SpotLess cluster with closed-loop YCSB clients.
 
-        return SimulatedCluster._baseline(
-            PbftReplica, config, clients, outstanding_per_client, network_config, workload_config,
-            seed, arrival, simulated_users,
-        )
-
-    @staticmethod
-    def rcc(
-        config: "BftConfig",
-        clients: int = 4,
-        outstanding_per_client: int = 8,
-        network_config: Optional[NetworkConfig] = None,
-        workload_config: Optional[YcsbConfig] = None,
-        seed: int = 1,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
-    ) -> "SimulatedCluster":
-        """Build an RCC cluster (concurrent PBFT instances)."""
-        from repro.protocols.rcc import RccReplica
-
-        return SimulatedCluster._baseline(
-            RccReplica, config, clients, outstanding_per_client, network_config, workload_config,
-            seed, arrival, simulated_users,
-        )
-
-    @staticmethod
-    def hotstuff(
-        config: "BftConfig",
-        clients: int = 4,
-        outstanding_per_client: int = 8,
-        network_config: Optional[NetworkConfig] = None,
-        workload_config: Optional[YcsbConfig] = None,
-        seed: int = 1,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
-    ) -> "SimulatedCluster":
-        """Build a chained HotStuff cluster."""
-        from repro.protocols.hotstuff import HotStuffReplica
-
-        return SimulatedCluster._baseline(
-            HotStuffReplica, config, clients, outstanding_per_client, network_config, workload_config,
-            seed, arrival, simulated_users,
-        )
-
-    @staticmethod
-    def narwhal(
-        config: "BftConfig",
-        clients: int = 4,
-        outstanding_per_client: int = 8,
-        network_config: Optional[NetworkConfig] = None,
-        workload_config: Optional[YcsbConfig] = None,
-        seed: int = 1,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
-    ) -> "SimulatedCluster":
-        """Build a Narwhal-HS cluster."""
-        from repro.protocols.narwhal import NarwhalHsReplica
-
-        return SimulatedCluster._baseline(
-            NarwhalHsReplica, config, clients, outstanding_per_client, network_config, workload_config,
-            seed, arrival, simulated_users,
+        Passing ``arrival`` swaps the closed-loop actors for a single
+        open-loop client pool driven by that arrival process or load
+        profile (``clients``/``outstanding_per_client`` are then ignored).
+        """
+        return SimulatedCluster._build(
+            SpotLessReplica, config, clients, outstanding_per_client, network_config,
+            workload_config, seed, arrival, simulated_users,
         )
 
     @staticmethod
@@ -294,68 +216,33 @@ class SimulatedCluster:
         one open-loop pool driven by that arrival process or load profile.
         """
         name = protocol.lower()
+        if name not in REPLICA_CLASSES:
+            raise ValueError(f"unknown protocol {protocol!r}")
+        overrides = {}
+        if checkpoint_interval is not None:
+            overrides["checkpoint_interval"] = checkpoint_interval
         if name == "spotless":
-            spotless_overrides = {}
-            if checkpoint_interval is not None:
-                spotless_overrides["checkpoint_interval"] = checkpoint_interval
             config = SpotLessConfig(
                 num_replicas=num_replicas,
                 num_instances=num_instances or num_replicas,
                 batch_size=batch_size,
-                **spotless_overrides,
+                **overrides,
             )
-            return SimulatedCluster.spotless(
-                config, clients=clients, outstanding_per_client=outstanding_per_client,
-                network_config=network_config, seed=seed,
-                arrival=arrival, simulated_users=simulated_users,
+        else:
+            if request_timeout is not None:
+                overrides["request_timeout"] = request_timeout
+            if view_change_timeout is not None:
+                overrides["view_change_timeout"] = view_change_timeout
+            config = BftConfig(
+                num_replicas=num_replicas,
+                batch_size=batch_size,
+                num_instances=num_instances or (num_replicas if name == "rcc" else 1),
+                **overrides,
             )
-        from repro.protocols.common import BftConfig
-
-        timeout_overrides = {}
-        if request_timeout is not None:
-            timeout_overrides["request_timeout"] = request_timeout
-        if view_change_timeout is not None:
-            timeout_overrides["view_change_timeout"] = view_change_timeout
-        if checkpoint_interval is not None:
-            timeout_overrides["checkpoint_interval"] = checkpoint_interval
-        config = BftConfig(
-            num_replicas=num_replicas,
-            batch_size=batch_size,
-            num_instances=num_instances or (num_replicas if name == "rcc" else 1),
-            **timeout_overrides,
+        return SimulatedCluster._build(
+            REPLICA_CLASSES[name], config, clients, outstanding_per_client, network_config,
+            None, seed, arrival, simulated_users,
         )
-        factories = {
-            "pbft": SimulatedCluster.pbft,
-            "rcc": SimulatedCluster.rcc,
-            "hotstuff": SimulatedCluster.hotstuff,
-            "narwhal-hs": SimulatedCluster.narwhal,
-            "narwhal": SimulatedCluster.narwhal,
-        }
-        if name not in factories:
-            raise ValueError(f"unknown protocol {protocol!r}")
-        return factories[name](
-            config, clients=clients, outstanding_per_client=outstanding_per_client,
-            network_config=network_config, seed=seed,
-            arrival=arrival, simulated_users=simulated_users,
-        )
-
-    @staticmethod
-    def from_factory(
-        replica_factory: Callable[[int, Simulator, Network], object],
-        num_replicas: int,
-        client_factory: Callable[[int, Simulator, Network], SpotLessClient],
-        num_clients: int,
-        network_config: Optional[NetworkConfig] = None,
-        seed: int = 1,
-    ) -> "SimulatedCluster":
-        """Generic factory used by the baseline protocols."""
-        simulator = Simulator()
-        metrics = MetricsRegistry()
-        rng = DeterministicRng(seed)
-        network = Network(simulator, network_config or NetworkConfig(), rng=rng, metrics=metrics)
-        replicas = [replica_factory(replica_id, simulator, network) for replica_id in range(num_replicas)]
-        client_actors = [client_factory(client_id, simulator, network) for client_id in range(num_clients)]
-        return SimulatedCluster(simulator, network, replicas, client_actors, metrics)
 
     # ------------------------------------------------------------------
     # observability
@@ -452,10 +339,6 @@ class SimulatedCluster:
     # consistency checks used by tests
     # ------------------------------------------------------------------
 
-    def state_digests(self) -> List[bytes]:
-        """State digest of every replica that exposes one."""
-        return [replica.state_digest() for replica in self.replicas if hasattr(replica, "state_digest")]
-
     def assert_no_divergence(self) -> None:
         """Raise AssertionError if replicas diverge.
 
@@ -488,4 +371,4 @@ class SimulatedCluster:
                     raise AssertionError("replicas diverged on the executed transaction order")
 
 
-__all__ = ["ArrivalLike", "ClusterResult", "SimulatedCluster"]
+__all__ = ["REPLICA_CLASSES", "ArrivalLike", "ClusterResult", "SimulatedCluster"]

@@ -21,7 +21,6 @@ The CLI exposes the experiment harness without writing any Python::
     python -m repro campaign report campaign-ledgers/fuzz-1-20260808-120000-1234.jsonl
     python -m repro triage minimize fuzz-failures/fuzz-1-42.json --ingest
     python -m repro triage corpus --workers 4
-    python -m repro perf --check BENCH_PR6.json
     python -m repro validate
 
 ``figure`` names map one-to-one onto the per-figure experiment functions in
@@ -1110,22 +1109,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return handler(args)
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench import perf
-
-    if args.tolerance < 0:
-        print("--tolerance must be non-negative", file=sys.stderr)
-        return 2
-    return perf.main(
-        quick=args.quick,
-        profile=args.profile,
-        profile_top=args.profile_top,
-        output=args.output,
-        check=args.check,
-        tolerance=args.tolerance,
-    )
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     points = cross_validate_protocols(num_replicas=args.replicas, duration=args.duration)
     report = validation_report(points)
@@ -1510,43 +1493,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail if any entry is not a passing regression (open bugs are no longer 'expected')",
     )
     corpus_parser.set_defaults(triage_handler=_cmd_triage_corpus)
-
-    perf_parser = subparsers.add_parser(
-        "perf",
-        help="run the pinned simulator benchmark suite (events/sec per cell)",
-    )
-    perf_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="run the CI subset (skips the slow cells)",
-    )
-    perf_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile the heaviest cell and print the cumulative-time table",
-    )
-    perf_parser.add_argument(
-        "--profile-top",
-        type=int,
-        default=20,
-        help="rows of the profile table (default: 20)",
-    )
-    perf_parser.add_argument(
-        "--output", default=None, metavar="FILE", help="write the measurement JSON here"
-    )
-    perf_parser.add_argument(
-        "--check",
-        default=None,
-        metavar="FILE",
-        help="gate against a committed BENCH_*.json: exact event counts, bounded wall time",
-    )
-    perf_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="wall-time regression tolerance for --check (default: 0.25)",
-    )
-    perf_parser.set_defaults(handler=_cmd_perf)
 
     validate_parser = subparsers.add_parser(
         "validate", help="cross-validate the analytical model against the simulator"

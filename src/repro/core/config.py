@@ -104,11 +104,6 @@ class SpotLessConfig:
         object.__setattr__(self, "_quorum_params", QuorumParams.spotless(self.num_replicas))
 
     @property
-    def quorum_params(self) -> QuorumParams:
-        """SpotLess's n − f quorum arithmetic."""
-        return self._quorum_params
-
-    @property
     def n(self) -> int:
         """Number of replicas."""
         return self._quorum_params.n

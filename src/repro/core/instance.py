@@ -43,6 +43,7 @@ from repro.core.messages import (
 from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
 from repro.crypto.authenticator import Signature
 from repro.crypto.certificates import Certificate
+from repro.runtime.retry import RetryingPull
 
 
 class ViewState(enum.Enum):
@@ -53,9 +54,9 @@ class ViewState(enum.Enum):
     CERTIFYING = "certifying"
 
 
-TimerHandle = object
-TimerSetter = Callable[[str, float, Callable[[], None]], TimerHandle]
-TimerCanceller = Callable[[TimerHandle], None]
+#: Where a re-issued Ask goes once the f + 1 claim holders did not deliver:
+#: not one peer but every replica at once (``InstanceEnvironment.broadcast``).
+_EVERYONE = -1
 
 
 @dataclass
@@ -71,8 +72,10 @@ class InstanceEnvironment:
         self-delivery performed by the hosting replica).
     send:
         Send a message to one replica.
-    set_timer / cancel_timer:
-        Arm and cancel named timers; the instance never blocks.
+    make_timer:
+        ``make_timer(name, callback)`` hands out one restartable timer shaped
+        like :class:`repro.sim.actor.Timer` (``start`` / ``cancel`` /
+        ``running``); the instance never blocks.
     next_batch:
         Called when this replica is the primary and needs a batch of
         transaction digests to propose.  Returning an empty tuple makes the
@@ -89,8 +92,7 @@ class InstanceEnvironment:
     replica_id: int
     broadcast: Callable[[object], None]
     send: Callable[[int, object], None]
-    set_timer: TimerSetter
-    cancel_timer: TimerCanceller
+    make_timer: Callable[[str, Callable[[], None]], object]
     next_batch: Callable[[int, int], Tuple[bytes, ...]]
     on_commit: Callable[[int, Proposal], None]
     sign: Callable[[object], Optional[Signature]] = lambda message: None
@@ -149,8 +151,15 @@ class SpotLessInstance:
         # Max over _highest_view_seen.values(); lets _maybe_skip_views bail
         # in O(1) when nobody is ahead of us.
         self._max_view_seen = -1
-        # Views this replica asked to have retransmitted (to avoid duplicate asks).
-        self._asked_proposals: Set[bytes] = set()
+        # Ask-recovery, keyed by (view, proposal digest): each missing
+        # proposal is asked for once, from f + 1 claim holders.
+        self._asks = RetryingPull(
+            environment.replica_id,
+            send=self._send_ask_to,
+            satisfied=self._has_payload,
+            candidates=lambda key: (_EVERYONE,),
+            fanout=config.weak_quorum,
+        )
         # (view, requester) pairs already served by _retransmit_own_sync, so a
         # repeated Υ request does not trigger a second identical retransmission.
         self._served_retransmissions: Set[Tuple[int, int]] = set()
@@ -173,8 +182,12 @@ class SpotLessInstance:
                 fast_fraction=config.timeout_fast_fraction,
                 minimum=config.min_timeout,
             )
-        self._recording_timer: Optional[TimerHandle] = None
-        self._certifying_timer: Optional[TimerHandle] = None
+        self._recording_timer = environment.make_timer(
+            f"i{instance_id}:recording", self._on_recording_timeout
+        )
+        self._certifying_timer = environment.make_timer(
+            f"i{instance_id}:certifying", self._on_certifying_timeout
+        )
         self._view_entered_at = 0.0
 
         # Fast-path state (Section 6.1 geo optimisation): active until this
@@ -188,7 +201,6 @@ class SpotLessInstance:
         self.proposals_made = 0
         self.fast_path_proposals = 0
         self.syncs_sent = 0
-        self.asks_sent = 0
         self.view_skips = 0
         self.timeouts = 0
 
@@ -226,17 +238,15 @@ class SpotLessInstance:
     # view entry and the primary role
     # ------------------------------------------------------------------
 
-    def _cancel_timers(self) -> None:
-        if self._recording_timer is not None:
-            self.env.cancel_timer(self._recording_timer)
-            self._recording_timer = None
-        if self._certifying_timer is not None:
-            self.env.cancel_timer(self._certifying_timer)
-            self._certifying_timer = None
+    @property
+    def asks_sent(self) -> int:
+        """Ask messages sent (a re-issue broadcast counts once)."""
+        return self._asks.requested
 
     def _enter_view(self, view: int) -> None:
         """Enter ``view`` in the Recording state (Figure 4, line 1-3)."""
-        self._cancel_timers()
+        self._recording_timer.cancel()
+        self._certifying_timer.cancel()
         self.current_view = view
         self.state = ViewState.RECORDING
         self.views_entered += 1
@@ -247,17 +257,10 @@ class SpotLessInstance:
 
         # Backups (and the primary acting as its own backup) arm t_R.
         if view not in self._synced_views:
-            self._recording_timer = self.env.set_timer(
-                self._timer_name("recording", view),
-                self._recording_timeout.interval,
-                lambda: self._on_recording_timeout(view),
-            )
+            self._recording_timer.start(self._recording_timeout.interval)
         # A proposal (or enough Syncs) may already have arrived for this view.
         self._maybe_accept_pending(view)
         self._check_sync_quorum(view)
-
-    def _timer_name(self, kind: str, view: int) -> str:
-        return f"i{self.instance_id}:{kind}:{view}"
 
     def _run_primary_role(self, view: int) -> None:
         """Primary role of Figure 3 (lines 12-14).
@@ -448,9 +451,7 @@ class SpotLessInstance:
     def _note_recording_progress(self) -> None:
         waited = self.env.now() - self._view_entered_at
         self._recording_timeout.on_progress(waited)
-        if self._recording_timer is not None:
-            self.env.cancel_timer(self._recording_timer)
-            self._recording_timer = None
+        self._recording_timer.cancel()
 
     # ------------------------------------------------------------------
     # Sync broadcasting
@@ -474,9 +475,14 @@ class SpotLessInstance:
         self.syncs_sent += 1
         self.env.broadcast(message)
 
-    def _on_recording_timeout(self, view: int) -> None:
-        """t_R expired: claim a failure for ``view`` (Figure 3 line 18-19)."""
-        if view != self.current_view or view in self._synced_views:
+    def _on_recording_timeout(self) -> None:
+        """t_R expired: claim a failure for the view (Figure 3 line 18-19).
+
+        Both view timers are cancelled on every view entry, so an expiry
+        always belongs to the current view.
+        """
+        view = self.current_view
+        if view in self._synced_views:
             return
         self.timeouts += 1
         self._recording_timeout.on_timeout()
@@ -571,14 +577,12 @@ class SpotLessInstance:
     def _apply_sync_rules(self, sender: int, message: SyncMessage) -> None:
         view = message.view
 
-        # Rule: f+1 same-claim Syncs in our current view let us echo the claim
-        # even without the primary's proposal (Figure 3, lines 24-28).
         if not message.claim.is_failure:
+            # Rule: f+1 same-claim Syncs in our current view let us echo the
+            # claim even without the primary's proposal (Figure 3, lines 24-28).
             self._maybe_echo_claim(view, message.claim)
-
-        # Rule: n−f same-claim Syncs conditionally prepare the proposal
-        # (Figure 3, lines 20-21).
-        if not message.claim.is_failure:
+            # Rule: n−f same-claim Syncs conditionally prepare the proposal
+            # (Figure 3, lines 20-21).
             self._maybe_conditionally_prepare_from_claims(view, message.claim)
 
         # Rule: f+1 CP endorsements with higher views conditionally prepare
@@ -607,14 +611,22 @@ class SpotLessInstance:
 
     def _send_ask(self, view: int, claim: Claim, holders: Sequence[int]) -> None:
         """Ask the f+1 claim holders for the full proposal (Section 3.3)."""
-        if claim.digest is None or claim.digest in self._asked_proposals:
-            return
-        self._asked_proposals.add(claim.digest)
-        ask = AskMessage(instance=self.instance_id, view=view, claim=claim)
-        for holder in holders[: self.weak_quorum]:
-            if holder != self.env.replica_id:
-                self.asks_sent += 1
-                self.env.send(holder, ask)
+        if claim.digest is not None:
+            self._asks.request((view, claim.digest), prefer=holders[: self.weak_quorum])
+
+    def _send_ask_to(self, holder: int, key: Tuple[int, bytes]) -> None:
+        view, digest = key
+        ask = AskMessage(
+            instance=self.instance_id, view=view, claim=Claim(view=view, digest=digest)
+        )
+        if holder == _EVERYONE:
+            self.env.broadcast(ask)
+        else:
+            self.env.send(holder, ask)
+
+    def _has_payload(self, key: Tuple[int, bytes]) -> bool:
+        proposal = self.store.get(key[1])
+        return proposal is not None and proposal.has_payload()
 
     def _maybe_conditionally_prepare_from_claims(self, view: int, claim: Claim) -> None:
         votes = self._claim_votes.get((view, claim.digest), {})
@@ -687,28 +699,20 @@ class SpotLessInstance:
         records = self._sync_log.get(view, {})
         if self.state == ViewState.SYNCING and len(records) >= self.quorum:
             self.state = ViewState.CERTIFYING
-            self._certifying_timer = self.env.set_timer(
-                self._timer_name("certifying", view),
-                self._certifying_timeout.interval,
-                lambda: self._on_certifying_timeout(view),
-            )
-        if self.state == ViewState.CERTIFYING:
-            # The same-claim quorum path advances the view in
-            # _maybe_conditionally_prepare_from_claims; nothing more to do here.
-            pass
+            self._certifying_timer.start(self._certifying_timeout.interval)
 
-    def _on_certifying_timeout(self, view: int) -> None:
+    def _on_certifying_timeout(self) -> None:
         """t_A expired without an n−f same-claim quorum: move on (Figure 4 line 10)."""
-        if view != self.current_view or self.state != ViewState.CERTIFYING:
+        if self.state != ViewState.CERTIFYING:
             return
         self.timeouts += 1
         self._certifying_timeout.on_timeout()
-        self._advance_view(view + 1, fast=False)
+        self._advance_view(self.current_view + 1, fast=False)
 
     def _advance_view(self, new_view: int, fast: bool) -> None:
         if new_view <= self.current_view:
             return
-        if fast and self._certifying_timer is not None:
+        if fast and self._certifying_timer.running:
             waited = self.env.now() - self._view_entered_at
             self._certifying_timeout.on_progress(waited)
         self._enter_view(new_view)
@@ -770,35 +774,23 @@ class SpotLessInstance:
     # recovery hooks used by the checkpoint / state-transfer subsystem
     # ------------------------------------------------------------------
 
-    def retry_missing_payloads(self) -> int:
+    def retry_missing_payloads(self) -> None:
         """Re-issue Ask-recovery for prepared proposals still missing payloads.
 
-        ``_send_ask`` deduplicates per digest, so an Ask swallowed while this
+        Each proposal is asked for once, so an Ask swallowed while this
         replica (or the asked holder) was crashed would never be retried and
         the chain would stay wedged on the missing payload forever.  Called
         after a verified state transfer proves this replica fell behind: the
-        retry bypasses ``_send_ask`` (and its dedup) entirely and broadcasts
-        the Ask to every replica — at least n − f of which are non-faulty
-        and at least one of which holds any conditionally prepared
-        proposal's payload.  The digest is (re-)marked in
-        ``_asked_proposals`` so the normal path stays deduplicated.
+        gaps are re-derived from the proposal store and each Ask is broadcast
+        to every replica — at least n − f of which are non-faulty and at
+        least one of which holds any conditionally prepared proposal's
+        payload.
         """
-        retried = 0
-        for proposal in self.store.proposals():
-            if proposal.is_genesis or proposal.has_payload():
-                continue
-            if proposal.status < ProposalStatus.CONDITIONALLY_PREPARED:
-                continue
-            self._asked_proposals.add(proposal.digest)
-            ask = AskMessage(
-                instance=self.instance_id,
-                view=proposal.view,
-                claim=Claim(view=proposal.view, digest=proposal.digest),
-            )
-            self.asks_sent += 1
-            retried += 1
-            self.env.broadcast(ask)
-        return retried
+        self._asks.retry(
+            (proposal.view, proposal.digest)
+            for proposal in self.store.proposals()
+            if proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED
+        )
 
     def compact_below_view(self, floor_view: int) -> None:
         """GC per-view protocol state below a stable checkpoint floor.

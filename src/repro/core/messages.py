@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 from repro.crypto.authenticator import Signature
 from repro.crypto.certificates import Certificate
-from repro.net.message import Message
+from repro.net.message import InformMessage, Message
 from repro.recovery.messages import (
     CheckpointCertificate,
     CheckpointVote,
@@ -161,20 +161,6 @@ class ProposalForward(Message):
         """Fields covered by authentication."""
         signature_fields = self.primary_signature.canonical_fields() if self.primary_signature else None
         return ("forward", self.instance, self.propose.canonical_fields(), signature_fields)
-
-
-@dataclass(frozen=True)
-class InformMessage(Message):
-    """Execution result returned to a client (Section 5)."""
-
-    replica: int
-    client_id: int
-    transaction_digest: bytes
-    success: bool = True
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("inform", self.replica, self.client_id, self.transaction_digest, self.success)
 
 
 @dataclass(frozen=True)

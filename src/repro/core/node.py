@@ -138,8 +138,7 @@ class SpotLessReplica(ReplicaRuntime):
             replica_id=self.node_id,
             broadcast=lambda message: self._broadcast_protocol(instance_id, message),
             send=lambda receiver, message: self._send_protocol(instance_id, receiver, message),
-            set_timer=self._set_instance_timer,
-            cancel_timer=self._cancel_instance_timer,
+            make_timer=self.timer,
             next_batch=self._next_batch,
             on_commit=self._on_instance_commit,
             sign=lambda message: None,
@@ -178,12 +177,6 @@ class SpotLessReplica(ReplicaRuntime):
             )
             return
         self.send(receiver, (instance_id, message), self._message_size(message))
-
-    def _set_instance_timer(self, name: str, delay: float, callback) -> object:
-        return self.simulator.schedule(delay, callback, label=f"r{self.node_id}:{name}")
-
-    def _cancel_instance_timer(self, handle: object) -> None:
-        handle.cancel()
 
     # ------------------------------------------------------------------
     # client requests and batching
@@ -530,13 +523,6 @@ class SpotLessReplica(ReplicaRuntime):
     def total_order(self) -> List[CommitRecord]:
         """All committed records sorted by the global total order."""
         return sorted(self.commit_log, key=lambda record: record.order_key())
-
-    def committed_transaction_digests(self) -> List[bytes]:
-        """Digests of committed (not necessarily executed) transactions in order."""
-        digests: List[bytes] = []
-        for record in self.total_order():
-            digests.extend(record.transaction_digests)
-        return digests
 
     def committed_client_transactions_per_instance(self) -> Dict[int, int]:
         """Committed non-no-op transaction count per instance.

@@ -68,18 +68,6 @@ class CryptoCostModel:
 
     # -- task helpers ----------------------------------------------------
 
-    def mac_generate_task(self, count: int = 1) -> CpuTask:
-        """CPU task for generating ``count`` MACs."""
-        return _interned_task("mac_generate", self.mac_generate * count)
-
-    def mac_verify_task(self, count: int = 1) -> CpuTask:
-        """CPU task for verifying ``count`` MACs."""
-        return _interned_task("mac_verify", self.mac_verify * count)
-
-    def sign_task(self, count: int = 1) -> CpuTask:
-        """CPU task for producing ``count`` digital signatures."""
-        return _interned_task("signature_sign", self.signature_sign * count)
-
     def verify_task(self, count: int = 1) -> CpuTask:
         """CPU task for verifying ``count`` digital signatures."""
         return _interned_task("signature_verify", self.signature_verify * count)

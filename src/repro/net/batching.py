@@ -45,10 +45,6 @@ class MessageBuffer(Generic[T]):
         """Number of buffered items not yet emitted."""
         return len(self._pending)
 
-    def has_full_batch(self) -> bool:
-        """True when at least one full batch can be emitted."""
-        return len(self._pending) >= self.batch_size
-
     def pop_batch(self, allow_partial: bool = False) -> Optional[List[T]]:
         """Remove and return one batch.
 

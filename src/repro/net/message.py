@@ -30,6 +30,24 @@ class Message:
 
 
 @dataclass(frozen=True)
+class InformMessage(Message):
+    """Execution result returned to a client (Section 5).
+
+    Defined here rather than with the SpotLess messages because the shared
+    replica runtime sends it on behalf of every protocol.
+    """
+
+    replica: int
+    client_id: int
+    transaction_digest: bytes
+    success: bool = True
+
+    def canonical_fields(self) -> tuple:
+        """Fields covered by authentication."""
+        return ("inform", self.replica, self.client_id, self.transaction_digest, self.success)
+
+
+@dataclass(frozen=True)
 class Envelope:
     """A message in flight: payload plus transport metadata.
 
@@ -65,4 +83,4 @@ class Envelope:
         return f"{self.message.type_name()} from {self.sender}{suffix} ({self.size_bytes} B)"
 
 
-__all__ = ["Envelope", "Message"]
+__all__ = ["Envelope", "InformMessage", "Message"]

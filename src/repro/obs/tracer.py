@@ -10,8 +10,7 @@ Design constraints, in priority order:
 
 * **Strictly zero-cost when disabled.**  Nothing in this module runs unless
   a tracer is attached; every instrumentation point in the simulator stack
-  guards on a single cached attribute (``self.tracer is None``), and the
-  perf gate (``repro perf --check``) pins that guarantee.
+  guards on a single cached attribute (``self.tracer is None``).
 * **Observation-only.**  Recording draws no randomness and never mutates
   protocol or network state, so golden digests are identical with tracing
   on or off.  The only interaction with the simulator is reading ``now``

@@ -49,11 +49,6 @@ class BftConfig:
         object.__setattr__(self, "_quorum_params", QuorumParams.bft(self.num_replicas))
 
     @property
-    def quorum_params(self) -> QuorumParams:
-        """The 2f + 1 quorum arithmetic of the PBFT-family baselines."""
-        return self._quorum_params
-
-    @property
     def n(self) -> int:
         """Number of replicas."""
         return self._quorum_params.n

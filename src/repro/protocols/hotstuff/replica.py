@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.digest import digest_bytes
 from repro.net.message import Message
@@ -19,6 +19,7 @@ from repro.protocols.hotstuff.messages import (
     QuorumCert,
 )
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
+from repro.runtime.retry import RetryingPull
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 
@@ -105,29 +106,29 @@ class HotStuffReplica(BftReplicaBase):
         # Nodes whose commit cascaded into a dangling (unconnected) chain;
         # retried once chain sync or state transfer fills the gap.
         self._pending_commit_roots: Set[bytes] = set()
-        # Chain-sync dedup: digest -> view in which it was last requested.
+        # Chain-sync admission: digest -> view in which it was last requested.
+        # A response is processed only when it starts at a requested digest,
+        # and an unknown digest is requested at most once per view.
         self._chain_requested: Dict[bytes, int] = {}
-        self._view_timer: Optional[object] = None
-        # Chain-sync retry machinery: digests requested but still unknown,
-        # the peer each was last requested from, and a shared rotation
-        # counter so consecutive retries fan out across distinct targets.
-        self._outstanding_syncs: Set[bytes] = set()
-        self._sync_last_target: Dict[bytes, int] = {}
-        self._sync_rounds = 0
-        self._sync_retry_timer: Optional[object] = None
-        self._sync_retry_armed = False
-        # Node digest currently being payload-pulled: its position is
-        # committed but some transaction body never reached this replica.
+        self._view_timer = self.timer("view", self._on_view_timeout)
+        # One pull for both kinds of gap, keyed by chain-node digest: an
+        # unknown node is fetched with its ancestors, a known node stalling
+        # execution behind the committed frontier with its payload bodies.
+        self._sync = RetryingPull(
+            node_id,
+            send=self._send_chain_request,
+            satisfied=self._gap_closed,
+            candidates=lambda digest: self._broadcast_peers,
+            timer=self.timer("chain-sync-retry", self._on_sync_retry),
+            interval=config.request_timeout,
+            category="chain-sync",
+        )
+        # Node whose payload bodies are being pulled, None while not stalled.
         self._payload_pull_digest: Optional[bytes] = None
-        # Open chain-sync episode span (one per replica; see obs/tracer.py
-        # non-overlap convention: at most one open span per (track, category)).
-        self._sync_span: Optional[int] = None
         self.view_timeouts = 0
         self.proposals_made = 0
         self.chain_syncs_requested = 0
         self.chain_syncs_served = 0
-        self.chain_sync_retries = 0
-        self.chain_sync_rotations = 0
         self.payload_pulls = 0
 
     # ------------------------------------------------------------------
@@ -141,9 +142,13 @@ class HotStuffReplica(BftReplicaBase):
         view = self.view if view is None else view
         return self.leader_of(view) == self.node_id
 
+    def _on_tracer_attached(self) -> None:
+        """Record chain-sync episodes as spans."""
+        self._sync.tracer = self.tracer
+
     def start(self) -> None:
         """Enter view 0; the first leader proposes immediately."""
-        self._arm_view_timer()
+        self._view_timer.start(self.config.view_change_timeout)
         if self.is_leader(0):
             self._propose(0)
 
@@ -151,19 +156,8 @@ class HotStuffReplica(BftReplicaBase):
     # pacemaker
     # ------------------------------------------------------------------
 
-    def _arm_view_timer(self) -> None:
-        if self._view_timer is not None:
-            self._view_timer.cancel()
-        view = self.view
-        self._view_timer = self.simulator.schedule(
-            self.config.view_change_timeout,
-            lambda: self._on_view_timeout(view),
-            label=f"hs-{self.node_id}-view-{view}",
-        )
-
-    def _on_view_timeout(self, view: int) -> None:
-        if view != self.view:
-            return
+    def _on_view_timeout(self) -> None:
+        view = self.view  # the timer restarts on every view entry
         self.view_timeouts += 1
         if self.tracer is not None:
             self.tracer.instant(
@@ -181,7 +175,7 @@ class HotStuffReplica(BftReplicaBase):
         if view <= self.view and view != 0:
             return
         self.view = view
-        self._arm_view_timer()
+        self._view_timer.start(self.config.view_change_timeout)
 
     # ------------------------------------------------------------------
     # leader role
@@ -310,9 +304,9 @@ class HotStuffReplica(BftReplicaBase):
         # (crash, partition, or an A2 attacker withholding proposals) walks
         # the certified chain back from the received QC.
         if proposal.justify is not None and proposal.justify.node_digest not in self.nodes:
-            self._request_chain(sender, proposal.justify.node_digest)
+            self._request_chain((sender,), proposal.justify.node_digest)
         if proposal.parent_digest not in self.nodes:
-            self._request_chain(sender, proposal.parent_digest)
+            self._request_chain((sender,), proposal.parent_digest)
         self._apply_commit_rules(node, sender)
         if proposal.view < self.view or proposal.view in self.voted_views:
             return
@@ -352,10 +346,9 @@ class HotStuffReplica(BftReplicaBase):
                 # A quorum certified a node this replica never received (an
                 # A2 attacker withheld the proposal).  Votes only flow to the
                 # next leader, so no broadcast will back-fill the gap — pull
-                # the chain from a rotated QC signer: every signer voted for
-                # the node, so every signer has it, unlike the leader that
-                # withheld it.
-                self._request_chain(self._rotated_signer(qc), qc.node_digest)
+                # the chain from a QC signer: every signer voted for the node,
+                # so every signer has it, unlike the leader that withheld it.
+                self._request_chain(qc.signers, qc.node_digest)
 
     # -- pacemaker new-view ------------------------------------------------
 
@@ -391,7 +384,8 @@ class HotStuffReplica(BftReplicaBase):
         if parent.view == grandparent.view + 1 and grandparent.view == great.view + 1:
             missing = self._commit_chain(great)
             if missing is not None:
-                self._request_chain(sender if sender is not None else self.leader_of(node.view), missing)
+                holder = sender if sender is not None else self.leader_of(node.view)
+                self._request_chain((holder,), missing)
 
     def _commit_chain(self, node: ChainNode) -> Optional[bytes]:
         """Commit ``node`` and its uncommitted ancestor chain, oldest first.
@@ -436,79 +430,56 @@ class HotStuffReplica(BftReplicaBase):
     # chain synchronisation and recovery
     # ------------------------------------------------------------------
 
-    def _request_chain(self, target: int, node_digest: bytes) -> None:
-        """Ask ``target`` for the ancestor chain of an unknown node."""
-        known = self.nodes.get(node_digest)
-        if known is not None or node_digest == GENESIS_NODE_DIGEST:
-            return
+    def _request_chain(self, holders: Sequence[int], node_digest: bytes) -> None:
+        """Ask one of ``holders`` for the ancestor chain of an unknown node."""
         if self._chain_requested.get(node_digest) == self.view:
             return  # one request per missing digest per view
-        if target == self.node_id:
-            return
-        self._chain_requested[node_digest] = self.view
-        self._sync_last_target[node_digest] = target
-        self._outstanding_syncs.add(node_digest)
-        self.chain_syncs_requested += 1
-        if self.tracer is not None and self._sync_span is None:
-            self._sync_span = self.tracer.begin(
-                self.node_id,
-                "chain-sync",
-                f"chain-sync v{self.view}",
-                view=self.view,
-                target=target,
-            )
-        request = HsChainRequest(node_digest=node_digest)
-        self.send(target, request, self._size_of(request))
-        self._arm_sync_retry()
+        self._sync.request(node_digest, prefer=holders, again=True)
 
-    def _rotated_signer(self, qc: QuorumCert) -> int:
-        """A signer of ``qc`` picked on the shared rotation (never self)."""
-        signers = [s for s in qc.signers if s != self.node_id]
-        if not signers:
-            signers = self.other_replicas()
-        choice = signers[self._sync_rounds % len(signers)]
-        self._sync_rounds += 1
-        return choice
-
-    def _next_rotated_target(self, node_digest: bytes) -> int:
-        """Next peer in rotation for ``node_digest``, never the last one tried."""
-        peers = self.other_replicas()
-        last = self._sync_last_target.get(node_digest)
-        if last in peers and len(peers) > 1:
-            start = (peers.index(last) + 1) % len(peers)
+    def _send_chain_request(self, target: int, node_digest: bytes) -> None:
+        """Put one pull on the wire: the chain of an unknown node, or the
+        payload bodies of a known one (chain nodes only carry digests)."""
+        want_payloads = node_digest in self.nodes
+        if want_payloads:
+            self.payload_pulls += 1
+            if self.tracer is not None:
+                self.tracer.instant(
+                    self.node_id,
+                    "chain-sync",
+                    "payload-pull",
+                    position=self.pipeline.next_execution_position,
+                )
         else:
-            start = self._sync_rounds % len(peers)
-        self._sync_rounds += 1
-        self.chain_sync_rotations += 1
-        return peers[start]
+            self.chain_syncs_requested += 1
+        self._chain_requested[node_digest] = self.view  # admit the response
+        request = HsChainRequest(node_digest=node_digest, want_payloads=want_payloads)
+        self.send(target, request, self._size_of(request))
 
-    def _arm_sync_retry(self) -> None:
-        """Schedule a stall check after chain-sync traffic goes out."""
-        if self._sync_retry_armed:
-            return
-        self._sync_retry_armed = True
-        self._sync_retry_timer = self.simulator.schedule(
-            self.config.request_timeout,
-            self._on_sync_retry,
-            label=f"hs-{self.node_id}-chain-sync-retry",
-        )
+    def _gap_closed(self, node_digest: bytes) -> bool:
+        """A digest needs no pull once its node is known and executable."""
+        return node_digest in self.nodes and node_digest != self._stalled_digest()
 
-    def _cancel_sync_retry(self) -> None:
-        if self._sync_retry_timer is not None:
-            self._sync_retry_timer.cancel()
-            self._sync_retry_timer = None
-        self._sync_retry_armed = False
-        if self.tracer is not None and self._sync_span is not None:
-            self.tracer.end(
-                self._sync_span,
-                requested=self.chain_syncs_requested,
-                retries=self.chain_sync_retries,
-            )
-            self._sync_span = None
+    def _stalled_digest(self) -> Optional[bytes]:
+        """Committed node whose missing payload blocks execution, if any.
 
-    def _payload_stalled(self) -> bool:
-        """True when commits outran execution: a committed payload is missing."""
-        return self.pipeline.next_execution_position < len(self._position_digests)
+        A replica that was partitioned can commit positions whose client
+        broadcasts it missed; consensus-level sync cannot unwedge it.
+        """
+        position = self.pipeline.next_execution_position
+        if position < len(self._position_digests):
+            return self._position_digests[position]
+        return None
+
+    def _maybe_pull_payloads(self) -> None:
+        """Pull the payloads execution is stalled on, once per stalled node;
+        the retry timer rotates the target while the stall lasts."""
+        digest = self._stalled_digest()
+        if digest != self._payload_pull_digest:
+            self._payload_pull_digest = digest
+            if digest is not None:
+                # ``again``: the digest may still be latched from the chain
+                # sync that delivered the node without its payload bodies.
+                self._sync.request(digest, again=True)
 
     def _on_sync_retry(self) -> None:
         """Straggler self-check: re-derive every gap from local state.
@@ -520,53 +491,16 @@ class HotStuffReplica(BftReplicaBase):
         re-requests each from a rotated target so the silent first responder
         cannot wedge the replica.
         """
-        self._sync_retry_timer = None
-        self._sync_retry_armed = False
-        self._outstanding_syncs = {d for d in self._outstanding_syncs if d not in self.nodes}
-        if (
-            self.high_qc.node_digest not in self.nodes
-            and self.high_qc.node_digest != GENESIS_NODE_DIGEST
-        ):
-            self._outstanding_syncs.add(self.high_qc.node_digest)
-        for digest in list(self._pending_commit_roots):
-            node = self.nodes.get(digest)
-            if node is None:
-                continue
-            missing = self._commit_chain(node)
-            if missing is not None:
-                self._outstanding_syncs.add(missing)
-        for digest in sorted(self._outstanding_syncs):
-            self.chain_sync_retries += 1
-            self._chain_requested.pop(digest, None)  # unlatch the per-view dedup
-            self._request_chain(self._next_rotated_target(digest), digest)
-        self._maybe_pull_payloads(force=True)
+        gaps = {self.high_qc.node_digest, *self._sync.missing()}
+        gaps.update(self._retry_parked_commits())
+        self._sync.retry(sorted(gaps))
+        self._maybe_pull_payloads()
         self._maybe_propose_after_sync()
 
-    def _maybe_pull_payloads(self, force: bool = False) -> None:
-        """Pull missing transaction payloads behind the committed frontier.
-
-        A replica that was partitioned can commit positions whose client
-        broadcasts it missed; consensus-level sync cannot unwedge it because
-        the chain nodes only carry digests.  ``force`` (the retry timer)
-        re-sends even while a pull is outstanding, rotating the target.
-        """
-        if not self._payload_stalled():
-            self._payload_pull_digest = None
-            return
-        position = self.pipeline.next_execution_position
-        digest = self._position_digests[position]
-        if not force and self._payload_pull_digest == digest:
-            return  # a pull is in flight; the retry timer rotates targets
-        self._payload_pull_digest = digest
-        self.payload_pulls += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                self.node_id, "chain-sync", "payload-pull", position=position
-            )
-        self._chain_requested[digest] = self.view  # admit the response
-        request = HsChainRequest(node_digest=digest, want_payloads=True)
-        self.send(self._next_rotated_target(digest), request, self._size_of(request))
-        self._arm_sync_retry()
+    def _retry_parked_commits(self) -> List[bytes]:
+        """Re-run the parked commit cascades; the ancestors still missing."""
+        parked = [self.nodes[d] for d in list(self._pending_commit_roots) if d in self.nodes]
+        return [gap for gap in map(self._commit_chain, parked) if gap is not None]
 
     def _maybe_propose_after_sync(self) -> None:
         """Propose if chain sync just delivered the parent this view was stuck on.
@@ -686,18 +620,14 @@ class HotStuffReplica(BftReplicaBase):
             # The synced head may complete a three-chain the cluster has
             # already moved past; no future proposal will re-present it.
             self._apply_commit_rules(head, sender)
-        for digest in list(self._pending_commit_roots):
-            node = self.nodes.get(digest)
-            if node is not None:
-                self._commit_chain(node)
-        self._outstanding_syncs = {d for d in self._outstanding_syncs if d not in self.nodes}
+        self._retry_parked_commits()
         self._maybe_pull_payloads()
         self._maybe_propose_after_sync()
         if deepest_missing is not None and self._pending_commit_roots:
             # Still not connected: keep walking the chain backwards.
-            self._request_chain(sender, deepest_missing)
-        elif not self._outstanding_syncs and not self._payload_stalled():
-            self._cancel_sync_retry()
+            self._request_chain((sender,), deepest_missing)
+        elif self._sync.settle():
+            self._sync.disarm()
 
     def _on_position_executed(
         self, position: int, digests: Tuple[bytes, ...], view: int, instance: int
@@ -762,10 +692,7 @@ class HotStuffReplica(BftReplicaBase):
         self._committed_height = max(self._committed_height, len(self._position_digests))
         super()._apply_state_entries(entries, certificate)
         # The new anchor may connect previously dangling commit cascades.
-        for digest in list(self._pending_commit_roots):
-            node = self.nodes.get(digest)
-            if node is not None:
-                self._commit_chain(node)
+        self._retry_parked_commits()
 
     def on_stable_checkpoint(self, certificate: CheckpointCertificate) -> None:
         """GC per-view vote state: tallies for long-decided views are dead."""
@@ -776,11 +703,6 @@ class HotStuffReplica(BftReplicaBase):
         self._proposed_in_view = {view for view in self._proposed_in_view if view >= horizon}
         self._chain_requested = {
             digest: view for digest, view in self._chain_requested.items() if view >= horizon
-        }
-        self._sync_last_target = {
-            digest: target
-            for digest, target in self._sync_last_target.items()
-            if digest in self._outstanding_syncs or digest == self._payload_pull_digest
         }
 
     # ------------------------------------------------------------------
@@ -794,8 +716,8 @@ class HotStuffReplica(BftReplicaBase):
         return {
             "chain_syncs_requested": self.chain_syncs_requested,
             "chain_syncs_served": self.chain_syncs_served,
-            "chain_sync_retries": self.chain_sync_retries,
-            "chain_sync_rotations": self.chain_sync_rotations,
+            "chain_sync_retries": self._sync.retries,
+            "chain_sync_rotations": self._sync.rotations,
             "payload_pulls": self.payload_pulls,
             "view_timeouts": self.view_timeouts,
         }

@@ -32,8 +32,9 @@ class PbftEnvironment:
     replica_id: int
     broadcast: Callable[[object], None]
     send: Callable[[int, object], None]
-    set_timer: Callable[[str, float, Callable[[], None]], object]
-    cancel_timer: Callable[[object], None]
+    # ``make_timer(name, callback)`` hands out one restartable timer shaped
+    # like :class:`repro.sim.actor.Timer` (``start`` / ``cancel`` / ``running``).
+    make_timer: Callable[[str, Callable[[], None]], object]
     next_batch: Callable[[int], Optional[Tuple[bytes, ...]]]
     on_decide: Callable[[int, int, int, Tuple[bytes, ...]], None]
     now: Callable[[], float] = lambda: 0.0
@@ -115,12 +116,17 @@ class PbftInstanceCore:
 
         self._view_change_votes: Dict[int, Dict[int, ViewChangeMessage]] = {}
         self._future_messages: List[Tuple[int, object]] = []
-        self._progress_timer: Optional[object] = None
-        self._progress_deadline_armed = False
+        self._progress_timer = environment.make_timer(
+            f"pbft-{instance_id}-progress", self._on_progress_timeout
+        )
         # Decided frontier at the moment the progress deadline was armed:
         # the timer only escalates when the frontier has not moved since.
         self._deadline_frontier = -1
-        self._view_change_timer: Optional[object] = None
+        self._view_change_timer = environment.make_timer(
+            f"pbft-{instance_id}-viewchange", self._on_view_change_timeout
+        )
+        # View whose NewView the escalation timer is waiting for.
+        self._awaited_view = 0
 
         # Observability (repro.obs.Tracer); the owning replica propagates its
         # tracer here.  The two episode spans a core can have open at once:
@@ -186,10 +192,6 @@ class PbftInstanceCore:
             return
         self.started = True
         self.try_propose()
-
-    def set_active(self, active: bool) -> None:
-        """Enable or disable this instance (RCC pauses misbehaving instances)."""
-        self.active = active
 
     # ------------------------------------------------------------------
     # primary role with out-of-order processing
@@ -282,7 +284,7 @@ class PbftInstanceCore:
         self.view = target
         self.views_adopted += 1
         self._cancel_progress_timer()
-        self._cancel_view_change_timer()
+        self._view_change_timer.cancel()
         if self.tracer is not None:
             self.tracer.end(self._vc_span, entered_view=target, adopted=True)
             self._vc_span = None
@@ -434,18 +436,12 @@ class PbftInstanceCore:
         cancels nor resets it — only committed progress does.
 
         The timer never survives a view adoption (adoption paths cancel and
-        re-arm), so the view baked into the label is always the view the
-        timeout would escalate from.
+        re-arm), so a timeout always escalates from the view it was armed in.
         """
-        if self._progress_deadline_armed or self.is_primary() or not self.active:
+        if self._progress_timer.running or self.is_primary() or not self.active:
             return
-        self._progress_deadline_armed = True
         self._deadline_frontier = self.decided_frontier
-        self._progress_timer = self.env.set_timer(
-            f"pbft-{self.instance_id}-progress-{self.view}",
-            self.config.request_timeout,
-            self._on_progress_timeout,
-        )
+        self._progress_timer.start(self.config.request_timeout)
         if self.tracer is not None:
             self._progress_span = self.tracer.begin(
                 self.env.replica_id,
@@ -455,10 +451,7 @@ class PbftInstanceCore:
             )
 
     def _cancel_progress_timer(self) -> None:
-        if self._progress_timer is not None:
-            self.env.cancel_timer(self._progress_timer)
-            self._progress_timer = None
-        self._progress_deadline_armed = False
+        self._progress_timer.cancel()
         if self.tracer is not None and self._progress_span is not None:
             self.tracer.end(self._progress_span, fired=False)
             self._progress_span = None
@@ -481,7 +474,7 @@ class PbftInstanceCore:
         the new frontier (partial progress buys the primary a full timeout,
         never an indefinite reprieve); with nothing outstanding it disarms.
         """
-        if not self._progress_deadline_armed:
+        if not self._progress_timer.running:
             return
         self._cancel_progress_timer()
         if self._awaiting_progress():
@@ -489,8 +482,6 @@ class PbftInstanceCore:
             self.arm_progress_timer()
 
     def _on_progress_timeout(self) -> None:
-        self._progress_timer = None
-        self._progress_deadline_armed = False
         if self.tracer is not None and self._progress_span is not None:
             self.tracer.end(self._progress_span, fired=True)
             self._progress_span = None
@@ -570,23 +561,13 @@ class PbftInstanceCore:
         every replica would wait forever for a NewView that nobody can send
         and the instance would wedge permanently.
         """
-        self._cancel_view_change_timer()
-        self._view_change_timer = self.env.set_timer(
-            f"pbft-{self.instance_id}-viewchange-{awaited_view}",
-            self.config.view_change_timeout,
-            lambda: self._on_view_change_timeout(awaited_view),
-        )
+        self._awaited_view = awaited_view
+        self._view_change_timer.start(self.config.view_change_timeout)
 
-    def _cancel_view_change_timer(self) -> None:
-        if self._view_change_timer is not None:
-            self.env.cancel_timer(self._view_change_timer)
-            self._view_change_timer = None
-
-    def _on_view_change_timeout(self, awaited_view: int) -> None:
-        self._view_change_timer = None
-        if not self.active or self.view >= awaited_view:
+    def _on_view_change_timeout(self) -> None:
+        if not self.active or self.view >= self._awaited_view:
             return
-        self.request_view_change(awaited_view + 1)
+        self.request_view_change(self._awaited_view + 1)
 
     def floor_of_position(self, position: int) -> int:
         """Sequence floor implied by a checkpoint at global-order ``position``.
@@ -718,7 +699,7 @@ class PbftInstanceCore:
         self.view = message.new_view
         self.view_changes += 1
         self._cancel_progress_timer()
-        self._cancel_view_change_timer()
+        self._view_change_timer.cancel()
         if self.tracer is not None:
             self.tracer.end(self._vc_span, entered_view=self.view)
             self._vc_span = None

@@ -53,8 +53,7 @@ class PbftReplica(BftReplicaBase):
                 replica_id=node_id,
                 broadcast=self._broadcast_core,
                 send=lambda receiver, message: self.send(receiver, message, self._size_of(message)),
-                set_timer=lambda name, delay, callback: self.simulator.schedule(delay, callback, label=name),
-                cancel_timer=lambda handle: handle.cancel(),
+                make_timer=self.timer,
                 next_batch=lambda instance: self.take_batch(),
                 on_decide=self._on_decide,
                 now=lambda: self.simulator.now,
@@ -117,10 +116,6 @@ class PbftReplica(BftReplicaBase):
     def view(self) -> int:
         """Current PBFT view."""
         return self.core.view
-
-    def view_change_count(self) -> int:
-        """Number of completed view changes."""
-        return self.core.view_changes
 
     def liveness_counters(self) -> dict:
         """Progress-deadline counters surfaced in scenario results."""

@@ -71,8 +71,7 @@ class RccReplica(BftReplicaBase):
                     replica_id=node_id,
                     broadcast=self._broadcast_core,
                     send=lambda receiver, message: self.send(receiver, message, self._size_of(message)),
-                    set_timer=lambda name, delay, callback: self.simulator.schedule(delay, callback, label=name),
-                    cancel_timer=lambda handle: handle.cancel(),
+                    make_timer=self.timer,
                     next_batch=self._next_instance_batch,
                     on_decide=self._on_instance_decide,
                     now=lambda: self.simulator.now,
@@ -183,12 +182,6 @@ class RccReplica(BftReplicaBase):
     # ------------------------------------------------------------------
     # complaints and exponential back-off
     # ------------------------------------------------------------------
-
-    def complain(self, instance_id: int) -> None:
-        """Broadcast a complaint about the primary of ``instance_id``."""
-        core = self.cores[instance_id]
-        message = ComplaintMessage(instance=instance_id, view=core.view)
-        self.broadcast_protocol(message, self.size_model.control_bytes())
 
     def _on_complaint(self, sender: int, message: ComplaintMessage) -> None:
         key = (message.instance, message.view)

@@ -176,9 +176,5 @@ class CheckpointManager:
             entries.append(entry)
         return tuple(entries), self.stable
 
-    def archived_entry(self, position: int) -> Optional[SlotEntry]:
-        """The archived content of one executed order unit."""
-        return self._archive.get(position)
-
 
 __all__ = ["CheckpointManager", "GENESIS_EXECUTION_DIGEST", "fold_entry"]

@@ -37,9 +37,13 @@ class StateTransferEngine:
     manager:
         The replica's :class:`CheckpointManager` (frontier, rolling digest,
         stable certificate).
-    weak_quorum:
-        f + 1 — the number of certificate signers a request is sent to, so
-        at least one honest signer answers.
+    make_pull:
+        Builds the :class:`~repro.runtime.retry.RetryingPull` that decides
+        which certificate signers to ask and when to ask again, given this
+        engine's ``send`` / ``satisfied`` / ``candidates`` hooks.  The owner
+        binds the replica id, the f + 1 fan-out (so at least one honest
+        signer answers) and the retry timer.  Injected, not imported:
+        ``repro.recovery`` stays importable ahead of ``repro.runtime``.
     send_request:
         Callback delivering a :class:`StateRequest` to one peer.
     apply_entries:
@@ -58,31 +62,34 @@ class StateTransferEngine:
         self,
         manager: CheckpointManager,
         *,
-        node_id: int,
-        weak_quorum: int,
+        make_pull: Callable[..., object],
         send_request: SendRequest,
         apply_entries: ApplyEntries,
         on_verified: Optional[Callable[[StateResponse], None]] = None,
-        on_round_issued: Optional[Callable[[], None]] = None,
     ) -> None:
         self.manager = manager
-        self.node_id = node_id
-        self.weak_quorum = weak_quorum
-        self._send_request = send_request
         self._apply_entries = apply_entries
         self._on_verified = on_verified
-        self._on_round_issued = on_round_issued
-        # Highest floor already requested; suppresses duplicate fan-out while
-        # a transfer for that floor is in flight.
-        self._requested_floor = 0
-        # Request rounds issued so far; rotates the signer subset each round
-        # so a retry reaches different peers than the round that stalled.
-        self._rounds = 0
+        # Keyed by stable-floor position.  A round can legitimately yield
+        # nothing (signers faulty, still partitioned away, or their own
+        # stable certificate lags the one we adopted), so the pull re-asks a
+        # rotated signer subset on its timer while the gap persists.
+        self.pull = make_pull(
+            send=lambda target, _floor: send_request(
+                target, StateRequest(from_position=manager.frontier)
+            ),
+            satisfied=self._floor_settled,
+            candidates=lambda _floor: manager.stable.signers,
+        )
 
-        self.requests_sent = 0
         self.responses_applied = 0
         self.responses_rejected = 0
         self.transfers_completed = 0
+
+    @property
+    def requests_sent(self) -> int:
+        """State requests put on the wire."""
+        return self.pull.requested
 
     # ------------------------------------------------------------------
     # gap detection
@@ -92,46 +99,18 @@ class StateTransferEngine:
         """Executed order units the certified floor is ahead of us."""
         return max(0, self.manager.stable_position() - self.manager.frontier)
 
-    def maybe_request(self) -> bool:
+    def _floor_settled(self, floor: int) -> bool:
+        """A floor needs no pull once executed past — or superseded."""
+        return self.manager.frontier >= floor or floor != self.manager.stable_position()
+
+    def maybe_request(self, again: bool = False) -> bool:
         """Issue a transfer request when the stable floor is ahead of us.
 
         The stable checkpoint doubles as the gap detector: it proves a quorum
-        executed past our frontier, so there is certified content to pull.
-        Requests go to f + 1 certificate signers (at least one is honest).
+        executed past our frontier, so there is certified content to pull
+        from its signers.  One round per floor unless ``again``.
         """
-        certificate = self.manager.stable
-        if certificate is None or certificate.position <= self.manager.frontier:
-            return False
-        if certificate.position <= self._requested_floor:
-            return False
-        self._requested_floor = certificate.position
-        request = StateRequest(from_position=self.manager.frontier)
-        targets = [signer for signer in certificate.signers if signer != self.node_id]
-        start = self._rounds % len(targets) if targets else 0
-        self._rounds += 1
-        for target in (targets[start:] + targets[:start])[: self.weak_quorum]:
-            self.requests_sent += 1
-            self._send_request(target, request)
-        if self._on_round_issued is not None:
-            self._on_round_issued()
-        return True
-
-    def retry_if_stalled(self) -> bool:
-        """Unlatch and re-request when a prior round left us behind the floor.
-
-        A request round can legitimately yield nothing: the targeted signers
-        may be faulty, still partitioned away, or unable to serve because
-        their own stable certificate lags the one we adopted.  Without this
-        hook the latch would suppress every retry until a strictly higher
-        checkpoint forms — never, once the workload drains.  The caller arms
-        a timer whenever a round is issued (``on_round_issued``) and invokes
-        this on expiry; target rotation makes successive rounds reach
-        different signers.
-        """
-        if self.manager.frontier >= self.manager.stable_position():
-            return False
-        self._requested_floor = self.manager.frontier
-        return self.maybe_request()
+        return self.pull.request(self.manager.stable_position(), again=again)
 
     # ------------------------------------------------------------------
     # verified replay
@@ -160,11 +139,11 @@ class StateTransferEngine:
         if self.manager.frontier < self.manager.stable_position():
             # Partial transfer: an honest responder whose own stable floor
             # lags the certificate we adopted can only serve part of the gap.
-            # Unlatch and re-pull immediately — otherwise the latch would
-            # suppress every retry until a strictly higher checkpoint forms,
-            # which never happens once the workload drains.
-            self._requested_floor = self.manager.frontier
-            self.maybe_request()
+            # Re-pull immediately instead of waiting out the retry timer.
+            self.maybe_request(again=True)
+        # Closes the episode span once the gap is gone; the retry timer is
+        # left to fire once more and find nothing to do.
+        self.pull.settle()
         return True
 
     def _verify(

@@ -90,10 +90,6 @@ class Mempool:
         self._executed.add(digest)
         self._queued.discard(digest)
 
-    def is_queued(self, digest: bytes) -> bool:
-        """True while ``digest`` sits in some pending queue."""
-        return digest in self._queued
-
     def is_proposed(self, digest: bytes) -> bool:
         """True while ``digest`` is part of an outstanding proposal."""
         return digest in self._proposed

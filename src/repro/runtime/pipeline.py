@@ -101,10 +101,6 @@ class ExecutionPipeline:
         self.decided_batches += 1
         self.advance()
 
-    def is_decided(self, position: int) -> bool:
-        """True once ``position`` has a decided batch."""
-        return position in self._decided
-
     def decided_positions(self) -> List[int]:
         """All decided positions (not necessarily contiguous)."""
         return sorted(self._decided)

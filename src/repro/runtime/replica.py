@@ -21,13 +21,13 @@ Protocol hooks
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.messages import InformMessage
 from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
-from repro.net.message import Message
+from repro.net.message import InformMessage, Message
 from repro.net.sizes import MessageSizeModel
 from repro.recovery import (
     CheckpointCertificate,
@@ -41,6 +41,7 @@ from repro.recovery import (
 )
 from repro.runtime.mempool import AdmitResult, Mempool
 from repro.runtime.pipeline import ExecutionPipeline
+from repro.runtime.retry import RetryingPull
 from repro.sim.actor import Actor
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -123,17 +124,18 @@ class ReplicaRuntime(Actor):
         )
         self.state_transfer = StateTransferEngine(
             self.checkpoints,
-            node_id=node_id,
-            weak_quorum=config.weak_quorum,
+            make_pull=partial(
+                RetryingPull,
+                node_id,
+                fanout=config.weak_quorum,
+                timer=self.timer("state-transfer-retry", lambda: self.state_transfer.pull.retry()),
+                interval=getattr(config, "request_timeout", 0.25),
+                category="state-transfer",
+            ),
             send_request=self._send_state_request,
             apply_entries=self._apply_state_entries,
             on_verified=self._register_transferred_payloads,
-            on_round_issued=self._arm_transfer_retry,
         )
-        # A request round can stall (targeted signers faulty, partitioned,
-        # or unable to serve); retry on a timer until the gap closes.
-        self._transfer_retry_delay = getattr(config, "request_timeout", 0.25)
-        self._transfer_retry_armed = False
         # Baselines execute through the pipeline; SpotLess replaces this hook
         # with its own per-view folding in ``core.node``.  With checkpointing
         # disabled the recovery layer is fully dormant: no per-position
@@ -150,9 +152,6 @@ class ReplicaRuntime(Actor):
             StateResponse: self._on_state_response,
         }
 
-        # Open state-transfer episode span (repro.obs), None while idle.
-        self._st_span: Optional[int] = None
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -166,6 +165,7 @@ class ReplicaRuntime(Actor):
         instance cores).
         """
         self.tracer = tracer
+        self.state_transfer.pull.tracer = tracer
         self._on_tracer_attached()
 
     def _on_tracer_attached(self) -> None:
@@ -256,19 +256,6 @@ class ReplicaRuntime(Actor):
     # recovery: checkpoints and state transfer
     # ------------------------------------------------------------------
 
-    def _handle_recovery_message(self, sender: int, payload: object) -> bool:
-        """Route recovery-layer messages; returns True when one was handled."""
-        if isinstance(payload, CheckpointVote):
-            self._on_checkpoint_vote(sender, payload)
-            return True
-        if isinstance(payload, StateRequest):
-            self._serve_state_request(sender, payload)
-            return True
-        if isinstance(payload, StateResponse):
-            self._on_state_response(sender, payload)
-            return True
-        return False
-
     def _record_executed_entry(self, entry: SlotEntry) -> None:
         """Fold one executed order unit; broadcast a vote at K crossings."""
         vote = self.checkpoints.record_execution(entry)
@@ -323,28 +310,7 @@ class ReplicaRuntime(Actor):
             )
         self.on_stable_checkpoint(certificate)
 
-    def _arm_transfer_retry(self) -> None:
-        """Schedule a stall check after each state-request round goes out."""
-        if self._transfer_retry_armed:
-            return
-        self._transfer_retry_armed = True
-        self.simulator.schedule(
-            self._transfer_retry_delay, self._retry_transfer, label="state-transfer-retry"
-        )
-
-    def _retry_transfer(self) -> None:
-        self._transfer_retry_armed = False
-        # Re-arms itself through on_round_issued while the gap persists.
-        self.state_transfer.retry_if_stalled()
-
     def _send_state_request(self, target: int, request: StateRequest) -> None:
-        if self.tracer is not None and self._st_span is None:
-            self._st_span = self.tracer.begin(
-                self.node_id,
-                "state-transfer",
-                f"state-transfer from {request.from_position}",
-                from_position=request.from_position,
-            )
         self.send(target, request, self.size_model.control_bytes(signatures=1))
 
     def _serve_state_request(self, sender: int, request: StateRequest) -> None:
@@ -400,13 +366,6 @@ class ReplicaRuntime(Actor):
 
     def _on_state_response(self, sender: int, response: StateResponse) -> None:
         if self.state_transfer.on_response(sender, response):
-            if self.tracer is not None and self._st_span is not None:
-                self.tracer.end(
-                    self._st_span,
-                    served_by=sender,
-                    frontier=self.pipeline.next_execution_position,
-                )
-                self._st_span = None
             if response.certificate is not None:
                 self._on_new_stable_checkpoint(response.certificate)
             self.on_state_transferred(response.certificate)

@@ -16,15 +16,13 @@ from repro.sim.network import Network
 class Timer:
     """A cancellable, restartable timer owned by an actor."""
 
-    __slots__ = ("_simulator", "name", "_callback", "_event", "started_at", "interval", "_label")
+    __slots__ = ("_simulator", "name", "_callback", "_event", "_label")
 
     def __init__(self, simulator: Simulator, name: str, callback: Callable[[], None]) -> None:
         self._simulator = simulator
         self.name = name
         self._callback = callback
         self._event: Optional[Event] = None
-        self.started_at: Optional[float] = None
-        self.interval: Optional[float] = None
         self._label = f"timer:{name}"
 
     @property
@@ -35,8 +33,6 @@ class Timer:
     def start(self, interval: float) -> None:
         """Arm (or re-arm) the timer to fire ``interval`` seconds from now."""
         self.cancel()
-        self.started_at = self._simulator.now
-        self.interval = interval
         self._event = self._simulator.schedule(interval, self._fire, label=self._label)
 
     def cancel(self) -> None:
@@ -44,12 +40,6 @@ class Timer:
         if self._event is not None:
             self._event.cancel()
             self._event = None
-
-    def elapsed(self) -> float:
-        """Seconds since the timer was last started (0.0 if never started)."""
-        if self.started_at is None:
-            return 0.0
-        return self._simulator.now - self.started_at
 
     def _fire(self) -> None:
         self._event = None
@@ -130,11 +120,6 @@ class Actor:
                 raise KeyError(f"timer {name!r} does not exist and no callback was given")
             self._timers[name] = Timer(self.simulator, f"{self.node_id}:{name}", callback)
         return self._timers[name]
-
-    def cancel_all_timers(self) -> None:
-        """Cancel every timer owned by this actor."""
-        for timer in self._timers.values():
-            timer.cancel()
 
     # -- scheduling ------------------------------------------------------
 

@@ -73,9 +73,5 @@ class CpuModel:
             return 0.0
         return min(1.0, self.busy_seconds / (elapsed * self.cores))
 
-    def earliest_idle_time(self) -> float:
-        """Absolute time at which at least one core becomes idle."""
-        return min(self._core_free_at)
-
 
 __all__ = ["CpuModel", "CpuTask"]

@@ -200,10 +200,6 @@ class ThroughputLatencySample:
     throughput: float
     latency: float
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(throughput, latency)``."""
-        return (self.throughput, self.latency)
-
 
 def summarize_latency(histogram: Histogram, duration: float) -> Optional[ThroughputLatencySample]:
     """Build a throughput/latency sample from a latency histogram.

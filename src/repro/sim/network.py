@@ -33,12 +33,6 @@ class LinkSpec:
     delay: float
     jitter: float = 0.0
 
-    def sample_delay(self, rng: DeterministicRng) -> float:
-        """One-way propagation delay sample for a message on this link."""
-        if self.jitter <= 0.0:
-            return self.delay
-        return max(0.0, self.delay + rng.uniform(-self.jitter, self.jitter))
-
 
 @dataclass
 class RegionTopology:

@@ -15,23 +15,7 @@ from repro.core.chain import ProposalStatus
 from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance, ViewState
 from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
-
-
-class ManualTimer:
-    """Timer handle recorded by the harness; fired explicitly by tests."""
-
-    def __init__(self, name, delay, callback):
-        self.name = name
-        self.delay = delay
-        self.callback = callback
-        self.cancelled = False
-
-    def cancel(self):
-        self.cancelled = True
-
-    def fire(self):
-        if not self.cancelled:
-            self.callback()
+from tests.manual_timer import TimerBoard
 
 
 class Harness:
@@ -42,7 +26,7 @@ class Harness:
         self.queues: List[Tuple[int, Optional[int], object]] = []
         self.commits: Dict[int, List] = {r: [] for r in range(num_replicas)}
         self.batches: Dict[int, List[Tuple[bytes, ...]]] = {r: [] for r in range(num_replicas)}
-        self.timers: Dict[int, List[ManualTimer]] = {r: [] for r in range(num_replicas)}
+        self.timers: Dict[int, TimerBoard] = {r: TimerBoard() for r in range(num_replicas)}
         self.time = 0.0
         self.instances: Dict[int, SpotLessInstance] = {}
         for replica in range(num_replicas):
@@ -59,17 +43,11 @@ class Harness:
                 return queued.pop(0)
             return (bytes([replica]) + view.to_bytes(4, "big"),)
 
-        def set_timer(name, delay, callback):
-            timer = ManualTimer(name, delay, callback)
-            self.timers[replica].append(timer)
-            return timer
-
         return InstanceEnvironment(
             replica_id=replica,
             broadcast=lambda message, _r=replica: self.queues.append((_r, None, message)),
             send=lambda receiver, message, _r=replica: self.queues.append((_r, receiver, message)),
-            set_timer=set_timer,
-            cancel_timer=lambda handle: handle.cancel(),
+            make_timer=self.timers[replica].make_timer,
             next_batch=next_batch,
             on_commit=lambda instance, proposal, _r=replica: self.commits[_r].append(proposal),
             now=lambda: self.time,
@@ -113,9 +91,7 @@ class Harness:
         """Fire every armed (non-cancelled) timer once."""
         replicas = [replica] if replica is not None else list(self.instances)
         for target in replicas:
-            pending, self.timers[target] = self.timers[target], []
-            for timer in pending:
-                timer.fire()
+            self.timers[target].fire_running()
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,15 @@ partial-withholding attacks:
   no retry — a withholding peer simply never answered.
 
 These tests pin the replacement semantics: a progress deadline that only
-commits can extend, and a chain-sync retry timer with rotated targets plus
-a payload pull behind the committed frontier.
+commits can extend, and a payload pull behind the committed frontier.  The
+retry-with-rotation half lives in ``tests/test_retry.py``, once for every
+catch-up path.
 """
 
 import pytest
 
 from repro.bench.cluster import SimulatedCluster
 from repro.protocols.common import BftConfig
-from repro.protocols.hotstuff.messages import HsChainRequest
 from repro.protocols.hotstuff.replica import (
     GENESIS_NODE_DIGEST,
     ChainNode,
@@ -31,6 +31,7 @@ from repro.protocols.pbft.messages import (
     ViewChangeMessage,
 )
 from repro.workload.requests import Operation, Transaction
+from tests.manual_timer import TimerBoard
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +44,7 @@ class CoreHarness:
 
     def __init__(self, replica_id=1, instance_id=0, num_replicas=4, pending=1):
         self.sent = []  # (receiver | None, message); None means broadcast
-        self.timers = []  # dicts: name, delay, callback, cancelled
+        self.timers = TimerBoard()
         self.pending = pending
         self.core = PbftInstanceCore(
             instance_id=instance_id,
@@ -52,8 +53,7 @@ class CoreHarness:
                 replica_id=replica_id,
                 broadcast=lambda m: self.sent.append((None, m)),
                 send=lambda to, m: self.sent.append((to, m)),
-                set_timer=self._set_timer,
-                cancel_timer=lambda handle: handle.update(cancelled=True),
+                make_timer=self.timers.make_timer,
                 next_batch=lambda instance: None,
                 on_decide=lambda instance, seq, view, digests: None,
                 pending_requests=lambda: self.pending,
@@ -61,13 +61,8 @@ class CoreHarness:
         )
         self.core.start()
 
-    def _set_timer(self, name, delay, callback):
-        handle = {"name": name, "delay": delay, "callback": callback, "cancelled": False}
-        self.timers.append(handle)
-        return handle
-
     def live_progress_timers(self):
-        return [t for t in self.timers if "progress" in t["name"] and not t["cancelled"]]
+        return self.timers.running("progress")
 
     def broadcast_view_changes(self):
         return [m for to, m in self.sent if to is None and isinstance(m, ViewChangeMessage)]
@@ -89,9 +84,8 @@ def test_drip_fed_preprepares_do_not_reset_the_progress_deadline():
         )
     # The original deadline is still live: receiving proposals is a commit
     # *obligation*, not commit *progress*.
-    assert not armed["cancelled"]
-    assert h.live_progress_timers() == [armed]
-    armed["callback"]()
+    assert armed.running and armed.starts == 1
+    armed.fire()
     assert h.core.progress_timeout_fires == 1
     assert h.broadcast_view_changes(), "deadline expiry must escalate to a view change"
 
@@ -116,8 +110,7 @@ def test_commit_with_outstanding_work_extends_the_deadline():
     # against the new frontier rather than disarming.
     assert h.core.decided_frontier == 0
     assert h.core.progress_deadline_extensions == 1
-    assert armed["cancelled"]
-    assert len(h.live_progress_timers()) == 1
+    assert armed.running and armed.starts == 2, "the deadline restarts from now"
     assert not h.broadcast_view_changes()
 
 
@@ -126,25 +119,27 @@ def test_deadline_fire_with_drained_workload_is_a_noop():
     h = CoreHarness(replica_id=1, pending=0)
     h.core.arm_progress_timer()
     (armed,) = h.live_progress_timers()
-    armed["callback"]()
+    armed.fire()
     assert h.core.progress_timeout_fires == 0
     assert not h.broadcast_view_changes()
 
 
-def test_progress_timer_label_carries_the_adopted_view():
-    """Adoption paths re-arm, so the label's view never goes stale."""
+def test_view_adoption_rearms_the_progress_deadline():
+    """Adoption paths re-arm, so an expiry escalates from the adopted view."""
     h = CoreHarness(replica_id=2)
     h.core.arm_progress_timer()
-    assert h.live_progress_timers()[0]["name"] == "pbft-0-progress-0"
+    (armed,) = h.live_progress_timers()
     # f + 1 distinct senders operating in view 1 trigger adoption.
     for sender in (1, 3):
         h.core.on_message(
             sender, PrepareMessage(instance=0, view=1, sequence=0, batch_digest=b"d")
         )
     assert h.core.view == 1
-    live = h.live_progress_timers()
-    assert live, "adoption with outstanding work must re-arm the deadline"
-    assert live[-1]["name"] == "pbft-0-progress-1"
+    assert armed.running and armed.starts == 2, (
+        "adoption with outstanding work must re-arm the deadline"
+    )
+    armed.fire()
+    assert [m.new_view for m in h.broadcast_view_changes()] == [2]
 
 
 def test_rcc_cores_share_the_progress_deadline_semantics():
@@ -156,14 +151,14 @@ def test_rcc_cores_share_the_progress_deadline_semantics():
         h.core.on_preprepare(
             1, PrePrepareMessage(instance=1, view=0, sequence=sequence, transaction_digests=(b"x",))
         )
-    assert not armed["cancelled"]
-    armed["callback"]()
+    assert armed.running
+    armed.fire()
     assert h.core.progress_timeout_fires == 1
     assert any(m.instance == 1 for m in h.broadcast_view_changes())
 
 
 # ---------------------------------------------------------------------------
-# HotStuff/Narwhal chain-sync retry, rotation, and payload pull
+# HotStuff/Narwhal payload pull and response verification
 # ---------------------------------------------------------------------------
 
 
@@ -175,62 +170,21 @@ class QuietCluster:
     only move when the test injects something.
     """
 
-    def __init__(self, protocol):
-        from repro.protocols.hotstuff.replica import HotStuffReplica
-        from repro.protocols.narwhal.replica import NarwhalHsReplica
+    def __init__(self, protocol, **config_kwargs):
+        from repro.bench.cluster import REPLICA_CLASSES
         from repro.sim.engine import Simulator
         from repro.sim.network import Network
         from repro.sim.rng import DeterministicRng
 
         self.simulator = Simulator()
-        network = Network(self.simulator, rng=DeterministicRng(7))
-        cls = {"hotstuff": HotStuffReplica, "narwhal-hs": NarwhalHsReplica}[protocol]
-        config = BftConfig(num_replicas=4)
+        self.network = Network(self.simulator, rng=DeterministicRng(7))
+        config = BftConfig(num_replicas=4, **config_kwargs)
         self.replicas = [
-            cls(node_id=i, config=config, simulator=self.simulator, network=network)
+            REPLICA_CLASSES[protocol](
+                node_id=i, config=config, simulator=self.simulator, network=self.network
+            )
             for i in range(4)
         ]
-
-
-def _quiet_cluster(protocol):
-    return QuietCluster(protocol)
-
-
-@pytest.mark.parametrize("protocol", ["hotstuff", "narwhal-hs"])
-def test_chain_sync_retries_with_a_rotated_target(protocol):
-    """Sync succeeds although the first responder never answers.
-
-    Replica 1 (the original revealer) does not have the requested node, so
-    it serves nothing — exactly the behaviour of an A2 attacker that
-    withheld the proposal.  The retry timer must re-request from the next
-    peer in rotation, which does have it.
-    """
-    cluster = _quiet_cluster(protocol)
-    requester, silent, helper = cluster.replicas[0], cluster.replicas[1], cluster.replicas[2]
-    # Park the requester in a view it does not lead: sync completion would
-    # otherwise (correctly) trigger a proposal and spin up consensus, which
-    # this surgical test does not want running underneath it.
-    requester.view = 1
-    digest = chain_node_digest(5, GENESIS_NODE_DIGEST, ())
-    helper.nodes[digest] = ChainNode(
-        digest=digest,
-        view=5,
-        parent_digest=GENESIS_NODE_DIGEST,
-        transaction_digests=(),
-        justify=None,
-        height=1,
-    )
-    requester._request_chain(silent.node_id, digest)
-    assert requester.chain_syncs_requested == 1
-    assert digest not in requester.nodes
-    # Let the retry deadline expire and the rotated round-trip complete.
-    cluster.simulator.run_for(requester.config.request_timeout * 3)
-    assert requester.chain_sync_retries >= 1
-    assert requester.chain_sync_rotations >= 1
-    assert silent.chain_syncs_served == 0
-    assert helper.chain_syncs_served >= 1, "the retry must rotate to the next peer"
-    assert digest in requester.nodes, "rotation must reach a peer that has the node"
-    assert digest not in requester._outstanding_syncs
 
 
 @pytest.mark.parametrize("protocol", ["hotstuff", "narwhal-hs"])
@@ -242,7 +196,7 @@ def test_straggler_pulls_missing_payloads_behind_the_committed_frontier(protocol
     because chain nodes only carry digests.  The payload pull must fetch
     the bodies and unblock execution.
     """
-    cluster = _quiet_cluster(protocol)
+    cluster = QuietCluster(protocol)
     straggler, server = cluster.replicas[0], cluster.replicas[1]
     straggler.view = 2  # not a view the straggler leads (see rotation test)
     tx = Transaction(client_id=9, sequence=0, operations=(Operation.write(1, b"v"),))
@@ -261,10 +215,9 @@ def test_straggler_pulls_missing_payloads_behind_the_committed_frontier(protocol
     server._position_digests.append(node_digest)
     straggler._commit_chain(straggler.nodes[node_digest])
     # Committed but unexecutable: the payload pull went out eagerly.
-    assert straggler._payload_stalled()
+    assert straggler.pipeline.next_execution_position == 0
     assert straggler.payload_pulls == 1
     cluster.simulator.run_for(straggler.config.request_timeout * 3)
-    assert not straggler._payload_stalled()
     assert straggler.pipeline.next_execution_position == 1
     assert straggler.executed_transactions == 1
 
@@ -272,7 +225,7 @@ def test_straggler_pulls_missing_payloads_behind_the_committed_frontier(protocol
 @pytest.mark.parametrize("protocol", ["hotstuff", "narwhal-hs"])
 def test_unsolicited_chain_payloads_are_not_registered(protocol):
     """A forged payload not referenced by a verified node never lands."""
-    cluster = _quiet_cluster(protocol)
+    cluster = QuietCluster(protocol)
     victim, attacker = cluster.replicas[0], cluster.replicas[3]
     forged = Transaction(client_id=66, sequence=0, operations=(Operation.write(5, b"evil"),))
     from repro.protocols.hotstuff.messages import HsChainResponse, HsNodeData

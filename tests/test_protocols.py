@@ -15,6 +15,7 @@ from repro.protocols.pbft.messages import (
     PrePrepareMessage,
     ViewChangeMessage,
 )
+from tests.manual_timer import TimerBoard
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +47,7 @@ class PbftHarness:
         self.queues = []
         self.decisions = {r: [] for r in range(num_replicas)}
         self.batches = {r: list(batches or []) for r in range(num_replicas)}
-        self.timers = {r: [] for r in range(num_replicas)}
+        self.timers = {r: TimerBoard() for r in range(num_replicas)}
         self.cores = {}
         for replica in range(num_replicas):
             self.cores[replica] = PbftInstanceCore(
@@ -56,8 +57,7 @@ class PbftHarness:
                     replica_id=replica,
                     broadcast=lambda m, _r=replica: self.queues.append((_r, None, m)),
                     send=lambda to, m, _r=replica: self.queues.append((_r, to, m)),
-                    set_timer=self._set_timer(replica),
-                    cancel_timer=lambda handle: handle.update(cancelled=True),
+                    make_timer=self.timers[replica].make_timer,
                     next_batch=lambda instance, _r=replica: self._next_batch(_r),
                     on_decide=lambda instance, seq, view, digests, _r=replica: self.decisions[_r].append(
                         (seq, view, digests)
@@ -65,14 +65,6 @@ class PbftHarness:
                     pending_requests=lambda _r=replica: len(self.batches[_r]),
                 ),
             )
-
-    def _set_timer(self, replica):
-        def setter(name, delay, callback):
-            handle = {"cancelled": False, "callback": callback}
-            self.timers[replica].append(handle)
-            return handle
-
-        return setter
 
     def _next_batch(self, replica):
         if self.batches[replica]:
@@ -92,10 +84,7 @@ class PbftHarness:
                     self.cores[target].on_message(sender, message)
 
     def fire_timers(self, replica):
-        pending, self.timers[replica] = self.timers[replica], []
-        for handle in pending:
-            if not handle["cancelled"]:
-                handle["callback"]()
+        self.timers[replica].fire_running()
 
 
 def test_pbft_normal_case_decides_the_batch_everywhere():

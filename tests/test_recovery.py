@@ -8,6 +8,8 @@ view-change bound the checkpoint floor buys: ViewChange votes carry O(K)
 slots after 100+ commits, not the full since-genesis history.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.recovery import (
@@ -21,6 +23,7 @@ from repro.recovery import (
     StateTransferEngine,
     fold_entry,
 )
+from repro.runtime.retry import RetryingPull
 
 
 def make_entry(position, payload=None):
@@ -191,8 +194,7 @@ class TransferHarness:
         self.applied = []
         self.engine = StateTransferEngine(
             self.manager,
-            node_id=0,
-            weak_quorum=2,
+            make_pull=partial(RetryingPull, 0, fanout=2),
             send_request=lambda target, request: self.requests.append((target, request)),
             apply_entries=self._apply,
         )
@@ -335,14 +337,15 @@ def test_stalled_transfer_round_retries_with_rotated_targets():
     assert first_round == [1, 2]
     # No response arrived; the retry must not be latched out and must reach
     # a different signer subset than the round that stalled.
-    assert harness.engine.retry_if_stalled()
+    harness.engine.pull.retry()
     second_round = [target for target, _ in harness.requests[len(first_round):]]
     assert second_round == [2, 3]
     # Once caught up there is nothing left to retry.
     entries, certificate = harness.reference.serve(3)
     response = StateResponse(from_position=3, entries=entries, certificate=certificate)
     assert harness.engine.on_response(2, response)
-    assert not harness.engine.retry_if_stalled()
+    harness.engine.pull.retry()
+    assert harness.engine.requests_sent == 4
 
 
 def test_fold_entry_is_sensitive_to_every_component():
