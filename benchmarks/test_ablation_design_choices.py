@@ -1,4 +1,4 @@
-"""Ablation benches for the design choices called out in DESIGN.md.
+"""Ablation benches for the design choices listed in EXPERIMENTS.md ("Ablations").
 
 These do not correspond to a numbered figure; they quantify the design
 decisions the paper argues for: the three-consecutive-view commit rule

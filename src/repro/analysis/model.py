@@ -4,7 +4,8 @@ The large-scale experiments of the paper (128 replicas, hundreds of
 thousands of transactions per second) cannot be replayed message-by-message
 in a Python discrete-event simulator within a reasonable time budget, so the
 figure benchmarks use this analytical model instead (the message-level
-simulator validates the protocols at small scale; see DESIGN.md).
+simulator validates the protocols at small scale; see the introduction of
+EXPERIMENTS.md and ``python -m repro validate``).
 
 The model computes, for one consensus decision (a batch of ``batch_size``
 transactions), the load each protocol places on the four resources that

@@ -1,4 +1,4 @@
-"""Ablation experiments for the design choices DESIGN.md calls out.
+"""Ablation experiments for the design choices EXPERIMENTS.md ("Ablations") lists.
 
 The paper motivates four design decisions that are not covered by its
 headline figures:
@@ -25,6 +25,7 @@ from repro.core.chain import ProposalStatus, ProposalStore, proposal_digest
 from repro.core.config import SpotLessConfig
 from repro.core.messages import ProposeMessage
 from repro.bench.cluster import SimulatedCluster
+from repro.bench.experiments import Experiment
 from repro.faults.injector import FaultInjector
 from repro.sim.network import NetworkConfig, RegionTopology
 
@@ -330,40 +331,59 @@ def fast_path_latency(
 
 
 # ----------------------------------------------------------------------
-# dispatch registry: one picklable entry point per named ablation
+# the ablation registry: the one table behind `repro list`, `repro ablation`
+# and the ``ablation`` dispatch task
 # ----------------------------------------------------------------------
 
-#: CLI ablation name -> ablation function.  Keys match ``repro.cli.ABLATIONS``.
-ABLATION_EXPERIMENTS: Dict[str, object] = {
-    "commit-rule": commit_rule_safety,
-    "view-sync": view_synchronization_recovery,
-    "timeouts": timeout_policy_stability,
-    "assignment": assignment_load_balance,
-    "fast-path": fast_path_latency,
+#: CLI ablation name -> experiment (EXPERIMENTS.md, "Ablations").
+ABLATIONS: Dict[str, Experiment] = {
+    "commit-rule": Experiment(
+        commit_rule_safety,
+        ("commit_rule", "commits_at_A", "commits_at_B", "conflicting_commits", "safe"),
+        "Example 3.6: the three-consecutive-view commit rule versus a two-view rule",
+    ),
+    "view-sync": Experiment(
+        view_synchronization_recovery,
+        ("view_sync_mode", "view_lag_at_heal", "view_lag_after_recovery", "caught_up"),
+        "Rapid View Synchronization versus a GST-style pacemaker",
+    ),
+    "timeouts": Experiment(
+        timeout_policy_stability,
+        (
+            "timeout_policy",
+            "confirmed_total",
+            "post_failure_min",
+            "post_failure_max",
+            "post_failure_spread",
+        ),
+        "Constant-ε adaptive timeouts versus exponential back-off (Figure 12 mechanism)",
+    ),
+    "assignment": Experiment(
+        assignment_load_balance,
+        (
+            "assignment_policy",
+            "instances",
+            "least_loaded_commits",
+            "most_loaded_commits",
+            "imbalance_ratio",
+        ),
+        "Digest-based request assignment versus client-to-instance binding",
+    ),
+    "fast-path": Experiment(
+        fast_path_latency,
+        ("fast_path", "mean_latency_s", "throughput_txn_s", "fast_path_proposals"),
+        "Geo fast path (Section 6.1 optimisation)",
+    ),
 }
 
 
-def run_ablation(name: str) -> List[Dict[str, object]]:
-    """Run one named ablation and return its rows.
-
-    Worker-process entry point behind the ``ablation`` dispatch task;
-    resolvable by module path and cache-keyed by name.
-    """
-    ablation = ABLATION_EXPERIMENTS.get(name)
-    if ablation is None:
-        known = ", ".join(sorted(ABLATION_EXPERIMENTS))
-        raise KeyError(f"unknown ablation {name!r}; choose one of: {known}")
-    return ablation()
-
-
 __all__ = [
-    "ABLATION_EXPERIMENTS",
+    "ABLATIONS",
     "CommitRuleOutcome",
     "assignment_load_balance",
     "commit_rule_safety",
     "example_3_6_conflict",
     "fast_path_latency",
-    "run_ablation",
     "timeout_policy_stability",
     "view_synchronization_recovery",
 ]

@@ -7,7 +7,8 @@ closed-loop :class:`~repro.core.client.SpotLessClient` actors, or (when an
 :class:`~repro.core.client.OpenLoopClientPool` offering load at a rate.
 It is the integration surface used by the examples, the integration tests
 and the failure/timeline experiments; the large-scale throughput figures use
-the analytical model in :mod:`repro.analysis` instead (see DESIGN.md).
+the analytical model in :mod:`repro.analysis` instead (see the introduction
+of EXPERIMENTS.md).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ behaviour (RCC's back-off dips versus SpotLess's stability).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.model import PerformanceModel, ResourceProfile, Scenario
 
@@ -543,48 +543,130 @@ def _windowed_p99(samples: Sequence[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# dispatch registry: one picklable entry point per named figure
+# the figure registry: the one table behind `repro list`, `repro figure`,
+# the ``figure`` dispatch task and the CLI's figure-specific flags
 # ----------------------------------------------------------------------
 
-#: CLI figure name -> experiment function (see EXPERIMENTS.md for the
-#: figure-by-figure mapping).  Keys match ``repro.cli.FIGURES``.
-FIGURE_EXPERIMENTS: Dict[str, object] = {
-    "fig7a-scalability": scalability,
-    "fig7b-batching": batching,
-    "fig7c-throughput-latency": throughput_latency,
-    "fig7d-transaction-size": transaction_size,
-    "fig7e-failures": failures,
-    "fig7f-failure-ratio": failures_ratio,
-    "fig8-spotless-failures": spotless_failures,
-    "fig9-latency-failures": parallelism,
-    "fig10-parallelism": parallelism,
-    "fig11-byzantine": byzantine_attacks,
-    "fig12-timeline": failure_timeline,
-    "fig13-instances": concurrent_instances,
-    "fig14a-cpu": computing_power,
-    "fig14b-bandwidth": network_bandwidth,
-    "fig14cd-regions": geo_regions,
-    "fig15-single-instance": single_instance_failures,
-    "offered-load": offered_load,
+
+class Experiment(NamedTuple):
+    """One named, runnable grid of the evaluation."""
+
+    run: Callable[..., List[Dict[str, object]]]
+    #: Key-column order of the printed table.
+    columns: Tuple[str, ...]
+    #: What the rows reproduce, as printed above the table.
+    paper: str
+    #: CLI flag (argparse dest) -> the ``run`` keyword it sets.  A flag a
+    #: figure does not list here is rejected for it, not silently dropped.
+    cli_kwargs: Mapping[str, str] = {}
+
+
+#: CLI figure name -> experiment (EXPERIMENTS.md maps each to its figure).
+FIGURES: Dict[str, Experiment] = {
+    "fig7a-scalability": Experiment(
+        scalability,
+        ("replicas", "protocol", "throughput_txn_s", "latency_s", "bottleneck"),
+        "Figure 7(a): throughput versus the number of replicas",
+        {"replicas": "replica_counts"},
+    ),
+    "fig7b-batching": Experiment(
+        batching,
+        ("batch_size", "protocol", "throughput_txn_s", "latency_s"),
+        "Figure 7(b): throughput versus batch size",
+    ),
+    "fig7c-throughput-latency": Experiment(
+        throughput_latency,
+        ("client_batches", "protocol", "throughput_txn_s", "latency_s"),
+        "Figure 7(c): latency versus throughput",
+    ),
+    "fig7d-transaction-size": Experiment(
+        transaction_size,
+        ("transaction_bytes", "protocol", "throughput_txn_s"),
+        "Figure 7(d): throughput versus transaction size",
+    ),
+    "fig7e-failures": Experiment(
+        failures,
+        ("faulty", "protocol", "throughput_txn_s"),
+        "Figure 7(e): throughput versus the number of failures",
+    ),
+    "fig7f-failure-ratio": Experiment(
+        failures_ratio,
+        ("ratio", "faulty", "protocol", "throughput_txn_s"),
+        "Figure 7(f): throughput versus the ratio of failures out of f",
+    ),
+    "fig8-spotless-failures": Experiment(
+        spotless_failures,
+        ("replicas", "faulty", "protocol", "throughput_txn_s"),
+        "Figure 8: SpotLess under failures as a function of n",
+    ),
+    "fig9-latency-failures": Experiment(
+        parallelism,
+        ("faulty", "client_batches", "protocol", "throughput_txn_s", "latency_s"),
+        "Figure 9: throughput-latency of SpotLess and RCC under failures",
+    ),
+    "fig10-parallelism": Experiment(
+        parallelism,
+        ("faulty", "client_batches", "protocol", "throughput_txn_s", "latency_s"),
+        "Figure 10: throughput/latency versus client batches per primary",
+    ),
+    "fig11-byzantine": Experiment(
+        byzantine_attacks,
+        ("faulty", "protocol", "attack", "throughput_txn_s"),
+        "Figure 11: SpotLess under attacks A1-A4",
+    ),
+    "fig12-timeline": Experiment(
+        failure_timeline,
+        ("protocol", "time_s", "throughput_txn_s"),
+        "Figure 12: real-time throughput after failure injection",
+        {"faulty": "faulty_replicas"},
+    ),
+    "fig13-instances": Experiment(
+        concurrent_instances,
+        ("instances", "protocol", "throughput_txn_s"),
+        "Figure 13: throughput versus the number of concurrent instances",
+    ),
+    "fig14a-cpu": Experiment(
+        computing_power,
+        ("cores", "protocol", "throughput_txn_s"),
+        "Figure 14(a): impact of computing power",
+    ),
+    "fig14b-bandwidth": Experiment(
+        network_bandwidth,
+        ("bandwidth_mbit", "protocol", "throughput_txn_s"),
+        "Figure 14(b): impact of network bandwidth",
+    ),
+    "fig14cd-regions": Experiment(
+        geo_regions,
+        ("batch_size", "regions", "protocol", "throughput_txn_s"),
+        "Figure 14(c,d): impact of geo-distribution",
+    ),
+    "fig15-single-instance": Experiment(
+        single_instance_failures,
+        ("ratio", "protocol", "throughput_txn_s"),
+        "Figure 15: single-instance SpotLess versus HotStuff under failures",
+    ),
+    "offered-load": Experiment(
+        offered_load,
+        (
+            "protocol",
+            "phase",
+            "offered_rate",
+            "measured_offered",
+            "throughput_txn_s",
+            "p50_ms",
+            "p99_ms",
+            "queue_depth",
+            "slo",
+        ),
+        "Figures 7(c)/9/10 mechanism: open-loop offered-load sweep past saturation",
+        {"protocols": "protocols"},
+    ),
 }
 
 
-def run_figure(name: str, kwargs: Optional[Dict[str, object]] = None) -> List[Dict[str, object]]:
-    """Run one named figure experiment and return its rows.
-
-    This is the worker-process entry point behind the ``figure`` dispatch
-    task: resolvable by module path (unlike the CLI's per-figure lambdas)
-    and keyed for the result cache by ``(name, kwargs)``.
-    """
-    experiment = FIGURE_EXPERIMENTS.get(name)
-    if experiment is None:
-        known = ", ".join(sorted(FIGURE_EXPERIMENTS))
-        raise KeyError(f"unknown figure {name!r}; choose one of: {known}")
-    return experiment(**(kwargs or {}))
-
-
 __all__ = [
-    "FIGURE_EXPERIMENTS",
+    "FIGURES",
+    "Experiment",
     "PROTOCOLS",
     "batching",
     "byzantine_attacks",
@@ -597,7 +679,6 @@ __all__ = [
     "network_bandwidth",
     "offered_load",
     "parallelism",
-    "run_figure",
     "scalability",
     "single_instance_failures",
     "spotless_failures",

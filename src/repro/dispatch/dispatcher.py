@@ -93,7 +93,8 @@ def _error_info(exc: BaseException) -> Dict[str, str]:
 
 
 def _invoke(job: Tuple[int, str, Any, str, Optional[str], Optional[str]]) -> Tuple[int, bool, Any, float, int]:
-    """Worker entry point: run one index-tagged cell, never raise.
+    """Run one index-tagged cell, never raise — in a pool worker or, for a
+    serial run, in the calling process.
 
     Top-level on purpose — worker processes locate it by module path, so it
     must never be a closure or a lambda.  Returns ``(index, ok, output-or-
@@ -322,9 +323,7 @@ class Dispatcher:
                     raise
             else:
                 for job in jobs:
-                    if ledger is not None:
-                        ledger.cell_start(job[0], job[3], job[4])
-                    collect(_run_serial(job))
+                    collect(_invoke(job))
         finally:
             if progress is not None:
                 progress.close()
@@ -342,18 +341,6 @@ class Dispatcher:
         if failures and self.on_error == "raise":
             raise DispatchError(failures)
         return results
-
-
-def _run_serial(job: Tuple[int, str, Any, str, Optional[str], Optional[str]]) -> Tuple[int, bool, Any, float, int]:
-    """Serial-path twin of :func:`_invoke` minus the worker cell-start
-    (the caller already logged it from the master pid)."""
-    index, task_name, payload, _cell, _key, _ledger_path = job
-    start = time.time()
-    try:
-        output = get_task(task_name).run(payload)
-    except Exception as exc:
-        return (index, False, _error_info(exc), time.time() - start, os.getpid())
-    return (index, True, output, time.time() - start, os.getpid())
 
 
 def _ledger_fingerprint(ledger: Optional[CampaignLedger]) -> Optional[str]:

@@ -156,19 +156,6 @@ class CampaignLedger:
             }
         )
 
-    def cell_start(self, index: int, cell: str, key: Optional[str]) -> None:
-        """A cell began executing in this (master/serial) process."""
-        self._append(
-            {
-                "event": "cell-start",
-                "t": time.time(),
-                "index": index,
-                "cell": cell,
-                "key": key,
-                "pid": os.getpid(),
-            }
-        )
-
     def cell_done(
         self,
         index: int,
@@ -290,7 +277,8 @@ class CampaignLedger:
 def worker_cell_start(
     path: Union[str, Path], index: int, cell: str, key: Optional[str]
 ) -> None:
-    """Append ``cell-start`` from inside a pool worker."""
+    """Append ``cell-start`` from the process about to run the cell (a pool
+    worker, or the caller itself on a serial run)."""
     append_record(
         path,
         {

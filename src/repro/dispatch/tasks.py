@@ -17,9 +17,9 @@ cache need to handle one kind of work item:
 
 Four task kinds are registered: ``scenario`` (one
 :class:`~repro.scenarios.spec.ScenarioSpec` through the chaos runner with
-the invariant oracle armed), ``figure`` (one named experiment from
-:mod:`repro.bench.experiments`), ``ablation`` (one named ablation from
-:mod:`repro.bench.ablations`) and ``triage-minimize`` (one failing spec
+the invariant oracle armed), ``figure`` (one row of
+:data:`repro.bench.experiments.FIGURES`), ``ablation`` (one row of
+:data:`repro.bench.ablations.ABLATIONS`) and ``triage-minimize`` (one failing spec
 through the delta-debugging minimizer of :mod:`repro.triage.minimize`).
 Scenario cells are the unit of the matrix and fuzz fan-outs;
 figure/ablation cells let a whole evaluation sweep run as one cached
@@ -78,34 +78,29 @@ def task_names() -> List[str]:
 # ----------------------------------------------------------------------
 
 
-def _run_scenario_cell(payload) -> Any:
-    # Imported lazily: worker processes resolve this function by module
-    # path, and the scenarios package must not be a hard import cost for
-    # callers that only dispatch bench cells.
-    from repro.scenarios.runner import run_scenario
-    from repro.scenarios.spec import ScenarioSpec
-
-    # A bare spec is the historical payload; ``{"spec": ..., "flight": bool}``
+def _spec_and_flight(payload):
+    # A bare spec is the historical payload; ``{"spec": spec, "flight": True}``
     # additionally attaches the flight recorder so violating cells carry a
     # trace dump back from the worker.
     if isinstance(payload, dict):
-        spec = payload["spec"]
-        if isinstance(spec, dict):
-            spec = ScenarioSpec.from_json_dict(spec)
-        return run_scenario(spec, flight=bool(payload.get("flight", False)))
-    return run_scenario(payload)
+        return payload["spec"], bool(payload.get("flight"))
+    return payload, False
+
+
+def _run_scenario_cell(payload) -> Any:
+    # Imported lazily: the scenarios package must not be a hard import cost
+    # for callers that only dispatch bench cells.
+    from repro.scenarios.runner import run_scenario
+
+    spec, flight = _spec_and_flight(payload)
+    return run_scenario(spec, flight=flight)
 
 
 def _scenario_payload_json(payload) -> Dict[str, Any]:
     # Untraced cells keep the bare-spec content address, so enabling the
     # flight recorder elsewhere never invalidates their cached results.
-    if isinstance(payload, dict):
-        spec = payload["spec"]
-        spec_json = spec if isinstance(spec, dict) else spec.to_json_dict()
-        if payload.get("flight"):
-            return {"spec": spec_json, "flight": True}
-        return spec_json
-    return payload.to_json_dict()
+    spec, flight = _spec_and_flight(payload)
+    return {"spec": spec.to_json_dict(), "flight": True} if flight else spec.to_json_dict()
 
 
 def _scenario_encode(result) -> Any:
@@ -119,10 +114,7 @@ def _scenario_decode(value) -> Any:
 
 
 def _scenario_describe(payload) -> str:
-    if isinstance(payload, dict):
-        spec = payload["spec"]
-        return spec["name"] if isinstance(spec, dict) else spec.name
-    return payload.name
+    return _spec_and_flight(payload)[0].name
 
 
 def _scenario_summarize(result) -> Dict[str, Any]:
@@ -210,20 +202,21 @@ register_task(
 
 
 # ----------------------------------------------------------------------
-# figure and ablation cells: payloads are {"name": ..., "kwargs": {...}}
+# figure and ablation cells: payloads are {"name": ..., "kwargs": {...}},
+# naming one row of the family's registry in repro.bench
 # ----------------------------------------------------------------------
 
 
 def _run_figure_cell(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    from repro.bench.experiments import run_figure
+    from repro.bench.experiments import FIGURES
 
-    return run_figure(payload["name"], payload.get("kwargs") or {})
+    return FIGURES[payload["name"]].run(**(payload.get("kwargs") or {}))
 
 
 def _run_ablation_cell(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    from repro.bench.ablations import run_ablation
+    from repro.bench.ablations import ABLATIONS
 
-    return run_ablation(payload["name"])
+    return ABLATIONS[payload["name"]].run(**(payload.get("kwargs") or {}))
 
 
 def _identity(value: Any) -> Any:
@@ -238,29 +231,18 @@ def _rows_summarize(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {"rows": len(rows)}
 
 
-register_task(
-    DispatchTask(
-        name="figure",
-        run=_run_figure_cell,
-        payload_json=_identity,
-        encode=_identity,
-        decode=_identity,
-        describe=_named_payload_describe,
-        summarize=_rows_summarize,
+for _name, _run in (("figure", _run_figure_cell), ("ablation", _run_ablation_cell)):
+    register_task(
+        DispatchTask(
+            name=_name,
+            run=_run,
+            payload_json=_identity,
+            encode=_identity,
+            decode=_identity,
+            describe=_named_payload_describe,
+            summarize=_rows_summarize,
+        )
     )
-)
-
-register_task(
-    DispatchTask(
-        name="ablation",
-        run=_run_ablation_cell,
-        payload_json=_identity,
-        encode=_identity,
-        decode=_identity,
-        describe=_named_payload_describe,
-        summarize=_rows_summarize,
-    )
-)
 
 
 __all__ = ["DispatchTask", "get_task", "register_task", "task_names"]

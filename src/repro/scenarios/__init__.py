@@ -20,7 +20,6 @@ from repro.scenarios.runner import (
     ScenarioResult,
     ScenarioRunner,
     format_matrix,
-    run_matrix,
     run_scenario,
 )
 from repro.scenarios.spec import (
@@ -61,7 +60,6 @@ __all__ = [
     "overload_matrix",
     "overload_spec",
     "replace_event",
-    "run_matrix",
     "run_scenario",
     "scenario_matrix",
     "single_fault_spec",

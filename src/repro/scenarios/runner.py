@@ -5,8 +5,9 @@ subsystem composes: it instantiates a protocol cluster from a
 :class:`~repro.scenarios.spec.ScenarioSpec`, compiles the spec's fault
 script onto a :class:`~repro.faults.injector.FaultInjector`, arms an
 :class:`~repro.scenarios.oracle.InvariantOracle`, and runs the whole thing
-deterministically from the spec's seed.  ``run_matrix`` executes a list of
-specs and renders the one-line-per-scenario summary table the CLI prints.
+deterministically from the spec's seed.  A list of specs runs as the cells
+of ``repro.dispatch.Dispatcher().run("scenario", specs)``; ``format_matrix``
+renders the one-line-per-scenario summary table the CLI prints.
 """
 
 from __future__ import annotations
@@ -253,46 +254,6 @@ def run_scenario(spec: ScenarioSpec, flight: bool = False) -> ScenarioResult:
     return ScenarioRunner(spec, flight=flight).run()
 
 
-def run_matrix(
-    specs: Sequence[ScenarioSpec],
-    workers: Optional[int] = None,
-    cache: Optional[object] = None,
-    dispatcher: Optional[object] = None,
-    flight: bool = False,
-    ledger: Optional[object] = None,
-) -> List[ScenarioResult]:
-    """Run every spec and return results in spec order.
-
-    With ``workers`` unset (or <= 1), no ``cache``, no ``dispatcher`` and
-    no ``ledger``, every spec runs serially in this process — the
-    historical behaviour.  Otherwise the specs are sharded through
-    :class:`repro.dispatch.Dispatcher`: each cell runs on its own freshly
-    seeded cluster in a worker process, results are collected back in spec
-    order, and a :class:`repro.dispatch.ResultCache` (if given) serves
-    unchanged cells without re-running them.  Both paths produce identical
-    results — the simulation is deterministic per ``(spec, seed)``, which
-    is what makes the fan-out safe.  A
-    :class:`repro.dispatch.CampaignLedger` passed as ``ledger`` records
-    the campaign's event stream without altering results or cache keys.
-
-    Pass a pre-built ``dispatcher`` (its ``cache`` and ``ledger``
-    included) to read the run's
-    :class:`~repro.dispatch.dispatcher.DispatchStats` afterwards;
-    ``workers``/``cache``/``ledger`` are ignored in that case.
-    """
-    if dispatcher is None:
-        if (workers is None or workers <= 1) and cache is None and ledger is None:
-            return [run_scenario(spec, flight=flight) for spec in specs]
-        from repro.dispatch import Dispatcher
-
-        dispatcher = Dispatcher(workers=workers, cache=cache, ledger=ledger)
-    if flight:
-        payloads: List[object] = [{"spec": spec, "flight": True} for spec in specs]
-    else:
-        payloads = list(specs)
-    return dispatcher.run("scenario", payloads)
-
-
 MATRIX_COLUMNS = [
     "scenario",
     "protocol",
@@ -317,6 +278,5 @@ __all__ = [
     "ScenarioResult",
     "ScenarioRunner",
     "format_matrix",
-    "run_matrix",
     "run_scenario",
 ]

@@ -238,15 +238,6 @@ class Network:
 
     # -- transmission ----------------------------------------------------
 
-    def _should_drop(self, sender: int, receiver: int, payload: object) -> bool:
-        if sender in self._down_nodes or receiver in self._down_nodes:
-            return True
-        if self._partition is not None and not self._partition.allows(sender, receiver):
-            return True
-        if self.config.loss_rate > 0.0 and self.rng.random() < self.config.loss_rate:
-            return True
-        return any(rule(sender, receiver, payload) for rule in self._drop_rules)
-
     def _link(self, sender: int, receiver: int) -> LinkSpec:
         """Memoized :meth:`NetworkConfig.link`, validated against the live
         latency parameters so in-place rescaling (latency faults) is seen."""
@@ -299,8 +290,9 @@ class Network:
         departure = nic_free + size_bytes / config.bandwidth_bytes_per_sec
         nic[sender] = departure
 
-        # Drop checks, inlined in the same order (and with the same RNG draw
-        # sequence) as :meth:`_should_drop`.
+        # Drop checks, in a fixed order: crash, partition, the loss draw, then
+        # the drop rules.  The order is part of the RNG draw sequence — a
+        # message dropped by a crash or a partition consumes no loss draw.
         rng = self.rng
         if receiver in down:
             self._c_dropped.value += 1

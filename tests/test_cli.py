@@ -1,8 +1,11 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro import cli
+from repro.bench import ablations, experiments
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +46,126 @@ def test_every_figure_of_the_evaluation_has_a_cli_entry():
         "offered-load",
     }
     assert expected == set(cli.FIGURES)
+    # One registry: the CLI name is a re-export of the bench/ table.
+    assert cli.FIGURES is experiments.FIGURES
 
 
 def test_every_design_choice_ablation_has_a_cli_entry():
     assert {"commit-rule", "view-sync", "timeouts", "assignment", "fast-path"} == set(cli.ABLATIONS)
+    assert cli.ABLATIONS is ablations.ABLATIONS
+
+
+# ---------------------------------------------------------------------------
+# flag inventory: every verb's option strings, dests and defaults, as captured
+# from the single-file cli.py this package replaced
+# ---------------------------------------------------------------------------
+
+FLAG_INVENTORY = {'': {('{command}',): ('command', None)},
+ 'ablation': {('--ledger',): ('ledger', None),
+              ('--no-cache',): ('no_cache', False),
+              ('--no-ledger',): ('no_ledger', False),
+              ('--workers',): ('workers', None),
+              ('name',): ('name', None)},
+ 'campaign': {('{campaign_command}',): ('campaign_command', None)},
+ 'campaign report': {('--top',): ('top', 5),
+                     ('--trace',): ('trace', None),
+                     ('ledger',): ('ledger', None)},
+ 'campaign status': {('ledger',): ('ledger', None)},
+ 'campaign tail': {('--follow',): ('follow', False),
+                   ('-n', '--lines'): ('lines', 20),
+                   ('ledger',): ('ledger', None)},
+ 'cluster': {('--batch-size',): ('batch_size', 10),
+             ('--clients',): ('clients', 4),
+             ('--duration',): ('duration', 1.0),
+             ('--outstanding',): ('outstanding', 8),
+             ('--protocol',): ('protocol', 'spotless'),
+             ('--replicas',): ('replicas', 4),
+             ('--seed',): ('seed', 1),
+             ('--warmup',): ('warmup', 0.0)},
+ 'complexity': {},
+ 'figure': {('--faulty',): ('faulty', None),
+            ('--ledger',): ('ledger', None),
+            ('--no-cache',): ('no_cache', False),
+            ('--no-ledger',): ('no_ledger', False),
+            ('--protocols',): ('protocols', None),
+            ('--replicas',): ('replicas', None),
+            ('--workers',): ('workers', None),
+            ('name',): ('name', None)},
+ 'fuzz': {('--archive-dir',): ('archive_dir', 'fuzz-failures'),
+          ('--corpus-dir',): ('corpus_dir', 'fuzz-failures/corpus'),
+          ('--count',): ('count', 20),
+          ('--duration',): ('duration', 0.4),
+          ('--ledger',): ('ledger', None),
+          ('--no-cache',): ('no_cache', False),
+          ('--no-flight',): ('no_flight', False),
+          ('--no-ledger',): ('no_ledger', False),
+          ('--no-minimize',): ('no_minimize', False),
+          ('--seed',): ('seed', 1),
+          ('--workers',): ('workers', None)},
+ 'list': {},
+ 'scenario': {('--archive-dir',): ('archive_dir', 'fuzz-failures'),
+              ('--checkpoint-interval',): ('checkpoint_interval', None),
+              ('--counters',): ('counters', False),
+              ('--duration',): ('duration', None),
+              ('--f',): ('f', None),
+              ('--fault',): ('fault', None),
+              ('--ledger',): ('ledger', None),
+              ('--lenient-liveness',): ('lenient_liveness', False),
+              ('--matrix',): ('matrix', None),
+              ('--no-cache',): ('no_cache', False),
+              ('--no-flight',): ('no_flight', False),
+              ('--no-ledger',): ('no_ledger', False),
+              ('--overload',): ('overload', False),
+              ('--protocol',): ('protocol', None),
+              ('--replay',): ('replay', None),
+              ('--seed',): ('seed', None),
+              ('--seeds',): ('seeds', None),
+              ('--trace',): ('trace', None),
+              ('--workers',): ('workers', None)},
+ 'trace': {('--corpus-dir',): ('corpus_dir', 'fuzz-failures/corpus'),
+           ('--from-dump',): ('from_dump', None),
+           ('--output',): ('output', 'trace.json'),
+           ('--telemetry-interval',): ('telemetry_interval', None),
+           ('--timeseries',): ('timeseries', None),
+           ('target',): ('target', None)},
+ 'triage': {('{triage_command}',): ('triage_command', None)},
+ 'triage corpus': {('--corpus-dir',): ('corpus_dir', 'fuzz-failures/corpus'),
+                   ('--no-cache',): ('no_cache', False),
+                   ('--promote',): ('promote', None),
+                   ('--require-clean',): ('require_clean', False),
+                   ('--workers',): ('workers', None)},
+ 'triage minimize': {('--corpus-dir',): ('corpus_dir', 'fuzz-failures/corpus'),
+                     ('--ingest',): ('ingest', False),
+                     ('--max-attempts',): ('max_attempts', 256),
+                     ('--no-cache',): ('no_cache', False),
+                     ('--output',): ('output', None),
+                     ('--workers',): ('workers', None),
+                     ('spec',): ('spec', None)},
+ 'validate': {('--duration',): ('duration', 1.0), ('--replicas',): ('replicas', 4)}}
+
+
+def flag_inventory(parser, prefix=()):
+    """{verb path: {option strings, or (dest,) of a positional: (dest, default)}}."""
+    inventory = {}
+    flags = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                inventory.update(flag_inventory(sub, prefix + (name,)))
+            flags[("{%s}" % action.dest,)] = (action.dest, action.default)
+            continue
+        flags[tuple(action.option_strings) or (action.dest,)] = (action.dest, action.default)
+    inventory[" ".join(prefix)] = flags
+    return inventory
+
+
+def test_no_verb_gained_lost_or_renamed_a_flag():
+    inventory = flag_inventory(cli.build_parser())
+    assert sorted(inventory) == sorted(FLAG_INVENTORY)
+    for verb, flags in FLAG_INVENTORY.items():
+        assert inventory[verb] == flags, verb
 
 
 # ---------------------------------------------------------------------------
@@ -201,30 +320,11 @@ def test_fuzz_command_runs_a_clean_campaign(tmp_path, capsys):
     assert ledger.exists()
 
 
-def test_fuzz_archives_failing_specs_for_replay(tmp_path, monkeypatch, capsys):
-    # Force a violation through the runner so the archive/replay plumbing
-    # is exercised without depending on a real fuzz-reachable bug.
+def test_fuzz_archives_failing_specs_for_replay(tmp_path, first_run_violates, capsys):
+    # Force a violation through the dispatch task so the archive/replay
+    # plumbing is exercised without depending on a real fuzz-reachable bug.
     import json
 
-    import repro.scenarios as scenarios
-    from repro.scenarios import InvariantViolation, ScenarioResult
-
-    def broken_matrix(specs, workers=None, cache=None, flight=False, **kwargs):
-        return [
-            ScenarioResult(
-                spec=spec,
-                confirmed_transactions=0,
-                executed_transactions=0,
-                committed_per_replica=(0,) * spec.resolved_replicas(),
-                violations=(
-                    InvariantViolation(invariant="agreement", time=0.1, detail="forced"),
-                ),
-                checks_run=1,
-            )
-            for spec in specs
-        ]
-
-    monkeypatch.setattr(scenarios, "run_matrix", broken_matrix)
     archive_dir = tmp_path / "failures"
     exit_code = cli.main(
         [
@@ -249,8 +349,7 @@ def test_fuzz_archives_failing_specs_for_replay(tmp_path, monkeypatch, capsys):
     assert len(archives) == 2
     archived = json.loads(archives[0].read_text())
     assert archived["violations"][0]["invariant"] == "agreement"
-    # The archived spec replays as-is (monkeypatch only patched the fuzz run).
-    monkeypatch.undo()
+    # The archived spec replays as-is (only each spec's first run is forced).
     assert cli.main(["scenario", "--replay", str(archives[0])]) == 0
     assert "replaying archived scenario" in capsys.readouterr().out
 
@@ -339,3 +438,38 @@ def test_ablation_dispatch_matches_direct_output(tmp_path, monkeypatch, capsys):
     assert dispatched == direct
     assert cli.main(["ablation", "no-such", "--workers", "1"]) == 2
     assert "unknown name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "fig7b-batching"],
+        ["ablation", "commit-rule"],
+        ["scenario", "--protocol", "pbft", "--fault", "crash", "--duration", "0.3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_stdout_is_the_same_bytes_however_the_grid_is_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    outputs = []
+    for how in ([], ["--workers", "1"], ["--workers", "2", "--no-cache"]):
+        assert cli.main(argv + how) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize(
+    "flag, value, taker",
+    [
+        ("--replicas", "4", "fig7a-scalability"),
+        ("--faulty", "1", "fig12-timeline"),
+        ("--protocols", "pbft", "offered-load"),
+    ],
+)
+def test_a_figure_specific_flag_on_the_wrong_figure_is_rejected(flag, value, taker, capsys):
+    # Used to be silently ignored on a named figure, yet rejected with `all`.
+    for name in ("fig7b-batching", "all"):
+        assert cli.main(["figure", name, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and taker in captured.err
+        assert captured.out == ""

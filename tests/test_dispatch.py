@@ -28,7 +28,6 @@ from repro.dispatch import (
 from repro.scenarios import (
     FAULT_KINDS,
     ScenarioSpec,
-    run_matrix,
     run_scenario,
     single_fault_spec,
 )
@@ -178,16 +177,9 @@ def test_dispatcher_serves_unchanged_cells_from_the_cache(tmp_path):
     assert second.last_stats.executed == 0 and second.last_stats.cache_hits == 2
     assert [r.summary_digest() for r in cached] == [r.summary_digest() for r in fresh]
     assert [r.row() for r in cached] == [r.row() for r in fresh]
-
-
-def test_run_matrix_with_workers_and_cache_matches_plain_run_matrix(tmp_path):
-    plain = run_matrix(SMALL_SPECS[:2])
-    cached = run_matrix(
-        SMALL_SPECS[:2],
-        workers=1,
-        cache=ResultCache(root=tmp_path, fingerprint="pinned"),
-    )
-    assert [r.summary_digest() for r in plain] == [r.summary_digest() for r in cached]
+    # ... and both match the bare in-process run: no pool, no cache, no ledger.
+    plain = Dispatcher().run("scenario", SMALL_SPECS[:2])
+    assert [r.summary_digest() for r in plain] == [r.summary_digest() for r in fresh]
 
 
 def test_figure_and_ablation_cells_match_direct_calls():
@@ -195,6 +187,10 @@ def test_figure_and_ablation_cells_match_direct_calls():
     assert rows == experiments.batching()
     rows = Dispatcher().run("ablation", [{"name": "commit-rule"}])[0]
     assert rows == ablations.commit_rule_safety()
+    with pytest.raises(DispatchError, match="KeyError: 'fig99-unknown'"):
+        Dispatcher().run("figure", [{"name": "fig99-unknown"}])
+    with pytest.raises(DispatchError, match="KeyError: 'no-such-ablation'"):
+        Dispatcher().run("ablation", [{"name": "no-such-ablation"}])
 
 
 def test_figure_kwargs_reach_the_experiment():
@@ -202,17 +198,6 @@ def test_figure_kwargs_reach_the_experiment():
         "figure", [{"name": "fig7a-scalability", "kwargs": {"replica_counts": [4]}}]
     )[0]
     assert {row["replicas"] for row in rows} == {4}
-
-
-def test_every_cli_name_has_a_registered_experiment():
-    from repro import cli
-
-    assert set(cli.FIGURES) == set(experiments.FIGURE_EXPERIMENTS)
-    assert set(cli.ABLATIONS) == set(ablations.ABLATION_EXPERIMENTS)
-    with pytest.raises(KeyError):
-        experiments.run_figure("fig99-unknown")
-    with pytest.raises(KeyError):
-        ablations.run_ablation("no-such-ablation")
 
 
 # ---------------------------------------------------------------------------

@@ -499,24 +499,14 @@ def test_cli_triage_without_subcommand_prints_usage(capsys):
     assert "triage {minimize,corpus}" in capsys.readouterr().err
 
 
-def test_cli_fuzz_auto_minimize_skips_unreproducible_findings(tmp_path, monkeypatch, capsys):
+def test_cli_fuzz_auto_minimize_skips_unreproducible_findings(
+    tmp_path, monkeypatch, first_run_violates, capsys
+):
     # Force fake violations through the fuzz run: auto-triage re-runs the
     # specs for real, finds them clean, and must not pollute the corpus.
     from repro import cli
-    import repro.scenarios as scenarios
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-
-    def broken_matrix(specs, workers=None, cache=None, flight=False, **kwargs):
-        return [
-            fake_result(
-                spec,
-                [InvariantViolation(invariant="agreement", time=0.1, detail="forced")],
-            )
-            for spec in specs
-        ]
-
-    monkeypatch.setattr(scenarios, "run_matrix", broken_matrix)
     archive_dir = tmp_path / "failures"
     corpus_dir = tmp_path / "corpus"
     exit_code = cli.main(
