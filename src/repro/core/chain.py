@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import CpEntry, ProposeMessage
 from repro.crypto.digest import digest_bytes
@@ -65,7 +65,7 @@ class Proposal:
 
 def proposal_digest(message: ProposeMessage) -> bytes:
     """Digest identifying a Propose message (the paper's ``digest(P)``)."""
-    return digest_bytes(message.canonical_fields())
+    return message.digest()
 
 
 class ProposalStore:
@@ -118,9 +118,12 @@ class ProposalStore:
         """All known proposals (including genesis)."""
         return self._proposals.values()
 
-    def proposals_in_view(self, view: int) -> List[Proposal]:
+    def proposals_in_view(self, view: int) -> Sequence[Proposal]:
         """Proposals known for a given view."""
-        return [self._proposals[d] for d in self._by_view.get(view, [])]
+        digests = self._by_view.get(view)
+        if digests is None:
+            return ()
+        return [self._proposals[d] for d in digests]
 
     @property
     def genesis(self) -> Proposal:
@@ -140,7 +143,7 @@ class ProposalStore:
         If the proposal was previously known only by digest (via claims), the
         payload is attached to the existing entry.
         """
-        digest = proposal_digest(message)
+        digest = message.digest()
         existing = self._proposals.get(digest)
         if existing is not None:
             if existing.message is None:

@@ -21,15 +21,15 @@ test harness), which makes the state machine directly unit-testable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.core.chain import (
     GENESIS_PROPOSAL_ID,
     Proposal,
     ProposalStatus,
     ProposalStore,
-    proposal_digest,
 )
 from repro.core.config import SpotLessConfig
 from repro.core.messages import (
@@ -53,6 +53,8 @@ class ViewState(enum.Enum):
     SYNCING = "syncing"
     CERTIFYING = "certifying"
 
+
+_PREPARED = ProposalStatus.CONDITIONALLY_PREPARED
 
 #: Where a re-issued Ask goes once the f + 1 claim holders did not deliver:
 #: not one peer but every replica at once (``InstanceEnvironment.broadcast``).
@@ -104,13 +106,30 @@ class InstanceEnvironment:
     has_pending: Callable[[int], bool] = lambda instance_id: True
 
 
-@dataclass
-class _SyncRecord:
-    """Bookkeeping for one received Sync message."""
+class _ViewTally:
+    """What this replica recorded about one view; a sender's first Sync counts.
 
-    message: SyncMessage
-    signature: Optional[Signature]
-    received_at: float
+    ``votes`` and ``endorsements`` keep their holders in arrival order: the
+    first f + 1 of them are whom Ask-recovery turns to.
+    """
+
+    __slots__ = ("senders", "own", "votes", "failure_claims", "endorsements", "served")
+
+    def __init__(self) -> None:
+        # Replicas whose Sync for this view arrived.
+        self.senders: Set[int] = set()
+        # This replica's own Sync for this view, once self-delivered.
+        self.own: Optional[SyncMessage] = None
+        # Claimed digest -> sender -> signature evidence.
+        self.votes: Dict[bytes, Dict[int, Optional[Signature]]] = {}
+        # Number of claim(∅) Syncs, for fast-path poisoning.
+        self.failure_claims = 0
+        # Digest of a proposal *of this view* -> sender -> view of the Sync
+        # whose CP set carried it.
+        self.endorsements: Dict[bytes, Dict[int, int]] = {}
+        # Requesters already served by _retransmit_own_sync, so a repeated Υ
+        # request does not trigger a second identical retransmission.
+        self.served: Set[int] = set()
 
 
 class SpotLessInstance:
@@ -132,18 +151,18 @@ class SpotLessInstance:
         self.instance_id = instance_id
         self.config = config
         self.env = environment
+        self._replica_id = environment.replica_id
+        # n − f and f + 1.
+        self._quorum = config.quorum
+        self._weak_quorum = config.weak_quorum
         self.store = ProposalStore(instance=instance_id, commit_rule=config.commit_rule)
 
         self.current_view = 0
         self.state = ViewState.RECORDING
         self.started = False
 
-        # Sync bookkeeping: view -> sender -> record (first Sync per sender per view).
-        self._sync_log: Dict[int, Dict[int, _SyncRecord]] = {}
-        # Claim votes: (view, digest|None) -> sender -> signature evidence.
-        self._claim_votes: Dict[Tuple[int, Optional[bytes]], Dict[int, Optional[Signature]]] = {}
-        # CP endorsements: (view, digest) -> sender -> view of the endorsing Sync.
-        self._cp_endorsements: Dict[Tuple[int, bytes], Dict[int, int]] = {}
+        # Per-view Sync bookkeeping; compact_below_view drops whole views.
+        self._views: Dict[int, _ViewTally] = defaultdict(_ViewTally)
         # Views in which this replica already broadcast a Sync message.
         self._synced_views: Set[int] = set()
         # Highest view observed per sender (for the f+1 view-skip rule).
@@ -160,9 +179,6 @@ class SpotLessInstance:
             candidates=lambda key: (_EVERYONE,),
             fanout=config.weak_quorum,
         )
-        # (view, requester) pairs already served by _retransmit_own_sync, so a
-        # repeated Υ request does not trigger a second identical retransmission.
-        self._served_retransmissions: Set[Tuple[int, int]] = set()
         # Proposals this replica proposed as primary, keyed by view.
         self._own_proposals: Dict[int, bytes] = {}
 
@@ -193,8 +209,6 @@ class SpotLessInstance:
         # Fast-path state (Section 6.1 geo optimisation): active until this
         # replica observes evidence of failures or Byzantine behaviour.
         self._fast_path_active = config.enable_fast_path
-        # Failure claims seen per view, used for fast-path poisoning.
-        self._failure_claims: Dict[int, Set[int]] = {}
 
         # Statistics used by experiments and tests.
         self.views_entered = 0
@@ -215,16 +229,6 @@ class SpotLessInstance:
         self.started = True
         self._enter_view(0)
 
-    @property
-    def quorum(self) -> int:
-        """n − f."""
-        return self.config.quorum
-
-    @property
-    def weak_quorum(self) -> int:
-        """f + 1."""
-        return self.config.weak_quorum
-
     def primary_of_view(self, view: int) -> int:
         """Primary replica of this instance in ``view``."""
         return self.config.primary_of(self.instance_id, view)
@@ -232,7 +236,7 @@ class SpotLessInstance:
     def is_primary(self, view: Optional[int] = None) -> bool:
         """True when this replica is the primary of ``view`` (default: current)."""
         view = self.current_view if view is None else view
-        return self.primary_of_view(view) == self.env.replica_id
+        return self.primary_of_view(view) == self._replica_id
 
     # ------------------------------------------------------------------
     # view entry and the primary role
@@ -259,8 +263,8 @@ class SpotLessInstance:
         if view not in self._synced_views:
             self._recording_timer.start(self._recording_timeout.interval)
         # A proposal (or enough Syncs) may already have arrived for this view.
-        self._maybe_accept_pending(view)
-        self._check_sync_quorum(view)
+        self._maybe_accept_pending()
+        self._check_sync_quorum()
 
     def _run_primary_role(self, view: int) -> None:
         """Primary role of Figure 3 (lines 12-14).
@@ -287,7 +291,7 @@ class SpotLessInstance:
             parent_claim_quorum=claim_quorum,
         )
         self.proposals_made += 1
-        self._own_proposals[view] = proposal_digest(message)
+        self._own_proposals[view] = message.digest()
         self.env.broadcast(message)
 
     def _highest_extendable(self, view: int) -> Tuple[Proposal, Optional[Certificate], Tuple[int, ...]]:
@@ -307,7 +311,7 @@ class SpotLessInstance:
             if certificate is not None:
                 return proposal, certificate, ()
             endorsers = self._cp_endorsers(proposal, below_view=view)
-            if len(endorsers) >= self.quorum:
+            if len(endorsers) >= self._quorum:
                 return proposal, None, tuple(sorted(endorsers))
         fallback = self.store.highest_conditionally_prepared()
         certificate = self._build_certificate(fallback)
@@ -347,7 +351,7 @@ class SpotLessInstance:
         )
         self.proposals_made += 1
         self.fast_path_proposals += 1
-        self._own_proposals[next_view] = proposal_digest(message)
+        self._own_proposals[next_view] = message.digest()
         self.env.broadcast(message)
 
     def _poison_fast_path(self) -> None:
@@ -358,21 +362,27 @@ class SpotLessInstance:
         """Build cert(P) from n − f recorded same-claim Sync signatures (E1)."""
         if proposal.is_genesis:
             return Certificate(statement=(proposal.view, proposal.digest), signatures=())
-        votes = self._claim_votes.get((proposal.view, proposal.digest), {})
-        if len(votes) < self.quorum:
+        votes = self._votes(proposal.view, proposal.digest)
+        if len(votes) < self._quorum:
             return None
         signatures = []
         for sender, signature in sorted(votes.items()):
             signatures.append(signature if signature is not None else Signature(signer=f"replica:{sender}", tag=b""))
-            if len(signatures) == self.quorum:
+            if len(signatures) == self._quorum:
                 break
         return Certificate(statement=(proposal.view, proposal.digest), signatures=tuple(signatures))
+
+    def _votes(self, view: int, digest: bytes) -> Dict[int, Optional[Signature]]:
+        """Senders whose first Sync of ``view`` claimed ``digest``, with evidence."""
+        tally = self._views.get(view)
+        return tally.votes.get(digest, {}) if tally is not None else {}
 
     def _cp_endorsers(self, proposal: Proposal, below_view: Optional[int] = None) -> Set[int]:
         """Replicas whose Sync messages carried ``proposal`` in their CP set."""
         if proposal.is_genesis:
             return set(self.config.replica_ids())
-        endorsements = self._cp_endorsements.get((proposal.view, proposal.digest), {})
+        tally = self._views.get(proposal.view)
+        endorsements = tally.endorsements.get(proposal.digest, {}) if tally is not None else {}
         if below_view is None:
             return set(endorsements)
         return {sender for sender, sync_view in endorsements.items() if sync_view < below_view}
@@ -416,7 +426,7 @@ class SpotLessInstance:
             return True
         if certificate.statement != (view, digest):
             return False
-        return certificate.has_quorum(self.quorum)
+        return certificate.has_quorum(self._quorum)
 
     def _conditionally_prepare_reference(self, digest: bytes, view: int) -> None:
         """Conditionally prepare a proposal known (at least) by reference."""
@@ -440,8 +450,11 @@ class SpotLessInstance:
         self._broadcast_sync(claim)
         self._maybe_fast_path_propose(proposal)
 
-    def _maybe_accept_pending(self, view: int) -> None:
-        """On view entry, accept a proposal that arrived before the view did."""
+    def _maybe_accept_pending(self) -> None:
+        """Accept a proposal of the current view that arrived before it could be."""
+        view = self.current_view
+        if view in self._synced_views:
+            return
         for proposal in self.store.proposals_in_view(view):
             if proposal.message is not None:
                 self._maybe_accept(proposal, proposal.message)
@@ -503,43 +516,43 @@ class SpotLessInstance:
         if message.instance != self.instance_id:
             return
         view = message.view
-        records = self._sync_log.setdefault(view, {})
-        is_new = sender not in records
-        if is_new:
-            records[sender] = _SyncRecord(
-                message=message,
-                signature=signature,
-                received_at=self.env.now(),
-            )
-            self._highest_view_seen[sender] = max(self._highest_view_seen.get(sender, -1), view)
-            if view > self._max_view_seen:
-                self._max_view_seen = view
-
-        # Claim vote bookkeeping (only the sender's first Sync per view counts).
-        if is_new and not message.claim.is_failure:
-            statement = (view, message.claim.digest)
-            self._claim_votes.setdefault(statement, {})[sender] = signature
-        if is_new and message.claim.is_failure:
-            # f + 1 failure claims for one view are evidence that a primary
-            # misbehaved or crashed: stop using the optimistic fast path.
-            claimants = self._failure_claims.setdefault(view, set())
-            claimants.add(sender)
-            if len(claimants) >= self.weak_quorum:
-                self._poison_fast_path()
-
-        # CP endorsements: every entry of the CP set endorses that proposal.
-        if is_new:
+        tally = self._views[view]
+        if sender not in tally.senders:
+            tally.senders.add(sender)
+            if sender == self._replica_id:
+                tally.own = message
+            if view > self._highest_view_seen.get(sender, -1):
+                self._highest_view_seen[sender] = view
+                if view > self._max_view_seen:
+                    self._max_view_seen = view
+            digest = message.claim.digest
+            if digest is None:
+                # f + 1 failure claims for one view are evidence that a primary
+                # misbehaved or crashed: stop using the optimistic fast path.
+                tally.failure_claims += 1
+                if tally.failure_claims >= self._weak_quorum:
+                    self._poison_fast_path()
+            else:
+                votes = tally.votes.get(digest)
+                if votes is None:
+                    votes = tally.votes[digest] = {}
+                votes[sender] = signature
+            # Every entry of the CP set endorses that proposal.
+            views = self._views
             for entry in message.cp_set:
-                endorsements = self._cp_endorsements.setdefault((entry.view, entry.digest), {})
-                endorsements[sender] = view
+                endorsements = views[entry.view].endorsements
+                endorsers = endorsements.get(entry.digest)
+                if endorsers is None:
+                    endorsers = endorsements[entry.digest] = {}
+                endorsers[sender] = view
 
         # Υ flag: retransmit the Sync we broadcast in this view to the sender.
         if message.retransmit_flag and view in self._synced_views:
-            self._retransmit_own_sync(view, sender)
+            self._retransmit_own_sync(tally, view, sender)
 
-        self._apply_sync_rules(sender, message)
+        self._apply_sync_rules(tally, message)
 
-    def _retransmit_own_sync(self, view: int, requester: int) -> None:
+    def _retransmit_own_sync(self, tally: _ViewTally, view: int, requester: int) -> None:
         """Resend our own Sync of ``view`` to a replica that asked via Υ.
 
         The retransmitted copy never carries the Υ flag itself: it answers a
@@ -547,14 +560,11 @@ class SpotLessInstance:
         requests from ourselves) prevents two catching-up replicas from
         bouncing Υ-flagged Syncs back and forth forever.
         """
-        if requester == self.env.replica_id:
+        if requester == self._replica_id or requester in tally.served:
             return
-        if (view, requester) in self._served_retransmissions:
-            return
-        self._served_retransmissions.add((view, requester))
-        own = self._sync_log.get(view, {}).get(self.env.replica_id)
-        if own is not None:
-            source = own.message
+        tally.served.add(requester)
+        source = tally.own
+        if source is not None:
             reply = SyncMessage(
                 instance=source.instance,
                 view=source.view,
@@ -574,16 +584,26 @@ class SpotLessInstance:
         )
         self.env.send(requester, rebuilt)
 
-    def _apply_sync_rules(self, sender: int, message: SyncMessage) -> None:
-        view = message.view
+    def _apply_sync_rules(self, tally: _ViewTally, message: SyncMessage) -> None:
+        """Re-evaluate every rule the Sync's statements take part in.
 
-        if not message.claim.is_failure:
-            # Rule: f+1 same-claim Syncs in our current view let us echo the
-            # claim even without the primary's proposal (Figure 3, lines 24-28).
-            self._maybe_echo_claim(view, message.claim)
-            # Rule: n−f same-claim Syncs conditionally prepare the proposal
-            # (Figure 3, lines 20-21).
-            self._maybe_conditionally_prepare_from_claims(view, message.claim)
+        The rules are level-triggered — a duplicate Sync re-runs them — and
+        each is cheap once what it decides has been decided: a claim or CP
+        entry whose proposal is already conditionally prepared costs a status
+        check unless the current view still waits for a proposal to accept.
+        """
+        view = message.view
+        digest = message.claim.digest
+        if digest is not None:
+            votes = tally.votes.get(digest)
+            if votes is not None:
+                # Rule: f+1 same-claim Syncs in our current view let us echo
+                # the claim even without the primary's proposal (Figure 3,
+                # lines 24-28).
+                self._maybe_echo_claim(view, digest, votes)
+                # Rule: n−f same-claim Syncs conditionally prepare the
+                # proposal (Figure 3, lines 20-21).
+                self._maybe_conditionally_prepare_from_claims(view, digest, votes)
 
         # Rule: f+1 CP endorsements with higher views conditionally prepare
         # an older proposal (Figure 3, lines 22-23).
@@ -595,24 +615,22 @@ class SpotLessInstance:
         self._maybe_skip_views()
 
         # State progress for the current view (Figure 4, lines 7-11).
-        self._check_sync_quorum(self.current_view)
+        self._check_sync_quorum()
 
-    def _maybe_echo_claim(self, view: int, claim: Claim) -> None:
+    def _maybe_echo_claim(self, view: int, digest: bytes, votes: Dict[int, Optional[Signature]]) -> None:
         if view != self.current_view or view in self._synced_views:
             return
-        votes = self._claim_votes.get((view, claim.digest), {})
-        if len(votes) < self.weak_quorum:
+        if len(votes) < self._weak_quorum:
             return
         self._note_recording_progress()
-        self._broadcast_sync(Claim(view=view, digest=claim.digest, primary_signature=None))
-        proposal = self.store.get(claim.digest)
+        self._broadcast_sync(Claim(view=view, digest=digest, primary_signature=None))
+        proposal = self.store.get(digest)
         if proposal is None or not proposal.has_payload():
-            self._send_ask(view, claim, list(votes.keys()))
+            self._send_ask(view, digest, list(votes))
 
-    def _send_ask(self, view: int, claim: Claim, holders: Sequence[int]) -> None:
+    def _send_ask(self, view: int, digest: bytes, holders: Sequence[int]) -> None:
         """Ask the f+1 claim holders for the full proposal (Section 3.3)."""
-        if claim.digest is not None:
-            self._asks.request((view, claim.digest), prefer=holders[: self.weak_quorum])
+        self._asks.request((view, digest), prefer=holders[: self._weak_quorum])
 
     def _send_ask_to(self, holder: int, key: Tuple[int, bytes]) -> None:
         view, digest = key
@@ -628,14 +646,15 @@ class SpotLessInstance:
         proposal = self.store.get(key[1])
         return proposal is not None and proposal.has_payload()
 
-    def _maybe_conditionally_prepare_from_claims(self, view: int, claim: Claim) -> None:
-        votes = self._claim_votes.get((view, claim.digest), {})
-        if len(votes) < self.quorum or claim.digest is None:
+    def _maybe_conditionally_prepare_from_claims(
+        self, view: int, digest: bytes, votes: Dict[int, Optional[Signature]]
+    ) -> None:
+        if len(votes) < self._quorum:
             return
-        proposal = self.store.get(claim.digest)
+        proposal = self.store.get(digest)
         if proposal is None:
-            proposal = self.store.record_reference(claim.digest, view)
-            self._send_ask(view, claim, list(votes.keys()))
+            proposal = self.store.record_reference(digest, view)
+            self._send_ask(view, digest, list(votes))
         self._conditionally_prepare(proposal)
         # Receiving the full n−f same-claim quorum for the current view
         # completes the Certifying state and advances to the next view.
@@ -643,27 +662,36 @@ class SpotLessInstance:
             self._advance_view(view + 1, fast=True)
 
     def _maybe_conditionally_prepare_from_cp(self, entry: CpEntry) -> None:
-        endorsements = self._cp_endorsements.get((entry.view, entry.digest), {})
-        higher_view_endorsers = [s for s, sync_view in endorsements.items() if sync_view > entry.view]
-        if len(higher_view_endorsers) < self.weak_quorum:
-            return
         proposal = self.store.get(entry.digest)
+        prepared = proposal is not None and proposal.status >= _PREPARED
+        if prepared and (
+            self.current_view in self._synced_views
+            or not self.store.proposals_in_view(self.current_view)
+        ):
+            # Settled: all a repeat could still do is let an un-synced
+            # current view accept a proposal it has recorded.
+            return
+        tally = self._views.get(entry.view)
+        endorsements = tally.endorsements.get(entry.digest) if tally is not None else None
+        if endorsements is None:
+            return
+        higher_view_endorsers = [s for s, sync_view in endorsements.items() if sync_view > entry.view]
+        if len(higher_view_endorsers) < self._weak_quorum:
+            return
         if proposal is None:
             proposal = self.store.record_reference(entry.digest, entry.view)
-        if proposal.status < ProposalStatus.CONDITIONALLY_PREPARED and not proposal.has_payload():
-            claim = Claim(view=entry.view, digest=entry.digest)
-            self._send_ask(entry.view, claim, higher_view_endorsers)
+        if not prepared and not proposal.has_payload():
+            self._send_ask(entry.view, entry.digest, higher_view_endorsers)
         self._conditionally_prepare(proposal)
 
     def _conditionally_prepare(self, proposal: Proposal) -> None:
-        newly_committed = self.store.mark_conditionally_prepared(proposal)
-        for committed in newly_committed:
-            self.env.on_commit(self.instance_id, committed)
+        if proposal.status < _PREPARED:
+            for committed in self.store.mark_conditionally_prepared(proposal):
+                self.env.on_commit(self.instance_id, committed)
         # A proposal of the current view may have been recorded before its
         # parent was conditionally prepared; rule A1 can now be satisfied, so
         # re-evaluate acceptance (otherwise t_R would expire spuriously).
-        if self.current_view not in self._synced_views:
-            self._maybe_accept_pending(self.current_view)
+        self._maybe_accept_pending()
 
     def _maybe_skip_views(self) -> None:
         """The f+1 higher-view skip of Rapid View Synchronization.
@@ -680,9 +708,9 @@ class SpotLessInstance:
             (view for view in self._highest_view_seen.values() if view > self.current_view),
             reverse=True,
         )
-        if len(higher_views) < self.weak_quorum:
+        if len(higher_views) < self._weak_quorum:
             return
-        target_view = higher_views[self.weak_quorum - 1]
+        target_view = higher_views[self._weak_quorum - 1]
         if target_view <= self.current_view:
             return
         self.view_skips += 1
@@ -692,12 +720,12 @@ class SpotLessInstance:
                 self._broadcast_sync(Claim.failure(view), retransmit_flag=True, view=view)
         self._advance_view(target_view, fast=False)
 
-    def _check_sync_quorum(self, view: int) -> None:
+    def _check_sync_quorum(self) -> None:
         """Figure 4 lines 7-11: Syncing -> Certifying -> next view."""
-        if view != self.current_view:
+        if self.state is not ViewState.SYNCING:
             return
-        records = self._sync_log.get(view, {})
-        if self.state == ViewState.SYNCING and len(records) >= self.quorum:
+        tally = self._views.get(self.current_view)
+        if tally is not None and len(tally.senders) >= self._quorum:
             self.state = ViewState.CERTIFYING
             self._certifying_timer.start(self._certifying_timeout.interval)
 
@@ -748,8 +776,7 @@ class SpotLessInstance:
             return
         proposal = self.store.record_message(propose)
         # If the proposal already has enough claim votes, conditionally prepare it.
-        votes = self._claim_votes.get((propose.view, proposal.digest), {})
-        if len(votes) >= self.quorum:
+        if len(self._votes(propose.view, proposal.digest)) >= self._quorum:
             self._conditionally_prepare(proposal)
         self._maybe_accept(proposal, propose)
 
@@ -759,11 +786,7 @@ class SpotLessInstance:
             propose.parent_digest != GENESIS_PROPOSAL_ID
             and (parent is None or not parent.has_payload())
         ):
-            self._send_ask(
-                propose.parent_view,
-                Claim(view=propose.parent_view, digest=propose.parent_digest),
-                [sender],
-            )
+            self._send_ask(propose.parent_view, propose.parent_digest, [sender])
 
         # The attached payload may have completed a chain whose descendants
         # were already conditionally prepared: re-run the commit cascade.
@@ -789,7 +812,7 @@ class SpotLessInstance:
         self._asks.retry(
             (proposal.view, proposal.digest)
             for proposal in self.store.proposals()
-            if proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED
+            if proposal.status >= _PREPARED
         )
 
     def compact_below_view(self, floor_view: int) -> None:
@@ -800,27 +823,8 @@ class SpotLessInstance:
         quorum-attested executed, so any view change or certificate built
         from here on references views at or above it.
         """
-        self._sync_log = {view: log for view, log in self._sync_log.items() if view >= floor_view}
-        self._claim_votes = {
-            statement: votes
-            for statement, votes in self._claim_votes.items()
-            if statement[0] >= floor_view
-        }
-        self._cp_endorsements = {
-            statement: endorsements
-            for statement, endorsements in self._cp_endorsements.items()
-            if statement[0] >= floor_view
-        }
-        self._failure_claims = {
-            view: claimants
-            for view, claimants in self._failure_claims.items()
-            if view >= floor_view
-        }
-        self._served_retransmissions = {
-            (view, requester)
-            for view, requester in self._served_retransmissions
-            if view >= floor_view
-        }
+        for view in [view for view in self._views if view < floor_view]:
+            del self._views[view]
 
     # ------------------------------------------------------------------
     # introspection helpers used by the node, tests and experiments
@@ -836,7 +840,8 @@ class SpotLessInstance:
 
     def sync_senders(self, view: int) -> Tuple[int, ...]:
         """Replicas whose Sync for ``view`` has been received."""
-        return tuple(sorted(self._sync_log.get(view, {}).keys()))
+        tally = self._views.get(view)
+        return tuple(sorted(tally.senders)) if tally is not None else ()
 
     def recording_timeout_interval(self) -> float:
         """Current adaptive t_R interval."""

@@ -28,6 +28,7 @@ from typing import Optional, Tuple
 
 from repro.crypto.authenticator import Signature
 from repro.crypto.certificates import Certificate
+from repro.crypto.digest import digest_bytes
 from repro.net.message import InformMessage, Message
 from repro.recovery.messages import (
     CheckpointCertificate,
@@ -112,6 +113,21 @@ class ProposeMessage(Message):
             certificate_fields,
             self.parent_claim_quorum,
         )
+
+    def digest(self) -> bytes:
+        """``digest(P)``, the identity of the proposal this message carries.
+
+        Memoized as :meth:`repro.workload.requests.Transaction.digest` is:
+        one delivered object reaches every replica of a simulated cluster,
+        so it is hashed once instead of once per receiver.  The cache is not
+        a field, so ``dataclasses.replace`` builds a message without it and
+        a rewritten proposal can never inherit a stale digest.
+        """
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            cached = digest_bytes(self.canonical_fields())
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
 
 @dataclass(frozen=True)

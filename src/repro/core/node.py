@@ -15,19 +15,13 @@ cross-instance total order and its contiguity-aware execution frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.chain import Proposal
 from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance
-from repro.core.messages import (
-    AskMessage,
-    ClientSubmission,
-    InformMessage,
-    ProposalForward,
-    ProposeMessage,
-    SyncMessage,
-)
+from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
 from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
 from repro.net.sizes import MessageSizeModel
@@ -60,6 +54,16 @@ class CommitRecord:
     def order_key(self) -> Tuple[int, int]:
         """Total-order key: low view first, then low instance id (Figure 6)."""
         return (self.view, self.instance)
+
+
+#: Handler of each consensus message, by exact class (the types are final
+#: dataclasses, as in the runtime's own routing table).
+_HANDLERS = {
+    ProposeMessage: SpotLessInstance.on_propose,
+    SyncMessage: SpotLessInstance.on_sync,
+    AskMessage: SpotLessInstance.on_ask,
+    ProposalForward: SpotLessInstance.on_forward,
+}
 
 
 class SpotLessReplica(ReplicaRuntime):
@@ -120,6 +124,15 @@ class SpotLessReplica(ReplicaRuntime):
         # the checkpoint manager happens in _advance_execution, not in the
         # shared pipeline's per-position path.
         self.pipeline.on_executed = None
+        # Wire size of each consensus message class (a certificate adds its
+        # signatures to a Propose); the size model is fixed per deployment.
+        control = self.size_model.control_bytes
+        self._wire_bytes = {
+            ProposeMessage: self.size_model.proposal_bytes(),
+            ProposalForward: self.size_model.proposal_bytes(),
+            SyncMessage: control(signatures=1),
+            AskMessage: control(),
+        }
 
         self.instances: Dict[int, SpotLessInstance] = {}
         for instance_id in range(config.num_instances):
@@ -136,45 +149,35 @@ class SpotLessReplica(ReplicaRuntime):
     def _make_environment(self, instance_id: int) -> InstanceEnvironment:
         return InstanceEnvironment(
             replica_id=self.node_id,
-            broadcast=lambda message: self._broadcast_protocol(instance_id, message),
-            send=lambda receiver, message: self._send_protocol(instance_id, receiver, message),
+            broadcast=partial(self._broadcast_protocol, instance_id),
+            send=partial(self._send_protocol, instance_id),
             make_timer=self.timer,
             next_batch=self._next_batch,
             on_commit=self._on_instance_commit,
-            sign=lambda message: None,
-            verify=lambda message, signature, sender: True,
             now=lambda: self.simulator.now,
-            has_pending=lambda target_instance: self.mempool.has_pending(target_instance),
+            has_pending=self.mempool.has_pending,
         )
 
     def _message_size(self, message: Message) -> int:
-        if isinstance(message, ProposeMessage):
-            quorum_signatures = self.config.quorum if message.parent_certificate else 0
-            return self.size_model.proposal_bytes() + quorum_signatures * self.size_model.constants.signature_bytes
-        if isinstance(message, ProposalForward):
-            return self.size_model.proposal_bytes()
-        if isinstance(message, InformMessage):
-            return self.size_model.reply_bytes()
-        if isinstance(message, SyncMessage):
-            return self.size_model.control_bytes(signatures=1)
-        return self.size_model.control_bytes()
+        size = self._wire_bytes[message.__class__]
+        if message.__class__ is ProposeMessage and message.parent_certificate:
+            size += self.config.quorum * self.size_model.constants.signature_bytes
+        return size
 
-    def _broadcast_protocol(self, instance_id: int, message: Message) -> None:
-        size = self._message_size(message)
-        self.broadcast(self.other_replicas(), (instance_id, message), size)
+    def _deliver_to_self(self, instance_id: int, message: Message) -> None:
         # Remark 3.1: replicas logically send to themselves as well; locally
         # this is a zero-delay delivery that consumes no network resources.
         # Scheduling (rather than calling directly) keeps handler call stacks
         # flat when many catch-up messages are emitted in one step.
-        self.simulator.schedule(
-            0.0, lambda: self._dispatch(self.node_id, instance_id, message), label="self-delivery"
-        )
+        self.simulator.schedule_call(0.0, self._dispatch, (self.node_id, instance_id, message))
+
+    def _broadcast_protocol(self, instance_id: int, message: Message) -> None:
+        self.broadcast(self._broadcast_peers, (instance_id, message), self._message_size(message))
+        self._deliver_to_self(instance_id, message)
 
     def _send_protocol(self, instance_id: int, receiver: int, message: Message) -> None:
         if receiver == self.node_id:
-            self.simulator.schedule(
-                0.0, lambda: self._dispatch(self.node_id, instance_id, message), label="self-delivery"
-            )
+            self._deliver_to_self(instance_id, message)
             return
         self.send(receiver, (instance_id, message), self._message_size(message))
 
@@ -224,36 +227,21 @@ class SpotLessReplica(ReplicaRuntime):
         for instance in self.instances.values():
             instance.start()
 
-    def on_message(self, sender: int, payload: object) -> None:
-        """Route a delivered message to the right instance or handler.
+    def on_protocol_message(self, sender: int, payload: object) -> None:
+        """Dispatch an ``(instance, message)`` tuple to its consensus instance.
 
         Transactions and the recovery-layer messages (checkpoint votes,
         state requests/responses) are handled by the shared runtime; only
-        ``(instance, message)`` tuples reach the SpotLess dispatch below.
+        what it does not recognise reaches this method.
         """
-        if isinstance(payload, ClientSubmission):
-            # The full transaction travels with the submission in the simulator.
-            return
-        super().on_message(sender, payload)
-
-    def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Dispatch an ``(instance, message)`` tuple to its consensus instance."""
         if isinstance(payload, tuple) and len(payload) == 2:
-            instance_id, message = payload
-            self._dispatch(sender, instance_id, message)
+            self._dispatch(sender, *payload)
 
     def _dispatch(self, sender: int, instance_id: int, message: Message) -> None:
         instance = self.instances.get(instance_id)
-        if instance is None:
-            return
-        if isinstance(message, ProposeMessage):
-            instance.on_propose(sender, message)
-        elif isinstance(message, SyncMessage):
-            instance.on_sync(sender, message)
-        elif isinstance(message, AskMessage):
-            instance.on_ask(sender, message)
-        elif isinstance(message, ProposalForward):
-            instance.on_forward(sender, message)
+        handler = _HANDLERS.get(message.__class__)
+        if instance is not None and handler is not None:
+            handler(instance, sender, message)
 
     # ------------------------------------------------------------------
     # commits, total order and execution
@@ -368,12 +356,11 @@ class SpotLessReplica(ReplicaRuntime):
         while True:
             view = self._next_execution_view
             if view >= self._execution_floor_view:
-                frontier = min(
-                    self._instance_execution_frontier(instance_id)
-                    for instance_id in range(self.config.num_instances)
-                )
-                if frontier < view:
-                    return
+                # The view waits for the slowest instance; the first one
+                # found short decides.
+                for instance_id in range(self.config.num_instances):
+                    if self._instance_execution_frontier(instance_id) < view:
+                        return
             resolved: List[Tuple[CommitRecord, List[Transaction]]] = []
             for instance_id in range(self.config.num_instances):
                 record = self._committed_by_view[instance_id].get(view)

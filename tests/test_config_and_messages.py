@@ -136,6 +136,26 @@ def test_proposal_digest_is_deterministic():
     assert proposal_digest(_propose()) == proposal_digest(_propose())
 
 
+def test_proposal_digest_memo_is_per_object_and_never_inherited():
+    from dataclasses import replace
+
+    from repro.crypto.digest import digest_bytes
+
+    message = _propose()
+    assert message.digest() is message.digest()  # hashed once per object
+    assert message.digest() == digest_bytes(message.canonical_fields())
+    # An in-flight rewrite (the faults layer uses dataclasses.replace) builds
+    # a new object: it gets its own digest, not the original's cached one.
+    rewritten = replace(message, transaction_digests=(b"phantom",))
+    assert "_digest" not in rewritten.__dict__
+    assert rewritten.digest() == proposal_digest(_propose(batch=(b"phantom",)))
+    assert rewritten.digest() != message.digest()
+    # The memo is not a field: equality and hashing ignore it.
+    twin = _propose()
+    assert twin == message and hash(twin) == hash(message)
+    assert replace(message) == message and replace(message).digest() == message.digest()
+
+
 @given(
     st.integers(min_value=0, max_value=1000),
     st.lists(st.binary(min_size=1, max_size=8), min_size=0, max_size=5),

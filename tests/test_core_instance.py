@@ -178,6 +178,49 @@ def test_duplicate_sync_messages_do_not_double_count():
     assert instance.sync_senders(0) == senders_before
 
 
+def test_duplicate_and_late_syncs_for_a_prepared_proposal_change_nothing():
+    from repro.core.messages import Claim, CpEntry
+
+    harness = Harness()
+    harness.start()
+    late = []
+
+    def hold_back(sender, receiver, message):
+        # Replica 3's view-0 Sync does not reach replica 0 in time.
+        if (sender, receiver) == (3, 0) and isinstance(message, SyncMessage) and message.view == 0:
+            late.append(message)
+            return True
+        return False
+
+    harness.deliver_all(drop=hold_back, max_rounds=12)
+    instance = harness.instances[0]
+    proposal = instance.store.conditionally_prepared_in_view(0)
+    assert proposal is not None and late
+    assert instance.sync_senders(0) == (0, 1, 2)
+
+    def observable():
+        store = instance.store
+        return (
+            store.version, store.lock.digest, store.cp_set(), proposal.status,
+            instance.current_view, instance.state, instance.syncs_sent, instance.asks_sent,
+            len(harness.queues), len(harness.commits[0]),
+        )
+
+    before = observable()
+    duplicate = SyncMessage(
+        instance=0,
+        view=0,
+        claim=Claim(view=0, digest=proposal.digest),
+        cp_set=(CpEntry(view=0, digest=proposal.digest),),
+    )
+    instance.on_sync(1, duplicate)
+    assert observable() == before
+    instance.on_sync(3, late[0])
+    assert observable() == before
+    # The late Sync is still a recorded fact; only its consequences were settled.
+    assert instance.sync_senders(0) == (0, 1, 2, 3)
+
+
 # ---------------------------------------------------------------------------
 # failure handling: silent primary, echo rule, Ask-recovery, view skip
 # ---------------------------------------------------------------------------

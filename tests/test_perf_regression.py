@@ -7,8 +7,13 @@ Two layers of protection:
   accounting exact under cancellation, lazy removal and the fast path;
 * **golden determinism** — a pinned benchmark cell replayed twice must
   process the identical event count and produce the identical ledger, the
-  byte-for-byte invariant every optimisation in that PR was gated on.
+  byte-for-byte invariant every optimisation in that PR was gated on;
+* **call budget** — the SpotLess per-message path is held to a number of
+  Python calls per simulated event, a cost measure no host can move.
 """
+
+import os
+import sys
 
 from repro.sim.engine import Simulator
 
@@ -122,3 +127,50 @@ def test_pinned_cell_replays_byte_identically():
     events_two, digest_two = _run_hotstuff_cell()
     assert events_one == events_two
     assert digest_one == digest_two
+
+
+# ---------------------------------------------------------------------------
+# host-independent call budget of the SpotLess hot path
+# ---------------------------------------------------------------------------
+
+#: Calls of functions defined under ``src/repro/core/`` per processed event
+#: on a fault-free n=4 cell.  The per-Sync rework brought it from 31.8 to
+#: 19.2; re-deriving settled facts on every Sync again trips this long
+#: before a wall clock could tell.
+CORE_CALLS_PER_EVENT_BUDGET = 25.0
+
+
+def test_core_call_budget_per_event():
+    import repro.core
+    from repro.bench.cluster import SimulatedCluster
+
+    core_dir = os.path.dirname(repro.core.__file__) + os.sep
+    cluster = SimulatedCluster.for_protocol(
+        "spotless",
+        num_replicas=4,
+        batch_size=8,
+        clients=3,
+        outstanding_per_client=4,
+        seed=7,
+    )
+    cluster.start()
+    calls = 0
+
+    def count_core_calls(frame, event, arg):
+        nonlocal calls
+        # Comprehensions, generator expressions and lambdas are "<...>" code
+        # objects; 3.12 inlines some of them, so they are left out everywhere.
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(core_dir) and not code.co_name.startswith("<"):
+                calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count_core_calls)
+    try:
+        cluster.simulator.run_for(0.1)
+    finally:
+        sys.setprofile(previous)
+    events = cluster.simulator.processed_events
+    assert events == 5092  # same schedule, so the ratio compares like with like
+    assert calls / events < CORE_CALLS_PER_EVENT_BUDGET

@@ -240,8 +240,7 @@ GOLDEN_STATE = {
 }
 
 
-@pytest.mark.parametrize("protocol", sorted(GOLDEN_STATE))
-def test_fixed_seed_state_digest_matches_pre_refactor_value(protocol):
+def _run_golden_cell(protocol):
     cluster = SimulatedCluster.for_protocol(
         protocol,
         num_replicas=4,
@@ -252,9 +251,31 @@ def test_fixed_seed_state_digest_matches_pre_refactor_value(protocol):
         checkpoint_interval=0,
     )
     cluster.run(duration=0.4)
+    return cluster
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_STATE))
+def test_fixed_seed_state_digest_matches_pre_refactor_value(protocol):
+    cluster = _run_golden_cell(protocol)
     replica = cluster.replicas[0]
     digest, executed = GOLDEN_STATE[protocol]
     assert replica.state_digest().hex() == digest
     assert replica.executed_transactions == executed
     assert replica.checkpoints.votes_sent == 0  # recovery layer fully dormant
     cluster.assert_no_divergence()
+
+
+def test_fixed_seed_spotless_schedule_is_pinned():
+    """The same cell's *schedule*, not only its end state.
+
+    An optimisation of ``core/`` may not add, drop or reorder a single event
+    or message: these values were recorded before the per-Sync path was
+    reworked and every later change to it is held to them.
+    """
+    cluster = _run_golden_cell("spotless")
+    assert cluster.simulator.processed_events == 19764
+    assert cluster.metrics.counter("network.messages_sent").value == 15639
+    assert cluster.metrics.counter("network.bytes_sent").value == 7245398
+    per_replica = [list(replica.instances.values()) for replica in cluster.replicas]
+    assert [sum(i.views_entered for i in instances) for instances in per_replica] == [833] * 4
+    assert [sum(i.syncs_sent for i in instances) for instances in per_replica] == [829, 831, 830, 830]
