@@ -18,44 +18,7 @@ def _canonical_bytes(value: Any) -> bytes:
     Supports the small universe of types that appear in protocol messages:
     bytes, strings, integers, floats, None, and (nested) tuples/lists/dicts
     of those.  Dataclass-like objects can supply ``canonical_fields()``.
-
-    Exact-type checks handle the common cases without walking an
-    ``isinstance`` chain; subclasses (and ``canonical_fields()`` objects)
-    fall through to :func:`_canonical_bytes_slow`, which produces the same
-    encoding.
     """
-    kind = value.__class__
-    if kind is bytes:
-        return b"b" + value
-    if kind is str:
-        return b"s" + value.encode("utf-8")
-    if kind is bool:
-        return b"B1" if value else b"B0"
-    if kind is int:
-        return b"i%d" % value
-    if kind is float:
-        return b"f" + repr(value).encode("ascii")
-    if value is None:
-        return b"n"
-    if kind is tuple or kind is list:
-        # Inline the bytes case: digest tuples (batch contents, parent links)
-        # are overwhelmingly tuples of raw digests.
-        parts = [
-            b"b" + item if item.__class__ is bytes else _canonical_bytes(item)
-            for item in value
-        ]
-        return b"t%d:" % len(value) + b"".join(parts)
-    if kind is dict:
-        parts = b"".join(
-            _canonical_bytes(key) + _canonical_bytes(value[key])
-            for key in sorted(value, key=repr)
-        )
-        return b"d%d:" % len(value) + parts
-    return _canonical_bytes_slow(value)
-
-
-def _canonical_bytes_slow(value: Any) -> bytes:
-    """Subclass-tolerant fallback encoder (identical output to the fast path)."""
     if isinstance(value, bytes):
         return b"b" + value
     if isinstance(value, str):
@@ -63,17 +26,18 @@ def _canonical_bytes_slow(value: Any) -> bytes:
     if isinstance(value, bool):
         return b"B1" if value else b"B0"
     if isinstance(value, int):
-        return b"i" + str(value).encode("ascii")
+        return b"i%d" % value
     if isinstance(value, float):
         return b"f" + repr(value).encode("ascii")
+    if value is None:
+        return b"n"
     if isinstance(value, (tuple, list)):
-        parts = b"".join(_canonical_bytes(item) for item in value)
-        return b"t" + str(len(value)).encode("ascii") + b":" + parts
+        return b"t%d:" % len(value) + b"".join([_canonical_bytes(item) for item in value])
     if isinstance(value, dict):
-        parts = b""
-        for key in sorted(value, key=repr):
-            parts += _canonical_bytes(key) + _canonical_bytes(value[key])
-        return b"d" + str(len(value)).encode("ascii") + b":" + parts
+        parts = b"".join(
+            [_canonical_bytes(key) + _canonical_bytes(value[key]) for key in sorted(value, key=repr)]
+        )
+        return b"d%d:" % len(value) + parts
     if hasattr(value, "canonical_fields"):
         return _canonical_bytes(value.canonical_fields())
     raise TypeError(f"cannot canonically encode {type(value)!r}")

@@ -58,9 +58,11 @@ class HotStuffReplica(BftReplicaBase):
 
     One proposal is made per view; votes for the view-``v`` proposal are sent
     to the leader of view ``v + 1``, who aggregates them into a quorum
-    certificate and proposes the next chain node.  A node is committed when
-    it heads a three-chain of consecutive views, and committing a node
-    commits its entire uncommitted ancestor chain.
+    certificate and proposes the next chain node.  A replica locks on the tail
+    of every two-chain and votes only for a proposal that extends its lock or
+    carries a newer justify.  A node is committed when it heads a three-chain
+    of consecutive views, and committing a node commits its entire
+    uncommitted ancestor chain.
     """
 
     def __init__(
@@ -275,10 +277,18 @@ class HotStuffReplica(BftReplicaBase):
         self.nodes[proposal.node_digest] = node
         return node
 
-    def _extends(self, node: ChainNode, ancestor_digest: bytes) -> bool:
+    def _extends(self, node: ChainNode, locked_node: ChainNode) -> bool:
+        """True when ``locked_node`` is ``node`` or one of its ancestors.
+
+        The walk is bounded by view, not ``height``: a node recorded before
+        its parent arrives gets ``height = 1``, whereas views rise strictly
+        along any chain an honest leader builds.  Stopping at the first
+        ancestor below the lock's view can therefore only withhold a vote
+        from a chain no honest leader built — the safe direction.
+        """
         current: Optional[ChainNode] = node
-        while current is not None:
-            if current.digest == ancestor_digest:
+        while current is not None and current.view >= locked_node.view:
+            if current is locked_node:
                 return True
             if current.parent_digest is None:
                 return False
@@ -288,7 +298,7 @@ class HotStuffReplica(BftReplicaBase):
     def _safe_node(self, node: ChainNode, justify: Optional[QuorumCert]) -> bool:
         """HotStuff's safeNode predicate: safety rule OR liveness rule."""
         locked_node = self.nodes.get(self.locked_qc.node_digest)
-        safety = locked_node is not None and self._extends(node, locked_node.digest)
+        safety = locked_node is not None and self._extends(node, locked_node)
         liveness = justify is not None and justify.view > self.locked_qc.view
         return safety or liveness
 
@@ -324,6 +334,10 @@ class HotStuffReplica(BftReplicaBase):
     # -- votes ------------------------------------------------------------
 
     def _on_vote(self, sender: int, vote: HsVote) -> None:
+        if vote.voter != sender:
+            # The network authenticates the sender, not the claimed name: a
+            # Byzantine replica voting under n - f names would mint a QC alone.
+            return
         key = (vote.view, vote.node_digest)
         voters = self._votes.setdefault(key, set())
         voters.add(vote.voter)
@@ -365,10 +379,12 @@ class HotStuffReplica(BftReplicaBase):
     # ------------------------------------------------------------------
 
     def _apply_commit_rules(self, node: ChainNode, sender: Optional[int] = None) -> None:
-        """Three-chain commit: b'' ← b' ← b with consecutive views commits b.
+        """Two-chain lock, then three-chain commit (Yin et al., Alg. 5 ``update``).
 
         ``node`` is the newest chain node; its justify certifies the parent,
-        whose justify certifies the grandparent, and so on.
+        whose justify certifies the grandparent, and so on.  The tail of every
+        two-chain becomes the lock; b'' ← b' ← b with consecutive views
+        commits b.
         """
         if node.justify is None:
             return
@@ -376,7 +392,11 @@ class HotStuffReplica(BftReplicaBase):
         if parent is None or parent.justify is None:
             return
         grandparent = self.nodes.get(parent.justify.node_digest)
-        if grandparent is None or grandparent.justify is None:
+        if grandparent is None:
+            return
+        if parent.justify.view > self.locked_qc.view:
+            self.locked_qc = parent.justify
+        if grandparent.justify is None:
             return
         great = self.nodes.get(grandparent.justify.node_digest)
         if great is None:

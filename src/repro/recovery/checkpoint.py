@@ -22,6 +22,7 @@ attested to could neither serve state transfer nor survive a view change.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Dict, Optional, Tuple
 
 from repro.crypto.digest import digest_bytes
@@ -36,8 +37,22 @@ GENESIS_EXECUTION_DIGEST = digest_bytes(("recovery-genesis",))
 
 
 def fold_entry(rolling: bytes, entry: SlotEntry) -> bytes:
-    """Advance the rolling execution digest by one executed order unit."""
-    return digest_bytes(("exec", rolling, entry.canonical_fields()))
+    """Advance the rolling execution digest by one executed order unit.
+
+    The encoding is assembled inline — byte-identical to
+    ``digest_bytes(("exec", rolling, entry.canonical_fields()))``, which the
+    recovery tests assert — because every executed position of every replica
+    of every stack passes through here.
+    """
+    records = entry.records
+    parts = [b"t3:sexecb", rolling, b"t2:i%dt%d:" % (entry.position, len(records))]
+    for record in records:
+        digests = record.transaction_digests
+        parts.append(b"t3:i%dt%d:" % (record.instance, len(digests)))
+        # Joining on b"b" after an empty head tags every digest, then the
+        # slot digest, as bytes.
+        parts.append(b"b".join((b"", *digests, record.slot_digest)))
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 class CheckpointManager:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.crypto.authenticator import InvalidSignatureError, MacAuthenticator, Signature, SignatureScheme
 from repro.crypto.certificates import Certificate, QuorumTracker, ThresholdSignature
 from repro.crypto.costs import CryptoCostModel
-from repro.crypto.digest import digest_bytes, digest_hex, digest_to_int
+from repro.crypto.digest import canonical_bytes, digest_bytes, digest_hex, digest_to_int
 from repro.crypto.keys import KeyStore
 
 
@@ -37,6 +37,24 @@ def test_digest_distinguishes_types_and_values():
 
 def test_digest_of_dict_is_order_insensitive():
     assert digest_bytes({"x": 1, "y": 2}) == digest_bytes({"y": 2, "x": 1})
+
+
+def test_canonical_encoding_format_is_pinned():
+    """Block digests and the execution fold assemble this format by hand."""
+    value = ("a", 1, True, None, 1.5, b"x", [2, -3], {"k": b"v"})
+    assert canonical_bytes(value) == b"t8:sai1B1nf1.5bxt2:i2i-3d1:skbv"
+
+
+def test_canonical_encoding_treats_subclasses_as_their_base_type():
+    import enum
+    from collections import namedtuple
+
+    class Kind(enum.IntEnum):
+        PROPOSE = 3
+
+    Pair = namedtuple("Pair", "left right")
+    assert canonical_bytes(Kind.PROPOSE) == canonical_bytes(3)
+    assert canonical_bytes(Pair(b"l", "r")) == canonical_bytes((b"l", "r"))
 
 
 def test_digest_rejects_unencodable_types():

@@ -1,6 +1,6 @@
 """Regression tests for the PR6 hot-path overhaul.
 
-Two layers of protection:
+Layers of protection:
 
 * **event accounting** — the slotted :class:`Event` rewrite and the
   peek-based run loop must keep ``pending_events``/``scheduled_events``
@@ -9,7 +9,9 @@ Two layers of protection:
   process the identical event count and produce the identical ledger, the
   byte-for-byte invariant every optimisation in that PR was gated on;
 * **call budget** — the SpotLess per-message path is held to a number of
-  Python calls per simulated event, a cost measure no host can move.
+  Python calls per simulated event, a cost measure no host can move;
+* **growth** — what a HotStuff replica pays per proposal may not depend on
+  how long the chain has grown.
 """
 
 import os
@@ -105,18 +107,22 @@ def test_shared_sequence_keeps_mixed_scheduling_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def _run_hotstuff_cell():
+def _hotstuff_cell(**overrides):
     from repro.bench.cluster import SimulatedCluster
 
-    cluster = SimulatedCluster.for_protocol(
+    return SimulatedCluster.for_protocol(
         "hotstuff",
         num_replicas=4,
         batch_size=8,
         clients=3,
         outstanding_per_client=4,
         seed=7,
-        checkpoint_interval=0,
+        **overrides,
     )
+
+
+def _run_hotstuff_cell():
+    cluster = _hotstuff_cell(checkpoint_interval=0)
     cluster.run(duration=0.4)
     ledger = cluster.replicas[0].ledger
     return cluster.simulator.processed_events, ledger.head.digest()
@@ -174,3 +180,41 @@ def test_core_call_budget_per_event():
     events = cluster.simulator.processed_events
     assert events == 5092  # same schedule, so the ratio compares like with like
     assert calls / events < CORE_CALLS_PER_EVENT_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# host-independent growth tripwire of the HotStuff proposal path
+# ---------------------------------------------------------------------------
+
+#: ``nodes.get`` probes one replica spends per proposal on the fault-free
+#: n=4 cell: 9.25 with the lock on the two-chain.  With the lock left at
+#: genesis the safety rule walked every ancestor — 59 probes in the first
+#: 0.2 s, 371 in the fourth.
+NODE_PROBES_PER_PROPOSAL_BUDGET = 12.0
+
+
+class _CountingDict(dict):
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return dict.get(self, key, default)
+
+
+def test_hotstuff_node_probes_per_proposal_do_not_grow_with_the_chain():
+    cluster = _hotstuff_cell()
+    for replica in cluster.replicas:
+        replica.nodes = _CountingDict(replica.nodes)
+    cluster.start()
+    per_proposal = []
+    probes = proposals = 0
+    for _ in range(4):
+        cluster.run_additional(0.2)
+        probes_now = sum(replica.nodes.probes for replica in cluster.replicas)
+        proposals_now = sum(replica.proposals_made for replica in cluster.replicas)
+        # Every replica handles every proposal.
+        per_proposal.append((probes_now - probes) / (len(cluster.replicas) * (proposals_now - proposals)))
+        probes, proposals = probes_now, proposals_now
+    assert cluster.simulator.processed_events == 9431  # the fault-free schedule
+    assert per_proposal[-1] <= 1.1 * per_proposal[0]
+    assert max(per_proposal) < NODE_PROBES_PER_PROPOSAL_BUDGET

@@ -373,6 +373,74 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
     assert node.justify == child_qc
 
 
+def test_hotstuff_counts_votes_under_the_authenticated_sender():
+    """One Byzantine replica cannot mint a QC by voting under n - f names."""
+    from repro.protocols.hotstuff.messages import HsProposal, HsVote
+    from repro.protocols.hotstuff.replica import chain_node_digest
+
+    cluster = SimulatedCluster.for_protocol(
+        "hotstuff", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5
+    )
+    leader = cluster.replicas[1]  # leads view 1, so it tallies the view-0 votes
+    digest = chain_node_digest(0, GENESIS_NODE_DIGEST, ())
+    leader._record_node(
+        HsProposal(
+            view=0,
+            node_digest=digest,
+            parent_digest=GENESIS_NODE_DIGEST,
+            transaction_digests=(),
+            justify=leader.high_qc,
+        )
+    )
+    for claimed in (0, 2, 3):
+        leader.on_protocol_message(3, HsVote(view=0, node_digest=digest, voter=claimed))
+    assert leader.high_qc.view == -1
+    assert leader.proposals_made == 0
+    # The same three votes from their real senders do form the QC.
+    for voter in (0, 2):
+        leader.on_protocol_message(voter, HsVote(view=0, node_digest=digest, voter=voter))
+    assert leader.high_qc.view == 0
+    assert leader.high_qc.signers == (0, 2, 3)
+    assert leader.proposals_made == 1
+
+
+def test_hotstuff_locks_on_the_two_chain_and_refuses_a_fork_below_it():
+    """safeNode with a lock that moves (Yin et al., Alg. 5): a fork below the
+    lock is refused on the safety rule and accepted only on the liveness rule."""
+    from repro.protocols.hotstuff.messages import HsProposal
+    from repro.protocols.hotstuff.replica import chain_node_digest
+
+    cluster = SimulatedCluster.for_protocol(
+        "hotstuff", num_replicas=4, clients=2, outstanding_per_client=3, batch_size=5
+    )
+    cluster.run(duration=0.3)
+    replica = cluster.replicas[0]
+    lock = replica.locked_qc
+    locked_node = replica.nodes[lock.node_digest]
+    # Fault-free, the lock trails the newest QC by exactly one view.
+    assert lock.view == replica.high_qc.view - 1 > 0
+    below_lock = replica.nodes[locked_node.parent_digest]
+    view = replica.view + 4
+    batch = (b"fork",)
+
+    def fork(justify):
+        return HsProposal(
+            view=view,
+            node_digest=chain_node_digest(view, below_lock.digest, batch),
+            parent_digest=below_lock.digest,
+            transaction_digests=batch,
+            justify=justify,
+        )
+
+    stale_qc = locked_node.justify  # certifies the lock's parent
+    assert stale_qc.view < lock.view
+    replica.on_protocol_message(replica.leader_of(view), fork(stale_qc))
+    assert view not in replica.voted_views
+    assert replica.locked_qc == lock
+    replica.on_protocol_message(replica.leader_of(view), fork(replica.high_qc))
+    assert view in replica.voted_views
+
+
 def test_narwhal_messages_are_heavier_and_charge_signatures():
     spotless_like = SimulatedCluster.for_protocol("hotstuff", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5)
     narwhal = SimulatedCluster.for_protocol("narwhal-hs", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5)

@@ -11,7 +11,10 @@ slots after 100+ commits, not the full since-genesis history.
 from functools import partial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.crypto.digest import digest_bytes
 from repro.recovery import (
     CheckpointCertificate,
     CheckpointManager,
@@ -353,6 +356,31 @@ def test_fold_entry_is_sensitive_to_every_component():
     assert fold_entry(b"rolling", make_entry(4)) != base
     assert fold_entry(b"other", make_entry(3)) != base
     assert fold_entry(b"rolling", make_entry(3, payload=(b"x",))) != base
+
+
+_digests = st.binary(min_size=32, max_size=32)
+_records = st.builds(
+    SlotRecord,
+    view=st.integers(0, 10**6),
+    instance=st.integers(0, 127),
+    transaction_digests=st.lists(_digests, max_size=4).map(tuple),
+    slot_digest=st.just(b"") | _digests,
+)
+
+
+@given(
+    rolling=_digests,
+    position=st.integers(0, 10**9),
+    records=st.lists(_records, min_size=1, max_size=3).map(tuple),
+)
+# SpotLess folds a view with no committed record as an entry without records.
+@example(rolling=b"r" * 32, position=7, records=())
+@settings(max_examples=200, deadline=None)
+def test_fold_entry_equals_the_generic_canonical_encoding(rolling, position, records):
+    """The inline fold is an optimisation, not a new format: the generic
+    recursive encoder is the reference it must reproduce byte for byte."""
+    entry = SlotEntry(position=position, records=records)
+    assert fold_entry(rolling, entry) == digest_bytes(("exec", rolling, entry.canonical_fields()))
 
 
 # ---------------------------------------------------------------------------

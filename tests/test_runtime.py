@@ -240,7 +240,7 @@ GOLDEN_STATE = {
 }
 
 
-def _run_golden_cell(protocol):
+def _run_golden_cell(protocol, checkpoint_interval=0):
     cluster = SimulatedCluster.for_protocol(
         protocol,
         num_replicas=4,
@@ -248,7 +248,7 @@ def _run_golden_cell(protocol):
         clients=3,
         outstanding_per_client=4,
         seed=7,
-        checkpoint_interval=0,
+        checkpoint_interval=checkpoint_interval,
     )
     cluster.run(duration=0.4)
     return cluster
@@ -279,3 +279,46 @@ def test_fixed_seed_spotless_schedule_is_pinned():
     per_replica = [list(replica.instances.values()) for replica in cluster.replicas]
     assert [sum(i.views_entered for i in instances) for instances in per_replica] == [833] * 4
     assert [sum(i.syncs_sent for i in instances) for instances in per_replica] == [829, 831, 830, 830]
+
+
+#: protocol -> (events, messages, bytes, per-replica view, per-replica
+#: committed chain height), recorded before the lock was made to move.
+HOTSTUFF_FAMILY_SCHEDULE = {
+    "hotstuff": (4555, 4566, 1363842, [206] * 4, [204] * 4),
+    "narwhal-hs": (4531, 4539, 1967306, [204, 205, 204, 204], [202, 203, 202, 202]),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(HOTSTUFF_FAMILY_SCHEDULE))
+def test_fixed_seed_hotstuff_family_schedule_is_pinned(protocol):
+    """The two-chain lock and the bounded ancestor walk decide the same votes
+    as the genesis lock did on a fault-free run, so nothing on the wire moves."""
+    events, messages, sent_bytes, views, heights = HOTSTUFF_FAMILY_SCHEDULE[protocol]
+    cluster = _run_golden_cell(protocol)
+    assert cluster.simulator.processed_events == events
+    assert cluster.metrics.counter("network.messages_sent").value == messages
+    assert cluster.metrics.counter("network.bytes_sent").value == sent_bytes
+    assert [replica.view for replica in cluster.replicas] == views
+    assert [replica.committed_chain_height() for replica in cluster.replicas] == heights
+
+
+#: protocol -> (rolling execution digest, frontier, certificates formed) of
+#: replica 0 with checkpointing at its default interval.  The three stacks
+#: fold the three record shapes: a node digest per position (HotStuff), an
+#: empty slot digest (PBFT), several records or none per view (SpotLess).
+GOLDEN_ROLLING = {
+    "hotstuff": ("451b80c896c95194e43c87411ff6f3ae1ea8ad774d8fc0285292424932a1fe25", 204, 12),
+    "pbft": ("7e19b707d97a363a64e3873d9291ead2b8b2661c805ad8be939f8e4bd5b7508c", 970, 60),
+    "spotless": ("6d3c6c206a4659975f3564653a1af586d1ec87d47118de0b627b6eabee61c030", 203, 12),
+}
+
+
+@pytest.mark.parametrize("protocol", sorted(GOLDEN_ROLLING))
+def test_fixed_seed_rolling_execution_digest_is_pinned(protocol):
+    """The golden cells above run with checkpointing off, so none of them
+    folds anything: this one pins the fold's output format."""
+    rolling, frontier, certificates = GOLDEN_ROLLING[protocol]
+    checkpoints = _run_golden_cell(protocol, checkpoint_interval=None).replicas[0].checkpoints
+    assert checkpoints.rolling.hex() == rolling
+    assert checkpoints.frontier == frontier
+    assert checkpoints.certificates_formed == certificates
