@@ -99,6 +99,8 @@ class ProposeMessage(Message):
     parent_view: int
     parent_certificate: Optional[Certificate] = None
     parent_claim_quorum: Tuple[int, ...] = ()
+    # Memo of digest(): never passed in, printed, compared or hashed.
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_fields(self) -> tuple:
         """Fields covered by the primary's signature."""
@@ -119,11 +121,11 @@ class ProposeMessage(Message):
 
         Memoized as :meth:`repro.workload.requests.Transaction.digest` is:
         one delivered object reaches every replica of a simulated cluster,
-        so it is hashed once instead of once per receiver.  The cache is not
-        a field, so ``dataclasses.replace`` builds a message without it and
-        a rewritten proposal can never inherit a stale digest.
+        so it is hashed once instead of once per receiver.  The memo is not
+        an ``__init__`` parameter, so ``dataclasses.replace`` builds a message
+        without it and a rewritten proposal can never inherit a stale digest.
         """
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             cached = digest_bytes(self.canonical_fields())
             object.__setattr__(self, "_digest", cached)

@@ -33,7 +33,7 @@ from repro.sim.network import Network
 from repro.workload.requests import Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitRecord:
     """A committed proposal placed into the global total order.
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.digest import canonical_bytes, digest_bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockProof:
     """Cryptographic acceptance proof attached to a block.
 
@@ -23,6 +23,9 @@ class BlockProof:
     view: int
     instance: int
     quorum: Tuple[str, ...]
+    # Memo of encoded(): never passed in, printed, compared or hashed, and
+    # ``dataclasses.replace`` does not carry it over.
+    _encoded: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_fields(self) -> tuple:
         """Canonical encoding used when hashing the block."""
@@ -31,17 +34,17 @@ class BlockProof:
     def encoded(self) -> bytes:
         """Memoized canonical byte encoding (the proof is immutable).
 
-        Execution pipelines intern proofs per (view, instance), so a run
-        encodes each distinct proof once instead of once per block.
+        Execution pipelines reuse the proof while an instance stays in one
+        view, so those blocks share one encoding.
         """
-        cached = self.__dict__.get("_encoded")
+        cached = self._encoded
         if cached is None:
             cached = canonical_bytes(self.canonical_fields())
             object.__setattr__(self, "_encoded", cached)
         return cached
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """One ledger entry: an ordered batch of executed transactions.
 
@@ -54,6 +57,8 @@ class Block:
     parent_digest: bytes
     transactions: Tuple[bytes, ...]
     proof: Optional[BlockProof] = None
+    # Memo of digest(), declared like ``BlockProof._encoded``.
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_fields(self) -> tuple:
         """Canonical encoding of the block for hashing."""
@@ -68,7 +73,7 @@ class Block:
         assert — so the proof sub-encoding can come from the per-proof memo
         instead of being rebuilt for every block.
         """
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             transactions = self.transactions
             body = (

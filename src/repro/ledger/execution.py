@@ -9,7 +9,7 @@ throughput exactly as in Figure 7(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
@@ -19,7 +19,7 @@ from repro.ledger.ledger import Ledger
 from repro.workload.requests import Operation, Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionResult:
     """Outcome of executing one transaction."""
 
@@ -49,7 +49,6 @@ class ExecutionEngine:
     ledger: Ledger
     max_rate_txn_per_sec: float = 340_000.0
     executed_transactions: int = 0
-    _results: List[ExecutionResult] = field(default_factory=list)
 
     def execution_seconds(self, transaction_count: int) -> float:
         """Sequential CPU seconds needed to execute ``transaction_count`` txns."""
@@ -66,13 +65,11 @@ class ExecutionEngine:
             else:
                 self.table.write(operation.key, operation.value or b"")
         self.executed_transactions += 1
-        result = ExecutionResult(
+        return ExecutionResult(
             transaction_digest=transaction.digest(),
             client_id=transaction.client_id,
             read_values=tuple(reads),
         )
-        self._results.append(result)
-        return result
 
     def execute_batch(
         self,
@@ -84,10 +81,6 @@ class ExecutionEngine:
         results = [self.execute_transaction(txn) for txn in transactions]
         self.ledger.append((txn.digest() for txn in transactions), proof=proof)
         return results
-
-    def results(self) -> Tuple[ExecutionResult, ...]:
-        """All execution results in execution order."""
-        return tuple(self._results)
 
     def state_digest(self) -> bytes:
         """Digest of the replica state after execution (for divergence checks)."""

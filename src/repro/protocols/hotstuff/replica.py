@@ -306,8 +306,7 @@ class HotStuffReplica(BftReplicaBase):
         if sender != self.leader_of(proposal.view):
             return
         if proposal.justify is not None and not proposal.justify.is_valid(self.config.num_replicas - self.config.f):
-            if proposal.justify.node_digest != GENESIS_NODE_DIGEST:
-                return
+            return
         self._update_high_qc(proposal.justify)
         node = self._record_node(proposal)
         # Chain sync: a proposal referencing ancestors we never received
@@ -352,9 +351,15 @@ class HotStuffReplica(BftReplicaBase):
             self._propose(next_view)
 
     def _update_high_qc(self, qc: Optional[QuorumCert]) -> None:
+        """Adopt ``qc`` when it is newer than ``high_qc`` and carries a quorum.
+
+        The quorum is checked here, for every source: a NewView's
+        ``high_qc`` arrives unvalidated, and one forged certificate with a
+        far-future view would otherwise pin ``high_qc`` for good.
+        """
         if qc is None:
             return
-        if qc.view > self.high_qc.view:
+        if qc.view > self.high_qc.view and qc.is_valid(self.config.num_replicas - self.config.f):
             self.high_qc = qc
             if qc.node_digest not in self.nodes and qc.node_digest != GENESIS_NODE_DIGEST:
                 # A quorum certified a node this replica never received (an

@@ -28,7 +28,7 @@ from repro.net.message import Message
 from repro.workload.requests import Transaction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotRecord:
     """One decided batch inside an order unit.
 
@@ -56,7 +56,7 @@ class SlotRecord:
         return (self.instance, self.transaction_digests, self.slot_digest)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SlotEntry:
     """The decided content of one order unit of the execution frontier.
 

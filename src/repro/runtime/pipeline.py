@@ -68,10 +68,13 @@ class ExecutionPipeline:
         self.protocol_name = protocol_name
         self.quorum = quorum
         self._proof_quorum = tuple(f"replica:{r}" for r in range(quorum))
-        # Proofs are fully determined by (view, instance) for one pipeline;
-        # interning them shares one object (and one memoized encoding)
-        # across every block committed under the same view.
-        self._proof_cache: Dict[Tuple[int, int], BlockProof] = {}
+        # The last proof made per instance.  A proof is fully determined by
+        # (view, instance) for one pipeline, so consecutive blocks an
+        # instance commits in one view share one object and its memoized
+        # encoding: PBFT and RCC stay in a view between view changes.  Where
+        # the view moves with every block (SpotLess, HotStuff, Narwhal-HS) an
+        # older proof is never asked for again, so none is kept.
+        self._proof_cache: Dict[int, BlockProof] = {}
         self._inform = inform
         self._resolve_noop = resolve_noop
         self.on_executed: Optional[OnExecuted] = None
@@ -153,15 +156,15 @@ class ExecutionPipeline:
             return []
         for transaction in fresh:
             self.mempool.mark_executed(transaction.digest())
-        proof = self._proof_cache.get((view, instance))
-        if proof is None:
+        proof = self._proof_cache.get(instance)
+        if proof is None or proof.view != view:
             proof = BlockProof(
                 protocol=self.protocol_name,
                 view=view,
                 instance=instance,
                 quorum=self._proof_quorum,
             )
-            self._proof_cache[(view, instance)] = proof
+            self._proof_cache[instance] = proof
         self.engine.execute_batch(fresh, proof=proof)
         for transaction in fresh:
             if transaction.is_noop():

@@ -20,6 +20,14 @@ The heap stores ``(time, priority, seq, item)`` tuples so ordering is
 resolved by native tuple comparison on the three leading numbers; ``item``
 (an :class:`Event` or a ``(callback, args)`` pair) is never compared because
 ``seq`` is unique.
+
+A cancelled event stays in the heap until it reaches the head, unless
+cancelled entries come to outnumber live ones: then they are swept out in one
+pass (see :data:`_SWEEP_FLOOR`), so a timer re-armed on every message does
+not keep thousands of dead entries, each holding its callback, queued behind
+a deadline seconds away.  ``(time, priority, seq)`` is a total order, so the
+pop order depends on the live entries alone and a sweep never changes a
+schedule.
 """
 
 from __future__ import annotations
@@ -84,6 +92,13 @@ class Event:
 #: :class:`Event` or a bare ``(callback, args)`` fast-path pair.
 _Entry = Tuple[float, int, int, Any]
 
+#: Cancelled entries are swept out of the heap once there are more than this
+#: many of them *and* more of them than live entries (the majority rule of
+#: ``asyncio``'s timer-handle sweep, whose floor is 100 too).  At or below
+#: the floor the heap stays lazy: a sweep costs a pass over the heap, and is
+#: only worth it when it at least halves it.
+_SWEEP_FLOOR = 100
+
 
 class Simulator:
     """Deterministic discrete-event simulator.
@@ -125,7 +140,7 @@ class Simulator:
 
     @property
     def scheduled_events(self) -> int:
-        """Raw queue length, including cancelled events awaiting lazy removal."""
+        """Raw queue length, including cancelled events not yet removed."""
         return len(self._queue)
 
     @property
@@ -135,6 +150,23 @@ class Simulator:
 
     def _note_cancelled(self) -> None:
         self._live -= 1
+        self._sweep_if_mostly_cancelled()
+
+    def _sweep_if_mostly_cancelled(self) -> None:
+        """Drop every cancelled entry when they outnumber the live ones.
+
+        The queue is filtered in place because :meth:`run` holds an alias of
+        it while callbacks cancel timers.
+        """
+        queue = self._queue
+        cancelled = len(queue) - self._live
+        if cancelled > _SWEEP_FLOOR and cancelled > self._live:
+            event_cls = Event
+            queue[:] = [
+                entry for entry in queue
+                if not (entry[3].__class__ is event_cls and entry[3].cancelled)
+            ]
+            heapq.heapify(queue)
 
     def set_trace(self, hook: Optional[Callable[[Event], None]]) -> None:
         """Install a hook invoked for every executed event (for debugging)."""
@@ -252,6 +284,8 @@ class Simulator:
             else:
                 callback, args = item
                 callback(*args)
+        # Executing events shrinks the live set without a cancel to notice it.
+        self._sweep_if_mostly_cancelled()
         if until is not None and self._now < until:
             self._now = until
         return self._now

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.authenticator import Signature
 from repro.crypto.digest import digest_bytes, digest_to_int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One read or write against the YCSB table."""
 
@@ -37,7 +37,7 @@ class Operation:
         return Operation(kind="noop", key=tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A client transaction: an ordered list of operations.
 
@@ -49,6 +49,9 @@ class Transaction:
     client_id: int
     sequence: int
     operations: Tuple[Operation, ...]
+    # Memo of digest(): never passed in, printed, compared or hashed, and
+    # ``dataclasses.replace`` does not carry it over.
+    _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_fields(self) -> tuple:
         """Canonical encoding for hashing and signing."""
@@ -59,10 +62,10 @@ class Transaction:
 
         Memoized: the submit/batch/execute paths all re-derive the digest,
         so each payload is hashed exactly once.  The cache is safe because
-        the dataclass is frozen (and it is not a field, so equality and
-        hashing are unaffected).
+        the dataclass is frozen (and the memo field is excluded from
+        equality and hashing).
         """
-        cached = self.__dict__.get("_digest")
+        cached = self._digest
         if cached is None:
             cached = digest_bytes(self.canonical_fields())
             object.__setattr__(self, "_digest", cached)

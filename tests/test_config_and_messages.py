@@ -150,7 +150,7 @@ def test_proposal_digest_memo_is_per_object_and_never_inherited():
     assert "_digest" not in rewritten.__dict__
     assert rewritten.digest() == proposal_digest(_propose(batch=(b"phantom",)))
     assert rewritten.digest() != message.digest()
-    # The memo is not a field: equality and hashing ignore it.
+    # The memo is declared with compare=False: equality and hashing ignore it.
     twin = _propose()
     assert twin == message and hash(twin) == hash(message)
     assert replace(message) == message and replace(message).digest() == message.digest()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ledger.block import Block, BlockProof, genesis_block
-from repro.ledger.execution import ExecutionEngine, make_noop_transaction
+from repro.ledger.execution import ExecutionEngine, ExecutionResult, make_noop_transaction
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger, LedgerError
 from repro.net.batching import MessageBuffer, SendBuffer
@@ -209,6 +209,68 @@ def test_block_digest_matches_canonical_encoding():
     assert proof.encoded() is proof.encoded()
 
 
+def _position_records():
+    """One instance of each record a run keeps per executed position."""
+    from repro.core.node import CommitRecord
+    from repro.recovery.messages import SlotEntry, SlotRecord
+
+    operation = Operation.write(5, b"v" * 48)
+    transaction = Transaction(client_id=1, sequence=3, operations=(operation, Operation.read(6)))
+    proof = BlockProof(protocol="pbft", view=3, instance=1, quorum=("replica:0", "replica:1"))
+    block = Block(height=7, parent_digest=b"\x11" * 32, transactions=(transaction.digest(),), proof=proof)
+    record = SlotRecord(view=3, instance=1, transaction_digests=block.transactions, slot_digest=b"s")
+    return [
+        operation,
+        transaction,
+        proof,
+        block,
+        record,
+        SlotEntry(position=7, records=(record,)),
+        CommitRecord(view=3, instance=1, proposal_digest=b"p", transaction_digests=block.transactions),
+        ExecutionResult(transaction_digest=transaction.digest(), client_id=1),
+    ]
+
+
+def test_position_records_carry_no_instance_dict_even_with_the_memo_filled():
+    from dataclasses import replace
+
+    records = _position_records()
+    assert len({type(record) for record in records}) == 8
+    for record in records:
+        for memoised in ("digest", "encoded"):
+            if hasattr(record, memoised):
+                assert getattr(record, memoised)() is getattr(record, memoised)()
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    # The memo is a declared field, but never a constructor argument: a
+    # rewritten copy starts without it and hashes its own content.
+    transaction, block = records[1], records[3]
+    assert replace(transaction, sequence=4).digest() != transaction.digest()
+    assert replace(transaction, sequence=4).digest() == Transaction(1, 4, transaction.operations).digest()
+    assert replace(block, height=8).digest() != block.digest()
+    assert replace(block.proof, view=4).encoded() != block.proof.encoded()
+    # Nor is it compared, hashed or printed.
+    twin = Transaction(1, 3, transaction.operations)
+    assert twin == transaction and hash(twin) == hash(transaction)
+    assert "_digest" not in repr(transaction) and "_encoded" not in repr(block.proof)
+    with pytest.raises(TypeError):
+        Transaction(1, 3, transaction.operations, b"forged digest")
+
+
+def test_position_records_survive_pickle_and_deepcopy():
+    # Frozen + slots dataclasses have no __dict__ to pickle: they rely on
+    # the __getstate__/__setstate__ the dataclass decorator generates.
+    import copy
+    import pickle
+
+    for record in _position_records():
+        memos = [name for name in ("digest", "encoded") if hasattr(record, name)]
+        expected = [getattr(record, name)() for name in memos]  # fills the memo
+        for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+            assert clone == record and type(clone) is type(record)
+            assert hash(clone) == hash(record)
+            assert [getattr(clone, name)() for name in memos] == expected
+
+
 # ---------------------------------------------------------------------------
 # execution engine
 # ---------------------------------------------------------------------------
@@ -222,11 +284,22 @@ def make_engine():
 def test_execution_applies_writes_and_appends_block():
     engine = make_engine()
     txn = Transaction(client_id=1, sequence=0, operations=(Operation.write(5, b"v" * 48),))
-    results = engine.execute_batch([txn])
-    assert engine.executed_transactions == 1
+    read = Transaction(client_id=2, sequence=0, operations=(Operation.read(5), Operation.read(6)))
+    results = engine.execute_batch([txn, read])
+    assert engine.executed_transactions == 2
     assert engine.ledger.height == 1
+    assert engine.ledger.head.transactions == (txn.digest(), read.digest())
     assert results[0].client_id == 1
     assert engine.table.read(5) == b"v" * 48
+    # One result per transaction, in batch order, handed to the caller ...
+    assert results == [
+        ExecutionResult(transaction_digest=txn.digest(), client_id=1, read_values=(), success=True),
+        ExecutionResult(
+            transaction_digest=read.digest(), client_id=2, read_values=(b"v" * 48, engine.table.read(6))
+        ),
+    ]
+    # ... and kept nowhere: the engine holds the table, the ledger and a count.
+    assert not hasattr(engine, "results") and not hasattr(engine, "_results")
 
 
 def test_execution_reads_return_values():
@@ -234,6 +307,8 @@ def test_execution_reads_return_values():
     txn = Transaction(client_id=1, sequence=0, operations=(Operation.read(5),))
     result = engine.execute_transaction(txn)
     assert len(result.read_values) == 1
+    assert result == ExecutionResult(txn.digest(), 1, (engine.table.read(5),))
+    assert engine.ledger.height == 0  # only a batch appends a block
 
 
 def test_execution_seconds_respects_rate_ceiling():

@@ -11,7 +11,10 @@ Layers of protection:
 * **call budget** — the SpotLess per-message path is held to a number of
   Python calls per simulated event, a cost measure no host can move;
 * **growth** — what a HotStuff replica pays per proposal may not depend on
-  how long the chain has grown.
+  how long the chain has grown;
+* **retention** — cancelled timers may not pile up in the event heap, and
+  what a run keeps per executed position is held to a count of objects the
+  collector tracks.
 """
 
 import os
@@ -107,11 +110,11 @@ def test_shared_sequence_keeps_mixed_scheduling_deterministic():
 # ---------------------------------------------------------------------------
 
 
-def _hotstuff_cell(**overrides):
+def _cell(protocol, **overrides):
     from repro.bench.cluster import SimulatedCluster
 
     return SimulatedCluster.for_protocol(
-        "hotstuff",
+        protocol,
         num_replicas=4,
         batch_size=8,
         clients=3,
@@ -119,6 +122,10 @@ def _hotstuff_cell(**overrides):
         seed=7,
         **overrides,
     )
+
+
+def _hotstuff_cell(**overrides):
+    return _cell("hotstuff", **overrides)
 
 
 def _run_hotstuff_cell():
@@ -218,3 +225,76 @@ def test_hotstuff_node_probes_per_proposal_do_not_grow_with_the_chain():
     assert cluster.simulator.processed_events == 9431  # the fault-free schedule
     assert per_proposal[-1] <= 1.1 * per_proposal[0]
     assert max(per_proposal) < NODE_PROBES_PER_PROPOSAL_BUDGET
+
+
+# ---------------------------------------------------------------------------
+# retention: what a run keeps per executed position
+# ---------------------------------------------------------------------------
+
+
+def test_cancelled_timers_do_not_pile_up_in_the_event_heap():
+    """Every message re-arms a deadline, and the client deadline that would
+    flush the cancelled entries off the head of the heap is 2 simulated
+    seconds away: left lazy, the closed-loop cell ends with ~30 dead entries
+    per live one."""
+    from repro.sim.engine import _SWEEP_FLOOR
+    from repro.workload.arrival import LoadProfile
+
+    closed = _cell("pbft")
+    closed.run(duration=0.4)
+    open_loop = _cell("pbft", arrival=LoadProfile.constant(20_000.0, 0.05))
+    open_loop.run(duration=0.2)
+    for simulator in (closed.simulator, open_loop.simulator):
+        assert simulator.pending_events > 0
+        assert simulator.scheduled_events <= 2 * simulator.pending_events + _SWEEP_FLOOR
+
+
+#: Protocol -> (horizon step, budget): objects the collector tracks, per
+#: ledger block appended (all replicas), between one and two steps into the
+#: fault-free n=4 cell.  With the execution
+#: results kept, an instance dict per record and the cancelled timers queued
+#: PBFT read 9.2 and HotStuff 14.9; now 4.7 and 7.9 (a block, its slot entry
+#: and record, the entry's tuple — and for HotStuff the chain node, its QC
+#: and the proof).  The budgets sit between, with room for interpreters that
+#: give every chain node a dict.
+TRACKED_OBJECTS_PER_BLOCK_BUDGET = {"pbft": (0.2, 6.5), "hotstuff": (0.4, 11.0)}
+
+
+def test_tracked_objects_per_ledger_block_stay_within_budget():
+    import gc
+
+    for protocol, (step, budget) in TRACKED_OBJECTS_PER_BLOCK_BUDGET.items():
+        cluster = _cell(protocol)
+        cluster.start()
+        readings = []
+        for _ in range(2):
+            cluster.run_additional(step)
+            gc.collect()
+            readings.append(
+                (len(gc.get_objects()), sum(replica.ledger.height for replica in cluster.replicas))
+            )
+        (objects_before, blocks_before), (objects_after, blocks_after) = readings
+        assert blocks_after - blocks_before > 500  # enough blocks to average over
+        assert (objects_after - objects_before) / (blocks_after - blocks_before) < budget, protocol
+
+
+def test_proof_memo_keeps_one_proof_per_instance_and_still_hits_in_a_steady_view():
+    # HotStuff's view moves with every block: no proof is ever asked for
+    # twice, so none but the last is worth keeping.
+    hotstuff = _hotstuff_cell()
+    hotstuff.run(duration=0.2)
+    replica = hotstuff.replicas[0]
+    assert replica.ledger.height > 50
+    assert len(replica.pipeline._proof_cache) == 1
+    # PBFT stays in view 0: every block shares the one proof and its encoding.
+    pbft = _cell("pbft")
+    pbft.run(duration=0.1)
+    blocks = pbft.replicas[0].ledger.blocks()[1:]
+    assert len(blocks) > 50
+    assert all(block.proof is blocks[0].proof for block in blocks)
+    # RCC: one entry per instance, each hit again by that instance's next block.
+    rcc = _cell("rcc")
+    rcc.run(duration=0.03)
+    replica = rcc.replicas[0]
+    proofs = {id(block.proof) for block in replica.ledger.blocks()[1:]}
+    assert len(proofs) == len(replica.pipeline._proof_cache) == 4 < replica.ledger.height

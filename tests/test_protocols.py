@@ -441,6 +441,51 @@ def test_hotstuff_locks_on_the_two_chain_and_refuses_a_fork_below_it():
     assert view in replica.voted_views
 
 
+@pytest.mark.parametrize("carrier", ["new-view", "proposal"])
+@pytest.mark.parametrize("protocol", ["hotstuff", "narwhal-hs"])
+def test_hotstuff_adopts_no_quorum_cert_without_a_quorum(protocol, carrier):
+    """One Byzantine replica cannot pin ``high_qc`` with a forged certificate.
+
+    A QC that names genesis and a far-future view, with no signers, used to
+    be adopted from a NewView unchecked and from a proposal's justify under
+    a genesis exception; every later honest QC then looked stale, so no
+    leader could extend the certified chain and the cluster stopped.
+    """
+    from repro.protocols.hotstuff.messages import HsNewView, HsProposal
+    from repro.protocols.hotstuff.replica import chain_node_digest
+
+    cluster = SimulatedCluster.for_protocol(
+        protocol, num_replicas=4, clients=3, outstanding_per_client=4, batch_size=8, seed=101
+    )
+    cluster.start()
+    cluster.run_additional(0.3)
+    confirmed = sum(client.confirmed_transactions for client in cluster.clients)
+    forged = QuorumCert(view=10**9, node_digest=GENESIS_NODE_DIGEST, signers=())
+    byzantine = 3
+    victims = [replica for replica in cluster.replicas if replica.node_id != byzantine]
+    before = [replica.high_qc for replica in victims]
+    for replica in victims:
+        if carrier == "new-view":
+            message = HsNewView(view=replica.view, high_qc=forged)
+        else:
+            view = next(v for v in range(replica.view + 1, replica.view + 5) if replica.leader_of(v) == byzantine)
+            message = HsProposal(
+                view=view,
+                node_digest=chain_node_digest(view, GENESIS_NODE_DIGEST, ()),
+                parent_digest=GENESIS_NODE_DIGEST,
+                transaction_digests=(),
+                justify=forged,
+            )
+        replica.on_protocol_message(byzantine, message)
+    assert [replica.high_qc for replica in victims] == before
+    if carrier == "proposal":
+        assert all(message.node_digest not in replica.nodes for replica in victims)
+    cluster.run_additional(0.3)
+    # 308 / 304 were confirmed in the first 0.3 s; the forgery used to leave 1-5.
+    assert sum(client.confirmed_transactions for client in cluster.clients) - confirmed > 250
+    cluster.assert_no_divergence()
+
+
 def test_narwhal_messages_are_heavier_and_charge_signatures():
     spotless_like = SimulatedCluster.for_protocol("hotstuff", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5)
     narwhal = SimulatedCluster.for_protocol("narwhal-hs", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5)

@@ -1,8 +1,11 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.actor import Timer
+from repro.sim.engine import _SWEEP_FLOOR, SimulationError, Simulator
 
 
 def test_events_run_in_time_order():
@@ -256,3 +259,145 @@ def test_trace_hook_does_not_change_event_order_or_seq_interleaving():
     assert drive(plain) == drive(traced)
     assert plain.now == traced.now
     assert plain.processed_events == traced.processed_events
+
+
+# ----------------------------------------------------------------------
+# cancelled entries leave the heap; the schedule does not notice
+# ----------------------------------------------------------------------
+
+
+def test_cancelled_entries_are_swept_once_they_outnumber_the_live_ones():
+    sim = Simulator()
+    keep = [sim.schedule(5.0, lambda: None) for _ in range(10)]
+    doomed = [sim.schedule(2.0, lambda: None) for _ in range(_SWEEP_FLOOR + 1)]
+    sim.drain(doomed[:-1])
+    # At the floor the heap stays lazy...
+    assert sim.scheduled_events == len(keep) + len(doomed)
+    assert sim.pending_events == len(keep) + 1
+    # ...one more cancel and every cancelled entry goes in a single pass.
+    doomed[-1].cancel()
+    assert sim.scheduled_events == sim.pending_events == len(keep)
+    sim.run()
+    assert sim.processed_events == len(keep)
+
+
+def test_a_majority_of_live_entries_keeps_the_heap_lazy():
+    sim = Simulator()
+    for _ in range(3 * _SWEEP_FLOOR):
+        sim.schedule_call(1.0, lambda: None)
+    sim.drain([sim.schedule(2.0, lambda: None) for _ in range(2 * _SWEEP_FLOOR)])
+    assert sim.scheduled_events == 5 * _SWEEP_FLOOR
+    # Executing the live entries tips the balance; run() sweeps as it returns.
+    sim.run(until=1.5)
+    assert sim.scheduled_events == sim.pending_events == 0
+
+
+class _ReferenceSimulator:
+    """The engine's contract without a heap: the live entries, sorted by
+    ``(time, priority, seq)`` whenever one is wanted.  A cancelled entry is
+    removed on the spot, so there is nothing to sweep and nothing to skip."""
+
+    class _Handle:
+        def __init__(self, owner, entry):
+            self._owner, self._entry, self.cancelled = owner, entry, False
+
+        def cancel(self):
+            if not self.cancelled and self._entry in self._owner._live:
+                self._owner._live.remove(self._entry)
+            self.cancelled = True
+
+    def __init__(self):
+        self.now = 0.0
+        self.processed_events = 0
+        self._seq = 0
+        self._live = []
+
+    @property
+    def pending_events(self):
+        return len(self._live)
+
+    def schedule(self, delay, callback, *, priority=0, label=""):
+        entry = (self.now + delay, priority, self._seq, callback)
+        self._seq += 1
+        self._live.append(entry)
+        return self._Handle(self, entry)
+
+    def schedule_call(self, delay, callback, args=(), *, priority=0):
+        self.schedule(delay, lambda: callback(*args), priority=priority)
+
+    def drain(self, handles):
+        for handle in handles:
+            handle.cancel()
+
+    def run_for(self, duration):
+        until = self.now + duration
+        while self._live:
+            entry = min(self._live, key=lambda e: e[:3])
+            if entry[0] > until:
+                break
+            self._live.remove(entry)
+            self.now = entry[0]
+            self.processed_events += 1
+            entry[3]()
+        self.now = until
+
+
+#: More re-arms than the sweep floor, so a burst crosses it inside run().
+_BURST = _SWEEP_FLOOR + 20
+
+
+def _drive(sim, operations):
+    """Apply ``operations`` to ``sim``; the observable trace of the run."""
+    fired = []
+    handles = []
+    timers = [Timer(sim, f"t{index}", lambda index=index: fired.append(("timer", index))) for index in range(3)]
+    trace = []
+
+    def burst(tag):
+        # What a replica does on every message: re-arm a deadline.  Each
+        # re-arm cancels the entry of the one before.
+        fired.append(("burst", tag))
+        for step in range(_BURST):
+            timers[tag % 3].start(1.0 + step * 1e-3)
+
+    for number, (kind, index, delay, priority) in enumerate(operations):
+        if kind == "schedule":
+            handles.append(sim.schedule(delay, lambda number=number: fired.append(("event", number)), priority=priority))
+        elif kind == "call":
+            sim.schedule_call(delay, fired.append, (("call", number),), priority=priority)
+        elif kind == "burst":
+            sim.schedule_call(delay, burst, (number,), priority=priority)
+        elif kind == "start":
+            timers[index % 3].start(delay)
+        elif kind == "stop":
+            timers[index % 3].cancel()
+        elif kind == "cancel" and handles:
+            handles[index % len(handles)].cancel()
+        elif kind == "drain":
+            sim.drain(handles[index % (len(handles) + 1):])
+        elif kind == "run":
+            sim.run_for(delay)
+            trace.append((len(fired), sim.now, sim.processed_events, sim.pending_events))
+            if isinstance(sim, Simulator):
+                assert sim.scheduled_events <= 2 * sim.pending_events + _SWEEP_FLOOR
+    sim.run_for(10.0)
+    return fired, trace, sim.processed_events, sim.pending_events
+
+
+_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["schedule", "call", "burst", "start", "stop", "cancel", "drain", "run"]),
+        st.integers(min_value=0, max_value=50),
+        st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5, 1.0, 2.5]),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=40,
+)
+
+
+@given(_OPERATIONS)
+@example([("start", 0, 2.5, 0), ("burst", 0, 0.1, 0), ("call", 0, 0.5, 0), ("run", 0, 0.25, 0), ("run", 0, 1.0, 0)])
+@example([("schedule", 0, 0.5, 1)] * 150 + [("schedule", 0, 2.5, 0), ("drain", 1, 0.0, 0), ("run", 0, 1.0, 0)])
+@settings(max_examples=150, deadline=None)
+def test_any_interleaving_fires_what_a_sorted_list_of_live_entries_would(operations):
+    assert _drive(Simulator(), operations) == _drive(_ReferenceSimulator(), operations)
