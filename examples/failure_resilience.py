@@ -52,8 +52,10 @@ def main() -> None:
     for protocol in ("spotless", "rcc"):
         run_protocol(protocol, failure_at=1.0, duration=3.0)
     print("SpotLess keeps rotating primaries past the crashed replica using its")
-    print("adaptive (constant-epsilon) timeouts, while RCC relies on complaints and")
-    print("an exponential back-off penalty for the affected instance.")
+    print("adaptive (constant-epsilon) timeouts.  The RCC cluster above replaced the")
+    print("crashed primary through that instance's PBFT view change: the paper's RCC")
+    print("uses complaints and an exponential back-off penalty instead, which this")
+    print("simulator does not implement (EXPERIMENTS.md, 'What the simulator charges').")
 
 
 if __name__ == "__main__":

@@ -25,6 +25,7 @@ from repro.protocols.hotstuff import HotStuffReplica
 from repro.protocols.narwhal import NarwhalHsReplica
 from repro.protocols.pbft import PbftReplica
 from repro.protocols.rcc import RccReplica
+from repro.runtime.replica import ReplicaRuntime
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
@@ -118,7 +119,7 @@ class SimulatedCluster:
         self,
         simulator: Simulator,
         network: Network,
-        replicas: Sequence[object],
+        replicas: Sequence[ReplicaRuntime],
         clients: Sequence[SpotLessClient],
         metrics: MetricsRegistry,
     ) -> None:
@@ -266,10 +267,7 @@ class SimulatedCluster:
             tracer.register_track(client.node_id, f"client-{client.client_id}")
         self.network.tracer = tracer
         for replica in self.replicas:
-            if hasattr(replica, "attach_tracer"):
-                replica.attach_tracer(tracer)
-            else:
-                replica.tracer = tracer
+            replica.attach_tracer(tracer)
         for client in self.clients:
             client.tracer = tracer
         if telemetry_interval is None:
@@ -303,7 +301,7 @@ class SimulatedCluster:
             for client in self.clients:
                 client.latency.reset()
                 client.confirmed_transactions = 0
-            executed_baseline = {id(r): getattr(r, "executed_transactions", 0) for r in self.replicas}
+            executed_baseline = {id(r): r.executed_transactions for r in self.replicas}
         else:
             executed_baseline = {id(r): 0 for r in self.replicas}
         self.simulator.run_for(duration)
@@ -318,13 +316,10 @@ class SimulatedCluster:
         latencies = [client.latency.mean() for client in self.clients if client.latency.count]
         mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
         executed = max(
-            (getattr(replica, "executed_transactions", 0) - executed_baseline.get(id(replica), 0))
+            replica.executed_transactions - executed_baseline[id(replica)]
             for replica in self.replicas
         )
-        committed = {
-            getattr(replica, "node_id", index): getattr(replica, "executed_transactions", 0)
-            for index, replica in enumerate(self.replicas)
-        }
+        committed = {replica.node_id: replica.executed_transactions for replica in self.replicas}
         return ClusterResult(
             duration=duration,
             executed_transactions=executed,
@@ -350,9 +345,7 @@ class SimulatedCluster:
           (replicas may have executed to different depths, but never in a
           different order).
         """
-        slot_maps = [
-            replica.committed_map() for replica in self.replicas if hasattr(replica, "committed_map")
-        ]
+        slot_maps = [replica.committed_map() for replica in self.replicas]
         for first in slot_maps:
             for second in slot_maps:
                 for slot, digest in first.items():
@@ -360,11 +353,7 @@ class SimulatedCluster:
                     if other is not None and other != digest:
                         raise AssertionError(f"replicas decided different proposals for slot {slot}")
 
-        executions = [
-            replica.executed_transaction_digests()
-            for replica in self.replicas
-            if hasattr(replica, "executed_transaction_digests")
-        ]
+        executions = [replica.executed_transaction_digests() for replica in self.replicas]
         for first in executions:
             for second in executions:
                 shared = min(len(first), len(second))

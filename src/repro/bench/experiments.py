@@ -6,10 +6,12 @@ prints them with :func:`repro.analysis.report.format_table` so the output can
 be compared against the paper side by side.  EXPERIMENTS.md records the
 paper-versus-measured comparison for each.
 
-The large-scale operating points come from the analytical model
-(:mod:`repro.analysis.model`); the failure-timeline experiment additionally
-uses the message-level simulator at a reduced scale to show the transient
-behaviour (RCC's back-off dips versus SpotLess's stability).
+Every paper figure's operating points come from the analytical model
+(:mod:`repro.analysis.model`); only the ``offered-load`` sweep runs the
+message-level simulator.  Figure 12's failure timeline is *not* simulated:
+it is the model's healthy and degraded throughputs times a scripted
+transient — one detection window for SpotLess, decaying dips standing in
+for RCC's back-off, which the simulator's RCC does not implement.
 """
 
 from __future__ import annotations

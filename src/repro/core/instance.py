@@ -14,8 +14,8 @@ state machine:
 
 The instance does not perform I/O.  All interaction with the outside world
 goes through an :class:`InstanceEnvironment` supplied by the hosting replica
-(`repro.core.node` in the simulator, `repro.runtime` over TCP, or a plain
-test harness), which makes the state machine directly unit-testable.
+(`repro.core.node` in the simulator, or a plain test harness), which makes
+the state machine directly unit-testable.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from repro.core.messages import (
     SyncMessage,
 )
 from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
-from repro.crypto.authenticator import Signature
-from repro.crypto.certificates import Certificate
+from repro.crypto.certificates import Certificate, Signature
 from repro.runtime.retry import RetryingPull
 
 
@@ -84,9 +83,9 @@ class InstanceEnvironment:
         primary propose a no-op (Section 5).
     on_commit:
         Called once per newly committed proposal, in commit order.
-    sign / verify:
-        Produce and check digital signatures; may be identity stubs in
-        pure-logic tests.
+    verify:
+        The paper's signature check at S1 and on a forwarded proposal.  The
+        simulator computes no tags: its host leaves the default, which accepts.
     now:
         Current time, used only for adaptive timeout bookkeeping.
     """
@@ -97,7 +96,6 @@ class InstanceEnvironment:
     make_timer: Callable[[str, Callable[[], None]], object]
     next_batch: Callable[[int, int], Tuple[bytes, ...]]
     on_commit: Callable[[int, Proposal], None]
-    sign: Callable[[object], Optional[Signature]] = lambda message: None
     verify: Callable[[object, Optional[Signature], int], bool] = lambda message, signature, sender: True
     now: Callable[[], float] = lambda: 0.0
     # True when the hosting replica has client work queued for this instance;

@@ -26,8 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.authenticator import Signature
-from repro.crypto.certificates import Certificate
+from repro.crypto.certificates import Certificate, Signature
 from repro.crypto.digest import digest_bytes
 from repro.net.message import InformMessage, Message
 from repro.recovery.messages import (
@@ -181,26 +180,11 @@ class ProposalForward(Message):
         return ("forward", self.instance, self.propose.canonical_fields(), signature_fields)
 
 
-@dataclass(frozen=True)
-class ClientSubmission(Message):
-    """A client request as delivered to a replica's request pool."""
-
-    client_id: int
-    transaction_digest: bytes
-    payload_bytes: int
-    submitted_at: float
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("submit", self.client_id, self.transaction_digest, self.payload_bytes)
-
-
 __all__ = [
     "AskMessage",
     "CheckpointCertificate",
     "CheckpointVote",
     "Claim",
-    "ClientSubmission",
     "CpEntry",
     "InformMessage",
     "ProposalForward",

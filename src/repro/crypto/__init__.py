@@ -1,41 +1,25 @@
-"""Cryptographic primitives and their cost model.
+"""Digests, and signatures and certificates as data.
 
-SpotLess authenticates every message: MACs for messages that are never
-forwarded and digital signatures for messages that may be forwarded (client
-requests, Propose, Sync).  The reproduction uses HMAC-SHA256 for both, with
-per-party secrets for MACs and a per-signer secret for signatures, which is
-unforgeable between honest parties in the simulation and therefore preserves
-every safety argument in the paper.
+The paper authenticates every message — MACs for messages that are never
+forwarded, digital signatures for those that may be (client requests,
+Propose, Sync).  The simulator does neither: it holds no key and computes
+and checks no tag.  A sender is whoever the network delivered from, and
+Byzantine behaviour comes from :mod:`repro.faults`, not from forgery.
 
-The :mod:`repro.crypto.costs` module carries the performance side: relative
-CPU costs of MAC and digital-signature operations, which is what separates
-MAC-based protocols (PBFT, RCC, SpotLess) from signature-heavy ones
-(HotStuff, Narwhal-HS) in the evaluation.
+What a run reads is :mod:`repro.crypto.digest` (SHA-256 over a canonical
+encoding — the only cryptography actually computed) and the
+:class:`Signature` / :class:`Certificate` records, which count distinct
+signers, feed proposal digests and are charged on the wire by
+:mod:`repro.net.sizes`.  What MACs and signatures cost in CPU time lives
+only in :class:`repro.analysis.model.ResourceProfile`.
 """
 
-from repro.crypto.digest import digest_bytes, digest_hex, digest_of
-from repro.crypto.keys import KeyChain, KeyStore
-from repro.crypto.authenticator import (
-    InvalidSignatureError,
-    MacAuthenticator,
-    Signature,
-    SignatureScheme,
-)
-from repro.crypto.certificates import Certificate, QuorumTracker, ThresholdSignature
-from repro.crypto.costs import CryptoCostModel
+from repro.crypto.digest import digest_bytes, digest_hex
+from repro.crypto.certificates import Certificate, Signature
 
 __all__ = [
     "Certificate",
-    "CryptoCostModel",
-    "InvalidSignatureError",
-    "KeyChain",
-    "KeyStore",
-    "MacAuthenticator",
-    "QuorumTracker",
     "Signature",
-    "SignatureScheme",
-    "ThresholdSignature",
     "digest_bytes",
     "digest_hex",
-    "digest_of",
 ]

@@ -1,17 +1,32 @@
-"""Quorum certificates and threshold-signature emulation.
+"""Signatures and quorum certificates, as data.
 
 A SpotLess certificate ``cert(P')`` is a list of n − f digital signatures
-over Sync messages claiming proposal ``P'`` (Section 3.3).  HotStuff in the
-paper's implementation also represents threshold signatures as lists of
-n − f secp256k1 signatures, which :class:`ThresholdSignature` mirrors.
+over Sync messages claiming proposal ``P'`` (Section 3.3).  Both types are
+plain records — the simulator computes and checks no tag — so a certificate
+contributes its statement, its count of *distinct* signers, and its bytes in
+a proposal digest and (through :mod:`repro.net.sizes`) on the wire.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
-from repro.crypto.authenticator import Signature
+
+@dataclass(frozen=True)
+class Signature:
+    """A digital signature: the signer identity plus the signature tag.
+
+    Matches the paper's notation ``⟦v⟧_p`` — value ``v`` signed by
+    participant ``p``.
+    """
+
+    signer: str
+    tag: bytes
+
+    def canonical_fields(self) -> tuple:
+        """Canonical representation used when signatures are themselves hashed."""
+        return (self.signer, self.tag)
 
 
 @dataclass(frozen=True)
@@ -39,83 +54,4 @@ class Certificate:
         return (self.statement, tuple(sig.canonical_fields() for sig in self.signatures))
 
 
-@dataclass(frozen=True)
-class ThresholdSignature:
-    """Emulated threshold signature: a list of partial signatures.
-
-    The paper notes that real threshold-signature schemes were too slow, so
-    the HotStuff baseline aggregates n − f individual signatures instead; we
-    model exactly that, including the fact that verification cost scales with
-    the number of partials.
-    """
-
-    statement: Tuple
-    partials: Tuple[Signature, ...]
-
-    @property
-    def size(self) -> int:
-        """Number of partial signatures aggregated."""
-        return len(self.partials)
-
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding for hashing."""
-        return (self.statement, tuple(sig.canonical_fields() for sig in self.partials))
-
-
-class QuorumTracker:
-    """Collects votes per statement until a quorum is reached.
-
-    Used by every protocol implementation to accumulate Sync/vote/prepare
-    messages: one vote per sender per statement, duplicates ignored.
-    """
-
-    def __init__(self, quorum: int) -> None:
-        if quorum < 1:
-            raise ValueError("quorum must be at least 1")
-        self.quorum = quorum
-        self._votes: Dict[Tuple, Dict[str, Any]] = {}
-
-    def add_vote(self, statement: Tuple, voter: str, evidence: Any = None) -> bool:
-        """Record a vote; returns True when the statement just reached quorum."""
-        votes = self._votes.setdefault(statement, {})
-        already_complete = len(votes) >= self.quorum
-        votes.setdefault(voter, evidence)
-        return not already_complete and len(votes) >= self.quorum
-
-    def count(self, statement: Tuple) -> int:
-        """Number of distinct voters recorded for ``statement``."""
-        return len(self._votes.get(statement, {}))
-
-    def voters(self, statement: Tuple) -> Tuple[str, ...]:
-        """Identities that voted for ``statement``."""
-        return tuple(self._votes.get(statement, {}).keys())
-
-    def evidence(self, statement: Tuple) -> Dict[str, Any]:
-        """Mapping of voter to the evidence (e.g. signature) they supplied."""
-        return dict(self._votes.get(statement, {}))
-
-    def has_quorum(self, statement: Tuple) -> bool:
-        """True when ``statement`` has at least ``quorum`` distinct voters."""
-        return self.count(statement) >= self.quorum
-
-    def statements(self) -> Iterable[Tuple]:
-        """All statements with at least one vote."""
-        return self._votes.keys()
-
-    def certificate(self, statement: Tuple) -> Optional[Certificate]:
-        """Build a :class:`Certificate` if the statement has quorum and signatures."""
-        if not self.has_quorum(statement):
-            return None
-        signatures = tuple(
-            evidence for evidence in self._votes[statement].values() if isinstance(evidence, Signature)
-        )
-        if len(signatures) < self.quorum:
-            return None
-        return Certificate(statement=statement, signatures=signatures[: self.quorum])
-
-    def clear(self) -> None:
-        """Forget all recorded votes."""
-        self._votes.clear()
-
-
-__all__ = ["Certificate", "QuorumTracker", "ThresholdSignature"]
+__all__ = ["Certificate", "Signature"]

@@ -53,11 +53,6 @@ def digest_hex(value: Any) -> str:
     return digest_bytes(value).hex()
 
 
-def digest_of(value: Any) -> bytes:
-    """Alias of :func:`digest_bytes`, matching the paper's ``digest(v)``."""
-    return digest_bytes(value)
-
-
 def digest_to_int(digest: bytes) -> int:
     """Interpret a digest as a big-endian integer (for modular assignment)."""
     return int.from_bytes(digest, "big")
@@ -68,4 +63,4 @@ def digest_to_int(digest: bytes) -> int:
 canonical_bytes = _canonical_bytes
 
 
-__all__ = ["canonical_bytes", "digest_bytes", "digest_hex", "digest_of", "digest_to_int"]
+__all__ = ["canonical_bytes", "digest_bytes", "digest_hex", "digest_to_int"]

@@ -32,7 +32,6 @@ from repro.dispatch.campaign import (
     format_event,
     format_report,
     format_status,
-    load_manifest,
     reduce_ledger,
 )
 from repro.dispatch.dispatcher import CellFailure, DispatchError, DispatchStats, Dispatcher
@@ -73,7 +72,6 @@ __all__ = [
     "fuzz_matrix",
     "fuzz_spec",
     "get_task",
-    "load_manifest",
     "read_ledger",
     "reduce_ledger",
     "register_task",

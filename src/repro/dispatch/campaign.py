@@ -308,13 +308,6 @@ def reduce_ledger(records: Sequence[Dict[str, Any]]) -> CampaignManifest:
     return manifest
 
 
-def load_manifest(path: Any) -> CampaignManifest:
-    """Read and reduce a ledger file in one step."""
-    from repro.dispatch.ledger import read_ledger
-
-    return reduce_ledger(read_ledger(path))
-
-
 # ----------------------------------------------------------------------
 # rendering (the `repro campaign` CLI verbs)
 # ----------------------------------------------------------------------
@@ -480,6 +473,5 @@ __all__ = [
     "format_event",
     "format_report",
     "format_status",
-    "load_manifest",
     "reduce_ledger",
 ]

@@ -2,9 +2,9 @@
 
 Committed batches from all consensus instances are executed strictly in
 total order.  Execution in ResilientDB is sequential and tops out at about
-340 ktxn/s on the paper's machines; the engine models this by charging a
-fixed CPU time per executed transaction so that the execution ceiling caps
-throughput exactly as in Figure 7(a).
+340 ktxn/s on the paper's machines.  The simulator charges execution no
+time (it charges no CPU at all); that ceiling caps throughput only in the
+analytical model, as in Figure 7(a).
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 * :mod:`repro.protocols.pbft` — Practical Byzantine Fault Tolerance with
   MAC-authenticated messages, out-of-order processing and view changes.
-* :mod:`repro.protocols.rcc` — RCC: concurrent PBFT instances with
-  complaint-based primary replacement and exponential back-off.
+* :mod:`repro.protocols.rcc` — RCC: concurrent PBFT instances under one
+  global order (the paper's complaints and back-off are not simulated).
 * :mod:`repro.protocols.hotstuff` — chained (pipelined) HotStuff with a
   rotating leader and emulated threshold signatures.
 * :mod:`repro.protocols.narwhal` — Narwhal-HS: HotStuff ordering over

@@ -127,22 +127,9 @@ class NewViewMessage(Message):
         return ("newview", self.instance, self.new_view, self.reproposals, self.supporters)
 
 
-@dataclass(frozen=True)
-class ComplaintMessage(Message):
-    """RCC complaint: the sender suspects the primary of ``instance``."""
-
-    instance: int
-    view: int
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("complaint", self.instance, self.view)
-
-
 __all__ = [
     "Checkpoint",
     "CommitMessage",
-    "ComplaintMessage",
     "NewViewMessage",
     "PrePrepareMessage",
     "PrepareMessage",

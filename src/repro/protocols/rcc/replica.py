@@ -1,8 +1,8 @@
-"""RCC replica: concurrent PBFT instances with complaint-driven back-off."""
+"""RCC replica: concurrent PBFT instances under one global order."""
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
@@ -11,7 +11,6 @@ from repro.protocols.common import BftConfig, BftReplicaBase
 from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
     CommitMessage,
-    ComplaintMessage,
     NewViewMessage,
     PrepareMessage,
     PrePrepareMessage,
@@ -33,10 +32,10 @@ class RccReplica(BftReplicaBase):
     * decisions are ordered globally by ``(sequence, instance)``; idle
       instances propose no-ops so execution of a sequence round never blocks
       on an instance without load;
-    * a replica that suspects a primary broadcasts a complaint; after f + 1
-      complaints the instance's primary is replaced via the PBFT view change
-      and the instance is ignored for an exponentially increasing number of
-      rounds (the paper's back-off penalty).
+    * a faulty primary is detected per instance by PBFT's own progress
+      deadline and replaced by that instance's PBFT view change.  RCC's
+      complaints and exponential back-off are **not implemented**: no
+      instance is ever skipped; a round waits out a stalled one's view change.
     """
 
     def __init__(
@@ -58,9 +57,6 @@ class RccReplica(BftReplicaBase):
             client_node_offset=client_node_offset,
         )
         self.num_instances = config.num_instances
-        self._complaints: Dict[Tuple[int, int], Set[int]] = {}
-        self._backoff_rounds: Dict[int, int] = {i: 0 for i in range(self.num_instances)}
-        self._backoff_until_sequence: Dict[int, int] = {i: -1 for i in range(self.num_instances)}
 
         self.cores: Dict[int, PbftInstanceCore] = {}
         for instance_id in range(self.num_instances):
@@ -139,12 +135,8 @@ class RccReplica(BftReplicaBase):
             core.start()
 
     def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Route consensus messages by instance; handle complaints."""
-        cls = payload.__class__
-        if cls is ComplaintMessage:
-            self._on_complaint(sender, payload)
-            return
-        if cls is ViewChangeMessage:
+        """Route consensus messages by instance."""
+        if payload.__class__ is ViewChangeMessage:
             # A vote's stable checkpoint is an immediate gap signal for a
             # healed replica.
             self.adopt_checkpoint_gap_signal(payload.checkpoint)
@@ -178,30 +170,6 @@ class RccReplica(BftReplicaBase):
         """
         for core in self.cores.values():
             core.note_stable_checkpoint(core.floor_of_position(certificate.position), certificate)
-
-    # ------------------------------------------------------------------
-    # complaints and exponential back-off
-    # ------------------------------------------------------------------
-
-    def _on_complaint(self, sender: int, message: ComplaintMessage) -> None:
-        key = (message.instance, message.view)
-        complainers = self._complaints.setdefault(key, set())
-        complainers.add(sender)
-        if len(complainers) < self.config.weak_quorum:
-            return
-        core = self.cores.get(message.instance)
-        if core is None or core.view != message.view:
-            return
-        # Replace the primary and apply the exponential back-off penalty:
-        # the instance is ignored for 2^k rounds after its k-th replacement.
-        self._backoff_rounds[message.instance] += 1
-        penalty = 2 ** self._backoff_rounds[message.instance]
-        self._backoff_until_sequence[message.instance] = core.last_decided_sequence + penalty
-        core.request_view_change(core.view + 1)
-
-    def backoff_penalty(self, instance_id: int) -> int:
-        """Rounds the instance is currently penalised for (0 when healthy)."""
-        return max(0, self._backoff_until_sequence[instance_id] - self.cores[instance_id].last_decided_sequence)
 
     # ------------------------------------------------------------------
 

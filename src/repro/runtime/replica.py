@@ -242,10 +242,6 @@ class ReplicaRuntime(Actor):
         """Handle a consensus message; implemented by protocol subclasses."""
         raise NotImplementedError
 
-    def other_replicas(self) -> List[int]:
-        """All replica ids except this one."""
-        return [r for r in self.config.replica_ids() if r != self.node_id]
-
     def broadcast_protocol(self, message: Message, size_bytes: int, include_self: bool = True) -> None:
         """Broadcast a consensus message to the other replicas (and locally)."""
         self.broadcast(self._broadcast_peers, message, size_bytes)
@@ -265,7 +261,7 @@ class ReplicaRuntime(Actor):
                     self.node_id, "checkpoint", "checkpoint-vote", position=vote.position
                 )
             self.broadcast(
-                self.other_replicas(), vote, self.size_model.control_bytes(signatures=1)
+                self._broadcast_peers, vote, self.size_model.control_bytes(signatures=1)
             )
             self._on_checkpoint_vote(self.node_id, vote)
 

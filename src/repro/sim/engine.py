@@ -8,13 +8,11 @@ reproducible for a fixed seed.
 Two scheduling paths share one queue:
 
 * :meth:`Simulator.schedule` returns a cancellable :class:`Event` handle —
-  the general-purpose path used by timers and anything that may need a
-  label in a trace.
+  the path used by timers and anything else that may be cancelled; its
+  label is what ``repr(event)`` shows in a debugger.
 * :meth:`Simulator.schedule_call` pushes a bare ``(callback, args)`` pair —
-  a fast path for the network fabric's fire-and-forget deliveries that
-  avoids allocating an :class:`Event` per message.  When a trace hook is
-  installed the fast path transparently upgrades to full events so traces
-  stay complete.
+  the delivery path: the network fabric's fire-and-forget deliveries, traced
+  by :mod:`repro.obs` or not, allocate no :class:`Event`.
 
 The heap stores ``(time, priority, seq, item)`` tuples so ordering is
 resolved by native tuple comparison on the three leading numbers; ``item``
@@ -121,7 +119,6 @@ class Simulator:
         self._live = 0
         self._max_events = max_events
         self._stopped = False
-        self._trace: Optional[Callable[[Event], None]] = None
 
     @property
     def now(self) -> float:
@@ -143,11 +140,6 @@ class Simulator:
         """Raw queue length, including cancelled events not yet removed."""
         return len(self._queue)
 
-    @property
-    def tracing(self) -> bool:
-        """True when a trace hook is installed (callers may skip label work)."""
-        return self._trace is not None
-
     def _note_cancelled(self) -> None:
         self._live -= 1
         self._sweep_if_mostly_cancelled()
@@ -167,10 +159,6 @@ class Simulator:
                 if not (entry[3].__class__ is event_cls and entry[3].cancelled)
             ]
             heapq.heapify(queue)
-
-    def set_trace(self, hook: Optional[Callable[[Event], None]]) -> None:
-        """Install a hook invoked for every executed event (for debugging)."""
-        self._trace = hook
 
     def schedule(
         self,
@@ -199,38 +187,17 @@ class Simulator:
         *,
         priority: int = 0,
     ) -> None:
-        """Fast-path schedule of ``callback(*args)`` with no Event allocation.
+        """Schedule ``callback(*args)`` with no Event allocation.
 
         The entry cannot be cancelled and carries no label; use
-        :meth:`schedule` when a handle or a trace label is needed.  With a
-        trace hook installed this falls back to a full (labelled) event so
-        traces remain complete.
+        :meth:`schedule` when a handle is needed.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if self._trace is not None:
-            self.schedule(
-                delay,
-                (lambda: callback(*args)) if args else callback,
-                priority=priority,
-                label=getattr(callback, "__name__", "call"),
-            )
-            return
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (self._now + delay, priority, seq, (callback, args)))
         self._live += 1
-
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        *,
-        priority: int = 0,
-        label: str = "",
-    ) -> Event:
-        """Schedule ``callback`` at an absolute simulated time."""
-        return self.schedule(time - self._now, callback, priority=priority, label=label)
 
     def stop(self) -> None:
         """Request the current :meth:`run` loop to stop after this event."""
@@ -277,8 +244,6 @@ class Simulator:
                     "likely an unbounded message loop"
                 )
             if item.__class__ is event_cls:
-                if self._trace is not None:
-                    self._trace(item)
                 item.executed = True
                 item.callback()
             else:

@@ -330,16 +330,8 @@ class Network:
         tracer = self.tracer
         if tracer is not None:
             flow_id = tracer.flow_begin(sender, _payload_name(payload), size=size_bytes)
-            simulator.schedule(
-                delivery_delay,
-                lambda: self._deliver_traced(flow_id, sender, receiver, payload),
-                label=f"deliver:{sender}->{receiver}",
-            )
-        elif simulator.tracing:
-            simulator.schedule(
-                delivery_delay,
-                lambda: self._deliver(sender, receiver, payload),
-                label=f"deliver:{sender}->{receiver}",
+            simulator.schedule_call(
+                delivery_delay, self._deliver_traced, (flow_id, sender, receiver, payload)
             )
         else:
             simulator.schedule_call(delivery_delay, self._deliver, (sender, receiver, payload))
@@ -373,7 +365,6 @@ class Network:
         rewrite_rules = self._rewrite_rules
         deliver = self._deliver
         schedule_call = simulator.schedule_call
-        tracing = simulator.tracing
         tracer = self.tracer
         # Simulated time cannot advance while the fan-out loop runs, and each
         # departure time strictly dominates the previous one, so the NIC clock
@@ -427,20 +418,8 @@ class Network:
             delivery_delay = (departure - now) + propagation
             if tracer is not None:
                 flow_id = tracer.flow_begin(sender, _payload_name(message), size=size_bytes)
-                simulator.schedule(
-                    delivery_delay,
-                    (
-                        lambda f=flow_id, s=sender, r=receiver, m=message: self._deliver_traced(
-                            f, s, r, m
-                        )
-                    ),
-                    label=f"deliver:{sender}->{receiver}",
-                )
-            elif tracing:
-                simulator.schedule(
-                    delivery_delay,
-                    (lambda s=sender, r=receiver, m=message: deliver(s, r, m)),
-                    label=f"deliver:{sender}->{receiver}",
+                schedule_call(
+                    delivery_delay, self._deliver_traced, (flow_id, sender, receiver, message)
                 )
             else:
                 schedule_call(delivery_delay, deliver, (sender, receiver, message))

@@ -79,14 +79,6 @@ class DeterministicRng:
         """Sample ``count`` distinct items."""
         return self._random.sample(list(items), count)
 
-    def shuffle(self, items: list[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
-
-    def gauss(self, mean: float, sigma: float) -> float:
-        """Gaussian sample."""
-        return self._random.gauss(mean, sigma)
-
     def zipf_index(self, population: int, theta: float = 0.99, table: Optional[list[float]] = None) -> int:
         """Sample an index in ``[0, population)`` with a zipfian skew.
 

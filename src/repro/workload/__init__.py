@@ -7,7 +7,7 @@ shape, plus the client behaviour of Section 5 (submit to one replica, wait
 for f + 1 matching Informs, fail over with a doubled timeout).
 """
 
-from repro.workload.requests import ClientRequest, Operation, Transaction
+from repro.workload.requests import Operation, Transaction
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 from repro.workload.arrival import (
     ArrivalProcess,
@@ -22,7 +22,6 @@ from repro.workload.arrival import (
 
 __all__ = [
     "ArrivalProcess",
-    "ClientRequest",
     "ClosedLoopLoad",
     "LoadPhase",
     "LoadProfile",

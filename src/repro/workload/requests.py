@@ -1,11 +1,10 @@
-"""Client transactions and signed client requests."""
+"""Client transactions and the operations they carry."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.authenticator import Signature
 from repro.crypto.digest import digest_bytes, digest_to_int
 
 
@@ -94,21 +93,4 @@ class Transaction:
         return digest_to_int(self.digest()) % num_instances
 
 
-@dataclass(frozen=True)
-class ClientRequest:
-    """A transaction signed by its client, as submitted to replicas."""
-
-    transaction: Transaction
-    signature: Optional[Signature] = None
-    submitted_at: float = 0.0
-
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding (excluding the signature itself)."""
-        return self.transaction.canonical_fields()
-
-    def digest(self) -> bytes:
-        """Digest of the underlying transaction."""
-        return self.transaction.digest()
-
-
-__all__ = ["ClientRequest", "Operation", "Transaction"]
+__all__ = ["Operation", "Transaction"]

@@ -14,7 +14,8 @@ import pytest
 from repro.core.chain import ProposalStatus
 from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance, ViewState
-from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
+from repro.core.messages import AskMessage, Claim, ProposalForward, ProposeMessage, SyncMessage
+from repro.crypto.certificates import Certificate, Signature
 from tests.manual_timer import TimerBoard
 
 
@@ -352,6 +353,65 @@ def test_proposal_from_wrong_primary_is_ignored():
     instance.on_propose(wrong_sender, bogus)
     if not synced_before:
         assert view not in instance._synced_views
+
+
+# ---------------------------------------------------------------------------
+# S4: a proposal justified by a certificate for its parent
+# ---------------------------------------------------------------------------
+
+_UNSEEN_PARENT = b"\x5a" * 32
+
+
+def _propose_with_certificate(statement, signers):
+    """A lone backup skipped to view 1 gets a proposal extending a view-0
+    proposal it never saw; returns ``(instance, harness, message)``."""
+    harness = Harness()
+    harness.start(replicas=[2])
+    instance = harness.instances[2]
+    for sender in (0, 3):
+        instance.on_sync(sender, SyncMessage(instance=0, view=1, claim=Claim.failure(1)))
+    assert instance.current_view == 1 and instance.state is ViewState.RECORDING
+    harness.queues.clear()
+    message = ProposeMessage(
+        instance=0,
+        view=1,
+        transaction_digests=(b"batch",),
+        parent_digest=_UNSEEN_PARENT,
+        parent_view=0,
+        parent_certificate=Certificate(
+            statement=statement,
+            signatures=tuple(Signature(signer=f"replica:{s}", tag=b"") for s in signers),
+        ),
+    )
+    instance.on_propose(instance.primary_of_view(1), message)
+    return instance, harness, message
+
+
+@pytest.mark.parametrize(
+    "statement, signers",
+    [
+        pytest.param((0, b"\xa5" * 32), (0, 1, 3), id="statement-names-another-proposal"),
+        pytest.param((1, _UNSEEN_PARENT), (0, 1, 3), id="statement-names-another-view"),
+        pytest.param((0, _UNSEEN_PARENT), (0, 0, 3), id="duplicate-signers-padded-to-quorum"),
+    ],
+)
+def test_proposal_with_an_invalid_parent_certificate_is_dropped(statement, signers):
+    instance, harness, message = _propose_with_certificate(statement, signers)
+    assert instance.store.get(message.digest()) is None
+    assert instance.store.get(_UNSEEN_PARENT) is None
+    assert 1 not in instance._synced_views
+    assert harness.queues == []
+
+
+def test_valid_parent_certificate_prepares_an_unseen_parent_by_reference():
+    instance, harness, message = _propose_with_certificate((0, _UNSEEN_PARENT), (0, 1, 3))
+    parent = instance.store.get(_UNSEEN_PARENT)
+    assert parent is not None and not parent.has_payload()
+    assert parent.view == 0
+    assert parent.status >= ProposalStatus.CONDITIONALLY_PREPARED
+    assert instance.store.get(message.digest()).message is message
+    syncs = [m for _, receiver, m in harness.queues if receiver is None and isinstance(m, SyncMessage)]
+    assert [(m.view, m.claim.digest) for m in syncs] == [(1, message.digest())]
 
 
 def test_instance_ignores_messages_for_other_instances():

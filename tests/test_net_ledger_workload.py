@@ -1,4 +1,4 @@
-"""Tests for the wire-size model, batching, ledger, KV table and workload."""
+"""Tests for the wire-size model, ledger, KV table and workload."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +8,6 @@ from repro.ledger.block import Block, BlockProof, genesis_block
 from repro.ledger.execution import ExecutionEngine, ExecutionResult, make_noop_transaction
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger, LedgerError
-from repro.net.batching import MessageBuffer, SendBuffer
-from repro.net.message import Envelope
 from repro.net.sizes import MessageSizeModel
 from repro.workload.arrival import ClosedLoopLoad, OpenLoopLoad
 from repro.workload.requests import Operation, Transaction
@@ -42,60 +40,6 @@ def test_control_and_certificate_sizes_grow_with_signatures():
     sizes = MessageSizeModel()
     assert sizes.control_bytes(signatures=2) == sizes.control_bytes() + 2 * sizes.constants.signature_bytes
     assert sizes.certificate_bytes(85) > sizes.certificate_bytes(3)
-
-
-def test_envelope_forwarding_preserves_signature():
-    from repro.core.messages import AskMessage, Claim
-
-    message = AskMessage(instance=0, view=1, claim=Claim(view=1, digest=b"d"))
-    envelope = Envelope(sender=3, message=message, size_bytes=100, mac_tag=b"m")
-    forwarded = envelope.with_forwarder(5)
-    assert forwarded.forwarded_by == 5
-    assert forwarded.mac_tag is None
-    assert forwarded.sequence == envelope.sequence
-    assert "AskMessage" in forwarded.described()
-
-
-# ---------------------------------------------------------------------------
-# batching buffers
-# ---------------------------------------------------------------------------
-
-
-def test_message_buffer_emits_full_batches_in_fifo_order():
-    buffer = MessageBuffer(batch_size=3)
-    buffer.extend([1, 2, 3, 4])
-    assert buffer.pop_batch() == [1, 2, 3]
-    assert buffer.pop_batch() is None
-    assert buffer.pop_batch(allow_partial=True) == [4]
-    assert buffer.pending == 0
-
-
-def test_message_buffer_drain_returns_everything():
-    buffer = MessageBuffer(batch_size=10)
-    buffer.extend(range(4))
-    assert buffer.drain() == [0, 1, 2, 3]
-    assert len(buffer) == 0
-
-
-def test_send_buffer_flushes_on_threshold_and_on_demand():
-    flushed = []
-    buffer = SendBuffer(threshold_bytes=100, flush_callback=lambda dest, payloads, total: flushed.append((dest, len(payloads), total)))
-    buffer.enqueue(1, "a", 40)
-    buffer.enqueue(1, "b", 40)
-    assert flushed == []
-    buffer.enqueue(1, "c", 40)
-    assert flushed == [(1, 3, 120)]
-    buffer.enqueue(2, "d", 10)
-    buffer.flush_all()
-    assert flushed[-1] == (2, 1, 10)
-    assert buffer.pending_bytes(1) == 0
-
-
-def test_buffers_reject_invalid_parameters():
-    with pytest.raises(ValueError):
-        MessageBuffer(batch_size=0)
-    with pytest.raises(ValueError):
-        SendBuffer(threshold_bytes=0, flush_callback=lambda *args: None)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.protocols.hotstuff.replica import GENESIS_NODE_DIGEST
 from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
     CommitMessage,
-    ComplaintMessage,
     NewViewMessage,
     PrepareMessage,
     PrePrepareMessage,
@@ -271,18 +270,6 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
         for digest in digests
     )
     assert noop_digest_found
-
-
-def test_rcc_complaints_trigger_backoff_penalty():
-    cluster = SimulatedCluster.for_protocol("rcc", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5)
-    cluster.start()
-    cluster.simulator.run_for(0.2)
-    replica = cluster.replicas[1]
-    target_instance = 0
-    view_before = replica.cores[target_instance].view
-    for sender in (1, 2):
-        replica._on_complaint(sender, ComplaintMessage(instance=target_instance, view=view_before))
-    assert replica.backoff_penalty(target_instance) > 0
 
 
 def test_hotstuff_three_chain_commit_and_leader_rotation():

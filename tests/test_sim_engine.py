@@ -72,14 +72,6 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
-def test_schedule_at_absolute_time():
-    sim = Simulator(start_time=10.0)
-    seen = []
-    sim.schedule_at(12.0, lambda: seen.append(sim.now))
-    sim.run()
-    assert seen == [12.0]
-
-
 def test_stop_halts_the_run_loop():
     sim = Simulator()
     order = []
@@ -130,16 +122,6 @@ def test_processed_and_pending_event_counters():
     assert sim.processed_events == 1
 
 
-def test_trace_hook_sees_every_event():
-    sim = Simulator()
-    labels = []
-    sim.set_trace(lambda event: labels.append(event.label))
-    sim.schedule(0.1, lambda: None, label="one")
-    sim.schedule(0.2, lambda: None, label="two")
-    sim.run()
-    assert labels == ["one", "two"]
-
-
 def test_drain_cancels_a_batch_of_events():
     sim = Simulator()
     fired = []
@@ -180,85 +162,6 @@ def test_pending_events_tracks_window_pushback():
     assert sim.pending_events == 1
     sim.run()
     assert sim.pending_events == 0
-
-
-# ----------------------------------------------------------------------
-# schedule_call -> labelled-Event upgrade path (trace hook installed)
-# ----------------------------------------------------------------------
-
-
-def test_schedule_call_upgrades_to_labelled_events_when_tracing():
-    sim = Simulator()
-    labels = []
-    sim.set_trace(lambda event: labels.append(event.label))
-    order = []
-
-    def deliver(tag):
-        order.append(tag)
-
-    # With a hook installed, the fast path falls back to full events whose
-    # label is the callback's name, so traces remain complete.
-    sim.schedule_call(0.1, deliver, ("a",))
-    sim.schedule_call(0.2, deliver, ("b",))
-    sim.run()
-    assert order == ["a", "b"]
-    assert labels == ["deliver", "deliver"]
-
-
-def test_schedule_call_upgrade_mid_run_keeps_order_and_accounting():
-    sim = Simulator()
-    traced = []
-    order = []
-
-    def deliver(tag):
-        order.append(tag)
-
-    def install_hook():
-        order.append("hook")
-        sim.set_trace(lambda event: traced.append(event.label))
-        # Scheduled after installation: upgraded to a labelled event.
-        sim.schedule_call(0.1, deliver, ("after",))
-        # One bare entry ("later") plus the upgraded event are still live.
-        assert sim.pending_events == 2
-
-    sim.schedule_call(0.1, deliver, ("before",))  # bare fast-path entry
-    sim.schedule(0.2, install_hook, label="install")
-    sim.schedule_call(0.4, deliver, ("later",))  # bare: predates the hook
-    assert sim.pending_events == 3
-    sim.run()
-    assert order == ["before", "hook", "after", "later"]
-    # The hook went live after the "install" event's own trace point, and
-    # bare entries are invisible to it, so only the upgraded event traced.
-    assert traced == ["deliver"]
-    assert sim.pending_events == 0
-    assert sim.processed_events == 4
-
-
-def test_trace_hook_does_not_change_event_order_or_seq_interleaving():
-    def drive(sim):
-        order = []
-
-        def note(tag):
-            order.append(tag)
-
-        # Same-time entries: ordering is decided purely by seq numbers,
-        # which both the bare path and the upgraded path must consume
-        # identically for determinism to hold with tracing on.
-        sim.schedule_call(0.1, note, ("call-a",))
-        sim.schedule(0.1, lambda: note("event-b"), label="b")
-        sim.schedule_call(0.1, note, ("call-c",))
-        sim.schedule(
-            0.3, lambda: sim.schedule_call(0.0, note, ("nested",)), label="outer"
-        )
-        sim.run()
-        return order
-
-    plain = Simulator()
-    traced = Simulator()
-    traced.set_trace(lambda event: None)
-    assert drive(plain) == drive(traced)
-    assert plain.now == traced.now
-    assert plain.processed_events == traced.processed_events
 
 
 # ----------------------------------------------------------------------

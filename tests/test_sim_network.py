@@ -1,9 +1,8 @@
-"""Unit tests for the simulated network, CPU model, actors and metrics."""
+"""Unit tests for the simulated network, actors and metrics."""
 
 import pytest
 
 from repro.sim.actor import Actor
-from repro.sim.cpu import CpuModel, CpuTask
 from repro.sim.engine import Simulator
 from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries
 from repro.sim.network import Network, NetworkConfig, Partition, RegionTopology
@@ -167,50 +166,6 @@ def test_actor_timer_restart_replaces_previous_deadline():
     timer.start(1.0)
     sim.run()
     assert fired == [1.5]
-
-
-# ---------------------------------------------------------------------------
-# CPU model
-# ---------------------------------------------------------------------------
-
-
-def test_cpu_single_core_serialises_tasks():
-    sim = Simulator()
-    cpu = CpuModel(sim, cores=1)
-    first = cpu.execute(CpuTask("a", 1.0))
-    second = cpu.execute(CpuTask("b", 1.0))
-    assert first == pytest.approx(1.0)
-    assert second == pytest.approx(2.0)
-
-
-def test_cpu_multiple_cores_run_in_parallel():
-    sim = Simulator()
-    cpu = CpuModel(sim, cores=2)
-    first = cpu.execute(CpuTask("a", 1.0))
-    second = cpu.execute(CpuTask("b", 1.0))
-    assert first == pytest.approx(1.0)
-    assert second == pytest.approx(1.0)
-
-
-def test_cpu_callback_fires_at_completion_time():
-    sim = Simulator()
-    cpu = CpuModel(sim, cores=1)
-    done = []
-    cpu.execute(CpuTask("a", 0.25), callback=lambda: done.append(sim.now))
-    sim.run()
-    assert done == [pytest.approx(0.25)]
-
-
-def test_cpu_utilization_accounts_for_busy_time():
-    sim = Simulator()
-    cpu = CpuModel(sim, cores=2)
-    cpu.execute(CpuTask("a", 1.0))
-    assert cpu.utilization(elapsed=1.0) == pytest.approx(0.5)
-
-
-def test_cpu_requires_at_least_one_core():
-    with pytest.raises(ValueError):
-        CpuModel(Simulator(), cores=0)
 
 
 # ---------------------------------------------------------------------------
