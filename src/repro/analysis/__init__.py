@@ -19,7 +19,7 @@ from repro.analysis.model import (
     ResourceProfile,
     Scenario,
 )
-from repro.analysis.report import format_series, format_table
+from repro.analysis.report import format_table
 
 __all__ = [
     "ComplexityRow",
@@ -29,6 +29,5 @@ __all__ = [
     "Scenario",
     "complexity_table",
     "format_complexity_table",
-    "format_series",
     "format_table",
 ]

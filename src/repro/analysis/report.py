@@ -8,7 +8,7 @@ the corresponding figure in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 Number = Union[int, float]
 
@@ -39,21 +39,6 @@ def format_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str]) -
     return "\n".join(lines)
 
 
-def format_series(series: Mapping[str, Iterable[tuple]], x_label: str, y_label: str) -> str:
-    """Render named (x, y) series, one block per series.
-
-    Matches how the paper's figures plot one line per protocol: each block
-    lists the x value and the y value for that protocol.
-    """
-    blocks: List[str] = []
-    for name, points in series.items():
-        lines = [f"[{name}]", f"{x_label:>16}  {y_label}"]
-        for x, y in points:
-            lines.append(f"{_format_value(x):>16}  {_format_value(y)}")
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks)
-
-
 def relative_change(baseline: Number, value: Number) -> float:
     """Percentage change of ``value`` over ``baseline`` (positive = faster)."""
     if baseline == 0:
@@ -61,4 +46,4 @@ def relative_change(baseline: Number, value: Number) -> float:
     return (value - baseline) / baseline * 100.0
 
 
-__all__ = ["format_series", "format_table", "relative_change"]
+__all__ = ["format_table", "relative_change"]

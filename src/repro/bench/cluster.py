@@ -3,7 +3,7 @@
 A :class:`SimulatedCluster` wires together a simulator, a network, a set of
 protocol replicas, and clients driving a YCSB workload — either the default
 closed-loop :class:`~repro.core.client.SpotLessClient` actors, or (when an
-``arrival=`` process or load profile is given) a single
+``arrival=`` load profile is given) a single
 :class:`~repro.core.client.OpenLoopClientPool` offering load at a rate.
 It is the integration surface used by the examples, the integration tests
 and the failure/timeline experiments; the large-scale throughput figures use
@@ -14,7 +14,7 @@ of EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 from repro.core.client import OpenLoopClientPool, SpotLessClient
 from repro.core.config import SpotLessConfig
@@ -30,11 +30,8 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import DeterministicRng
-from repro.workload.arrival import ArrivalProcess, LoadProfile
+from repro.workload.arrival import LoadProfile
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
-
-#: Either a stationary arrival process or a time-varying load schedule.
-ArrivalLike = Union[ArrivalProcess, LoadProfile]
 
 #: Replica class of every implemented protocol, by name.
 REPLICA_CLASSES = {
@@ -45,50 +42,6 @@ REPLICA_CLASSES = {
     "narwhal-hs": NarwhalHsReplica,
     "narwhal": NarwhalHsReplica,
 }
-
-
-def _build_clients(
-    config: object,
-    clients: int,
-    outstanding_per_client: int,
-    simulator: Simulator,
-    network: Network,
-    workload: YcsbWorkload,
-    rng: DeterministicRng,
-    arrival: Optional[ArrivalLike],
-    simulated_users: int,
-) -> List[SpotLessClient]:
-    """Closed-loop client actors, or one open-loop pool when ``arrival`` set.
-
-    The closed-loop branch is byte-identical to the historical construction
-    (same fork names, same order), so runs without an arrival profile keep
-    their golden digests.
-    """
-    if arrival is None:
-        return [
-            SpotLessClient(
-                client_id=client_id,
-                config=config,
-                simulator=simulator,
-                network=network,
-                workload=workload,
-                outstanding=outstanding_per_client,
-                rng=rng.fork(f"client-{client_id}"),
-            )
-            for client_id in range(clients)
-        ]
-    return [
-        OpenLoopClientPool(
-            client_id=0,
-            config=config,
-            simulator=simulator,
-            network=network,
-            workload=workload,
-            arrival=arrival,
-            simulated_users=simulated_users,
-            rng=rng.fork("client-pool"),
-        )
-    ]
 
 
 @dataclass
@@ -142,9 +95,9 @@ class SimulatedCluster:
         network_config: Optional[NetworkConfig],
         workload_config: Optional[YcsbConfig],
         seed: int,
-        arrival: Optional[ArrivalLike],
-        simulated_users: int,
+        arrival: Optional[LoadProfile],
     ) -> "SimulatedCluster":
+        """The one place a replica or a client is constructed (fork names are pinned)."""
         simulator = Simulator()
         metrics = MetricsRegistry()
         rng = DeterministicRng(seed)
@@ -161,10 +114,14 @@ class SimulatedCluster:
             for replica_id in config.replica_ids()
         ]
         workload = YcsbWorkload(workload_config or YcsbConfig(), rng=rng)
-        client_actors = _build_clients(
-            config, clients, outstanding_per_client, simulator, network, workload, rng,
-            arrival, simulated_users,
-        )
+        shared = dict(config=config, simulator=simulator, network=network, workload=workload)
+        if arrival is not None:
+            pool = OpenLoopClientPool(0, arrival=arrival, rng=rng.fork("client-pool"), **shared)
+            return SimulatedCluster(simulator, network, replicas, [pool], metrics)
+        client_actors = [
+            SpotLessClient(c, outstanding=outstanding_per_client, rng=rng.fork(f"client-{c}"), **shared)
+            for c in range(clients)
+        ]
         return SimulatedCluster(simulator, network, replicas, client_actors, metrics)
 
     @staticmethod
@@ -175,18 +132,17 @@ class SimulatedCluster:
         network_config: Optional[NetworkConfig] = None,
         workload_config: Optional[YcsbConfig] = None,
         seed: int = 1,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
+        arrival: Optional[LoadProfile] = None,
     ) -> "SimulatedCluster":
         """Build a SpotLess cluster with closed-loop YCSB clients.
 
         Passing ``arrival`` swaps the closed-loop actors for a single
-        open-loop client pool driven by that arrival process or load
+        open-loop client pool driven by that load
         profile (``clients``/``outstanding_per_client`` are then ignored).
         """
         return SimulatedCluster._build(
             SpotLessReplica, config, clients, outstanding_per_client, network_config,
-            workload_config, seed, arrival, simulated_users,
+            workload_config, seed, arrival,
         )
 
     @staticmethod
@@ -202,8 +158,7 @@ class SimulatedCluster:
         request_timeout: Optional[float] = None,
         view_change_timeout: Optional[float] = None,
         checkpoint_interval: Optional[int] = None,
-        arrival: Optional[ArrivalLike] = None,
-        simulated_users: int = 0,
+        arrival: Optional[LoadProfile] = None,
     ) -> "SimulatedCluster":
         """Build a cluster for any implemented protocol by name.
 
@@ -215,7 +170,7 @@ class SimulatedCluster:
         ``checkpoint_interval`` overrides the recovery subsystem's checkpoint
         interval K (0 disables checkpointing and state transfer).
         ``arrival`` switches the workload from closed-loop client actors to
-        one open-loop pool driven by that arrival process or load profile.
+        one open-loop pool driven by that load profile.
         """
         name = protocol.lower()
         if name not in REPLICA_CLASSES:
@@ -243,7 +198,7 @@ class SimulatedCluster:
             )
         return SimulatedCluster._build(
             REPLICA_CLASSES[name], config, clients, outstanding_per_client, network_config,
-            None, seed, arrival, simulated_users,
+            None, seed, arrival,
         )
 
     # ------------------------------------------------------------------
@@ -361,4 +316,4 @@ class SimulatedCluster:
                     raise AssertionError("replicas diverged on the executed transaction order")
 
 
-__all__ = ["REPLICA_CLASSES", "ArrivalLike", "ClusterResult", "SimulatedCluster"]
+__all__ = ["REPLICA_CLASSES", "ClusterResult", "SimulatedCluster"]

@@ -441,7 +441,6 @@ def offered_load(
     duration: float = 1.0,
     p99_ceiling: float = 0.05,
     seed: int = 1,
-    simulated_users: int = 1_000_000,
     base_fraction: float = 0.4,
     spike_factor: float = 2.0,
 ) -> List[Dict[str, object]]:
@@ -466,9 +465,6 @@ def offered_load(
     The SLO verdict of a phase is computed over the phase's last quarter:
     backlogged completions from an earlier overload land early in a window
     and would otherwise mask an already-recovered steady state.
-
-    ``simulated_users`` is descriptive scale: the pool is a single actor, so
-    modelling a million users costs the same as modelling 32.
     """
     from repro.bench.cluster import SimulatedCluster
     from repro.sim.metrics import Histogram, summarize_latency
@@ -492,7 +488,6 @@ def offered_load(
             batch_size=batch_size,
             seed=seed,
             arrival=profile,
-            simulated_users=simulated_users,
         )
         cluster.start()
         pool = cluster.clients[0]

@@ -421,18 +421,6 @@ class ProposalStore:
         entries.sort(key=lambda entry: (entry.view, entry.digest))
         return tuple(entries)
 
-    def missing_payload_digests(self) -> List[bytes]:
-        """Digests of conditionally prepared proposals whose payload is unknown.
-
-        These are the proposals a replica must fetch via Ask before it can
-        execute the chain (Section 3.4, after Theorem 3.8).
-        """
-        return [
-            proposal.digest
-            for proposal in self._proposals.values()
-            if proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED and not proposal.has_payload()
-        ]
-
 
 __all__ = [
     "GENESIS_PROPOSAL_ID",

@@ -12,17 +12,15 @@ Two client models live here:
   ``outstanding`` requests, each confirmation immediately triggering the
   next submission.  One actor per simulated client.
 * :class:`OpenLoopClientPool` — the open-loop traffic engine: one actor
-  standing in for a whole region of users, submitting transactions on an
-  arrival process (Poisson, MMPP) or a time-varying
+  standing in for a whole region of users, submitting transactions on a
   :class:`~repro.workload.arrival.LoadProfile` schedule.  Offered load is a
-  rate parameter, so a cell can model millions of users without a million
-  actors.
+  rate parameter, not a number of actors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.core.config import SpotLessConfig
 from repro.core.messages import InformMessage
@@ -31,7 +29,7 @@ from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import Histogram
 from repro.sim.network import Network
 from repro.sim.rng import DeterministicRng
-from repro.workload.arrival import ArrivalProcess, LoadProfile
+from repro.workload.arrival import LoadProfile
 from repro.workload.requests import Transaction
 from repro.workload.ycsb import YcsbWorkload
 
@@ -66,11 +64,9 @@ class SpotLessClient(Actor):
         workload: YcsbWorkload,
         outstanding: int = 4,
         request_timeout: float = 2.0,
-        client_node_offset: Optional[int] = None,
         rng: Optional[DeterministicRng] = None,
     ) -> None:
-        offset = client_node_offset if client_node_offset is not None else config.num_replicas
-        super().__init__(offset + client_id, simulator, network)
+        super().__init__(config.num_replicas + client_id, simulator, network)
         self.client_id = client_id
         self.config = config
         self.workload = workload
@@ -205,11 +201,7 @@ class OpenLoopClientPool(SpotLessClient):
     overload therefore grows without bound, exactly the regime the
     throughput-latency figures sweep into.
 
-    ``arrival`` is either a stationary
-    :class:`~repro.workload.arrival.ArrivalProcess` (Poisson
-    :class:`~repro.workload.arrival.OpenLoopLoad`, bursty
-    :class:`~repro.workload.arrival.MmppLoad`) sampled directly, or a
-    time-varying :class:`~repro.workload.arrival.LoadProfile` sampled by
+    ``arrival`` is a :class:`~repro.workload.arrival.LoadProfile` sampled by
     thinning: candidate arrivals are drawn at the profile's peak rate and
     accepted with probability ``rate_at(t) / peak_rate``, which realises the
     exact inhomogeneous Poisson process of the schedule.
@@ -226,10 +218,8 @@ class OpenLoopClientPool(SpotLessClient):
         simulator: Simulator,
         network: Network,
         workload: YcsbWorkload,
-        arrival: Union[ArrivalProcess, LoadProfile],
-        simulated_users: int = 0,
+        arrival: LoadProfile,
         request_timeout: float = 2.0,
-        client_node_offset: Optional[int] = None,
         rng: Optional[DeterministicRng] = None,
     ) -> None:
         super().__init__(
@@ -240,12 +230,9 @@ class OpenLoopClientPool(SpotLessClient):
             workload,
             outstanding=0,
             request_timeout=request_timeout,
-            client_node_offset=client_node_offset,
             rng=rng,
         )
         self.arrival = arrival
-        # Purely descriptive: how many real users this pool stands in for.
-        self.simulated_users = simulated_users
         self.offered_transactions = 0
         self._thinning_rng = self.rng.fork("thinning")
         self._profile_start = 0.0
@@ -254,24 +241,8 @@ class OpenLoopClientPool(SpotLessClient):
 
     def start(self) -> None:
         """Arm the arrival chain instead of filling a request window."""
-        if isinstance(self.arrival, LoadProfile):
-            self._profile_start = self.now
-            self._schedule_profile_candidate()
-        else:
-            self._schedule_process_arrival()
-
-    def _schedule_process_arrival(self) -> None:
-        step = self.arrival.inter_arrival()
-        if step <= 0.0:
-            raise ValueError(
-                f"{type(self.arrival).__name__}.inter_arrival() returned {step!r}; "
-                "open-loop arrivals must strictly advance"
-            )
-        self.call_later(step, self._fire_process_arrival)
-
-    def _fire_process_arrival(self) -> None:
-        self._submit_open_loop_transaction()
-        self._schedule_process_arrival()
+        self._profile_start = self.now
+        self._schedule_profile_candidate()
 
     def _schedule_profile_candidate(self) -> None:
         # Thinning (Lewis-Shedler): homogeneous candidates at the peak rate,

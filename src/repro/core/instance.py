@@ -184,18 +184,8 @@ class SpotLessInstance:
             self._recording_timeout = ExponentialBackoff(initial=config.recording_timeout)
             self._certifying_timeout = ExponentialBackoff(initial=config.certifying_timeout)
         else:
-            self._recording_timeout = AdaptiveTimeout(
-                initial=config.recording_timeout,
-                increment=config.timeout_increment,
-                fast_fraction=config.timeout_fast_fraction,
-                minimum=config.min_timeout,
-            )
-            self._certifying_timeout = AdaptiveTimeout(
-                initial=config.certifying_timeout,
-                increment=config.timeout_increment,
-                fast_fraction=config.timeout_fast_fraction,
-                minimum=config.min_timeout,
-            )
+            self._recording_timeout = AdaptiveTimeout(initial=config.recording_timeout)
+            self._certifying_timeout = AdaptiveTimeout(initial=config.certifying_timeout)
         self._recording_timer = environment.make_timer(
             f"i{instance_id}:recording", self._on_recording_timeout
         )
@@ -835,19 +825,6 @@ class SpotLessInstance:
     def locked_view(self) -> int:
         """View of the current lock P_lock."""
         return self.store.lock.view
-
-    def sync_senders(self, view: int) -> Tuple[int, ...]:
-        """Replicas whose Sync for ``view`` has been received."""
-        tally = self._views.get(view)
-        return tuple(sorted(tally.senders)) if tally is not None else ()
-
-    def recording_timeout_interval(self) -> float:
-        """Current adaptive t_R interval."""
-        return self._recording_timeout.interval
-
-    def certifying_timeout_interval(self) -> float:
-        """Current adaptive t_A interval."""
-        return self._certifying_timeout.interval
 
 
 __all__ = ["InstanceEnvironment", "SpotLessInstance", "ViewState"]

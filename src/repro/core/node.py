@@ -51,10 +51,6 @@ class CommitRecord:
     parent_view: Optional[int] = None
     has_payload: bool = True
 
-    def order_key(self) -> Tuple[int, int]:
-        """Total-order key: low view first, then low instance id (Figure 6)."""
-        return (self.view, self.instance)
-
 
 #: Handler of each consensus message, by exact class (the types are final
 #: dataclasses, as in the runtime's own routing table).
@@ -79,9 +75,9 @@ class SpotLessReplica(ReplicaRuntime):
         The simulation substrate.
     size_model:
         Wire-size model used to charge bandwidth for each message type.
-    client_node_offset:
-        Network address of client c is ``client_node_offset + c``.
     """
+
+    protocol_name = "spotless"
 
     def __init__(
         self,
@@ -90,17 +86,8 @@ class SpotLessReplica(ReplicaRuntime):
         simulator: Simulator,
         network: Network,
         size_model: Optional[MessageSizeModel] = None,
-        client_node_offset: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            node_id,
-            config,
-            simulator,
-            network,
-            protocol_name="spotless",
-            size_model=size_model,
-            client_node_offset=client_node_offset,
-        )
+        super().__init__(node_id, config, simulator, network, size_model)
 
         # Commit tracking for the cross-instance total order.
         self._committed_by_view: Dict[int, Dict[int, CommitRecord]] = {
@@ -208,10 +195,6 @@ class SpotLessReplica(ReplicaRuntime):
         if self.config.assignment_policy == "client" and transaction.client_id >= 0:
             return transaction.client_id % self.config.num_instances
         return transaction.instance_assignment(self.config.num_instances)
-
-    def pending_per_instance(self) -> Dict[int, int]:
-        """Queued-but-not-proposed request count per instance (load balance)."""
-        return self.mempool.pending_per_shard()
 
     def _next_batch(self, instance_id: int, view: int) -> Tuple[bytes, ...]:
         return self.take_batch_or_noop(
@@ -506,10 +489,6 @@ class SpotLessReplica(ReplicaRuntime):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def total_order(self) -> List[CommitRecord]:
-        """All committed records sorted by the global total order."""
-        return sorted(self.commit_log, key=lambda record: record.order_key())
 
     def committed_client_transactions_per_instance(self) -> Dict[int, int]:
         """Committed non-no-op transaction count per instance.

@@ -13,6 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+#: The constant ε (seconds) a SpotLess timer grows by after a timeout.
+TIMEOUT_INCREMENT = 0.01
+
 
 @dataclass
 class AdaptiveTimeout:
@@ -38,7 +41,7 @@ class AdaptiveTimeout:
     """
 
     initial: float
-    increment: float
+    increment: float = TIMEOUT_INCREMENT
     fast_fraction: float = 0.5
     minimum: float = 0.001
     maximum: float = 60.0

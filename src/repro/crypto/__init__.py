@@ -14,12 +14,11 @@ signers, feed proposal digests and are charged on the wire by
 only in :class:`repro.analysis.model.ResourceProfile`.
 """
 
-from repro.crypto.digest import digest_bytes, digest_hex
+from repro.crypto.digest import digest_bytes
 from repro.crypto.certificates import Certificate, Signature
 
 __all__ = [
     "Certificate",
     "Signature",
     "digest_bytes",
-    "digest_hex",
 ]

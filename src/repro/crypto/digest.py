@@ -48,11 +48,6 @@ def digest_bytes(value: Any) -> bytes:
     return hashlib.sha256(_canonical_bytes(value)).digest()
 
 
-def digest_hex(value: Any) -> str:
-    """Hex-encoded SHA-256 digest of ``value``."""
-    return digest_bytes(value).hex()
-
-
 def digest_to_int(digest: bytes) -> int:
     """Interpret a digest as a big-endian integer (for modular assignment)."""
     return int.from_bytes(digest, "big")
@@ -63,4 +58,4 @@ def digest_to_int(digest: bytes) -> int:
 canonical_bytes = _canonical_bytes
 
 
-__all__ = ["canonical_bytes", "digest_bytes", "digest_hex", "digest_to_int"]
+__all__ = ["canonical_bytes", "digest_bytes", "digest_to_int"]

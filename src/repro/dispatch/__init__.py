@@ -45,7 +45,7 @@ from repro.dispatch.ledger import (
     default_ledger_path,
     read_ledger,
 )
-from repro.dispatch.tasks import DispatchTask, get_task, register_task, task_names
+from repro.dispatch.tasks import DispatchTask, get_task, register_task
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -76,5 +76,4 @@ __all__ = [
     "reduce_ledger",
     "register_task",
     "source_fingerprint",
-    "task_names",
 ]

@@ -68,11 +68,6 @@ def get_task(name: str) -> DispatchTask:
         raise KeyError(f"unknown dispatch task {name!r}; registered: {known}") from None
 
 
-def task_names() -> List[str]:
-    """Names of every registered task kind."""
-    return sorted(_TASKS)
-
-
 # ----------------------------------------------------------------------
 # scenario cells
 # ----------------------------------------------------------------------
@@ -245,4 +240,4 @@ for _name, _run in (("figure", _run_figure_cell), ("ablation", _run_ablation_cel
     )
 
 
-__all__ = ["DispatchTask", "get_task", "register_task", "task_names"]
+__all__ = ["DispatchTask", "get_task", "register_task"]

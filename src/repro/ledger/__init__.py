@@ -9,7 +9,7 @@ rate (340 ktxn/s on the paper's machines).
 
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.block import Block, BlockProof
-from repro.ledger.ledger import Ledger, LedgerError
+from repro.ledger.ledger import Ledger
 from repro.ledger.execution import ExecutionEngine, ExecutionResult
 
 __all__ = [
@@ -19,5 +19,4 @@ __all__ = [
     "ExecutionResult",
     "KeyValueTable",
     "Ledger",
-    "LedgerError",
 ]

@@ -87,11 +87,6 @@ class Block:
             object.__setattr__(self, "_digest", cached)
         return cached
 
-    @property
-    def transaction_count(self) -> int:
-        """Number of transactions covered by this block."""
-        return len(self.transactions)
-
 
 GENESIS_DIGEST = b"\x00" * 32
 

@@ -50,12 +50,6 @@ class ExecutionEngine:
     max_rate_txn_per_sec: float = 340_000.0
     executed_transactions: int = 0
 
-    def execution_seconds(self, transaction_count: int) -> float:
-        """Sequential CPU seconds needed to execute ``transaction_count`` txns."""
-        if self.max_rate_txn_per_sec <= 0:
-            return 0.0
-        return transaction_count / self.max_rate_txn_per_sec
-
     def execute_transaction(self, transaction: Transaction) -> ExecutionResult:
         """Execute one transaction against the table."""
         reads: List[bytes] = []

@@ -65,10 +65,6 @@ class KeyValueTable:
         self.write(key, value)
         return previous
 
-    def modified_keys(self) -> int:
-        """Number of records that have been written at least once."""
-        return len(self._written)
-
     def state_digest(self) -> bytes:
         """Digest of all modified records, used to compare replica states."""
         hasher = hashlib.sha256()
@@ -76,14 +72,6 @@ class KeyValueTable:
             hasher.update(key.to_bytes(8, "big"))
             hasher.update(self._written[key])
         return hasher.digest()
-
-    def snapshot(self) -> Dict[int, bytes]:
-        """Copy of the modified records (for checkpointing tests)."""
-        return dict(self._written)
-
-    def restore(self, snapshot: Dict[int, bytes]) -> None:
-        """Restore modified records from a snapshot."""
-        self._written = dict(snapshot)
 
 
 __all__ = ["KeyValueTable"]

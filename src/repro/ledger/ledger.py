@@ -7,10 +7,6 @@ from typing import Iterable, List, Optional, Tuple
 from repro.ledger.block import Block, BlockProof, genesis_block
 
 
-class LedgerError(RuntimeError):
-    """Raised when an append would break the chain invariants."""
-
-
 class Ledger:
     """An immutable blockchain ledger of executed batches.
 
@@ -36,12 +32,6 @@ class Ledger:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def block_at(self, height: int) -> Block:
-        """Block at ``height`` (0 is genesis)."""
-        if not 0 <= height < len(self._blocks):
-            raise LedgerError(f"no block at height {height}")
-        return self._blocks[height]
-
     def append(
         self,
         transactions: Iterable[bytes],
@@ -60,10 +50,6 @@ class Ledger:
         )
         self._blocks.append(block)
         return block
-
-    def total_transactions(self) -> int:
-        """Total transactions recorded across all blocks."""
-        return sum(block.transaction_count for block in self._blocks)
 
     def verify_chain(self) -> bool:
         """Check the hash chain from genesis to head."""
@@ -85,18 +71,5 @@ class Ledger:
             digests.extend(block.transactions)
         return digests
 
-    def matches_prefix_of(self, other: "Ledger") -> bool:
-        """True when this ledger is a prefix of ``other`` (or equal).
 
-        Used by consistency checks: all non-faulty replicas' ledgers must be
-        prefixes of one another (non-divergence).
-        """
-        if len(self) > len(other):
-            return False
-        for mine, theirs in zip(self._blocks, other._blocks):
-            if mine.digest() != theirs.digest():
-                return False
-        return True
-
-
-__all__ = ["Ledger", "LedgerError"]
+__all__ = ["Ledger"]

@@ -84,13 +84,5 @@ class MessageSizeModel:
         """Raw payload bytes of one batch of client transactions."""
         return self.batch_size * self.transaction_bytes
 
-    def with_batch_size(self, batch_size: int) -> "MessageSizeModel":
-        """Copy of this model with a different batch size."""
-        return MessageSizeModel(constants=self.constants, batch_size=batch_size, transaction_bytes=self.transaction_bytes)
-
-    def with_transaction_bytes(self, transaction_bytes: int) -> "MessageSizeModel":
-        """Copy of this model with a different per-transaction payload size."""
-        return MessageSizeModel(constants=self.constants, batch_size=self.batch_size, transaction_bytes=transaction_bytes)
-
 
 __all__ = ["MessageSizeModel", "SizeConstants"]

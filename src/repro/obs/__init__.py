@@ -9,7 +9,6 @@ Tracing is strictly zero-cost when disabled; see :mod:`repro.obs.tracer`.
 
 from repro.obs.export import (
     campaign_chrome_trace,
-    load_trace,
     timeseries_json,
     to_chrome_trace,
     validate_chrome_trace,
@@ -25,7 +24,6 @@ __all__ = [
     "TelemetrySampler",
     "Tracer",
     "campaign_chrome_trace",
-    "load_trace",
     "timeseries_json",
     "to_chrome_trace",
     "validate_chrome_trace",

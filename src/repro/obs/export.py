@@ -346,14 +346,8 @@ def write_timeseries_csv(series: Iterable[TimeSeries], path: Union[str, Path]) -
     return rows
 
 
-def load_trace(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read a trace document back (convenience for tests and summaries)."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 __all__ = [
     "campaign_chrome_trace",
-    "load_trace",
     "timeseries_json",
     "to_chrome_trace",
     "validate_chrome_trace",

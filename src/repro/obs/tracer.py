@@ -179,10 +179,6 @@ class Tracer:
         """The retained records, oldest first (open spans excluded)."""
         return list(self._records)
 
-    def open_spans(self) -> List[Dict[str, Any]]:
-        """Spans begun but not yet ended (wedged episodes show up here)."""
-        return [dict(record) for record in self._open.values()]
-
     def dump(self) -> Dict[str, Any]:
         """JSON-serializable recording of the trailing ring-buffer window.
 

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.crypto.digest import digest_bytes
 from repro.net.message import Message
 from repro.net.sizes import MessageSizeModel
-from repro.protocols.common import BftConfig, BftReplicaBase
+from repro.protocols.common import BftConfig
 from repro.protocols.hotstuff.messages import (
     HsChainRequest,
     HsChainResponse,
@@ -19,6 +19,7 @@ from repro.protocols.hotstuff.messages import (
     QuorumCert,
 )
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
+from repro.runtime.replica import ReplicaRuntime
 from repro.runtime.retry import RetryingPull
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -53,7 +54,7 @@ class ChainNode:
     committed: bool = False
 
 
-class HotStuffReplica(BftReplicaBase):
+class HotStuffReplica(ReplicaRuntime):
     """Pipelined (chained) HotStuff with a rotating leader and timeout pacemaker.
 
     One proposal is made per view; votes for the view-``v`` proposal are sent
@@ -65,6 +66,8 @@ class HotStuffReplica(BftReplicaBase):
     uncommitted ancestor chain.
     """
 
+    protocol_name = "hotstuff"
+
     def __init__(
         self,
         node_id: int,
@@ -72,18 +75,8 @@ class HotStuffReplica(BftReplicaBase):
         simulator: Simulator,
         network: Network,
         size_model: Optional[MessageSizeModel] = None,
-        client_node_offset: Optional[int] = None,
-        protocol_name: str = "hotstuff",
     ) -> None:
-        super().__init__(
-            node_id,
-            config,
-            simulator,
-            network,
-            size_model=size_model,
-            protocol_name=protocol_name,
-            client_node_offset=client_node_offset,
-        )
+        super().__init__(node_id, config, simulator, network, size_model)
         genesis = ChainNode(
             digest=GENESIS_NODE_DIGEST,
             view=-1,
@@ -193,7 +186,7 @@ class HotStuffReplica(BftReplicaBase):
             # extend an unknown node; the pacemaker will move the view on and
             # a later proposal's justify chain back-fills the gap.
             return
-        batch = self.take_batch(allow_empty=True) or ()
+        batch = self.mempool.take_batch(self.config.batch_size, allow_empty=True)
         digest = chain_node_digest(view, parent.digest, tuple(batch))
         proposal = HsProposal(
             view=view,

@@ -2,49 +2,22 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.net.message import Message
-from repro.net.sizes import MessageSizeModel
-from repro.protocols.common import BftConfig
 from repro.protocols.hotstuff.messages import HsChainResponse, HsNewView, HsProposal, HsVote
 from repro.protocols.hotstuff.replica import HotStuffReplica
-from repro.sim.engine import Simulator
-from repro.sim.network import Network
 
 
 class NarwhalHsReplica(HotStuffReplica):
-    """Emulated Narwhal-HS.
+    """Emulated Narwhal-HS: HotStuff plus a size table and a name.
 
     Ordering is chained HotStuff; the dissemination layer is modelled by its
     cost profile (as in the paper's own emulation): every replication message
-    carries a client batch plus 2f + 1 digital signatures, and committing a
-    block costs 2f + 1 signature verifications.  The larger messages make
-    Narwhal-HS bandwidth-hungry but keep the primary's proposal cost low
-    (batches travel on every replica's messages, not only the leader's), and
-    the signature verifications make it compute bound — exactly the two
-    behaviours Figure 14 attributes to it.
+    carries a client batch plus 2f + 1 digital signatures (batches travel on
+    every replica's messages, not only the leader's).  It is bandwidth-hungry
+    by its size table; its compute cost exists only in ``analysis.model``.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        config: BftConfig,
-        simulator: Simulator,
-        network: Network,
-        size_model: Optional[MessageSizeModel] = None,
-        client_node_offset: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            node_id,
-            config,
-            simulator,
-            network,
-            size_model=size_model,
-            client_node_offset=client_node_offset,
-            protocol_name="narwhal-hs",
-        )
-        self.signature_verifications = 0
+    protocol_name = "narwhal-hs"
 
     def _size_of(self, message: Message) -> int:
         """Every replication message carries a batch and 2f + 1 signatures."""
@@ -64,11 +37,6 @@ class NarwhalHsReplica(HotStuffReplica):
                 + len(message.payloads) * self.size_model.request_bytes()
             )
         return self.size_model.control_bytes()
-
-    def deliver_batch(self, position, transaction_digests, view=0, instance=0):  # type: ignore[override]
-        """Charge the per-block signature verifications before executing."""
-        self.signature_verifications += 2 * self.config.f + 1
-        super().deliver_batch(position, transaction_digests, view=view, instance=instance)
 
 
 __all__ = ["NarwhalHsReplica"]

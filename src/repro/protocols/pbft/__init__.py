@@ -7,7 +7,6 @@ traditional view-change protocol for replacing a faulty primary.
 """
 
 from repro.protocols.pbft.messages import (
-    Checkpoint,
     CommitMessage,
     NewViewMessage,
     PrepareMessage,
@@ -18,7 +17,6 @@ from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore, SlotSta
 from repro.protocols.pbft.replica import PbftReplica
 
 __all__ = [
-    "Checkpoint",
     "CommitMessage",
     "NewViewMessage",
     "PbftEnvironment",

@@ -60,19 +60,6 @@ class CommitMessage(Message):
 
 
 @dataclass(frozen=True)
-class Checkpoint(Message):
-    """Periodic checkpoint of the executed prefix (bounds log growth)."""
-
-    instance: int
-    sequence: int
-    state_digest: bytes
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("checkpoint", self.instance, self.sequence, self.state_digest)
-
-
-@dataclass(frozen=True)
 class ViewChangeMessage(Message):
     """Request to move ``instance`` to ``new_view``.
 
@@ -128,7 +115,6 @@ class NewViewMessage(Message):
 
 
 __all__ = [
-    "Checkpoint",
     "CommitMessage",
     "NewViewMessage",
     "PrePrepareMessage",

@@ -7,22 +7,21 @@ from typing import Dict, Optional, Tuple
 from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
 from repro.net.sizes import MessageSizeModel
-from repro.protocols.common import BftConfig, BftReplicaBase
+from repro.protocols.common import BftConfig
 from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
-    CommitMessage,
     NewViewMessage,
-    PrepareMessage,
     PrePrepareMessage,
     ViewChangeMessage,
 )
 from repro.recovery.messages import CheckpointCertificate
+from repro.runtime.replica import ReplicaRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workload.requests import Transaction
 
 
-class RccReplica(BftReplicaBase):
+class RccReplica(ReplicaRuntime):
     """An RCC replica hosting ``num_instances`` concurrent PBFT instances.
 
     * each instance ``i`` is initially led by replica ``i`` (fixed primary
@@ -38,6 +37,8 @@ class RccReplica(BftReplicaBase):
       instance is ever skipped; a round waits out a stalled one's view change.
     """
 
+    protocol_name = "rcc"
+
     def __init__(
         self,
         node_id: int,
@@ -45,17 +46,8 @@ class RccReplica(BftReplicaBase):
         simulator: Simulator,
         network: Network,
         size_model: Optional[MessageSizeModel] = None,
-        client_node_offset: Optional[int] = None,
     ) -> None:
-        super().__init__(
-            node_id,
-            config,
-            simulator,
-            network,
-            size_model=size_model,
-            protocol_name="rcc",
-            client_node_offset=client_node_offset,
-        )
+        super().__init__(node_id, config, simulator, network, size_model)
         self.num_instances = config.num_instances
 
         self.cores: Dict[int, PbftInstanceCore] = {}
@@ -150,12 +142,9 @@ class RccReplica(BftReplicaBase):
     # ------------------------------------------------------------------
 
     def _on_instance_decide(self, instance: int, sequence: int, view: int, digests: Tuple[bytes, ...]) -> None:
+        # The core proposes again as this returns: idle instances keep moving.
         position = sequence * self.num_instances + instance
         self.deliver_batch(position, digests, view=view, instance=instance)
-        # Keep idle instances moving so the round can complete.
-        core = self.cores[instance]
-        if core.is_primary():
-            core.try_propose()
 
     # ------------------------------------------------------------------
     # recovery

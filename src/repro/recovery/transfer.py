@@ -95,10 +95,6 @@ class StateTransferEngine:
     # gap detection
     # ------------------------------------------------------------------
 
-    def behind_by(self) -> int:
-        """Executed order units the certified floor is ahead of us."""
-        return max(0, self.manager.stable_position() - self.manager.frontier)
-
     def _floor_settled(self, floor: int) -> bool:
         """A floor needs no pull once executed past — or superseded."""
         return self.manager.frontier >= floor or floor != self.manager.stable_position()

@@ -6,7 +6,7 @@ them), keeps per-instance FIFO queues of digests awaiting proposal, and
 tracks which digests have been proposed or executed.
 
 The queues are :class:`collections.deque`\\ s and every membership check goes
-through a set, so the hot-path operations — admit, take-batch, requeue — are
+through a set, so the hot-path operations — admit and take-batch — are
 all O(1) per digest.  The previous implementations used plain lists with
 ``pop(0)``/``insert(0)`` and list scans, which degrade to O(n) per request
 once queues grow under load.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Deque, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Iterable, Optional, Set, Tuple
 
 from repro.workload.requests import Transaction
 
@@ -90,10 +90,6 @@ class Mempool:
         self._executed.add(digest)
         self._queued.discard(digest)
 
-    def is_proposed(self, digest: bytes) -> bool:
-        """True while ``digest`` is part of an outstanding proposal."""
-        return digest in self._proposed
-
     def is_executed(self, digest: bytes) -> bool:
         """True once ``digest`` has been executed."""
         return digest in self._executed
@@ -152,14 +148,6 @@ class Mempool:
         self._proposed.update(batch)
         return tuple(batch)
 
-    def requeue(self, batch: Sequence[bytes], shard: int = 0) -> None:
-        """Return an unused batch to the head of ``shard``'s queue in order."""
-        queue = self._queues[shard]
-        for digest in reversed(list(batch)):
-            self._proposed.discard(digest)
-            queue.appendleft(digest)
-            self._queued.add(digest)
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -173,14 +161,6 @@ class Mempool:
         if shard is not None:
             return len(self._queues[shard])
         return len(self._queued)
-
-    def pending_per_shard(self) -> Dict[int, int]:
-        """Queued digest count per shard (load-balance introspection)."""
-        return {shard: len(queue) for shard, queue in self._queues.items()}
-
-    def pending_digests(self, shard: int = 0) -> Tuple[bytes, ...]:
-        """Snapshot of ``shard``'s queue in FIFO order."""
-        return tuple(self._queues[shard])
 
 
 __all__ = ["AdmitResult", "Mempool"]

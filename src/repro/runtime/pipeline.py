@@ -104,14 +104,6 @@ class ExecutionPipeline:
         self.decided_batches += 1
         self.advance()
 
-    def decided_positions(self) -> List[int]:
-        """All decided positions (not necessarily contiguous)."""
-        return sorted(self._decided)
-
-    def decided_items(self) -> List[Tuple[int, Tuple[bytes, ...]]]:
-        """Decided (position, digests) pairs in position order."""
-        return sorted(self._decided.items())
-
     @property
     def next_execution_position(self) -> int:
         """Lowest position not yet executed (the execution frontier)."""

@@ -10,7 +10,7 @@ property re-derived in every config class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,40 @@ class QuorumParams:
         f = (num_replicas - 1) // 3
         return QuorumParams(n=num_replicas, f=f, quorum=2 * f + 1, weak_quorum=f + 1)
 
+
+@dataclass(frozen=True)
+class DeploymentConfig:
+    """What every deployment fixes, whichever protocol it runs: n, m instances
+    (1 ≤ m ≤ n), the batch size, the checkpoint interval K (0 disables
+    checkpointing and state transfer), the catch-up / progress timeout, and the
+    thresholds ``quorum_rule`` gives (the classic rule unless a family names its own)."""
+
+    num_replicas: int
+    num_instances: int = 1
+    batch_size: int = 100
+    checkpoint_interval: int = 16
+    request_timeout: float = 0.25
+    n: int = field(init=False)
+    f: int = field(init=False)
+    quorum: int = field(init=False)
+    weak_quorum: int = field(init=False)
+
+    quorum_rule = staticmethod(QuorumParams.bft)
+
+    def __post_init__(self) -> None:
+        thresholds = self.quorum_rule(self.num_replicas)
+        for name in ("n", "f", "quorum", "weak_quorum"):
+            object.__setattr__(self, name, getattr(thresholds, name))
+        if not 1 <= self.num_instances <= self.num_replicas:
+            raise ValueError("num_instances must satisfy 1 <= m <= n")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be positive")
+        if self.checkpoint_interval < 0:
+            raise ValueError("checkpoint_interval must be non-negative (0 disables)")
+
     def replica_ids(self) -> range:
         """All replica identifiers, 0 .. n − 1."""
-        return range(self.n)
+        return range(self.num_replicas)
 
 
-__all__ = ["QuorumParams"]
+__all__ = ["DeploymentConfig", "QuorumParams"]

@@ -41,6 +41,7 @@ from repro.recovery import (
 )
 from repro.runtime.mempool import AdmitResult, Mempool
 from repro.runtime.pipeline import ExecutionPipeline
+from repro.runtime.quorum import DeploymentConfig
 from repro.runtime.retry import RetryingPull
 from repro.sim.actor import Actor
 from repro.sim.engine import Simulator
@@ -56,42 +57,27 @@ class ReplicaRuntime(Actor):
     node_id:
         The replica identifier (0 .. n − 1); also its network address.
     config:
-        Deployment configuration; must expose ``num_replicas``,
-        ``batch_size``, ``quorum`` and ``replica_ids()`` (both
-        :class:`~repro.core.config.SpotLessConfig` and
-        :class:`~repro.protocols.common.BftConfig` do).
+        The deployment; every replica class takes these five arguments only.
     simulator / network:
         The simulation substrate.
-    protocol_name:
-        Stamped into block proofs and used by reports.
     size_model:
         Wire-size model used to charge bandwidth for each message type.
-    client_node_offset:
-        Network address of client c is ``client_node_offset + c``.
-    num_shards:
-        Mempool shards; defaults to the config's ``num_instances`` (1 for
-        single-instance protocols).
     """
+
+    #: Stamped into block proofs and used by reports.
+    protocol_name = "replica"
 
     def __init__(
         self,
         node_id: int,
-        config: object,
+        config: DeploymentConfig,
         simulator: Simulator,
         network: Network,
-        *,
-        protocol_name: str = "replica",
         size_model: Optional[MessageSizeModel] = None,
-        client_node_offset: Optional[int] = None,
-        num_shards: Optional[int] = None,
     ) -> None:
         super().__init__(node_id, simulator, network)
         self.config = config
-        self.protocol_name = protocol_name
         self.size_model = size_model or MessageSizeModel(batch_size=config.batch_size)
-        self.client_node_offset = (
-            client_node_offset if client_node_offset is not None else config.num_replicas
-        )
 
         # The fan-out peer set is fixed by the config; broadcast_protocol
         # reuses this tuple instead of rebuilding a list per broadcast.
@@ -103,12 +89,11 @@ class ReplicaRuntime(Actor):
         self.ledger = Ledger()
         self.execution = ExecutionEngine(table=self.table, ledger=self.ledger)
 
-        shards = num_shards if num_shards is not None else getattr(config, "num_instances", 1)
-        self.mempool = Mempool(num_shards=shards)
+        self.mempool = Mempool(num_shards=config.num_instances)
         self.pipeline = ExecutionPipeline(
             mempool=self.mempool,
             engine=self.execution,
-            protocol_name=protocol_name,
+            protocol_name=self.protocol_name,
             quorum=config.quorum,
             inform=self._inform_client,
             resolve_noop=self.resolve_noop,
@@ -120,7 +105,7 @@ class ReplicaRuntime(Actor):
             node_id=node_id,
             num_replicas=config.num_replicas,
             quorum=config.quorum,
-            interval=getattr(config, "checkpoint_interval", 0),
+            interval=config.checkpoint_interval,
         )
         self.state_transfer = StateTransferEngine(
             self.checkpoints,
@@ -129,7 +114,7 @@ class ReplicaRuntime(Actor):
                 node_id,
                 fanout=config.weak_quorum,
                 timer=self.timer("state-transfer-retry", lambda: self.state_transfer.pull.retry()),
-                interval=getattr(config, "request_timeout", 0.25),
+                interval=config.request_timeout,
                 category="state-transfer",
             ),
             send_request=self._send_state_request,
@@ -401,7 +386,7 @@ class ReplicaRuntime(Actor):
             self.tracer.instant(
                 self.node_id, "lifecycle", "inform", client=transaction.client_id
             )
-        client_node = self.client_node_offset + transaction.client_id
+        client_node = self.config.num_replicas + transaction.client_id
         if client_node in self.network.node_ids():
             self.send(client_node, inform, self.size_model.reply_bytes())
 
@@ -455,10 +440,6 @@ class ReplicaRuntime(Actor):
     # ------------------------------------------------------------------
     # introspection used by tests and the cluster harness
     # ------------------------------------------------------------------
-
-    def decided_positions(self) -> List[int]:
-        """All decided positions (not necessarily contiguous)."""
-        return self.pipeline.decided_positions()
 
     def committed_map(self) -> Dict[Tuple[int, int], bytes]:
         """Mapping of decided position to a digest of the decided batch."""

@@ -30,7 +30,6 @@ from repro.scenarios.spec import (
     FaultEvent,
     ScenarioSpec,
     drop_event,
-    overload_matrix,
     overload_spec,
     replace_event,
     scenario_matrix,
@@ -57,7 +56,6 @@ __all__ = [
     "canonical_violation_kinds",
     "drop_event",
     "format_matrix",
-    "overload_matrix",
     "overload_spec",
     "replace_event",
     "run_scenario",

@@ -393,15 +393,6 @@ def overload_spec(
     )
 
 
-def overload_matrix(
-    protocols: Sequence[str] = PROTOCOLS,
-    seed: int = 1,
-    duration: float = 1.0,
-) -> List[ScenarioSpec]:
-    """Overload-and-recover across every protocol: the SLO scenario family."""
-    return [overload_spec(protocol, seed=seed, duration=duration) for protocol in protocols]
-
-
 def scenario_matrix(
     protocols: Sequence[str] = PROTOCOLS,
     faults: Sequence[str] = ("A1", "A2", "A3", "A4", "crash", "partition"),
@@ -439,7 +430,6 @@ __all__ = [
     "ScenarioSpec",
     "drop_event",
     "PROTOCOL_CAPACITY",
-    "overload_matrix",
     "overload_spec",
     "replace_event",
     "scenario_matrix",

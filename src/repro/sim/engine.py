@@ -118,7 +118,6 @@ class Simulator:
         self._processed = 0
         self._live = 0
         self._max_events = max_events
-        self._stopped = False
 
     @property
     def now(self) -> float:
@@ -199,12 +198,8 @@ class Simulator:
         heapq.heappush(self._queue, (self._now + delay, priority, seq, (callback, args)))
         self._live += 1
 
-    def stop(self) -> None:
-        """Request the current :meth:`run` loop to stop after this event."""
-        self._stopped = True
-
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains, ``until`` is reached, or :meth:`stop`.
+        """Run until the queue drains or ``until`` is reached.
 
         Returns the simulated time at which the run ended.  When ``until`` is
         given, the clock is advanced to ``until`` even if the queue drained
@@ -213,12 +208,11 @@ class Simulator:
         window is left in place rather than popped and re-pushed on every
         :meth:`run_for` tick.
         """
-        self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
         event_cls = Event
         max_events = self._max_events
-        while not self._stopped:
+        while True:
             # Drop cancelled heads lazily so the window check below peeks at
             # a live entry.
             while queue:

@@ -103,10 +103,6 @@ class TimeSeries:
         """Return ``(bucket_start_time, total)`` pairs sorted by time."""
         return [(index * self.bucket_width, total) for index, total in sorted(self._buckets.items())]
 
-    def rate_series(self) -> List[Tuple[float, float]]:
-        """Return ``(bucket_start_time, per-second rate)`` pairs."""
-        return [(start, total / self.bucket_width) for start, total in self.buckets()]
-
     def total(self) -> float:
         """Sum of every recorded amount across all buckets."""
         return sum(self._buckets.values())

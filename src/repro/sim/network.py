@@ -210,10 +210,6 @@ class Network:
         except ValueError:
             pass
 
-    def clear_drop_rules(self) -> None:
-        """Remove all installed drop rules."""
-        self._drop_rules.clear()
-
     def add_rewrite_rule(self, rule: RewriteRule) -> None:
         """Install a rule that can replace payloads in flight (equivocation)."""
         self._rewrite_rules.append(rule)

@@ -10,23 +10,15 @@ for f + 1 matching Informs, fail over with a doubled timeout).
 from repro.workload.requests import Operation, Transaction
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
 from repro.workload.arrival import (
-    ArrivalProcess,
-    ClosedLoopLoad,
     LoadPhase,
     LoadProfile,
-    MmppLoad,
-    OpenLoopLoad,
     PHASE_SHAPES,
     overload_profile,
 )
 
 __all__ = [
-    "ArrivalProcess",
-    "ClosedLoopLoad",
     "LoadPhase",
     "LoadProfile",
-    "MmppLoad",
-    "OpenLoopLoad",
     "Operation",
     "PHASE_SHAPES",
     "Transaction",

@@ -5,12 +5,8 @@ by which each primary receives client requests" â€” an open-loop offered rate â€
 while the remaining experiments saturate the system with a closed loop of
 clients that always have the next request ready.
 
-Two layers live here:
+One arrival schedule lives here (:meth:`LoadProfile.constant` is plain Poisson):
 
-* **Arrival processes** â€” samplers of inter-arrival times: Poisson
-  (:class:`OpenLoopLoad`), bursty Markov-modulated Poisson
-  (:class:`MmppLoad`) and the degenerate closed-loop spacing
-  (:class:`ClosedLoopLoad`).
 * **The load DSL** â€” :class:`LoadPhase` schedules (``ramp``/``hold``/
   ``spike``) composed into a :class:`LoadProfile`, the declarative
   time-varying offered-rate curve the open-loop client pool
@@ -22,152 +18,7 @@ Two layers live here:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Iterator, Optional, Tuple
-
-from repro.sim.rng import DeterministicRng
-
-
-class ArrivalProcess:
-    """Base class for inter-arrival time generators."""
-
-    def inter_arrival(self) -> float:
-        """Seconds until the next request arrives."""
-        raise NotImplementedError
-
-    def arrivals(self, horizon: float) -> Iterator[float]:
-        """Arrival times up to ``horizon`` seconds.
-
-        Every yielded time strictly advances: a process whose
-        ``inter_arrival`` returns a non-positive spacing would otherwise pin
-        ``time`` below the horizon and yield unboundedly, so that is an
-        error here, not an infinite loop.
-        """
-        time = 0.0
-        while True:
-            step = self.inter_arrival()
-            if step <= 0.0:
-                raise ValueError(
-                    f"{type(self).__name__}.inter_arrival() returned {step!r}; "
-                    "arrival times must strictly advance"
-                )
-            time += step
-            if time > horizon:
-                return
-            yield time
-
-
-@dataclass
-class OpenLoopLoad(ArrivalProcess):
-    """Poisson arrivals at a fixed offered rate (requests per second)."""
-
-    rate_per_second: float
-    rng: Optional[DeterministicRng] = None
-
-    def __post_init__(self) -> None:
-        if self.rate_per_second <= 0:
-            raise ValueError("rate must be positive")
-        self.rng = (self.rng or DeterministicRng(11)).fork("open-loop")
-
-    def inter_arrival(self) -> float:
-        """Exponential inter-arrival sample."""
-        return self.rng.expovariate(self.rate_per_second)
-
-
-@dataclass
-class MmppLoad(ArrivalProcess):
-    """Bursty arrivals: a two-state Markov-modulated Poisson process.
-
-    The process alternates between a *calm* state emitting at ``rate_low``
-    and a *burst* state emitting at ``rate_high``; dwell times in each state
-    are exponential with the given means.  The long-run mean rate is the
-    dwell-weighted average of the two rates, so the burst knobs shape the
-    variance of the offered load without changing its average.
-    """
-
-    rate_low: float
-    rate_high: float
-    mean_dwell_low: float = 1.0
-    mean_dwell_high: float = 0.25
-    rng: Optional[DeterministicRng] = None
-
-    def __post_init__(self) -> None:
-        if self.rate_low <= 0 or self.rate_high <= 0:
-            raise ValueError("both rates must be positive")
-        if self.mean_dwell_low <= 0 or self.mean_dwell_high <= 0:
-            raise ValueError("dwell times must be positive")
-        self.rng = (self.rng or DeterministicRng(11)).fork("mmpp")
-        self._bursting = False
-        self._dwell_left = self.rng.expovariate(1.0 / self.mean_dwell_low)
-
-    def mean_rate(self) -> float:
-        """Long-run average offered rate (dwell-weighted)."""
-        total = self.mean_dwell_low + self.mean_dwell_high
-        return (
-            self.rate_low * self.mean_dwell_low + self.rate_high * self.mean_dwell_high
-        ) / total
-
-    def inter_arrival(self) -> float:
-        """Sample the next spacing, crossing state switches as needed.
-
-        Competing exponentials: within the current state an arrival races
-        the remaining dwell time; if the dwell expires first the process
-        switches state and the race restarts with the other rate.
-        """
-        elapsed = 0.0
-        while True:
-            rate = self.rate_high if self._bursting else self.rate_low
-            to_arrival = self.rng.expovariate(rate)
-            if to_arrival < self._dwell_left:
-                self._dwell_left -= to_arrival
-                return elapsed + to_arrival
-            elapsed += self._dwell_left
-            self._bursting = not self._bursting
-            dwell = self.mean_dwell_high if self._bursting else self.mean_dwell_low
-            self._dwell_left = self.rng.expovariate(1.0 / dwell)
-
-
-@dataclass
-class ClosedLoopLoad(ArrivalProcess):
-    """A fixed population of clients, each issuing the next request on reply.
-
-    ``think_time`` models any client-side delay between receiving a reply and
-    issuing the next request.  At ``think_time == 0`` â€” the saturating
-    workloads of the paper â€” there *is* no arrival process: request timing is
-    driven entirely by replies, and the offered load is the concurrency
-    window :meth:`offered_concurrency`, not a rate.  :meth:`arrivals` refuses
-    that configuration explicitly instead of yielding zero-spaced arrivals
-    forever.
-    """
-
-    clients: int
-    think_time: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValueError("need at least one client")
-        if self.think_time < 0:
-            raise ValueError("think_time cannot be negative")
-
-    def inter_arrival(self) -> float:
-        """Arrival spacing when all clients fire independently."""
-        return self.think_time / self.clients
-
-    def arrivals(self, horizon: float) -> Iterator[float]:
-        if self.think_time == 0.0:
-            raise ValueError(
-                "a zero-think-time closed loop has no arrival process: request "
-                "timing is reply-driven; use offered_concurrency() slots instead"
-            )
-        return super().arrivals(horizon)
-
-    def offered_concurrency(self) -> int:
-        """Number of requests that can be outstanding simultaneously."""
-        return self.clients
-
-
-# ----------------------------------------------------------------------
-# time-varying load DSL: ramp / hold / spike phases
-# ----------------------------------------------------------------------
+from typing import Any, Dict, Tuple
 
 #: Phase shapes understood by :class:`LoadProfile`.
 PHASE_SHAPES = ("ramp", "hold", "spike")
@@ -253,16 +104,6 @@ class LoadProfile:
             previous_rate = phase.rate
         return 0.0
 
-    def phase_at(self, time: float) -> Optional[LoadPhase]:
-        """The phase covering ``time``, or None past the end of the schedule."""
-        start = 0.0
-        for phase in self.phases:
-            end = start + phase.duration
-            if time < end:
-                return phase
-            start = end
-        return None
-
     def phase_windows(self) -> Tuple[Tuple[float, float, LoadPhase], ...]:
         """``(start, end, phase)`` for every phase, in schedule order."""
         windows = []
@@ -272,21 +113,6 @@ class LoadProfile:
             windows.append((start, end, phase))
             start = end
         return tuple(windows)
-
-    def scaled(self, factor: float) -> "LoadProfile":
-        """The same schedule with every rate multiplied by ``factor``.
-
-        Used to split one region's offered load across several client pools
-        without changing its shape.
-        """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return LoadProfile(
-            phases=tuple(
-                LoadPhase(shape=phase.shape, rate=phase.rate * factor, duration=phase.duration)
-                for phase in self.phases
-            )
-        )
 
     def label(self) -> str:
         """Compact description of the whole schedule."""
@@ -340,12 +166,8 @@ def overload_profile(
 
 
 __all__ = [
-    "ArrivalProcess",
-    "ClosedLoopLoad",
     "LoadPhase",
     "LoadProfile",
-    "MmppLoad",
-    "OpenLoopLoad",
     "PHASE_SHAPES",
     "overload_profile",
 ]

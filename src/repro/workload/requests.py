@@ -74,13 +74,6 @@ class Transaction:
         """True for the no-op filler transactions."""
         return self.client_id < 0
 
-    def payload_bytes(self) -> int:
-        """Approximate payload size of this transaction in bytes."""
-        total = 16
-        for operation in self.operations:
-            total += 12 + (len(operation.value) if operation.value else 0)
-        return total
-
     def instance_assignment(self, num_instances: int) -> int:
         """Instance that may propose this transaction (Section 5).
 

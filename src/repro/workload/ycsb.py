@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.sim.rng import DeterministicRng, zipf_cdf
 from repro.workload.requests import Operation, Transaction
@@ -88,11 +88,6 @@ class YcsbWorkload:
     def transactions(self, client_id: int, count: int) -> List[Transaction]:
         """Generate ``count`` transactions for one client."""
         return [self.next_transaction(client_id) for _ in range(count)]
-
-    def stream(self, client_id: int) -> Iterator[Transaction]:
-        """Infinite stream of transactions for one client."""
-        while True:
-            yield self.next_transaction(client_id)
 
 
 __all__ = ["YcsbConfig", "YcsbWorkload"]

@@ -206,11 +206,15 @@ def _fresh_replica(policy):
     return cluster.replicas[0]
 
 
+def _pending_per_instance(replica):
+    return {i: replica.mempool.pending_count(i) for i in range(replica.config.num_instances)}
+
+
 def test_client_assignment_binds_each_client_to_one_instance():
     replica = _fresh_replica("client")
     for sequence in range(6):
         replica.submit_transaction(_transaction(client_id=1, sequence=sequence))
-    pending = replica.pending_per_instance()
+    pending = _pending_per_instance(replica)
     assert pending[1] == 6
     assert sum(count for instance, count in pending.items() if instance != 1) == 0
 
@@ -219,7 +223,7 @@ def test_digest_assignment_spreads_one_clients_requests():
     replica = _fresh_replica("digest")
     for sequence in range(32):
         replica.submit_transaction(_transaction(client_id=1, sequence=sequence))
-    pending = replica.pending_per_instance()
+    pending = _pending_per_instance(replica)
     used_instances = [instance for instance, count in pending.items() if count > 0]
     assert len(used_instances) >= 2
     assert sum(pending.values()) == 32
@@ -230,7 +234,7 @@ def test_digest_assignment_matches_transaction_instance_assignment():
     transaction = _transaction(client_id=3, sequence=0)
     replica.submit_transaction(transaction)
     expected = transaction.instance_assignment(4)
-    assert replica.pending_per_instance()[expected] == 1
+    assert replica.mempool.pending_count(expected) == 1
 
 
 # ---------------------------------------------------------------------------

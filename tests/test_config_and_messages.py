@@ -58,14 +58,6 @@ def test_instances_in_the_same_view_have_distinct_primaries(n, instance, view):
     assert config.primary_of(instance, view) != config.primary_of(other, view)
 
 
-def test_with_instances_returns_modified_copy():
-    config = SpotLessConfig(num_replicas=8)
-    reduced = config.with_instances(2)
-    assert reduced.num_instances == 2
-    assert config.num_instances == 8
-    assert reduced.num_replicas == config.num_replicas
-
-
 def test_instance_count_validation():
     with pytest.raises(ValueError):
         SpotLessConfig(num_replicas=4, num_instances=5)

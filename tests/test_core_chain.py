@@ -151,7 +151,7 @@ def test_record_reference_and_missing_payload_tracking():
     store = ProposalStore()
     reference = store.record_reference(b"\x22" * 32, view=4)
     store.mark_conditionally_prepared(reference)
-    assert store.missing_payload_digests() == [reference.digest]
+    assert store.conditionally_prepared_in_view(4) is reference
     assert not reference.has_payload()
 
 

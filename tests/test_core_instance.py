@@ -165,6 +165,11 @@ def test_sync_message_carries_cp_set_at_or_above_lock():
     assert all(entry.view >= instance.store.lock.view for entry in cp_entries)
 
 
+def sync_senders(instance, view):
+    """Replicas whose Sync for ``view`` the instance has recorded."""
+    return tuple(sorted(instance._views[view].senders))
+
+
 def test_duplicate_sync_messages_do_not_double_count():
     from repro.core.messages import Claim
 
@@ -172,11 +177,11 @@ def test_duplicate_sync_messages_do_not_double_count():
     harness.start()
     harness.deliver_all()
     instance = harness.instances[0]
-    senders_before = instance.sync_senders(0)
+    senders_before = sync_senders(instance, 0)
     # Replay a stale failure-claim Sync for view 0 from a sender already counted.
     replay = SyncMessage(instance=0, view=0, claim=Claim.failure(0))
     instance.on_sync(senders_before[0], replay)
-    assert instance.sync_senders(0) == senders_before
+    assert sync_senders(instance, 0) == senders_before
 
 
 def test_duplicate_and_late_syncs_for_a_prepared_proposal_change_nothing():
@@ -197,7 +202,7 @@ def test_duplicate_and_late_syncs_for_a_prepared_proposal_change_nothing():
     instance = harness.instances[0]
     proposal = instance.store.conditionally_prepared_in_view(0)
     assert proposal is not None and late
-    assert instance.sync_senders(0) == (0, 1, 2)
+    assert sync_senders(instance, 0) == (0, 1, 2)
 
     def observable():
         store = instance.store
@@ -219,7 +224,7 @@ def test_duplicate_and_late_syncs_for_a_prepared_proposal_change_nothing():
     instance.on_sync(3, late[0])
     assert observable() == before
     # The late Sync is still a recorded fact; only its consequences were settled.
-    assert instance.sync_senders(0) == (0, 1, 2, 3)
+    assert sync_senders(instance, 0) == (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -439,5 +444,5 @@ def test_adaptive_timers_expose_current_intervals():
     harness = Harness()
     harness.start()
     instance = harness.instances[0]
-    assert instance.recording_timeout_interval() > 0
-    assert instance.certifying_timeout_interval() > 0
+    assert instance._recording_timeout.interval > 0
+    assert instance._certifying_timeout.interval > 0

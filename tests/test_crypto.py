@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.certificates import Certificate, Signature
-from repro.crypto.digest import canonical_bytes, digest_bytes, digest_hex, digest_to_int
+from repro.crypto.digest import canonical_bytes, digest_bytes, digest_to_int
 
 
 # ---------------------------------------------------------------------------
@@ -16,7 +16,6 @@ from repro.crypto.digest import canonical_bytes, digest_bytes, digest_hex, diges
 def test_digest_is_deterministic_and_32_bytes():
     assert digest_bytes(("a", 1)) == digest_bytes(("a", 1))
     assert len(digest_bytes(("a", 1))) == 32
-    assert digest_hex(("a", 1)) == digest_bytes(("a", 1)).hex()
 
 
 def test_digest_distinguishes_types_and_values():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.complexity import complexity_table, format_complexity_table
 from repro.analysis.model import PerformanceModel, ResourceProfile, Scenario
-from repro.analysis.report import format_series, format_table, relative_change
+from repro.analysis.report import format_table, relative_change
 from repro.bench import experiments
 from repro.bench.cluster import SimulatedCluster
 from repro.core.config import SpotLessConfig
@@ -269,12 +269,10 @@ def test_single_instance_experiment_restricted_to_one_instance():
     assert {row["protocol"] for row in rows} == {"spotless", "hotstuff"}
 
 
-def test_format_table_and_series_render_all_rows():
+def test_format_table_renders_all_rows():
     rows = [{"a": 1, "b": 2.5}, {"a": 2, "b": 125000.0}]
     table = format_table(rows, ["a", "b"])
     assert "125,000" in table and table.count("\n") >= 3
-    series = format_series({"line": [(1, 2.0)]}, "x", "y")
-    assert "[line]" in series
     assert format_table([], ["a"]) == "(no data)"
 
 

@@ -20,8 +20,8 @@ def make_cluster():
 
 
 def test_overlapping_attack_windows_do_not_heal_each_other():
-    """Regression: ``clear_drop_rules`` used to remove *every* rule, so the
-    first attack window to heal silently disabled all concurrent attacks."""
+    """Regression: healing used to remove *every* drop rule, so the first
+    attack window to heal silently disabled all concurrent attacks."""
     cluster = make_cluster()
     injector = FaultInjector(cluster)
     short = attack_by_name("A4", attackers=[1])

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs import (
     Tracer,
-    load_trace,
     timeseries_json,
     to_chrome_trace,
     validate_chrome_trace,
@@ -159,7 +158,7 @@ def test_validate_chrome_trace_rejects_malformed_documents():
 def test_write_chrome_trace_round_trips(tmp_path):
     path = tmp_path / "trace.json"
     counts = write_chrome_trace(_small_dump(), path)
-    assert sum(counts.values()) == len(load_trace(path)["traceEvents"])
+    assert sum(counts.values()) == len(json.loads(path.read_text())["traceEvents"])
 
 
 def test_timeseries_exports(tmp_path):

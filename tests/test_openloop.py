@@ -1,7 +1,6 @@
 """Open-loop traffic engine tests.
 
-Covers the arrival-process layer (termination at the horizon, the
-think_time=0 closed-loop refusal), the time-varying load DSL
+Covers the time-varying load DSL
 (:class:`LoadPhase`/:class:`LoadProfile`), the
 :class:`OpenLoopClientPool` actor (offered rate matches the configured
 rate at a golden seed), the duration-aware latency summary, and the SLO
@@ -28,73 +27,9 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import Histogram, summarize_latency
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import DeterministicRng
-from repro.workload.arrival import (
-    ArrivalProcess,
-    ClosedLoopLoad,
-    LoadPhase,
-    LoadProfile,
-    MmppLoad,
-    OpenLoopLoad,
-    overload_profile,
-)
+from repro.workload.arrival import LoadPhase, LoadProfile, overload_profile
 from repro.workload.requests import Transaction
 from repro.workload.ycsb import YcsbConfig, YcsbWorkload
-
-
-# ---------------------------------------------------------------------------
-# arrival processes: termination and the think_time=0 refusal
-# ---------------------------------------------------------------------------
-
-
-def test_open_loop_arrivals_terminate_and_strictly_advance():
-    load = OpenLoopLoad(rate_per_second=1000.0, rng=DeterministicRng(7))
-    arrivals = list(load.arrivals(horizon=0.5))
-    assert 300 < len(arrivals) < 800
-    assert all(0 < t <= 0.5 for t in arrivals)
-    assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
-
-
-def test_mmpp_arrivals_terminate_and_mean_rate_sits_between_states():
-    load = MmppLoad(rate_low=100.0, rate_high=2000.0, rng=DeterministicRng(9))
-    arrivals = list(load.arrivals(horizon=2.0))
-    assert arrivals, "a positive-rate MMPP must emit arrivals"
-    assert all(0 < t <= 2.0 for t in arrivals)
-    assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
-    assert 100.0 < load.mean_rate() < 2000.0
-
-
-def test_closed_loop_with_think_time_terminates_at_the_horizon():
-    load = ClosedLoopLoad(clients=4, think_time=0.1)
-    arrivals = list(load.arrivals(horizon=1.0))
-    # Spacing is think_time / clients = 25 ms: ~40 arrivals fit in a second
-    # (float accumulation may push the last one just past the horizon).
-    assert len(arrivals) in (39, 40)
-    assert all(0 < t <= 1.0 for t in arrivals)
-    assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
-
-
-def test_closed_loop_zero_think_time_refuses_an_arrival_process():
-    load = ClosedLoopLoad(clients=8, think_time=0.0)
-    with pytest.raises(ValueError, match="offered_concurrency"):
-        load.arrivals(horizon=1.0)
-    # The concurrency window remains the way to drive this configuration.
-    assert load.offered_concurrency() == 8
-
-
-def test_non_advancing_arrival_process_raises_instead_of_spinning():
-    class StuckProcess(ArrivalProcess):
-        def inter_arrival(self) -> float:
-            return 0.0
-
-    with pytest.raises(ValueError, match="strictly advance"):
-        list(StuckProcess().arrivals(horizon=1.0))
-
-
-def test_mmpp_validation():
-    with pytest.raises(ValueError):
-        MmppLoad(rate_low=0.0, rate_high=100.0)
-    with pytest.raises(ValueError):
-        MmppLoad(rate_low=100.0, rate_high=200.0, mean_dwell_low=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +83,7 @@ def test_profile_phase_windows_partition_the_schedule():
     for (_, end_a, _), (start_b, _, _) in zip(windows, windows[1:]):
         assert end_a == pytest.approx(start_b)
     assert windows[-1][1] == pytest.approx(profile.duration())
-    assert profile.phase_at(0.25).shape == "spike"
-    assert profile.phase_at(profile.duration() + 1.0) is None
-
-
-def test_scaled_profile_multiplies_rates_but_keeps_the_shape():
-    profile = LoadProfile.constant(rate=500.0, duration=2.0)
-    half = profile.scaled(0.5)
-    assert half.rate_at(1.0) == pytest.approx(250.0)
-    assert half.duration() == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        profile.scaled(0.0)
+    assert windows[2][2].shape == "spike"
 
 
 def test_overload_profile_requires_a_real_spike():
@@ -225,7 +150,7 @@ class _EchoReplica(Actor):
         self.call_later(self.delay, lambda msg=inform, target=sender: self.send(target, msg, 200))
 
 
-def _pool_setup(arrival, simulated_users=0):
+def _pool_setup(arrival):
     simulator = Simulator()
     network = Network(simulator, NetworkConfig(base_delay=0.0005, jitter=0.0))
     config = SpotLessConfig(num_replicas=4)
@@ -241,7 +166,6 @@ def _pool_setup(arrival, simulated_users=0):
         network=network,
         workload=workload,
         arrival=arrival,
-        simulated_users=simulated_users,
         rng=DeterministicRng(5),
     )
     return simulator, replicas, pool
@@ -249,9 +173,7 @@ def _pool_setup(arrival, simulated_users=0):
 
 def test_pool_offered_rate_matches_the_configured_rate_at_a_golden_seed():
     rate = 2000.0
-    simulator, _replicas, pool = _pool_setup(
-        OpenLoopLoad(rate_per_second=rate, rng=DeterministicRng(5))
-    )
+    simulator, _replicas, pool = _pool_setup(LoadProfile.constant(rate=rate, duration=1.0))
     pool.start()
     simulator.run_for(1.0)
     # Poisson counting fluctuation at n=2000 is ~45; 10 % is a loose bound
@@ -288,18 +210,6 @@ def test_pool_confirmations_do_not_trigger_resubmission():
     # transaction a replica saw was offered by the arrival schedule.
     digests_seen = {t.digest() for t in replicas[0].received}
     assert len(digests_seen) == pool.offered_transactions
-
-
-def test_pool_simulated_users_is_descriptive_not_structural():
-    simulator, _replicas, pool = _pool_setup(
-        OpenLoopLoad(rate_per_second=200.0, rng=DeterministicRng(5)),
-        simulated_users=1_000_000,
-    )
-    pool.start()
-    simulator.run_for(0.5)
-    assert pool.simulated_users == 1_000_000
-    # One self-scheduling arrival chain: events stay O(arrivals), not O(users).
-    assert pool.offered_transactions < 1000
 
 
 # ---------------------------------------------------------------------------

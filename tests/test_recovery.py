@@ -174,12 +174,12 @@ def test_pipeline_refuses_to_gc_beyond_the_executed_frontier():
     assert pipeline.next_execution_position == 4
     # GC below the frontier drops decided-slot state ...
     assert pipeline.compact_below(3) == 3
-    assert pipeline.decided_positions() == [3]
+    assert list(pipeline.committed_map()) == [(3, 0)]
     # ... but slots at or beyond the frontier are uncertified by definition
     # and must never be dropped.
     with pytest.raises(ValueError):
         pipeline.compact_below(9)
-    assert pipeline.decided_positions() == [3]
+    assert list(pipeline.committed_map()) == [(3, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def test_gap_detection_requests_from_certificate_signers():
     harness = TransferHarness(executed=3)
     assert not harness.engine.maybe_request()  # no certificate yet: no gap known
     harness.install_cluster_checkpoint(upto=8)
-    assert harness.engine.behind_by() == 5
+    assert harness.manager.stable_position() - harness.manager.frontier == 5
     assert harness.engine.maybe_request()
     targets = [target for target, _ in harness.requests]
     assert targets == [1, 2]  # f + 1 signers, never ourselves

@@ -1,16 +1,20 @@
-"""Tests for the unified runtime layer (mempool, pipeline, quorums).
+"""Tests for the unified runtime layer (mempool, pipeline, quorums, one host).
 
 The final test pins the fixed-seed state digest of every protocol to the
 value the pre-refactor per-protocol implementations produced, so any change
 to the shared runtime that alters replica behaviour is caught immediately.
 """
 
+import inspect
+
 import pytest
 
-from repro.bench.cluster import SimulatedCluster
+from repro.bench.cluster import REPLICA_CLASSES, SimulatedCluster
+from repro.core.config import SpotLessConfig
 from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
+from repro.protocols.common import BftConfig
 from repro.runtime import AdmitResult, ExecutionPipeline, Mempool, QuorumParams
 from repro.workload.requests import Operation, Transaction
 
@@ -38,12 +42,50 @@ def test_quorum_params_spotless_vs_bft():
     assert spotless6.quorum == 5  # n - f = 6 - 1
     assert bft6.quorum == 3  # 2f + 1
     assert spotless.weak_quorum == bft.weak_quorum == 3
-    assert list(spotless.replica_ids()) == list(range(7))
 
 
 def test_quorum_params_rejects_tiny_clusters():
     with pytest.raises(ValueError):
         QuorumParams.bft(3)
+
+
+# ---------------------------------------------------------------------------
+# DeploymentConfig: one base, two quorum rules
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 10])
+def test_both_config_families_share_everything_but_the_quorum_rule(n):
+    spotless, bft = SpotLessConfig(num_replicas=n), BftConfig(num_replicas=n)
+    f = (n - 1) // 3
+    assert spotless.f == bft.f == f
+    assert spotless.quorum == n - f
+    assert bft.quorum == 2 * f + 1
+    assert spotless.weak_quorum == bft.weak_quorum == f + 1
+    assert spotless.n == bft.n == n
+    assert list(spotless.replica_ids()) == list(bft.replica_ids()) == list(range(n))
+    assert (spotless.num_instances, bft.num_instances) == (n, 1)
+    # The catch-up pull SpotLess used to read through a getattr default.
+    assert spotless.request_timeout == bft.request_timeout == 0.25
+    for config_class in (SpotLessConfig, BftConfig):
+        owned = vars(config_class)
+        assert not {"n", "f", "quorum", "weak_quorum", "replica_ids"} & set(owned)
+
+
+@pytest.mark.parametrize("config_class", [SpotLessConfig, BftConfig])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"num_replicas": 3},
+        {"num_replicas": 4, "num_instances": 5},
+        {"num_replicas": 4, "batch_size": 0},
+        {"num_replicas": 4, "checkpoint_interval": -1},
+    ],
+    ids=["n<4", "m>n", "batch<1", "K<0"],
+)
+def test_shared_validation_rejects_for_both_families(config_class, bad):
+    with pytest.raises(ValueError):
+        config_class(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -80,26 +122,16 @@ def test_mempool_retransmission_requeues_abandoned_proposal():
     txn = make_txn(0)
     pool.admit(txn)
     assert pool.take_batch(1) == (txn.digest(),)
-    assert pool.is_proposed(txn.digest())
+    assert pool.pending_count() == 0
     # A retransmission of a proposed-but-unexecuted request queues it again
     # so a proposal that died on an abandoned branch is eventually retried.
     assert pool.admit(txn) is AdmitResult.DUPLICATE
-    assert pool.pending_digests() == (txn.digest(),)
-    assert not pool.is_proposed(txn.digest())
+    assert pool.pending_count() == 1
     # While it is queued, further retransmissions are no-ops.
     pool.admit(txn)
     assert pool.pending_count() == 1
-
-
-def test_mempool_requeue_restores_head_order():
-    pool = Mempool()
-    txns = [make_txn(i) for i in range(4)]
-    for txn in txns:
-        pool.admit(txn)
-    batch = pool.take_batch(2)
-    pool.requeue(batch)
-    # The requeued batch sits ahead of the untaken digests, in batch order.
-    assert pool.take_batch(10) == tuple(t.digest() for t in txns)
+    # It is no longer marked proposed, so the next batch takes it.
+    assert pool.take_batch(1) == (txn.digest(),)
 
 
 def test_mempool_per_shard_isolation():
@@ -107,7 +139,7 @@ def test_mempool_per_shard_isolation():
     by_shard = {0: make_txn(0), 1: make_txn(1), 2: make_txn(2)}
     for shard, txn in by_shard.items():
         pool.admit(txn, shard=shard)
-    assert pool.pending_per_shard() == {0: 1, 1: 1, 2: 1}
+    assert [pool.pending_count(shard=shard) for shard in range(3)] == [1, 1, 1]
     assert pool.pending_count() == 3
     assert pool.has_pending(1)
     assert pool.take_batch(10, shard=1) == (by_shard[1].digest(),)
@@ -156,7 +188,7 @@ def test_pipeline_gap_stalls_execution_until_filled():
     pipeline.deliver(0, (first.digest(),))
     assert pipeline.executed_transactions == 2
     assert pipeline.next_execution_position == 2
-    assert pipeline.decided_positions() == [0, 1]
+    assert sorted(pipeline.committed_map()) == [(0, 0), (1, 0)]
 
 
 def test_pipeline_missing_payload_stalls_then_resumes():
@@ -205,7 +237,40 @@ def test_pipeline_duplicate_position_is_ignored():
     pipeline.deliver(0, (first.digest(),))
     pipeline.deliver(0, (second.digest(),))
     assert pipeline.decided_batches == 1
-    assert pipeline.decided_items() == [(0, (first.digest(),))]
+    assert pipeline.committed_map() == {(0, 0): first.digest()}
+
+
+# ---------------------------------------------------------------------------
+# One host constructor; PBFT is the host's one-instance case
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("protocol", sorted(REPLICA_CLASSES))
+def test_every_replica_class_is_constructed_the_same_way(protocol):
+    replica_class = REPLICA_CLASSES[protocol]
+    parameters = list(inspect.signature(replica_class.__init__).parameters)
+    assert parameters == ["self", "node_id", "config", "simulator", "network", "size_model"]
+    cluster = SimulatedCluster.for_protocol(protocol, num_replicas=4, batch_size=8, seed=7)
+    cluster.run(duration=0.1)
+    first_block = cluster.replicas[0].ledger.blocks()[1]
+    assert first_block.proof.protocol == replica_class.protocol_name
+    assert replica_class.protocol_name == ("narwhal-hs" if protocol == "narwhal" else protocol)
+
+
+def test_pbft_is_the_one_instance_case_of_the_rcc_host():
+    host = REPLICA_CLASSES["rcc"]
+    assert issubclass(REPLICA_CLASSES["pbft"], host)
+    cores = {}
+    for protocol in ("pbft", "rcc"):
+        cluster = SimulatedCluster.for_protocol(protocol, num_replicas=4, clients=0)
+        cluster.run(duration=0.1)
+        cores[protocol] = [list(replica.cores.values()) for replica in cluster.replicas]
+    assert [len(replica_cores) for replica_cores in cores["pbft"]] == [1, 1, 1, 1]
+    assert [len(replica_cores) for replica_cores in cores["rcc"]] == [4, 4, 4, 4]
+    # The one rule that differs: an idle PBFT primary proposes nothing, an
+    # idle RCC primary proposes a no-op so the other instances' round closes.
+    assert sum(core.preprepares_sent for replica_cores in cores["pbft"] for core in replica_cores) == 0
+    assert sum(core.preprepares_sent for replica_cores in cores["rcc"] for core in replica_cores) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -72,22 +72,6 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
-def test_stop_halts_the_run_loop():
-    sim = Simulator()
-    order = []
-
-    def first():
-        order.append("first")
-        sim.stop()
-
-    sim.schedule(1.0, first)
-    sim.schedule(2.0, lambda: order.append("second"))
-    sim.run()
-    assert order == ["first"]
-    sim.run()
-    assert order == ["first", "second"]
-
-
 def test_events_scheduled_during_run_are_processed():
     sim = Simulator()
     order = []

@@ -101,12 +101,15 @@ def test_loss_rate_drops_roughly_the_right_fraction():
 
 def test_drop_rule_filters_specific_messages():
     sim, network, a, b = make_pair()
-    network.add_drop_rule(lambda sender, receiver, payload: payload == "bad")
+    def drop_bad(sender, receiver, payload):
+        return payload == "bad"
+
+    network.add_drop_rule(drop_bad)
     a.send(1, "bad", 10)
     a.send(1, "good", 10)
     sim.run()
     assert [p for _, p, _ in b.received] == ["good"]
-    network.clear_drop_rules()
+    network.remove_drop_rule(drop_bad)
     a.send(1, "bad", 10)
     sim.run()
     assert [p for _, p, _ in b.received] == ["good", "bad"]
@@ -191,7 +194,6 @@ def test_time_series_buckets_by_interval():
     series.record(4.0, 10)
     series.record(6.0, 5)
     assert series.buckets() == [(0.0, 20.0), (5.0, 5.0)]
-    assert series.rate_series()[0] == (0.0, 4.0)
 
 
 def test_metrics_registry_snapshot_and_reset():
