@@ -1,13 +1,15 @@
 """Figure 7(a): throughput as a function of the number of replicas."""
 
-from repro.bench.experiments import scalability
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig7a-scalability"]
 
 
 def test_fig07a_scalability(benchmark):
     """SpotLess scales better than the primary-backup baselines."""
-    rows = benchmark(scalability)
-    print_figure("Figure 7(a) scalability", rows, ["replicas", "protocol", "throughput_txn_s", "bottleneck"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 7(a) scalability", rows, FIGURE.columns)
     spotless = series_by(rows, "replicas", "spotless")
     pbft = series_by(rows, "replicas", "pbft")
     hotstuff = series_by(rows, "replicas", "hotstuff")

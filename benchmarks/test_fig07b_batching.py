@@ -1,13 +1,15 @@
 """Figure 7(b): impact of the client-transaction batch size (128 replicas)."""
 
-from repro.bench.experiments import batching
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig7b-batching"]
 
 
 def test_fig07b_batching(benchmark):
     """Bigger batches help every protocol; gains flatten after 100 txn/batch for Pbft."""
-    rows = benchmark(batching)
-    print_figure("Figure 7(b) batching", rows, ["batch_size", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 7(b) batching", rows, FIGURE.columns)
     for protocol in ("spotless", "rcc", "pbft", "hotstuff", "narwhal-hs"):
         series = series_by(rows, "batch_size", protocol)
         # Monotone non-decreasing in batch size.

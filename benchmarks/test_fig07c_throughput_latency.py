@@ -1,16 +1,18 @@
 """Figure 7(c): throughput-latency trade-off at 128 replicas."""
 
-from repro.bench.experiments import throughput_latency
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig7c-throughput-latency"]
 
 
 def test_fig07c_throughput_latency(benchmark):
     """SpotLess reaches higher throughput than RCC at comparable or lower latency."""
-    rows = benchmark(throughput_latency)
+    rows = benchmark(FIGURE.run)
     print_figure(
         "Figure 7(c) throughput-latency",
         rows,
-        ["client_batches", "protocol", "throughput_txn_s", "latency_s"],
+        FIGURE.columns,
     )
     spotless = [r for r in rows if r["protocol"] == "spotless"]
     rcc = [r for r in rows if r["protocol"] == "rcc"]

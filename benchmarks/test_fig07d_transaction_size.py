@@ -1,13 +1,15 @@
 """Figure 7(d): throughput for larger YCSB transaction sizes (128 replicas)."""
 
-from repro.bench.experiments import transaction_size
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig7d-transaction-size"]
 
 
 def test_fig07d_transaction_size(benchmark):
     """Concurrent protocols sustain large transactions; Pbft collapses."""
-    rows = benchmark(transaction_size)
-    print_figure("Figure 7(d) transaction size", rows, ["transaction_bytes", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 7(d) transaction size", rows, FIGURE.columns)
     spotless = series_by(rows, "transaction_bytes", "spotless")
     rcc = series_by(rows, "transaction_bytes", "rcc")
     pbft = series_by(rows, "transaction_bytes", "pbft")

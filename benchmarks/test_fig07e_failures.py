@@ -1,13 +1,15 @@
 """Figure 7(e): impact of 0-10 non-responsive replicas (128 replicas)."""
 
-from repro.bench.experiments import failures
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig7e-failures"]
 
 
 def test_fig07e_failures(benchmark):
     """SpotLess keeps the throughput lead under a handful of failures."""
-    rows = benchmark(failures)
-    print_figure("Figure 7(e) failures", rows, ["faulty", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 7(e) failures", rows, FIGURE.columns)
     spotless = series_by(rows, "faulty", "spotless")
     rcc = series_by(rows, "faulty", "rcc")
     hotstuff = series_by(rows, "faulty", "hotstuff")

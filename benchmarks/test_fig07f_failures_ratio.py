@@ -1,13 +1,15 @@
 """Figure 7(f): impact of failures as a ratio of f (128 replicas)."""
 
-from repro.bench.experiments import failures_ratio
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig7f-failure-ratio"]
 
 
 def test_fig07f_failures_ratio(benchmark):
     """With all f replicas faulty, SpotLess retains most of its advantage."""
-    rows = benchmark(failures_ratio)
-    print_figure("Figure 7(f) failure ratio", rows, ["ratio", "faulty", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 7(f) failure ratio", rows, FIGURE.columns)
     spotless = series_by(rows, "ratio", "spotless")
     rcc = series_by(rows, "ratio", "rcc")
     pbft = series_by(rows, "ratio", "pbft")

@@ -1,13 +1,15 @@
 """Figure 8: SpotLess under failures as a function of n and failure count."""
 
-from repro.bench.experiments import spotless_failures
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig8-spotless-failures"]
 
 
 def test_fig08_spotless_failures(benchmark):
     """Larger deployments are relatively less affected by the same failure count."""
-    rows = benchmark(spotless_failures)
-    print_figure("Figure 8 SpotLess failures", rows, ["replicas", "faulty", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 8 SpotLess failures", rows, FIGURE.columns)
     by_n = {}
     for row in rows:
         by_n.setdefault(row["replicas"], {})[row["faulty"]] = row["throughput_txn_s"]

@@ -1,22 +1,21 @@
 """Figure 9: throughput-latency of SpotLess and RCC with 1 or f failures."""
 
-from repro.bench.experiments import throughput_latency
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig9-latency-failures"]
 
 
 def run_fig09():
     """Collect the two panels of Figure 9 (1 failure and f failures)."""
     f = (128 - 1) // 3
-    rows = []
-    for faulty in (1, f):
-        rows.extend(throughput_latency(faulty_replicas=faulty, protocols=("spotless", "rcc")))
-    return rows
+    return FIGURE.run(faulty=(1, f))
 
 
 def test_fig09_latency_under_failures(benchmark):
     """SpotLess serves requests with lower latency than RCC during failures."""
     rows = benchmark(run_fig09)
-    print_figure("Figure 9 latency under failures", rows, ["faulty", "client_batches", "protocol", "throughput_txn_s", "latency_s"])
+    print_figure("Figure 9 latency under failures", rows, FIGURE.columns)
     for faulty in {row["faulty"] for row in rows}:
         spotless = [r for r in rows if r["protocol"] == "spotless" and r["faulty"] == faulty]
         rcc = [r for r in rows if r["protocol"] == "rcc" and r["faulty"] == faulty]

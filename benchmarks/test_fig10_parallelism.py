@@ -1,13 +1,15 @@
 """Figure 10: throughput/latency vs the number of client batches per primary."""
 
-from repro.bench.experiments import parallelism
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig10-parallelism"]
 
 
 def test_fig10_parallel_processing(benchmark):
     """Both protocols need enough parallel client batches to fill the pipeline."""
-    rows = benchmark(parallelism)
-    print_figure("Figure 10 parallelism", rows, ["faulty", "client_batches", "protocol", "throughput_txn_s", "latency_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 10 parallelism", rows, FIGURE.columns)
     no_failure_spotless = [r for r in rows if r["protocol"] == "spotless" and r["faulty"] == 0]
     ordered = sorted(no_failure_spotless, key=lambda r: r["client_batches"])
     # Throughput grows with the offered client batches until saturation.

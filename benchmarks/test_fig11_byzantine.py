@@ -1,13 +1,15 @@
 """Figure 11: SpotLess throughput under Byzantine attack scenarios A1-A4."""
 
-from repro.bench.experiments import byzantine_attacks
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig11-byzantine"]
 
 
 def test_fig11_byzantine_attacks(benchmark):
     """Attacks A2-A4 are mitigated by Ask-recovery and RVS; A1 costs the most."""
-    rows = benchmark(byzantine_attacks)
-    print_figure("Figure 11 Byzantine attacks", rows, ["faulty", "attack", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 11 Byzantine attacks", rows, FIGURE.columns)
     spotless = [r for r in rows if r["protocol"] == "spotless"]
     by_attack = {}
     for row in spotless:

@@ -1,19 +1,21 @@
 """Figure 12: real-time throughput after injecting failures."""
 
-from repro.bench.experiments import failure_timeline
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig12-timeline"]
 
 
 def run_timelines():
     """Timelines for 1 failure and f failures, SpotLess and RCC."""
     f = (128 - 1) // 3
-    return failure_timeline(faulty_replicas=1) + failure_timeline(faulty_replicas=f)
+    return FIGURE.run(faulty_replicas=1) + FIGURE.run(faulty_replicas=f)
 
 
 def test_fig12_failure_timeline(benchmark):
     """SpotLess's post-failure throughput is stable; RCC's fluctuates."""
     rows = benchmark(run_timelines)
-    print_figure("Figure 12 timeline", rows, ["protocol", "faulty", "time_s", "throughput_txn_s"])
+    print_figure("Figure 12 timeline", rows, FIGURE.columns)
 
     def series(protocol, faulty):
         values = [r["throughput_txn_s"] for r in rows if r["protocol"] == protocol and r["faulty"] == faulty and r["time_s"] > 20]

@@ -1,13 +1,15 @@
 """Figure 14(b): impact of the network bandwidth."""
 
-from repro.bench.experiments import network_bandwidth
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig14b-bandwidth"]
 
 
 def test_fig14b_bandwidth(benchmark):
     """Bandwidth-bound protocols suffer at 500 Mbit/s; Narwhal-HS barely moves."""
-    rows = benchmark(network_bandwidth)
-    print_figure("Figure 14(b) bandwidth", rows, ["bandwidth_mbit", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 14(b) bandwidth", rows, FIGURE.columns)
     spotless = series_by(rows, "bandwidth_mbit", "spotless")
     pbft = series_by(rows, "bandwidth_mbit", "pbft")
     narwhal = series_by(rows, "bandwidth_mbit", "narwhal-hs")

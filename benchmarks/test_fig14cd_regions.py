@@ -1,13 +1,15 @@
 """Figure 14(c,d): impact of geo-distribution (1-4 regions), two batch sizes."""
 
-from repro.bench.experiments import geo_regions
+from repro.bench.experiments import FIGURES
 from conftest import print_figure
+
+FIGURE = FIGURES["fig14cd-regions"]
 
 
 def test_fig14cd_geo_regions(benchmark):
     """More regions hurt everyone; bigger batches partially mitigate it."""
-    rows = benchmark(geo_regions)
-    print_figure("Figure 14(c,d) regions", rows, ["batch_size", "regions", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 14(c,d) regions", rows, FIGURE.columns)
 
     def value(protocol, regions, batch):
         return next(

@@ -1,13 +1,15 @@
 """Figure 15: single-instance SpotLess versus HotStuff under failures."""
 
-from repro.bench.experiments import single_instance_failures
+from repro.bench.experiments import FIGURES
 from conftest import print_figure, series_by
+
+FIGURE = FIGURES["fig15-single-instance"]
 
 
 def test_fig15_single_instance(benchmark):
     """Single-instance SpotLess beats HotStuff thanks to cheaper signatures."""
-    rows = benchmark(single_instance_failures)
-    print_figure("Figure 15 single instance", rows, ["ratio", "protocol", "throughput_txn_s"])
+    rows = benchmark(FIGURE.run)
+    print_figure("Figure 15 single instance", rows, FIGURE.columns)
     spotless = series_by(rows, "ratio", "spotless")
     hotstuff = series_by(rows, "ratio", "hotstuff")
     for ratio in spotless:

@@ -190,8 +190,6 @@ class _CostProfile:
 class PerformanceModel:
     """Predicts throughput and latency for any supported protocol."""
 
-    SUPPORTED = ("spotless", "rcc", "pbft", "hotstuff", "narwhal-hs", "narwhal")
-
     def __init__(self, timeout_multiplier: float = 1.5) -> None:
         # Failure-detection timeouts are configured relative to the average
         # view duration (Section 6.3); the multiplier captures that ratio.

@@ -1,14 +1,16 @@
-"""Experiment definitions: one function per table/figure of the evaluation.
+"""Experiment definitions: one row of :data:`FIGURES` per table/figure of the evaluation.
 
-Every function returns a list of row dictionaries — the same series the
+Every ``run`` returns a list of row dictionaries — the same series the
 corresponding figure plots — and the benchmark harness (``benchmarks/``)
 prints them with :func:`repro.analysis.report.format_table` so the output can
 be compared against the paper side by side.  EXPERIMENTS.md records the
 paper-versus-measured comparison for each.
 
-Every paper figure's operating points come from the analytical model
-(:mod:`repro.analysis.model`); only the ``offered-load`` sweep runs the
-message-level simulator.  Figure 12's failure timeline is *not* simulated:
+A model figure is its axes: its ``run`` is :func:`sweep` over them, which
+asks the analytical model (:mod:`repro.analysis.model`) at every point of
+their cross product.  Two figures are no such cross product and stay plain
+functions.  ``offered-load`` alone runs the message-level simulator.
+Figure 12's failure timeline is a time series, and it is *not* simulated:
 it is the model's healthy and degraded throughputs times a scripted
 transient — one detection window for SpotLess, decaying dips standing in
 for RCC's back-off, which the simulator's RCC does not implement.
@@ -16,221 +18,96 @@ for RCC's back-off, which the simulator's RCC does not implement.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Callable, Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from repro.analysis.model import PerformanceModel, ResourceProfile, Scenario
+from repro.analysis.model import PerformanceModel, Scenario
 
 PROTOCOLS = ("spotless", "rcc", "pbft", "hotstuff", "narwhal-hs")
-DEFAULT_REPLICAS = 128
-DEFAULT_BATCH = 100
-
-
-def _model() -> PerformanceModel:
-    return PerformanceModel()
-
-
-def _predict_row(scenario: Scenario, extra: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    prediction = _model().predict(scenario)
-    row: Dict[str, object] = {
-        "protocol": scenario.protocol,
-        "throughput_txn_s": round(prediction.throughput, 1),
-        "latency_s": round(prediction.latency, 4),
-        "bottleneck": prediction.bottleneck,
-    }
-    if extra:
-        row.update(extra)
-    return row
+CONCURRENT = ("spotless", "rcc")
+FAILURE_COUNTS = (0, 1, 2, 3, 4, 6, 8, 10)
+FAILURE_RATIOS = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+CLIENT_BATCHES = (12, 25, 50, 100, 200)
+#: The operating point every model figure varies: 128 replicas, 100 txn/batch.
+DEFAULT_POINT = Scenario(protocol="spotless", num_replicas=128, batch_size=100)
 
 
 # ----------------------------------------------------------------------
-# Figure 7(a): scalability
+# model figures: a figure is its axes, and `sweep` turns axes into rows
 # ----------------------------------------------------------------------
 
-def scalability(replica_counts: Sequence[int] = (4, 16, 32, 64, 96, 128)) -> List[Dict[str, object]]:
-    """Throughput as a function of the number of replicas (Figure 7(a))."""
-    rows = []
-    for n in replica_counts:
-        for protocol in PROTOCOLS:
-            scenario = Scenario(protocol=protocol, num_replicas=n, batch_size=DEFAULT_BATCH)
-            rows.append(_predict_row(scenario, {"replicas": n}))
-    return rows
+#: Axis (the column it is reported under) -> how one value moves the point.
+AXES: Dict[str, Callable[[Scenario, object], Scenario]] = {
+    "protocol": lambda point, value: replace(point, protocol=value),
+    "replicas": lambda point, value: replace(point, num_replicas=value),
+    "instances": lambda point, value: replace(point, num_instances=value),
+    "batch_size": lambda point, value: replace(point, batch_size=value),
+    "transaction_bytes": lambda point, value: replace(point, transaction_bytes=value),
+    "faulty": lambda point, value: replace(point, faulty_replicas=value),
+    "attack": lambda point, value: replace(point, attack=value),
+    "client_batches": lambda point, value: replace(point, offered_client_batches_per_primary=value),
+    "cores": lambda point, value: replace(point, resources=point.resources.with_cores(value)),
+    "bandwidth_mbit": lambda point, value: replace(point, resources=point.resources.with_bandwidth_mbit(value)),
+    "regions": lambda point, value: replace(point, resources=point.resources.with_regions(value)),
+    # A share of the point's own f, rounded to whole replicas.
+    "ratio": lambda point, value: replace(point, faulty_replicas=int(round(value * point.f))),
+}
 
 
-# ----------------------------------------------------------------------
-# Figure 7(b): batching
-# ----------------------------------------------------------------------
+def sweep(base: Scenario = DEFAULT_POINT, /, **axes: object) -> Callable[..., List[Dict[str, object]]]:
+    """A model figure's ``run``: one predicted row per point of ``axes``.
 
-def batching(batch_sizes: Sequence[int] = (10, 50, 100, 200, 400), replicas: int = DEFAULT_REPLICAS) -> List[Dict[str, object]]:
-    """Throughput as a function of batch size (Figure 7(b))."""
-    rows = []
-    for batch in batch_sizes:
-        for protocol in PROTOCOLS:
-            scenario = Scenario(protocol=protocol, num_replicas=replicas, batch_size=batch)
-            rows.append(_predict_row(scenario, {"batch_size": batch}))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Figure 7(c), 9, 10: throughput-latency and parallel processing
-# ----------------------------------------------------------------------
-
-def throughput_latency(
-    replicas: int = DEFAULT_REPLICAS,
-    client_batches: Sequence[int] = (12, 25, 50, 100, 200),
-    faulty_replicas: int = 0,
-    protocols: Sequence[str] = ("spotless", "rcc", "pbft", "hotstuff", "narwhal-hs"),
-) -> List[Dict[str, object]]:
-    """Latency as a function of throughput under varying offered load.
-
-    Covers Figure 7(c) (no failures), Figure 9 (1 or f failures, SpotLess vs
-    RCC) and Figure 10 (throughput and latency versus the number of client
-    batches each primary receives).
+    The cross product is walked outermost axis first from ``base``; a row is
+    the model's prediction there plus one column per axis.  An axis's values
+    may be a function of the point the outer axes reached (Figure 8 stops at
+    each n's f; a one-value axis reports a derived column).  A keyword to
+    ``run`` replaces that axis's values; an :data:`AXES` name the figure does
+    not vary becomes its outermost axis.
     """
-    rows = []
-    for load in client_batches:
-        for protocol in protocols:
-            scenario = Scenario(
-                protocol=protocol,
-                num_replicas=replicas,
-                batch_size=DEFAULT_BATCH,
-                faulty_replicas=faulty_replicas,
-                offered_client_batches_per_primary=load,
+
+    def run(**overrides: object) -> List[Dict[str, object]]:
+        unknown = sorted(set(overrides) - set(AXES))
+        if unknown:
+            raise TypeError(f"unknown axis {', '.join(unknown)}; choose from {', '.join(AXES)}")
+        extra = {name: values for name, values in overrides.items() if name not in axes}
+        points: List[Tuple[Scenario, Dict[str, object]]] = [(base, {})]
+        for name, values in {**extra, **axes, **overrides}.items():
+            points = [
+                (AXES[name](point, value), {**columns, name: value})
+                for point, columns in points
+                for value in (values(point) if callable(values) else values)
+            ]
+        model = PerformanceModel()
+        rows = []
+        for point, columns in points:
+            prediction = model.predict(point)
+            rows.append(
+                {
+                    "protocol": point.protocol,
+                    "throughput_txn_s": round(prediction.throughput, 1),
+                    "latency_s": round(prediction.latency, 4),
+                    "bottleneck": prediction.bottleneck,
+                    **columns,
+                }
             )
-            rows.append(_predict_row(scenario, {"client_batches": load, "faulty": faulty_replicas}))
-    return rows
+        return rows
+
+    return run
 
 
-def parallelism(replicas: int = DEFAULT_REPLICAS) -> List[Dict[str, object]]:
-    """Figure 10: SpotLess and RCC with 0, 1 and f failures across offered load."""
-    rows = []
-    f = (replicas - 1) // 3
-    for faulty in (0, 1, f):
-        rows.extend(
-            throughput_latency(
-                replicas=replicas,
-                faulty_replicas=faulty,
-                protocols=("spotless", "rcc"),
-            )
-        )
-    return rows
+def _failures_up_to_f(point: Scenario) -> List[int]:
+    """Figure 8's failure counts: the usual ones plus f itself, none above f."""
+    return [count for count in sorted({*FAILURE_COUNTS, point.f}) if count <= point.f]
 
 
-# ----------------------------------------------------------------------
-# Figure 7(d): transaction size
-# ----------------------------------------------------------------------
-
-def transaction_size(
-    sizes: Sequence[int] = (48, 200, 400, 600, 800, 1600),
-    replicas: int = DEFAULT_REPLICAS,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the YCSB transaction size (Figure 7(d))."""
-    rows = []
-    for size in sizes:
-        for protocol in PROTOCOLS:
-            scenario = Scenario(
-                protocol=protocol,
-                num_replicas=replicas,
-                batch_size=DEFAULT_BATCH,
-                transaction_bytes=size,
-            )
-            rows.append(_predict_row(scenario, {"transaction_bytes": size}))
-    return rows
+def _ratio_as_count(point: Scenario) -> Tuple[int]:
+    """The failure count a ``ratio`` axis set, reported as the ``faulty`` column."""
+    return (point.faulty_replicas,)
 
 
-# ----------------------------------------------------------------------
-# Figures 7(e), 7(f) and 8: failures
-# ----------------------------------------------------------------------
-
-def failures(
-    replicas: int = DEFAULT_REPLICAS,
-    failure_counts: Optional[Sequence[int]] = None,
-    protocols: Sequence[str] = PROTOCOLS,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the number of non-responsive replicas."""
-    if failure_counts is None:
-        failure_counts = (0, 1, 2, 3, 4, 6, 8, 10)
-    rows = []
-    for faulty in failure_counts:
-        for protocol in protocols:
-            scenario = Scenario(
-                protocol=protocol,
-                num_replicas=replicas,
-                batch_size=DEFAULT_BATCH,
-                faulty_replicas=faulty,
-            )
-            rows.append(_predict_row(scenario, {"faulty": faulty}))
-    return rows
-
-
-def failures_ratio(
-    replicas: int = DEFAULT_REPLICAS,
-    ratios: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-    protocols: Sequence[str] = PROTOCOLS,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the ratio of failures out of f (Figure 7(f))."""
-    f = (replicas - 1) // 3
-    rows = []
-    for ratio in ratios:
-        faulty = int(round(ratio * f))
-        for protocol in protocols:
-            scenario = Scenario(
-                protocol=protocol,
-                num_replicas=replicas,
-                batch_size=DEFAULT_BATCH,
-                faulty_replicas=faulty,
-            )
-            rows.append(_predict_row(scenario, {"ratio": ratio, "faulty": faulty}))
-    return rows
-
-
-def spotless_failures(replica_counts: Sequence[int] = (32, 64, 96, 128)) -> List[Dict[str, object]]:
-    """Figure 8: SpotLess under failures as a function of n and the failure count."""
-    rows = []
-    for n in replica_counts:
-        f = (n - 1) // 3
-        counts = sorted({0, 1, 2, 3, 4, 6, 8, 10, f})
-        for faulty in counts:
-            if faulty > f:
-                continue
-            scenario = Scenario(
-                protocol="spotless",
-                num_replicas=n,
-                batch_size=DEFAULT_BATCH,
-                faulty_replicas=faulty,
-            )
-            rows.append(_predict_row(scenario, {"replicas": n, "faulty": faulty}))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Figure 11: Byzantine attacks
-# ----------------------------------------------------------------------
-
-def byzantine_attacks(
-    replicas: int = DEFAULT_REPLICAS,
-    failure_counts: Sequence[int] = (0, 1, 2, 3, 4, 6, 8, 10),
-) -> List[Dict[str, object]]:
-    """SpotLess under attacks A1-A4, with RCC (normal and A1) for comparison."""
-    rows = []
-    for faulty in failure_counts:
-        for attack in ("A1", "A2", "A3", "A4"):
-            scenario = Scenario(
-                protocol="spotless",
-                num_replicas=replicas,
-                batch_size=DEFAULT_BATCH,
-                faulty_replicas=faulty,
-                attack=attack,
-            )
-            rows.append(_predict_row(scenario, {"attack": attack, "faulty": faulty}))
-        rcc = Scenario(
-            protocol="rcc",
-            num_replicas=replicas,
-            batch_size=DEFAULT_BATCH,
-            faulty_replicas=faulty,
-            attack="A1",
-        )
-        rows.append(_predict_row(rcc, {"attack": "A1", "faulty": faulty}))
-    return rows
+_SINGLE_INSTANCE = replace(DEFAULT_POINT, num_instances=1)
+#: Figures 9 and 10 plot the same rows: SpotLess and RCC at 0, 1 and f failures.
+_under_failures = sweep(faulty=lambda point: (0, 1, point.f), client_batches=CLIENT_BATCHES, protocol=CONCURRENT)
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +115,7 @@ def byzantine_attacks(
 # ----------------------------------------------------------------------
 
 def failure_timeline(
-    replicas: int = DEFAULT_REPLICAS,
+    replicas: int = DEFAULT_POINT.num_replicas,
     faulty_replicas: int = 1,
     duration: float = 140.0,
     bucket: float = 5.0,
@@ -251,7 +128,7 @@ def failure_timeline(
     the exponential back-off penalty, which shows up as throughput dips that
     decay geometrically before recovering (the behaviour of Figure 12).
     """
-    model = _model()
+    model = PerformanceModel()
     f = (replicas - 1) // 3
     rows: List[Dict[str, object]] = []
     for protocol in ("spotless", "rcc"):
@@ -290,109 +167,6 @@ def failure_timeline(
 
 
 # ----------------------------------------------------------------------
-# Figure 13: concurrent instances
-# ----------------------------------------------------------------------
-
-def concurrent_instances(
-    replicas: int = DEFAULT_REPLICAS,
-    instance_counts: Optional[Sequence[int]] = None,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the number of concurrent instances."""
-    if instance_counts is None:
-        instance_counts = [1, 8, 16, 32, 64, replicas]
-    rows = []
-    for m in instance_counts:
-        for protocol in ("spotless", "rcc"):
-            scenario = Scenario(
-                protocol=protocol,
-                num_replicas=replicas,
-                num_instances=m,
-                batch_size=DEFAULT_BATCH,
-            )
-            rows.append(_predict_row(scenario, {"instances": m}))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Figure 14: computing power, bandwidth and geo distribution
-# ----------------------------------------------------------------------
-
-def computing_power(
-    cores: Sequence[int] = (4, 8, 16, 32),
-    replicas: int = DEFAULT_REPLICAS,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the CPU cores per replica (Figure 14(a))."""
-    rows = []
-    for core_count in cores:
-        resources = ResourceProfile().with_cores(core_count)
-        for protocol in PROTOCOLS:
-            scenario = Scenario(
-                protocol=protocol, num_replicas=replicas, batch_size=DEFAULT_BATCH, resources=resources
-            )
-            rows.append(_predict_row(scenario, {"cores": core_count}))
-    return rows
-
-
-def network_bandwidth(
-    bandwidths_mbit: Sequence[float] = (500, 1000, 2000, 3000, 4000),
-    replicas: int = DEFAULT_REPLICAS,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the NIC bandwidth (Figure 14(b))."""
-    rows = []
-    for mbit in bandwidths_mbit:
-        resources = ResourceProfile().with_bandwidth_mbit(mbit)
-        for protocol in PROTOCOLS:
-            scenario = Scenario(
-                protocol=protocol, num_replicas=replicas, batch_size=DEFAULT_BATCH, resources=resources
-            )
-            rows.append(_predict_row(scenario, {"bandwidth_mbit": mbit}))
-    return rows
-
-
-def geo_regions(
-    regions: Sequence[int] = (1, 2, 3, 4),
-    batch_sizes: Sequence[int] = (100, 400),
-    replicas: int = DEFAULT_REPLICAS,
-) -> List[Dict[str, object]]:
-    """Throughput as a function of the number of regions (Figure 14(c,d))."""
-    rows = []
-    for batch in batch_sizes:
-        for region_count in regions:
-            resources = ResourceProfile().with_regions(region_count)
-            for protocol in PROTOCOLS:
-                scenario = Scenario(
-                    protocol=protocol, num_replicas=replicas, batch_size=batch, resources=resources
-                )
-                rows.append(_predict_row(scenario, {"regions": region_count, "batch_size": batch}))
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Figure 15: single-instance SpotLess vs HotStuff under failures
-# ----------------------------------------------------------------------
-
-def single_instance_failures(
-    replicas: int = DEFAULT_REPLICAS,
-    ratios: Sequence[float] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0),
-) -> List[Dict[str, object]]:
-    """Single-instance SpotLess versus HotStuff with failures (Figure 15)."""
-    f = (replicas - 1) // 3
-    rows = []
-    for ratio in ratios:
-        faulty = int(round(ratio * f))
-        for protocol, instances in (("spotless", 1), ("hotstuff", 1)):
-            scenario = Scenario(
-                protocol=protocol,
-                num_replicas=replicas,
-                num_instances=instances,
-                batch_size=DEFAULT_BATCH,
-                faulty_replicas=faulty,
-            )
-            rows.append(_predict_row(scenario, {"ratio": ratio, "faulty": faulty}))
-    return rows
-
-
-# ----------------------------------------------------------------------
 # offered-load ramp: the open-loop simulator sweep behind Figures 7(c)/9/10
 # ----------------------------------------------------------------------
 
@@ -412,7 +186,8 @@ def estimate_capacity(
     about saturation (RCC absorbs loads an order of magnitude past the other
     protocols at this scale), so while the cluster confirms more than 70% of
     the offered rate the probe escalates 4x, up to ``probe_ceiling``.
-    Deterministic per seed, so sweeps built on it stay reproducible.
+    Deterministic per seed.  ``scenarios.spec.PROTOCOL_CAPACITY`` records its
+    results, and ``benchmarks/test_capacity_table.py`` holds the table to it.
     """
     from repro.bench.cluster import SimulatedCluster
     from repro.workload.arrival import LoadProfile
@@ -441,12 +216,10 @@ def offered_load(
     duration: float = 1.0,
     p99_ceiling: float = 0.05,
     seed: int = 1,
-    base_fraction: float = 0.4,
-    spike_factor: float = 2.0,
 ) -> List[Dict[str, object]]:
     """Throughput/latency versus offered rate, measured in the simulator.
 
-    Unlike the analytical ``throughput_latency`` sweep, this drives each
+    Unlike the model's ``client_batches`` axis, this drives each
     protocol's message-level cluster with an open-loop
     :class:`~repro.core.client.OpenLoopClientPool` through the canonical
     overload schedule (ramp → hold → spike past saturation → ramp down →
@@ -454,63 +227,47 @@ def offered_load(
     rate, windowed p50/p99 confirmation latency, end-of-phase queue depth
     and the p99-ceiling SLO verdict.
 
-    Rates are sized per protocol from :func:`estimate_capacity` — the five
-    protocols saturate an order of magnitude apart at this scale, so a fixed
-    rate pair cannot both push the fastest past saturation and let the
-    slowest drain its backlog.  The base rate is ``base_fraction`` of
-    capacity and the spike ``spike_factor`` times it, so every sweep shows
-    at least one operating point past saturation (SLO breach) and, after
-    the ramp-down, the recovery from it.
+    The schedule is :func:`~repro.scenarios.spec.overload_spec`'s, the one
+    ``repro scenario --overload`` runs, its rates anchored to that module's
+    ``PROTOCOL_CAPACITY`` — so every sweep shows at least one operating point
+    past saturation (SLO breach) and, after the ramp-down, the recovery from it.
 
     The SLO verdict of a phase is computed over the phase's last quarter:
     backlogged completions from an earlier overload land early in a window
     and would otherwise mask an already-recovered steady state.
     """
     from repro.bench.cluster import SimulatedCluster
-    from repro.sim.metrics import Histogram, summarize_latency
-    from repro.workload.arrival import overload_profile
+    from repro.scenarios.spec import overload_spec
+    from repro.sim.metrics import percentile
 
     rows: List[Dict[str, object]] = []
     for protocol in protocols:
-        capacity = estimate_capacity(protocol, f=f, batch_size=batch_size, seed=seed)
-        profile = overload_profile(
-            base_rate=round(base_fraction * capacity, 1),
-            spike_rate=round(spike_factor * capacity, 1),
-            ramp=round(0.10 * duration, 6),
-            hold=round(0.10 * duration, 6),
-            spike=round(0.10 * duration, 6),
-            drain=round(0.30 * duration, 6),
-            recovery=round(0.30 * duration, 6),
+        spec = overload_spec(
+            protocol, f=f, seed=seed, duration=duration, p99_ceiling=p99_ceiling, batch_size=batch_size
         )
         cluster = SimulatedCluster.for_protocol(
             protocol,
-            num_replicas=3 * f + 1,
+            num_replicas=spec.resolved_replicas(),
             batch_size=batch_size,
             seed=seed,
-            arrival=profile,
+            arrival=spec.load,
         )
         cluster.start()
         pool = cluster.clients[0]
         seen_samples = 0
         seen_offered = 0
-        for index, (start, end, phase) in enumerate(profile.phase_windows()):
+        for index, (start, end, phase) in enumerate(spec.load.phase_windows()):
             tail_start = end - 0.25 * phase.duration
             cluster.run_additional(tail_start - cluster.simulator.now)
             tail_offset = len(pool.latency.samples)
             cluster.run_additional(end - cluster.simulator.now)
             samples = pool.latency.samples
-            window = samples[seen_samples:]
-            tail = samples[tail_offset:]
+            window = sorted(samples[seen_samples:])
+            tail_p99 = percentile(sorted(samples[tail_offset:]), 0.99)
             seen_samples = len(samples)
             offered_in_phase = pool.offered_transactions - seen_offered
             seen_offered = pool.offered_transactions
             window_duration = end - start
-            phase_histogram = Histogram(f"{protocol}-phase-{index}")
-            for value in window:
-                phase_histogram.observe(value)
-            sample = summarize_latency(phase_histogram, window_duration)
-            p99 = phase_histogram.percentile(0.99)
-            tail_p99 = _windowed_p99(tail)
             # A wedged queue breaches the latency SLO even with no
             # completions to show for it: the stalled requests are the tail.
             backlog_age = pool.oldest_pending_age()
@@ -521,22 +278,14 @@ def offered_load(
                     "phase": f"{index}:{phase.shape}",
                     "offered_rate": phase.rate,
                     "measured_offered": round(offered_in_phase / window_duration, 1),
-                    "throughput_txn_s": round(sample.throughput, 1) if sample else 0.0,
-                    "p50_ms": round(phase_histogram.percentile(0.50) * 1000, 2),
-                    "p99_ms": round(p99 * 1000, 2),
+                    "throughput_txn_s": round(len(window) / window_duration, 1),
+                    "p50_ms": round(percentile(window, 0.50) * 1000, 2),
+                    "p99_ms": round(percentile(window, 0.99) * 1000, 2),
                     "queue_depth": pool.unconfirmed_count(),
                     "slo": "ok" if slo_ok else "breach",
                 }
             )
     return rows
-
-
-def _windowed_p99(samples: Sequence[float]) -> float:
-    """Nearest-rank p99 of a raw sample window (0.0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, max(0, int(0.99 * len(ordered))))]
 
 
 # ----------------------------------------------------------------------
@@ -561,53 +310,58 @@ class Experiment(NamedTuple):
 #: CLI figure name -> experiment (EXPERIMENTS.md maps each to its figure).
 FIGURES: Dict[str, Experiment] = {
     "fig7a-scalability": Experiment(
-        scalability,
+        sweep(replicas=(4, 16, 32, 64, 96, 128), protocol=PROTOCOLS),
         ("replicas", "protocol", "throughput_txn_s", "latency_s", "bottleneck"),
         "Figure 7(a): throughput versus the number of replicas",
-        {"replicas": "replica_counts"},
+        {"replicas": "replicas"},
     ),
     "fig7b-batching": Experiment(
-        batching,
+        sweep(batch_size=(10, 50, 100, 200, 400), protocol=PROTOCOLS),
         ("batch_size", "protocol", "throughput_txn_s", "latency_s"),
         "Figure 7(b): throughput versus batch size",
     ),
     "fig7c-throughput-latency": Experiment(
-        throughput_latency,
+        sweep(faulty=(0,), client_batches=CLIENT_BATCHES, protocol=PROTOCOLS),
         ("client_batches", "protocol", "throughput_txn_s", "latency_s"),
         "Figure 7(c): latency versus throughput",
     ),
     "fig7d-transaction-size": Experiment(
-        transaction_size,
+        sweep(transaction_bytes=(48, 200, 400, 600, 800, 1600), protocol=PROTOCOLS),
         ("transaction_bytes", "protocol", "throughput_txn_s"),
         "Figure 7(d): throughput versus transaction size",
     ),
     "fig7e-failures": Experiment(
-        failures,
+        sweep(faulty=FAILURE_COUNTS, protocol=PROTOCOLS),
         ("faulty", "protocol", "throughput_txn_s"),
         "Figure 7(e): throughput versus the number of failures",
     ),
     "fig7f-failure-ratio": Experiment(
-        failures_ratio,
+        sweep(ratio=FAILURE_RATIOS, faulty=_ratio_as_count, protocol=PROTOCOLS),
         ("ratio", "faulty", "protocol", "throughput_txn_s"),
         "Figure 7(f): throughput versus the ratio of failures out of f",
     ),
     "fig8-spotless-failures": Experiment(
-        spotless_failures,
+        sweep(replicas=(32, 64, 96, 128), faulty=_failures_up_to_f, protocol=("spotless",)),
         ("replicas", "faulty", "protocol", "throughput_txn_s"),
         "Figure 8: SpotLess under failures as a function of n",
     ),
     "fig9-latency-failures": Experiment(
-        parallelism,
+        _under_failures,
         ("faulty", "client_batches", "protocol", "throughput_txn_s", "latency_s"),
         "Figure 9: throughput-latency of SpotLess and RCC under failures",
     ),
     "fig10-parallelism": Experiment(
-        parallelism,
+        _under_failures,
         ("faulty", "client_batches", "protocol", "throughput_txn_s", "latency_s"),
         "Figure 10: throughput/latency versus client batches per primary",
     ),
     "fig11-byzantine": Experiment(
-        byzantine_attacks,
+        sweep(
+            faulty=FAILURE_COUNTS,
+            protocol=CONCURRENT,
+            # RCC is the reference under non-responsive replicas only.
+            attack=lambda point: ("A1", "A2", "A3", "A4") if point.protocol == "spotless" else ("A1",),
+        ),
         ("faulty", "protocol", "attack", "throughput_txn_s"),
         "Figure 11: SpotLess under attacks A1-A4",
     ),
@@ -618,27 +372,27 @@ FIGURES: Dict[str, Experiment] = {
         {"faulty": "faulty_replicas"},
     ),
     "fig13-instances": Experiment(
-        concurrent_instances,
+        sweep(instances=lambda point: (1, 8, 16, 32, 64, point.num_replicas), protocol=CONCURRENT),
         ("instances", "protocol", "throughput_txn_s"),
         "Figure 13: throughput versus the number of concurrent instances",
     ),
     "fig14a-cpu": Experiment(
-        computing_power,
+        sweep(cores=(4, 8, 16, 32), protocol=PROTOCOLS),
         ("cores", "protocol", "throughput_txn_s"),
         "Figure 14(a): impact of computing power",
     ),
     "fig14b-bandwidth": Experiment(
-        network_bandwidth,
+        sweep(bandwidth_mbit=(500, 1000, 2000, 3000, 4000), protocol=PROTOCOLS),
         ("bandwidth_mbit", "protocol", "throughput_txn_s"),
         "Figure 14(b): impact of network bandwidth",
     ),
     "fig14cd-regions": Experiment(
-        geo_regions,
+        sweep(batch_size=(100, 400), regions=(1, 2, 3, 4), protocol=PROTOCOLS),
         ("batch_size", "regions", "protocol", "throughput_txn_s"),
         "Figure 14(c,d): impact of geo-distribution",
     ),
     "fig15-single-instance": Experiment(
-        single_instance_failures,
+        sweep(_SINGLE_INSTANCE, ratio=FAILURE_RATIOS, faulty=_ratio_as_count, protocol=("spotless", "hotstuff")),
         ("ratio", "protocol", "throughput_txn_s"),
         "Figure 15: single-instance SpotLess versus HotStuff under failures",
     ),
@@ -662,23 +416,12 @@ FIGURES: Dict[str, Experiment] = {
 
 
 __all__ = [
+    "AXES",
     "FIGURES",
     "Experiment",
     "PROTOCOLS",
-    "batching",
-    "byzantine_attacks",
-    "computing_power",
-    "concurrent_instances",
+    "estimate_capacity",
     "failure_timeline",
-    "failures",
-    "failures_ratio",
-    "geo_regions",
-    "network_bandwidth",
     "offered_load",
-    "parallelism",
-    "scalability",
-    "single_instance_failures",
-    "spotless_failures",
-    "throughput_latency",
-    "transaction_size",
+    "sweep",
 ]

@@ -339,7 +339,7 @@ def write_timeseries_csv(series: Iterable[TimeSeries], path: Union[str, Path]) -
     rows = 0
     lines = ["series,bucket_start,value"]
     for item in sorted(series, key=lambda entry: entry.name):
-        for start, value in item.to_csv_rows():
+        for start, value in item.buckets():
             lines.append(f"{item.name},{start:g},{value:g}")
             rows += 1
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

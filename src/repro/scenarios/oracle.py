@@ -32,20 +32,13 @@ broken invariant at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
+
+from repro.sim.metrics import percentile
 
 #: SLO enforcement modes: every breach episode is a violation, or only
 #: episodes that never recover by the end of the run.
 SLO_MODES = ("enforce", "expect-recovery")
-
-
-def _windowed_percentile(values: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an unsorted sample window."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-    return ordered[rank]
 
 
 @dataclass(frozen=True)
@@ -339,17 +332,18 @@ class InvariantOracle:
             if len(samples) > offset:
                 window.extend(samples[offset:])
             self._latency_offsets[id(client)] = len(samples)
+        window.sort()
         oldest_age = max(
             (client.oldest_pending_age() for client in self.cluster.clients), default=0.0
         )
         if self.slo.p50_ceiling is not None:
             if window:
-                p50 = _windowed_percentile(window, 0.50)
+                p50 = percentile(window, 0.50)
             else:
                 p50 = oldest_age if oldest_age > self.slo.p50_ceiling else 0.0
             self._track_episode("p50", p50, self.slo.p50_ceiling, now)
         if self.slo.p99_ceiling is not None:
-            p99 = _windowed_percentile(window, 0.99) if window else 0.0
+            p99 = percentile(window, 0.99)
             # A silent window with an over-ceiling backlog counts as a
             # breach: the stalled requests *are* the tail latency.
             p99 = max(p99, oldest_age if oldest_age > self.slo.p99_ceiling else 0.0)

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Sequence, Tuple, Union
+
+
+def percentile(ordered: Sequence[float], fraction: float) -> float:
+    """Nearest rank: sample ``ceil(fraction * n) - 1`` of ascending samples, 0.0 of none."""
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))]
 
 
 class Counter:
@@ -65,13 +72,9 @@ class Histogram:
 
     def percentile(self, fraction: float) -> float:
         """Nearest-rank percentile, ``fraction`` in [0, 1]."""
-        if not self._samples:
-            return 0.0
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be within [0, 1]")
-        ordered = sorted(self._samples)
-        rank = min(len(ordered) - 1, max(0, math.ceil(fraction * len(ordered)) - 1))
-        return ordered[rank]
+        return percentile(sorted(self._samples), fraction)
 
     def maximum(self) -> float:
         """Largest sample (0.0 when empty)."""
@@ -106,14 +109,6 @@ class TimeSeries:
     def total(self) -> float:
         """Sum of every recorded amount across all buckets."""
         return sum(self._buckets.values())
-
-    def to_csv_rows(self) -> List[Tuple[float, float]]:
-        """``(bucket_start_time, total)`` rows for a CSV export.
-
-        Alias of :meth:`buckets` under an export-oriented name so writers
-        (``repro.obs.export``) read as intent, not mechanism.
-        """
-        return self.buckets()
 
     def to_json_dict(self) -> Dict[str, Any]:
         """JSON-serializable representation: name, bucket width, buckets."""
@@ -189,36 +184,10 @@ class MetricsRegistry:
         self._series.clear()
 
 
-@dataclass(frozen=True)
-class ThroughputLatencySample:
-    """One measured operating point: throughput (txn/s) and latency (s)."""
-
-    throughput: float
-    latency: float
-
-
-def summarize_latency(histogram: Histogram, duration: float) -> Optional[ThroughputLatencySample]:
-    """Build a throughput/latency sample from a latency histogram.
-
-    ``duration`` is the measurement window in seconds — throughput is
-    completions per second, not the raw sample count.  Returns ``None`` when
-    the histogram holds no samples (e.g. a stalled protocol), so callers can
-    distinguish "zero throughput" from "no data".
-    """
-    if duration <= 0:
-        raise ValueError("measurement duration must be positive")
-    if histogram.count == 0:
-        return None
-    return ThroughputLatencySample(
-        throughput=histogram.count / duration, latency=histogram.mean()
-    )
-
-
 __all__ = [
     "Counter",
     "Histogram",
     "MetricsRegistry",
-    "ThroughputLatencySample",
     "TimeSeries",
-    "summarize_latency",
+    "percentile",
 ]

@@ -164,13 +164,11 @@ class Network:
         self._c_dropped = metrics_registry.counter("network.messages_dropped")
         self._c_rewritten = metrics_registry.counter("network.messages_rewritten")
         self._c_delivered = metrics_registry.counter("network.messages_delivered")
-        # Per-(sender, receiver) LinkSpec memo.  Fault injectors rescale the
+        # No-topology LinkSpec memo.  Fault injectors rescale the
         # latency parameters in place mid-run, so every lookup validates the
         # cache against the parameters it was built from and rebuilds when
         # they changed.
         self._default_link: Optional[LinkSpec] = None
-        self._topo_links: Dict[Tuple[int, int], LinkSpec] = {}
-        self._topo_params: Optional[Tuple[float, float, float, int]] = None
 
     # -- membership -----------------------------------------------------
 
@@ -236,7 +234,8 @@ class Network:
 
     def _link(self, sender: int, receiver: int) -> LinkSpec:
         """Memoized :meth:`NetworkConfig.link`, validated against the live
-        latency parameters so in-place rescaling (latency faults) is seen."""
+        latency parameters so in-place rescaling (latency faults) is seen.
+        A topology's links are not memoized: it measured no faster (PR 24)."""
         config = self.config
         topology = config.topology
         if topology is None:
@@ -245,21 +244,7 @@ class Network:
                 spec = LinkSpec(delay=config.base_delay, jitter=config.jitter)
                 self._default_link = spec
             return spec
-        params = (
-            topology.intra_delay,
-            topology.inter_delay,
-            topology.jitter_fraction,
-            topology.regions,
-        )
-        if params != self._topo_params:
-            self._topo_links.clear()
-            self._topo_params = params
-        pair = (sender, receiver)
-        spec = self._topo_links.get(pair)
-        if spec is None:
-            spec = topology.link(sender, receiver)
-            self._topo_links[pair] = spec
-        return spec
+        return topology.link(sender, receiver)
 
     def send(self, sender: int, receiver: int, payload: object, size_bytes: int) -> bool:
         """Send ``payload`` from ``sender`` to ``receiver``.

@@ -184,7 +184,7 @@ def test_dispatcher_serves_unchanged_cells_from_the_cache(tmp_path):
 
 def test_figure_and_ablation_cells_match_direct_calls():
     rows = Dispatcher().run("figure", [{"name": "fig7b-batching", "kwargs": {}}])[0]
-    assert rows == experiments.batching()
+    assert rows == experiments.FIGURES["fig7b-batching"].run()
     rows = Dispatcher().run("ablation", [{"name": "commit-rule"}])[0]
     assert rows == ablations.commit_rule_safety()
     with pytest.raises(DispatchError, match="KeyError: 'fig99-unknown'"):
@@ -195,7 +195,7 @@ def test_figure_and_ablation_cells_match_direct_calls():
 
 def test_figure_kwargs_reach_the_experiment():
     rows = Dispatcher().run(
-        "figure", [{"name": "fig7a-scalability", "kwargs": {"replica_counts": [4]}}]
+        "figure", [{"name": "fig7a-scalability", "kwargs": {"replicas": [4]}}]
     )[0]
     assert {row["replicas"] for row in rows} == {4}
 

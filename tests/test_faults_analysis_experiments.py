@@ -1,5 +1,8 @@
 """Tests for fault injection, the analytical models and the experiment harness."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.analysis.complexity import complexity_table, format_complexity_table
 from repro.analysis.model import PerformanceModel, ResourceProfile, Scenario
 from repro.analysis.report import format_table, relative_change
 from repro.bench import experiments
+from repro.bench.experiments import FIGURES
 from repro.bench.cluster import SimulatedCluster
 from repro.core.config import SpotLessConfig
 from repro.core.messages import ProposeMessage, SyncMessage
@@ -238,35 +242,89 @@ def test_model_spotless_beats_hotstuff_at_every_scale(n):
 
 
 def test_scalability_experiment_covers_all_protocols_and_sizes():
-    rows = experiments.scalability(replica_counts=(4, 16))
+    rows = FIGURES["fig7a-scalability"].run(replicas=(4, 16))
     assert len(rows) == 2 * len(experiments.PROTOCOLS)
     assert {row["replicas"] for row in rows} == {4, 16}
     assert all("throughput_txn_s" in row and "latency_s" in row for row in rows)
 
 
 def test_failure_timeline_shows_rcc_dips_and_spotless_stability():
-    rows = experiments.failure_timeline(replicas=32, faulty_replicas=1, duration=60.0)
+    rows = FIGURES["fig12-timeline"].run(replicas=32, faulty_replicas=1, duration=60.0)
     spotless = [r["throughput_txn_s"] for r in rows if r["protocol"] == "spotless" and r["time_s"] > 15]
     rcc = [r["throughput_txn_s"] for r in rows if r["protocol"] == "rcc" and r["time_s"] > 15]
     assert max(spotless) - min(spotless) < max(rcc) - min(rcc)
 
 
 def test_byzantine_experiment_includes_all_attacks_and_rcc_reference():
-    rows = experiments.byzantine_attacks(failure_counts=(0, 4))
+    rows = FIGURES["fig11-byzantine"].run(faulty=(0, 4))
     attacks = {row["attack"] for row in rows if row["protocol"] == "spotless"}
     assert attacks == {"A1", "A2", "A3", "A4"}
     assert any(row["protocol"] == "rcc" for row in rows)
 
 
 def test_geo_regions_experiment_has_both_batch_sizes():
-    rows = experiments.geo_regions(regions=(1, 4), batch_sizes=(100, 400))
+    rows = FIGURES["fig14cd-regions"].run(regions=(1, 4), batch_size=(100, 400))
     assert {row["batch_size"] for row in rows} == {100, 400}
     assert {row["regions"] for row in rows} == {1, 4}
 
 
 def test_single_instance_experiment_restricted_to_one_instance():
-    rows = experiments.single_instance_failures(ratios=(0.0, 1.0))
+    rows = FIGURES["fig15-single-instance"].run(ratio=(0.0, 1.0))
     assert {row["protocol"] for row in rows} == {"spotless", "hotstuff"}
+
+
+def test_sweep_rejects_an_axis_it_does_not_know():
+    with pytest.raises(TypeError, match="replica_counts"):
+        FIGURES["fig7a-scalability"].run(replica_counts=(4, 16))
+
+
+def test_overriding_replicas_keeps_figure_8_failure_counts_within_f():
+    rows = FIGURES["fig8-spotless-failures"].run(replicas=(4, 16))
+    assert [row["faulty"] for row in rows if row["replicas"] == 4] == [0, 1]
+    assert [row["faulty"] for row in rows if row["replicas"] == 16] == [0, 1, 2, 3, 4, 5]
+
+
+def test_an_axis_the_figure_does_not_vary_is_walked_outermost():
+    rows = FIGURES["fig13-instances"].run(replicas=(64,), instances=(1, 64))
+    assert [(row["replicas"], row["instances"], row["protocol"]) for row in rows] == [
+        (64, 1, "spotless"),
+        (64, 1, "rcc"),
+        (64, 64, "spotless"),
+        (64, 64, "rcc"),
+    ]
+
+
+#: Row count and digest of every model figure at its defaults, as the
+#: per-figure functions `sweep` replaced returned them (PR 21's HEAD).
+FIGURE_ROWS = {
+    "fig7a-scalability": (30, "ea0d00212487"),
+    "fig7b-batching": (25, "86447d198ea7"),
+    "fig7c-throughput-latency": (25, "b3d166902a45"),
+    "fig7d-transaction-size": (30, "4ce426fa0b23"),
+    "fig7e-failures": (40, "24c577c7bd3b"),
+    "fig7f-failure-ratio": (30, "94236a1f21c4"),
+    "fig8-spotless-failures": (35, "3c55b28d84c7"),
+    "fig9-latency-failures": (30, "dcc26260d308"),
+    "fig10-parallelism": (30, "dcc26260d308"),
+    "fig11-byzantine": (40, "f1990b8cbc09"),
+    "fig12-timeline": (56, "1a458f583769"),
+    "fig13-instances": (12, "300f9938484d"),
+    "fig14a-cpu": (20, "7e9065c226ba"),
+    "fig14b-bandwidth": (25, "4747709c6d4b"),
+    "fig14cd-regions": (40, "f7328433f445"),
+    "fig15-single-instance": (12, "dd9b186878f3"),
+}
+
+
+def test_every_figure_but_the_simulated_one_is_pinned():
+    assert set(FIGURE_ROWS) == set(FIGURES) - {"offered-load"}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_ROWS))
+def test_figure_rows_match_their_pinned_digest(name):
+    rows = FIGURES[name].run()
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()[:12]
+    assert (len(rows), digest) == FIGURE_ROWS[name]
 
 
 def test_format_table_renders_all_rows():

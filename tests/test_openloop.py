@@ -8,6 +8,7 @@ oracle's breach-episode tracking through the overload scenario family.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 from typing import List
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.client import OpenLoopClientPool
 from repro.core.config import SpotLessConfig
 from repro.core.messages import InformMessage
 from repro.scenarios import (
+    InvariantOracle,
     ScenarioSpec,
     SloBreach,
     SloSpec,
@@ -24,7 +26,7 @@ from repro.scenarios import (
 )
 from repro.sim.actor import Actor
 from repro.sim.engine import Simulator
-from repro.sim.metrics import Histogram, summarize_latency
+from repro.sim.metrics import Histogram
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import DeterministicRng
 from repro.workload.arrival import LoadPhase, LoadProfile, overload_profile
@@ -98,31 +100,6 @@ def test_load_profile_json_round_trip():
         base_rate=880.0, spike_rate=4400.0, ramp=0.1, hold=0.1, spike=0.1, drain=0.3, recovery=0.3
     )
     assert LoadProfile.from_json_dict(profile.to_json_dict()) == profile
-
-
-# ---------------------------------------------------------------------------
-# duration-aware latency summaries
-# ---------------------------------------------------------------------------
-
-
-def test_summarize_latency_divides_by_the_measurement_window():
-    histogram = Histogram("latency")
-    for _ in range(100):
-        histogram.observe(0.01)
-    sample = summarize_latency(histogram, duration=2.0)
-    assert sample.throughput == pytest.approx(50.0)
-    assert sample.latency == pytest.approx(0.01)
-
-
-def test_summarize_latency_rejects_non_positive_durations():
-    histogram = Histogram("latency")
-    histogram.observe(0.01)
-    with pytest.raises(ValueError):
-        summarize_latency(histogram, duration=0.0)
-
-
-def test_summarize_latency_returns_none_without_samples():
-    assert summarize_latency(Histogram("latency"), duration=1.0) is None
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +217,20 @@ def test_require_breach_flags_a_run_that_never_saturates():
     result = run_scenario(spec)
     assert [v.invariant for v in result.violations] == ["slo-no-breach"]
     assert result.slo_breaches == ()
+
+
+def test_slo_window_median_is_the_second_lowest_of_four_samples():
+    # The oracle ranks its window by the rule Histogram.percentile uses
+    # (ceil(fraction * n) - 1), not one rank higher.
+    pool = SimpleNamespace(
+        latency=Histogram("latency"), oldest_pending_age=lambda: 0.0, confirmed_transactions=4
+    )
+    for value in (0.04, 0.01, 0.03, 0.02):
+        pool.latency.observe(value)
+    cluster = SimpleNamespace(simulator=Simulator(), replicas=[], clients=[pool])
+    oracle = InvariantOracle(cluster, slo=SloSpec(p50_ceiling=0.015))
+    oracle.check_now()
+    assert [(breach.metric, breach.peak) for breach in oracle.slo_breaches] == [("p50", 0.02)]
 
 
 def test_slo_spec_and_breach_json_round_trip():

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.actor import Actor
 from repro.sim.engine import Simulator
-from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries
+from repro.sim.metrics import Histogram, MetricsRegistry, TimeSeries, percentile
 from repro.sim.network import Network, NetworkConfig, Partition, RegionTopology
 from repro.sim.rng import DeterministicRng, zipf_cdf
 
@@ -182,6 +182,11 @@ def test_histogram_statistics():
         histogram.observe(value)
     assert histogram.mean() == pytest.approx(2.5)
     assert histogram.percentile(0.5) == 2.0
+    # The free function is the one rank rule: the lower of an even count's
+    # two middle samples, the last sample at 1.0, 0.0 with nothing to rank.
+    assert percentile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+    assert percentile([1.0, 2.0, 3.0, 4.0], 0.99) == percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
+    assert percentile([], 0.5) == 0.0
     assert histogram.maximum() == 4.0
     assert histogram.minimum() == 1.0
     histogram.reset()
