@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from repro.bench.cluster import SimulatedCluster
 from repro.core.config import SpotLessConfig
-from repro.faults.attacks import attack_by_name
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultEvent, FaultInjector
 
 
 NUM_REPLICAS = 4
@@ -33,9 +32,9 @@ def run_attack(attack_name: str | None) -> tuple[float, bool]:
     config = SpotLessConfig(num_replicas=NUM_REPLICAS, batch_size=10)
     cluster = SimulatedCluster.spotless(config, clients=4, outstanding_per_client=6)
     if attack_name is not None:
-        injector = FaultInjector(cluster)
-        scenario = attack_by_name(attack_name, attackers=[ATTACKER], victims=[VICTIM])
-        injector.launch_attack(scenario, at=0.2)
+        FaultInjector(cluster).schedule(
+            FaultEvent(kind=attack_name, at=0.2, replicas=(ATTACKER,), victims=(VICTIM,))
+        )
     result = cluster.run(duration=DURATION)
     try:
         cluster.assert_no_divergence()

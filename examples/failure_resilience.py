@@ -15,7 +15,7 @@ Run with::
 from __future__ import annotations
 
 from repro.bench.cluster import SimulatedCluster
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultEvent, FaultInjector
 
 
 def run_protocol(protocol: str, failure_at: float, duration: float) -> None:
@@ -26,8 +26,7 @@ def run_protocol(protocol: str, failure_at: float, duration: float) -> None:
         outstanding_per_client=6,
         batch_size=20,
     )
-    injector = FaultInjector(cluster)
-    injector.crash_replicas([3], at=failure_at)
+    FaultInjector(cluster).schedule(FaultEvent(kind="crash", at=failure_at, replicas=(3,)))
 
     cluster.start()
     cluster.simulator.run_for(failure_at)

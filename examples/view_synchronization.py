@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from repro.bench.cluster import SimulatedCluster
 from repro.core.config import SpotLessConfig
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultEvent, FaultInjector
 
 NUM_REPLICAS = 4
 ISOLATED = 3
@@ -43,9 +43,12 @@ def run(view_sync_mode: str) -> list[tuple[float, int]]:
     """Run one cluster and sample the isolated replica's view lag over time."""
     config = SpotLessConfig(num_replicas=NUM_REPLICAS, num_instances=1, view_sync_mode=view_sync_mode)
     cluster = SimulatedCluster.spotless(config, clients=2, outstanding_per_client=4)
-    injector = FaultInjector(cluster)
-    others = [replica for replica in range(NUM_REPLICAS) if replica != ISOLATED]
-    injector.partition([others, [ISOLATED]], at=PARTITION_START, until=PARTITION_END)
+    others = tuple(replica for replica in range(NUM_REPLICAS) if replica != ISOLATED)
+    FaultInjector(cluster).schedule(
+        FaultEvent(
+            kind="partition", at=PARTITION_START, until=PARTITION_END, groups=(others, (ISOLATED,))
+        )
+    )
 
     cluster.start()
     samples: list[tuple[float, int]] = []

@@ -126,7 +126,7 @@ def failure_direction_check(
     faulty: int = 1,
 ) -> Dict[str, object]:
     """Check that failures reduce throughput in both the simulator and the model."""
-    from repro.faults.injector import FaultInjector
+    from repro.faults.injector import FaultEvent, FaultInjector
     from repro.core.config import SpotLessConfig
 
     model = PerformanceModel()
@@ -139,7 +139,7 @@ def failure_direction_check(
         SpotLessConfig(num_replicas=num_replicas, batch_size=10), clients=4, outstanding_per_client=8
     )
     injector = FaultInjector(faulty_cluster)
-    injector.crash_replicas(list(range(num_replicas - faulty, num_replicas)), at=0.0)
+    injector.schedule(FaultEvent("crash", 0.0, replicas=tuple(range(num_replicas - faulty, num_replicas))))
     degraded = faulty_cluster.run(duration=duration).throughput
 
     model_healthy = model.predict(Scenario(protocol="spotless", num_replicas=num_replicas, batch_size=10))

@@ -26,7 +26,7 @@ from repro.core.config import SpotLessConfig
 from repro.core.messages import ProposeMessage
 from repro.bench.cluster import SimulatedCluster
 from repro.bench.experiments import Experiment
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultEvent, FaultInjector
 from repro.sim.network import NetworkConfig, RegionTopology
 
 
@@ -154,8 +154,8 @@ def view_synchronization_recovery(
         cluster = SimulatedCluster.spotless(config, clients=2, outstanding_per_client=4)
         injector = FaultInjector(cluster)
         isolated = num_replicas - 1
-        others = [r for r in range(num_replicas) if r != isolated]
-        injector.partition([others, [isolated]], at=0.1, until=0.1 + partition_duration)
+        others = tuple(r for r in range(num_replicas) if r != isolated)
+        injector.schedule(FaultEvent("partition", 0.1, 0.1 + partition_duration, groups=(others, (isolated,))))
         cluster.start()
         cluster.simulator.run_for(0.1 + partition_duration)
         lag_at_heal = _max_view(cluster, others[0]) - _max_view(cluster, isolated)
@@ -203,7 +203,7 @@ def timeout_policy_stability(
         )
         cluster = SimulatedCluster.spotless(config, clients=4, outstanding_per_client=6)
         injector = FaultInjector(cluster)
-        injector.crash_replicas([num_replicas - 1], at=crash_at)
+        injector.schedule(FaultEvent("crash", crash_at, replicas=(num_replicas - 1,)))
         cluster.start()
         elapsed = 0.0
         window_counts: List[int] = []

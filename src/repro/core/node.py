@@ -15,7 +15,6 @@ cross-instance total order and its contiguity-aware execution frontier.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.chain import Proposal
@@ -126,18 +125,18 @@ class SpotLessReplica(ReplicaRuntime):
             self.instances[instance_id] = SpotLessInstance(
                 instance_id=instance_id,
                 config=config,
-                environment=self._make_environment(instance_id),
+                environment=self._make_environment(),
             )
 
     # ------------------------------------------------------------------
     # environment wiring
     # ------------------------------------------------------------------
 
-    def _make_environment(self, instance_id: int) -> InstanceEnvironment:
+    def _make_environment(self) -> InstanceEnvironment:
         return InstanceEnvironment(
             replica_id=self.node_id,
-            broadcast=partial(self._broadcast_protocol, instance_id),
-            send=partial(self._send_protocol, instance_id),
+            broadcast=self._broadcast_protocol,
+            send=self._send_protocol,
             make_timer=self.timer,
             next_batch=self._next_batch,
             on_commit=self._on_instance_commit,
@@ -151,22 +150,22 @@ class SpotLessReplica(ReplicaRuntime):
             size += self.config.quorum * self.size_model.constants.signature_bytes
         return size
 
-    def _deliver_to_self(self, instance_id: int, message: Message) -> None:
+    def _deliver_to_self(self, message: Message) -> None:
         # Remark 3.1: replicas logically send to themselves as well; locally
         # this is a zero-delay delivery that consumes no network resources.
         # Scheduling (rather than calling directly) keeps handler call stacks
         # flat when many catch-up messages are emitted in one step.
-        self.simulator.schedule_call(0.0, self._dispatch, (self.node_id, instance_id, message))
+        self.simulator.schedule_call(0.0, self.on_protocol_message, (self.node_id, message))
 
-    def _broadcast_protocol(self, instance_id: int, message: Message) -> None:
-        self.broadcast(self._broadcast_peers, (instance_id, message), self._message_size(message))
-        self._deliver_to_self(instance_id, message)
+    def _broadcast_protocol(self, message: Message) -> None:
+        self.broadcast(self._broadcast_peers, message, self._message_size(message))
+        self._deliver_to_self(message)
 
-    def _send_protocol(self, instance_id: int, receiver: int, message: Message) -> None:
+    def _send_protocol(self, receiver: int, message: Message) -> None:
         if receiver == self.node_id:
-            self._deliver_to_self(instance_id, message)
+            self._deliver_to_self(message)
             return
-        self.send(receiver, (instance_id, message), self._message_size(message))
+        self.send(receiver, message, self._message_size(message))
 
     # ------------------------------------------------------------------
     # client requests and batching
@@ -211,20 +210,16 @@ class SpotLessReplica(ReplicaRuntime):
             instance.start()
 
     def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Dispatch an ``(instance, message)`` tuple to its consensus instance.
+        """Route a consensus message to the instance it names.
 
         Transactions and the recovery-layer messages (checkpoint votes,
         state requests/responses) are handled by the shared runtime; only
         what it does not recognise reaches this method.
         """
-        if isinstance(payload, tuple) and len(payload) == 2:
-            self._dispatch(sender, *payload)
-
-    def _dispatch(self, sender: int, instance_id: int, message: Message) -> None:
-        instance = self.instances.get(instance_id)
-        handler = _HANDLERS.get(message.__class__)
+        instance = self.instances.get(payload.instance)
+        handler = _HANDLERS.get(payload.__class__)
         if instance is not None and handler is not None:
-            handler(instance, sender, message)
+            handler(instance, sender, payload)
 
     # ------------------------------------------------------------------
     # commits, total order and execution

@@ -2,16 +2,15 @@
 
 The paper's failure experiments use non-responsive replicas (Figures 7(e,f),
 8, 9, 10, 12) and four Byzantine attack scenarios A1-A4 (Figure 11).  The
-injectors here act on the simulated network and on replica actors, so any of
+injector applies each :class:`FaultEvent` to the simulated network, so any of
 the implemented protocols can be subjected to the same faults.
 """
 
-from repro.faults.injector import FaultInjector, FaultSchedule
+from repro.faults.injector import FaultEvent, FaultInjector
 from repro.faults.attacks import (
     AttackScenario,
     DarknessAttack,
     EquivocationAttack,
-    NonResponsiveAttack,
     VoteWithholdingAttack,
     attack_by_name,
     conflicting_digest,
@@ -21,9 +20,8 @@ __all__ = [
     "AttackScenario",
     "DarknessAttack",
     "EquivocationAttack",
+    "FaultEvent",
     "FaultInjector",
-    "FaultSchedule",
-    "NonResponsiveAttack",
     "VoteWithholdingAttack",
     "attack_by_name",
     "conflicting_digest",

@@ -4,6 +4,7 @@ Each scenario is expressed as rules applied to the simulated network or to a
 faulty replica's outgoing messages:
 
 * **A1 — non-responsive**: the faulty replica stops sending and receiving.
+  The injector applies it as a crash, so no rule here models it.
 * **A2 — in the dark**: when the faulty replica is primary it withholds its
   proposal from f non-faulty victims.
 * **A3 — equivocation**: the faulty replica sends conflicting votes — one
@@ -16,26 +17,12 @@ faulty replica's outgoing messages:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, Set
+from typing import Iterable, Optional, Set
 
 from repro.core.messages import Claim, ProposeMessage, SyncMessage
 from repro.crypto.digest import digest_bytes
 from repro.protocols.hotstuff.messages import HsProposal, HsVote
 from repro.protocols.pbft.messages import PrepareMessage, PrePrepareMessage, CommitMessage
-
-
-def _protocol_message(payload: object) -> object:
-    """Unwrap the (instance, message) tuples SpotLess replicas exchange."""
-    if isinstance(payload, tuple) and len(payload) == 2:
-        return payload[1]
-    return payload
-
-
-def _rewrap(payload: object, message: object) -> object:
-    """Re-wrap a rewritten message in the payload's original envelope."""
-    if isinstance(payload, tuple) and len(payload) == 2:
-        return (payload[0], message)
-    return message
 
 
 def conflicting_digest(digest: bytes) -> bytes:
@@ -49,7 +36,7 @@ def conflicting_digest(digest: bytes) -> bytes:
 
 @dataclass
 class AttackScenario:
-    """Base class: a drop rule plus optional per-replica behaviour."""
+    """Base class: a drop rule, or (for equivocation) a rewrite rule."""
 
     attackers: Set[int] = field(default_factory=set)
     victims: Set[int] = field(default_factory=set)
@@ -59,7 +46,7 @@ class AttackScenario:
         """Network-level drop decision for a message in flight."""
         return False
 
-    def rewrite(self, sender: int, receiver: int, payload: object) -> Optional[object]:
+    def rewrite(self, sender: int, receiver: int, message: object) -> Optional[object]:
         """Network-level payload substitution (None keeps the payload).
 
         Only scenarios that equivocate override this; the injector installs
@@ -67,23 +54,10 @@ class AttackScenario:
         """
         return None
 
-    def configure(self, replicas: Sequence[object]) -> None:
-        """Hook for scenarios that need to alter replica behaviour directly."""
-
     @property
     def rewrites(self) -> bool:
         """True when this scenario substitutes payloads in flight."""
         return type(self).rewrite is not AttackScenario.rewrite
-
-
-@dataclass
-class NonResponsiveAttack(AttackScenario):
-    """A1: attackers neither send nor receive anything."""
-
-    name: str = "A1"
-
-    def should_drop(self, sender: int, receiver: int, payload: object) -> bool:
-        return sender in self.attackers or receiver in self.attackers
 
 
 @dataclass
@@ -100,8 +74,7 @@ class DarknessAttack(AttackScenario):
     def should_drop(self, sender: int, receiver: int, payload: object) -> bool:
         if sender not in self.attackers or receiver not in self.victims:
             return False
-        message = _protocol_message(payload)
-        return isinstance(message, (ProposeMessage, PrePrepareMessage, HsProposal))
+        return isinstance(payload, (ProposeMessage, PrePrepareMessage, HsProposal))
 
 
 @dataclass
@@ -119,25 +92,20 @@ class EquivocationAttack(AttackScenario):
 
     name: str = "A3"
 
-    def rewrite(self, sender: int, receiver: int, payload: object) -> Optional[object]:
+    def rewrite(self, sender: int, receiver: int, message: object) -> Optional[object]:
         if sender not in self.attackers or receiver not in self.victims:
             return None
-        message = _protocol_message(payload)
         if isinstance(message, SyncMessage) and not message.claim.is_failure:
             claim = Claim(
                 view=message.claim.view,
                 digest=conflicting_digest(message.claim.digest),
                 primary_signature=None,
             )
-            return _rewrap(payload, replace(message, claim=claim))
+            return replace(message, claim=claim)
         if isinstance(message, (PrepareMessage, CommitMessage)):
-            return _rewrap(
-                payload, replace(message, batch_digest=conflicting_digest(message.batch_digest))
-            )
+            return replace(message, batch_digest=conflicting_digest(message.batch_digest))
         if isinstance(message, HsVote):
-            return _rewrap(
-                payload, replace(message, node_digest=conflicting_digest(message.node_digest))
-            )
+            return replace(message, node_digest=conflicting_digest(message.node_digest))
         return None
 
 
@@ -150,8 +118,7 @@ class VoteWithholdingAttack(AttackScenario):
     def should_drop(self, sender: int, receiver: int, payload: object) -> bool:
         if sender not in self.attackers:
             return False
-        message = _protocol_message(payload)
-        return isinstance(message, (SyncMessage, PrepareMessage, CommitMessage, HsVote))
+        return isinstance(payload, (SyncMessage, PrepareMessage, CommitMessage, HsVote))
 
 
 def attack_by_name(
@@ -159,11 +126,10 @@ def attack_by_name(
     attackers: Iterable[int],
     victims: Optional[Iterable[int]] = None,
 ) -> AttackScenario:
-    """Build an attack scenario from its paper label (A1-A4)."""
+    """Build an attack scenario from its paper label (A2-A4; A1 is a crash)."""
     attacker_set = set(attackers)
     victim_set = set(victims or ())
     scenarios = {
-        "A1": NonResponsiveAttack,
         "A2": DarknessAttack,
         "A3": EquivocationAttack,
         "A4": VoteWithholdingAttack,
@@ -178,7 +144,6 @@ __all__ = [
     "AttackScenario",
     "DarknessAttack",
     "EquivocationAttack",
-    "NonResponsiveAttack",
     "VoteWithholdingAttack",
     "attack_by_name",
     "conflicting_digest",

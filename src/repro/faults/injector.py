@@ -2,36 +2,75 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.faults.attacks import AttackScenario, NonResponsiveAttack
-from repro.sim.network import CompositePartition, Network, Partition
+from repro.faults.attacks import attack_by_name
+from repro.sim.network import Network, Partition
+
+ATTACK_KINDS = ("A1", "A2", "A3", "A4")
+FAULT_KINDS = ATTACK_KINDS + ("crash", "partition", "latency")
 
 
 @dataclass(frozen=True)
-class FaultSchedule:
-    """A timed fault event.
+class FaultEvent:
+    """One timed entry of a fault script.
 
-    ``at`` is the simulated time at which the fault takes effect; ``until``
-    (optional) is when it heals.  ``kind`` selects the fault: ``crash`` marks
-    replicas down, ``attack`` installs an :class:`AttackScenario` drop (and,
-    for equivocating scenarios, rewrite) rule, ``partition`` splits the
-    network into the given groups, and ``latency`` multiplies the base link
-    delay and jitter by ``factor`` (a degraded-network window).
+    ``kind`` is one of :data:`FAULT_KINDS`.  ``at`` and ``until`` are
+    simulated times (``until=None`` means the fault persists to the end of
+    the run).  ``replicas`` are the crash targets or attackers, ``victims``
+    the A2/A3 victim group, ``groups`` the partition classes, and ``factor``
+    the latency multiplier.
     """
 
-    at: float
     kind: str
-    replicas: tuple = ()
-    scenario: Optional[AttackScenario] = None
-    groups: tuple = ()
+    at: float
     until: Optional[float] = None
-    factor: float = 1.0
+    replicas: Tuple[int, ...] = ()
+    victims: Tuple[int, ...] = ()
+    groups: Tuple[Tuple[int, ...], ...] = ()
+    factor: float = 4.0
+
+    def __post_init__(self) -> None:
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(f"unknown fault kind {self.kind!r}; choose one of {FAULT_KINDS}")
+        if self.until is not None and self.until <= self.at:
+            # A reversed window would heal before it applies and then stick
+            # forever (the apply's refcount is never balanced).
+            raise ValueError(f"fault heals at {self.until} before it starts at {self.at}")
+        if self.factor <= 0:
+            raise ValueError("latency factor must be positive")
+
+    def label(self) -> str:
+        """Compact human-readable description of the event."""
+        window = f"@{self.at:g}" + (f"-{self.until:g}" if self.until is not None else "-")
+        if self.kind == "partition":
+            return f"partition{self.groups}{window}"
+        if self.kind == "latency":
+            return f"latency x{self.factor:g}{window}"
+        return f"{self.kind}{self.replicas}{window}"
+
+    def to_json_dict(self) -> Dict[str, Any]:
+        """JSON-serializable representation of the event."""
+        return asdict(self)
+
+    @classmethod
+    def from_json_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
+        """Rebuild an event from :meth:`to_json_dict` output (validates)."""
+        return cls(
+            kind=data["kind"],
+            at=data["at"],
+            until=data.get("until"),
+            replicas=tuple(data.get("replicas", ())),
+            victims=tuple(data.get("victims", ())),
+            groups=tuple(tuple(group) for group in data.get("groups", ())),
+            factor=data.get("factor", 4.0),
+        )
 
 
 class FaultInjector:
-    """Applies fault schedules to a cluster's network and replicas.
+    """Applies fault events to a cluster's network.
 
     The injector only schedules simulator callbacks; it performs no fault
     action by itself at construction time, so the same cluster can be reused
@@ -41,164 +80,62 @@ class FaultInjector:
     def __init__(self, cluster) -> None:
         self.cluster = cluster
         self.network: Network = cluster.network
-        self.applied: List[FaultSchedule] = []
-        self.healed: List[FaultSchedule] = []
         self._latency_factor = 1.0
-        self._latency_baseline: Optional[tuple] = None
         # Overlapping windows must compose: down-marks are refcounted and
-        # active partitions stacked, so healing one window removes only its
+        # rules removed one by one, so healing one window removes only its
         # own contribution.
         self._down_counts: Dict[int, int] = {}
-        self._active_partitions: List[Partition] = []
 
     # ------------------------------------------------------------------
 
-    def schedule(self, fault: FaultSchedule) -> None:
-        """Install one fault schedule."""
-        if fault.until is not None and fault.until <= fault.at:
-            # A reversed window would heal before it applies and then stick
-            # forever (the apply's refcount is never balanced).
-            raise ValueError(f"fault heals at {fault.until} before it starts at {fault.at}")
+    def schedule(self, fault: FaultEvent) -> None:
+        """Install one fault event: its apply at ``at``, its heal at ``until``."""
+        apply, heal = self._actions(fault)
+        kind = "attack" if fault.kind in ATTACK_KINDS else fault.kind
         self.cluster.simulator.schedule(
             max(0.0, fault.at - self.cluster.simulator.now),
-            lambda: self._apply(fault),
-            label=f"fault:{fault.kind}@{fault.at}",
+            apply,
+            label=f"fault:{kind}@{fault.at}",
         )
         if fault.until is not None:
             self.cluster.simulator.schedule(
                 max(0.0, fault.until - self.cluster.simulator.now),
-                lambda: self._heal(fault),
-                label=f"heal:{fault.kind}@{fault.until}",
+                heal,
+                label=f"heal:{kind}@{fault.until}",
             )
 
-    def crash_replicas(self, replicas: Sequence[int], at: float, until: Optional[float] = None) -> None:
-        """Make ``replicas`` non-responsive starting at time ``at``."""
-        self.schedule(FaultSchedule(at=at, kind="crash", replicas=tuple(replicas), until=until))
-
-    def launch_attack(self, scenario: AttackScenario, at: float, until: Optional[float] = None) -> None:
-        """Install a Byzantine attack scenario at time ``at``."""
-        self.schedule(FaultSchedule(at=at, kind="attack", scenario=scenario, until=until))
-
-    def partition(self, groups: Sequence[Sequence[int]], at: float, until: Optional[float] = None) -> None:
-        """Partition the network into ``groups`` at time ``at``."""
-        frozen = tuple(frozenset(group) for group in groups)
-        self.schedule(FaultSchedule(at=at, kind="partition", groups=frozen, until=until))
-
-    def degrade_latency(self, factor: float, at: float, until: Optional[float] = None) -> None:
-        """Multiply base link delay and jitter by ``factor`` during the window."""
-        if factor <= 0:
-            raise ValueError("latency factor must be positive")
-        self.schedule(FaultSchedule(at=at, kind="latency", factor=factor, until=until))
-
-    # ------------------------------------------------------------------
-
-    def _mark_down(self, replica: int) -> None:
-        """Refcounted down-mark: the node goes down on the first active window."""
-        count = self._down_counts.get(replica, 0)
-        self._down_counts[replica] = count + 1
-        if count == 0:
-            self.network.set_node_down(replica, True)
-
-    def _mark_up(self, replica: int) -> None:
-        """Refcounted up-mark: the node revives when its last window heals."""
-        count = self._down_counts.get(replica, 0) - 1
-        if count <= 0:
-            self._down_counts.pop(replica, None)
-            self.network.set_node_down(replica, False)
-        else:
-            self._down_counts[replica] = count
-
-    def _install_partitions(self) -> None:
-        """Reinstall the composite of all currently active partition windows."""
-        if not self._active_partitions:
-            self.network.set_partition(None)
-        elif len(self._active_partitions) == 1:
-            self.network.set_partition(self._active_partitions[0])
-        else:
-            self.network.set_partition(CompositePartition(tuple(self._active_partitions)))
-
-    def _apply(self, fault: FaultSchedule) -> None:
-        self.applied.append(fault)
-        if fault.kind == "crash":
-            for replica in fault.replicas:
-                self._mark_down(replica)
-        elif fault.kind == "attack" and fault.scenario is not None:
-            if isinstance(fault.scenario, NonResponsiveAttack):
-                for replica in fault.scenario.attackers:
-                    self._mark_down(replica)
-            else:
-                self.network.add_drop_rule(fault.scenario.should_drop)
-                if fault.scenario.rewrites:
-                    self.network.add_rewrite_rule(fault.scenario.rewrite)
-                fault.scenario.configure(self.cluster.replicas)
-        elif fault.kind == "partition":
-            self._active_partitions.append(Partition(groups=fault.groups))
-            self._install_partitions()
-        elif fault.kind == "latency":
-            self._latency_factor *= fault.factor
-            self._scale_latency_from_baseline()
-
-    def _scale_latency_from_baseline(self) -> None:
-        """Apply the combined latency factor to the pristine link delays.
-
-        Recomputing from a snapshot (instead of multiplying the live values)
-        keeps overlapping windows exact: when every window has healed the
-        factor is back to 1.0 and the config returns to its original values
-        with no floating-point drift.  Topology-based configs scale their
-        intra/inter-region delays, since ``link()`` ignores ``base_delay``
-        when a topology is set.
-        """
-        config = self.network.config
-        topology = config.topology
-        if self._latency_baseline is None:
-            self._latency_baseline = (
-                config.base_delay,
-                config.jitter,
-                topology.intra_delay if topology else None,
-                topology.inter_delay if topology else None,
+    def _actions(self, fault: FaultEvent) -> Tuple[Callable[[], None], Callable[[], None]]:
+        """A window's apply and heal, built once so the heal undoes exactly its apply."""
+        network = self.network
+        if fault.kind in ("crash", "A1"):
+            return partial(self._mark, fault.replicas, 1), partial(self._mark, fault.replicas, -1)
+        if fault.kind == "latency":
+            # The heal divides by the factor: multiplying by 1/f rounds differently.
+            return (
+                lambda: self._set_latency(self._latency_factor * fault.factor),
+                lambda: self._set_latency(self._latency_factor / fault.factor),
             )
-        base_delay, jitter, intra, inter = self._latency_baseline
-        factor = self._latency_factor
-        config.base_delay = base_delay * factor
-        config.jitter = jitter * factor
-        if topology is not None and intra is not None:
-            topology.intra_delay = intra * factor
-            topology.inter_delay = inter * factor
+        if fault.kind == "partition":
+            rule = Partition(groups=tuple(frozenset(group) for group in fault.groups)).blocks
+        else:
+            scenario = attack_by_name(fault.kind, attackers=fault.replicas, victims=fault.victims)
+            if scenario.rewrites:
+                rule = scenario.rewrite
+                return partial(network.add_rewrite_rule, rule), partial(network.remove_rewrite_rule, rule)
+            rule = scenario.should_drop
+        return partial(network.add_drop_rule, rule), partial(network.remove_drop_rule, rule)
 
-    def restore_latency_baseline(self) -> None:
-        """Reset link delays to their pristine values.
+    def _mark(self, replicas: Tuple[int, ...], windows: int) -> None:
+        """Refcounted down-marks: a node is down while one of its windows is open."""
+        for replica in replicas:
+            count = self._down_counts.pop(replica, 0) + windows
+            if count > 0:
+                self._down_counts[replica] = count
+            self.network.set_node_down(replica, count > 0)
 
-        A latency window that never heals inside the run leaves the shared
-        ``NetworkConfig``/``RegionTopology`` scaled; callers that reuse the
-        config across clusters (or end a run mid-window) call this teardown.
-        """
-        self._latency_factor = 1.0
-        if self._latency_baseline is not None:
-            self._scale_latency_from_baseline()
-
-    def _heal(self, fault: FaultSchedule) -> None:
-        self.healed.append(fault)
-        if fault.kind == "crash":
-            for replica in fault.replicas:
-                self._mark_up(replica)
-        elif fault.kind == "attack" and fault.scenario is not None:
-            if isinstance(fault.scenario, NonResponsiveAttack):
-                for replica in fault.scenario.attackers:
-                    self._mark_up(replica)
-            else:
-                # Remove only this scenario's own rules: clearing every rule
-                # would heal concurrently running attack windows early.
-                self.network.remove_drop_rule(fault.scenario.should_drop)
-                if fault.scenario.rewrites:
-                    self.network.remove_rewrite_rule(fault.scenario.rewrite)
-        elif fault.kind == "partition":
-            installed = Partition(groups=fault.groups)
-            if installed in self._active_partitions:
-                self._active_partitions.remove(installed)
-            self._install_partitions()
-        elif fault.kind == "latency":
-            self._latency_factor /= fault.factor
-            self._scale_latency_from_baseline()
+    def _set_latency(self, factor: float) -> None:
+        self._latency_factor = factor
+        self.network.set_latency_factor(factor)
 
 
-__all__ = ["FaultInjector", "FaultSchedule"]
+__all__ = ["ATTACK_KINDS", "FAULT_KINDS", "FaultEvent", "FaultInjector"]

@@ -128,15 +128,6 @@ class ReplicaRuntime(Actor):
         if self.checkpoints.enabled:
             self.pipeline.on_executed = self._on_position_executed
 
-        # Exact-class routing table for recovery-layer messages (the types
-        # are final dataclasses); consensus payloads miss this dict once and
-        # go straight to the protocol handler.
-        self._recovery_dispatch: Dict[type, Callable[[int, object], None]] = {
-            CheckpointVote: self._on_checkpoint_vote,
-            StateRequest: self._serve_state_request,
-            StateResponse: self._on_state_response,
-        }
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
@@ -207,21 +198,18 @@ class ReplicaRuntime(Actor):
         """Hook: start the protocol (arm timers, propose if primary)."""
 
     def on_message(self, sender: int, payload: object) -> None:
-        """Route deliveries: transactions go to the pool, the rest to the protocol.
-
-        Routing is by exact class (payload types are final dataclasses), so
-        the common consensus-message case pays one dict probe instead of an
-        isinstance chain.
-        """
+        """Route deliveries: transactions go to the pool, the rest to the protocol."""
         cls = payload.__class__
         if cls is Transaction:
             self.submit_transaction(payload)
-            return
-        handler = self._recovery_dispatch.get(cls)
-        if handler is not None:
-            handler(sender, payload)
-            return
-        self.on_protocol_message(sender, payload)
+        elif cls is CheckpointVote:
+            self._on_checkpoint_vote(sender, payload)
+        elif cls is StateRequest:
+            self._serve_state_request(sender, payload)
+        elif cls is StateResponse:
+            self._on_state_response(sender, payload)
+        else:
+            self.on_protocol_message(sender, payload)
 
     def on_protocol_message(self, sender: int, payload: object) -> None:
         """Handle a consensus message; implemented by protocol subclasses."""

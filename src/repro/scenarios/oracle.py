@@ -257,11 +257,7 @@ class InvariantOracle:
 
     def _check_agreement(self) -> None:
         """No two replicas decided different proposals for the same slot."""
-        maps = [
-            (replica.node_id, replica.committed_map())
-            for replica in self.cluster.replicas
-            if hasattr(replica, "committed_map")
-        ]
+        maps = [(replica.node_id, replica.committed_map()) for replica in self.cluster.replicas]
         reference: Dict[Tuple[int, int], Tuple[int, bytes]] = {}
         for node_id, committed in maps:
             for slot, digest in committed.items():
@@ -280,7 +276,6 @@ class InvariantOracle:
         executions = [
             (replica.node_id, replica.executed_transaction_digests())
             for replica in self.cluster.replicas
-            if hasattr(replica, "executed_transaction_digests")
         ]
         if not executions:
             return
@@ -304,8 +299,6 @@ class InvariantOracle:
     def _check_monotonic_frontier(self) -> None:
         """A replica's executed prefix never shrinks between checks."""
         for replica in self.cluster.replicas:
-            if not hasattr(replica, "executed_transaction_digests"):
-                continue
             frontier = len(replica.executed_transaction_digests())
             previous = self._frontiers.get(replica.node_id, 0)
             if frontier < previous:
@@ -392,9 +385,7 @@ class InvariantOracle:
             )
 
     def _sample_progress(self) -> None:
-        per_replica = tuple(
-            getattr(replica, "executed_transactions", 0) for replica in self.cluster.replicas
-        )
+        per_replica = tuple(replica.executed_transactions for replica in self.cluster.replicas)
         confirmed = sum(client.confirmed_transactions for client in self.cluster.clients)
         self.samples.append(
             ProgressSample(
@@ -430,23 +421,13 @@ class InvariantOracle:
         only after executing, so at least f + 1 replicas — hence at least
         one non-faulty one — must hold each confirmed transaction.
         """
-        conforming = [
-            replica
-            for replica in self.cluster.replicas
-            if hasattr(replica, "executed_transaction_digests")
-        ]
-        if not conforming:
-            # Nothing to count against — but only give up when NO replica
-            # exposes its execution history; one non-conforming replica must
-            # not silently disable the whole invariant.
-            return
         executed_by: Dict[bytes, int] = {}
-        for replica in conforming:
+        for replica in self.cluster.replicas:
             for digest in set(replica.executed_transaction_digests()):
                 executed_by[digest] = executed_by.get(digest, 0) + 1
-        weak_quorum = getattr(self.cluster.replicas[0].config, "weak_quorum", 1)
+        weak_quorum = self.cluster.replicas[0].config.weak_quorum
         for client in self.cluster.clients:
-            for digest in getattr(client, "confirmed_digests", ()):
+            for digest in client.confirmed_digests:
                 copies = executed_by.get(digest, 0)
                 if copies < weak_quorum:
                     self._record(

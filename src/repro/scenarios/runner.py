@@ -18,10 +18,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.report import format_table
 from repro.bench.cluster import SimulatedCluster
 from repro.crypto.digest import digest_bytes
-from repro.faults.attacks import attack_by_name
 from repro.faults.injector import FaultInjector
 from repro.scenarios.oracle import InvariantOracle, InvariantViolation, SloBreach
-from repro.scenarios.spec import ATTACK_KINDS, FaultEvent, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
@@ -192,35 +191,14 @@ class ScenarioRunner:
 
     # ------------------------------------------------------------------
 
-    def _compile_event(self, event: FaultEvent) -> None:
-        """Install one declarative fault event on the injector."""
-        if event.kind in ATTACK_KINDS:
-            scenario = attack_by_name(event.kind, attackers=event.replicas, victims=event.victims)
-            self.injector.launch_attack(scenario, at=event.at, until=event.until)
-        elif event.kind == "crash":
-            self.injector.crash_replicas(event.replicas, at=event.at, until=event.until)
-        elif event.kind == "partition":
-            self.injector.partition(event.groups, at=event.at, until=event.until)
-        elif event.kind == "latency":
-            self.injector.degrade_latency(event.factor, at=event.at, until=event.until)
-        else:  # pragma: no cover - spec validation rejects these earlier
-            raise ValueError(f"unknown fault kind {event.kind!r}")
-
     def run(self) -> ScenarioResult:
         """Play the fault script to the end and return the checked outcome."""
         for event in self.spec.events:
-            self._compile_event(event)
+            self.injector.schedule(event)
         self.oracle.arm(self.spec.duration)
-        try:
-            result = self.cluster.run(duration=self.spec.duration)
-        finally:
-            # A latency window that persists past the run's end would leave a
-            # caller-shared NetworkConfig scaled for the next cluster.
-            self.injector.restore_latency_baseline()
+        result = self.cluster.run(duration=self.spec.duration)
         self.oracle.final_check(heal_time=self.spec.heal_time())
-        committed = tuple(
-            getattr(replica, "executed_transactions", 0) for replica in self.cluster.replicas
-        )
+        committed = tuple(replica.executed_transactions for replica in self.cluster.replicas)
         counters: Dict[str, int] = {}
         per_replica: List[Dict[str, int]] = []
         for replica in self.cluster.replicas:

@@ -23,75 +23,15 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.faults.injector import ATTACK_KINDS, FAULT_KINDS, FaultEvent
 from repro.scenarios.oracle import SloSpec
 from repro.workload.arrival import LoadProfile, overload_profile
 
 #: Schema version stamped into serialized specs; bump on incompatible change.
 SPEC_FORMAT = 1
 
-#: Fault families understood by the scenario compiler.
-ATTACK_KINDS = ("A1", "A2", "A3", "A4")
-FAULT_KINDS = ATTACK_KINDS + ("crash", "partition", "latency")
-
 #: Protocols the runner can deploy (the order fixes matrix ordering).
 PROTOCOLS = ("spotless", "pbft", "rcc", "hotstuff", "narwhal-hs")
-
-
-@dataclass(frozen=True)
-class FaultEvent:
-    """One timed entry of a scenario's fault script.
-
-    ``kind`` is one of :data:`FAULT_KINDS`.  ``at`` and ``until`` are
-    simulated times (``until=None`` means the fault persists to the end of
-    the run).  ``replicas`` are the crash targets or attackers, ``victims``
-    the A2/A3 victim group, ``groups`` the partition classes, and ``factor``
-    the latency multiplier.
-    """
-
-    kind: str
-    at: float
-    until: Optional[float] = None
-    replicas: Tuple[int, ...] = ()
-    victims: Tuple[int, ...] = ()
-    groups: Tuple[Tuple[int, ...], ...] = ()
-    factor: float = 4.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(f"unknown fault kind {self.kind!r}; choose one of {FAULT_KINDS}")
-        if self.until is not None and self.until <= self.at:
-            raise ValueError(f"fault heals at {self.until} before it starts at {self.at}")
-
-    @property
-    def heals(self) -> bool:
-        """True when the event has a heal time."""
-        return self.until is not None
-
-    def label(self) -> str:
-        """Compact human-readable description of the event."""
-        window = f"@{self.at:g}" + (f"-{self.until:g}" if self.until is not None else "-")
-        if self.kind == "partition":
-            return f"partition{self.groups}{window}"
-        if self.kind == "latency":
-            return f"latency x{self.factor:g}{window}"
-        return f"{self.kind}{self.replicas}{window}"
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation of the event."""
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
-        """Rebuild an event from :meth:`to_json_dict` output (validates)."""
-        return cls(
-            kind=data["kind"],
-            at=data["at"],
-            until=data.get("until"),
-            replicas=tuple(data.get("replicas", ())),
-            victims=tuple(data.get("victims", ())),
-            groups=tuple(tuple(group) for group in data.get("groups", ())),
-            factor=data.get("factor", 4.0),
-        )
 
 
 @dataclass(frozen=True)
@@ -191,7 +131,7 @@ class ScenarioSpec:
         """
         if not self.events:
             return 0.0
-        if any(not event.heals or event.until >= self.duration for event in self.events):
+        if any(event.until is None or event.until >= self.duration for event in self.events):
             return None
         return max(event.until for event in self.events)
 

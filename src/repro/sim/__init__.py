@@ -8,7 +8,7 @@ message two things and nothing else:
 * link delay plus jitter (multi-region topologies give intra- and
   inter-region links different delays),
 
-and may lose it to a crash, a partition, the loss rate or a fault injector's
+and may lose it to a crashed end or to a partition's or an attack's
 drop rule.  It models **no CPU**: handling, hashing and the paper's MACs and
 signatures take zero simulated time.  Those costs exist only in the
 analytical model; see EXPERIMENTS.md, "What the simulator charges".

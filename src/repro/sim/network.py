@@ -9,7 +9,7 @@ The network models the three effects the paper's evaluation varies:
   link, so the time to put a message on the wire is ``size / bandwidth`` and
   large fan-outs (a primary broadcasting proposals to 127 backups) serialise
   at the sender exactly as they do on a real NIC (Figure 14(b));
-* **unreliability** — message loss, node partitions and per-node drop rules
+* **unreliability** — crashed nodes, drop and rewrite rules and a latency factor,
   used by the fault injectors.
 """
 
@@ -52,12 +52,12 @@ class RegionTopology:
         """Region index of ``node_id`` (uniform round-robin placement)."""
         return node_id % max(1, self.regions)
 
-    def link(self, sender: int, receiver: int) -> LinkSpec:
+    def link(self, sender: int, receiver: int, factor: float) -> LinkSpec:
         """Link spec between two nodes under this topology."""
         if self.region_of(sender) == self.region_of(receiver):
-            delay = self.intra_delay
+            delay = self.intra_delay * factor
         else:
-            delay = self.inter_delay
+            delay = self.inter_delay * factor
         return LinkSpec(delay=delay, jitter=delay * self.jitter_fraction)
 
 
@@ -68,14 +68,7 @@ class NetworkConfig:
     base_delay: float = 0.001
     jitter: float = 0.0002
     bandwidth_bytes_per_sec: float = 1_000e6 / 8
-    loss_rate: float = 0.0
     topology: Optional[RegionTopology] = None
-
-    def link(self, sender: int, receiver: int) -> LinkSpec:
-        """Resolve the link spec for a sender/receiver pair."""
-        if self.topology is not None:
-            return self.topology.link(sender, receiver)
-        return LinkSpec(delay=self.base_delay, jitter=self.jitter)
 
 
 @dataclass
@@ -84,42 +77,15 @@ class Partition:
 
     groups: Tuple[frozenset, ...]
 
-    def allows(self, sender: int, receiver: int) -> bool:
-        """True when ``sender`` can reach ``receiver`` under this partition."""
+    def blocks(self, sender: int, receiver: int, payload: object) -> bool:
+        """True when this partition separates ``sender`` from ``receiver``."""
         for group in self.groups:
             if sender in group:
-                return receiver in group
-        return True
-
-
-@dataclass(frozen=True)
-class CompositePartition:
-    """Several concurrently active partitions: a link must be allowed by all.
-
-    Overlapping partition fault windows compose through this instead of
-    overwriting each other — healing one window reinstalls the composite of
-    whatever windows remain active.
-    """
-
-    partitions: Tuple[Partition, ...]
-
-    def allows(self, sender: int, receiver: int) -> bool:
-        """True when every active partition allows ``sender`` → ``receiver``."""
-        return all(partition.allows(sender, receiver) for partition in self.partitions)
+                return receiver not in group
+        return False
 
 
 DropRule = Callable[[int, int, object], bool]
-
-
-def _payload_name(payload: object) -> str:
-    """Human-readable message type for trace flow edges.
-
-    SpotLess broadcasts ``(instance_id, message)`` tuples; the inner message
-    type is the informative one.
-    """
-    if payload.__class__ is tuple and len(payload) == 2:
-        return payload[1].__class__.__name__
-    return payload.__class__.__name__
 
 # A rewrite rule may replace a payload in flight (Byzantine equivocation):
 # it returns the substitute payload, or None to leave the message unchanged.
@@ -147,7 +113,6 @@ class Network:
         self.metrics = metrics or MetricsRegistry()
         self._actors: Dict[int, "Actor"] = {}
         self._nic_free_at: Dict[int, float] = {}
-        self._partition: Optional[Partition | CompositePartition] = None
         self._drop_rules: list[DropRule] = []
         self._rewrite_rules: list[RewriteRule] = []
         self._down_nodes: Set[int] = set()
@@ -164,11 +129,7 @@ class Network:
         self._c_dropped = metrics_registry.counter("network.messages_dropped")
         self._c_rewritten = metrics_registry.counter("network.messages_rewritten")
         self._c_delivered = metrics_registry.counter("network.messages_delivered")
-        # No-topology LinkSpec memo.  Fault injectors rescale the
-        # latency parameters in place mid-run, so every lookup validates the
-        # cache against the parameters it was built from and rebuilds when
-        # they changed.
-        self._default_link: Optional[LinkSpec] = None
+        self.set_latency_factor(1.0)
 
     # -- membership -----------------------------------------------------
 
@@ -188,10 +149,6 @@ class Network:
         return self._actors.keys()
 
     # -- fault surface ---------------------------------------------------
-
-    def set_partition(self, partition: "Optional[Partition | CompositePartition]") -> None:
-        """Install (or clear) a network partition."""
-        self._partition = partition
 
     def add_drop_rule(self, rule: DropRule) -> None:
         """Install a rule that can drop messages (sender, receiver, payload)."""
@@ -230,29 +187,28 @@ class Network:
         """True when the node has been marked as crashed."""
         return node_id in self._down_nodes
 
+    def set_latency_factor(self, factor: float) -> None:
+        """Scale every link's delay and jitter by ``factor``; the config is left as built."""
+        self._latency_factor = factor
+        self._default_link = LinkSpec(self.config.base_delay * factor, self.config.jitter * factor)
+
     # -- transmission ----------------------------------------------------
 
     def _link(self, sender: int, receiver: int) -> LinkSpec:
-        """Memoized :meth:`NetworkConfig.link`, validated against the live
-        latency parameters so in-place rescaling (latency faults) is seen.
+        """Link spec of a sender/receiver pair at the current latency factor.
         A topology's links are not memoized: it measured no faster (PR 24)."""
         config = self.config
         topology = config.topology
         if topology is None:
-            spec = self._default_link
-            if spec is None or spec.delay != config.base_delay or spec.jitter != config.jitter:
-                spec = LinkSpec(delay=config.base_delay, jitter=config.jitter)
-                self._default_link = spec
-            return spec
-        return topology.link(sender, receiver)
+            return self._default_link
+        return topology.link(sender, receiver, self._latency_factor)
 
     def send(self, sender: int, receiver: int, payload: object, size_bytes: int) -> bool:
         """Send ``payload`` from ``sender`` to ``receiver``.
 
         Returns True when the message was put on the wire and False when it
-        was dropped (crash, partition, loss or drop rule).  A dropped message
-        still consumes sender NIC time if the drop happens in the network
-        (loss), but not when the sender itself is down.
+        was dropped (a crashed end or a drop rule).  A dropped message still
+        consumes sender NIC time, except when the sender itself is down.
         """
         down = self._down_nodes
         if sender in down:
@@ -271,19 +227,8 @@ class Network:
         departure = nic_free + size_bytes / config.bandwidth_bytes_per_sec
         nic[sender] = departure
 
-        # Drop checks, in a fixed order: crash, partition, the loss draw, then
-        # the drop rules.  The order is part of the RNG draw sequence — a
-        # message dropped by a crash or a partition consumes no loss draw.
         rng = self.rng
         if receiver in down:
-            self._c_dropped.value += 1
-            return False
-        partition = self._partition
-        if partition is not None and not partition.allows(sender, receiver):
-            self._c_dropped.value += 1
-            return False
-        loss_rate = config.loss_rate
-        if loss_rate > 0.0 and rng.random() < loss_rate:
             self._c_dropped.value += 1
             return False
         drop_rules = self._drop_rules
@@ -310,7 +255,7 @@ class Network:
         delivery_delay = (departure - now) + propagation
         tracer = self.tracer
         if tracer is not None:
-            flow_id = tracer.flow_begin(sender, _payload_name(payload), size=size_bytes)
+            flow_id = tracer.flow_begin(sender, payload.__class__.__name__, size=size_bytes)
             simulator.schedule_call(
                 delivery_delay, self._deliver_traced, (flow_id, sender, receiver, payload)
             )
@@ -334,14 +279,12 @@ class Network:
         simulator = self.simulator
         config = self.config
         rng = self.rng
-        random = rng.random
         uniform = rng.uniform
         nic = self._nic_free_at
         c_sent = self._c_sent
         c_bytes = self._c_bytes
         c_dropped = self._c_dropped
         transmit_time = size_bytes / config.bandwidth_bytes_per_sec
-        partition = self._partition
         drop_rules = self._drop_rules
         rewrite_rules = self._rewrite_rules
         deliver = self._deliver
@@ -355,7 +298,6 @@ class Network:
         nic_free = nic.get(sender, 0.0)
         if nic_free < now:
             nic_free = now
-        loss_rate = config.loss_rate
         # Without a topology every receiver shares one link spec; resolve it
         # once instead of per receiver (receiver ids are ignored then).
         shared_link = self._link(sender, sender) if config.topology is None else None
@@ -370,12 +312,6 @@ class Network:
             departure = nic_free + transmit_time
             nic[sender] = nic_free = departure
             if receiver in down:
-                c_dropped.value += 1
-                continue
-            if partition is not None and not partition.allows(sender, receiver):
-                c_dropped.value += 1
-                continue
-            if loss_rate > 0.0 and random() < loss_rate:
                 c_dropped.value += 1
                 continue
             if drop_rules and any(rule(sender, receiver, payload) for rule in drop_rules):
@@ -398,7 +334,7 @@ class Network:
                 propagation = link.delay
             delivery_delay = (departure - now) + propagation
             if tracer is not None:
-                flow_id = tracer.flow_begin(sender, _payload_name(message), size=size_bytes)
+                flow_id = tracer.flow_begin(sender, message.__class__.__name__, size=size_bytes)
                 schedule_call(
                     delivery_delay, self._deliver_traced, (flow_id, sender, receiver, message)
                 )
@@ -424,12 +360,11 @@ class Network:
         """Traced delivery: closes the flow edge, then delivers normally."""
         tracer = self.tracer
         if tracer is not None:
-            tracer.flow_end(flow_id, receiver, _payload_name(payload))
+            tracer.flow_end(flow_id, receiver, payload.__class__.__name__)
         self._deliver(sender, receiver, payload)
 
 
 __all__ = [
-    "CompositePartition",
     "DropRule",
     "LinkSpec",
     "Network",

@@ -13,7 +13,7 @@ from repro.bench.cluster import SimulatedCluster
 from repro.core.chain import GENESIS_PROPOSAL_ID, ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
 from repro.core.messages import ProposeMessage
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultEvent, FaultInjector
 from repro.sim.network import NetworkConfig
 from repro.workload.requests import Operation, Transaction
 
@@ -133,8 +133,7 @@ def test_client_failover_retransmits_after_timeout():
 
 def test_progress_with_one_crashed_replica():
     cluster = small_cluster(num_replicas=4, clients=3, recording_timeout=0.03, certifying_timeout=0.03)
-    injector = FaultInjector(cluster)
-    injector.crash_replicas([3], at=0.0)
+    FaultInjector(cluster).schedule(FaultEvent(kind="crash", at=0.0, replicas=(3,)))
     result = cluster.run(duration=1.5)
     cluster.assert_no_divergence()
     assert result.confirmed_transactions > 5
@@ -142,8 +141,7 @@ def test_progress_with_one_crashed_replica():
 
 def test_crash_mid_run_keeps_consistency_and_reduces_throughput():
     cluster = small_cluster(num_replicas=4, clients=4, outstanding=6)
-    injector = FaultInjector(cluster)
-    injector.crash_replicas([2], at=0.5)
+    FaultInjector(cluster).schedule(FaultEvent(kind="crash", at=0.5, replicas=(2,)))
     cluster.start()
     cluster.simulator.run_for(0.5)
     healthy_confirmed = sum(c.confirmed_transactions for c in cluster.clients)
@@ -155,8 +153,9 @@ def test_crash_mid_run_keeps_consistency_and_reduces_throughput():
 
 def test_partition_heals_and_progress_resumes():
     cluster = small_cluster(num_replicas=4, clients=3, recording_timeout=0.03, certifying_timeout=0.03)
-    injector = FaultInjector(cluster)
-    injector.partition([[0, 1], [2, 3]], at=0.2, until=0.6)
+    FaultInjector(cluster).schedule(
+        FaultEvent(kind="partition", at=0.2, until=0.6, groups=((0, 1), (2, 3)))
+    )
     cluster.start()
     cluster.simulator.run_for(2.0)
     cluster.assert_no_divergence()

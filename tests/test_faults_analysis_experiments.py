@@ -14,16 +14,13 @@ from repro.bench import experiments
 from repro.bench.experiments import FIGURES
 from repro.bench.cluster import SimulatedCluster
 from repro.core.config import SpotLessConfig
-from repro.core.messages import ProposeMessage, SyncMessage
 from repro.faults.attacks import (
     DarknessAttack,
     EquivocationAttack,
-    NonResponsiveAttack,
     VoteWithholdingAttack,
     attack_by_name,
 )
-from repro.faults.injector import FaultInjector
-from repro.protocols.pbft.messages import PrePrepareMessage, PrepareMessage
+from repro.faults.injector import FaultEvent, FaultInjector
 
 
 # ---------------------------------------------------------------------------
@@ -31,64 +28,14 @@ from repro.protocols.pbft.messages import PrePrepareMessage, PrepareMessage
 # ---------------------------------------------------------------------------
 
 
-def propose_payload():
-    return (0, ProposeMessage(instance=0, view=1, transaction_digests=(), parent_digest=b"p", parent_view=0))
-
-
-def sync_payload():
-    from repro.core.messages import Claim
-
-    return (0, SyncMessage(instance=0, view=1, claim=Claim.failure(1)))
-
-
-def test_non_responsive_attack_drops_everything_for_attackers():
-    attack = NonResponsiveAttack(attackers={3})
-    assert attack.should_drop(3, 1, propose_payload())
-    assert attack.should_drop(1, 3, sync_payload())
-    assert not attack.should_drop(1, 2, sync_payload())
-
-
-def test_darkness_attack_drops_proposals_to_victims_only():
-    attack = DarknessAttack(attackers={0}, victims={2})
-    assert attack.should_drop(0, 2, propose_payload())
-    assert not attack.should_drop(0, 1, propose_payload())
-    assert not attack.should_drop(0, 2, sync_payload())
-    # Also applies to PBFT PrePrepare messages.
-    preprepare = PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=())
-    assert attack.should_drop(0, 2, preprepare)
-
-
-def test_equivocation_attack_rewrites_votes_to_victims():
-    from repro.core.messages import Claim
-
-    attack = EquivocationAttack(attackers={1}, victims={2})
-    honest = (0, SyncMessage(instance=0, view=1, claim=Claim(view=1, digest=b"honest")))
-    # A3 equivocates instead of dropping: votes flow everywhere...
-    assert not attack.should_drop(1, 3, honest)
-    assert not attack.should_drop(1, 2, honest)
-    # ...but the victim receives a conflicting claim while others do not.
-    rewritten = attack.rewrite(1, 2, honest)
-    assert rewritten is not None
-    assert rewritten[1].claim.digest != honest[1].claim.digest
-    assert attack.rewrite(1, 3, honest) is None
-    assert attack.rewrite(0, 2, honest) is None
-
-
-def test_vote_withholding_attack_blocks_all_votes_from_attackers():
-    attack = VoteWithholdingAttack(attackers={1})
-    assert attack.should_drop(1, 0, sync_payload())
-    prepare = PrepareMessage(instance=0, view=0, sequence=0, batch_digest=b"")
-    assert attack.should_drop(1, 0, prepare)
-    assert not attack.should_drop(1, 0, propose_payload())
-
-
 def test_attack_by_name_builds_the_right_scenario():
-    assert isinstance(attack_by_name("A1", [1]), NonResponsiveAttack)
     assert isinstance(attack_by_name("a2", [1], victims=[2]), DarknessAttack)
     assert isinstance(attack_by_name("A3", [1]), EquivocationAttack)
     assert isinstance(attack_by_name("A4", [1]), VoteWithholdingAttack)
-    with pytest.raises(ValueError):
-        attack_by_name("A9", [1])
+    # A1 is a crash: the injector applies it as a down-mark, not a rule.
+    for label in ("A1", "A9"):
+        with pytest.raises(ValueError):
+            attack_by_name(label, [1])
 
 
 def test_spotless_safety_under_darkness_attack():
@@ -96,8 +43,7 @@ def test_spotless_safety_under_darkness_attack():
     primary, yet no divergence occurs and progress continues."""
     config = SpotLessConfig(num_replicas=4)
     cluster = SimulatedCluster.spotless(config, clients=3, outstanding_per_client=4)
-    injector = FaultInjector(cluster)
-    injector.launch_attack(attack_by_name("A2", attackers=[0], victims=[3]), at=0.0)
+    FaultInjector(cluster).schedule(FaultEvent(kind="A2", at=0.0, replicas=(0,), victims=(3,)))
     result = cluster.run(duration=1.0)
     cluster.assert_no_divergence()
     assert result.confirmed_transactions > 5
@@ -106,8 +52,7 @@ def test_spotless_safety_under_darkness_attack():
 def test_spotless_safety_under_vote_withholding():
     config = SpotLessConfig(num_replicas=4)
     cluster = SimulatedCluster.spotless(config, clients=3, outstanding_per_client=4)
-    injector = FaultInjector(cluster)
-    injector.launch_attack(attack_by_name("A4", attackers=[1]), at=0.0)
+    FaultInjector(cluster).schedule(FaultEvent(kind="A4", at=0.0, replicas=(1,)))
     result = cluster.run(duration=1.0)
     cluster.assert_no_divergence()
     assert result.confirmed_transactions > 5
@@ -116,8 +61,7 @@ def test_spotless_safety_under_vote_withholding():
 def test_fault_injector_heals_crashes():
     config = SpotLessConfig(num_replicas=4)
     cluster = SimulatedCluster.spotless(config, clients=2, outstanding_per_client=3)
-    injector = FaultInjector(cluster)
-    injector.crash_replicas([3], at=0.1, until=0.3)
+    FaultInjector(cluster).schedule(FaultEvent(kind="crash", at=0.1, until=0.3, replicas=(3,)))
     cluster.start()
     cluster.simulator.run_for(0.2)
     assert cluster.network.is_down(3)

@@ -2,18 +2,19 @@
 
 import pytest
 
+from repro.bench.cluster import SimulatedCluster
+from repro.core.config import SpotLessConfig
 from repro.core.messages import Claim, ProposeMessage, SyncMessage
 from repro.faults.attacks import (
     AttackScenario,
     DarknessAttack,
     EquivocationAttack,
-    NonResponsiveAttack,
     VoteWithholdingAttack,
     attack_by_name,
     conflicting_digest,
 )
 from repro.protocols.hotstuff.messages import HsVote
-from repro.protocols.pbft.messages import CommitMessage, PrepareMessage
+from repro.protocols.pbft.messages import CommitMessage, PrePrepareMessage, PrepareMessage
 
 
 def sync_message(digest=b"honest"):
@@ -27,19 +28,26 @@ def propose_message():
 
 
 # ---------------------------------------------------------------------------
-# A1 symmetry
+# A2 and A4: drop rules
 # ---------------------------------------------------------------------------
 
 
-def test_non_responsive_attack_is_symmetric():
-    attack = NonResponsiveAttack(attackers={2})
-    payload = (0, sync_message())
-    # Both directions are cut: the attacker neither sends nor receives.
-    assert attack.should_drop(2, 0, payload)
-    assert attack.should_drop(0, 2, payload)
-    assert attack.should_drop(2, 1, propose_message())
-    assert attack.should_drop(1, 2, propose_message())
-    assert not attack.should_drop(0, 1, payload)
+def test_darkness_attack_drops_proposals_to_victims_only():
+    attack = DarknessAttack(attackers={0}, victims={2})
+    assert attack.should_drop(0, 2, propose_message())
+    assert not attack.should_drop(0, 1, propose_message())
+    assert not attack.should_drop(0, 2, sync_message())
+    # Also applies to PBFT PrePrepare messages.
+    preprepare = PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=())
+    assert attack.should_drop(0, 2, preprepare)
+
+
+def test_vote_withholding_attack_blocks_all_votes_from_attackers():
+    attack = VoteWithholdingAttack(attackers={1})
+    assert attack.should_drop(1, 0, sync_message())
+    prepare = PrepareMessage(instance=0, view=0, sequence=0, batch_digest=b"")
+    assert attack.should_drop(1, 0, prepare)
+    assert not attack.should_drop(1, 0, propose_message())
 
 
 # ---------------------------------------------------------------------------
@@ -55,19 +63,20 @@ def test_conflicting_digest_is_deterministic_and_distinct():
 
 def test_only_equivocation_declares_a_rewrite():
     assert EquivocationAttack(attackers={1}).rewrites
-    assert not NonResponsiveAttack(attackers={1}).rewrites
     assert not DarknessAttack(attackers={1}).rewrites
     assert not VoteWithholdingAttack(attackers={1}).rewrites
     assert not AttackScenario().rewrites
 
 
 def test_equivocation_rewrites_spotless_sync_preserving_envelope():
+    # A Sync's envelope is its own instance and view: the receiver routes
+    # the rewritten vote exactly where the honest one would have gone.
     attack = EquivocationAttack(attackers={3}, victims={0})
-    payload = (2, sync_message(b"honest"))
+    payload = SyncMessage(instance=2, view=1, claim=Claim(view=1, digest=b"honest"))
     rewritten = attack.rewrite(3, 0, payload)
-    assert isinstance(rewritten, tuple) and rewritten[0] == 2
-    assert rewritten[1].claim.digest == conflicting_digest(b"honest")
-    assert rewritten[1].view == payload[1].view
+    assert isinstance(rewritten, SyncMessage)
+    assert (rewritten.instance, rewritten.view) == (payload.instance, payload.view)
+    assert rewritten.claim.digest == conflicting_digest(b"honest")
     # Honest votes to the rest of the cluster are untouched.
     assert attack.rewrite(3, 1, payload) is None
     # Votes from non-attackers are untouched.
@@ -76,7 +85,7 @@ def test_equivocation_rewrites_spotless_sync_preserving_envelope():
 
 def test_equivocation_leaves_failure_claims_alone():
     attack = EquivocationAttack(attackers={3}, victims={0})
-    failure = (0, SyncMessage(instance=0, view=1, claim=Claim.failure(1)))
+    failure = SyncMessage(instance=0, view=1, claim=Claim.failure(1))
     assert attack.rewrite(3, 0, failure) is None
 
 
@@ -93,9 +102,43 @@ def test_equivocation_rewrites_pbft_and_hotstuff_votes():
     assert attack.rewrite(3, 0, vote).voter == 3
 
 
+def test_equivocation_attack_rewrites_votes_to_victims():
+    attack = EquivocationAttack(attackers={1}, victims={2})
+    honest = sync_message(b"honest")
+    # A3 equivocates instead of dropping: the victim receives a conflicting
+    # claim while the others receive the honest one.
+    rewritten = attack.rewrite(1, 2, honest)
+    assert rewritten is not None
+    assert rewritten.claim.digest != honest.claim.digest
+    assert attack.rewrite(1, 3, honest) is None
+    assert attack.rewrite(0, 2, honest) is None
+
+
 def test_equivocation_does_not_rewrite_proposals():
     attack = EquivocationAttack(attackers={3}, victims={0})
     assert attack.rewrite(3, 0, propose_message()) is None
+
+
+# ---------------------------------------------------------------------------
+# what a rule sees on the wire
+# ---------------------------------------------------------------------------
+
+
+def test_spotless_messages_reach_the_network_unwrapped():
+    cluster = SimulatedCluster.spotless(
+        SpotLessConfig(num_replicas=4, batch_size=4), clients=2, outstanding_per_client=2
+    )
+    seen = set()
+
+    def observe(sender, receiver, payload):
+        if sender < 4 and receiver < 4:
+            seen.add(payload.__class__)
+        return False
+
+    cluster.network.add_drop_rule(observe)
+    cluster.run(duration=0.1)
+    assert {ProposeMessage, SyncMessage} <= seen
+    assert tuple not in seen
 
 
 # ---------------------------------------------------------------------------

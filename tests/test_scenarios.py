@@ -280,25 +280,6 @@ def test_oracle_detects_shrinking_frontier():
     assert any(v.invariant == "monotonic-frontier" for v in oracle.violations)
 
 
-class StubReplicaNoHistory:
-    def __init__(self, node_id):
-        self.node_id = node_id
-        self.config = StubConfig()
-        self.executed_transactions = 0
-
-
-def test_oracle_durability_survives_one_nonconforming_replica():
-    # One replica without executed_transaction_digests() must not silently
-    # disable the durability check for the whole cluster.
-    cluster = StubCluster(
-        [StubReplica(0, executed=[b"t1"]), StubReplicaNoHistory(1), StubReplica(2, executed=[])],
-        clients=[StubClient(0, confirmed_digests=[b"ghost"])],
-    )
-    oracle = InvariantOracle(cluster)
-    oracle.final_check(heal_time=None)
-    assert any(v.invariant == "inform-durability" for v in oracle.violations)
-
-
 def test_oracle_detects_unexecuted_confirmations():
     cluster = StubCluster(
         [StubReplica(0, executed=[b"t1"]), StubReplica(1, executed=[b"t1"])],
