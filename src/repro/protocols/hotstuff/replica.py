@@ -203,7 +203,7 @@ class HotStuffReplica(ReplicaRuntime):
             )
         self.broadcast_protocol(proposal, self._size_of(proposal))
 
-    def on_request_arrival(self) -> None:
+    def on_request_arrival(self, shard: int) -> None:
         """Leaders try to propose as soon as load arrives in their view."""
         if self.is_leader(self.view):
             self._propose(self.view)

@@ -38,9 +38,13 @@ class PbftEnvironment:
     next_batch: Callable[[int], Optional[Tuple[bytes, ...]]]
     on_decide: Callable[[int, int, int, Tuple[bytes, ...]], None]
     now: Callable[[], float] = lambda: 0.0
-    # Requests queued at this replica but not yet executed: the progress
-    # deadline only stays armed while there is work the primary owes us.
-    pending_requests: Callable[[], int] = lambda: 0
+    # Work the primary owes this replica beyond the slots in flight (zero
+    # when none): the progress deadline only stays armed while it is owed.
+    owed_work: Callable[[], int] = lambda: 0
+    # ``on_content(instance, sequence, digests)``: the core accepted content
+    # for a slot (a PrePrepare or a NewView re-proposal).  RCC uses it to
+    # fill rounds; None where no other instance needs to know.
+    on_content: Optional[Callable[[int, int, Tuple[bytes, ...]], None]] = None
 
 
 @dataclass
@@ -106,6 +110,7 @@ class PbftInstanceCore:
         self.next_sequence = 0
         self.last_decided_sequence = -1
         self.decided_frontier = -1  # highest sequence with a contiguous decided prefix
+        self._on_content = environment.on_content
         self.slots: Dict[int, SlotState] = {}
         # Sequences whose slot holds content but is not yet committed,
         # maintained incrementally at every digests/committed transition so
@@ -341,6 +346,8 @@ class PbftInstanceCore:
         )
         self.env.broadcast(prepare)
         self._check_prepared(slot)
+        if self._on_content is not None:
+            self._on_content(self.instance_id, message.sequence, message.transaction_digests)
 
     def on_prepare(self, sender: int, message: PrepareMessage) -> None:
         """Handle a Prepare vote."""
@@ -460,12 +467,12 @@ class PbftInstanceCore:
         """True while the primary owes this replica commits.
 
         Covers both halves of the obligation: slots proposed but not yet
-        committed (content in flight) and requests queued locally that no
-        proposal has covered.  The pending-request half is deliberately the
-        replica-wide pool for RCC — the global order interleaves every
-        instance, so a request anywhere demands progress from each one.
+        committed (content in flight) and whatever else the replica says
+        this instance owes (``owed_work``): the requests queued in its shard
+        that no proposal has covered and, under RCC, the no-ops its round
+        rule asks of it.
         """
-        return bool(self._inflight) or self.env.pending_requests() > 0
+        return bool(self._inflight) or self.env.owed_work() > 0
 
     def _note_frontier_progress(self) -> None:
         """The decided frontier advanced: extend or disarm the deadline.
@@ -747,6 +754,8 @@ class PbftInstanceCore:
                 batch_digest=slot.batch_digest,
             )
             self.env.broadcast(prepare)
+            if self._on_content is not None:
+                self._on_content(self.instance_id, sequence, digests)
         if self.is_primary():
             self.next_sequence = max(self.next_sequence, self.last_decided_sequence + 1)
             existing = max(self.slots.keys(), default=-1)

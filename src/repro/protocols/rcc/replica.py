@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Tuple
 
 from repro.ledger.execution import make_noop_transaction
@@ -28,13 +29,17 @@ class RccReplica(ReplicaRuntime):
       until a view change replaces it);
     * client requests are assigned to instances by digest, as in SpotLess,
       so every primary proposes a disjoint share of the load;
-    * decisions are ordered globally by ``(sequence, instance)``; idle
-      instances propose no-ops so execution of a sequence round never blocks
-      on an instance without load;
+    * decisions are ordered globally by ``(sequence, instance)``; a primary
+      whose shard is empty proposes a no-op for sequence ``s`` only once
+      another instance holds accepted content at a sequence ``>= s``, so a
+      round that has work closes and an idle cluster proposes nothing;
     * a faulty primary is detected per instance by PBFT's own progress
-      deadline and replaced by that instance's PBFT view change.  RCC's
-      complaints and exponential back-off are **not implemented**: no
-      instance is ever skipped; a round waits out a stalled one's view change.
+      deadline and replaced by that instance's PBFT view change.  Instance
+      ``i``'s deadline counts only what ``i`` owes: its slots in flight, its
+      shard's requests no proposal has covered, and the no-ops the round rule
+      asks of it.  RCC's complaints and exponential back-off are **not
+      implemented**: no instance is ever skipped; a round waits out a
+      stalled one's view change.
     """
 
     protocol_name = "rcc"
@@ -49,6 +54,12 @@ class RccReplica(ReplicaRuntime):
     ) -> None:
         super().__init__(node_id, config, simulator, network, size_model)
         self.num_instances = config.num_instances
+        # Highest sequence any instance accepted content for (a rise is what
+        # obliges the other instances to fill the round up to it), the
+        # instance that holds it, and the highest over every other instance.
+        self._content_high = -1
+        self._content_high_instance: Optional[int] = None
+        self._runner_up_high = -1
 
         self.cores: Dict[int, PbftInstanceCore] = {}
         for instance_id in range(self.num_instances):
@@ -63,10 +74,9 @@ class RccReplica(ReplicaRuntime):
                     next_batch=self._next_instance_batch,
                     on_decide=self._on_instance_decide,
                     now=lambda: self.simulator.now,
-                    # Replica-wide on purpose: the global order interleaves
-                    # every instance, so queued work anywhere obliges each
-                    # instance to keep its rounds moving.
-                    pending_requests=self.pending_request_count,
+                    owed_work=partial(self._owed_work, instance_id),
+                    # With one instance there is no round to fill.
+                    on_content=self._on_content if self.num_instances > 1 else None,
                 ),
             )
 
@@ -78,19 +88,61 @@ class RccReplica(ReplicaRuntime):
         """Route the request to the instance responsible for its digest."""
         return transaction.instance_assignment(self.num_instances)
 
-    def on_request_arrival(self) -> None:
-        """Primaries propose; backups arm the per-instance failure timer."""
-        for core in self.cores.values():
-            if core.is_primary():
-                core.try_propose()
-            else:
-                core.arm_progress_timer()
+    def on_request_arrival(self, shard: int) -> None:
+        """The shard's primary proposes; a backup arms that instance's deadline."""
+        core = self.cores[shard]
+        if core.is_primary():
+            core.try_propose()
+        elif self._owed_work(shard):
+            core.arm_progress_timer()
+
+    def _round_high(self, instance_id: int) -> int:
+        """Highest content sequence of every instance but ``instance_id``."""
+        if instance_id == self._content_high_instance:
+            return self._runner_up_high
+        return self._content_high
+
+    def _owed_work(self, instance_id: int) -> int:
+        """What instance ``instance_id`` owes beyond its slots in flight.
+
+        One for uncovered requests in its shard, plus the sequences other
+        instances have content for that it has not decided.
+        """
+        core = self.cores[instance_id]
+        noops = max(0, self._round_high(instance_id) - core.decided_frontier)
+        return noops + self.mempool.has_unproposed(instance_id)
 
     def _next_instance_batch(self, instance_id: int) -> Optional[Tuple[bytes, ...]]:
-        core = self.cores[instance_id]
-        return self.take_batch_or_noop(
-            instance_id, lambda: make_noop_transaction(instance_id, core.next_sequence)
-        )
+        """A batch of the shard's requests, else a no-op when the round needs one.
+
+        Only another instance's content at or above this sequence calls for
+        a no-op: the round cannot execute until this instance fills it.
+        """
+        sequence = self.cores[instance_id].next_sequence
+        if self._round_high(instance_id) < sequence and not self.mempool.has_unproposed(instance_id):
+            return None
+        return self.take_batch_or_noop(instance_id, lambda: make_noop_transaction(instance_id, sequence))
+
+    def _on_content(self, instance_id: int, sequence: int, digests: Tuple[bytes, ...]) -> None:
+        """An instance accepted content: its requests are covered, and a new
+        high-water mark obliges every other instance to fill the round."""
+        self.mempool.mark_proposed(digests)
+        if sequence <= self._content_high:
+            if instance_id != self._content_high_instance and sequence > self._runner_up_high:
+                self._runner_up_high = sequence
+            return
+        if instance_id != self._content_high_instance:
+            self._runner_up_high = self._content_high
+            self._content_high_instance = instance_id
+        self._content_high = sequence
+        for other, core in self.cores.items():
+            if other == instance_id:
+                continue
+            if core.is_primary():
+                if sequence >= core.next_sequence:
+                    core.try_propose()
+            elif sequence > core.decided_frontier:
+                core.arm_progress_timer()
 
     def resolve_noop(self, digest: bytes, position: int) -> Optional[Transaction]:
         """Reconstruct the deterministic no-op proposed for ``position``."""
@@ -142,7 +194,6 @@ class RccReplica(ReplicaRuntime):
     # ------------------------------------------------------------------
 
     def _on_instance_decide(self, instance: int, sequence: int, view: int, digests: Tuple[bytes, ...]) -> None:
-        # The core proposes again as this returns: idle instances keep moving.
         position = sequence * self.num_instances + instance
         self.deliver_batch(position, digests, view=view, instance=instance)
 

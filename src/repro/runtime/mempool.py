@@ -156,6 +156,22 @@ class Mempool:
         """True while ``shard``'s queue is non-empty."""
         return bool(self._queues[shard])
 
+    def has_unproposed(self, shard: int) -> bool:
+        """True while ``shard`` queues a request no proposal has covered yet.
+
+        Executed and proposed digests leave the head of the queue as they
+        are found, exactly as ``take_batch`` would skip them, so a replica
+        that never takes from ``shard`` pays for each digest once.
+        """
+        queue = self._queues[shard]
+        while queue:
+            digest = queue[0]
+            if digest in self._queued and digest not in self._proposed:
+                return True
+            queue.popleft()
+            self._queued.discard(digest)
+        return False
+
     def pending_count(self, shard: Optional[int] = None) -> int:
         """Queued digests in ``shard``, or across all shards when omitted."""
         if shard is not None:

@@ -12,7 +12,8 @@ Protocol hooks
 ``on_protocol_message``
     Handle a consensus message (everything that is not a client payload).
 ``on_request_arrival``
-    Called when a genuinely new request is queued (primaries may propose).
+    Called with its shard when a genuinely new request is queued (primaries
+    may propose).
 ``resolve_noop``
     Reconstruct the protocol's deterministic no-op for an unknown digest.
 ``_assign_shard``
@@ -153,9 +154,10 @@ class ReplicaRuntime(Actor):
 
     def submit_transaction(self, transaction: Transaction) -> None:
         """Accept a client transaction into the request pool."""
-        outcome = self.mempool.admit(transaction, self._assign_shard(transaction))
+        shard = self._assign_shard(transaction)
+        outcome = self.mempool.admit(transaction, shard)
         if outcome is AdmitResult.NEW:
-            self.on_request_arrival()
+            self.on_request_arrival(shard)
         self._after_submit(outcome)
 
     def _after_submit(self, outcome: AdmitResult) -> None:
@@ -167,22 +169,18 @@ class ReplicaRuntime(Actor):
         """Mempool shard responsible for ``transaction`` (default: shard 0)."""
         return 0
 
-    def on_request_arrival(self) -> None:
-        """Hook: called when a new request is queued (primaries may propose)."""
-
-    def pending_request_count(self) -> int:
-        """Requests queued but not yet proposed by this replica."""
-        return self.mempool.pending_count()
+    def on_request_arrival(self, shard: int) -> None:
+        """Hook: a new request was queued in ``shard`` (primaries may propose)."""
 
     def take_batch_or_noop(
         self, shard: int, make_noop: Callable[[], Transaction]
     ) -> Tuple[bytes, ...]:
         """Batch for a proposal, falling back to a reconstructible no-op.
 
-        Multi-instance protocols propose a no-op when an instance has no
-        load so execution of the other instances in the round is not
-        blocked (Section 5); the no-op payload is registered locally and
-        peers reconstruct it deterministically.
+        Multi-instance protocols propose a no-op for an instance with no
+        load so execution of the other instances is not blocked (Section 5);
+        the no-op payload is registered locally and peers reconstruct it
+        deterministically.
         """
         batch = self.mempool.take_batch(self.config.batch_size, shard=shard)
         if batch is None:

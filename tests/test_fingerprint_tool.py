@@ -1,0 +1,49 @@
+"""``tools/fingerprint.py compare``: exit 0 on equal records, 1 on any difference."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
+
+CELL = {
+    "protocol": "rcc",
+    "events": 10,
+    "messages": 8,
+    "bytes": 800,
+    "dropped": 0,
+    "rewritten": 0,
+    "confirmed": 3,
+    "summary": "abc",
+    "violations": [],
+    "stragglers": [],
+    "counters": [{"view_changes": 0}],
+    "state": ["00"],
+}
+
+
+def _compare(tmp_path, first, second):
+    paths = []
+    for name, cells in (("a.json", first), ("b.json", second)):
+        path = tmp_path / name
+        path.write_text(json.dumps({"format": 1, "cells": cells}))
+        paths.append(str(path))
+    return subprocess.run(
+        [sys.executable, str(TOOL), "compare", *paths], capture_output=True, text=True, check=False
+    )
+
+
+def test_compare_exits_zero_when_records_agree(tmp_path):
+    done = _compare(tmp_path, {"cell": CELL}, {"cell": dict(CELL)})
+    assert done.returncode == 0, done.stdout
+    assert "1 cells, 0 differ" in done.stdout
+
+
+def test_compare_exits_one_and_names_the_field_on_any_difference(tmp_path):
+    moved = dict(CELL, events=11, counters=[{"view_changes": 1}])
+    done = _compare(tmp_path, {"cell": CELL}, {"cell": moved})
+    assert done.returncode == 1
+    assert "[rcc] 1 differing cell(s)" in done.stdout
+    assert "events 10 -> 11" in done.stdout and "counters" in done.stdout
+    assert _compare(tmp_path, {"cell": CELL}, {}).returncode == 1

@@ -56,7 +56,7 @@ class CoreHarness:
                 make_timer=self.timers.make_timer,
                 next_batch=lambda instance: None,
                 on_decide=lambda instance, seq, view, digests: None,
-                pending_requests=lambda: self.pending,
+                owed_work=lambda: self.pending,
             ),
         )
         self.core.start()

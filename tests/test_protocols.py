@@ -14,6 +14,9 @@ from repro.protocols.pbft.messages import (
     PrePrepareMessage,
     ViewChangeMessage,
 )
+from repro.scenarios.runner import ScenarioRunner
+from repro.scenarios.spec import single_fault_spec
+from repro.workload.requests import Operation, Transaction
 from tests.manual_timer import TimerBoard
 
 
@@ -61,7 +64,7 @@ class PbftHarness:
                     on_decide=lambda instance, seq, view, digests, _r=replica: self.decisions[_r].append(
                         (seq, view, digests)
                     ),
-                    pending_requests=lambda _r=replica: len(self.batches[_r]),
+                    owed_work=lambda _r=replica: len(self.batches[_r]),
                 ),
             )
 
@@ -258,18 +261,70 @@ def test_for_protocol_rejects_unknown_names():
 
 
 def test_rcc_routes_requests_to_instances_and_resolves_noops():
-    cluster = SimulatedCluster.for_protocol("rcc", num_replicas=4, clients=2, outstanding_per_client=2, batch_size=5)
+    # No checkpoints, so every decided position is still in the pipeline.
+    cluster = SimulatedCluster.for_protocol(
+        "rcc", num_replicas=4, clients=2, outstanding_per_client=2, batch_size=5, checkpoint_interval=0
+    )
     cluster.run(duration=0.3)
     replica = cluster.replicas[0]
     assert replica.num_instances == 4
-    # Idle instances filled rounds with reconstructible no-ops.
     assert replica.decided_batches > 0
-    noop_digest_found = any(
-        replica.resolve_noop(digest, position) is not None
-        for position, digests in sorted(replica.pipeline._decided.items())[:50]
-        for digest in digests
-    )
-    assert noop_digest_found
+    noops, real_high = [], {}
+    for position, digests in replica.pipeline._decided.items():
+        sequence, instance = divmod(position, replica.num_instances)
+        if any(replica.resolve_noop(digest, position) is not None for digest in digests):
+            noops.append((sequence, instance))
+        else:
+            real_high[instance] = max(real_high.get(instance, -1), sequence)
+    # A no-op fills a round only up to another instance's client content,
+    # and every replica reconstructs it.
+    assert noops
+    for sequence, instance in noops:
+        assert max(high for other, high in real_high.items() if other != instance) >= sequence
+    assert len({r.state_digest() for r in cluster.replicas}) == 1
+
+
+def _preprepares_by_instance(cluster):
+    counts = {}
+    for replica in cluster.replicas:
+        for instance, core in replica.cores.items():
+            counts[instance] = counts.get(instance, 0) + core.preprepares_sent
+    return counts
+
+
+def test_idle_rcc_cluster_sends_no_preprepare():
+    cluster = SimulatedCluster.for_protocol("rcc", num_replicas=4, clients=0)
+    cluster.run(duration=0.1)
+    assert _preprepares_by_instance(cluster) == {0: 0, 1: 0, 2: 0, 3: 0}
+
+
+def test_one_request_makes_every_other_instance_fill_its_round_once():
+    cluster = SimulatedCluster.for_protocol("rcc", num_replicas=4, clients=0)
+    transaction = Transaction(client_id=0, sequence=0, operations=(Operation.write(1, b"v"),))
+    for replica in cluster.replicas:
+        replica.submit_transaction(transaction)
+    cluster.run(duration=0.1)
+    # The request's instance proposes it at sequence 0; each other instance
+    # proposes exactly the one no-op that closes round 0, and no more.
+    assert _preprepares_by_instance(cluster) == {0: 1, 1: 1, 2: 1, 3: 1}
+    assert [replica.executed_transactions for replica in cluster.replicas] == [1, 1, 1, 1]
+    assert [replica.pipeline.next_execution_position for replica in cluster.replicas] == [4, 4, 4, 4]
+
+
+def test_rcc_crash_changes_view_only_on_the_crashed_primarys_instance():
+    """Each instance's deadline counts only what that instance owes.
+
+    With the replica-wide request count, a round waiting on the crashed
+    primary's instance made every other instance look stalled too, and the
+    correct primaries of instances 0-2 were deposed.
+    """
+    runner = ScenarioRunner(single_fault_spec("rcc", "crash", f=1, duration=0.4, seed=1))
+    result = runner.run()
+    assert result.violations == () and result.stragglers == ()
+    for replica in runner.cluster.replicas:
+        views = replica.instance_views()
+        assert [views[i] for i in (0, 1, 2)] == [0, 0, 0]
+        assert views[3] > 0
 
 
 def test_hotstuff_three_chain_commit_and_leader_rotation():

@@ -134,6 +134,21 @@ def test_mempool_retransmission_requeues_abandoned_proposal():
     assert pool.take_batch(1) == (txn.digest(),)
 
 
+def test_mempool_has_unproposed_skips_like_take_batch():
+    pool = Mempool()
+    txn = make_txn(0)
+    pool.admit(txn)
+    assert pool.has_unproposed(0)
+    # A backup saw another replica's proposal cover the request.
+    pool.mark_proposed((txn.digest(),))
+    assert not pool.has_unproposed(0)
+    assert pool.pending_count() == 0
+    # The proposal was abandoned: a retransmission queues it again.
+    assert pool.admit(txn) is AdmitResult.DUPLICATE
+    assert pool.has_unproposed(0)
+    assert pool.take_batch(1) == (txn.digest(),)
+
+
 def test_mempool_per_shard_isolation():
     pool = Mempool(num_shards=3)
     by_shard = {0: make_txn(0), 1: make_txn(1), 2: make_txn(2)}
@@ -267,10 +282,13 @@ def test_pbft_is_the_one_instance_case_of_the_rcc_host():
         cores[protocol] = [list(replica.cores.values()) for replica in cluster.replicas]
     assert [len(replica_cores) for replica_cores in cores["pbft"]] == [1, 1, 1, 1]
     assert [len(replica_cores) for replica_cores in cores["rcc"]] == [4, 4, 4, 4]
-    # The one rule that differs: an idle PBFT primary proposes nothing, an
-    # idle RCC primary proposes a no-op so the other instances' round closes.
-    assert sum(core.preprepares_sent for replica_cores in cores["pbft"] for core in replica_cores) == 0
-    assert sum(core.preprepares_sent for replica_cores in cores["rcc"] for core in replica_cores) > 0
+    # An idle primary proposes nothing in either: RCC's no-op waits for a
+    # round that needs it, and with one instance no round ever does.
+    for protocol in ("pbft", "rcc"):
+        assert sum(core.preprepares_sent for replica_cores in cores[protocol] for core in replica_cores) == 0
+    # No rule differs: PBFT only names itself and its one core.
+    pbft_rules = {name for name in vars(REPLICA_CLASSES["pbft"]) if not name.startswith("__")}
+    assert pbft_rules == {"protocol_name", "core", "view"}
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +317,8 @@ def test_transaction_digest_is_memoized():
 GOLDEN_STATE = {
     "spotless": ("8210f86bffb315451ab841e1cedf0bc36055dda7887d552938142a4c4f178dcd", 392),
     "pbft": ("ba5344eabfba8c0b66e1b896fc167ac850d297a8062e252c420366286690eccf", 969),
-    "rcc": ("7565334a04636776fd7b427d1953ccc6ac91019d9c47fd67e4be1bb8c95859d4", 868),
+    # Re-pinned when RCC stopped proposing no-ops no round needs.
+    "rcc": ("ed9bacf7b24f7f60a6a79d62d5ce3c0e4ca5a27a85f22f7b308c69eb86740cdc", 875),
     "hotstuff": ("ce6dd1287feb8a446767a693debc56ee70f78dcaa3761b10218fa7c90383ba32", 411),
     "narwhal-hs": ("013921b3afb74e8a49e267687e071bfd611da027dd617845449c751ecc8ea97b", 407),
 }
