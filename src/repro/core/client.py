@@ -34,7 +34,7 @@ from repro.workload.requests import Transaction
 from repro.workload.ycsb import YcsbWorkload
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingRequest:
     """A transaction awaiting f + 1 matching Inform responses."""
 
@@ -84,6 +84,7 @@ class SpotLessClient(Actor):
         self.retransmissions = 0
         self._pending: Dict[bytes, _PendingRequest] = {}
         self._request_size_bytes = 160
+        self._replica_ids = tuple(config.replica_ids())
 
     # ------------------------------------------------------------------
 
@@ -113,9 +114,7 @@ class SpotLessClient(Actor):
             # ResilientDB disseminates the payload to all replicas up front
             # (Section 6.1), so the first submission broadcasts the
             # transaction itself.
-            self.broadcast(
-                list(self.config.replica_ids()), request.transaction, self._request_size_bytes
-            )
+            self.broadcast(self._replica_ids, request.transaction, self._request_size_bytes)
         else:
             # Section 5 failover: the retry goes to the rotated target
             # replica — eventually a correct one, since primaries rotate.

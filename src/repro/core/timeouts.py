@@ -11,7 +11,6 @@ to RCC's exponential penalty mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
 
 #: The constant ε (seconds) a SpotLess timer grows by after a timeout.
 TIMEOUT_INCREMENT = 0.01
@@ -50,7 +49,6 @@ class AdaptiveTimeout:
     _interval: float = field(init=False)
     _observed_delay: float = field(init=False, default=0.0)
     consecutive_timeouts: int = field(init=False, default=0)
-    adjustments: List[float] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.initial <= 0:
@@ -70,7 +68,6 @@ class AdaptiveTimeout:
         """Record a timer expiry; the interval grows by the constant ε."""
         self.consecutive_timeouts += 1
         self._interval = min(self.maximum, self._interval + self.increment)
-        self.adjustments.append(self._interval)
         return self._interval
 
     def on_progress(self, waited: float) -> float:
@@ -88,15 +85,13 @@ class AdaptiveTimeout:
             halved = self._interval / 2.0
             floor = max(self.minimum, self._observed_delay * self.floor_factor)
             self._interval = min(self.maximum, max(floor, halved))
-            self.adjustments.append(self._interval)
         return self._interval
 
     def reset(self) -> None:
-        """Restore the initial interval and clear history."""
+        """Restore the initial interval and forget the observed delay."""
         self._interval = min(max(self.initial, self.minimum), self.maximum)
         self._observed_delay = 0.0
         self.consecutive_timeouts = 0
-        self.adjustments.clear()
 
 
 @dataclass

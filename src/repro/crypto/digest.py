@@ -53,8 +53,9 @@ def digest_to_int(digest: bytes) -> int:
     return int.from_bytes(digest, "big")
 
 
-#: Public alias for callers that assemble encodings incrementally (e.g. the
-#: ledger memoizes the proof sub-encoding of repeated block proofs).
+#: Public alias: the reference encoding that the encoders assembled inline on
+#: the hot path (``Transaction.digest``, ``BlockProof.encoded``,
+#: ``Block.digest``, ``fold_entry``) are tested against.
 canonical_bytes = _canonical_bytes
 
 

@@ -6,8 +6,6 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.digest import canonical_bytes, digest_bytes
-
 
 @dataclass(frozen=True, slots=True)
 class BlockProof:
@@ -35,11 +33,16 @@ class BlockProof:
         """Memoized canonical byte encoding (the proof is immutable).
 
         Execution pipelines reuse the proof while an instance stays in one
-        view, so those blocks share one encoding.
+        view, so those blocks share one encoding.  Assembled inline,
+        byte-identical to ``canonical_bytes(self.canonical_fields())``.
         """
         cached = self._encoded
         if cached is None:
-            cached = canonical_bytes(self.canonical_fields())
+            quorum = self.quorum
+            cached = (
+                b"t4:s%si%di%dt%d:" % (self.protocol.encode("utf-8"), self.view, self.instance, len(quorum))
+                + b"".join([b"s" + member.encode("utf-8") for member in quorum])
+            )
             object.__setattr__(self, "_encoded", cached)
         return cached
 

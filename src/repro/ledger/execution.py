@@ -11,22 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Optional, Sequence
 
 from repro.ledger.block import BlockProof
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.workload.requests import Operation, Transaction
-
-
-@dataclass(frozen=True, slots=True)
-class ExecutionResult:
-    """Outcome of executing one transaction."""
-
-    transaction_digest: bytes
-    client_id: int
-    read_values: Tuple[bytes, ...] = ()
-    success: bool = True
 
 
 @dataclass
@@ -39,42 +29,30 @@ class ExecutionEngine:
         The replica's key-value table.
     ledger:
         The replica's blockchain ledger.
-    max_rate_txn_per_sec:
-        Sequential execution ceiling (340 ktxn/s in the paper).  Exposed so
-        the simulator can charge execution time; the engine itself just
-        counts the work.
     """
 
     table: KeyValueTable
     ledger: Ledger
-    max_rate_txn_per_sec: float = 340_000.0
     executed_transactions: int = 0
-
-    def execute_transaction(self, transaction: Transaction) -> ExecutionResult:
-        """Execute one transaction against the table."""
-        reads: List[bytes] = []
-        for operation in transaction.operations:
-            if operation.kind == "read":
-                reads.append(self.table.read(operation.key))
-            else:
-                self.table.write(operation.key, operation.value or b"")
-        self.executed_transactions += 1
-        return ExecutionResult(
-            transaction_digest=transaction.digest(),
-            client_id=transaction.client_id,
-            read_values=tuple(reads),
-        )
 
     def execute_batch(
         self,
-        transactions: Iterable[Transaction],
+        transactions: Sequence[Transaction],
         proof: Optional[BlockProof] = None,
-    ) -> List[ExecutionResult]:
-        """Execute a committed batch in order and append it to the ledger."""
-        transactions = list(transactions)
-        results = [self.execute_transaction(txn) for txn in transactions]
-        self.ledger.append((txn.digest() for txn in transactions), proof=proof)
-        return results
+    ) -> None:
+        """Apply a committed batch in order and append it to the ledger.
+
+        Only writes touch the table: a read changes no state, and an Inform
+        carries the transaction digest, never a read value.  Every other
+        operation kind (a no-op included) writes its value, or an empty one.
+        """
+        write = self.table.write
+        for transaction in transactions:
+            for operation in transaction.operations:
+                if operation.kind != "read":
+                    write(operation.key, operation.value or b"")
+        self.executed_transactions += len(transactions)
+        self.ledger.append(tuple([transaction.digest() for transaction in transactions]), proof=proof)
 
     def state_digest(self) -> bytes:
         """Digest of the replica state after execution (for divergence checks)."""
@@ -96,4 +74,4 @@ def make_noop_transaction(instance: int, view: int) -> Transaction:
     return Transaction(client_id=-1, sequence=view, operations=(Operation.noop(instance),))
 
 
-__all__ = ["ExecutionEngine", "ExecutionResult", "make_noop_transaction"]
+__all__ = ["ExecutionEngine", "make_noop_transaction"]

@@ -42,13 +42,10 @@ class Ledger:
         The new block's parent digest is computed from the current head, so
         the caller cannot accidentally fork the chain.
         """
-        block = Block(
-            height=self.height + 1,
-            parent_digest=self.head.digest(),
-            transactions=tuple(transactions),
-            proof=proof,
-        )
-        self._blocks.append(block)
+        blocks = self._blocks
+        head = blocks[-1]
+        block = Block(head.height + 1, head.digest(), tuple(transactions), proof)
+        blocks.append(block)
         return block
 
     def verify_chain(self) -> bool:

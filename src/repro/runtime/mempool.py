@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from typing import Deque, Dict, Iterable, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.workload.requests import Transaction
 
@@ -78,21 +78,24 @@ class Mempool:
         """Record that ``digests`` were placed into a proposal."""
         self._proposed.update(digests)
 
-    def mark_executed(self, digest: bytes) -> None:
-        """Record that ``digest`` was executed (it will never re-queue).
+    def claim_unexecuted(self, transactions: Sequence[Transaction]) -> List[Transaction]:
+        """Mark a decided batch executed; return the part not executed before.
 
-        The digest also leaves the queued set immediately: backups never
-        call ``take_batch``, so without this an executed request would sit
-        in ``pending_count`` forever and the progress-deadline machinery
-        would see phantom outstanding work in a drained system.  The deque
-        entry itself is pruned lazily by ``take_batch``, as before.
+        Whether a transaction is fresh is decided against what was executed
+        before this batch.  Claimed digests never re-queue and also leave the
+        queued set immediately: backups never call ``take_batch``, so without
+        this an executed request would sit in ``pending_count`` forever and
+        the progress-deadline machinery would see phantom outstanding work in
+        a drained system.  The deque entry itself is pruned lazily by
+        ``take_batch``.
         """
-        self._executed.add(digest)
-        self._queued.discard(digest)
-
-    def is_executed(self, digest: bytes) -> bool:
-        """True once ``digest`` has been executed."""
-        return digest in self._executed
+        executed = self._executed
+        fresh = [t for t in transactions if t.digest() not in executed]
+        if fresh:
+            digests = [t.digest() for t in fresh]
+            executed.update(digests)
+            self._queued.difference_update(digests)
+        return fresh
 
     # ------------------------------------------------------------------
     # admission

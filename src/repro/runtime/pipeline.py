@@ -135,19 +135,15 @@ class ExecutionPipeline:
             if self.on_executed is not None:
                 self.on_executed(position, digests, view, instance)
 
-    def execute(
-        self, transactions: List[Transaction], view: int = 0, instance: int = 0
-    ) -> List[Transaction]:
+    def execute(self, transactions: List[Transaction], view: int = 0, instance: int = 0) -> None:
         """Apply a decided batch to the ledger and inform clients.
 
         Transactions executed earlier (under another position) are skipped;
-        the fresh remainder is executed under one block proof and returned.
+        the fresh remainder is executed under one block proof.
         """
-        fresh = [t for t in transactions if not self.mempool.is_executed(t.digest())]
+        fresh = self.mempool.claim_unexecuted(transactions)
         if not fresh:
-            return []
-        for transaction in fresh:
-            self.mempool.mark_executed(transaction.digest())
+            return
         proof = self._proof_cache.get(instance)
         if proof is None or proof.view != view:
             proof = BlockProof(
@@ -158,13 +154,13 @@ class ExecutionPipeline:
             )
             self._proof_cache[instance] = proof
         self.engine.execute_batch(fresh, proof=proof)
+        inform = self._inform
         for transaction in fresh:
             if transaction.is_noop():
                 continue
             self.executed_transactions += 1
-            if self._inform is not None:
-                self._inform(transaction)
-        return fresh
+            if inform is not None:
+                inform(transaction)
 
     # ------------------------------------------------------------------
     # garbage collection

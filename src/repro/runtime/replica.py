@@ -85,6 +85,10 @@ class ReplicaRuntime(Actor):
         self._broadcast_peers = tuple(
             r for r in config.replica_ids() if r != node_id
         )
+        # Clients register after the replicas, so keep the network's live
+        # view of its members rather than a snapshot.
+        self._registered_nodes = network.node_ids()
+        self._reply_bytes = self.size_model.reply_bytes()
 
         self.table = KeyValueTable()
         self.ledger = Ledger()
@@ -363,18 +367,15 @@ class ReplicaRuntime(Actor):
         """Hook: a verified state transfer advanced the execution frontier."""
 
     def _inform_client(self, transaction: Transaction) -> None:
-        inform = InformMessage(
-            replica=self.node_id,
-            client_id=transaction.client_id,
-            transaction_digest=transaction.digest(),
-        )
+        client_id = transaction.client_id
         if self.tracer is not None:
-            self.tracer.instant(
-                self.node_id, "lifecycle", "inform", client=transaction.client_id
+            self.tracer.instant(self.node_id, "lifecycle", "inform", client=client_id)
+        client_node = self.config.num_replicas + client_id
+        if client_node in self._registered_nodes:
+            inform = InformMessage(
+                replica=self.node_id, client_id=client_id, transaction_digest=transaction.digest()
             )
-        client_node = self.config.num_replicas + transaction.client_id
-        if client_node in self.network.node_ids():
-            self.send(client_node, inform, self.size_model.reply_bytes())
+            self.send(client_node, inform, self._reply_bytes)
 
     # ------------------------------------------------------------------
     # decisions and execution

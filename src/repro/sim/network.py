@@ -16,7 +16,7 @@ The network models the three effects the paper's evaluation varies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, KeysView, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
@@ -144,8 +144,8 @@ class Network:
         """Look up the actor registered under ``node_id``."""
         return self._actors[node_id]
 
-    def node_ids(self) -> Iterable[int]:
-        """All registered node identifiers."""
+    def node_ids(self) -> KeysView[int]:
+        """All registered node identifiers, as a live view that sees later registrations."""
         return self._actors.keys()
 
     # -- fault surface ---------------------------------------------------

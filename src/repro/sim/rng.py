@@ -10,6 +10,7 @@ with each other.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -88,15 +89,8 @@ class DeterministicRng:
         """
         if table is None:
             table = zipf_cdf(population, theta)
-        point = self._random.random()
-        low, high = 0, population - 1
-        while low < high:
-            mid = (low + high) // 2
-            if table[mid] < point:
-                low = mid + 1
-            else:
-                high = mid
-        return low
+        # The first entry >= the draw, capped at the last index.
+        return bisect_left(table, self._random.random(), 0, population - 1)
 
 
 def derive_seed(seed: int, *names: object) -> int:

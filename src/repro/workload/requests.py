@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.crypto.digest import digest_bytes, digest_to_int
+from repro.crypto.digest import digest_to_int
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,11 +63,23 @@ class Transaction:
         Memoized: the submit/batch/execute paths all re-derive the digest,
         so each payload is hashed exactly once.  The cache is safe because
         the dataclass is frozen (and the memo field is excluded from
-        equality and hashing).
+        equality and hashing).  The encoding is assembled inline,
+        byte-identical to ``digest_bytes(self.canonical_fields())``.
         """
         cached = self._digest
         if cached is None:
-            cached = digest_bytes(self.canonical_fields())
+            operations = self.operations
+            body = b"t3:i%di%dt%d:" % (self.client_id, self.sequence, len(operations)) + b"".join(
+                [
+                    b"t3:s%si%d%s" % (
+                        op.kind.encode("utf-8"),
+                        op.key,
+                        b"n" if op.value is None else b"b" + op.value,
+                    )
+                    for op in operations
+                ]
+            )
+            cached = hashlib.sha256(body).digest()
             object.__setattr__(self, "_digest", cached)
         return cached
 

@@ -55,15 +55,16 @@ class YcsbWorkload:
         hot = min(self.config.hot_set_size, self.config.record_count)
         self._zipf_table = zipf_cdf(hot, self.config.zipfian_theta)
         self._hot_set_size = hot
+        # Spread the hot set uniformly across the key space so different
+        # hot ranks land on unrelated records, as YCSB's scrambled zipfian does.
+        self._stride = max(1, self.config.record_count // hot)
         self._sequences = itertools.count()
         self.generated = 0
 
     def _sample_key(self) -> int:
-        hot_index = self.rng.zipf_index(self._hot_set_size, self.config.zipfian_theta, self._zipf_table)
-        # Spread the hot set uniformly across the key space so different
-        # hot ranks land on unrelated records, as YCSB's scrambled zipfian does.
-        stride = max(1, self.config.record_count // self._hot_set_size)
-        return (hot_index * stride + self.rng.randint(0, stride - 1)) % self.config.record_count
+        rng, stride = self.rng, self._stride
+        hot_index = rng.zipf_index(self._hot_set_size, self.config.zipfian_theta, self._zipf_table)
+        return (hot_index * stride + rng.randint(0, stride - 1)) % self.config.record_count
 
     def _sample_value(self) -> bytes:
         filler = self.rng.randint(0, 255)

@@ -317,7 +317,14 @@ def test_fuzz_command_runs_a_clean_campaign(tmp_path, capsys):
     # The campaign default-records a ledger; the stderr summary names it.
     assert "dispatch: 2 cells:" in captured.err
     assert str(ledger) in captured.err
-    assert ledger.exists()
+    # The ledger accounts for every cell, and the campaign verb reads it back.
+    from repro.dispatch import read_ledger, reduce_ledger
+
+    manifest = reduce_ledger(read_ledger(ledger))
+    assert manifest.finished and manifest.accounted()
+    assert manifest.done == manifest.total > 0
+    assert cli.main(["campaign", "status", str(ledger)]) == 0
+    assert "finished" in capsys.readouterr().out
 
 
 def test_fuzz_archives_failing_specs_for_replay(tmp_path, first_run_violates, capsys):

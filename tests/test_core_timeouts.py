@@ -50,7 +50,16 @@ def test_timeout_reset_restores_initial_state():
     timeout.reset()
     assert timeout.interval == pytest.approx(0.05)
     assert timeout.consecutive_timeouts == 0
-    assert timeout.adjustments == []
+
+
+def test_timer_keeps_no_per_view_history():
+    # A SpotLess timer adjusts on every view; whatever it keeps must not
+    # grow with the number of views a run lasts.
+    timeout = AdaptiveTimeout(initial=0.05, increment=0.01)
+    for _ in range(1_000):
+        timeout.on_timeout()
+        timeout.on_progress(waited=0.001)
+    assert {type(value) for value in vars(timeout).values()} <= {int, float}
 
 
 def test_timeout_validation():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ledger.block import Block, BlockProof
-from repro.ledger.execution import ExecutionEngine, ExecutionResult, make_noop_transaction
+from repro.crypto.digest import canonical_bytes, digest_bytes, digest_to_int
+from repro.ledger.execution import ExecutionEngine, make_noop_transaction
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.net.sizes import MessageSizeModel
@@ -101,8 +102,6 @@ def test_block_digest_matches_canonical_encoding():
     # Block.digest() assembles its encoding inline (to reuse the memoized
     # proof sub-encoding); it must stay byte-identical to hashing the
     # canonical fields the slow way.
-    from repro.crypto.digest import digest_bytes
-
     proof = BlockProof(protocol="pbft", view=3, instance=1, quorum=("replica:0", "replica:1"))
     cases = [
         Block(height=0, parent_digest=b"\x00" * 32, transactions=()),
@@ -113,10 +112,48 @@ def test_block_digest_matches_canonical_encoding():
     for block in cases:
         assert block.digest() == digest_bytes(block.canonical_fields())
     # The proof sub-encoding memo must also match a fresh canonical pass.
-    from repro.crypto.digest import canonical_bytes
-
     assert proof.encoded() == canonical_bytes(proof.canonical_fields())
     assert proof.encoded() is proof.encoded()
+
+
+@given(
+    st.text(),
+    st.integers(min_value=-(2 ** 40), max_value=2 ** 40),
+    st.integers(min_value=-5, max_value=2 ** 20),
+    st.lists(st.text(max_size=12), max_size=6),
+)
+@settings(max_examples=80)
+def test_block_proof_encoding_matches_canonical_bytes(protocol, view, instance, quorum):
+    proof = BlockProof(protocol=protocol, view=view, instance=instance, quorum=tuple(quorum))
+    assert proof.encoded() == canonical_bytes(proof.canonical_fields())
+
+
+_keys = st.integers(min_value=-(2 ** 40), max_value=2 ** 40)
+_operations = st.one_of(
+    st.builds(Operation.read, _keys),
+    st.builds(Operation.write, _keys, st.binary(max_size=64)),
+    st.builds(Operation.noop, _keys),
+    st.builds(
+        Operation,
+        st.sampled_from(["read", "write", "noop"]),
+        _keys,
+        st.one_of(st.none(), st.binary(max_size=64)),
+    ),
+)
+
+
+@given(
+    st.integers(min_value=-3, max_value=2 ** 32),
+    st.integers(min_value=0, max_value=2 ** 48),
+    st.lists(_operations, max_size=6),
+)
+@settings(max_examples=120)
+def test_transaction_digest_matches_the_canonical_encoding(client_id, sequence, operations):
+    # Transaction.digest() assembles its bytes inline; reads, no-ops and
+    # writes, several per transaction and a None value included, must hash
+    # exactly as the canonical fields do.
+    transaction = Transaction(client_id=client_id, sequence=sequence, operations=tuple(operations))
+    assert transaction.digest() == digest_bytes(transaction.canonical_fields())
 
 
 def _position_records():
@@ -137,7 +174,6 @@ def _position_records():
         record,
         SlotEntry(position=7, records=(record,)),
         CommitRecord(view=3, instance=1, proposal_digest=b"p", transaction_digests=block.transactions),
-        ExecutionResult(transaction_digest=transaction.digest(), client_id=1),
     ]
 
 
@@ -145,7 +181,7 @@ def test_position_records_carry_no_instance_dict_even_with_the_memo_filled():
     from dataclasses import replace
 
     records = _position_records()
-    assert len({type(record) for record in records}) == 8
+    assert len({type(record) for record in records}) == 7
     for record in records:
         for memoised in ("digest", "encoded"):
             if hasattr(record, memoised):
@@ -195,30 +231,17 @@ def test_execution_applies_writes_and_appends_block():
     engine = make_engine()
     txn = Transaction(client_id=1, sequence=0, operations=(Operation.write(5, b"v" * 48),))
     read = Transaction(client_id=2, sequence=0, operations=(Operation.read(5), Operation.read(6)))
-    results = engine.execute_batch([txn, read])
+    engine.execute_batch([txn, read])
     assert engine.executed_transactions == 2
     assert engine.ledger.height == 1
     assert engine.ledger.head.transactions == (txn.digest(), read.digest())
-    assert results[0].client_id == 1
+    # A read changes no state and its value reaches no one (an Inform carries
+    # the digest), so only the write touched the table ...
+    assert (engine.table.reads, engine.table.writes) == (0, 1)
     assert engine.table.read(5) == b"v" * 48
-    # One result per transaction, in batch order, handed to the caller ...
-    assert results == [
-        ExecutionResult(transaction_digest=txn.digest(), client_id=1, read_values=(), success=True),
-        ExecutionResult(
-            transaction_digest=read.digest(), client_id=2, read_values=(b"v" * 48, engine.table.read(6))
-        ),
-    ]
-    # ... and kept nowhere: the engine holds the table, the ledger and a count.
+    # ... and nothing is kept per transaction: the engine holds the table,
+    # the ledger and a count.
     assert not hasattr(engine, "results") and not hasattr(engine, "_results")
-
-
-def test_execution_reads_return_values():
-    engine = make_engine()
-    txn = Transaction(client_id=1, sequence=0, operations=(Operation.read(5),))
-    result = engine.execute_transaction(txn)
-    assert len(result.read_values) == 1
-    assert result == ExecutionResult(txn.digest(), 1, (engine.table.read(5),))
-    assert engine.ledger.height == 0  # only a batch appends a block
 
 
 def test_identical_batches_produce_identical_state_digests():
@@ -278,3 +301,4 @@ def test_instance_assignment_is_stable_and_in_range(sequence, instances):
     assignment = txn.instance_assignment(instances)
     assert 0 <= assignment < instances
     assert assignment == txn.instance_assignment(instances)
+    assert assignment == digest_to_int(txn.digest()) % instances

@@ -9,7 +9,8 @@ Layers of protection:
   process the identical event count and produce the identical ledger, the
   byte-for-byte invariant every optimisation in that PR was gated on;
 * **call budget** — the SpotLess per-message path is held to a number of
-  Python calls per simulated event, a cost measure no host can move;
+  Python calls per simulated event, and the shared transaction lifecycle to
+  a number per confirmed transaction: cost measures no host can move;
 * **growth** — what a HotStuff replica pays per proposal may not depend on
   how long the chain has grown;
 * **retention** — cancelled timers may not pile up in the event heap, and
@@ -153,40 +154,67 @@ def test_pinned_cell_replays_byte_identically():
 CORE_CALLS_PER_EVENT_BUDGET = 25.0
 
 
-def test_core_call_budget_per_event():
-    import repro.core
-    from repro.bench.cluster import SimulatedCluster
-
-    core_dir = os.path.dirname(repro.core.__file__) + os.sep
-    cluster = SimulatedCluster.for_protocol(
-        "spotless",
-        num_replicas=4,
-        batch_size=8,
-        clients=3,
-        outstanding_per_client=4,
-        seed=7,
-    )
-    cluster.start()
+def _calls_while_running(cluster, horizon, counted):
+    """Python calls of functions whose source file ``counted`` accepts, made
+    while ``cluster`` runs ``horizon`` more simulated seconds."""
     calls = 0
 
-    def count_core_calls(frame, event, arg):
+    def count_calls(frame, event, arg):
         nonlocal calls
         # Comprehensions, generator expressions and lambdas are "<...>" code
         # objects; 3.12 inlines some of them, so they are left out everywhere.
         if event == "call":
             code = frame.f_code
-            if code.co_filename.startswith(core_dir) and not code.co_name.startswith("<"):
+            if counted(code.co_filename) and not code.co_name.startswith("<"):
                 calls += 1
 
     previous = sys.getprofile()
-    sys.setprofile(count_core_calls)
+    sys.setprofile(count_calls)
     try:
-        cluster.simulator.run_for(0.1)
+        cluster.simulator.run_for(horizon)
     finally:
         sys.setprofile(previous)
+    return calls
+
+
+def test_core_call_budget_per_event():
+    import repro.core
+
+    core_dir = os.path.dirname(repro.core.__file__) + os.sep
+    cluster = _cell("spotless")
+    cluster.start()
+    calls = _calls_while_running(cluster, 0.1, lambda path: path.startswith(core_dir))
     events = cluster.simulator.processed_events
     assert events == 5092  # same schedule, so the ratio compares like with like
     assert calls / events < CORE_CALLS_PER_EVENT_BUDGET
+
+
+#: Calls of functions defined under ``runtime/``, ``ledger/``, ``recovery/``,
+#: ``workload/``, ``crypto/`` and in ``core/client.py`` per confirmed
+#: transaction on the fault-free PBFT n=4 cell: what one transaction costs on
+#: its way client -> admit -> execute -> ledger -> inform at every replica.
+#: 232.0 while a digest went through the recursive canonical encoder, each
+#: replica asked the mempool twice per transaction, executed it into a result
+#: record and re-derived the reply size; 199.0 once each hop does its work
+#: once.
+LIFECYCLE_CALLS_PER_TXN_BUDGET = 212.0
+
+
+def test_lifecycle_call_budget_per_confirmed_transaction():
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    layers = tuple(root + layer + os.sep for layer in ("runtime", "ledger", "recovery", "workload", "crypto"))
+    client = os.path.join(root, "core", "client.py")
+    cluster = _cell("pbft")
+    cluster.start()
+    calls = _calls_while_running(
+        cluster, 0.2, lambda path: path.startswith(layers) or path == client
+    )
+    confirmed = sum(c.confirmed_transactions for c in cluster.clients)
+    # Same schedule and the same transactions, so the ratio compares like with like.
+    assert (cluster.simulator.processed_events, confirmed) == (17305, 481)
+    assert calls / confirmed < LIFECYCLE_CALLS_PER_TXN_BUDGET
 
 
 # ---------------------------------------------------------------------------

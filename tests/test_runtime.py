@@ -111,7 +111,11 @@ def test_mempool_dedup_and_executed_skip():
     assert pool.admit(txn) is AdmitResult.NEW
     assert pool.admit(txn) is AdmitResult.DUPLICATE
     assert pool.pending_count() == 1
-    pool.mark_executed(txn.digest())
+    # A claim is judged against what ran before the batch: a duplicate
+    # inside one batch is fresh twice, a later claim finds nothing new.
+    assert pool.claim_unexecuted([txn, txn]) == [txn, txn]
+    assert pool.claim_unexecuted([txn]) == []
+    assert pool.pending_count() == 0
     assert pool.admit(txn) is AdmitResult.EXECUTED
     # Executed digests are skipped lazily at batch time.
     assert pool.take_batch(10) is None

@@ -1,6 +1,10 @@
 """Unit tests for the simulated network, actors and metrics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.actor import Actor
 from repro.sim.engine import Simulator
@@ -225,3 +229,43 @@ def test_zipf_sampling_prefers_low_indices():
     samples = [rng.zipf_index(1000, table=table) for _ in range(2000)]
     low = sum(1 for s in samples if s < 100)
     assert low > len(samples) * 0.4
+
+
+def _zipf_index_by_loop(table, population, point):
+    """The binary search ``zipf_index`` ran as a Python loop: the reference."""
+    low, high = 0, population - 1
+    while low < high:
+        mid = (low + high) // 2
+        if table[mid] < point:
+            low = mid + 1
+        else:
+            high = mid
+    return low
+
+
+class _Draws:
+    """Stands in for the stream behind a DeterministicRng: replays given points."""
+
+    def __init__(self, points):
+        self._points = iter(points)
+
+    def random(self):
+        return next(self._points)
+
+
+@given(
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=0.1, max_value=1.5),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20),
+)
+@settings(max_examples=60)
+def test_zipf_index_matches_the_loop_it_replaced(population, theta, draws):
+    table = zipf_cdf(population, theta)
+    # Every entry exactly, and either side of it, the first and last included.
+    points = [0.0, *draws]
+    for entry in table:
+        points += [math.nextafter(entry, 0.0), entry, math.nextafter(entry, 2.0)]
+    rng = DeterministicRng(1)
+    rng._random = _Draws(points)
+    for point in points:
+        assert rng.zipf_index(population, theta, table) == _zipf_index_by_loop(table, population, point)
