@@ -10,7 +10,8 @@ messages.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.messages import CpEntry, ProposeMessage
@@ -30,7 +31,7 @@ class ProposalStatus(enum.IntEnum):
     COMMITTED = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class Proposal:
     """One node in the proposal tree.
 
@@ -93,16 +94,20 @@ class ProposalStore:
         )
         self._proposals: Dict[bytes, Proposal] = {GENESIS_PROPOSAL_ID: genesis}
         self._by_view: Dict[int, List[bytes]] = {GENESIS_VIEW: [GENESIS_PROPOSAL_ID]}
-        self._lock_digest: bytes = GENESIS_PROPOSAL_ID
+        # P_lock itself: a proposal object is never replaced once recorded.
+        self._lock: Proposal = genesis
         self._committed_order: List[bytes] = []
         # Bumped whenever a proposal (or a payload/parent link on an existing
         # proposal) is recorded, so callers can cache derived state — e.g. the
         # node's execution frontier — and re-validate in O(1).
         self.version = 0
-        # Index of non-genesis proposals that reached CONDITIONALLY_PREPARED,
-        # keyed by view: the CP set query walks views from the lock upward
-        # instead of scanning the full (never GC'd) proposal history.
-        self._prepared_by_view: Dict[int, List[bytes]] = {}
+        # The CP entry of every non-genesis proposal that reached
+        # CONDITIONALLY_PREPARED at or above the lock, keyed by view, each
+        # bucket in digest order: the CP set query concatenates the buckets
+        # from the lock upward instead of scanning the full (never GC'd)
+        # proposal history.  The lock only moves up, so a bucket it passes is
+        # never read again and is dropped.
+        self._prepared_by_view: Dict[int, List[CpEntry]] = {}
         self._max_prepared_view = GENESIS_VIEW
 
     # -- basic access ----------------------------------------------------
@@ -133,7 +138,7 @@ class ProposalStore:
     @property
     def lock(self) -> Proposal:
         """``P_lock``: the highest conditionally committed proposal."""
-        return self._proposals[self._lock_digest]
+        return self._lock
 
     # -- recording -------------------------------------------------------
 
@@ -237,7 +242,7 @@ class ProposalStore:
             return False
         if parent.status < ProposalStatus.CONDITIONALLY_PREPARED:
             return False
-        lock = self.lock
+        lock = self._lock
         safety = self.extends(parent, lock)
         liveness = parent.view > lock.view
         return safety or liveness
@@ -258,7 +263,12 @@ class ProposalStore:
     def _note_prepared(self, proposal: Proposal) -> None:
         """Index a proposal crossing into CONDITIONALLY_PREPARED (once; the
         status lattice is monotone, so the crossing happens at most once)."""
-        self._prepared_by_view.setdefault(proposal.view, []).append(proposal.digest)
+        if proposal.view < self._lock.view:
+            return  # below every CP set this store will build
+        bucket = self._prepared_by_view.setdefault(proposal.view, [])
+        bucket.append(CpEntry(view=proposal.view, digest=proposal.digest))
+        if len(bucket) > 1:
+            bucket.sort(key=attrgetter("digest"))
         if proposal.view > self._max_prepared_view:
             self._max_prepared_view = proposal.view
 
@@ -293,8 +303,11 @@ class ProposalStore:
 
         if proposal.view > parent.view:
             self._promote(parent, ProposalStatus.CONDITIONALLY_COMMITTED)
-            if parent.view > self.lock.view:
-                self._lock_digest = parent.digest
+            lock_view = self._lock.view
+            if parent.view > lock_view:
+                self._lock = parent
+                for view in range(max(lock_view, 0), parent.view):
+                    self._prepared_by_view.pop(view, None)
 
         if self.commit_rule == "two-view":
             if proposal.view == parent.view + 1:
@@ -409,16 +422,15 @@ class ProposalStore:
         — the lock itself plus every conditionally prepared proposal with a
         view at or above the lock's view.
         """
-        lock_view = self.lock.view
+        lock = self._lock
         prepared_by_view = self._prepared_by_view
-        entries = [
-            CpEntry(view=view, digest=digest)
-            for view in range(max(lock_view, 0), self._max_prepared_view + 1)
-            for digest in prepared_by_view.get(view, ())
-        ]
-        if not entries and not self.lock.is_genesis:
-            entries.append(CpEntry(view=self.lock.view, digest=self.lock.digest))
-        entries.sort(key=lambda entry: (entry.view, entry.digest))
+        entries: List[CpEntry] = []
+        for view in range(max(lock.view, 0), self._max_prepared_view + 1):
+            bucket = prepared_by_view.get(view)
+            if bucket is not None:
+                entries += bucket
+        if not entries and not lock.is_genesis:
+            return (CpEntry(view=lock.view, digest=lock.digest),)
         return tuple(entries)
 
 

@@ -179,6 +179,9 @@ class SpotLessInstance:
         )
         # Proposals this replica proposed as primary, keyed by view.
         self._own_proposals: Dict[int, bytes] = {}
+        # The certificate entry standing in for a vote recorded without a
+        # signature, one per sender, shared by every certificate.
+        self._unsigned: Dict[int, Signature] = {}
 
         if config.timeout_policy == "exponential":
             self._recording_timeout = ExponentialBackoff(initial=config.recording_timeout)
@@ -354,10 +357,13 @@ class SpotLessInstance:
         if len(votes) < self._quorum:
             return None
         signatures = []
-        for sender, signature in sorted(votes.items()):
-            signatures.append(signature if signature is not None else Signature(signer=f"replica:{sender}", tag=b""))
-            if len(signatures) == self._quorum:
-                break
+        for sender in sorted(votes)[: self._quorum]:
+            signature = votes[sender]
+            if signature is None:
+                signature = self._unsigned.get(sender)
+                if signature is None:
+                    signature = self._unsigned[sender] = Signature(signer=f"replica:{sender}", tag=b"")
+            signatures.append(signature)
         return Certificate(statement=(proposal.view, proposal.digest), signatures=tuple(signatures))
 
     def _votes(self, view: int, digest: bytes) -> Dict[int, Optional[Signature]]:
@@ -441,7 +447,7 @@ class SpotLessInstance:
     def _maybe_accept_pending(self) -> None:
         """Accept a proposal of the current view that arrived before it could be."""
         view = self.current_view
-        if view in self._synced_views:
+        if view in self._synced_views or view not in self.store._by_view:
             return
         for proposal in self.store.proposals_in_view(view):
             if proposal.message is not None:
@@ -504,7 +510,10 @@ class SpotLessInstance:
         if message.instance != self.instance_id:
             return
         view = message.view
+        digest = message.claim.digest
         tally = self._views[view]
+        # The claimed digest's votes, once it has any.
+        votes = None
         if sender not in tally.senders:
             tally.senders.add(sender)
             if sender == self._replica_id:
@@ -513,7 +522,6 @@ class SpotLessInstance:
                 self._highest_view_seen[sender] = view
                 if view > self._max_view_seen:
                     self._max_view_seen = view
-            digest = message.claim.digest
             if digest is None:
                 # f + 1 failure claims for one view are evidence that a primary
                 # misbehaved or crashed: stop using the optimistic fast path.
@@ -533,12 +541,67 @@ class SpotLessInstance:
                 if endorsers is None:
                     endorsers = endorsements[entry.digest] = {}
                 endorsers[sender] = view
+        elif digest is not None:
+            votes = tally.votes.get(digest)
 
         # Υ flag: retransmit the Sync we broadcast in this view to the sender.
         if message.retransmit_flag and view in self._synced_views:
             self._retransmit_own_sync(tally, view, sender)
 
-        self._apply_sync_rules(tally, message)
+        # Re-evaluate every rule the Sync's statements take part in.  The
+        # rules are level-triggered — a duplicate Sync re-runs them — so each
+        # one's "nothing to do" condition is tested here, where the vote was
+        # counted, and only a rule with something left to decide is called.
+        if votes is not None:
+            count = len(votes)
+            # Rule: f+1 same-claim Syncs in our current view let us echo the
+            # claim even without the primary's proposal (Figure 3, lines 24-28).
+            if count >= self._weak_quorum and view == self.current_view and view not in self._synced_views:
+                self._echo_claim(view, digest, votes)
+            # Rule: n−f same-claim Syncs conditionally prepare the proposal
+            # (Figure 3, lines 20-21): in full at the crossing; a later vote
+            # finds it prepared and can only let an un-synced current view
+            # accept what it has recorded.
+            if count >= self._quorum:
+                proposal = self.store.get(digest)
+                if proposal is None or proposal.status < _PREPARED:
+                    if proposal is None:
+                        proposal = self.store.record_reference(digest, view)
+                        self._send_ask(view, digest, list(votes))
+                    self._conditionally_prepare(proposal)
+                else:
+                    self._maybe_accept_pending()
+                # The n−f same-claim quorum for the current view completes
+                # the Certifying state and advances to the next view.
+                if view == self.current_view:
+                    self._advance_view(view + 1, fast=True)
+
+        # Rule: f+1 CP endorsements with higher views conditionally prepare
+        # an older proposal (Figure 3, lines 22-23).  An entry already
+        # prepared here is settled unless the current view is un-synced with
+        # a proposal recorded, which a repeat could still let it accept.
+        # (Nothing in the loop moves the current view.)
+        current = self.current_view
+        proposals = self.store._proposals
+        by_view = self.store._by_view
+        for entry in message.cp_set:
+            proposal = proposals.get(entry.digest)
+            if (
+                proposal is not None
+                and proposal.status >= _PREPARED
+                and (current in self._synced_views or current not in by_view)
+            ):
+                continue
+            self._prepare_from_cp(entry, proposal)
+
+        # RVS: f+1 Syncs with views >= w > current view -> skip ahead (Figure 4,
+        # lines 12-15); nobody is ahead of us unless _max_view_seen says so.
+        if self._max_view_seen > self.current_view:
+            self._maybe_skip_views()
+
+        # State progress for the current view (Figure 4, lines 7-11).
+        if self.state is ViewState.SYNCING:
+            self._check_sync_quorum()
 
     def _retransmit_own_sync(self, tally: _ViewTally, view: int, requester: int) -> None:
         """Resend our own Sync of ``view`` to a replica that asked via Υ.
@@ -572,44 +635,8 @@ class SpotLessInstance:
         )
         self.env.send(requester, rebuilt)
 
-    def _apply_sync_rules(self, tally: _ViewTally, message: SyncMessage) -> None:
-        """Re-evaluate every rule the Sync's statements take part in.
-
-        The rules are level-triggered — a duplicate Sync re-runs them — and
-        each is cheap once what it decides has been decided: a claim or CP
-        entry whose proposal is already conditionally prepared costs a status
-        check unless the current view still waits for a proposal to accept.
-        """
-        view = message.view
-        digest = message.claim.digest
-        if digest is not None:
-            votes = tally.votes.get(digest)
-            if votes is not None:
-                # Rule: f+1 same-claim Syncs in our current view let us echo
-                # the claim even without the primary's proposal (Figure 3,
-                # lines 24-28).
-                self._maybe_echo_claim(view, digest, votes)
-                # Rule: n−f same-claim Syncs conditionally prepare the
-                # proposal (Figure 3, lines 20-21).
-                self._maybe_conditionally_prepare_from_claims(view, digest, votes)
-
-        # Rule: f+1 CP endorsements with higher views conditionally prepare
-        # an older proposal (Figure 3, lines 22-23).
-        for entry in message.cp_set:
-            self._maybe_conditionally_prepare_from_cp(entry)
-
-        # RVS: f+1 Syncs with views >= w > current view -> skip ahead (Figure 4,
-        # lines 12-15).
-        self._maybe_skip_views()
-
-        # State progress for the current view (Figure 4, lines 7-11).
-        self._check_sync_quorum()
-
-    def _maybe_echo_claim(self, view: int, digest: bytes, votes: Dict[int, Optional[Signature]]) -> None:
-        if view != self.current_view or view in self._synced_views:
-            return
-        if len(votes) < self._weak_quorum:
-            return
+    def _echo_claim(self, view: int, digest: bytes, votes: Dict[int, Optional[Signature]]) -> None:
+        """Echo an f+1 claim of the un-synced current view; Ask for its payload."""
         self._note_recording_progress()
         self._broadcast_sync(Claim(view=view, digest=digest, primary_signature=None))
         proposal = self.store.get(digest)
@@ -634,31 +661,9 @@ class SpotLessInstance:
         proposal = self.store.get(key[1])
         return proposal is not None and proposal.has_payload()
 
-    def _maybe_conditionally_prepare_from_claims(
-        self, view: int, digest: bytes, votes: Dict[int, Optional[Signature]]
-    ) -> None:
-        if len(votes) < self._quorum:
-            return
-        proposal = self.store.get(digest)
-        if proposal is None:
-            proposal = self.store.record_reference(digest, view)
-            self._send_ask(view, digest, list(votes))
-        self._conditionally_prepare(proposal)
-        # Receiving the full n−f same-claim quorum for the current view
-        # completes the Certifying state and advances to the next view.
-        if view == self.current_view:
-            self._advance_view(view + 1, fast=True)
-
-    def _maybe_conditionally_prepare_from_cp(self, entry: CpEntry) -> None:
-        proposal = self.store.get(entry.digest)
-        prepared = proposal is not None and proposal.status >= _PREPARED
-        if prepared and (
-            self.current_view in self._synced_views
-            or not self.store.proposals_in_view(self.current_view)
-        ):
-            # Settled: all a repeat could still do is let an un-synced
-            # current view accept a proposal it has recorded.
-            return
+    def _prepare_from_cp(self, entry: CpEntry, proposal: Optional[Proposal]) -> None:
+        """CP rule for one entry not yet settled here (``proposal`` is the
+        store's record of it, or None)."""
         tally = self._views.get(entry.view)
         endorsements = tally.endorsements.get(entry.digest) if tally is not None else None
         if endorsements is None:
@@ -668,7 +673,7 @@ class SpotLessInstance:
             return
         if proposal is None:
             proposal = self.store.record_reference(entry.digest, entry.view)
-        if not prepared and not proposal.has_payload():
+        if proposal.status < _PREPARED and not proposal.has_payload():
             self._send_ask(entry.view, entry.digest, higher_view_endorsers)
         self._conditionally_prepare(proposal)
 
@@ -686,10 +691,9 @@ class SpotLessInstance:
 
         In the ``"gst"`` ablation mode this rule is disabled: replicas only
         advance views through their own quorum progress and timer expiry, as
-        a Global-Synchronization-Time pacemaker would.
+        a Global-Synchronization-Time pacemaker would.  Called only when
+        some sender's Sync is ahead of the current view.
         """
-        if self._max_view_seen <= self.current_view:
-            return
         if self.config.view_sync_mode == "gst":
             return
         higher_views = sorted(

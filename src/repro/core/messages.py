@@ -23,11 +23,12 @@ wire surface of a SpotLess deployment is visible in one place.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.crypto.certificates import Certificate, Signature
-from repro.crypto.digest import digest_bytes
+from repro.crypto.digest import canonical_bytes
 from repro.net.message import InformMessage, Message
 from repro.recovery.messages import (
     CheckpointCertificate,
@@ -37,7 +38,7 @@ from repro.recovery.messages import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Claim:
     """``claim(P) = (v, digest(P), ⟦P⟧_P)``: a claim that proposal P was
     the well-formed proposal received in view v.
@@ -69,7 +70,7 @@ class Claim:
         return Claim(view=view, digest=None, primary_signature=None)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CpEntry:
     """One ``(view, digest)`` entry of a CP set."""
 
@@ -123,10 +124,35 @@ class ProposeMessage(Message):
         so it is hashed once instead of once per receiver.  The memo is not
         an ``__init__`` parameter, so ``dataclasses.replace`` builds a message
         without it and a rewritten proposal can never inherit a stale digest.
+        The encoding is assembled inline, byte-identical to
+        ``digest_bytes(self.canonical_fields())``.
         """
         cached = self._digest
         if cached is None:
-            cached = digest_bytes(self.canonical_fields())
+            batch = self.transaction_digests
+            certificate = self.parent_certificate
+            if certificate:
+                signatures = certificate.signatures
+                certificate_bytes = (
+                    b"t2:"
+                    + canonical_bytes(certificate.statement)
+                    + b"t%d:" % len(signatures)
+                    + b"".join([b"t2:s%sb%s" % (s.signer.encode("utf-8"), s.tag) for s in signatures])
+                )
+            else:
+                certificate_bytes = b"n"
+            quorum = self.parent_claim_quorum
+            body = b"".join(
+                [
+                    b"t8:sproposei%di%dt%d:" % (self.instance, self.view, len(batch)),
+                    b"".join([b"b" + digest for digest in batch]),
+                    b"b%si%d" % (self.parent_digest, self.parent_view),
+                    certificate_bytes,
+                    b"t%d:" % len(quorum),
+                    b"".join([b"i%d" % replica for replica in quorum]),
+                ]
+            )
+            cached = hashlib.sha256(body).digest()
             object.__setattr__(self, "_digest", cached)
         return cached
 

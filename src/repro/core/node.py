@@ -101,7 +101,7 @@ class SpotLessReplica(ReplicaRuntime):
         # per-instance contiguity proof and records below it may be GC'd.
         self._execution_floor_view = 0
         # Frontier memo per instance: (frontier, record_count, floor,
-        # store_version).  The walk in _instance_execution_frontier depends
+        # store_version).  The walk in _walk_execution_frontier depends
         # only on the instance's committed records, the execution floor, and
         # the proposal store's content — all captured by this key, so a hit
         # returns the cached frontier without re-walking the history.
@@ -155,7 +155,7 @@ class SpotLessReplica(ReplicaRuntime):
         # this is a zero-delay delivery that consumes no network resources.
         # Scheduling (rather than calling directly) keeps handler call stacks
         # flat when many catch-up messages are emitted in one step.
-        self.simulator.schedule_call(0.0, self.on_protocol_message, (self.node_id, message))
+        self.simulator.schedule_call(0.0, self.on_message, (self.node_id, message))
 
     def _broadcast_protocol(self, message: Message) -> None:
         self.broadcast(self._broadcast_peers, message, self._message_size(message))
@@ -209,17 +209,21 @@ class SpotLessReplica(ReplicaRuntime):
         for instance in self.instances.values():
             instance.start()
 
-    def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Route a consensus message to the instance it names.
-
-        Transactions and the recovery-layer messages (checkpoint votes,
-        state requests/responses) are handled by the shared runtime; only
-        what it does not recognise reaches this method.
-        """
-        instance = self.instances.get(payload.instance)
+    def on_message(self, sender: int, payload: object) -> None:
+        """Route a delivery: a consensus message, most of what arrives, goes
+        straight to the instance it names; the shared runtime routes the
+        rest (transactions and the recovery-layer messages)."""
         handler = _HANDLERS.get(payload.__class__)
-        if instance is not None and handler is not None:
+        if handler is None:
+            ReplicaRuntime.on_message(self, sender, payload)
+            return
+        instance = self.instances.get(payload.instance)
+        if instance is not None:
             handler(instance, sender, payload)
+
+    def on_protocol_message(self, sender: int, payload: object) -> None:
+        """What the shared runtime does not recognise: every consensus message
+        was routed by :meth:`on_message` already, so this one is dropped."""
 
     # ------------------------------------------------------------------
     # commits, total order and execution
@@ -254,7 +258,7 @@ class SpotLessReplica(ReplicaRuntime):
             )
         self._advance_execution()
 
-    def _instance_execution_frontier(self, instance_id: int) -> int:
+    def _walk_execution_frontier(self, instance_id: int) -> int:
         """Highest view up to which this instance's committed chain is contiguous.
 
         The committed records of an instance are walked in ascending view
@@ -268,23 +272,13 @@ class SpotLessReplica(ReplicaRuntime):
 
         Views below the execution floor are settled (executed or covered by
         a verified state transfer), so the walk starts there and parent
-        links pointing below the floor count as inside the prefix.
+        links pointing below the floor count as inside the prefix.  The
+        result is memoised in ``_frontier_cache``, which
+        :meth:`_advance_execution` reads before it calls the walk.
         """
         records = self._committed_by_view[instance_id]
         store = self.instances[instance_id].store
         floor = self._execution_floor_view
-        cached = self._frontier_cache.get(instance_id)
-        # The store version guards only walks that actually depended on the
-        # store (broke on a parent link the store could not resolve yet);
-        # a walk whose every parent was known caches with -1 and stays valid
-        # however many messages the store records afterwards.
-        if (
-            cached is not None
-            and cached[1] == len(records)
-            and cached[2] == floor
-            and (cached[3] == -1 or cached[3] == store.version)
-        ):
-            return cached[0]
         frontier = floor - 1
         store_dependent = False
         for view in sorted(records):
@@ -307,6 +301,10 @@ class SpotLessReplica(ReplicaRuntime):
             if parent_view >= floor and parent_view not in records:
                 break
             frontier = view
+        # The store version guards only walks that actually depended on the
+        # store (broke on a parent link the store could not resolve yet); a
+        # walk whose every parent was known caches with -1 and stays valid
+        # however many messages the store records afterwards.
         self._frontier_cache[instance_id] = (
             frontier,
             len(records),
@@ -331,24 +329,40 @@ class SpotLessReplica(ReplicaRuntime):
         execute without a per-instance contiguity proof, because the
         checkpoint certificate already attests the exact content.
         """
+        committed = self._committed_by_view
+        frontier_cache = self._frontier_cache
+        instance_ids = range(self.config.num_instances)
         while True:
             view = self._next_execution_view
-            if view >= self._execution_floor_view:
+            floor = self._execution_floor_view
+            if view >= floor:
                 # The view waits for the slowest instance; the first one
-                # found short decides.
-                for instance_id in range(self.config.num_instances):
-                    if self._instance_execution_frontier(instance_id) < view:
+                # found short decides.  A memo entry is current while its
+                # record count and floor match and, for a walk that depended
+                # on the store, the store version too.
+                for instance_id in instance_ids:
+                    cached = frontier_cache.get(instance_id)
+                    if (
+                        cached is not None
+                        and cached[1] == len(committed[instance_id])
+                        and cached[2] == floor
+                        and (cached[3] == -1 or cached[3] == self.instances[instance_id].store.version)
+                    ):
+                        frontier = cached[0]
+                    else:
+                        frontier = self._walk_execution_frontier(instance_id)
+                    if frontier < view:
                         return
-            resolved: List[Tuple[CommitRecord, List[Transaction]]] = []
-            for instance_id in range(self.config.num_instances):
-                record = self._committed_by_view[instance_id].get(view)
+            resolved: List[Tuple[CommitRecord, Tuple[bytes, ...], List[Transaction]]] = []
+            for instance_id in instance_ids:
+                record = committed[instance_id].get(view)
                 if record is None:
                     continue
-                transactions = self._resolve_transactions(record)
-                if transactions is None:
+                payload = self._resolve_transactions(record)
+                if payload is None:
                     return
-                resolved.append((record, transactions))
-            for record, transactions in resolved:
+                resolved.append((record, *payload))
+            for record, _digests, transactions in resolved:
                 self.pipeline.execute(transactions, view=record.view, instance=record.instance)
             if self.tracer is not None:
                 self.tracer.instant(
@@ -363,28 +377,32 @@ class SpotLessReplica(ReplicaRuntime):
                 self._fold_executed_view(view, resolved)
 
     def _fold_executed_view(
-        self, view: int, resolved: List[Tuple[CommitRecord, List[Transaction]]]
+        self, view: int, resolved: List[Tuple[CommitRecord, Tuple[bytes, ...], List[Transaction]]]
     ) -> None:
         """Fold one executed view into the checkpoint manager's digest chain.
 
         The fold covers the agreement-fixed content of the view: the records
         executed across instances (ascending instance order), each with its
-        proposal digest and transaction digests.  Views with no committed
-        record fold as empty, so every replica folds the same sequence.
+        proposal digest and the transaction digests its payloads resolved
+        from.  Views with no committed record fold as empty, so every
+        replica folds the same sequence.
         """
         records = tuple(
             SlotRecord(
                 view=record.view,
                 instance=record.instance,
-                transaction_digests=tuple(t.digest() for t in transactions),
+                transaction_digests=digests,
                 slot_digest=record.proposal_digest,
             )
-            for record, transactions in resolved
+            for record, digests, _transactions in resolved
         )
         self._record_executed_entry(SlotEntry(position=view, records=records))
 
-    def _resolve_transactions(self, record: CommitRecord) -> Optional[List[Transaction]]:
-        """Look up the payloads of a committed record.
+    def _resolve_transactions(
+        self, record: CommitRecord
+    ) -> Optional[Tuple[Tuple[bytes, ...], List[Transaction]]]:
+        """Look up the payloads of a committed record: its transaction
+        digests and, in the same order, the transactions they name.
 
         Returns ``None`` when a non-reconstructible payload is missing, which
         stalls execution until the payload arrives (via client dissemination
@@ -409,7 +427,7 @@ class SpotLessReplica(ReplicaRuntime):
                 else:
                     return None
             transactions.append(transaction)
-        return transactions
+        return digests, transactions
 
     # ------------------------------------------------------------------
     # recovery: state transfer, checkpoint GC and Ask rewiring

@@ -278,8 +278,9 @@ class Network:
             return 0
         simulator = self.simulator
         config = self.config
-        rng = self.rng
-        uniform = rng.uniform
+        # uniform(-j, j) is -j + (j - -j) * random(); j - -j is exactly j + j,
+        # so drawing from random() directly yields the identical float.
+        random = self.rng.random
         nic = self._nic_free_at
         c_sent = self._c_sent
         c_bytes = self._c_bytes
@@ -327,7 +328,7 @@ class Network:
             link = shared_link if shared_link is not None else self._link(sender, receiver)
             jitter = link.jitter
             if jitter > 0.0:
-                propagation = link.delay + uniform(-jitter, jitter)
+                propagation = link.delay + (-jitter + (jitter + jitter) * random())
                 if propagation < 0.0:
                     propagation = 0.0
             else:

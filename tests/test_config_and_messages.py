@@ -16,6 +16,8 @@ from repro.core.messages import (
     ProposeMessage,
     SyncMessage,
 )
+from repro.crypto.certificates import Certificate, Signature
+from repro.crypto.digest import digest_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +133,6 @@ def test_proposal_digest_is_deterministic():
 def test_proposal_digest_memo_is_per_object_and_never_inherited():
     from dataclasses import replace
 
-    from repro.crypto.digest import digest_bytes
-
     message = _propose()
     assert message.digest() is message.digest()  # hashed once per object
     assert message.digest() == digest_bytes(message.canonical_fields())
@@ -146,6 +146,42 @@ def test_proposal_digest_memo_is_per_object_and_never_inherited():
     twin = _propose()
     assert twin == message and hash(twin) == hash(message)
     assert replace(message) == message and replace(message).digest() == message.digest()
+
+
+_signatures = st.builds(Signature, signer=st.text(max_size=12), tag=st.binary(max_size=16))
+_certificates = st.builds(
+    Certificate,
+    statement=st.tuples(st.integers(min_value=-1, max_value=2 ** 40), st.binary(max_size=32)),
+    signatures=st.lists(_signatures, max_size=5).map(tuple),
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=2 ** 20),
+    st.integers(min_value=0, max_value=2 ** 40),
+    st.lists(st.binary(max_size=40), max_size=8),
+    st.binary(max_size=40),
+    st.one_of(st.just(-1), st.integers(min_value=0, max_value=2 ** 40)),
+    st.one_of(st.none(), _certificates),
+    st.lists(st.integers(min_value=0, max_value=200), max_size=7),
+)
+@settings(max_examples=150, deadline=None)
+def test_proposal_digest_matches_the_canonical_encoding(
+    instance, view, batch, parent, parent_view, certificate, claim_quorum
+):
+    # ProposeMessage.digest() assembles its bytes inline; every batch size,
+    # a genesis or later parent, a certificate of several signers or none,
+    # and an empty or non-empty claim quorum must hash as the fields do.
+    message = ProposeMessage(
+        instance=instance,
+        view=view,
+        transaction_digests=tuple(batch),
+        parent_digest=parent,
+        parent_view=parent_view,
+        parent_certificate=certificate,
+        parent_claim_quorum=tuple(claim_quorum),
+    )
+    assert message.digest() == digest_bytes(message.canonical_fields())
 
 
 @given(

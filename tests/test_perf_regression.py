@@ -9,8 +9,9 @@ Layers of protection:
   process the identical event count and produce the identical ledger, the
   byte-for-byte invariant every optimisation in that PR was gated on;
 * **call budget** — the SpotLess per-message path is held to a number of
-  Python calls per simulated event, and the shared transaction lifecycle to
-  a number per confirmed transaction: cost measures no host can move;
+  Python calls and of dataclass constructions per simulated event, and the
+  shared transaction lifecycle to a number of calls per confirmed
+  transaction: cost measures no host can move;
 * **growth** — what a HotStuff replica pays per proposal may not depend on
   how long the chain has grown;
 * **retention** — cancelled timers may not pile up in the event heap, and
@@ -149,23 +150,26 @@ def test_pinned_cell_replays_byte_identically():
 
 #: Calls of functions defined under ``src/repro/core/`` per processed event
 #: on a fault-free n=4 cell.  The per-Sync rework brought it from 31.8 to
-#: 19.2; re-deriving settled facts on every Sync again trips this long
-#: before a wall clock could tell.
-CORE_CALLS_PER_EVENT_BUDGET = 25.0
+#: 19.2 (18.5 measured later); testing each Sync rule's "nothing to do"
+#: condition where the vote is counted brought it to 11.2.  Re-deriving
+#: settled facts on every Sync again trips this long before a wall clock
+#: could tell.
+CORE_CALLS_PER_EVENT_BUDGET = 12.3
 
 
-def _calls_while_running(cluster, horizon, counted):
-    """Python calls of functions whose source file ``counted`` accepts, made
-    while ``cluster`` runs ``horizon`` more simulated seconds."""
+def _calls_while_running(cluster, horizon, counted, name_counted=lambda name: not name.startswith("<")):
+    """Python calls of functions whose source file ``counted`` and whose name
+    ``name_counted`` accept, made while ``cluster`` runs ``horizon`` more
+    simulated seconds."""
     calls = 0
 
     def count_calls(frame, event, arg):
         nonlocal calls
-        # Comprehensions, generator expressions and lambdas are "<...>" code
-        # objects; 3.12 inlines some of them, so they are left out everywhere.
+        # By default comprehensions, generator expressions and lambdas (the
+        # "<...>" code objects) are left out: 3.12 inlines some of them.
         if event == "call":
             code = frame.f_code
-            if counted(code.co_filename) and not code.co_name.startswith("<"):
+            if counted(code.co_filename) and name_counted(code.co_name):
                 calls += 1
 
     previous = sys.getprofile()
@@ -187,6 +191,25 @@ def test_core_call_budget_per_event():
     events = cluster.simulator.processed_events
     assert events == 5092  # same schedule, so the ratio compares like with like
     assert calls / events < CORE_CALLS_PER_EVENT_BUDGET
+
+
+#: Dataclass instances built per processed event on the same cell, counted as
+#: calls of a generated ``__init__`` (its code object's file is "<string>",
+#: which is also why a cProfile table shows them all as one row).  1.68 while
+#: every Sync built its CP entries afresh and every certificate a placeholder
+#: signature per unsigned vote; 1.42 once each is built once.
+CORE_CONSTRUCTIONS_PER_EVENT_BUDGET = 1.55
+
+
+def test_core_constructions_per_event():
+    cluster = _cell("spotless")
+    cluster.start()
+    constructions = _calls_while_running(
+        cluster, 0.1, lambda path: path == "<string>", lambda name: name == "__init__"
+    )
+    events = cluster.simulator.processed_events
+    assert events == 5092
+    assert constructions / events < CORE_CONSTRUCTIONS_PER_EVENT_BUDGET
 
 
 #: Calls of functions defined under ``runtime/``, ``ledger/``, ``recovery/``,

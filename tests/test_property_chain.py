@@ -9,17 +9,17 @@ argument of Section 3.3 relies on:
 * commits only happen below three consecutive-view descendants (for the
   paper's rule) and committed proposals never conflict within one store;
 * the CP set always contains only conditionally prepared proposals at or
-  above the lock view;
+  above the lock view, sorted by (view, digest);
 * ``depth`` equals the length of ``precedes``.
 """
 
 from typing import Dict, List, Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.chain import ProposalStatus, ProposalStore
-from repro.core.messages import ProposeMessage
+from repro.core.messages import CpEntry, ProposeMessage
 
 
 # A tree shape is a list of (parent_index, view_gap) pairs: proposal k attaches
@@ -148,6 +148,66 @@ def test_cp_set_contains_only_prepared_proposals_at_or_above_the_lock(shape):
         assert proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED
         assert entry.view >= min(lock_view, entry.view)
         assert entry.view == proposal.view
+
+
+def _reference_cp_set(store: ProposalStore) -> List[Tuple[int, bytes]]:
+    """The CP set by its definition: every prepared proposal at or above the
+    lock, sorted by (view, digest), or the lock alone when there is none."""
+    lock = store.lock
+    entries = sorted(
+        (proposal.view, proposal.digest)
+        for proposal in store.proposals()
+        if not proposal.is_genesis
+        and proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED
+        and proposal.view >= lock.view
+    )
+    if not entries and not lock.is_genesis:
+        entries = [(lock.view, lock.digest)]
+    return entries
+
+
+# Two siblings of genesis in view 1 (both prepared), a chain above one of them,
+# and a proposal left recorded only.
+_TWO_IN_ONE_VIEW = ([(0, 2), (0, 2), (1, 1), (3, 1), (4, 2)], [True, True, True, True, False], False)
+
+
+@given(
+    TreeShape,
+    st.lists(st.booleans(), min_size=12, max_size=12),
+    st.booleans(),
+)
+@example(*_TWO_IN_ONE_VIEW)
+@example(*_TWO_IN_ONE_VIEW[:2], True)
+@settings(max_examples=120, deadline=None)
+def test_cp_set_equals_the_sorted_prepared_proposals_at_or_above_the_lock(shape, prepare, lock_only):
+    """``cp_set()`` only concatenates per-view buckets kept in digest order;
+    it must equal the definition, with several prepared proposals in one view
+    and with a lock no prepared proposal reaches (the lock-only fallback)."""
+    store = ProposalStore()
+    nodes = [store.genesis]
+    for index, ((parent_choice, view_gap), prepared) in enumerate(zip(shape, prepare)):
+        parent = nodes[parent_choice % len(nodes)]
+        message = ProposeMessage(
+            instance=0,
+            view=parent.view + view_gap,
+            transaction_digests=(f"txn-{index}".encode(),),
+            parent_digest=parent.digest,
+            parent_view=parent.view,
+        )
+        proposal = store.record_message(message)
+        if prepared:
+            store.mark_conditionally_prepared(proposal)
+        nodes.append(proposal)
+        assert [(entry.view, entry.digest) for entry in store.cp_set()] == _reference_cp_set(store)
+    if lock_only:
+        # The lock is always prepared when it is reached through the store's
+        # own transitions; point it at a recorded proposal above every
+        # prepared one to reach the fallback.
+        top = max(node.view for node in nodes)
+        above = store.record_reference(b"\x7f" * 32, view=top + 1)
+        store._lock = above
+        assert store.cp_set() == (CpEntry(view=top + 1, digest=above.digest),)
+    assert [(entry.view, entry.digest) for entry in store.cp_set()] == _reference_cp_set(store)
 
 
 @given(TreeShape)

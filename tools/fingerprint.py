@@ -9,10 +9,13 @@ it is parallel with ``--workers`` and served from the result cache unless
 ``--no-cache``) with the ``repro`` package found on ``PYTHONPATH``, which is
 how one copy of this tool records two source trees.  The cell set is the
 smoke matrix at seeds 1-3, every fault kind x every protocol at f = 1 and
-f = 2 (seed 1), and ``fuzz_matrix(50, seed=1)``.  Per cell it keeps the
-processed events, messages, bytes, dropped and rewritten messages, the
-confirmed count, the summary digest, violations, stragglers, and per
-replica the liveness counters and state digest.
+f = 2 (seed 1), ``fuzz_matrix(50, seed=1)``, and one cell per ablation of
+``repro.bench.ablations.ABLATIONS`` (the config-gated SpotLess paths: two-view
+commit, GST view sync, exponential timeouts, client assignment, fast path off).
+Per scenario cell it keeps the processed events, messages, bytes, dropped and
+rewritten messages, the confirmed count, the summary digest, violations,
+stragglers, and per replica the liveness counters and state digest; per
+ablation cell it keeps the rows ``repro ablation NAME`` prints.
 
 ``compare A B`` prints every cell whose fields differ (and cells only one
 record has), grouped by protocol, and exits 1 on any difference, 0 when the
@@ -31,7 +34,7 @@ FORMAT = 1
 TASK = "fingerprint-cell"
 # Scalars are printed old -> new on a difference; the lists only by name.
 SCALARS = ("events", "messages", "bytes", "dropped", "rewritten", "confirmed", "summary")
-FIELDS = SCALARS + ("violations", "stragglers", "counters", "state")
+FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "rows")
 
 
 def cell_specs() -> List[Any]:
@@ -100,6 +103,7 @@ def _register() -> None:
 
 
 def record(out: Path, workers: int, use_cache: bool) -> int:
+    from repro.bench.ablations import ABLATIONS
     from repro.dispatch.cache import ResultCache
     from repro.dispatch.dispatcher import Dispatcher
 
@@ -109,8 +113,14 @@ def record(out: Path, workers: int, use_cache: bool) -> int:
     dispatcher = Dispatcher(workers=workers, cache=ResultCache() if use_cache else None)
     results = dispatcher.run(TASK, payloads)
     cells = {spec.name: result for spec, result in zip(specs, results)}
+    scenario_stats = dispatcher.last_stats.summary()
+    # The task `repro ablation NAME` runs, at the ablation's default arguments.
+    names = sorted(ABLATIONS)
+    rows = dispatcher.run("ablation", [{"name": name} for name in names])
+    for name, table in zip(names, rows):
+        cells[f"ablation:{name}"] = {"protocol": "spotless", "rows": table}
     out.write_text(json.dumps({"format": FORMAT, "cells": cells}, indent=1, sort_keys=True) + "\n")
-    print(f"{len(cells)} cells -> {out} ({dispatcher.last_stats.summary()})")
+    print(f"{len(cells)} cells -> {out} (scenarios: {scenario_stats}; ablations: {dispatcher.last_stats.summary()})")
     return 0
 
 

@@ -14,9 +14,16 @@ alone while a cell runs, so the counts are what a benchmark repeat sees.
 Printed per cell: collections, seconds and ``collected`` per generation (from
 ``gc.callbacks``), the objects the collector tracks at the end and how many
 appeared per ledger block appended (all replicas), the commonest types among
-them, event-heap entries against live ones, and how many unreachable objects
-one ``gc.collect()`` finds once the cell is dropped (a finished cluster is
-cyclic garbage, so only a collection frees it).
+them, event-heap entries against live ones, how many unreachable objects one
+``gc.collect()`` finds once the cell is dropped (a finished cluster is cyclic
+garbage, so only a collection frees it), and the dataclass instances built
+per class while the cell ran.
+
+The constructions come from a second run of an identically seeded copy of
+the cell under a profile hook, so the collector figures stay those of an
+unprofiled run.  A cProfile table cannot show them: every generated
+``__init__`` is the code object ``<string>:2(__init__)``, and pstats keeps one
+row per such label.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import gc
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 HERE = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
@@ -86,15 +93,41 @@ def census_cell(run: Any, top: int) -> None:
     print(f"  event heap: {simulator.scheduled_events} entries, {simulator.pending_events} live")
 
 
+def constructions(cell: Any, seed: int) -> Tuple[collections.Counter, int]:
+    """Dataclass instances built per class, and events, while a fresh copy of
+    ``cell`` seeded with ``seed`` runs."""
+    built: collections.Counter = collections.Counter()
+
+    def count(frame: Any, event: str, arg: Any) -> None:
+        code = frame.f_code
+        if event == "call" and code.co_name == "__init__" and code.co_filename == "<string>":
+            built[type(frame.f_locals[code.co_varnames[0]]).__name__] += 1
+
+    run = build_cell(cell, seed)
+    sys.setprofile(count)
+    try:
+        for _label, step in run.steps():
+            step()
+    finally:
+        sys.setprofile(None)
+    return built, run.events()
+
+
 def census(name: str, seed: int, scale: float, top: int) -> None:
     workload = workload_named(name, scale)
-    runs: List[Any] = [build_cell(cell, seed * 101 + index) for index, cell in enumerate(workload.cells)]
+    seeds = [seed * 101 + index for index in range(len(workload.cells))]
+    runs: List[Any] = [build_cell(cell, cell_seed) for cell, cell_seed in zip(workload.cells, seeds)]
     gc.collect()
     print(f"{name}, seed {seed}, scale {scale:g}: {len(runs)} cells, "
           f"{len(gc.get_objects())} tracked objects once all are built")
-    while runs:
+    for cell, cell_seed in zip(workload.cells, seeds):
         census_cell(runs.pop(0), top)  # popped, so nothing here keeps the finished cell
         print(f"  unreachable once dropped: {gc.collect()}")
+        built, events = constructions(cell, cell_seed)
+        gc.collect()  # the profiled copy is cyclic garbage as well
+        total = sum(built.values())
+        print(f"  dataclass constructions: {total} ({total / max(events, 1):.3f} per event): "
+              + ", ".join(f"{kind} {count}" for kind, count in built.most_common(top)))
 
 
 def main(argv: Sequence[str]) -> int:
