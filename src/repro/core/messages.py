@@ -24,12 +24,13 @@ wire surface of a SpotLess deployment is visible in one place.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Tuple
 
 from repro.crypto.certificates import Certificate, Signature
 from repro.crypto.digest import canonical_bytes
 from repro.net.message import InformMessage, Message
+from repro.net.record import record
 from repro.recovery.messages import (
     CheckpointCertificate,
     CheckpointVote,
@@ -38,7 +39,7 @@ from repro.recovery.messages import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Claim:
     """``claim(P) = (v, digest(P), ⟦P⟧_P)``: a claim that proposal P was
     the well-formed proposal received in view v.
@@ -70,7 +71,7 @@ class Claim:
         return Claim(view=view, digest=None, primary_signature=None)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CpEntry:
     """One ``(view, digest)`` entry of a CP set."""
 
@@ -82,7 +83,7 @@ class CpEntry:
         return (self.view, self.digest)
 
 
-@dataclass(frozen=True)
+@record
 class ProposeMessage(Message):
     """``Propose(v, τ, cert(P′))`` broadcast by the primary of view ``v``.
 
@@ -157,7 +158,7 @@ class ProposeMessage(Message):
         return cached
 
 
-@dataclass(frozen=True)
+@record
 class SyncMessage(Message):
     """``Sync(v, claim(P), CP[, Υ])`` broadcast by every replica in view ``v``."""
 
@@ -179,7 +180,7 @@ class SyncMessage(Message):
         )
 
 
-@dataclass(frozen=True)
+@record
 class AskMessage(Message):
     """``Ask(v, claim(P))`` — request the full proposal behind a claim."""
 
@@ -192,7 +193,7 @@ class AskMessage(Message):
         return ("ask", self.instance, self.view, self.claim.canonical_fields())
 
 
-@dataclass(frozen=True)
+@record
 class ProposalForward(Message):
     """Reply to an Ask: the recorded Propose message forwarded verbatim."""
 

@@ -14,7 +14,7 @@ cross-instance total order and its contiguity-aware execution frontier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.chain import Proposal
@@ -23,6 +23,7 @@ from repro.core.instance import InstanceEnvironment, SpotLessInstance
 from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
 from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
+from repro.net.record import record
 from repro.net.sizes import MessageSizeModel
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
 from repro.runtime.mempool import AdmitResult
@@ -32,7 +33,7 @@ from repro.sim.network import Network
 from repro.workload.requests import Transaction
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class CommitRecord:
     """A committed proposal placed into the global total order.
 
@@ -51,8 +52,8 @@ class CommitRecord:
     has_payload: bool = True
 
 
-#: Handler of each consensus message, by exact class (the types are final
-#: dataclasses, as in the runtime's own routing table).
+#: Handler of each consensus message, by exact class (the types are final),
+#: called with the instance the message names; see ``ReplicaRuntime._routes``.
 _HANDLERS = {
     ProposeMessage: SpotLessInstance.on_propose,
     SyncMessage: SpotLessInstance.on_sync,
@@ -127,6 +128,8 @@ class SpotLessReplica(ReplicaRuntime):
                 config=config,
                 environment=self._make_environment(),
             )
+        for cls, handler in _HANDLERS.items():
+            self._routes[cls] = (handler, self.instances)
 
     # ------------------------------------------------------------------
     # environment wiring
@@ -208,22 +211,6 @@ class SpotLessReplica(ReplicaRuntime):
         """Start every consensus instance."""
         for instance in self.instances.values():
             instance.start()
-
-    def on_message(self, sender: int, payload: object) -> None:
-        """Route a delivery: a consensus message, most of what arrives, goes
-        straight to the instance it names; the shared runtime routes the
-        rest (transactions and the recovery-layer messages)."""
-        handler = _HANDLERS.get(payload.__class__)
-        if handler is None:
-            ReplicaRuntime.on_message(self, sender, payload)
-            return
-        instance = self.instances.get(payload.instance)
-        if instance is not None:
-            handler(instance, sender, payload)
-
-    def on_protocol_message(self, sender: int, payload: object) -> None:
-        """What the shared runtime does not recognise: every consensus message
-        was routed by :meth:`on_message` already, so this one is dropped."""
 
     # ------------------------------------------------------------------
     # commits, total order and execution

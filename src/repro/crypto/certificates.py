@@ -9,11 +9,12 @@ a proposal digest and (through :mod:`repro.net.sizes`) on the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
+from repro.net.record import record
 
-@dataclass(frozen=True)
+
+@record
 class Signature:
     """A digital signature: the signer identity plus the signature tag.
 
@@ -29,7 +30,7 @@ class Signature:
         return (self.signer, self.tag)
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """A quorum certificate: n − f signatures over the same statement.
 

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Tuple
 
+from repro.net.record import record
 
-@dataclass(frozen=True, slots=True)
+
+@record(slots=True)
 class BlockProof:
     """Cryptographic acceptance proof attached to a block.
 
@@ -47,7 +49,7 @@ class BlockProof:
         return cached
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Block:
     """One ledger entry: an ordered batch of executed transactions.
 

@@ -1,4 +1,8 @@
-"""The base message type and the wire-size model.
+"""The base message type, the record decorator and the wire-size model.
+
+Messages, and every other class built per message, block or transaction,
+are :func:`repro.net.record.record` classes: frozen dataclasses whose
+constructor stores each field directly.
 
 The paper reports concrete wire sizes in the ResilientDB deployment: a
 proposal carrying a 100-transaction batch is 5400 B, a client reply is

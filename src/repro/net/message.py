@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.net.record import record
 
 
-@dataclass(frozen=True)
+@record
 class Message:
     """Base class for protocol messages.
 
-    Concrete message types are frozen dataclasses; ``canonical_fields``
+    Concrete message types are frozen dataclasses built by
+    :func:`repro.net.record.record`; ``canonical_fields``
     returns the tuple of fields that identify the message — what a digest of
     it covers (the simulator computes no MAC or signature over them).
     """
@@ -19,7 +20,7 @@ class Message:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@record
 class InformMessage(Message):
     """Execution result returned to a client (Section 5).
 

@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.net.message import Message
+from repro.net.record import record
 from repro.workload.requests import Transaction
 
 
-@dataclass(frozen=True)
+@record
 class QuorumCert:
     """A quorum certificate over ``(view, node_digest)``.
 
@@ -31,7 +31,7 @@ class QuorumCert:
         return len(set(self.signers)) >= quorum
 
 
-@dataclass(frozen=True)
+@record
 class HsProposal(Message):
     """The leader's proposal for one view: a chain node extending ``justify``."""
 
@@ -54,7 +54,7 @@ class HsProposal(Message):
         )
 
 
-@dataclass(frozen=True)
+@record
 class HsVote(Message):
     """A replica's (partial-signature) vote on a proposal, sent to the next leader."""
 
@@ -67,7 +67,7 @@ class HsVote(Message):
         return ("hs-vote", self.view, self.node_digest, self.voter)
 
 
-@dataclass(frozen=True)
+@record
 class HsNewView(Message):
     """Pacemaker message: sent to the next leader on view timeout."""
 
@@ -80,7 +80,7 @@ class HsNewView(Message):
         return ("hs-newview", self.view, qc_fields)
 
 
-@dataclass(frozen=True)
+@record
 class HsNodeData(Message):
     """One chain node shipped during chain synchronisation.
 
@@ -108,7 +108,7 @@ class HsNodeData(Message):
         )
 
 
-@dataclass(frozen=True)
+@record
 class HsChainRequest(Message):
     """Ask a peer for the ancestors of a chain node we only know by QC.
 
@@ -126,7 +126,7 @@ class HsChainRequest(Message):
         return ("hs-chain-request", self.node_digest, self.want_payloads)
 
 
-@dataclass(frozen=True)
+@record
 class HsChainResponse(Message):
     """A chain segment walking certified ancestors toward the committed prefix.
 

@@ -125,6 +125,15 @@ class HotStuffReplica(ReplicaRuntime):
         self.chain_syncs_requested = 0
         self.chain_syncs_served = 0
         self.payload_pulls = 0
+        self._routes.update(
+            {
+                HsProposal: (self._on_proposal, None),
+                HsVote: (self._on_vote, None),
+                HsNewView: (self._on_new_view, None),
+                HsChainRequest: (self._on_chain_request, None),
+                HsChainResponse: (self._on_chain_response, None),
+            }
+        )
 
     # ------------------------------------------------------------------
 
@@ -162,7 +171,7 @@ class HotStuffReplica(ReplicaRuntime):
         new_view = HsNewView(view=self.view, high_qc=self.high_qc)
         leader = self.leader_of(self.view)
         if leader == self.node_id:
-            self.on_protocol_message(self.node_id, new_view)
+            self._on_new_view(self.node_id, new_view)
         else:
             self.send(leader, new_view, self._size_of(new_view))
 
@@ -201,7 +210,8 @@ class HotStuffReplica(ReplicaRuntime):
             self.tracer.instant(
                 self.node_id, "consensus", "propose", view=view, batch=len(batch)
             )
-        self.broadcast_protocol(proposal, self._size_of(proposal))
+        self.broadcast(self._broadcast_peers, proposal, self._size_of(proposal))
+        self._on_proposal(self.node_id, proposal)
 
     def on_request_arrival(self, shard: int) -> None:
         """Leaders try to propose as soon as load arrives in their view."""
@@ -225,19 +235,6 @@ class HotStuffReplica(ReplicaRuntime):
                 + len(message.payloads) * self.size_model.request_bytes()
             )
         return self.size_model.control_bytes(signatures=1)
-
-    def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Dispatch HotStuff messages."""
-        if isinstance(payload, HsProposal):
-            self._on_proposal(sender, payload)
-        elif isinstance(payload, HsVote):
-            self._on_vote(sender, payload)
-        elif isinstance(payload, HsNewView):
-            self._on_new_view(sender, payload)
-        elif isinstance(payload, HsChainRequest):
-            self._on_chain_request(sender, payload)
-        elif isinstance(payload, HsChainResponse):
-            self._on_chain_response(sender, payload)
 
     # -- proposals ------------------------------------------------------
 
@@ -319,7 +316,7 @@ class HotStuffReplica(ReplicaRuntime):
         vote = HsVote(view=proposal.view, node_digest=proposal.node_digest, voter=self.node_id)
         next_leader = self.leader_of(proposal.view + 1)
         if next_leader == self.node_id:
-            self.on_protocol_message(self.node_id, vote)
+            self._on_vote(self.node_id, vote)
         else:
             self.send(next_leader, vote, self._size_of(vote))
 

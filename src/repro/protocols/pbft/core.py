@@ -31,7 +31,6 @@ class PbftEnvironment:
 
     replica_id: int
     broadcast: Callable[[object], None]
-    send: Callable[[int, object], None]
     # ``make_timer(name, callback)`` hands out one restartable timer shaped
     # like :class:`repro.sim.actor.Timer` (``start`` / ``cancel`` / ``running``).
     make_timer: Callable[[str, Callable[[], None]], object]
@@ -55,7 +54,8 @@ class SlotState:
     for: quorums are counted per digest, so an equivocating vote for a
     conflicting value (the A3 attack) can never be credited toward the
     honest batch — even when it arrives before the PrePrepare fixes the
-    slot's digest.
+    slot's digest.  :meth:`PbftInstanceCore.on_prepare` and ``on_commit``
+    keep the per-digest tallies exact as they record each vote.
     """
 
     sequence: int
@@ -71,26 +71,6 @@ class SlotState:
     prepared: bool = False
     committed: bool = False
     commit_sent: bool = False
-
-    def record_prepare(self, sender: int, digest: bytes) -> None:
-        """Register (or re-register) a Prepare vote, keeping tallies exact."""
-        previous = self.prepares.get(sender)
-        if previous == digest:
-            return
-        if previous is not None:
-            self.prepare_counts[previous] -= 1
-        self.prepares[sender] = digest
-        self.prepare_counts[digest] = self.prepare_counts.get(digest, 0) + 1
-
-    def record_commit(self, sender: int, digest: bytes) -> None:
-        """Register (or re-register) a Commit vote, keeping tallies exact."""
-        previous = self.commits.get(sender)
-        if previous == digest:
-            return
-        if previous is not None:
-            self.commit_counts[previous] -= 1
-        self.commits[sender] = digest
-        self.commit_counts[digest] = self.commit_counts.get(digest, 0) + 1
 
 
 class PbftInstanceCore:
@@ -165,15 +145,6 @@ class PbftInstanceCore:
         # against it on every Prepare/Commit, and the property chain through
         # the config costs more than the comparison itself.
         self._quorum = config.quorum
-        # Exact-class handler table: message types are final dataclasses, so
-        # one dict probe replaces the isinstance chain on the hot path.
-        self._dispatch_table = {
-            PrePrepareMessage: self.on_preprepare,
-            PrepareMessage: self.on_prepare,
-            CommitMessage: self.on_commit,
-            ViewChangeMessage: self.on_view_change,
-            NewViewMessage: self.on_new_view,
-        }
 
     # ------------------------------------------------------------------
 
@@ -358,8 +329,18 @@ class PbftInstanceCore:
             return
         if message.view != self.view:
             return
-        slot = self._slot(message.sequence, message.view)
-        slot.record_prepare(sender, message.batch_digest)
+        slot = self.slots.get(message.sequence)
+        if slot is None or slot.view != message.view:  # else _slot returns it as is
+            slot = self._slot(message.sequence, message.view)
+        # Register (or re-register) the vote, keeping the tally exact.
+        digest = message.batch_digest
+        previous = slot.prepares.get(sender)
+        if previous != digest:
+            counts = slot.prepare_counts
+            if previous is not None:
+                counts[previous] -= 1
+            slot.prepares[sender] = digest
+            counts[digest] = counts.get(digest, 0) + 1
         # Straggler votes on an already-prepared slot are the common case at
         # n > quorum; the guard here skips a call _check_prepared would
         # no-op anyway.
@@ -393,8 +374,17 @@ class PbftInstanceCore:
         if message.view > self.view:
             self._buffer_future(sender, message)
             return
-        slot = self._slot(message.sequence, message.view)
-        slot.record_commit(sender, message.batch_digest)
+        slot = self.slots.get(message.sequence)
+        if slot is None or slot.view != message.view:  # else _slot returns it as is
+            slot = self._slot(message.sequence, message.view)
+        digest = message.batch_digest
+        previous = slot.commits.get(sender)
+        if previous != digest:
+            counts = slot.commit_counts
+            if previous is not None:
+                counts[previous] -= 1
+            slot.commits[sender] = digest
+            counts[digest] = counts.get(digest, 0) + 1
         if not slot.committed and slot.prepared and slot.digests is not None:
             self._check_committed(slot)
 
@@ -772,9 +762,20 @@ class PbftInstanceCore:
 
     def on_message(self, sender: int, message: object) -> None:
         """Dispatch any PBFT message to the right handler."""
-        handler = self._dispatch_table.get(message.__class__)
+        handler = HANDLERS.get(message.__class__)
         if handler is not None:
-            handler(sender, message)
+            handler(self, sender, message)
 
 
-__all__ = ["NOOP_BATCH", "PbftEnvironment", "PbftInstanceCore", "SlotState"]
+#: Handler of each PBFT message, by exact class (the message types are
+#: final), called as ``handler(core, sender, message)``.
+HANDLERS = {
+    PrePrepareMessage: PbftInstanceCore.on_preprepare,
+    PrepareMessage: PbftInstanceCore.on_prepare,
+    CommitMessage: PbftInstanceCore.on_commit,
+    ViewChangeMessage: PbftInstanceCore.on_view_change,
+    NewViewMessage: PbftInstanceCore.on_new_view,
+}
+
+
+__all__ = ["HANDLERS", "NOOP_BATCH", "PbftEnvironment", "PbftInstanceCore", "SlotState"]

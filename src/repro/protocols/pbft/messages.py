@@ -6,14 +6,14 @@ reused by RCC, which runs one PBFT instance per replica.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.net.message import Message
+from repro.net.record import record
 from repro.recovery.messages import CheckpointCertificate
 
 
-@dataclass(frozen=True)
+@record
 class PrePrepareMessage(Message):
     """Primary's proposal for a sequence slot (carries the batch digests)."""
 
@@ -31,7 +31,7 @@ class PrePrepareMessage(Message):
         return b"".join(self.transaction_digests)
 
 
-@dataclass(frozen=True)
+@record
 class PrepareMessage(Message):
     """Backup's Prepare vote for (view, sequence, batch digest)."""
 
@@ -45,7 +45,7 @@ class PrepareMessage(Message):
         return ("prepare", self.instance, self.view, self.sequence, self.batch_digest)
 
 
-@dataclass(frozen=True)
+@record
 class CommitMessage(Message):
     """Commit vote for (view, sequence, batch digest)."""
 
@@ -59,7 +59,7 @@ class CommitMessage(Message):
         return ("commit", self.instance, self.view, self.sequence, self.batch_digest)
 
 
-@dataclass(frozen=True)
+@record
 class ViewChangeMessage(Message):
     """Request to move ``instance`` to ``new_view``.
 
@@ -94,7 +94,7 @@ class ViewChangeMessage(Message):
         )
 
 
-@dataclass(frozen=True)
+@record
 class NewViewMessage(Message):
     """New primary's announcement of ``new_view`` with slots to re-propose.
 

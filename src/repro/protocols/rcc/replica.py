@@ -9,9 +9,11 @@ from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
 from repro.net.sizes import MessageSizeModel
 from repro.protocols.common import BftConfig
-from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore
+from repro.protocols.pbft.core import HANDLERS, PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
+    CommitMessage,
     NewViewMessage,
+    PrepareMessage,
     PrePrepareMessage,
     ViewChangeMessage,
 )
@@ -60,6 +62,16 @@ class RccReplica(ReplicaRuntime):
         self._content_high = -1
         self._content_high_instance: Optional[int] = None
         self._runner_up_high = -1
+        # Wire size of each consensus message class; the size model is fixed
+        # per deployment.
+        control = self.size_model.control_bytes
+        self._wire_bytes = {
+            PrePrepareMessage: self.size_model.proposal_bytes(),
+            PrepareMessage: control(),
+            CommitMessage: control(),
+            ViewChangeMessage: control(signatures=config.quorum),
+            NewViewMessage: control(signatures=config.quorum),
+        }
 
         self.cores: Dict[int, PbftInstanceCore] = {}
         for instance_id in range(self.num_instances):
@@ -69,7 +81,6 @@ class RccReplica(ReplicaRuntime):
                 environment=PbftEnvironment(
                     replica_id=node_id,
                     broadcast=self._broadcast_core,
-                    send=lambda receiver, message: self.send(receiver, message, self._size_of(message)),
                     make_timer=self.timer,
                     next_batch=self._next_instance_batch,
                     on_decide=self._on_instance_decide,
@@ -79,6 +90,11 @@ class RccReplica(ReplicaRuntime):
                     on_content=self._on_content if self.num_instances > 1 else None,
                 ),
             )
+        # Each PBFT message goes to the core of the instance it names; a
+        # ViewChange first passes the replica, which reads its checkpoint.
+        for cls, handler in HANDLERS.items():
+            self._routes[cls] = (handler, self.cores)
+        self._routes[ViewChangeMessage] = (self._on_view_change, None)
 
     # ------------------------------------------------------------------
     # request routing
@@ -157,16 +173,11 @@ class RccReplica(ReplicaRuntime):
     # message plumbing
     # ------------------------------------------------------------------
 
-    def _size_of(self, message: Message) -> int:
-        cls = message.__class__
-        if cls is PrePrepareMessage:
-            return self.size_model.proposal_bytes()
-        if cls is ViewChangeMessage or cls is NewViewMessage:
-            return self.size_model.control_bytes(signatures=self.config.quorum)
-        return self.size_model.control_bytes()
-
     def _broadcast_core(self, message: Message) -> None:
-        self.broadcast_protocol(message, self._size_of(message))
+        """A core's broadcast: the fan-out to the peers, then the local
+        delivery, routed as a peer's copy is."""
+        self.broadcast(self._broadcast_peers, message, self._wire_bytes[message.__class__])
+        self.on_message(self.node_id, message)
 
     def _on_tracer_attached(self) -> None:
         """Propagate the tracer into every instance core."""
@@ -178,16 +189,13 @@ class RccReplica(ReplicaRuntime):
         for core in self.cores.values():
             core.start()
 
-    def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Route consensus messages by instance."""
-        if payload.__class__ is ViewChangeMessage:
-            # A vote's stable checkpoint is an immediate gap signal for a
-            # healed replica.
-            self.adopt_checkpoint_gap_signal(payload.checkpoint)
-        instance_id = getattr(payload, "instance", None)
-        core = self.cores.get(instance_id)
+    def _on_view_change(self, sender: int, message: ViewChangeMessage) -> None:
+        """A vote's stable checkpoint is an immediate gap signal for a healed
+        replica; the vote itself goes to its instance's core."""
+        self.adopt_checkpoint_gap_signal(message.checkpoint)
+        core = self.cores.get(message.instance)
         if core is not None:
-            core.on_message(sender, payload)
+            core.on_view_change(sender, message)
 
     # ------------------------------------------------------------------
     # decisions: total order by (sequence, instance)

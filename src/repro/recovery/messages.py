@@ -21,14 +21,14 @@ RCC, HotStuff, Narwhal-HS) exchanges them through the shared
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.net.message import Message
+from repro.net.record import record
 from repro.workload.requests import Transaction
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class SlotRecord:
     """One decided batch inside an order unit.
 
@@ -56,7 +56,7 @@ class SlotRecord:
         return (self.instance, self.transaction_digests, self.slot_digest)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class SlotEntry:
     """The decided content of one order unit of the execution frontier.
 
@@ -73,7 +73,7 @@ class SlotEntry:
         return (self.position, tuple(record.canonical_fields() for record in self.records))
 
 
-@dataclass(frozen=True)
+@record
 class CheckpointVote(Message):
     """One replica's attestation of its executed prefix at ``position``."""
 
@@ -86,7 +86,7 @@ class CheckpointVote(Message):
         return ("checkpoint-vote", self.position, self.digest, self.voter)
 
 
-@dataclass(frozen=True)
+@record
 class CheckpointCertificate(Message):
     """A stable checkpoint: 2f + 1 matching checkpoint votes."""
 
@@ -108,7 +108,7 @@ class CheckpointCertificate(Message):
         return ("checkpoint-cert", self.position, self.digest, self.signers)
 
 
-@dataclass(frozen=True)
+@record
 class StateRequest(Message):
     """Pull request for the decided content from ``from_position`` upward."""
 
@@ -119,7 +119,7 @@ class StateRequest(Message):
         return ("state-request", self.from_position)
 
 
-@dataclass(frozen=True)
+@record
 class StateResponse(Message):
     """Certified slot content answering a :class:`StateRequest`.
 

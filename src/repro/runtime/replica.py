@@ -9,8 +9,10 @@ classes subclass it and implement the consensus machinery on top.
 
 Protocol hooks
 --------------
-``on_protocol_message``
-    Handle a consensus message (everything that is not a client payload).
+``_routes``
+    The handler of each message class a replica receives; a protocol adds
+    its consensus messages to the runtime's own entries (see
+    :meth:`ReplicaRuntime.on_message`).
 ``on_request_arrival``
     Called with its shard when a genuinely new request is queued (primaries
     may propose).
@@ -28,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
-from repro.net.message import InformMessage, Message
+from repro.net.message import InformMessage
 from repro.net.sizes import MessageSizeModel
 from repro.recovery import (
     CheckpointCertificate,
@@ -80,8 +82,8 @@ class ReplicaRuntime(Actor):
         self.config = config
         self.size_model = size_model or MessageSizeModel(batch_size=config.batch_size)
 
-        # The fan-out peer set is fixed by the config; broadcast_protocol
-        # reuses this tuple instead of rebuilding a list per broadcast.
+        # The fan-out peer set is fixed by the config; every protocol's
+        # broadcast reuses this tuple instead of rebuilding a list.
         self._broadcast_peers = tuple(
             r for r in config.replica_ids() if r != node_id
         )
@@ -132,6 +134,17 @@ class ReplicaRuntime(Actor):
         # folding on the execution hot path.
         if self.checkpoints.enabled:
             self.pipeline.on_executed = self._on_position_executed
+        # The handler of each message class, by exact class (message types
+        # are final).  ``(handler, None)`` is called as ``handler(sender,
+        # payload)``; ``(handler, instances)`` as ``handler(instance, sender,
+        # payload)`` with the consensus instance the payload names, looked
+        # up in the dict ``instances``.  A Transaction is admitted before
+        # the table is read: its handler takes no sender.
+        self._routes: Dict[type, Tuple[Callable[..., None], Optional[Dict[int, object]]]] = {
+            CheckpointVote: (self._on_checkpoint_vote, None),
+            StateRequest: (self._serve_state_request, None),
+            StateResponse: (self._on_state_response, None),
+        }
 
     # ------------------------------------------------------------------
     # observability
@@ -200,28 +213,23 @@ class ReplicaRuntime(Actor):
         """Hook: start the protocol (arm timers, propose if primary)."""
 
     def on_message(self, sender: int, payload: object) -> None:
-        """Route deliveries: transactions go to the pool, the rest to the protocol."""
+        """Route a delivery to its handler in :attr:`_routes`; a message of
+        a class with no route, or naming no instance of this replica, is
+        dropped."""
         cls = payload.__class__
         if cls is Transaction:
             self.submit_transaction(payload)
-        elif cls is CheckpointVote:
-            self._on_checkpoint_vote(sender, payload)
-        elif cls is StateRequest:
-            self._serve_state_request(sender, payload)
-        elif cls is StateResponse:
-            self._on_state_response(sender, payload)
+            return
+        route = self._routes.get(cls)
+        if route is None:
+            return
+        handler, instances = route
+        if instances is None:
+            handler(sender, payload)
         else:
-            self.on_protocol_message(sender, payload)
-
-    def on_protocol_message(self, sender: int, payload: object) -> None:
-        """Handle a consensus message; implemented by protocol subclasses."""
-        raise NotImplementedError
-
-    def broadcast_protocol(self, message: Message, size_bytes: int, include_self: bool = True) -> None:
-        """Broadcast a consensus message to the other replicas (and locally)."""
-        self.broadcast(self._broadcast_peers, message, size_bytes)
-        if include_self:
-            self.on_protocol_message(self.node_id, message)
+            instance = instances.get(payload.instance)
+            if instance is not None:
+                handler(instance, sender, payload)
 
     # ------------------------------------------------------------------
     # recovery: checkpoints and state transfer

@@ -239,8 +239,14 @@ class InvariantOracle:
         """Run the safety checks against the cluster's current state."""
         self.checks_run += 1
         self._check_agreement()
-        self._check_no_fork()
-        self._check_monotonic_frontier()
+        # Each replica's executed sequence is built once per check: the fork
+        # check compares the lists, the frontier check reads their lengths.
+        executions = [
+            (replica.node_id, replica.executed_transaction_digests())
+            for replica in self.cluster.replicas
+        ]
+        self._check_no_fork(executions)
+        self._check_monotonic_frontier(executions)
         if self.slo is not None:
             self._check_slo()
         self._sample_progress()
@@ -271,12 +277,8 @@ class InvariantOracle:
                         f"but replica {node_id} decided {digest.hex()[:12]}",
                     )
 
-    def _check_no_fork(self) -> None:
+    def _check_no_fork(self, executions: List[Tuple[int, List[bytes]]]) -> None:
         """Executed transaction sequences are pairwise prefix-consistent."""
-        executions = [
-            (replica.node_id, replica.executed_transaction_digests())
-            for replica in self.cluster.replicas
-        ]
         if not executions:
             return
         # Prefix-consistency is transitive against the longest sequence, so
@@ -296,17 +298,17 @@ class InvariantOracle:
                     f"position {first_bad}",
                 )
 
-    def _check_monotonic_frontier(self) -> None:
+    def _check_monotonic_frontier(self, executions: List[Tuple[int, List[bytes]]]) -> None:
         """A replica's executed prefix never shrinks between checks."""
-        for replica in self.cluster.replicas:
-            frontier = len(replica.executed_transaction_digests())
-            previous = self._frontiers.get(replica.node_id, 0)
+        for node_id, digests in executions:
+            frontier = len(digests)
+            previous = self._frontiers.get(node_id, 0)
             if frontier < previous:
                 self._record(
                     "monotonic-frontier",
-                    f"replica {replica.node_id} frontier went from {previous} to {frontier}",
+                    f"replica {node_id} frontier went from {previous} to {frontier}",
                 )
-            self._frontiers[replica.node_id] = frontier
+            self._frontiers[node_id] = frontier
 
     def _check_slo(self) -> None:
         """Track windowed latency/queue SLOs as breach episodes.

@@ -1,13 +1,14 @@
 """Actor base class binding protocol logic to the simulator.
 
 Protocol replicas and clients subclass :class:`Actor` and implement
-``on_message``.  The base class provides deterministic timers and convenience
-wrappers for sending through the shared :class:`~repro.sim.network.Network`.
+``on_message``.  The base class provides deterministic timers and the
+network's ``send`` / ``broadcast`` with the actor bound as the sender.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from functools import partial
+from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Event, Simulator
 from repro.sim.network import Network
@@ -59,10 +60,10 @@ class Actor:
         "simulator",
         "network",
         "_timers",
-        "inbound_messages",
-        "outbound_messages",
         "_default_label",
         "tracer",
+        "send",
+        "broadcast",
     )
 
     def __init__(self, node_id: int, simulator: Simulator, network: Network) -> None:
@@ -70,42 +71,28 @@ class Actor:
         self.simulator = simulator
         self.network = network
         self._timers: Dict[str, Timer] = {}
-        self.inbound_messages = 0
-        self.outbound_messages = 0
         self._default_label = f"actor:{node_id}"
         # Observability hook (repro.obs.Tracer).  None means tracing is
         # disabled: every instrumentation point guards on exactly this one
         # attribute so the disabled hot path costs a single load + is-check.
         self.tracer = None
+        # ``send(receiver, payload, size_bytes)`` and ``broadcast(receivers,
+        # payload, size_bytes)``: the network's own, with this actor as the
+        # sender; bound once, so a message pays no forwarding frame.
+        self.send = partial(network.send, node_id)
+        self.broadcast = partial(network.broadcast, node_id)
         network.register(self)
 
     # -- messaging -------------------------------------------------------
 
-    def deliver(self, sender: int, payload: object) -> None:
-        """Entry point for an arriving message.
-
-        ``Network._deliver`` inlines this body on its fast path, so an
-        override here would not see network deliveries — route behaviour
-        changes through :meth:`on_message` instead.
-        """
-        self.inbound_messages += 1
-        self.on_message(sender, payload)
-
     def on_message(self, sender: int, payload: object) -> None:
-        """Handle a delivered message; overridden by protocol classes."""
+        """Handle a delivered message; overridden by protocol classes.
+
+        ``Network`` calls it straight from the event heap; the
+        ``network.messages_*`` counters of the metrics registry count what
+        is sent and delivered.
+        """
         raise NotImplementedError
-
-    def send(self, receiver: int, payload: object, size_bytes: int) -> bool:
-        """Send one message through the network."""
-        self.outbound_messages += 1
-        return self.network.send(self.node_id, receiver, payload, size_bytes)
-
-    def broadcast(self, receivers: Iterable[int], payload: object, size_bytes: int) -> int:
-        """Send ``payload`` to every receiver in ``receivers``."""
-        if receivers.__class__ is not tuple and receivers.__class__ is not list:
-            receivers = list(receivers)
-        self.outbound_messages += len(receivers)
-        return self.network.broadcast(self.node_id, receivers, payload, size_bytes)
 
     # -- timers ----------------------------------------------------------
 

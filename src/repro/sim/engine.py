@@ -11,8 +11,10 @@ Two scheduling paths share one queue:
   the path used by timers and anything else that may be cancelled; its
   label is what ``repr(event)`` shows in a debugger.
 * :meth:`Simulator.schedule_call` pushes a bare ``(callback, args)`` pair —
-  the delivery path: the network fabric's fire-and-forget deliveries, traced
-  by :mod:`repro.obs` or not, allocate no :class:`Event`.
+  the delivery path: fire-and-forget deliveries allocate no :class:`Event`.
+  :meth:`repro.sim.network.Network.broadcast` pushes the same entries onto
+  ``_queue`` itself (advancing ``_seq`` and ``_live`` as this method does),
+  one frame fewer per receiver of a fan-out.
 
 The heap stores ``(time, priority, seq, item)`` tuples so ordering is
 resolved by native tuple comparison on the three leading numbers; ``item``

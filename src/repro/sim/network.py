@@ -15,7 +15,8 @@ The network models the three effects the paper's evaluation varies:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from heapq import heappush
 from typing import Callable, Dict, Iterable, KeysView, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.sim.engine import Simulator
@@ -219,7 +220,7 @@ class Network:
         # NIC serialisation at the sender: messages leave one after another.
         simulator = self.simulator
         config = self.config
-        now = simulator.now
+        now = simulator._now
         nic = self._nic_free_at
         nic_free = nic.get(sender, 0.0)
         if nic_free < now:
@@ -227,7 +228,6 @@ class Network:
         departure = nic_free + size_bytes / config.bandwidth_bytes_per_sec
         nic[sender] = departure
 
-        rng = self.rng
         if receiver in down:
             self._c_dropped.value += 1
             return False
@@ -244,10 +244,11 @@ class Network:
                     payload = rewritten
                     self._c_rewritten.increment()
 
-        link = self._link(sender, receiver)
+        link = self._default_link if config.topology is None else self._link(sender, receiver)
         jitter = link.jitter
         if jitter > 0.0:
-            propagation = link.delay + rng.uniform(-jitter, jitter)
+            # The float uniform(-jitter, jitter) returns (see broadcast).
+            propagation = link.delay + (-jitter + (jitter + jitter) * self.rng.random())
             if propagation < 0.0:
                 propagation = 0.0
         else:
@@ -289,13 +290,13 @@ class Network:
         drop_rules = self._drop_rules
         rewrite_rules = self._rewrite_rules
         deliver = self._deliver
-        schedule_call = simulator.schedule_call
+        queue = simulator._queue
         tracer = self.tracer
         # Simulated time cannot advance while the fan-out loop runs, and each
         # departure time strictly dominates the previous one, so the NIC clock
         # is carried in a local and written back each iteration (drop/rewrite
         # rules stay free to observe it).
-        now = simulator.now
+        now = simulator._now
         nic_free = nic.get(sender, 0.0)
         if nic_free < now:
             nic_free = now
@@ -336,11 +337,19 @@ class Network:
             delivery_delay = (departure - now) + propagation
             if tracer is not None:
                 flow_id = tracer.flow_begin(sender, message.__class__.__name__, size=size_bytes)
-                schedule_call(
+                simulator.schedule_call(
                     delivery_delay, self._deliver_traced, (flow_id, sender, receiver, message)
                 )
             else:
-                schedule_call(delivery_delay, deliver, (sender, receiver, message))
+                # Simulator.schedule_call inlined: the same (time, priority,
+                # seq) key and live count, without a frame per receiver.  The
+                # delay is never negative (departure >= now, propagation >=
+                # 0), and the sequence counter is advanced on the simulator
+                # itself because a drop or rewrite rule may schedule too.
+                seq = simulator._seq
+                simulator._seq = seq + 1
+                heappush(queue, (now + delivery_delay, 0, seq, (deliver, (sender, receiver, message))))
+                simulator._live += 1
             sent += 1
         return sent
 
@@ -352,9 +361,6 @@ class Network:
         if actor is None:
             return
         self._c_delivered.value += 1
-        # Inlined Actor.deliver: one frame per delivered message matters at
-        # this call rate, and no actor subclass overrides deliver.
-        actor.inbound_messages += 1
         actor.on_message(sender, payload)
 
     def _deliver_traced(self, flow_id: int, sender: int, receiver: int, payload: object) -> None:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Tuple
 
 from repro.crypto.digest import digest_to_int
+from repro.net.record import record
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Operation:
     """One read or write against the YCSB table."""
 
@@ -37,7 +38,7 @@ class Operation:
         return Operation(kind="noop", key=tag)
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Transaction:
     """A client transaction: an ordered list of operations.
 

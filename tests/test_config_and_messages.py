@@ -225,3 +225,132 @@ def test_messages_are_hashable_and_frozen():
     with pytest.raises(Exception):
         message.view = 2  # type: ignore[misc]
     assert {message: "ok"}[message] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# records: a direct-store constructor, the rest the dataclass's own
+# ---------------------------------------------------------------------------
+
+#: Modules whose classes built per message, block or transaction are
+#: ``repro.net.record.record`` classes: every frozen dataclass they define.
+RECORD_MODULES = (
+    "repro.net.message",
+    "repro.core.messages",
+    "repro.core.node",
+    "repro.protocols.pbft.messages",
+    "repro.protocols.hotstuff.messages",
+    "repro.ledger.block",
+    "repro.recovery.messages",
+    "repro.workload.requests",
+    "repro.crypto.certificates",
+)
+
+
+def _frozen_dataclasses():
+    import dataclasses
+    import importlib
+
+    classes = []
+    for name in RECORD_MODULES:
+        for value in vars(importlib.import_module(name)).values():
+            if (
+                isinstance(value, type)
+                and value.__module__ == name
+                and dataclasses.is_dataclass(value)
+                and value.__dataclass_params__.frozen
+            ):
+                classes.append(value)
+    assert len(classes) == 33  # a new class in these modules is checked too
+    return classes
+
+
+def _field_specs(cls):
+    import dataclasses
+
+    return [
+        (f.name, f.type, f.default, f.init, f.repr, f.compare, f.hash)
+        for f in dataclasses.fields(cls)
+    ]
+
+
+def _plain_twin(cls):
+    """The class ``@dataclass(frozen=True[, slots=True])`` makes of ``cls``."""
+    import dataclasses
+
+    specs = [
+        (f.name, f.type, dataclasses.field(
+            default=f.default, init=f.init, repr=f.repr, compare=f.compare, hash=f.hash
+        ))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(
+        cls.__name__, specs, bases=cls.__bases__, frozen=True, slots="__slots__" in cls.__dict__
+    )
+
+
+def test_record_constructors_store_fields_without_setattr():
+    # A frozen dataclass's generated __init__ writes each field through
+    # object.__setattr__; a record's stores it in the instance __dict__ or
+    # through the slot descriptor.
+    from repro.net.record import RECORD_FILE_PREFIX
+
+    for cls in _frozen_dataclasses():
+        code = cls.__init__.__code__
+        assert code.co_filename.startswith(RECORD_FILE_PREFIX), cls
+        assert "__setattr__" not in code.co_names, cls
+
+
+def test_record_classes_behave_like_their_plain_dataclass_twins():
+    import dataclasses
+    import inspect
+
+    for cls in _frozen_dataclasses():
+        twin = _plain_twin(cls)
+        assert _field_specs(cls) == _field_specs(twin), cls
+        assert inspect.signature(cls) == inspect.signature(twin), cls
+        assert getattr(cls, "__match_args__", ()) == getattr(twin, "__match_args__", ()), cls
+        init = [f for f in dataclasses.fields(cls) if f.init]
+        given_all = {f.name: (index, f.name) for index, f in enumerate(init)}
+        given_required = {
+            name: value for name, value in given_all.items()
+            if next(f for f in init if f.name == name).default is dataclasses.MISSING
+        }
+        for kwargs in (given_all, given_required):
+            built, again, plain = cls(**kwargs), cls(*kwargs.values()), twin(**kwargs)
+            assert built == again and hash(built) == hash(again) == hash(plain), cls
+            assert repr(built) == repr(plain), cls
+            assert [getattr(built, f.name) for f in dataclasses.fields(cls)] == [
+                getattr(plain, f.name) for f in dataclasses.fields(twin)
+            ], cls
+            if init:
+                name = init[0].name
+                changed = dataclasses.replace(built, **{name: "changed"})
+                assert changed != built, cls
+                assert repr(changed) == repr(dataclasses.replace(plain, **{name: "changed"})), cls
+            for f in dataclasses.fields(cls):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(built, f.name, "assigned")
+
+
+def test_record_memos_stay_out_of_the_instance_after_construction_and_replace():
+    from dataclasses import replace
+
+    from repro.ledger.block import Block
+    from repro.workload.requests import Operation, Transaction
+
+    message = _propose()
+    assert "_digest" not in message.__dict__ and message._digest is None
+    message.digest()
+    assert "_digest" in message.__dict__
+    rebuilt = replace(message, view=2)
+    assert "_digest" not in rebuilt.__dict__ and rebuilt._digest is None
+
+    # The slotted records have no __dict__: the memo is a slot set to None.
+    for record in (
+        Transaction(client_id=1, sequence=2, operations=(Operation.read(3),)),
+        Block(height=1, parent_digest=b"p", transactions=(b"t",)),
+    ):
+        assert not hasattr(record, "__dict__") and record._digest is None
+        record.digest()
+        assert record._digest is not None
+        assert replace(record)._digest is None and replace(record) == record

@@ -52,7 +52,6 @@ class CoreHarness:
             environment=PbftEnvironment(
                 replica_id=replica_id,
                 broadcast=lambda m: self.sent.append((None, m)),
-                send=lambda to, m: self.sent.append((to, m)),
                 make_timer=self.timers.make_timer,
                 next_batch=lambda instance: None,
                 on_decide=lambda instance, seq, view, digests: None,

@@ -9,9 +9,10 @@ Layers of protection:
   process the identical event count and produce the identical ledger, the
   byte-for-byte invariant every optimisation in that PR was gated on;
 * **call budget** — the SpotLess per-message path is held to a number of
-  Python calls and of dataclass constructions per simulated event, and the
+  Python calls and of dataclass constructions per simulated event, the
   shared transaction lifecycle to a number of calls per confirmed
-  transaction: cost measures no host can move;
+  transaction, and a PBFT message hop to a number of calls per event: cost
+  measures no host can move;
 * **growth** — what a HotStuff replica pays per proposal may not depend on
   how long the chain has grown;
 * **retention** — cancelled timers may not pile up in the event heap, and
@@ -194,18 +195,23 @@ def test_core_call_budget_per_event():
 
 
 #: Dataclass instances built per processed event on the same cell, counted as
-#: calls of a generated ``__init__`` (its code object's file is "<string>",
-#: which is also why a cProfile table shows them all as one row).  1.68 while
-#: every Sync built its CP entries afresh and every certificate a placeholder
-#: signature per unsigned vote; 1.42 once each is built once.
+#: calls of a generated ``__init__``: a plain dataclass's code object reports
+#: the file "<string>", a ``repro.net.record.record`` class's "<record ...>".
+#: 1.68 while every Sync built its CP entries afresh and every certificate a
+#: placeholder signature per unsigned vote; 1.42 once each is built once.
 CORE_CONSTRUCTIONS_PER_EVENT_BUDGET = 1.55
 
 
 def test_core_constructions_per_event():
+    from repro.net.record import RECORD_FILE_PREFIX
+
     cluster = _cell("spotless")
     cluster.start()
     constructions = _calls_while_running(
-        cluster, 0.1, lambda path: path == "<string>", lambda name: name == "__init__"
+        cluster,
+        0.1,
+        lambda path: path == "<string>" or path.startswith(RECORD_FILE_PREFIX),
+        lambda name: name == "__init__",
     )
     events = cluster.simulator.processed_events
     assert events == 5092
@@ -238,6 +244,30 @@ def test_lifecycle_call_budget_per_confirmed_transaction():
     # Same schedule and the same transactions, so the ratio compares like with like.
     assert (cluster.simulator.processed_events, confirmed) == (17305, 481)
     assert calls / confirmed < LIFECYCLE_CALLS_PER_TXN_BUDGET
+
+
+#: Calls of functions defined under ``protocols/``, ``runtime/`` and ``sim/``
+#: per processed event on the same PBFT cell: the fixed cost of a message hop.
+#: 16.8 while a delivery went through ``Simulator.schedule_call``, the
+#: runtime's router, the replica's instance router and the core's dispatch
+#: table, and each vote through a tally method of its slot; 11.0 once
+#: ``broadcast`` pushes onto the heap, one route table in ``on_message``
+#: calls the core's handler, ``Actor.send`` / ``broadcast`` add no frame and
+#: the tallies are counted inline.
+HOP_CALLS_PER_EVENT_BUDGET = 12.0
+
+
+def test_message_hop_call_budget_per_event():
+    import repro
+
+    root = os.path.dirname(repro.__file__) + os.sep
+    layers = tuple(root + layer + os.sep for layer in ("protocols", "runtime", "sim"))
+    cluster = _cell("pbft")
+    cluster.start()
+    calls = _calls_while_running(cluster, 0.2, lambda path: path.startswith(layers))
+    events = cluster.simulator.processed_events
+    assert events == 17305
+    assert calls / events < HOP_CALLS_PER_EVENT_BUDGET
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ class PbftHarness:
                 environment=PbftEnvironment(
                     replica_id=replica,
                     broadcast=lambda m, _r=replica: self.queues.append((_r, None, m)),
-                    send=lambda to, m, _r=replica: self.queues.append((_r, to, m)),
                     make_timer=self.timers[replica].make_timer,
                     next_batch=lambda instance, _r=replica: self._next_batch(_r),
                     on_decide=lambda instance, seq, view, digests, _r=replica: self.decisions[_r].append(
@@ -435,12 +434,12 @@ def test_hotstuff_counts_votes_under_the_authenticated_sender():
         )
     )
     for claimed in (0, 2, 3):
-        leader.on_protocol_message(3, HsVote(view=0, node_digest=digest, voter=claimed))
+        leader.on_message(3, HsVote(view=0, node_digest=digest, voter=claimed))
     assert leader.high_qc.view == -1
     assert leader.proposals_made == 0
     # The same three votes from their real senders do form the QC.
     for voter in (0, 2):
-        leader.on_protocol_message(voter, HsVote(view=0, node_digest=digest, voter=voter))
+        leader.on_message(voter, HsVote(view=0, node_digest=digest, voter=voter))
     assert leader.high_qc.view == 0
     assert leader.high_qc.signers == (0, 2, 3)
     assert leader.proposals_made == 1
@@ -476,10 +475,10 @@ def test_hotstuff_locks_on_the_two_chain_and_refuses_a_fork_below_it():
 
     stale_qc = locked_node.justify  # certifies the lock's parent
     assert stale_qc.view < lock.view
-    replica.on_protocol_message(replica.leader_of(view), fork(stale_qc))
+    replica.on_message(replica.leader_of(view), fork(stale_qc))
     assert view not in replica.voted_views
     assert replica.locked_qc == lock
-    replica.on_protocol_message(replica.leader_of(view), fork(replica.high_qc))
+    replica.on_message(replica.leader_of(view), fork(replica.high_qc))
     assert view in replica.voted_views
 
 
@@ -518,7 +517,7 @@ def test_hotstuff_adopts_no_quorum_cert_without_a_quorum(protocol, carrier):
                 transaction_digests=(),
                 justify=forged,
             )
-        replica.on_protocol_message(byzantine, message)
+        replica.on_message(byzantine, message)
     assert [replica.high_qc for replica in victims] == before
     if carrier == "proposal":
         assert all(message.node_digest not in replica.nodes for replica in victims)

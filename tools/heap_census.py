@@ -21,9 +21,9 @@ per class while the cell ran.
 
 The constructions come from a second run of an identically seeded copy of
 the cell under a profile hook, so the collector figures stay those of an
-unprofiled run.  A cProfile table cannot show them: every generated
-``__init__`` is the code object ``<string>:2(__init__)``, and pstats keeps one
-row per such label.
+unprofiled run.  A construction is a call of a generated ``__init__``: a
+plain dataclass's reports the file ``<string>`` (one pstats row for every
+such class), a :func:`repro.net.record.record` class's ``<record module.Class>``.
 """
 
 from __future__ import annotations
@@ -96,11 +96,15 @@ def census_cell(run: Any, top: int) -> None:
 def constructions(cell: Any, seed: int) -> Tuple[collections.Counter, int]:
     """Dataclass instances built per class, and events, while a fresh copy of
     ``cell`` seeded with ``seed`` runs."""
+    from repro.net.record import RECORD_FILE_PREFIX
+
     built: collections.Counter = collections.Counter()
 
     def count(frame: Any, event: str, arg: Any) -> None:
         code = frame.f_code
-        if event == "call" and code.co_name == "__init__" and code.co_filename == "<string>":
+        if event == "call" and code.co_name == "__init__" and (
+            code.co_filename == "<string>" or code.co_filename.startswith(RECORD_FILE_PREFIX)
+        ):
             built[type(frame.f_locals[code.co_varnames[0]]).__name__] += 1
 
     run = build_cell(cell, seed)
