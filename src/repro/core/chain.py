@@ -31,6 +31,13 @@ class ProposalStatus(enum.IntEnum):
     COMMITTED = 4
 
 
+# Enum members bound once: a ``Class.MEMBER`` load in a function costs about
+# 100 ns on CPython 3.10/3.11, and no call count shows it.
+_PREPARED = ProposalStatus.CONDITIONALLY_PREPARED
+_CONDITIONALLY_COMMITTED = ProposalStatus.CONDITIONALLY_COMMITTED
+_COMMITTED = ProposalStatus.COMMITTED
+
+
 @dataclass(slots=True)
 class Proposal:
     """One node in the proposal tree.
@@ -90,7 +97,7 @@ class ProposalStore:
             parent_digest=None,
             parent_view=None,
             message=None,
-            status=ProposalStatus.COMMITTED,
+            status=_COMMITTED,
         )
         self._proposals: Dict[bytes, Proposal] = {GENESIS_PROPOSAL_ID: genesis}
         self._by_view: Dict[int, List[bytes]] = {GENESIS_VIEW: [GENESIS_PROPOSAL_ID]}
@@ -240,7 +247,7 @@ class ProposalStore:
         parent = self._proposals.get(message.parent_digest)
         if parent is None:
             return False
-        if parent.status < ProposalStatus.CONDITIONALLY_PREPARED:
+        if parent.status < _PREPARED:
             return False
         lock = self._lock
         safety = self.extends(parent, lock)
@@ -253,8 +260,8 @@ class ProposalStore:
         if proposal.status >= status:
             return False
         if (
-            proposal.status < ProposalStatus.CONDITIONALLY_PREPARED
-            and status >= ProposalStatus.CONDITIONALLY_PREPARED
+            proposal.status < _PREPARED
+            and status >= _PREPARED
         ):
             self._note_prepared(proposal)
         proposal.status = status
@@ -290,7 +297,7 @@ class ProposalStore:
         Example 3.6 test and ablation bench use this to show why the paper
         needs three consecutive views.
         """
-        if not self._promote(proposal, ProposalStatus.CONDITIONALLY_PREPARED):
+        if not self._promote(proposal, _PREPARED):
             return []
         return self._apply_prepare_consequences(proposal)
 
@@ -302,7 +309,7 @@ class ProposalStore:
             return newly_committed
 
         if proposal.view > parent.view:
-            self._promote(parent, ProposalStatus.CONDITIONALLY_COMMITTED)
+            self._promote(parent, _CONDITIONALLY_COMMITTED)
             lock_view = self._lock.view
             if parent.view > lock_view:
                 self._lock = parent
@@ -338,7 +345,7 @@ class ProposalStore:
         ``"two-view"`` ablation rule stays unguarded — demonstrating that it
         admits conflicting commits is exactly its purpose (Example 3.6).
         """
-        if proposal.status >= ProposalStatus.COMMITTED:
+        if proposal.status >= _COMMITTED:
             return []
         # Walk only the uncommitted suffix: committing a proposal always
         # commits its entire ancestor chain, so everything below the first
@@ -351,7 +358,7 @@ class ProposalStore:
         anchor: Optional[Proposal] = None
         current = self.parent_of(proposal)
         while current is not None and current.digest not in seen:
-            if current.status >= ProposalStatus.COMMITTED:
+            if current.status >= _COMMITTED:
                 anchor = current
                 break
             chain.append(current)
@@ -364,10 +371,10 @@ class ProposalStore:
         for node in reversed(chain):
             if node.is_genesis:
                 continue
-            if node.status < ProposalStatus.COMMITTED:
-                if node.status < ProposalStatus.CONDITIONALLY_PREPARED:
+            if node.status < _COMMITTED:
+                if node.status < _PREPARED:
                     self._note_prepared(node)
-                node.status = ProposalStatus.COMMITTED
+                node.status = _COMMITTED
                 self._committed_order.append(node.digest)
                 newly.append(node)
         return newly
@@ -386,7 +393,7 @@ class ProposalStore:
             (
                 proposal
                 for proposal in self._proposals.values()
-                if proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED and not proposal.is_genesis
+                if proposal.status >= _PREPARED and not proposal.is_genesis
             ),
             key=lambda proposal: proposal.view,
         )
@@ -403,7 +410,7 @@ class ProposalStore:
     def conditionally_prepared_in_view(self, view: int) -> Optional[Proposal]:
         """A conditionally prepared (or stronger) proposal of ``view``, if any."""
         for proposal in self.proposals_in_view(view):
-            if proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED:
+            if proposal.status >= _PREPARED:
                 return proposal
         return None
 
@@ -411,7 +418,7 @@ class ProposalStore:
         """The conditionally prepared proposal with the highest view (genesis fallback)."""
         best = self.genesis
         for proposal in self._proposals.values():
-            if proposal.status >= ProposalStatus.CONDITIONALLY_PREPARED and proposal.view > best.view:
+            if proposal.status >= _PREPARED and proposal.view > best.view:
                 best = proposal
         return best
 

@@ -53,6 +53,12 @@ class ViewState(enum.Enum):
     CERTIFYING = "certifying"
 
 
+# Enum members bound once: a ``Class.MEMBER`` load in a function costs about
+# 100 ns on CPython 3.10/3.11, and no call count shows it.
+# ``test_no_enum_member_load_in_a_hot_function`` checks core/ and runtime/.
+_RECORDING = ViewState.RECORDING
+_SYNCING = ViewState.SYNCING
+_CERTIFYING = ViewState.CERTIFYING
 _PREPARED = ProposalStatus.CONDITIONALLY_PREPARED
 
 #: Where a re-issued Ask goes once the f + 1 claim holders did not deliver:
@@ -126,8 +132,9 @@ class _ViewTally:
         # whose CP set carried it.
         self.endorsements: Dict[bytes, Dict[int, int]] = {}
         # Requesters already served by _retransmit_own_sync, so a repeated Υ
-        # request does not trigger a second identical retransmission.
-        self.served: Set[int] = set()
+        # request does not trigger a second identical retransmission; created
+        # on the first request, which most views never see.
+        self.served: Optional[Set[int]] = None
 
 
 class SpotLessInstance:
@@ -156,7 +163,7 @@ class SpotLessInstance:
         self.store = ProposalStore(instance=instance_id, commit_rule=config.commit_rule)
 
         self.current_view = 0
-        self.state = ViewState.RECORDING
+        self.state = _RECORDING
         self.started = False
 
         # Per-view Sync bookkeeping; compact_below_view drops whole views.
@@ -243,7 +250,7 @@ class SpotLessInstance:
         self._recording_timer.cancel()
         self._certifying_timer.cancel()
         self.current_view = view
-        self.state = ViewState.RECORDING
+        self.state = _RECORDING
         self.views_entered += 1
         self._view_entered_at = self.env.now()
 
@@ -253,9 +260,12 @@ class SpotLessInstance:
         # Backups (and the primary acting as its own backup) arm t_R.
         if view not in self._synced_views:
             self._recording_timer.start(self._recording_timeout.interval)
-        # A proposal (or enough Syncs) may already have arrived for this view.
-        self._maybe_accept_pending()
-        self._check_sync_quorum()
+        # A proposal (or enough Syncs) may already have arrived for this view;
+        # each callee's first test is made here, before the call.
+        if view not in self._synced_views and view in self.store._by_view:
+            self._maybe_accept_pending()
+        if self.state is _SYNCING:
+            self._check_sync_quorum()
 
     def _run_primary_role(self, view: int) -> None:
         """Primary role of Figure 3 (lines 12-14).
@@ -435,7 +445,7 @@ class SpotLessInstance:
             return
         if self.current_view in self._synced_views:
             return
-        if self.state != ViewState.RECORDING:
+        if self.state is not _RECORDING:
             return
         if not self.store.is_acceptable(message):
             return
@@ -477,8 +487,8 @@ class SpotLessInstance:
             retransmit_flag=retransmit_flag,
         )
         self._synced_views.add(view)
-        if view == self.current_view and self.state == ViewState.RECORDING:
-            self.state = ViewState.SYNCING
+        if view == self.current_view and self.state is _RECORDING:
+            self.state = _SYNCING
         self.syncs_sent += 1
         self.env.broadcast(message)
 
@@ -570,7 +580,10 @@ class SpotLessInstance:
                         self._send_ask(view, digest, list(votes))
                     self._conditionally_prepare(proposal)
                 else:
-                    self._maybe_accept_pending()
+                    # _maybe_accept_pending's first test, made before the call.
+                    pending_view = self.current_view
+                    if pending_view not in self._synced_views and pending_view in self.store._by_view:
+                        self._maybe_accept_pending()
                 # The n−f same-claim quorum for the current view completes
                 # the Certifying state and advances to the next view.
                 if view == self.current_view:
@@ -580,17 +593,15 @@ class SpotLessInstance:
         # an older proposal (Figure 3, lines 22-23).  An entry already
         # prepared here is settled unless the current view is un-synced with
         # a proposal recorded, which a repeat could still let it accept.
-        # (Nothing in the loop moves the current view.)
+        # Nothing in the loop moves the current view; it can only sync it or
+        # record payload-less references in it, after which a prepared entry
+        # has nothing left to accept, so the condition is decided once.
         current = self.current_view
         proposals = self.store._proposals
-        by_view = self.store._by_view
+        prepared_is_settled = current in self._synced_views or current not in self.store._by_view
         for entry in message.cp_set:
             proposal = proposals.get(entry.digest)
-            if (
-                proposal is not None
-                and proposal.status >= _PREPARED
-                and (current in self._synced_views or current not in by_view)
-            ):
+            if proposal is not None and prepared_is_settled and proposal.status >= _PREPARED:
                 continue
             self._prepare_from_cp(entry, proposal)
 
@@ -600,7 +611,7 @@ class SpotLessInstance:
             self._maybe_skip_views()
 
         # State progress for the current view (Figure 4, lines 7-11).
-        if self.state is ViewState.SYNCING:
+        if self.state is _SYNCING:
             self._check_sync_quorum()
 
     def _retransmit_own_sync(self, tally: _ViewTally, view: int, requester: int) -> None:
@@ -611,9 +622,14 @@ class SpotLessInstance:
         requests from ourselves) prevents two catching-up replicas from
         bouncing Υ-flagged Syncs back and forth forever.
         """
-        if requester == self._replica_id or requester in tally.served:
+        if requester == self._replica_id:
             return
-        tally.served.add(requester)
+        served = tally.served
+        if served is None:
+            served = tally.served = set()
+        elif requester in served:
+            return
+        served.add(requester)
         source = tally.own
         if source is not None:
             reply = SyncMessage(
@@ -684,7 +700,9 @@ class SpotLessInstance:
         # A proposal of the current view may have been recorded before its
         # parent was conditionally prepared; rule A1 can now be satisfied, so
         # re-evaluate acceptance (otherwise t_R would expire spuriously).
-        self._maybe_accept_pending()
+        view = self.current_view
+        if view not in self._synced_views and view in self.store._by_view:
+            self._maybe_accept_pending()
 
     def _maybe_skip_views(self) -> None:
         """The f+1 higher-view skip of Rapid View Synchronization.
@@ -714,16 +732,16 @@ class SpotLessInstance:
 
     def _check_sync_quorum(self) -> None:
         """Figure 4 lines 7-11: Syncing -> Certifying -> next view."""
-        if self.state is not ViewState.SYNCING:
+        if self.state is not _SYNCING:
             return
         tally = self._views.get(self.current_view)
         if tally is not None and len(tally.senders) >= self._quorum:
-            self.state = ViewState.CERTIFYING
+            self.state = _CERTIFYING
             self._certifying_timer.start(self._certifying_timeout.interval)
 
     def _on_certifying_timeout(self) -> None:
         """t_A expired without an n−f same-claim quorum: move on (Figure 4 line 10)."""
-        if self.state != ViewState.CERTIFYING:
+        if self.state is not _CERTIFYING:
             return
         self.timeouts += 1
         self._certifying_timeout.on_timeout()

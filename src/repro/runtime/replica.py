@@ -51,6 +51,11 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.workload.requests import Transaction
 
+# Enum members bound once: a ``Class.MEMBER`` load in a function costs about
+# 100 ns on CPython 3.10/3.11, and no call count shows it.
+_NEW = AdmitResult.NEW
+_EXECUTED = AdmitResult.EXECUTED
+
 
 class ReplicaRuntime(Actor):
     """Shared replica machinery: request pool, batching, execution, Informs.
@@ -173,13 +178,13 @@ class ReplicaRuntime(Actor):
         """Accept a client transaction into the request pool."""
         shard = self._assign_shard(transaction)
         outcome = self.mempool.admit(transaction, shard)
-        if outcome is AdmitResult.NEW:
+        if outcome is _NEW:
             self.on_request_arrival(shard)
         self._after_submit(outcome)
 
     def _after_submit(self, outcome: AdmitResult) -> None:
         """Advance execution after a submission (a payload may unblock it)."""
-        if outcome is not AdmitResult.EXECUTED:
+        if outcome is not _EXECUTED:
             self.pipeline.advance()
 
     def _assign_shard(self, transaction: Transaction) -> int:

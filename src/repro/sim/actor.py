@@ -33,7 +33,9 @@ class Timer:
 
     def start(self, interval: float) -> None:
         """Arm (or re-arm) the timer to fire ``interval`` seconds from now."""
-        self.cancel()
+        event = self._event
+        if event is not None:
+            event.cancel()
         self._event = self._simulator.schedule(interval, self._fire, label=self._label)
 
     def cancel(self) -> None:

@@ -79,13 +79,19 @@ class Event:
         """Mark the event so the engine skips it when it is popped.
 
         Cancelling an event that already fired (or was already cancelled) is
-        a no-op, so stale timer handles are safe to cancel.
+        a no-op, so stale timer handles are safe to cancel.  The owner's live
+        count and its sweep test are done here, in this frame: a timer
+        re-armed on every message cancels once per message.
         """
         if self.cancelled or self.executed:
             return
         self.cancelled = True
-        if self.owner is not None:
-            self.owner._note_cancelled()
+        owner = self.owner
+        if owner is not None:
+            live = owner._live = owner._live - 1
+            cancelled = len(owner._queue) - live
+            if cancelled > _SWEEP_FLOOR and cancelled > live:
+                owner._sweep_if_mostly_cancelled()
 
 
 #: A heap entry: ``(time, priority, seq, item)`` where ``item`` is either an
@@ -140,10 +146,6 @@ class Simulator:
     def scheduled_events(self) -> int:
         """Raw queue length, including cancelled events not yet removed."""
         return len(self._queue)
-
-    def _note_cancelled(self) -> None:
-        self._live -= 1
-        self._sweep_if_mostly_cancelled()
 
     def _sweep_if_mostly_cancelled(self) -> None:
         """Drop every cancelled entry when they outnumber the live ones.

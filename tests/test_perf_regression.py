@@ -152,10 +152,12 @@ def test_pinned_cell_replays_byte_identically():
 #: Calls of functions defined under ``src/repro/core/`` per processed event
 #: on a fault-free n=4 cell.  The per-Sync rework brought it from 31.8 to
 #: 19.2 (18.5 measured later); testing each Sync rule's "nothing to do"
-#: condition where the vote is counted brought it to 11.2.  Re-deriving
-#: settled facts on every Sync again trips this long before a wall clock
-#: could tell.
-CORE_CALLS_PER_EVENT_BUDGET = 12.3
+#: condition where the vote is counted brought it to 11.2 (10.24 measured
+#: later); testing one-line guards before the call brought it to 9.44.
+#: Re-deriving settled facts on every Sync again trips this long before a
+#: wall clock could tell.  A call count cannot see the cost of an attribute
+#: load, which is why ``test_no_enum_member_load_in_a_hot_function`` exists.
+CORE_CALLS_PER_EVENT_BUDGET = 10.4
 
 
 def _calls_while_running(cluster, horizon, counted, name_counted=lambda name: not name.startswith("<")):
@@ -192,6 +194,59 @@ def test_core_call_budget_per_event():
     events = cluster.simulator.processed_events
     assert events == 5092  # same schedule, so the ratio compares like with like
     assert calls / events < CORE_CALLS_PER_EVENT_BUDGET
+
+
+def test_no_enum_member_load_in_a_hot_function():
+    """No function under ``core/`` or ``runtime/`` loads ``Class.MEMBER`` of an enum.
+
+    Loading an ``enum.Enum`` member as ``Class.MEMBER`` costs many times a
+    module-global load, and cProfile records no call for it, so no call
+    budget sees it.  One load, net of an empty loop:
+
+    ========  ===========  =============
+    Python    enum member  module global
+    ========  ===========  =============
+    3.10      119 ns       14 ns
+    3.11.7    102 ns       7 ns
+    3.12      28 ns        8 ns
+    3.13      38 ns        15 ns
+    ========  ===========  =============
+
+    A module binds each member it needs once (``_SYNCING =
+    ViewState.SYNCING``); module-level statements and class-body defaults
+    run once and are not checked.
+    """
+    import ast
+    import enum
+    import importlib
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).parent
+    offenders = set()
+    for package in ("core", "runtime"):
+        for path in sorted((root / package).glob("*.py")):
+            name = f"repro.{package}" if path.stem == "__init__" else f"repro.{package}.{path.stem}"
+            module = importlib.import_module(name)
+            for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    body = function.body
+                elif isinstance(function, ast.Lambda):
+                    body = [function.body]
+                else:
+                    continue
+                for node in (inner for statement in body for inner in ast.walk(statement)):
+                    if not (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                    ):
+                        continue
+                    owner = getattr(module, node.value.id, None)
+                    if isinstance(owner, enum.EnumMeta) and node.attr in owner.__members__:
+                        offenders.add(f"{package}/{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not offenders, sorted(offenders)
 
 
 #: Dataclass instances built per processed event on the same cell, counted as

@@ -12,9 +12,14 @@ once, and the side that goes first alternates.  Printed: the metric per pair
 with its winner, wins out of the pairs run (ties count for neither), both
 medians with quartiles, the ratio with its base, whether the medians differ by
 more than the parent's interquartile range, and whether every ``sim_*`` value
-was bit-identical across all runs.  The gain rule (at least ten pairs, the
-change wins at least nine tenths of them and the medians differ by more than
-that range) decides the last line; the exit code is non-zero only when a run
+was bit-identical across all runs.  Quartiles are ``statistics.quantiles``'
+default (exclusive) method, as in ``perfbench/run.py`` and
+``perfbench/calib.py``.  The gain rule (at least ten pairs, the change wins at
+least nine tenths of them and the medians differ by more than that range)
+decides its line.  Then every end-to-end metric of ``BENCHMARK.json``, from
+the same runs: both medians, the ratio, and whether the change is worse than
+the parent by more than that metric's bound, so a claim's must-not-move rows
+come from the claim's own pairs.  The exit code is non-zero only when a run
 was not correct.
 """
 
@@ -26,7 +31,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
 HERE = Path(__file__).resolve().parent.parent
 
@@ -42,11 +47,50 @@ def run_side(checkout: Path, passthrough: Sequence[str]) -> Dict[str, Any]:
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
-    """(q1, median, q3); a single value is its own quartiles."""
+    """(q1, median, q3) by the benchmark's definition (exclusive method); a
+    single value is its own quartiles."""
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
+
+
+class Judgement(NamedTuple):
+    """The gain rule applied to one metric's paired values."""
+
+    change_wins: int
+    parent_wins: int
+    parent: Tuple[float, float, float]
+    change: Tuple[float, float, float]
+    beyond_iqr: bool
+    verdict: str
+
+
+def judge(parent: Sequence[float], change: Sequence[float], lower_is_better: bool) -> Judgement:
+    """Pair ``i`` is ``(parent[i], change[i])``: wins, quartiles of each side,
+    whether the medians differ by more than the parent's IQR, and the verdict
+    (at least ten pairs, at least nine tenths won by the change, medians
+    beyond the IQR and on the better side)."""
+    change_wins = sum(1 for p, c in zip(parent, change) if p != c and (c < p) == lower_is_better)
+    parent_wins = sum(1 for p, c in zip(parent, change) if p != c) - change_wins
+    p_q, c_q = quartiles(parent), quartiles(change)
+    beyond_iqr = abs(c_q[1] - p_q[1]) > p_q[2] - p_q[0]
+    better = c_q[1] != p_q[1] and (c_q[1] < p_q[1]) == lower_is_better
+    if len(parent) < 10:
+        verdict = "not judged (needs at least 10 pairs)"
+    else:
+        verdict = "met" if better and beyond_iqr and change_wins >= 0.9 * len(parent) else "not met"
+    return Judgement(change_wins, parent_wins, p_q, c_q, beyond_iqr, verdict)
+
+
+def worse_beyond_bound(metric: Dict[str, Any], parent_median: float, change_median: float) -> Tuple[float, bool]:
+    """(change / parent, whether the change is worse by more than the
+    metric's bound), the ``worse`` test of ``perfbench/compare.py``."""
+    if parent_median == change_median:
+        return 1.0, False
+    ratio = change_median / parent_median if parent_median else float("inf")
+    change = ratio - 1.0 if metric["better"] == "lower" else 1.0 - ratio
+    return ratio, change > metric["bound"]
 
 
 def main(argv: Sequence[str]) -> int:
@@ -74,42 +118,44 @@ def main(argv: Sequence[str]) -> int:
             passthrough += [f"--{flag}", str(getattr(args, flag))]
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    values: Dict[str, List[float]] = {"parent": [], "change": []}
+    # side -> metric -> one value per pair
+    values: Dict[str, Dict[str, List[float]]] = {side: {name: [] for name in declared} for side in sides}
     simulated = set()
-    wins = {"parent": 0, "change": 0}
     all_correct = True
     print(f"{args.metric} on {args.workload}, seed {args.seed}: {args.pairs} alternating pairs")
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         result = {side: run_side(sides[side], passthrough) for side in order}
         for side, line in result.items():
-            values[side].append(line["metrics"][args.metric]["value"])
+            for name in declared:
+                values[side][name].append(line["metrics"][name]["value"])
             all_correct = all_correct and line["correct"] and line["failed"] == 0
             simulated.add(tuple(
                 (name, metric["value"]) for name, metric in sorted(line["metrics"].items())
                 if name.startswith("sim_")
             ))
-        parent, change = values["parent"][-1], values["change"][-1]
+        parent, change = values["parent"][args.metric][-1], values["change"][args.metric][-1]
         winner = "tie"
         if parent != change:
             winner = "change" if (change < parent) == lower_is_better else "parent"
-            wins[winner] += 1
         print(f"  pair {pair + 1:2d} ({order[0]} first): parent {parent:10.4f}  change {change:10.4f}  {winner}")
 
-    p_q1, p_median, p_q3 = quartiles(values["parent"])
-    c_q1, c_median, c_q3 = quartiles(values["change"])
-    beyond_iqr = abs(c_median - p_median) > p_q3 - p_q1
-    print(f"change wins {wins['change']}/{args.pairs}, parent wins {wins['parent']}/{args.pairs}")
+    claim = judge(values["parent"][args.metric], values["change"][args.metric], lower_is_better)
+    (p_q1, p_median, p_q3), (c_q1, c_median, c_q3) = claim.parent, claim.change
+    print(f"change wins {claim.change_wins}/{args.pairs}, parent wins {claim.parent_wins}/{args.pairs}")
     print(f"parent median {p_median:.4f} [{p_q1:.4f} .. {p_q3:.4f}]")
     print(f"change median {c_median:.4f} [{c_q1:.4f} .. {c_q3:.4f}]  = {c_median / p_median:.3f} x parent")
-    print(f"differs by more than the parent's IQR ({p_q3 - p_q1:.4f}): {'yes' if beyond_iqr else 'no'}")
+    print(f"differs by more than the parent's IQR ({p_q3 - p_q1:.4f}): {'yes' if claim.beyond_iqr else 'no'}")
     print(f"sim_* values bit-identical across all {2 * args.pairs} runs: {'yes' if len(simulated) == 1 else 'NO'}")
-    better = (c_median < p_median) == lower_is_better
-    if args.pairs < 10:
-        verdict = "not judged (needs at least 10 pairs)"
-    else:
-        verdict = "met" if better and beyond_iqr and wins["change"] >= 0.9 * args.pairs else "not met"
-    print(f"gain rule (>= 9/10 wins and beyond the IQR): {verdict}")
+    print(f"gain rule (>= 9/10 wins and beyond the IQR): {claim.verdict}")
+    print(f"every end-to-end metric, medians over the same {args.pairs} pairs:")
+    print(f"  {'metric':<22}{'parent':>14}{'change':>14}{'change/parent':>15}  worse beyond bound")
+    for name, metric in declared.items():
+        p_median = quartiles(values["parent"][name])[1]
+        c_median = quartiles(values["change"][name])[1]
+        ratio, worse = worse_beyond_bound(metric, p_median, c_median)
+        print(f"  {name:<22}{p_median:>14.4f}{c_median:>14.4f}{ratio:>15.4f}  "
+              f"{'YES' if worse else 'no'} (bound {metric['bound']:.0%}, {metric['better']} is better)")
     if not all_correct:
         print("a run was not correct or had failed operations")
     return 0 if all_correct else 1
