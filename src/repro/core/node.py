@@ -2,14 +2,17 @@
 
 A :class:`SpotLessReplica` hosts ``m`` chained consensus instances, rotates
 their primaries (``id(P_{i,v}) = (i + v) mod n``), assigns incoming client
-requests to instances by digest, totally orders committed proposals by
-``(view, instance)``, executes them against the replica's YCSB table and
-ledger, and informs clients of the outcome.
+requests to instances by digest, and totally orders committed proposals by
+``(view, instance)``.
 
-The request pool, execution engine and client Informs come from the shared
-:mod:`repro.runtime` layer (the same fabric the baseline replicas run on);
-this module adds only what is SpotLess-specific: the chained instances, the
-cross-instance total order and its contiguity-aware execution frontier.
+Everything after the order is the shared :mod:`repro.runtime` fabric the
+baseline replicas run on: once a view is complete across instances, the
+replica delivers it to the :class:`~repro.runtime.pipeline.ExecutionPipeline`
+as one :class:`~repro.recovery.SlotEntry` at position ``view``, and the
+pipeline resolves its payloads (rebuilding no-ops), executes it, informs
+clients and folds it into the checkpoint digest.  This module keeps only
+what is SpotLess-specific: the chained instances, the commit log, and the
+per-instance contiguity walk that decides when a view is complete.
 """
 
 from __future__ import annotations
@@ -97,12 +100,10 @@ class SpotLessReplica(ReplicaRuntime):
         self._committed_by_view: Dict[int, Dict[int, CommitRecord]] = {
             i: {} for i in range(config.num_instances)
         }
-        self._max_committed_view: Dict[int, int] = {i: -1 for i in range(config.num_instances)}
-        self._next_execution_view = 0
         self.commit_log: List[CommitRecord] = []
         # Views strictly below this floor are settled — either executed here
         # in contiguous order, or covered by a verified state transfer whose
-        # records were ingested — so execution below the floor needs no
+        # records were ingested — so delivery below the floor needs no
         # per-instance contiguity proof and records below it may be GC'd.
         self._execution_floor_view = 0
         # Frontier memo per instance: (frontier, record_count, floor,
@@ -111,10 +112,6 @@ class SpotLessReplica(ReplicaRuntime):
         # the proposal store's content — all captured by this key, so a hit
         # returns the cached frontier without re-walking the history.
         self._frontier_cache: Dict[int, Tuple[int, int, int, int]] = {}
-        # SpotLess orders by (view, instance) itself; the per-view fold into
-        # the checkpoint manager happens in _advance_execution, not in the
-        # shared pipeline's per-position path.
-        self.pipeline.on_executed = None
         # Wire size of each consensus message class (a certificate adds its
         # signatures to a Propose); the size model is fixed per deployment.
         control = self.size_model.control_bytes
@@ -236,7 +233,6 @@ class SpotLessReplica(ReplicaRuntime):
         # A re-commit can replace a record without changing the record count,
         # which the cache key would not see — drop the entry outright.
         self._frontier_cache.pop(instance_id, None)
-        self._max_committed_view[instance_id] = max(self._max_committed_view[instance_id], proposal.view)
         self.commit_log.append(record)
         if self.tracer is not None:
             self.tracer.instant(
@@ -305,26 +301,27 @@ class SpotLessReplica(ReplicaRuntime):
         return frontier
 
     def _advance_execution(self) -> None:
-        """Execute committed proposals in (view, instance) order (Figure 6).
+        """Deliver complete views to the pipeline in order (Figure 6).
 
-        A view's proposals are executed once (a) every instance's committed
-        chain is contiguously known up to that view, so the total order for
-        the view is complete and gaps are provably empty, and (b) the payload
-        of every transaction in the view is locally available (payloads are
-        pre-disseminated by clients; no-ops are reconstructed
-        deterministically; everything else is fetched via Ask-recovery).
-        Missing chain segments or payloads stall the execution frontier until
-        they arrive, exactly as the paper requires replicas to recover full
-        proposals before executing them.  Views below the execution floor
-        are covered by a verified state transfer: their ingested records
-        execute without a per-instance contiguity proof, because the
-        checkpoint certificate already attests the exact content.
+        The cursor is the pipeline's execution frontier.  A view is complete
+        once (a) every instance's committed chain is contiguously known up
+        to that view, so the total order for the view is fixed and gaps are
+        provably empty, and (b) the transaction digests of every record in
+        it are known (a proposal committed by reference waits for
+        Ask-recovery to attach its payload).  The pipeline then stalls the
+        view until each transaction's payload is local (pre-disseminated by
+        clients; no-ops are rebuilt by :meth:`resolve_noop`), exactly as the
+        paper requires replicas to recover full proposals before executing
+        them.  Views below the execution floor are covered by a verified
+        state transfer and need no per-instance contiguity proof, because
+        the checkpoint certificate already attests the exact content.
         """
+        pipeline = self.pipeline
         committed = self._committed_by_view
         frontier_cache = self._frontier_cache
         instance_ids = range(self.config.num_instances)
         while True:
-            view = self._next_execution_view
+            view = pipeline.next_execution_position
             floor = self._execution_floor_view
             if view >= floor:
                 # The view waits for the slowest instance; the first one
@@ -344,81 +341,52 @@ class SpotLessReplica(ReplicaRuntime):
                         frontier = self._walk_execution_frontier(instance_id)
                     if frontier < view:
                         return
-            resolved: List[Tuple[CommitRecord, Tuple[bytes, ...], List[Transaction]]] = []
-            for instance_id in instance_ids:
-                record = committed[instance_id].get(view)
-                if record is None:
-                    continue
-                payload = self._resolve_transactions(record)
-                if payload is None:
-                    return
-                resolved.append((record, *payload))
-            for record, _digests, transactions in resolved:
-                self.pipeline.execute(transactions, view=record.view, instance=record.instance)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    self.node_id,
-                    "lifecycle",
-                    "execute-view",
-                    view=view,
-                    records=len(resolved),
-                )
-            self._next_execution_view += 1
-            if self.checkpoints.enabled:
-                self._fold_executed_view(view, resolved)
+            if pipeline.is_decided(view):
+                # Delivered before, still waiting on a payload that may
+                # have arrived since.
+                pipeline.advance()
+            else:
+                records: List[SlotRecord] = []
+                for instance_id in instance_ids:
+                    record = committed[instance_id].get(view)
+                    if record is None:
+                        continue
+                    digests = record.transaction_digests
+                    if not record.has_payload:
+                        # Committed by reference; Ask-recovery may have
+                        # attached the payload to the instance store since.
+                        proposal = self.instances[instance_id].store.get(record.proposal_digest)
+                        if proposal is None or proposal.message is None:
+                            return
+                        digests = proposal.message.transaction_digests
+                    records.append(
+                        SlotRecord(
+                            view=view,
+                            instance=instance_id,
+                            transaction_digests=digests,
+                            slot_digest=record.proposal_digest,
+                        )
+                    )
+                pipeline.deliver_entry(SlotEntry(position=view, records=tuple(records)))
+            if pipeline.next_execution_position == view:
+                return
 
-    def _fold_executed_view(
-        self, view: int, resolved: List[Tuple[CommitRecord, Tuple[bytes, ...], List[Transaction]]]
-    ) -> None:
-        """Fold one executed view into the checkpoint manager's digest chain.
+    def resolve_noop(self, digest: bytes, position: int, instance: int) -> Optional[Transaction]:
+        """The no-op ``instance`` proposed in view ``position``, if it has ``digest``."""
+        noop = make_noop_transaction(instance, position)
+        return noop if noop.digest() == digest else None
 
-        The fold covers the agreement-fixed content of the view: the records
-        executed across instances (ascending instance order), each with its
-        proposal digest and the transaction digests its payloads resolved
-        from.  Views with no committed record fold as empty, so every
-        replica folds the same sequence.
-        """
-        records = tuple(
-            SlotRecord(
-                view=record.view,
-                instance=record.instance,
-                transaction_digests=digests,
-                slot_digest=record.proposal_digest,
+    def _record_executed_entry(self, entry: SlotEntry) -> None:
+        """Trace the executed view, then fold it like any order unit."""
+        if self.tracer is not None:
+            self.tracer.instant(
+                self.node_id,
+                "lifecycle",
+                "execute-view",
+                view=entry.position,
+                records=len(entry.records),
             )
-            for record, digests, _transactions in resolved
-        )
-        self._record_executed_entry(SlotEntry(position=view, records=records))
-
-    def _resolve_transactions(
-        self, record: CommitRecord
-    ) -> Optional[Tuple[Tuple[bytes, ...], List[Transaction]]]:
-        """Look up the payloads of a committed record: its transaction
-        digests and, in the same order, the transactions they name.
-
-        Returns ``None`` when a non-reconstructible payload is missing, which
-        stalls execution until the payload arrives (via client dissemination
-        or retransmission).
-        """
-        digests = record.transaction_digests
-        if not record.has_payload:
-            # The proposal was committed by reference; Ask-recovery may have
-            # attached its payload to the instance store since then.
-            proposal = self.instances[record.instance].store.get(record.proposal_digest)
-            if proposal is None or proposal.message is None:
-                return None
-            digests = proposal.message.transaction_digests
-        transactions: List[Transaction] = []
-        for digest in digests:
-            transaction = self.mempool.get(digest)
-            if transaction is None:
-                noop = make_noop_transaction(record.instance, record.view)
-                if noop.digest() == digest:
-                    transaction = noop
-                    self.mempool.register_payload(noop)
-                else:
-                    return None
-            transactions.append(transaction)
-        return digests, transactions
+        super()._record_executed_entry(entry)
 
     # ------------------------------------------------------------------
     # recovery: state transfer, checkpoint GC and Ask rewiring
@@ -427,14 +395,14 @@ class SpotLessReplica(ReplicaRuntime):
     def _apply_state_entries(
         self, entries: Tuple[SlotEntry, ...], certificate: CheckpointCertificate
     ) -> None:
-        """Ingest verified transferred views into the cross-instance order.
+        """Ingest verified transferred views into the commit log, then replay.
 
         Each entry is one view of the global order with the records the
         cluster committed across instances.  Records this replica already
         holds are upgraded in place (a commit known only by reference gains
         its certified digests); missing ones are created.  The certificate's
-        position then becomes the execution floor, and the stalled frontier
-        replays straight through the transferred range.
+        position then becomes the execution floor, the runtime replays the
+        entries through the pipeline, and delivery resumes above the floor.
         """
         for entry in entries:
             for record in entry.records:
@@ -452,9 +420,6 @@ class SpotLessReplica(ReplicaRuntime):
                         has_payload=True,
                     )
                     by_view[entry.position] = commit
-                    self._max_committed_view[record.instance] = max(
-                        self._max_committed_view[record.instance], entry.position
-                    )
                     self.commit_log.append(commit)
                 elif not existing.has_payload:
                     by_view[entry.position] = replace(
@@ -464,14 +429,16 @@ class SpotLessReplica(ReplicaRuntime):
                     )
                     self._frontier_cache.pop(record.instance, None)
         self._execution_floor_view = max(self._execution_floor_view, certificate.position)
+        super()._apply_state_entries(entries, certificate)
         self._advance_execution()
 
     def on_stable_checkpoint(self, certificate: CheckpointCertificate) -> None:
         """GC per-view state below the stable floor (executed views only)."""
+        executed = self.pipeline.next_execution_position
         self._execution_floor_view = max(
-            self._execution_floor_view, min(certificate.position, self._next_execution_view)
+            self._execution_floor_view, min(certificate.position, executed)
         )
-        gc_floor = min(self._execution_floor_view, self._next_execution_view)
+        gc_floor = min(self._execution_floor_view, executed)
         for records in self._committed_by_view.values():
             for view in [v for v in records if v < gc_floor]:
                 del records[view]
@@ -519,10 +486,6 @@ class SpotLessReplica(ReplicaRuntime):
         for record in self.commit_log:
             mapping[(record.view, record.instance)] = record.proposal_digest
         return mapping
-
-    def executed_transaction_digests(self) -> List[bytes]:
-        """Digests of executed transactions in ledger order (a true prefix order)."""
-        return self.ledger.transaction_digests()
 
 
 __all__ = ["CommitRecord", "SpotLessReplica"]

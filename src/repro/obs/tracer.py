@@ -269,7 +269,8 @@ class TelemetrySampler:
         if callable(instance_views):
             views = instance_views()
             return max(views.values()) if views else 0
-        return int(getattr(replica, "_next_execution_view", 0))
+        # SpotLess orders by view itself: its execution frontier is a view.
+        return replica.pipeline.next_execution_position
 
     def _tick(self) -> None:
         cluster = self.cluster

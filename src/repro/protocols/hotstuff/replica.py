@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto.digest import digest_bytes
@@ -18,7 +18,7 @@ from repro.protocols.hotstuff.messages import (
     HsVote,
     QuorumCert,
 )
-from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
+from repro.recovery.messages import CheckpointCertificate, SlotEntry
 from repro.runtime.replica import ReplicaRuntime
 from repro.runtime.retry import RetryingPull
 from repro.sim.engine import Simulator
@@ -430,11 +430,17 @@ class HotStuffReplica(ReplicaRuntime):
             member.committed = True
             self._committed_height += 1
             self._position_digests.append(member.digest)
+            # The node digest rides as the record's slot digest, so the
+            # checkpoint fold certifies the chain anchor itself: a state
+            # transfer responder cannot tamper with any anchoring input (the
+            # ``view`` field alone is excluded from the fold, but the node
+            # digest covers it).
             self.deliver_batch(
                 self._committed_height - 1,
                 member.transaction_digests,
                 view=member.view,
                 instance=0,
+                slot_digest=member.digest,
             )
         # Committing can outrun execution when a payload is locally missing;
         # start pulling it immediately instead of waiting for the retry timer.
@@ -644,51 +650,33 @@ class HotStuffReplica(ReplicaRuntime):
         elif self._sync.settle():
             self._sync.disarm()
 
-    def _on_position_executed(
-        self, position: int, digests: Tuple[bytes, ...], view: int, instance: int
-    ) -> None:
-        """Fold the committed chain node's digest into the checkpoint chain.
-
-        Carrying the node digest as the record's ``slot_digest`` makes the
-        chain anchor itself certified content: a state-transfer responder
-        cannot tamper with any anchoring input (the ``view`` field alone is
-        excluded from the fold, but the node digest covers it), so the
-        re-anchoring below always reproduces the cluster's real chain.
-        """
-        slot_digest = (
-            self._position_digests[position] if position < len(self._position_digests) else b""
-        )
-        record = SlotRecord(
-            view=view,
-            instance=instance,
-            transaction_digests=tuple(digests),
-            slot_digest=slot_digest,
-        )
-        self._record_executed_entry(SlotEntry(position=position, records=(record,)))
-
     def _apply_state_entries(
         self, entries: Tuple[SlotEntry, ...], certificate: CheckpointCertificate
     ) -> None:
-        """Replay certified content and re-anchor the committed chain.
+        """Re-anchor the committed chain, then replay the certified content.
 
         Each certified record carries the committed node's digest (see
-        ``_on_position_executed``), so the committed chain the transfer
-        covers is re-anchored from quorum-attested digests: the rebuilt tip
-        becomes a committed anchor that later proposals' ancestor walks
-        connect to, which keeps position numbering identical to the rest of
-        the cluster.
+        ``_commit_chain``), so the committed chain the transfer covers is
+        re-anchored from quorum-attested digests: the rebuilt tip becomes a
+        committed anchor that later proposals' ancestor walks connect to,
+        which keeps position numbering identical to the rest of the cluster.
         """
+        replayed: List[SlotEntry] = []
         for entry in entries:
+            replayed.append(entry)
             if entry.position != len(self._position_digests) or not entry.records:
                 continue  # position already delivered by our own chain
             record = entry.records[0]
             parent = self._position_digests[-1] if self._position_digests else GENESIS_NODE_DIGEST
             # The certified slot digest is authoritative; recomputation from
             # the record's fields is only a fallback for responses that did
-            # not carry one.
-            digest = record.slot_digest or chain_node_digest(
-                record.view, parent, record.transaction_digests
-            )
+            # not carry one, and the recomputed digest is what gets folded.
+            digest = record.slot_digest
+            if not digest:
+                digest = chain_node_digest(record.view, parent, record.transaction_digests)
+                replayed[-1] = SlotEntry(
+                    position=entry.position, records=(replace(record, slot_digest=digest),)
+                )
             node = self.nodes.get(digest)
             if node is None:
                 node = ChainNode(
@@ -705,7 +693,7 @@ class HotStuffReplica(ReplicaRuntime):
                 node.committed = True
             self._position_digests.append(digest)
         self._committed_height = max(self._committed_height, len(self._position_digests))
-        super()._apply_state_entries(entries, certificate)
+        super()._apply_state_entries(tuple(replayed), certificate)
         # The new anchor may connect previously dangling commit cascades.
         self._retry_parked_commits()
 

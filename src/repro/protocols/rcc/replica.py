@@ -160,11 +160,10 @@ class RccReplica(ReplicaRuntime):
             elif sequence > core.decided_frontier:
                 core.arm_progress_timer()
 
-    def resolve_noop(self, digest: bytes, position: int) -> Optional[Transaction]:
-        """Reconstruct the deterministic no-op proposed for ``position``."""
-        instance_id = position % self.num_instances
-        sequence = position // self.num_instances
-        noop = make_noop_transaction(instance_id, sequence)
+    def resolve_noop(self, digest: bytes, position: int, instance: int) -> Optional[Transaction]:
+        """Reconstruct the deterministic no-op ``instance`` proposed for the
+        sequence of ``position``."""
+        noop = make_noop_transaction(instance, position // self.num_instances)
         if noop.digest() == digest:
             return noop
         return None

@@ -47,9 +47,8 @@ class StateTransferEngine:
     send_request:
         Callback delivering a :class:`StateRequest` to one peer.
     apply_entries:
-        Callback replaying verified entries through the protocol's execution
-        path (the shared pipeline for baselines, the cross-instance order
-        for SpotLess).  It must advance ``manager.frontier`` via
+        Callback replaying verified entries through the shared execution
+        pipeline.  It must advance ``manager.frontier`` via
         ``record_execution`` for every applied unit.
     on_verified:
         Optional callback invoked with the response after verification

@@ -1,18 +1,20 @@
-"""In-order execution of decided batches, shared by every protocol stack.
+"""In-order execution of the global order, shared by every protocol stack.
 
-The pipeline owns the map of decided positions, the in-order execution
-frontier, deterministic no-op reconstruction, and client Informs.  Protocols
-only differ in *how* they decide a position:
+The unit of the global order is a :class:`~repro.recovery.SlotEntry`: a
+position plus the :class:`~repro.recovery.SlotRecord` batches decided at it.
+A baseline decides one batch per position (:meth:`ExecutionPipeline.deliver`
+builds the one-record entry); SpotLess decides one view per position, with
+the records committed across its instances (possibly none), and hands the
+whole entry to :meth:`ExecutionPipeline.deliver_entry`.  Protocols differ
+only in *how* a position gets decided; from there on there is one path:
 
-* baselines call :meth:`ExecutionPipeline.deliver` with a position in their
-  global order and the pipeline executes the contiguous decided prefix;
-* SpotLess computes its own (view, instance) frontier across instances and
-  feeds each ready record straight to :meth:`ExecutionPipeline.execute`.
-
-Both paths share the execute step: already-executed transactions are
-filtered out, the batch is applied to the ledger under a
-:class:`~repro.ledger.block.BlockProof`, and the owning client of every
-fresh non-no-op transaction is informed.
+* resolve: every record's payloads are looked up in the mempool, falling
+  back to the protocol's deterministic no-op, before any record executes —
+  a payload that is neither known nor reconstructible stalls the frontier;
+* execute: each record runs under its own (view, instance) block proof,
+  skipping transactions an earlier position already executed, and the owning
+  client of every fresh non-no-op transaction is informed;
+* fold: the same entry goes to the recovery layer's checkpoint fold.
 """
 
 from __future__ import annotations
@@ -21,19 +23,19 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ledger.block import BlockProof
 from repro.ledger.execution import ExecutionEngine
+from repro.recovery.messages import SlotEntry, SlotRecord
 from repro.runtime.mempool import Mempool
 from repro.workload.requests import Transaction
 
-ResolveNoop = Callable[[bytes, int], Optional[Transaction]]
+# (digest, position, instance) -> the protocol's no-op with that digest.
+ResolveNoop = Callable[[bytes, int, int], Optional[Transaction]]
 Inform = Callable[[Transaction], None]
-# Called after each position executes: (position, digests, view, instance).
-# The recovery layer folds every executed position into its rolling
-# checkpoint digest through this hook.
-OnExecuted = Callable[[int, Tuple[bytes, ...], int, int], None]
+# Called with each entry once it executed, in position order.
+Fold = Callable[[SlotEntry], None]
 
 
 class ExecutionPipeline:
-    """Executes decided batches strictly in position order.
+    """Executes decided entries strictly in position order.
 
     Parameters
     ----------
@@ -52,6 +54,8 @@ class ExecutionPipeline:
         Hook reconstructing a protocol's deterministic no-op for a missing
         digest; a position whose payloads can neither be found nor
         reconstructed stalls the execution frontier until they arrive.
+    fold:
+        Callback receiving each executed entry (the checkpoint fold).
     """
 
     def __init__(
@@ -62,6 +66,7 @@ class ExecutionPipeline:
         quorum: int,
         inform: Optional[Inform] = None,
         resolve_noop: Optional[ResolveNoop] = None,
+        fold: Optional[Fold] = None,
     ) -> None:
         self.mempool = mempool
         self.engine = engine
@@ -77,11 +82,12 @@ class ExecutionPipeline:
         self._proof_cache: Dict[int, BlockProof] = {}
         self._inform = inform
         self._resolve_noop = resolve_noop
-        self.on_executed: Optional[OnExecuted] = None
+        self._fold = fold
 
-        self._decided: Dict[int, Tuple[bytes, ...]] = {}
-        self._decision_meta: Dict[int, Tuple[int, int]] = {}
-        self._next_execution_position = 0
+        self._decided: Dict[int, SlotEntry] = {}
+        # Lowest position not yet executed (the execution frontier); only
+        # ``advance`` moves it.
+        self.next_execution_position = 0
         self.executed_transactions = 0
         self.decided_batches = 0
 
@@ -95,19 +101,28 @@ class ExecutionPipeline:
         transaction_digests: Tuple[bytes, ...],
         view: int = 0,
         instance: int = 0,
+        slot_digest: bytes = b"",
     ) -> None:
-        """Record that the batch at ``position`` in the global order is decided."""
-        if position in self._decided:
+        """Record that one batch is decided at ``position`` in the global order."""
+        record = SlotRecord(
+            view=view,
+            instance=instance,
+            transaction_digests=tuple(transaction_digests),
+            slot_digest=slot_digest,
+        )
+        self.deliver_entry(SlotEntry(position=position, records=(record,)))
+
+    def deliver_entry(self, entry: SlotEntry) -> None:
+        """Record that ``entry`` is decided; a position is decided once."""
+        if entry.position in self._decided:
             return
-        self._decided[position] = tuple(transaction_digests)
-        self._decision_meta[position] = (view, instance)
-        self.decided_batches += 1
+        self._decided[entry.position] = entry
+        self.decided_batches += len(entry.records)
         self.advance()
 
-    @property
-    def next_execution_position(self) -> int:
-        """Lowest position not yet executed (the execution frontier)."""
-        return self._next_execution_position
+    def is_decided(self, position: int) -> bool:
+        """True while ``position`` holds a decided entry (until compacted)."""
+        return position in self._decided
 
     # ------------------------------------------------------------------
     # execution
@@ -115,27 +130,34 @@ class ExecutionPipeline:
 
     def advance(self) -> None:
         """Execute the contiguous decided prefix; gaps stall the frontier."""
-        while self._next_execution_position in self._decided:
-            position = self._next_execution_position
-            digests = self._decided[position]
-            transactions: List[Transaction] = []
-            for digest in digests:
-                transaction = self.mempool.get(digest)
-                if transaction is None:
-                    transaction = (
-                        self._resolve_noop(digest, position) if self._resolve_noop else None
-                    )
+        decided = self._decided
+        get = self.mempool.get
+        while self.next_execution_position in decided:
+            position = self.next_execution_position
+            entry = decided[position]
+            batches: List[List[Transaction]] = []
+            for record in entry.records:
+                transactions: List[Transaction] = []
+                for digest in record.transaction_digests:
+                    transaction = get(digest)
                     if transaction is None:
-                        return
-                    self.mempool.register_payload(transaction)
-                transactions.append(transaction)
-            view, instance = self._decision_meta.get(position, (0, 0))
-            self.execute(transactions, view=view, instance=instance)
-            self._next_execution_position += 1
-            if self.on_executed is not None:
-                self.on_executed(position, digests, view, instance)
+                        transaction = (
+                            self._resolve_noop(digest, position, record.instance)
+                            if self._resolve_noop
+                            else None
+                        )
+                        if transaction is None:
+                            return
+                        self.mempool.register_payload(transaction)
+                    transactions.append(transaction)
+                batches.append(transactions)
+            for record, transactions in zip(entry.records, batches):
+                self._execute(transactions, view=record.view, instance=record.instance)
+            self.next_execution_position = position + 1
+            if self._fold is not None:
+                self._fold(entry)
 
-    def execute(self, transactions: List[Transaction], view: int = 0, instance: int = 0) -> None:
+    def _execute(self, transactions: List[Transaction], view: int, instance: int) -> None:
         """Apply a decided batch to the ledger and inform clients.
 
         Transactions executed earlier (under another position) are skipped;
@@ -174,15 +196,14 @@ class ExecutionPipeline:
         uncertified) slots here is the last line of defence against a bug
         that would discard content the cluster still needs.
         """
-        if position > self._next_execution_position:
+        if position > self.next_execution_position:
             raise ValueError(
                 f"refusing to GC slots up to {position}: execution frontier is at "
-                f"{self._next_execution_position} and uncertified slots must be kept"
+                f"{self.next_execution_position} and uncertified slots must be kept"
             )
         stale = [decided for decided in self._decided if decided < position]
         for decided in stale:
             del self._decided[decided]
-            self._decision_meta.pop(decided, None)
         return len(stale)
 
     # ------------------------------------------------------------------
@@ -190,10 +211,12 @@ class ExecutionPipeline:
     # ------------------------------------------------------------------
 
     def committed_map(self) -> Dict[Tuple[int, int], bytes]:
-        """Mapping of decided position to a digest of the decided batch."""
+        """Mapping of decided position to a digest of the decided batches."""
         return {
-            (position, 0): b"".join(digests) if digests else b""
-            for position, digests in self._decided.items()
+            (position, 0): b"".join(
+                digest for record in entry.records for digest in record.transaction_digests
+            )
+            for position, entry in self._decided.items()
         }
 
 

@@ -18,6 +18,10 @@ Protocol hooks
     may propose).
 ``resolve_noop``
     Reconstruct the protocol's deterministic no-op for an unknown digest.
+``_apply_state_entries``
+    Replay verified transferred entries; a protocol that keeps its own view
+    of the order (SpotLess's commit log, HotStuff's chain) updates it first
+    and then calls the runtime's replay.
 ``_assign_shard``
     Mempool shard (consensus instance) responsible for a transaction.
 """
@@ -37,7 +41,6 @@ from repro.recovery import (
     CheckpointManager,
     CheckpointVote,
     SlotEntry,
-    SlotRecord,
     StateRequest,
     StateResponse,
     StateTransferEngine,
@@ -109,6 +112,7 @@ class ReplicaRuntime(Actor):
             quorum=config.quorum,
             inform=self._inform_client,
             resolve_noop=self.resolve_noop,
+            fold=self._record_executed_entry,
         )
 
         # Recovery layer: checkpoint the execution frontier every K order
@@ -133,12 +137,6 @@ class ReplicaRuntime(Actor):
             apply_entries=self._apply_state_entries,
             on_verified=self._register_transferred_payloads,
         )
-        # Baselines execute through the pipeline; SpotLess replaces this hook
-        # with its own per-view folding in ``core.node``.  With checkpointing
-        # disabled the recovery layer is fully dormant: no per-position
-        # folding on the execution hot path.
-        if self.checkpoints.enabled:
-            self.pipeline.on_executed = self._on_position_executed
         # The handler of each message class, by exact class (message types
         # are final).  ``(handler, None)`` is called as ``handler(sender,
         # payload)``; ``(handler, instances)`` as ``handler(instance, sender,
@@ -253,12 +251,6 @@ class ReplicaRuntime(Actor):
             )
             self._on_checkpoint_vote(self.node_id, vote)
 
-    def _on_position_executed(
-        self, position: int, digests: Tuple[bytes, ...], view: int, instance: int
-    ) -> None:
-        record = SlotRecord(view=view, instance=instance, transaction_digests=tuple(digests))
-        self._record_executed_entry(SlotEntry(position=position, records=(record,)))
-
     def _on_checkpoint_vote(self, sender: int, vote: CheckpointVote) -> None:
         certificate = self.checkpoints.on_vote(sender, vote)
         if certificate is not None:
@@ -359,18 +351,13 @@ class ReplicaRuntime(Actor):
     ) -> None:
         """Replay verified entries through the shared execution pipeline.
 
-        ``deliver`` deduplicates positions this replica already decided, and
-        the final ``advance`` re-kicks execution in case the entries only
-        supplied payloads that an earlier stalled position was waiting for.
+        ``deliver_entry`` deduplicates positions this replica already
+        decided, and the final ``advance`` re-kicks execution in case the
+        entries only supplied payloads that an earlier stalled position was
+        waiting for.
         """
         for entry in entries:
-            for record in entry.records:
-                self.pipeline.deliver(
-                    entry.position,
-                    record.transaction_digests,
-                    view=record.view,
-                    instance=record.instance,
-                )
+            self.pipeline.deliver_entry(entry)
         self.pipeline.advance()
 
     def on_stable_checkpoint(self, certificate: CheckpointCertificate) -> None:
@@ -400,6 +387,7 @@ class ReplicaRuntime(Actor):
         transaction_digests: Tuple[bytes, ...],
         view: int = 0,
         instance: int = 0,
+        slot_digest: bytes = b"",
     ) -> None:
         """Record that the batch at ``position`` in the global order is decided."""
         if self.tracer is not None:
@@ -412,10 +400,13 @@ class ReplicaRuntime(Actor):
                 instance=instance,
                 batch=len(transaction_digests),
             )
-        self.pipeline.deliver(position, transaction_digests, view=view, instance=instance)
+        self.pipeline.deliver(
+            position, transaction_digests, view=view, instance=instance, slot_digest=slot_digest
+        )
 
-    def resolve_noop(self, digest: bytes, position: int) -> Optional[Transaction]:
-        """Hook for protocols that propose reconstructible no-op batches."""
+    def resolve_noop(self, digest: bytes, position: int, instance: int) -> Optional[Transaction]:
+        """Hook for protocols that propose reconstructible no-op batches: the
+        no-op with ``digest`` that ``instance`` decided at ``position``."""
         return None
 
     def liveness_counters(self) -> Dict[str, int]:

@@ -205,6 +205,19 @@ def test_traced_pbft_run_contains_episode_spans_and_flows():
     assert "obs.frontier.r0" in names and "obs.in_flight" in names
 
 
+def test_telemetry_samples_the_spotless_view_from_its_execution_frontier():
+    # SpotLess has no single view attribute: the sampler reads the view its
+    # pipeline executes next, which a fault-free run moves off zero.
+    from repro.bench.cluster import SimulatedCluster
+
+    cluster = SimulatedCluster.for_protocol("spotless", num_replicas=4, clients=3, seed=1)
+    tracer = Tracer(cluster.simulator, capacity=None)
+    cluster.attach_tracer(tracer, telemetry_interval=0.05)
+    cluster.run(duration=0.3)
+    (views,) = [series for series in cluster.metrics.series() if series.name == "obs.view.r0"]
+    assert views.total() > 0
+
+
 @pytest.mark.parametrize("protocol,fault", [("pbft", "crash"), ("rcc", "A2")])
 def test_flight_recording_preserves_golden_digests(protocol, fault):
     spec = single_fault_spec(protocol, fault, f=1, duration=0.2, seed=7)

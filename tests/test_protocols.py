@@ -269,9 +269,12 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
     assert replica.num_instances == 4
     assert replica.decided_batches > 0
     noops, real_high = [], {}
-    for position, digests in replica.pipeline._decided.items():
+    for position, entry in replica.pipeline._decided.items():
         sequence, instance = divmod(position, replica.num_instances)
-        if any(replica.resolve_noop(digest, position) is not None for digest in digests):
+        (record,) = entry.records
+        assert record.instance == instance
+        digests = record.transaction_digests
+        if any(replica.resolve_noop(digest, position, instance) is not None for digest in digests):
             noops.append((sequence, instance))
         else:
             real_high[instance] = max(real_high.get(instance, -1), sequence)

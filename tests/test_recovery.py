@@ -441,3 +441,33 @@ def test_pbft_view_change_without_checkpoints_grows_with_history():
     # travels with the vote.
     assert len(vote.prepared_slots) >= committed
     assert vote.checkpoint_floor == 0 and vote.checkpoint is None
+
+
+@pytest.mark.parametrize("strip", [False, True])
+def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record(strip):
+    # A transferred HotStuff record names its chain node by ``slot_digest``;
+    # one that carries none is folded under the digest recomputed from its
+    # content, so the replay still reproduces the certified rolling digest.
+    from dataclasses import replace
+
+    from repro.bench.cluster import SimulatedCluster
+
+    donor = SimulatedCluster.for_protocol(
+        "hotstuff", num_replicas=4, batch_size=8, clients=3, seed=7
+    )
+    donor.run(duration=0.2)
+    source = donor.replicas[0]
+    entries, certificate = source.checkpoints.serve(0)
+    if strip:
+        entries = tuple(
+            replace(entry, records=tuple(replace(r, slot_digest=b"") for r in entry.records))
+            for entry in entries
+        )
+    target = SimulatedCluster.for_protocol("hotstuff", num_replicas=4, clients=0).replicas[1]
+    for entry in entries:
+        for digest in entry.records[0].transaction_digests:
+            target.mempool.register_payload(source.mempool.get(digest))
+    target._apply_state_entries(entries, certificate)
+    assert target.checkpoints.frontier == certificate.position > 0
+    assert target.checkpoints.rolling == certificate.digest
+    assert target._position_digests == source._position_digests[: certificate.position]

@@ -15,6 +15,7 @@ from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.protocols.common import BftConfig
+from repro.recovery import SlotEntry, SlotRecord
 from repro.runtime import AdmitResult, ExecutionPipeline, Mempool, QuorumParams
 from repro.workload.requests import Operation, Transaction
 
@@ -223,7 +224,7 @@ def test_pipeline_missing_payload_stalls_then_resumes():
 def test_pipeline_resolves_reconstructible_noops():
     noop = Transaction(client_id=-1, sequence=0, operations=(Operation.noop(),))
 
-    def resolve(digest, position):
+    def resolve(digest, position, instance):
         return noop if digest == noop.digest() else None
 
     pool, pipeline = make_pipeline(resolve_noop=resolve)
@@ -257,6 +258,45 @@ def test_pipeline_duplicate_position_is_ignored():
     pipeline.deliver(0, (second.digest(),))
     assert pipeline.decided_batches == 1
     assert pipeline.committed_map() == {(0, 0): first.digest()}
+
+
+def test_pipeline_resolves_a_whole_entry_before_executing_and_folds_that_entry():
+    folded = []
+    pool = Mempool()
+    engine = ExecutionEngine(table=KeyValueTable(), ledger=Ledger())
+    pipeline = ExecutionPipeline(pool, engine, "test", quorum=3, fold=folded.append)
+    first, second = make_txn(0), make_txn(1)
+    pool.admit(first)
+    entry = SlotEntry(
+        position=0,
+        records=(
+            SlotRecord(view=0, instance=0, transaction_digests=(first.digest(),)),
+            SlotRecord(view=0, instance=1, transaction_digests=(second.digest(),)),
+        ),
+    )
+    pipeline.deliver_entry(entry)
+    # The second record's payload is missing: nothing of the entry executes.
+    assert pipeline.decided_batches == 2
+    assert pipeline.executed_transactions == 0 and folded == []
+    pool.admit(second)
+    pipeline.advance()
+    assert pipeline.executed_transactions == 2
+    assert folded == [entry] and folded[0] is entry
+    # Each record ran under its own (view, instance) block proof.
+    assert [block.proof.instance for block in engine.ledger.blocks()[1:]] == [0, 1]
+
+
+@pytest.mark.parametrize("protocol", ["spotless", "pbft", "rcc", "hotstuff", "narwhal-hs"])
+def test_every_protocol_executes_and_folds_through_the_one_pipeline(protocol):
+    cluster = SimulatedCluster.for_protocol(
+        protocol, num_replicas=4, batch_size=8, clients=3, seed=7, checkpoint_interval=16
+    )
+    cluster.run(duration=0.3)
+    for replica in cluster.replicas:
+        assert replica.checkpoints.enabled
+        assert replica.decided_batches > 0
+        # Every executed position was folded, and nothing else was.
+        assert replica.pipeline.next_execution_position == replica.checkpoints.frontier > 0
 
 
 # ---------------------------------------------------------------------------

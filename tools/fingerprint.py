@@ -14,7 +14,8 @@ f = 2 (seed 1), ``fuzz_matrix(50, seed=1)``, and one cell per ablation of
 commit, GST view sync, exponential timeouts, client assignment, fast path off).
 Per scenario cell it keeps the processed events, messages, bytes, dropped and
 rewritten messages, the confirmed count, the summary digest, violations,
-stragglers, and per replica the liveness counters and state digest; per
+stragglers, and per replica the liveness counters, the state digest and the
+checkpoint fold (frontier, stable position, rolling execution digest); per
 ablation cell it keeps the rows ``repro ablation NAME`` prints.
 
 ``compare A B`` prints every cell whose fields differ (and cells only one
@@ -30,11 +31,11 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
-FORMAT = 1
+FORMAT = 2
 TASK = "fingerprint-cell"
 # Scalars are printed old -> new on a difference; the lists only by name.
 SCALARS = ("events", "messages", "bytes", "dropped", "rewritten", "confirmed", "summary")
-FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "rows")
+FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "checkpoints", "rows")
 
 
 def cell_specs() -> List[Any]:
@@ -81,6 +82,14 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
         "stragglers": list(result.stragglers),
         "counters": [dict(replica.liveness_counters()) for replica in cluster.replicas],
         "state": [replica.state_digest().hex() for replica in cluster.replicas],
+        "checkpoints": [
+            [
+                replica.checkpoints.frontier,
+                replica.checkpoints.stable_position(),
+                replica.checkpoints.rolling.hex(),
+            ]
+            for replica in cluster.replicas
+        ],
     }
 
 
