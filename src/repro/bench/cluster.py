@@ -293,27 +293,19 @@ class SimulatedCluster:
     def assert_no_divergence(self) -> None:
         """Raise AssertionError if replicas diverge.
 
-        Two checks mirror the paper's non-divergence guarantee:
-
-        * any consensus slot decided by two replicas holds the same proposal;
-        * the executed transaction sequences are prefixes of one another
-          (replicas may have executed to different depths, but never in a
-          different order).
+        Runs the invariant oracle's safety checks once, which mirror the
+        paper's non-divergence guarantee: any consensus slot decided by two
+        replicas holds the same proposal (``agreement``), and the executed
+        transaction sequences are prefixes of one another (``no-fork``).
+        The first violation found is raised.
         """
-        slot_maps = [replica.committed_map() for replica in self.replicas]
-        for first in slot_maps:
-            for second in slot_maps:
-                for slot, digest in first.items():
-                    other = second.get(slot)
-                    if other is not None and other != digest:
-                        raise AssertionError(f"replicas decided different proposals for slot {slot}")
+        # Imported here: repro.scenarios builds clusters, so it imports this module.
+        from repro.scenarios.oracle import InvariantOracle
 
-        executions = [replica.executed_transaction_digests() for replica in self.replicas]
-        for first in executions:
-            for second in executions:
-                shared = min(len(first), len(second))
-                if first[:shared] != second[:shared]:
-                    raise AssertionError("replicas diverged on the executed transaction order")
+        oracle = InvariantOracle(self)
+        oracle.check_now()
+        if oracle.violations:
+            raise AssertionError(str(oracle.violations[0]))
 
 
 __all__ = ["REPLICA_CLASSES", "ClusterResult", "SimulatedCluster"]

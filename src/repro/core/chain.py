@@ -104,10 +104,6 @@ class ProposalStore:
         # P_lock itself: a proposal object is never replaced once recorded.
         self._lock: Proposal = genesis
         self._committed_order: List[bytes] = []
-        # Bumped whenever a proposal (or a payload/parent link on an existing
-        # proposal) is recorded, so callers can cache derived state — e.g. the
-        # node's execution frontier — and re-validate in O(1).
-        self.version = 0
         # The CP entry of every non-genesis proposal that reached
         # CONDITIONALLY_PREPARED at or above the lock, keyed by view, each
         # bucket in digest order: the CP set query concatenates the buckets
@@ -162,7 +158,6 @@ class ProposalStore:
                 existing.message = message
                 existing.parent_digest = message.parent_digest
                 existing.parent_view = message.parent_view
-                self.version += 1
             return existing
         proposal = Proposal(
             digest=digest,
@@ -174,7 +169,6 @@ class ProposalStore:
         )
         self._proposals[digest] = proposal
         self._by_view.setdefault(message.view, []).append(digest)
-        self.version += 1
         return proposal
 
     def record_reference(self, digest: bytes, view: int) -> Proposal:
@@ -192,7 +186,6 @@ class ProposalStore:
         )
         self._proposals[digest] = proposal
         self._by_view.setdefault(view, []).append(digest)
-        self.version += 1
         return proposal
 
     # -- relations of Definition 3.3 ---------------------------------------

@@ -11,8 +11,15 @@ replica delivers it to the :class:`~repro.runtime.pipeline.ExecutionPipeline`
 as one :class:`~repro.recovery.SlotEntry` at position ``view``, and the
 pipeline resolves its payloads (rebuilding no-ops), executes it, informs
 clients and folds it into the checkpoint digest.  This module keeps only
-what is SpotLess-specific: the chained instances, the commit log, and the
-per-instance contiguity walk that decides when a view is complete.
+what is SpotLess-specific: the chained instances, the commit log, and one
+execution frontier per instance that decides when a view is complete.
+
+A frontier is the highest view up to which an instance's committed chain is
+contiguous, and it only moves up: each instance's proposal store commits
+one chain, oldest first, and refuses a commit that is not anchored at its
+committed tip, so no record ever lands inside a prefix already found
+contiguous.  A frontier therefore resumes from where it stopped instead of
+being re-derived from the execution floor.
 """
 
 from __future__ import annotations
@@ -106,12 +113,8 @@ class SpotLessReplica(ReplicaRuntime):
         # records were ingested — so delivery below the floor needs no
         # per-instance contiguity proof and records below it may be GC'd.
         self._execution_floor_view = 0
-        # Frontier memo per instance: (frontier, record_count, floor,
-        # store_version).  The walk in _walk_execution_frontier depends
-        # only on the instance's committed records, the execution floor, and
-        # the proposal store's content — all captured by this key, so a hit
-        # returns the cached frontier without re-walking the history.
-        self._frontier_cache: Dict[int, Tuple[int, int, int, int]] = {}
+        # Execution frontier of each instance; only _extend_frontier moves it.
+        self._frontiers: List[int] = [-1] * config.num_instances
         # Wire size of each consensus message class (a certificate adds its
         # signatures to a Propose); the size model is fixed per deployment.
         control = self.size_model.control_bytes
@@ -230,9 +233,6 @@ class SpotLessReplica(ReplicaRuntime):
             has_payload=proposal.message is not None,
         )
         self._committed_by_view[instance_id][proposal.view] = record
-        # A re-commit can replace a record without changing the record count,
-        # which the cache key would not see — drop the entry outright.
-        self._frontier_cache.pop(instance_id, None)
         self.commit_log.append(record)
         if self.tracer is not None:
             self.tracer.instant(
@@ -245,32 +245,36 @@ class SpotLessReplica(ReplicaRuntime):
             )
         self._advance_execution()
 
-    def _walk_execution_frontier(self, instance_id: int) -> int:
-        """Highest view up to which this instance's committed chain is contiguous.
+    def _extend_frontier(self, instance_id: int) -> int:
+        """Move this instance's execution frontier up as far as it goes.
 
-        The committed records of an instance are walked in ascending view
-        order; a record extends the contiguous prefix only when its parent is
-        the genesis proposal or lies inside the prefix (a committed record at
-        a lower or equal view).  Views inside the prefix that have no record
-        provably carry no committed proposal (the chain jumps over them), so
-        execution may skip them; views beyond the prefix must wait until
-        Ask-recovery fills the gap, otherwise a recovering replica could
-        execute a subsequence of the order its peers executed.
+        The frontier is the highest view up to which the instance's committed
+        chain is contiguous.  Records above it are walked in ascending view
+        order; a record extends the prefix only when its parent is the
+        genesis proposal or lies inside the prefix (below the execution
+        floor, or a committed record at a lower or equal view).  Views inside
+        the prefix that have no record provably carry no committed proposal
+        (the chain jumps over them), so execution may skip them; views
+        beyond it must wait until Ask-recovery fills the gap, otherwise a
+        recovering replica could execute a subsequence of the order its
+        peers executed.
 
-        Views below the execution floor are settled (executed or covered by
-        a verified state transfer), so the walk starts there and parent
-        links pointing below the floor count as inside the prefix.  The
-        result is memoised in ``_frontier_cache``, which
-        :meth:`_advance_execution` reads before it calls the walk.
+        The walk resumes from the last frontier (or from just below the
+        floor, when the floor has passed it) because a contiguous prefix
+        stays contiguous: the store commits one chain, oldest first, and
+        refuses a commit not anchored at its committed tip, so a new record
+        always lands above every committed view; state transfer only adds
+        records below the new floor; and a higher floor only weakens the
+        conditions the prefix already met.  The argument needs the store's
+        anchor guard, which the ``"two-view"`` ablation rule skips; no
+        cluster runs that rule (its ablation drives ``ProposalStore``
+        directly).
         """
         records = self._committed_by_view[instance_id]
         store = self.instances[instance_id].store
         floor = self._execution_floor_view
-        frontier = floor - 1
-        store_dependent = False
-        for view in sorted(records):
-            if view < floor:
-                continue
+        frontier = max(self._frontiers[instance_id], floor - 1)
+        for view in sorted(v for v in records if v > frontier):
             record = records[view]
             parent_view = record.parent_view
             if parent_view is None:
@@ -279,67 +283,43 @@ class SpotLessReplica(ReplicaRuntime):
                 proposal = store.get(record.proposal_digest)
                 if proposal is not None:
                     parent_view = proposal.parent_view
-                if parent_view is None:
-                    # Unresolved: the result changes as soon as the store
-                    # learns this proposal, so the cache must track it.
-                    store_dependent = True
             if parent_view is None or parent_view > frontier:
                 break
             if parent_view >= floor and parent_view not in records:
                 break
             frontier = view
-        # The store version guards only walks that actually depended on the
-        # store (broke on a parent link the store could not resolve yet); a
-        # walk whose every parent was known caches with -1 and stays valid
-        # however many messages the store records afterwards.
-        self._frontier_cache[instance_id] = (
-            frontier,
-            len(records),
-            floor,
-            store.version if store_dependent else -1,
-        )
+        self._frontiers[instance_id] = frontier
         return frontier
 
     def _advance_execution(self) -> None:
         """Deliver complete views to the pipeline in order (Figure 6).
 
         The cursor is the pipeline's execution frontier.  A view is complete
-        once (a) every instance's committed chain is contiguously known up
-        to that view, so the total order for the view is fixed and gaps are
-        provably empty, and (b) the transaction digests of every record in
-        it are known (a proposal committed by reference waits for
-        Ask-recovery to attach its payload).  The pipeline then stalls the
-        view until each transaction's payload is local (pre-disseminated by
-        clients; no-ops are rebuilt by :meth:`resolve_noop`), exactly as the
-        paper requires replicas to recover full proposals before executing
-        them.  Views below the execution floor are covered by a verified
-        state transfer and need no per-instance contiguity proof, because
-        the checkpoint certificate already attests the exact content.
+        once (a) every instance's execution frontier has reached it, so the
+        total order for the view is fixed and gaps are provably empty, and
+        (b) the transaction digests of every record in it are known (a
+        proposal committed by reference waits for Ask-recovery to attach its
+        payload).  Execution thus moves at the slowest instance's clock; an
+        instance's frontier only moves up, so it is extended only when it is
+        below the view to execute.  The pipeline then stalls the view until
+        each transaction's payload is local (pre-disseminated by clients;
+        no-ops are rebuilt by :meth:`resolve_noop`), exactly as the paper
+        requires replicas to recover full proposals before executing them.
+        Views below the execution floor are covered by a verified state
+        transfer and need no per-instance contiguity proof, because the
+        checkpoint certificate already attests the exact content.
         """
         pipeline = self.pipeline
         committed = self._committed_by_view
-        frontier_cache = self._frontier_cache
+        frontiers = self._frontiers
         instance_ids = range(self.config.num_instances)
         while True:
             view = pipeline.next_execution_position
-            floor = self._execution_floor_view
-            if view >= floor:
+            if view >= self._execution_floor_view:
                 # The view waits for the slowest instance; the first one
-                # found short decides.  A memo entry is current while its
-                # record count and floor match and, for a walk that depended
-                # on the store, the store version too.
+                # found short decides.
                 for instance_id in instance_ids:
-                    cached = frontier_cache.get(instance_id)
-                    if (
-                        cached is not None
-                        and cached[1] == len(committed[instance_id])
-                        and cached[2] == floor
-                        and (cached[3] == -1 or cached[3] == self.instances[instance_id].store.version)
-                    ):
-                        frontier = cached[0]
-                    else:
-                        frontier = self._walk_execution_frontier(instance_id)
-                    if frontier < view:
+                    if frontiers[instance_id] < view and self._extend_frontier(instance_id) < view:
                         return
             if pipeline.is_decided(view):
                 # Delivered before, still waiting on a payload that may
@@ -427,7 +407,6 @@ class SpotLessReplica(ReplicaRuntime):
                         transaction_digests=record.transaction_digests,
                         has_payload=True,
                     )
-                    self._frontier_cache.pop(record.instance, None)
         self._execution_floor_view = max(self._execution_floor_view, certificate.position)
         super()._apply_state_entries(entries, certificate)
         self._advance_execution()
@@ -460,6 +439,12 @@ class SpotLessReplica(ReplicaRuntime):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+
+    def instance_views(self) -> Dict[int, int]:
+        """Current view of each instance."""
+        return {
+            instance_id: instance.current_view for instance_id, instance in self.instances.items()
+        }
 
     def committed_client_transactions_per_instance(self) -> Dict[int, int]:
         """Committed non-no-op transaction count per instance.

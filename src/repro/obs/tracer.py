@@ -233,12 +233,12 @@ class TelemetrySampler:
     """Per-tick telemetry probe recorded into the trace and a time series.
 
     Every ``interval`` of simulated time it samples, for each replica, the
-    commit frontier (executed transactions), the current view, and the
-    mempool queue depth, plus the cluster-wide in-flight message count —
-    each as a trace counter series *and* a
-    :class:`repro.sim.metrics.TimeSeries` in the cluster registry (bucket
-    width = the sampling interval, one sample per bucket), which the
-    exporters turn into CSV/JSON.
+    commit frontier (executed transactions), the highest current view of
+    its consensus instances, and the mempool queue depth, plus the
+    cluster-wide in-flight message count — each as a trace counter series
+    *and* a :class:`repro.sim.metrics.TimeSeries` in the cluster registry
+    (bucket width = the sampling interval, one sample per bucket), which
+    the exporters turn into CSV/JSON.
 
     The probe is pure-read: it mutates no protocol or network state and
     draws no randomness, so its presence cannot change a run's outcome.
@@ -259,19 +259,6 @@ class TelemetrySampler:
         self._started = True
         self.cluster.simulator.schedule(self.interval, self._tick, label="obs:telemetry")
 
-    @staticmethod
-    def _view_of(replica: Any) -> int:
-        """Best-effort current view of any protocol replica."""
-        view = getattr(replica, "view", None)
-        if isinstance(view, int):
-            return view
-        instance_views = getattr(replica, "instance_views", None)
-        if callable(instance_views):
-            views = instance_views()
-            return max(views.values()) if views else 0
-        # SpotLess orders by view itself: its execution frontier is a view.
-        return replica.pipeline.next_execution_position
-
     def _tick(self) -> None:
         cluster = self.cluster
         tracer = self.tracer
@@ -282,7 +269,7 @@ class TelemetrySampler:
         for replica in cluster.replicas:
             rid = replica.node_id
             frontier = replica.executed_transactions
-            view = self._view_of(replica)
+            view = max(replica.instance_views().values())
             depth = replica.mempool.pending_count()
             tracer.counter(f"commit-frontier/r{rid}", frontier)
             tracer.counter(f"view/r{rid}", view)

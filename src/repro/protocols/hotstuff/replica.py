@@ -94,7 +94,6 @@ class HotStuffReplica(ReplicaRuntime):
         self._votes: Dict[Tuple[int, bytes], Set[int]] = {}
         self._new_views: Dict[int, Set[int]] = {}
         self._proposed_in_view: Set[int] = set()
-        self._committed_height = 0
         # Digest of the committed chain node at each global-order position;
         # state transfer re-anchors the chain by reconstructing this list.
         self._position_digests: List[bytes] = []
@@ -428,7 +427,6 @@ class HotStuffReplica(ReplicaRuntime):
         self._pending_commit_roots.discard(node.digest)
         for member in reversed(chain):
             member.committed = True
-            self._committed_height += 1
             self._position_digests.append(member.digest)
             # The node digest rides as the record's slot digest, so the
             # checkpoint fold certifies the chain anchor itself: a state
@@ -436,7 +434,7 @@ class HotStuffReplica(ReplicaRuntime):
             # ``view`` field alone is excluded from the fold, but the node
             # digest covers it).
             self.deliver_batch(
-                self._committed_height - 1,
+                len(self._position_digests) - 1,
                 member.transaction_digests,
                 view=member.view,
                 instance=0,
@@ -692,7 +690,6 @@ class HotStuffReplica(ReplicaRuntime):
             else:
                 node.committed = True
             self._position_digests.append(digest)
-        self._committed_height = max(self._committed_height, len(self._position_digests))
         super()._apply_state_entries(tuple(replayed), certificate)
         # The new anchor may connect previously dangling commit cascades.
         self._retry_parked_commits()
@@ -710,9 +707,13 @@ class HotStuffReplica(ReplicaRuntime):
 
     # ------------------------------------------------------------------
 
+    def instance_views(self) -> Dict[int, int]:
+        """The one chain's current view."""
+        return {0: self.view}
+
     def committed_chain_height(self) -> int:
         """Number of committed chain nodes (excluding genesis)."""
-        return self._committed_height
+        return len(self._position_digests)
 
     def liveness_counters(self) -> Dict[str, int]:
         """Liveness-machinery counters surfaced in scenario results."""

@@ -409,6 +409,10 @@ class ReplicaRuntime(Actor):
         no-op with ``digest`` that ``instance`` decided at ``position``."""
         return None
 
+    def instance_views(self) -> Dict[int, int]:
+        """Hook: the current view of each consensus instance, by instance id."""
+        raise NotImplementedError
+
     def liveness_counters(self) -> Dict[str, int]:
         """Hook: liveness-machinery counters surfaced in scenario results.
 

@@ -141,7 +141,7 @@ class InvariantViolation:
     time: float
     detail: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"[{self.invariant} @ {self.time:.3f}s] {self.detail}"
 
     def to_json_dict(self) -> Dict[str, object]:

@@ -207,7 +207,8 @@ def test_duplicate_and_late_syncs_for_a_prepared_proposal_change_nothing():
     def observable():
         store = instance.store
         return (
-            store.version, store.lock.digest, store.cp_set(), proposal.status,
+            tuple((known.digest, known.has_payload()) for known in store.proposals()),
+            store.lock.digest, store.cp_set(), proposal.status,
             instance.current_view, instance.state, instance.syncs_sent, instance.asks_sent,
             len(harness.queues), len(harness.commits[0]),
         )

@@ -60,6 +60,28 @@ def test_cluster_confirms_transactions_and_stays_consistent():
     assert all(replica.ledger.verify_chain() for replica in cluster.replicas)
 
 
+def test_divergence_check_raises_on_a_forged_committed_slot():
+    cluster = small_cluster()
+    cluster.run(duration=0.3)
+    forged = dict(cluster.replicas[1].committed_map())
+    slot = min(forged)
+    forged[slot] = bytes(32)
+    cluster.replicas[1].committed_map = lambda: forged
+    with pytest.raises(AssertionError, match=r"^\[agreement @"):
+        cluster.assert_no_divergence()
+
+
+def test_divergence_check_raises_on_a_forged_executed_order():
+    cluster = small_cluster()
+    cluster.run(duration=0.3)
+    executed = cluster.replicas[1].executed_transaction_digests()
+    assert len(executed) >= 2 and executed[0] != executed[1]
+    forged = [executed[1], executed[0], *executed[2:]]
+    cluster.replicas[1].executed_transaction_digests = lambda: forged
+    with pytest.raises(AssertionError, match=r"^\[no-fork @"):
+        cluster.assert_no_divergence()
+
+
 def test_seven_replica_cluster_with_default_instances():
     cluster = small_cluster(num_replicas=7, clients=4, outstanding=6)
     result = cluster.run(duration=0.6)

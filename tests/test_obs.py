@@ -205,17 +205,22 @@ def test_traced_pbft_run_contains_episode_spans_and_flows():
     assert "obs.frontier.r0" in names and "obs.in_flight" in names
 
 
-def test_telemetry_samples_the_spotless_view_from_its_execution_frontier():
-    # SpotLess has no single view attribute: the sampler reads the view its
-    # pipeline executes next, which a fault-free run moves off zero.
+def test_telemetry_samples_the_spotless_view_as_its_highest_instance_view():
+    # SpotLess has no single view attribute: the sampler reads the highest
+    # current view of the replica's instances, which keeps moving while
+    # execution waits for the slowest instance.
     from repro.bench.cluster import SimulatedCluster
 
     cluster = SimulatedCluster.for_protocol("spotless", num_replicas=4, clients=3, seed=1)
     tracer = Tracer(cluster.simulator, capacity=None)
     cluster.attach_tracer(tracer, telemetry_interval=0.05)
     cluster.run(duration=0.3)
-    (views,) = [series for series in cluster.metrics.series() if series.name == "obs.view.r0"]
-    assert views.total() > 0
+    sampled = [record["value"] for record in tracer.records() if record["name"] == "view/r0"]
+    # The last sample is taken at the end of the run.
+    replica = cluster.replicas[0]
+    highest = max(instance.current_view for instance in replica.instances.values())
+    assert sampled[-1] == highest > replica.pipeline.next_execution_position
+    assert sampled == sorted(sampled)
 
 
 @pytest.mark.parametrize("protocol,fault", [("pbft", "crash"), ("rcc", "A2")])

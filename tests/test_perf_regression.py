@@ -153,7 +153,10 @@ def test_pinned_cell_replays_byte_identically():
 #: on a fault-free n=4 cell.  The per-Sync rework brought it from 31.8 to
 #: 19.2 (18.5 measured later); testing each Sync rule's "nothing to do"
 #: condition where the vote is counted brought it to 11.2 (10.24 measured
-#: later); testing one-line guards before the call brought it to 9.44.
+#: later); testing one-line guards before the call brought it to 9.44
+#: (9.31 measured later).  Keeping each instance's execution frontier as a
+#: number that only moves up, extended whenever it is below the view to
+#: execute instead of memoised, raised it to 9.55 (CPython 3.11).
 #: Re-deriving settled facts on every Sync again trips this long before a
 #: wall clock could tell.  A call count cannot see the cost of an attribute
 #: load, which is why ``test_no_enum_member_load_in_a_hot_function`` exists.
