@@ -25,12 +25,6 @@ class SpotLessConfig(DeploymentConfig):
         proposal optimistically before gathering 2f + 1 votes for the
         previous view, falling back to the slow path if Byzantine behaviour
         is detected.
-    commit_rule:
-        ``"three-view"`` (the paper's rule: a proposal commits after three
-        consecutive-view descendants are conditionally prepared) or
-        ``"two-view"`` — the weaker rule of Example 3.6, provided only so the
-        ablation benchmarks can demonstrate that it admits conflicting
-        commits.  Production deployments must use ``"three-view"``.
     view_sync_mode:
         ``"rvs"`` (Rapid View Synchronization: the f + 1 higher-view skip and
         Υ retransmissions) or ``"gst"`` — a HotStuff-style pacemaker that
@@ -49,13 +43,11 @@ class SpotLessConfig(DeploymentConfig):
     recording_timeout: float = 0.05
     certifying_timeout: float = 0.05
     enable_fast_path: bool = False
-    commit_rule: str = "three-view"
     view_sync_mode: str = "rvs"
     timeout_policy: str = "adaptive"
     assignment_policy: str = "digest"
 
     quorum_rule = staticmethod(QuorumParams.spotless)
-    COMMIT_RULES = ("three-view", "two-view")
     VIEW_SYNC_MODES = ("rvs", "gst")
     TIMEOUT_POLICIES = ("adaptive", "exponential")
     ASSIGNMENT_POLICIES = ("digest", "client")
@@ -64,8 +56,6 @@ class SpotLessConfig(DeploymentConfig):
         if not self.num_instances:
             object.__setattr__(self, "num_instances", self.num_replicas)
         super().__post_init__()
-        if self.commit_rule not in self.COMMIT_RULES:
-            raise ValueError(f"commit_rule must be one of {self.COMMIT_RULES}")
         if self.view_sync_mode not in self.VIEW_SYNC_MODES:
             raise ValueError(f"view_sync_mode must be one of {self.VIEW_SYNC_MODES}")
         if self.timeout_policy not in self.TIMEOUT_POLICIES:

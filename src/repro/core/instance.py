@@ -160,7 +160,7 @@ class SpotLessInstance:
         # n − f and f + 1.
         self._quorum = config.quorum
         self._weak_quorum = config.weak_quorum
-        self.store = ProposalStore(instance=instance_id, commit_rule=config.commit_rule)
+        self.store = ProposalStore(instance=instance_id)
 
         self.current_view = 0
         self.state = _RECORDING

@@ -266,9 +266,9 @@ class SpotLessReplica(ReplicaRuntime):
         always lands above every committed view; state transfer only adds
         records below the new floor; and a higher floor only weakens the
         conditions the prefix already met.  The argument needs the store's
-        anchor guard, which the ``"two-view"`` ablation rule skips; no
-        cluster runs that rule (its ablation drives ``ProposalStore``
-        directly).
+        anchor guard, which only the paper's three-view rule applies; every
+        instance's store runs that rule (the ``"two-view"`` rule of Example
+        3.6 exists only on stores the ablation builds directly).
         """
         records = self._committed_by_view[instance_id]
         store = self.instances[instance_id].store

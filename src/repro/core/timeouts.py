@@ -96,10 +96,11 @@ class AdaptiveTimeout:
 
 @dataclass
 class ExponentialBackoff:
-    """Classic exponential back-off, used by the PBFT/RCC baselines.
+    """Classic exponential back-off: SpotLess's ``timeout_policy="exponential"``.
 
-    Provided here so ablation benchmarks can swap the policies and measure
-    the stability difference the paper attributes to the constant-ε rule.
+    Only the timeout ablation selects it, to measure the stability
+    difference the paper attributes to the constant-ε rule (the PBFT/RCC
+    baselines use fixed timeouts).
     """
 
     initial: float

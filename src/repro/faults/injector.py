@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
+from repro.codec import JsonRecord
 from repro.faults.attacks import attack_by_name
 from repro.sim.network import Network, Partition
 
@@ -14,7 +15,7 @@ FAULT_KINDS = ATTACK_KINDS + ("crash", "partition", "latency")
 
 
 @dataclass(frozen=True)
-class FaultEvent:
+class FaultEvent(JsonRecord):
     """One timed entry of a fault script.
 
     ``kind`` is one of :data:`FAULT_KINDS`.  ``at`` and ``until`` are
@@ -50,23 +51,6 @@ class FaultEvent:
         if self.kind == "latency":
             return f"latency x{self.factor:g}{window}"
         return f"{self.kind}{self.replicas}{window}"
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation of the event."""
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "FaultEvent":
-        """Rebuild an event from :meth:`to_json_dict` output (validates)."""
-        return cls(
-            kind=data["kind"],
-            at=data["at"],
-            until=data.get("until"),
-            replicas=tuple(data.get("replicas", ())),
-            victims=tuple(data.get("victims", ())),
-            groups=tuple(tuple(group) for group in data.get("groups", ())),
-            factor=data.get("factor", 4.0),
-        )
 
 
 class FaultInjector:

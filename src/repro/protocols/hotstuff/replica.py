@@ -50,7 +50,6 @@ class ChainNode:
     parent_digest: Optional[bytes]
     transaction_digests: Tuple[bytes, ...]
     justify: Optional[QuorumCert]
-    height: int = 0
     committed: bool = False
 
 
@@ -83,7 +82,6 @@ class HotStuffReplica(ReplicaRuntime):
             parent_digest=None,
             transaction_digests=(),
             justify=None,
-            height=0,
             committed=True,
         )
         self.nodes: Dict[bytes, ChainNode] = {GENESIS_NODE_DIGEST: genesis}
@@ -253,15 +251,12 @@ class HotStuffReplica(ReplicaRuntime):
         if node is not None:
             self._upgrade_justify(node, proposal.justify)
             return node
-        parent = self.nodes.get(proposal.parent_digest)
-        height = parent.height + 1 if parent is not None else 1
         node = ChainNode(
             digest=proposal.node_digest,
             view=proposal.view,
             parent_digest=proposal.parent_digest,
             transaction_digests=proposal.transaction_digests,
             justify=proposal.justify,
-            height=height,
         )
         self.nodes[proposal.node_digest] = node
         return node
@@ -269,11 +264,12 @@ class HotStuffReplica(ReplicaRuntime):
     def _extends(self, node: ChainNode, locked_node: ChainNode) -> bool:
         """True when ``locked_node`` is ``node`` or one of its ancestors.
 
-        The walk is bounded by view, not ``height``: a node recorded before
-        its parent arrives gets ``height = 1``, whereas views rise strictly
-        along any chain an honest leader builds.  Stopping at the first
-        ancestor below the lock's view can therefore only withhold a vote
-        from a chain no honest leader built — the safe direction.
+        The walk is bounded by view, not by chain depth: a node may be
+        recorded before its parent arrives, so its depth is unknown, whereas
+        views rise strictly along any chain an honest leader builds.
+        Stopping at the first ancestor below the lock's view can therefore
+        only withhold a vote from a chain no honest leader built — the safe
+        direction.
         """
         current: Optional[ChainNode] = node
         while current is not None and current.view >= locked_node.view:
@@ -583,7 +579,7 @@ class HotStuffReplica(ReplicaRuntime):
 
         Responses ship newest-to-oldest; recording oldest-first means each
         node's parent is already present when the node is inserted, so the
-        ``height`` bookkeeping stays consistent with real chain depth.
+        first parent still missing is the deepest gap of the segment.
         """
         if not response.nodes or response.nodes[0].digest not in self._chain_requested:
             # Unsolicited segments are dropped: a genuine response always
@@ -606,14 +602,12 @@ class HotStuffReplica(ReplicaRuntime):
             if existing is not None:
                 self._upgrade_justify(existing, data.justify)
             else:
-                parent = self.nodes.get(data.parent_digest)
                 self.nodes[data.digest] = ChainNode(
                     digest=data.digest,
                     view=data.view,
                     parent_digest=data.parent_digest,
                     transaction_digests=data.transaction_digests,
                     justify=data.justify,
-                    height=parent.height + 1 if parent is not None else 1,
                 )
             if (
                 deepest_missing is None
@@ -683,7 +677,6 @@ class HotStuffReplica(ReplicaRuntime):
                     parent_digest=parent,
                     transaction_digests=record.transaction_digests,
                     justify=None,
-                    height=entry.position + 1,
                     committed=True,
                 )
                 self.nodes[digest] = node

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.codec import JsonRecord
 from repro.sim.metrics import percentile
 
 #: SLO enforcement modes: every breach episode is a violation, or only
@@ -42,7 +43,7 @@ SLO_MODES = ("enforce", "expect-recovery")
 
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(JsonRecord):
     """Service-level objectives checked continuously by the oracle.
 
     Ceilings are in seconds (latency) and requests (queue depth); ``None``
@@ -70,30 +71,9 @@ class SloSpec:
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1")
 
-    def to_json_dict(self) -> Dict[str, object]:
-        """JSON-serializable form (stable field order)."""
-        return {
-            "p50_ceiling": self.p50_ceiling,
-            "p99_ceiling": self.p99_ceiling,
-            "max_queue_depth": self.max_queue_depth,
-            "mode": self.mode,
-            "require_breach": self.require_breach,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "SloSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output (validates)."""
-        return cls(
-            p50_ceiling=data.get("p50_ceiling"),
-            p99_ceiling=data.get("p99_ceiling"),
-            max_queue_depth=data.get("max_queue_depth"),
-            mode=data.get("mode", "enforce"),
-            require_breach=data.get("require_breach", False),
-        )
-
 
 @dataclass
-class SloBreach:
+class SloBreach(JsonRecord):
     """One contiguous episode during which an SLO metric exceeded its ceiling.
 
     ``ended_at`` is ``None`` while the episode is still open — i.e. the
@@ -111,30 +91,9 @@ class SloBreach:
         """True once the metric dropped back under its ceiling."""
         return self.ended_at is not None
 
-    def to_json_dict(self) -> Dict[str, object]:
-        """JSON-serializable form."""
-        return {
-            "metric": self.metric,
-            "ceiling": self.ceiling,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "peak": self.peak,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "SloBreach":
-        """Rebuild a breach from :meth:`to_json_dict` output."""
-        return cls(
-            metric=data["metric"],
-            ceiling=data["ceiling"],
-            started_at=data["started_at"],
-            ended_at=data.get("ended_at"),
-            peak=data.get("peak", 0.0),
-        )
-
 
 @dataclass(frozen=True)
-class InvariantViolation:
+class InvariantViolation(JsonRecord):
     """One observed violation of a consensus invariant."""
 
     invariant: str
@@ -143,16 +102,6 @@ class InvariantViolation:
 
     def __str__(self) -> str:
         return f"[{self.invariant} @ {self.time:.3f}s] {self.detail}"
-
-    def to_json_dict(self) -> Dict[str, object]:
-        """JSON-serializable form — the one shape the result cache and the
-        fuzz archives both store, so the two can never drift apart."""
-        return {"invariant": self.invariant, "time": self.time, "detail": self.detail}
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "InvariantViolation":
-        """Rebuild a violation from :meth:`to_json_dict` output."""
-        return cls(invariant=data["invariant"], time=data["time"], detail=data["detail"])
 
 
 def canonical_violation_kinds(violations: Iterable[InvariantViolation]) -> Tuple[str, ...]:

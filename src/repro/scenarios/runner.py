@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
 from repro.bench.cluster import SimulatedCluster
+from repro.codec import JsonRecord
 from repro.crypto.digest import digest_bytes
 from repro.faults.injector import FaultInjector
 from repro.scenarios.oracle import InvariantOracle, InvariantViolation, SloBreach
@@ -24,8 +25,13 @@ from repro.scenarios.spec import ScenarioSpec
 
 
 @dataclass(frozen=True)
-class ScenarioResult:
-    """Outcome of one scenario run."""
+class ScenarioResult(JsonRecord):
+    """Outcome of one scenario run.
+
+    Everything the summary table and the digest depend on round-trips
+    through the JSON form, so a result loaded from the dispatch cache
+    renders the exact same row as the run that produced it.
+    """
 
     spec: ScenarioSpec
     confirmed_transactions: int
@@ -90,51 +96,6 @@ class ScenarioResult:
             "stragglers": ",".join(map(str, self.stragglers)) or "-",
             "digest": self.summary_digest(),
         }
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation of the full result.
-
-        Everything the summary table and the digest depend on round-trips,
-        so a result loaded from the dispatch cache renders the exact same
-        row as the run that produced it.
-        """
-        return {
-            "spec": self.spec.to_json_dict(),
-            "confirmed_transactions": self.confirmed_transactions,
-            "executed_transactions": self.executed_transactions,
-            "committed_per_replica": list(self.committed_per_replica),
-            "violations": [v.to_json_dict() for v in self.violations],
-            "checks_run": self.checks_run,
-            "stragglers": list(self.stragglers),
-            "counters": dict(self.counters),
-            "slo_breaches": [breach.to_json_dict() for breach in self.slo_breaches],
-            "counters_per_replica": [dict(c) for c in self.counters_per_replica],
-            "trace_dump": self.trace_dump,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_json_dict` output."""
-        return cls(
-            spec=ScenarioSpec.from_json_dict(data["spec"]),
-            confirmed_transactions=data["confirmed_transactions"],
-            executed_transactions=data["executed_transactions"],
-            committed_per_replica=tuple(data["committed_per_replica"]),
-            violations=tuple(
-                InvariantViolation.from_json_dict(v) for v in data["violations"]
-            ),
-            checks_run=data["checks_run"],
-            stragglers=tuple(data["stragglers"]),
-            # Tolerant read: cached results from before the counters existed.
-            counters=dict(data.get("counters", {})),
-            slo_breaches=tuple(
-                SloBreach.from_json_dict(breach) for breach in data.get("slo_breaches", ())
-            ),
-            counters_per_replica=tuple(
-                dict(c) for c in data.get("counters_per_replica", ())
-            ),
-            trace_dump=data.get("trace_dump"),
-        )
 
 
 class ScenarioRunner:

@@ -20,9 +20,10 @@ and recovery-from-overload a scenario family like any fault.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.codec import JsonRecord
 from repro.faults.injector import ATTACK_KINDS, FAULT_KINDS, FaultEvent
 from repro.scenarios.oracle import SloSpec
 from repro.workload.arrival import LoadProfile, overload_profile
@@ -35,8 +36,15 @@ PROTOCOLS = ("spotless", "pbft", "rcc", "hotstuff", "narwhal-hs")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
-    """A full adversarial run: cluster shape, workload, and fault script."""
+class ScenarioSpec(JsonRecord):
+    """A full adversarial run: cluster shape, workload, and fault script.
+
+    Its JSON form (:class:`~repro.codec.JsonRecord`) is what the dispatch
+    layer keys its result cache on, what failing fuzz cells are archived as
+    and what ``--replay`` rebuilds byte-for-byte.
+    """
+
+    JSON_FORMAT = SPEC_FORMAT
 
     name: str
     protocol: str
@@ -140,43 +148,6 @@ class ScenarioSpec:
         if not self.events:
             return "overload" if self.load is not None else "none"
         return "+".join(event.kind for event in self.events)
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """Plain-JSON representation of the whole spec.
-
-        The output is stable (insertion order fixed by the dataclass field
-        order) and round-trips through :meth:`from_json_dict`, which is what
-        lets the dispatch layer key its result cache on a spec, archive
-        failing fuzz cells, and replay them later byte-for-byte.
-        """
-        data = asdict(self)
-        data["format"] = SPEC_FORMAT
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_json_dict` output.
-
-        Goes through the constructor, so a hand-edited or corrupted archive
-        fails validation instead of producing a silently-wrong run.
-        """
-        version = data.get("format", SPEC_FORMAT)
-        if version != SPEC_FORMAT:
-            raise ValueError(f"unsupported ScenarioSpec format {version!r} (expected {SPEC_FORMAT})")
-        fields = {
-            key: value
-            for key, value in data.items()
-            if key not in ("format", "events", "load", "slo")
-        }
-        fields["events"] = tuple(FaultEvent.from_json_dict(event) for event in data.get("events", ()))
-        # Optional nested specs: absent in archives that predate them.
-        load = data.get("load")
-        if load is not None:
-            fields["load"] = LoadProfile.from_json_dict(load)
-        slo = data.get("slo")
-        if slo is not None:
-            fields["slo"] = SloSpec.from_json_dict(slo)
-        return cls(**fields)
 
 
 def try_spec(spec: ScenarioSpec, **changes: Any) -> Optional[ScenarioSpec]:

@@ -30,9 +30,10 @@ import os
 import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
+from repro.codec import JsonRecord
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
 from repro.triage.signature import FailureSignature, signature_of
@@ -50,8 +51,10 @@ EXPECTATIONS = (EXPECT_FAILING, EXPECT_PASSING)
 
 
 @dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(JsonRecord):
     """One pinned failure: a minimized spec and its expected signature."""
+
+    JSON_FORMAT = CORPUS_FORMAT
 
     name: str
     expected: str
@@ -66,33 +69,6 @@ class CorpusEntry:
             )
         if not self.name:
             raise ValueError("corpus entries need a name")
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (round-trips exactly)."""
-        return {
-            "format": CORPUS_FORMAT,
-            "name": self.name,
-            "expected": self.expected,
-            "source": self.source,
-            "signature": self.signature.to_json_dict(),
-            "spec": self.spec.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "CorpusEntry":
-        """Rebuild an entry from :meth:`to_json_dict` output (validates)."""
-        version = data.get("format", CORPUS_FORMAT)
-        if version != CORPUS_FORMAT:
-            raise ValueError(
-                f"unsupported corpus entry format {version!r} (expected {CORPUS_FORMAT})"
-            )
-        return cls(
-            name=data["name"],
-            expected=data["expected"],
-            spec=ScenarioSpec.from_json_dict(data["spec"]),
-            signature=FailureSignature.from_json_dict(data["signature"]),
-            source=data.get("source", ""),
-        )
 
 
 class Corpus:

@@ -25,8 +25,9 @@ code re-serves every run from cache and finishes near-instantly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.codec import JsonRecord
 from repro.scenarios.runner import ScenarioResult
 from repro.scenarios.spec import ScenarioSpec, drop_event, replace_event, try_spec
 from repro.triage.signature import FailureSignature, signature_of
@@ -53,7 +54,7 @@ Evaluator = Callable[[List[ScenarioSpec]], List[ScenarioResult]]
 
 
 @dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(JsonRecord):
     """Outcome of one :func:`minimize_spec` call.
 
     ``signature`` is None when the original spec did not reproduce any
@@ -61,6 +62,8 @@ class MinimizationResult:
     archive was written, or the archive came from a forced test failure);
     ``minimized`` equals ``original`` in that case.
     """
+
+    JSON_FORMAT = MINIMIZATION_FORMAT
 
     original: ScenarioSpec
     minimized: ScenarioSpec
@@ -72,35 +75,6 @@ class MinimizationResult:
     def reproduced(self) -> bool:
         """True when the original spec reproduced a failure signature."""
         return self.signature is not None
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (round-trips exactly)."""
-        return {
-            "format": MINIMIZATION_FORMAT,
-            "original": self.original.to_json_dict(),
-            "minimized": self.minimized.to_json_dict(),
-            "signature": self.signature.to_json_dict() if self.signature else None,
-            "attempts": self.attempts,
-            "reductions": self.reductions,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "MinimizationResult":
-        """Rebuild a result from :meth:`to_json_dict` output."""
-        version = data.get("format", MINIMIZATION_FORMAT)
-        if version != MINIMIZATION_FORMAT:
-            raise ValueError(
-                f"unsupported MinimizationResult format {version!r} "
-                f"(expected {MINIMIZATION_FORMAT})"
-            )
-        signature = data.get("signature")
-        return cls(
-            original=ScenarioSpec.from_json_dict(data["original"]),
-            minimized=ScenarioSpec.from_json_dict(data["minimized"]),
-            signature=FailureSignature.from_json_dict(signature) if signature else None,
-            attempts=data["attempts"],
-            reductions=data["reductions"],
-        )
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
+from repro.codec import JsonRecord
 from repro.scenarios.oracle import canonical_violation_kinds
 from repro.scenarios.runner import ScenarioResult
 
@@ -27,7 +28,7 @@ SIGNATURE_FORMAT = 1
 
 
 @dataclass(frozen=True)
-class FailureSignature:
+class FailureSignature(JsonRecord):
     """The canonical identity of one failure mode.
 
     ``invariants`` are the sorted distinct invariant kinds that fired
@@ -36,6 +37,8 @@ class FailureSignature:
     violation counts and detail strings are deliberately excluded: they
     vary with window placement while the failure mode does not.
     """
+
+    JSON_FORMAT = SIGNATURE_FORMAT
 
     protocol: str
     invariants: Tuple[str, ...]
@@ -54,29 +57,6 @@ class FailureSignature:
         """Compact human-readable description for tables and log lines."""
         stragglers = ",".join(map(str, self.stragglers)) or "-"
         return f"{self.protocol}:{'+'.join(self.invariants)}[{stragglers}]"
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (round-trips exactly)."""
-        return {
-            "format": SIGNATURE_FORMAT,
-            "protocol": self.protocol,
-            "invariants": list(self.invariants),
-            "stragglers": list(self.stragglers),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "FailureSignature":
-        """Rebuild a signature from :meth:`to_json_dict` output (validates)."""
-        version = data.get("format", SIGNATURE_FORMAT)
-        if version != SIGNATURE_FORMAT:
-            raise ValueError(
-                f"unsupported FailureSignature format {version!r} (expected {SIGNATURE_FORMAT})"
-            )
-        return cls(
-            protocol=data["protocol"],
-            invariants=tuple(data["invariants"]),
-            stragglers=tuple(data["stragglers"]),
-        )
 
 
 def signature_of(result: ScenarioResult) -> Optional[FailureSignature]:

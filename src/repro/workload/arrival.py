@@ -17,15 +17,17 @@ One arrival schedule lives here (:meth:`LoadProfile.constant` is plain Poisson):
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from typing import Tuple
+
+from repro.codec import JsonRecord
 
 #: Phase shapes understood by :class:`LoadProfile`.
 PHASE_SHAPES = ("ramp", "hold", "spike")
 
 
 @dataclass(frozen=True)
-class LoadPhase:
+class LoadPhase(JsonRecord):
     """One schedule segment of a time-varying load profile.
 
     ``shape`` is one of :data:`PHASE_SHAPES`:
@@ -57,7 +59,7 @@ class LoadPhase:
 
 
 @dataclass(frozen=True)
-class LoadProfile:
+class LoadProfile(JsonRecord):
     """A composable time-varying offered-rate curve: a sequence of phases.
 
     ``rate_at(t)`` is the piecewise curve the open-loop client pool samples
@@ -117,20 +119,6 @@ class LoadProfile:
     def label(self) -> str:
         """Compact description of the whole schedule."""
         return " + ".join(phase.label() for phase in self.phases)
-
-    def to_json_dict(self) -> Dict[str, Any]:
-        """JSON-serializable representation (stable field order)."""
-        return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, Any]) -> "LoadProfile":
-        """Rebuild a profile from :meth:`to_json_dict` output (validates)."""
-        return cls(
-            phases=tuple(
-                LoadPhase(shape=item["shape"], rate=item["rate"], duration=item["duration"])
-                for item in data.get("phases", ())
-            )
-        )
 
 
 def overload_profile(

@@ -22,11 +22,6 @@ from tests.test_core_instance import Harness
 # ---------------------------------------------------------------------------
 
 
-def test_config_rejects_unknown_commit_rule():
-    with pytest.raises(ValueError):
-        SpotLessConfig(num_replicas=4, commit_rule="one-view")
-
-
 def test_config_rejects_unknown_view_sync_mode():
     with pytest.raises(ValueError):
         SpotLessConfig(num_replicas=4, view_sync_mode="pacemaker")
@@ -44,7 +39,6 @@ def test_config_rejects_unknown_assignment_policy():
 
 def test_config_defaults_match_the_paper():
     config = SpotLessConfig(num_replicas=4)
-    assert config.commit_rule == "three-view"
     assert config.view_sync_mode == "rvs"
     assert config.timeout_policy == "adaptive"
     assert config.assignment_policy == "digest"

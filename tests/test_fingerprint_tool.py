@@ -20,6 +20,7 @@ CELL = {
     "stragglers": [],
     "counters": [{"view_changes": 0}],
     "state": ["00"],
+    "json": "0123456789abcdef",
 }
 
 

@@ -207,7 +207,6 @@ def test_straggler_pulls_missing_payloads_behind_the_committed_frontier(protocol
             parent_digest=GENESIS_NODE_DIGEST,
             transaction_digests=(tx.digest(),),
             justify=None,
-            height=1,
             committed=committed,
         )
     server.mempool.register_payload(tx)

@@ -190,7 +190,6 @@ def _chain_fixture(protocol, *, known_to_requester):
             parent_digest=GENESIS_NODE_DIGEST,
             transaction_digests=(transaction.digest(),),
             justify=None,
-            height=1,
             committed=replica is not requester,
         )
         if replica is not requester:

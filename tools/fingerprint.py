@@ -15,7 +15,9 @@ commit, GST view sync, exponential timeouts, client assignment, fast path off).
 Per scenario cell it keeps the processed events, messages, bytes, dropped and
 rewritten messages, the confirmed count, the summary digest, violations,
 stragglers, and per replica the liveness counters, the state digest and the
-checkpoint fold (frontier, stable position, rolling execution digest); per
+checkpoint fold (frontier, stable position, rolling execution digest), plus
+``json``: a short sha256 of the result's archived form (its canonical
+``to_json_dict()``), so a change to how a spec or result encodes shows too; per
 ablation cell it keeps the rows ``repro ablation NAME`` prints.
 
 ``compare A B`` prints every cell whose fields differ (and cells only one
@@ -26,16 +28,17 @@ records agree.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
-FORMAT = 2
+FORMAT = 3
 TASK = "fingerprint-cell"
 # Scalars are printed old -> new on a difference; the lists only by name.
 SCALARS = ("events", "messages", "bytes", "dropped", "rewritten", "confirmed", "summary")
-FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "checkpoints", "rows")
+FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "checkpoints", "json", "rows")
 
 
 def cell_specs() -> List[Any]:
@@ -90,6 +93,9 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
             ]
             for replica in cluster.replicas
         ],
+        "json": hashlib.sha256(
+            json.dumps(result.to_json_dict(), sort_keys=True).encode("utf-8")
+        ).hexdigest()[:16],
     }
 
 
