@@ -19,13 +19,15 @@ contiguous, and it only moves up: each instance's proposal store commits
 one chain, oldest first, and refuses a commit that is not anchored at its
 committed tip, so no record ever lands inside a prefix already found
 contiguous.  A frontier therefore resumes from where it stopped instead of
-being re-derived from the execution floor.
+being re-derived from the execution floor, and the committed views above it
+wait in commit order, which is view order, for it to reach them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.chain import Proposal
 from repro.core.config import SpotLessConfig
@@ -115,6 +117,9 @@ class SpotLessReplica(ReplicaRuntime):
         self._execution_floor_view = 0
         # Execution frontier of each instance; only _extend_frontier moves it.
         self._frontiers: List[int] = [-1] * config.num_instances
+        # Each instance's committed views not yet passed by its frontier, in
+        # commit order: _commit appends, _extend_frontier pops from the front.
+        self._above_frontier: List[Deque[int]] = [deque() for _ in range(config.num_instances)]
         # Wire size of each consensus message class (a certificate adds its
         # signatures to a Propose); the size model is fixed per deployment.
         control = self.size_model.control_bytes
@@ -232,8 +237,7 @@ class SpotLessReplica(ReplicaRuntime):
             parent_view=proposal.parent_view,
             has_payload=proposal.message is not None,
         )
-        self._committed_by_view[instance_id][proposal.view] = record
-        self.commit_log.append(record)
+        self._commit(record)
         if self.tracer is not None:
             self.tracer.instant(
                 self.node_id,
@@ -245,11 +249,18 @@ class SpotLessReplica(ReplicaRuntime):
             )
         self._advance_execution()
 
+    def _commit(self, record: CommitRecord) -> None:
+        """Log a record its instance's store just committed, and queue its
+        view for the instance's execution frontier."""
+        self._committed_by_view[record.instance][record.view] = record
+        self.commit_log.append(record)
+        self._above_frontier[record.instance].append(record.view)
+
     def _extend_frontier(self, instance_id: int) -> int:
         """Move this instance's execution frontier up as far as it goes.
 
         The frontier is the highest view up to which the instance's committed
-        chain is contiguous.  Records above it are walked in ascending view
+        chain is contiguous.  Records above it are taken in ascending view
         order; a record extends the prefix only when its parent is the
         genesis proposal or lies inside the prefix (below the execution
         floor, or a committed record at a lower or equal view).  Views inside
@@ -269,25 +280,42 @@ class SpotLessReplica(ReplicaRuntime):
         anchor guard, which only the paper's three-view rule applies; every
         instance's store runs that rule (the ``"two-view"`` rule of Example
         3.6 exists only on stores the ablation builds directly).
+
+        For the same reason the records above the frontier need no sort and
+        no search: they are the views :meth:`_commit` queued, in commit
+        order, which is ascending view order.  The walk is a cursor over
+        that queue.  It drops the views the frontier (or the floor) has
+        already passed, pops each view the prefix absorbs, and leaves the
+        first view it cannot absorb at the front for the next call.  A view
+        is read once when it joins the prefix, plus once per call that finds
+        it still blocked.
         """
-        records = self._committed_by_view[instance_id]
-        store = self.instances[instance_id].store
         floor = self._execution_floor_view
-        frontier = max(self._frontiers[instance_id], floor - 1)
-        for view in sorted(v for v in records if v > frontier):
-            record = records[view]
-            parent_view = record.parent_view
-            if parent_view is None:
-                # Committed by reference before the parent link was known;
-                # Ask-recovery may have attached it to the store since then.
-                proposal = store.get(record.proposal_digest)
-                if proposal is not None:
-                    parent_view = proposal.parent_view
-            if parent_view is None or parent_view > frontier:
-                break
-            if parent_view >= floor and parent_view not in records:
-                break
-            frontier = view
+        frontier = self._frontiers[instance_id]
+        if frontier < floor - 1:
+            frontier = floor - 1
+        queued = self._above_frontier[instance_id]
+        if queued:
+            records = self._committed_by_view[instance_id]
+            store = self.instances[instance_id].store
+            while queued:
+                view = queued[0]
+                if view > frontier:
+                    record = records[view]
+                    parent_view = record.parent_view
+                    if parent_view is None:
+                        # Committed by reference before the parent link was
+                        # known; Ask-recovery may have attached it to the
+                        # store since then.
+                        proposal = store.get(record.proposal_digest)
+                        if proposal is not None:
+                            parent_view = proposal.parent_view
+                    if parent_view is None or parent_view > frontier:
+                        break
+                    if parent_view >= floor and parent_view not in records:
+                        break
+                    frontier = view
+                queued.popleft()
         self._frontiers[instance_id] = frontier
         return frontier
 

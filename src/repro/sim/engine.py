@@ -13,8 +13,8 @@ Two scheduling paths share one queue:
 * :meth:`Simulator.schedule_call` pushes a bare ``(callback, args)`` pair —
   the delivery path: fire-and-forget deliveries allocate no :class:`Event`.
   :meth:`repro.sim.network.Network.broadcast` pushes the same entries onto
-  ``_queue`` itself (advancing ``_seq`` and ``_live`` as this method does),
-  one frame fewer per receiver of a fan-out.
+  ``_queue`` itself (advancing ``_seq`` as this method does), one frame
+  fewer per receiver of a fan-out.
 
 The heap stores ``(time, priority, seq, item)`` tuples so ordering is
 resolved by native tuple comparison on the three leading numbers; ``item``
@@ -27,7 +27,9 @@ pass (see :data:`_SWEEP_FLOOR`), so a timer re-armed on every message does
 not keep thousands of dead entries, each holding its callback, queued behind
 a deadline seconds away.  ``(time, priority, seq)`` is a total order, so the
 pop order depends on the live entries alone and a sweep never changes a
-schedule.
+schedule.  The simulator counts the dead entries still in the heap, not the
+live ones: a cancel raises the count, popping or sweeping a dead entry
+lowers it, and a push — by far the commonest operation — touches no counter.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class Event:
         """Mark the event so the engine skips it when it is popped.
 
         Cancelling an event that already fired (or was already cancelled) is
-        a no-op, so stale timer handles are safe to cancel.  The owner's live
+        a no-op, so stale timer handles are safe to cancel.  The owner's dead
         count and its sweep test are done here, in this frame: a timer
         re-armed on every message cancels once per message.
         """
@@ -88,9 +90,8 @@ class Event:
         self.cancelled = True
         owner = self.owner
         if owner is not None:
-            live = owner._live = owner._live - 1
-            cancelled = len(owner._queue) - live
-            if cancelled > _SWEEP_FLOOR and cancelled > live:
+            dead = owner._dead = owner._dead + 1
+            if dead > _SWEEP_FLOOR and dead + dead > len(owner._queue):
                 owner._sweep_if_mostly_cancelled()
 
 
@@ -124,7 +125,8 @@ class Simulator:
         self._queue: list[_Entry] = []
         self._seq = 0
         self._processed = 0
-        self._live = 0
+        # Cancelled entries still in the heap; every other entry is live.
+        self._dead = 0
         self._max_events = max_events
 
     @property
@@ -139,8 +141,9 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (not executed, not cancelled) scheduled events."""
-        return self._live
+        """Number of live (not executed, not cancelled) scheduled events:
+        the heap's length less the cancelled entries still in it."""
+        return len(self._queue) - self._dead
 
     @property
     def scheduled_events(self) -> int:
@@ -148,20 +151,23 @@ class Simulator:
         return len(self._queue)
 
     def _sweep_if_mostly_cancelled(self) -> None:
-        """Drop every cancelled entry when they outnumber the live ones.
+        """Drop every cancelled entry when there are more than
+        :data:`_SWEEP_FLOOR` of them and they outnumber the live ones; the
+        dead count is then zero.
 
         The queue is filtered in place because :meth:`run` holds an alias of
         it while callbacks cancel timers.
         """
         queue = self._queue
-        cancelled = len(queue) - self._live
-        if cancelled > _SWEEP_FLOOR and cancelled > self._live:
+        dead = self._dead
+        if dead > _SWEEP_FLOOR and dead + dead > len(queue):
             event_cls = Event
             queue[:] = [
                 entry for entry in queue
                 if not (entry[3].__class__ is event_cls and entry[3].cancelled)
             ]
             heapq.heapify(queue)
+            self._dead = 0
 
     def schedule(
         self,
@@ -179,7 +185,6 @@ class Simulator:
         time = self._now + delay
         event = Event(time, priority, seq, callback, label, self)
         heapq.heappush(self._queue, (time, priority, seq, event))
-        self._live += 1
         return event
 
     def schedule_call(
@@ -200,7 +205,6 @@ class Simulator:
         seq = self._seq
         self._seq = seq + 1
         heapq.heappush(self._queue, (self._now + delay, priority, seq, (callback, args)))
-        self._live += 1
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` is reached.
@@ -208,30 +212,29 @@ class Simulator:
         Returns the simulated time at which the run ended.  When ``until`` is
         given, the clock is advanced to ``until`` even if the queue drained
         earlier, so repeated calls to ``run`` observe a monotone clock.
-        The head of the heap is peeked before popping, so an event beyond the
+        The head of the heap is peeked before popping, so an entry beyond the
         window is left in place rather than popped and re-pushed on every
-        :meth:`run_for` tick.
+        :meth:`run_for` tick; a cancelled entry is popped like any other and
+        skipped after the pop.
         """
         queue = self._queue
         heappop = heapq.heappop
         event_cls = Event
         max_events = self._max_events
-        while True:
-            # Drop cancelled heads lazily so the window check below peeks at
-            # a live entry.
-            while queue:
-                head_item = queue[0][3]
-                if head_item.__class__ is event_cls and head_item.cancelled:
-                    heappop(queue)
-                else:
-                    break
-            if not queue:
-                break
+        while queue:
             time = queue[0][0]
             if until is not None and time > until:
                 break
             item = heappop(queue)[3]
-            self._live -= 1
+            if item.__class__ is event_cls:
+                if item.cancelled:
+                    self._dead -= 1
+                    continue
+                item.executed = True
+                callback = item.callback
+                args = ()
+            else:
+                callback, args = item
             if time < self._now:
                 raise SimulationError("event queue went backwards in time")
             self._now = time
@@ -241,12 +244,7 @@ class Simulator:
                     f"simulation exceeded {max_events} events; "
                     "likely an unbounded message loop"
                 )
-            if item.__class__ is event_cls:
-                item.executed = True
-                item.callback()
-            else:
-                callback, args = item
-                callback(*args)
+            callback(*args)
         # Executing events shrinks the live set without a cancel to notice it.
         self._sweep_if_mostly_cancelled()
         if until is not None and self._now < until:

@@ -210,69 +210,30 @@ class Network:
         Returns True when the message was put on the wire and False when it
         was dropped (a crashed end or a drop rule).  A dropped message still
         consumes sender NIC time, except when the sender itself is down.
+        This is :meth:`broadcast` to one receiver: the network has one
+        transmit body.
         """
-        down = self._down_nodes
-        if sender in down:
-            return False
-        self._c_sent.value += 1
-        self._c_bytes.value += size_bytes
-
-        # NIC serialisation at the sender: messages leave one after another.
-        simulator = self.simulator
-        config = self.config
-        now = simulator._now
-        nic = self._nic_free_at
-        nic_free = nic.get(sender, 0.0)
-        if nic_free < now:
-            nic_free = now
-        departure = nic_free + size_bytes / config.bandwidth_bytes_per_sec
-        nic[sender] = departure
-
-        if receiver in down:
-            self._c_dropped.value += 1
-            return False
-        drop_rules = self._drop_rules
-        if drop_rules and any(rule(sender, receiver, payload) for rule in drop_rules):
-            self._c_dropped.value += 1
-            return False
-
-        rewrite_rules = self._rewrite_rules
-        if rewrite_rules:
-            for rule in rewrite_rules:
-                rewritten = rule(sender, receiver, payload)
-                if rewritten is not None:
-                    payload = rewritten
-                    self._c_rewritten.increment()
-
-        link = self._default_link if config.topology is None else self._link(sender, receiver)
-        jitter = link.jitter
-        if jitter > 0.0:
-            # The float uniform(-jitter, jitter) returns (see broadcast).
-            propagation = link.delay + (-jitter + (jitter + jitter) * self.rng.random())
-            if propagation < 0.0:
-                propagation = 0.0
-        else:
-            propagation = link.delay
-        delivery_delay = (departure - now) + propagation
-        tracer = self.tracer
-        if tracer is not None:
-            flow_id = tracer.flow_begin(sender, payload.__class__.__name__, size=size_bytes)
-            simulator.schedule_call(
-                delivery_delay, self._deliver_traced, (flow_id, sender, receiver, payload)
-            )
-        else:
-            simulator.schedule_call(delivery_delay, self._deliver, (sender, receiver, payload))
-        return True
+        return self.broadcast(sender, (receiver,), payload, size_bytes) == 1
 
     def broadcast(self, sender: int, receivers: Iterable[int], payload: object, size_bytes: int) -> int:
         """Send ``payload`` to each receiver; returns how many were sent.
 
-        This is a batched fast path: per-message invariants (NIC transmit
-        time, counters, fault surface, simulator handles) are resolved once
-        for the whole fan-out, and deliveries are scheduled without a closure
-        allocation per receiver.  Counter updates, NIC accounting and RNG
-        draws happen per receiver in iteration order, exactly as a loop of
-        :meth:`send` calls would produce them.
+        Each receiver costs the sender ``size_bytes`` of NIC time in
+        iteration order, a down receiver included (it counts as dropped), and
+        each delivery is scheduled without a closure or an
+        :class:`~repro.sim.engine.Event`.  Deliveries, RNG draws, sequence
+        numbers and counters come out exactly as a loop of one-receiver sends
+        would produce them.
+
+        With no drop rule, rewrite rule, tracer or topology installed nothing
+        can run mid-fan-out, so the sender's liveness, its link and the
+        simulator's sequence counter are read once, and the NIC clock and the
+        counters are written back once, after the loop.  With any of them
+        installed a rule may observe or change that state between receivers
+        (crash the sender, schedule an event, read a counter), so every
+        receiver re-checks the sender, runs the rules and resolves its link,
+        and the NIC clock and counters are written as each receiver is
+        handled.
         """
         down = self._down_nodes
         if sender in down:
@@ -283,9 +244,6 @@ class Network:
         # so drawing from random() directly yields the identical float.
         random = self.rng.random
         nic = self._nic_free_at
-        c_sent = self._c_sent
-        c_bytes = self._c_bytes
-        c_dropped = self._c_dropped
         transmit_time = size_bytes / config.bandwidth_bytes_per_sec
         drop_rules = self._drop_rules
         rewrite_rules = self._rewrite_rules
@@ -294,19 +252,55 @@ class Network:
         tracer = self.tracer
         # Simulated time cannot advance while the fan-out loop runs, and each
         # departure time strictly dominates the previous one, so the NIC clock
-        # is carried in a local and written back each iteration (drop/rewrite
-        # rules stay free to observe it).
+        # is carried in a local.
         now = simulator._now
         nic_free = nic.get(sender, 0.0)
         if nic_free < now:
             nic_free = now
-        # Without a topology every receiver shares one link spec; resolve it
-        # once instead of per receiver (receiver ids are ignored then).
-        shared_link = self._link(sender, sender) if config.topology is None else None
+        if not (drop_rules or rewrite_rules or tracer is not None or config.topology is not None):
+            link = self._default_link
+            delay = link.delay
+            jitter = link.jitter
+            seq = simulator._seq
+            handled = dropped = 0
+            for receiver in receivers:
+                handled += 1
+                nic_free = departure = nic_free + transmit_time
+                if receiver in down:
+                    dropped += 1
+                    continue
+                if jitter > 0.0:
+                    propagation = delay + (-jitter + (jitter + jitter) * random())
+                    if propagation < 0.0:
+                        propagation = 0.0
+                else:
+                    propagation = delay
+                # Simulator.schedule_call inlined: the same (time, priority,
+                # seq) key, without a frame per receiver.  The delay is never
+                # negative (departure >= now, propagation >= 0).
+                heappush(
+                    queue,
+                    (now + ((departure - now) + propagation), 0, seq, (deliver, (sender, receiver, payload))),
+                )
+                seq += 1
+            if handled:
+                simulator._seq = seq
+                nic[sender] = nic_free
+                self._c_sent.value += handled
+                self._c_bytes.value += handled * size_bytes
+                if dropped:
+                    self._c_dropped.value += dropped
+            return handled - dropped
+
+        c_sent = self._c_sent
+        c_bytes = self._c_bytes
+        c_dropped = self._c_dropped
+        # Without a topology every receiver shares one link spec.
+        shared_link = self._default_link if config.topology is None else None
         sent = 0
         for receiver in receivers:
             # A drop rule may crash the sender mid-fan-out, so the down set
-            # is re-checked per receiver just as in :meth:`send`.
+            # is re-checked per receiver.
             if sender in down:
                 continue
             c_sent.value += 1
@@ -341,15 +335,11 @@ class Network:
                     delivery_delay, self._deliver_traced, (flow_id, sender, receiver, message)
                 )
             else:
-                # Simulator.schedule_call inlined: the same (time, priority,
-                # seq) key and live count, without a frame per receiver.  The
-                # delay is never negative (departure >= now, propagation >=
-                # 0), and the sequence counter is advanced on the simulator
-                # itself because a drop or rewrite rule may schedule too.
+                # The sequence counter is advanced on the simulator itself
+                # because a drop or rewrite rule may schedule too.
                 seq = simulator._seq
                 simulator._seq = seq + 1
                 heappush(queue, (now + delivery_delay, 0, seq, (deliver, (sender, receiver, message))))
-                simulator._live += 1
             sent += 1
         return sent
 

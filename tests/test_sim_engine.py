@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.sim.actor import Timer
 from repro.sim.engine import _SWEEP_FLOOR, SimulationError, Simulator
+from repro.sim.network import Network, NetworkConfig
 
 
 def test_events_run_in_time_order():
@@ -182,7 +183,9 @@ def test_a_majority_of_live_entries_keeps_the_heap_lazy():
 class _ReferenceSimulator:
     """The engine's contract without a heap: the live entries, sorted by
     ``(time, priority, seq)`` whenever one is wanted.  A cancelled entry is
-    removed on the spot, so there is nothing to sweep and nothing to skip."""
+    removed on the spot, so there is nothing to sweep and nothing to skip.
+    ``_now``, ``_seq`` and ``_queue`` are what ``Network.broadcast`` reads and
+    writes; an entry it appends holds a ``(callback, args)`` pair."""
 
     class _Handle:
         def __init__(self, owner, entry):
@@ -202,6 +205,14 @@ class _ReferenceSimulator:
     @property
     def pending_events(self):
         return len(self._live)
+
+    @property
+    def _now(self):
+        return self.now
+
+    @property
+    def _queue(self):
+        return self._live
 
     def schedule(self, delay, callback, *, priority=0, label=""):
         entry = (self.now + delay, priority, self._seq, callback)
@@ -225,12 +236,26 @@ class _ReferenceSimulator:
             self._live.remove(entry)
             self.now = entry[0]
             self.processed_events += 1
-            entry[3]()
+            if callable(entry[3]):
+                entry[3]()
+            else:
+                callback, args = entry[3]
+                callback(*args)
         self.now = until
 
 
 #: More re-arms than the sweep floor, so a burst crosses it inside run().
 _BURST = _SWEEP_FLOOR + 20
+
+
+class _Sink:
+    """A network node that logs what is delivered to it."""
+
+    def __init__(self, node_id, fired):
+        self.node_id, self._fired = node_id, fired
+
+    def on_message(self, sender, payload):
+        self._fired.append((payload, sender, self.node_id))
 
 
 def _drive(sim, operations):
@@ -239,6 +264,11 @@ def _drive(sim, operations):
     handles = []
     timers = [Timer(sim, f"t{index}", lambda index=index: fired.append(("timer", index))) for index in range(3)]
     trace = []
+    # A fan-out pushes its deliveries onto the heap itself, not through
+    # schedule_call; a slow NIC spreads them over the window.
+    network = Network(sim, NetworkConfig(base_delay=0.1, jitter=0.0, bandwidth_bytes_per_sec=1000.0))
+    for node in range(4):
+        network.register(_Sink(node, fired))
 
     def burst(tag):
         # What a replica does on every message: re-arm a deadline.  Each
@@ -254,6 +284,8 @@ def _drive(sim, operations):
             sim.schedule_call(delay, fired.append, (("call", number),), priority=priority)
         elif kind == "burst":
             sim.schedule_call(delay, burst, (number,), priority=priority)
+        elif kind == "fanout":
+            network.broadcast(index % 4, range(4), ("fanout", number), 10 * (index + 1))
         elif kind == "start":
             timers[index % 3].start(delay)
         elif kind == "stop":
@@ -273,7 +305,7 @@ def _drive(sim, operations):
 
 _OPERATIONS = st.lists(
     st.tuples(
-        st.sampled_from(["schedule", "call", "burst", "start", "stop", "cancel", "drain", "run"]),
+        st.sampled_from(["schedule", "call", "burst", "fanout", "start", "stop", "cancel", "drain", "run"]),
         st.integers(min_value=0, max_value=50),
         st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5, 1.0, 2.5]),
         st.integers(min_value=0, max_value=2),
@@ -285,6 +317,7 @@ _OPERATIONS = st.lists(
 @given(_OPERATIONS)
 @example([("start", 0, 2.5, 0), ("burst", 0, 0.1, 0), ("call", 0, 0.5, 0), ("run", 0, 0.25, 0), ("run", 0, 1.0, 0)])
 @example([("schedule", 0, 0.5, 1)] * 150 + [("schedule", 0, 2.5, 0), ("drain", 1, 0.0, 0), ("run", 0, 1.0, 0)])
+@example([("start", 1, 0.25, 0), ("burst", 1, 0.1, 0), ("fanout", 7, 0.0, 0), ("run", 0, 0.25, 0), ("fanout", 2, 0.0, 0)])
 @settings(max_examples=150, deadline=None)
 def test_any_interleaving_fires_what_a_sorted_list_of_live_entries_would(operations):
     assert _drive(Simulator(), operations) == _drive(_ReferenceSimulator(), operations)

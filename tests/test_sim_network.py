@@ -269,3 +269,96 @@ def test_zipf_index_matches_the_loop_it_replaced(population, theta, draws):
     rng._random = _Draws(points)
     for point in points:
         assert rng.zipf_index(population, theta, table) == _zipf_index_by_loop(table, population, point)
+
+
+# ---------------------------------------------------------------------------
+# the unfaulted fan-out and the per-receiver rule path leave the same state
+# ---------------------------------------------------------------------------
+
+
+def _never_drops(sender, receiver, payload):
+    return False
+
+
+def _fabric(jitter, down, busy_until):
+    """A simulator at t = 0.25 and a network of seven registered nodes, some
+    down, whose NIC clocks are busy until ``busy_until[node]``."""
+    sim = Simulator()
+    network = Network(
+        sim, NetworkConfig(base_delay=0.001, jitter=jitter, bandwidth_bytes_per_sec=1e6), DeterministicRng(11)
+    )
+    for node in range(7):
+        Recorder(node, sim, network)
+    for node, until in enumerate(busy_until):
+        network._nic_free_at[node] = until
+    for node in down:
+        network.set_node_down(node)
+    sim.run(until=0.25)
+    return sim, network
+
+
+def _state(sim, network):
+    """What a fan-out may leave behind, with each heap entry's bound
+    delivery method replaced by its name (the two networks differ)."""
+    entries = sorted(
+        (time, priority, seq, item[0].__name__, item[1]) for time, priority, seq, item in sim._queue
+    )
+    return (
+        entries,
+        sim._seq,
+        network.metrics.snapshot(),
+        dict(network._nic_free_at),
+        network.rng._random.getstate(),
+    )
+
+
+_FANOUTS = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # sender
+        st.lists(st.integers(0, 6), max_size=8),  # receivers, repeats allowed
+        st.integers(1, 5000),  # size in bytes
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    jitter=st.sampled_from([0.0, 0.0002, 0.003]),
+    down=st.sets(st.integers(0, 6), max_size=3),
+    busy_until=st.lists(st.sampled_from([0.0, 0.2, 0.25, 0.2503]), min_size=7, max_size=7),
+    fanouts=_FANOUTS,
+)
+@settings(max_examples=150, deadline=None)
+def test_the_unfaulted_fan_out_matches_the_rule_path(jitter, down, busy_until, fanouts):
+    fast_sim, fast = _fabric(jitter, down, busy_until)
+    ruled_sim, ruled = _fabric(jitter, down, busy_until)
+    # A drop rule that never drops forces the per-receiver path and changes
+    # nothing else.
+    ruled.add_drop_rule(_never_drops)
+    for sender, receivers, size in fanouts:
+        sent = fast.broadcast(sender, receivers, ("payload", size), size)
+        assert sent == ruled.broadcast(sender, receivers, ("payload", size), size)
+        assert _state(fast_sim, fast) == _state(ruled_sim, ruled)
+    fast_sim.run()
+    ruled_sim.run()
+    assert _state(fast_sim, fast) == _state(ruled_sim, ruled)
+    assert [actor.received for actor in fast._actors.values()] == [
+        actor.received for actor in ruled._actors.values()
+    ]
+
+
+@given(
+    jitter=st.sampled_from([0.0, 0.0002]),
+    down=st.sets(st.integers(0, 6), max_size=3),
+    sends=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(1, 5000)), max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+def test_send_is_a_one_receiver_fan_out(jitter, down, sends):
+    busy_until = [0.0] * 7
+    sent_sim, sent_net = _fabric(jitter, down, busy_until)
+    fanned_sim, fanned_net = _fabric(jitter, down, busy_until)
+    for sender, receiver, size in sends:
+        delivered = sent_net.send(sender, receiver, "payload", size)
+        assert delivered == (fanned_net.broadcast(sender, [receiver], "payload", size) == 1)
+        assert _state(sent_sim, sent_net) == _state(fanned_sim, fanned_net)

@@ -1,8 +1,10 @@
-"""Alternating parent/change pairs of one perfbench workload: steps 3-4 of
+"""Alternating parent/change pairs of perfbench workloads: steps 3-4 of
 ``perfbench/README.md`` "Claiming a gain", as one command.
 
     git worktree add /tmp/parent HEAD~1
     python tools/perf_pairs.py --parent /tmp/parent --workload spotless_steady --seed 1
+    python tools/perf_pairs.py --parent /tmp/parent --workload chaos_recovery openloop_rates
+    python tools/perf_pairs.py --parent /tmp/parent --workload all --pairs 4
     python tools/perf_pairs.py --parent /tmp/parent --pairs 2 --repeats 1     # smoke size
 
 Each side is a checkout holding ``perfbench/run.py`` and ``src/repro``; the
@@ -19,8 +21,12 @@ least nine tenths of them and the medians differ by more than that range)
 decides its line.  Then every end-to-end metric of ``BENCHMARK.json``, from
 the same runs: both medians, the ratio, and whether the change is worse than
 the parent by more than that metric's bound, so a claim's must-not-move rows
-come from the claim's own pairs.  The exit code is non-zero only when a run
-was not correct.
+come from the claim's own pairs.  ``--workload`` takes several names, or
+``all`` for every workload of ``BENCHMARK.json``: the workloads run one after
+another, each with its own pairs and its own block of output, and the run
+ends with one summary line per workload (ratio, wins, gain rule), each from
+that workload's pairs alone.  The exit code is non-zero only when a run was
+not correct.
 """
 
 from __future__ import annotations
@@ -93,36 +99,48 @@ def worse_beyond_bound(metric: Dict[str, Any], parent_median: float, change_medi
     return ratio, change > metric["bound"]
 
 
-def main(argv: Sequence[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
-    parser.add_argument("--change", type=Path, default=HERE, help="checkout of the change (default: this one)")
-    parser.add_argument("--workload", default="spotless_steady")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--metric", default="host_calib_ratio", help="an end-to-end metric of BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, help="passed to perfbench/run.py")
-    parser.add_argument("--repeats", type=int, help="passed to perfbench/run.py")
-    args = parser.parse_args(argv)
+def workloads_named(names: Sequence[str], declared: Sequence[str]) -> List[str]:
+    """The workloads ``--workload`` names, in the order given and each once;
+    ``all`` stands for every declared workload, in declaration order.
+    Raises ValueError on a name the benchmark does not declare."""
+    chosen: List[str] = []
+    for name in names:
+        expanded = list(declared) if name == "all" else [name]
+        for workload in expanded:
+            if workload not in declared:
+                raise ValueError(f"unknown workload {workload!r}; one of {', '.join(declared)} or all")
+            if workload not in chosen:
+                chosen.append(workload)
+    return chosen
 
-    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    declared = {row["name"]: row for row in spec["end_to_end"]}
-    if args.metric not in declared:
-        parser.error(f"--metric must be one of {sorted(declared)}")
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+
+def summary_line(workload: str, metric: str, claim: Judgement, pairs: int) -> str:
+    """One workload's verdict on one line: the ratio of medians, wins of
+    each side and the gain rule, from that workload's pairs."""
+    ratio = claim.change[1] / claim.parent[1] if claim.parent[1] else float("inf")
+    return (
+        f"  {workload:<18} {metric} {ratio:.3f} x parent, change wins {claim.change_wins}/{pairs}, "
+        f"parent wins {claim.parent_wins}/{pairs}, gain rule: {claim.verdict}"
+    )
+
+
+def run_workload(
+    workload: str, args: argparse.Namespace, sides: Dict[str, Path], declared: Dict[str, Dict[str, Any]]
+) -> Tuple[Judgement, bool]:
+    """Run ``args.pairs`` alternating pairs of one workload and print its
+    block; the gain rule on ``args.metric`` and whether every run was
+    correct."""
     lower_is_better = declared[args.metric]["better"] == "lower"
-    passthrough = ["--workload", args.workload, "--seed", str(args.seed)]
+    passthrough = ["--workload", workload, "--seed", str(args.seed)]
     for flag in ("seconds", "repeats"):
         if getattr(args, flag) is not None:
             passthrough += [f"--{flag}", str(getattr(args, flag))]
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     # side -> metric -> one value per pair
     values: Dict[str, Dict[str, List[float]]] = {side: {name: [] for name in declared} for side in sides}
     simulated = set()
     all_correct = True
-    print(f"{args.metric} on {args.workload}, seed {args.seed}: {args.pairs} alternating pairs")
+    print(f"{args.metric} on {workload}, seed {args.seed}: {args.pairs} alternating pairs")
     for pair in range(args.pairs):
         order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
         result = {side: run_side(sides[side], passthrough) for side in order}
@@ -158,6 +176,45 @@ def main(argv: Sequence[str]) -> int:
               f"{'YES' if worse else 'no'} (bound {metric['bound']:.0%}, {metric['better']} is better)")
     if not all_correct:
         print("a run was not correct or had failed operations")
+    return claim, all_correct
+
+
+def main(argv: Sequence[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", type=Path, default=HERE, help="checkout of the change (default: this one)")
+    parser.add_argument(
+        "--workload", nargs="+", default=["spotless_steady"], help="one or more workloads, or all"
+    )
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--metric", default="host_calib_ratio", help="an end-to-end metric of BENCHMARK.json")
+    parser.add_argument("--seconds", type=float, help="passed to perfbench/run.py")
+    parser.add_argument("--repeats", type=int, help="passed to perfbench/run.py")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {row["name"]: row for row in spec["end_to_end"]}
+    if args.metric not in declared:
+        parser.error(f"--metric must be one of {sorted(declared)}")
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    try:
+        workloads = workloads_named(args.workload, [row["name"] for row in spec["workloads"]])
+    except ValueError as error:
+        parser.error(str(error))
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    claims = {}
+    all_correct = True
+    for index, workload in enumerate(workloads):
+        if index:
+            print()
+        claims[workload], correct = run_workload(workload, args, sides, declared)
+        all_correct = all_correct and correct
+    print(f"summary, seed {args.seed}, each line from its workload's own {args.pairs} pairs:")
+    for workload, claim in claims.items():
+        print(summary_line(workload, args.metric, claim, args.pairs))
     return 0 if all_correct else 1
 
 
