@@ -100,7 +100,11 @@ class ProposalStore:
             status=_COMMITTED,
         )
         self._proposals: Dict[bytes, Proposal] = {GENESIS_PROPOSAL_ID: genesis}
-        self._by_view: Dict[int, List[bytes]] = {GENESIS_VIEW: [GENESIS_PROPOSAL_ID]}
+        # Each view's digests in arrival order, as a tuple: a tuple of bytes
+        # is not tracked by the cyclic collector, a list is.  A view rarely
+        # holds more than one proposal, so rebuilding it on a second costs
+        # nothing measurable.
+        self._by_view: Dict[int, Tuple[bytes, ...]] = {GENESIS_VIEW: (GENESIS_PROPOSAL_ID,)}
         # P_lock itself: a proposal object is never replaced once recorded.
         self._lock: Proposal = genesis
         self._committed_order: List[bytes] = []
@@ -168,7 +172,8 @@ class ProposalStore:
             message=message,
         )
         self._proposals[digest] = proposal
-        self._by_view.setdefault(message.view, []).append(digest)
+        by_view = self._by_view
+        by_view[message.view] = by_view.get(message.view, ()) + (digest,)
         return proposal
 
     def record_reference(self, digest: bytes, view: int) -> Proposal:
@@ -185,7 +190,8 @@ class ProposalStore:
             message=None,
         )
         self._proposals[digest] = proposal
-        self._by_view.setdefault(view, []).append(digest)
+        by_view = self._by_view
+        by_view[view] = by_view.get(view, ()) + (digest,)
         return proposal
 
     # -- relations of Definition 3.3 ---------------------------------------
@@ -236,6 +242,9 @@ class ProposalStore:
         A1 (validity): the replica conditionally prepared the parent P′.
         A2 (safety): P′ extends the lock.
         A3 (liveness): P′ is from a higher view than the lock.
+
+        A3 is one view comparison and A2 a walk up the chain, and the two are
+        a pure disjunction, so A3 is tested first.
         """
         parent = self._proposals.get(message.parent_digest)
         if parent is None:
@@ -243,9 +252,7 @@ class ProposalStore:
         if parent.status < _PREPARED:
             return False
         lock = self._lock
-        safety = self.extends(parent, lock)
-        liveness = parent.view > lock.view
-        return safety or liveness
+        return parent.view > lock.view or self.extends(parent, lock)
 
     # -- status transitions ------------------------------------------------
 
@@ -295,10 +302,15 @@ class ProposalStore:
         return self._apply_prepare_consequences(proposal)
 
     def _apply_prepare_consequences(self, proposal: Proposal) -> List[Proposal]:
-        """Lock/commit consequences of ``proposal`` being conditionally prepared."""
+        """Lock/commit consequences of ``proposal`` being conditionally prepared.
+
+        Parent and grandparent are read by digest (a missing link is None,
+        which no proposal is keyed by).
+        """
         newly_committed: List[Proposal] = []
-        parent = self.parent_of(proposal)
-        if parent is None or parent.is_genesis:
+        proposals = self._proposals
+        parent = proposals.get(proposal.parent_digest)
+        if parent is None or parent.digest == GENESIS_PROPOSAL_ID:
             return newly_committed
 
         if proposal.view > parent.view:
@@ -314,10 +326,10 @@ class ProposalStore:
                 newly_committed = self._commit_chain(parent)
             return newly_committed
 
-        grandparent = self.parent_of(parent)
+        grandparent = proposals.get(parent.parent_digest)
         if (
             grandparent is not None
-            and not grandparent.is_genesis
+            and grandparent.digest != GENESIS_PROPOSAL_ID
             and proposal.view == parent.view + 1
             and parent.view == grandparent.view + 1
         ):
@@ -337,9 +349,20 @@ class ProposalStore:
         committed proposal implies conflict with the chain.  The unsafe
         ``"two-view"`` ablation rule stays unguarded — demonstrating that it
         admits conflicting commits is exactly its purpose (Example 3.6).
+
+        In the common case the parent is the committed tip (genesis before
+        the first commit): the walk below would stop at it at once and commit
+        ``proposal`` alone, so that is done without the walk.
         """
         if proposal.status >= _COMMITTED:
             return []
+        committed_order = self._committed_order
+        if proposal.parent_digest == (committed_order[-1] if committed_order else GENESIS_PROPOSAL_ID):
+            if proposal.status < _PREPARED:
+                self._note_prepared(proposal)
+            proposal.status = _COMMITTED
+            committed_order.append(proposal.digest)
+            return [proposal]
         # Walk only the uncommitted suffix: committing a proposal always
         # commits its entire ancestor chain, so everything below the first
         # committed ancestor (the *anchor*) is already committed and the

@@ -184,8 +184,10 @@ class SpotLessInstance:
             candidates=lambda key: (_EVERYONE,),
             fanout=config.weak_quorum,
         )
-        # Proposals this replica proposed as primary, keyed by view.
-        self._own_proposals: Dict[int, bytes] = {}
+        # Views this replica proposed in as primary.  Only the entered view
+        # and the next one are ever tested, and views only move up, so
+        # compact_below_view drops the views below the floor.
+        self._own_proposals: Set[int] = set()
         # The certificate entry standing in for a vote recorded without a
         # signature, one per sender, shared by every certificate.
         self._unsigned: Dict[int, Signature] = {}
@@ -292,7 +294,7 @@ class SpotLessInstance:
             parent_claim_quorum=claim_quorum,
         )
         self.proposals_made += 1
-        self._own_proposals[view] = message.digest()
+        self._own_proposals.add(view)
         self.env.broadcast(message)
 
     def _highest_extendable(self, view: int) -> Tuple[Proposal, Optional[Certificate], Tuple[int, ...]]:
@@ -352,7 +354,7 @@ class SpotLessInstance:
         )
         self.proposals_made += 1
         self.fast_path_proposals += 1
-        self._own_proposals[next_view] = message.digest()
+        self._own_proposals.add(next_view)
         self.env.broadcast(message)
 
     def _poison_fast_path(self) -> None:
@@ -562,6 +564,9 @@ class SpotLessInstance:
         # rules are level-triggered — a duplicate Sync re-runs them — so each
         # one's "nothing to do" condition is tested here, where the vote was
         # counted, and only a rule with something left to decide is called.
+        quorum = self._quorum
+        store = self.store
+        proposals = store._proposals
         if votes is not None:
             count = len(votes)
             # Rule: f+1 same-claim Syncs in our current view let us echo the
@@ -572,17 +577,17 @@ class SpotLessInstance:
             # (Figure 3, lines 20-21): in full at the crossing; a later vote
             # finds it prepared and can only let an un-synced current view
             # accept what it has recorded.
-            if count >= self._quorum:
-                proposal = self.store.get(digest)
+            if count >= quorum:
+                proposal = proposals.get(digest)
                 if proposal is None or proposal.status < _PREPARED:
                     if proposal is None:
-                        proposal = self.store.record_reference(digest, view)
+                        proposal = store.record_reference(digest, view)
                         self._send_ask(view, digest, list(votes))
                     self._conditionally_prepare(proposal)
                 else:
                     # _maybe_accept_pending's first test, made before the call.
                     pending_view = self.current_view
-                    if pending_view not in self._synced_views and pending_view in self.store._by_view:
+                    if pending_view not in self._synced_views and pending_view in store._by_view:
                         self._maybe_accept_pending()
                 # The n−f same-claim quorum for the current view completes
                 # the Certifying state and advances to the next view.
@@ -595,24 +600,32 @@ class SpotLessInstance:
         # a proposal recorded, which a repeat could still let it accept.
         # Nothing in the loop moves the current view; it can only sync it or
         # record payload-less references in it, after which a prepared entry
-        # has nothing left to accept, so the condition is decided once.
+        # has nothing left to accept, so the condition is decided once, and
+        # picks the loop.
         current = self.current_view
-        proposals = self.store._proposals
-        prepared_is_settled = current in self._synced_views or current not in self.store._by_view
-        for entry in message.cp_set:
-            proposal = proposals.get(entry.digest)
-            if proposal is not None and prepared_is_settled and proposal.status >= _PREPARED:
-                continue
-            self._prepare_from_cp(entry, proposal)
+        if current in self._synced_views or current not in store._by_view:
+            for entry in message.cp_set:
+                proposal = proposals.get(entry.digest)
+                if proposal is None or proposal.status < _PREPARED:
+                    self._prepare_from_cp(entry, proposal)
+        else:
+            for entry in message.cp_set:
+                self._prepare_from_cp(entry, proposals.get(entry.digest))
 
         # RVS: f+1 Syncs with views >= w > current view -> skip ahead (Figure 4,
         # lines 12-15); nobody is ahead of us unless _max_view_seen says so.
         if self._max_view_seen > self.current_view:
             self._maybe_skip_views()
 
-        # State progress for the current view (Figure 4, lines 7-11).
+        # State progress for the current view (Figure 4, lines 7-11):
+        # _check_sync_quorum's tests, made before the call, so only the Sync
+        # that completes the quorum calls it.  The current view's tally is
+        # looked up again: the rules above may have moved the view, or a
+        # checkpoint they completed may have compacted the tally away.
         if self.state is _SYNCING:
-            self._check_sync_quorum()
+            current_tally = self._views.get(self.current_view)
+            if current_tally is not None and len(current_tally.senders) >= quorum:
+                self._check_sync_quorum()
 
     def _retransmit_own_sync(self, tally: _ViewTally, view: int, requester: int) -> None:
         """Resend our own Sync of ``view`` to a replica that asked via Υ.
@@ -832,9 +845,15 @@ class SpotLessInstance:
         below the floor can never influence a future quorum: the floor is
         quorum-attested executed, so any view change or certificate built
         from here on references views at or above it.
+
+        The views this replica proposed in go with them, up to the current
+        view: only the current and the next view are ever tested again.
         """
         for view in [view for view in self._views if view < floor_view]:
             del self._views[view]
+        own_floor = min(floor_view, self.current_view)
+        own = self._own_proposals
+        own.difference_update([view for view in own if view < own_floor])
 
     # ------------------------------------------------------------------
     # introspection helpers used by the node, tests and experiments

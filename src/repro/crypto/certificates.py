@@ -9,7 +9,8 @@ a proposal digest and (through :mod:`repro.net.sizes`) on the wire.
 
 from __future__ import annotations
 
-from typing import Tuple
+from dataclasses import field
+from typing import Optional, Tuple
 
 from repro.net.record import record
 
@@ -41,14 +42,27 @@ class Certificate:
 
     statement: Tuple
     signatures: Tuple[Signature, ...]
+    # Memo of the distinct-signer count: never passed in, printed, compared
+    # or hashed, as ``ProposeMessage.digest``'s.
+    _signer_count: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def signers(self) -> Tuple[str, ...]:
         """Identities of the signers, in certificate order."""
         return tuple(signature.signer for signature in self.signatures)
 
     def has_quorum(self, quorum: int) -> bool:
-        """True when the certificate carries at least ``quorum`` distinct signers."""
-        return len(set(self.signers())) >= quorum
+        """True when the certificate carries at least ``quorum`` distinct signers.
+
+        The count is memoized: one delivered certificate reaches every
+        replica of a simulated cluster, so its signers are counted once.  The
+        memo is not an ``__init__`` parameter, so ``dataclasses.replace``
+        builds a certificate without it.
+        """
+        count = self._signer_count
+        if count is None:
+            count = len(set(self.signers()))
+            object.__setattr__(self, "_signer_count", count)
+        return count >= quorum
 
     def canonical_fields(self) -> tuple:
         """Canonical encoding for hashing certificates into proposals."""

@@ -10,16 +10,19 @@ Two scheduling paths share one queue:
 * :meth:`Simulator.schedule` returns a cancellable :class:`Event` handle —
   the path used by timers and anything else that may be cancelled; its
   label is what ``repr(event)`` shows in a debugger.
-* :meth:`Simulator.schedule_call` pushes a bare ``(callback, args)`` pair —
-  the delivery path: fire-and-forget deliveries allocate no :class:`Event`.
-  :meth:`repro.sim.network.Network.broadcast` pushes the same entries onto
-  ``_queue`` itself (advancing ``_seq`` as this method does), one frame
-  fewer per receiver of a fan-out.
+* :meth:`Simulator.schedule_call` pushes a bare callback and its argument
+  tuple — the delivery path: fire-and-forget deliveries allocate no
+  :class:`Event`.  :meth:`repro.sim.network.Network.broadcast` and a
+  SpotLess replica's self-delivery push the same entries onto ``_queue``
+  themselves (advancing ``_seq`` as this method does), one frame fewer per
+  entry.
 
-The heap stores ``(time, priority, seq, item)`` tuples so ordering is
-resolved by native tuple comparison on the three leading numbers; ``item``
-(an :class:`Event` or a ``(callback, args)`` pair) is never compared because
-``seq`` is unique.
+The heap stores ``(time, priority, seq, callback, args)`` tuples so ordering
+is resolved by native tuple comparison on the three leading numbers;
+``callback`` and ``args`` are never compared because ``seq`` is unique.  An
+:class:`Event` entry holds the event in the ``callback`` slot and ``None``
+in the ``args`` slot, so the run loop tells the two paths apart by that one
+slot; any other entry fires ``callback(*args)``.
 
 A cancelled event stays in the heap until it reaches the head, unless
 cancelled entries come to outnumber live ones: then they are swept out in one
@@ -95,9 +98,10 @@ class Event:
                 owner._sweep_if_mostly_cancelled()
 
 
-#: A heap entry: ``(time, priority, seq, item)`` where ``item`` is either an
-#: :class:`Event` or a bare ``(callback, args)`` fast-path pair.
-_Entry = Tuple[float, int, int, Any]
+#: A heap entry: ``(time, priority, seq, callback, args)``.  A cancellable
+#: entry holds its :class:`Event` as ``callback`` and ``None`` as ``args``;
+#: every other entry fires ``callback(*args)``.
+_Entry = Tuple[float, int, int, Any, Optional[Tuple[Any, ...]]]
 
 #: Cancelled entries are swept out of the heap once there are more than this
 #: many of them *and* more of them than live entries (the majority rule of
@@ -161,11 +165,7 @@ class Simulator:
         queue = self._queue
         dead = self._dead
         if dead > _SWEEP_FLOOR and dead + dead > len(queue):
-            event_cls = Event
-            queue[:] = [
-                entry for entry in queue
-                if not (entry[3].__class__ is event_cls and entry[3].cancelled)
-            ]
+            queue[:] = [entry for entry in queue if not (entry[4] is None and entry[3].cancelled)]
             heapq.heapify(queue)
             self._dead = 0
 
@@ -184,7 +184,7 @@ class Simulator:
         self._seq = seq + 1
         time = self._now + delay
         event = Event(time, priority, seq, callback, label, self)
-        heapq.heappush(self._queue, (time, priority, seq, event))
+        heapq.heappush(self._queue, (time, priority, seq, event, None))
         return event
 
     def schedule_call(
@@ -204,7 +204,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, (callback, args)))
+        heapq.heappush(self._queue, (self._now + delay, priority, seq, callback, args))
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` is reached.
@@ -219,22 +219,19 @@ class Simulator:
         """
         queue = self._queue
         heappop = heapq.heappop
-        event_cls = Event
         max_events = self._max_events
         while queue:
             time = queue[0][0]
             if until is not None and time > until:
                 break
-            item = heappop(queue)[3]
-            if item.__class__ is event_cls:
-                if item.cancelled:
+            _, _, _, callback, args = heappop(queue)
+            if args is None:
+                if callback.cancelled:
                     self._dead -= 1
                     continue
-                item.executed = True
-                callback = item.callback
+                callback.executed = True
+                callback = callback.callback
                 args = ()
-            else:
-                callback, args = item
             if time < self._now:
                 raise SimulationError("event queue went backwards in time")
             self._now = time

@@ -93,12 +93,25 @@ DropRule = Callable[[int, int, object], bool]
 RewriteRule = Callable[[int, int, object], Optional[object]]
 
 
+class _Deliverers(dict):
+    """Receiver id -> the ``deliver(sender, payload)`` callable every
+    delivery to it is scheduled with, made on the first delivery to it."""
+
+    def __init__(self, network: "Network") -> None:
+        super().__init__()
+        self._network = network
+
+    def __missing__(self, receiver: int) -> Callable[[int, object], None]:
+        deliver = self[receiver] = self._network._deliverer(receiver)
+        return deliver
+
+
 class Network:
     """Message fabric between registered actors.
 
     Actors are registered under integer node identifiers.  ``send`` computes
     a delivery time from NIC serialisation plus link propagation and then
-    schedules the receiver's ``deliver`` callback on the shared simulator.
+    schedules the receiver's delivery callable on the shared simulator.
     """
 
     def __init__(
@@ -117,6 +130,9 @@ class Network:
         self._drop_rules: list[DropRule] = []
         self._rewrite_rules: list[RewriteRule] = []
         self._down_nodes: Set[int] = set()
+        # One delivery callable per receiver, so a heap entry needs no
+        # per-receiver argument tuple: an unfaulted fan-out shares one.
+        self._deliverers = _Deliverers(self)
         # Observability hook (repro.obs.Tracer): when attached, every
         # delivery carries a flow edge correlating send and deliver in the
         # exported timeline.  None keeps the fast paths untouched.
@@ -220,20 +236,22 @@ class Network:
 
         Each receiver costs the sender ``size_bytes`` of NIC time in
         iteration order, a down receiver included (it counts as dropped), and
-        each delivery is scheduled without a closure or an
-        :class:`~repro.sim.engine.Event`.  Deliveries, RNG draws, sequence
-        numbers and counters come out exactly as a loop of one-receiver sends
-        would produce them.
+        each delivery is scheduled without a per-message closure or an
+        :class:`~repro.sim.engine.Event`: its heap entry holds the receiver's
+        delivery callable and a ``(sender, payload)`` argument tuple.
+        Deliveries, RNG draws, sequence numbers and counters come out exactly
+        as a loop of one-receiver sends would produce them.
 
         With no drop rule, rewrite rule, tracer or topology installed nothing
         can run mid-fan-out, so the sender's liveness, its link and the
-        simulator's sequence counter are read once, and the NIC clock and the
-        counters are written back once, after the loop.  With any of them
-        installed a rule may observe or change that state between receivers
-        (crash the sender, schedule an event, read a counter), so every
-        receiver re-checks the sender, runs the rules and resolves its link,
-        and the NIC clock and counters are written as each receiver is
-        handled.
+        simulator's sequence counter are read once, every receiver's entry
+        shares one argument tuple, and the NIC clock and the counters are
+        written back once, after the loop.  With any of them installed a rule
+        may observe or change that state between receivers (crash the
+        sender, schedule an event, read a counter), so every receiver
+        re-checks the sender, runs the rules and resolves its link, the NIC
+        clock and counters are written as each receiver is handled, and each
+        entry carries its receiver's own (possibly rewritten) payload.
         """
         down = self._down_nodes
         if sender in down:
@@ -247,7 +265,7 @@ class Network:
         transmit_time = size_bytes / config.bandwidth_bytes_per_sec
         drop_rules = self._drop_rules
         rewrite_rules = self._rewrite_rules
-        deliver = self._deliver
+        deliverers = self._deliverers
         queue = simulator._queue
         tracer = self.tracer
         # Simulated time cannot advance while the fan-out loop runs, and each
@@ -262,6 +280,7 @@ class Network:
             delay = link.delay
             jitter = link.jitter
             seq = simulator._seq
+            args = (sender, payload)
             handled = dropped = 0
             for receiver in receivers:
                 handled += 1
@@ -278,10 +297,7 @@ class Network:
                 # Simulator.schedule_call inlined: the same (time, priority,
                 # seq) key, without a frame per receiver.  The delay is never
                 # negative (departure >= now, propagation >= 0).
-                heappush(
-                    queue,
-                    (now + ((departure - now) + propagation), 0, seq, (deliver, (sender, receiver, payload))),
-                )
+                heappush(queue, (now + ((departure - now) + propagation), 0, seq, deliverers[receiver], args))
                 seq += 1
             if handled:
                 simulator._seq = seq
@@ -339,26 +355,38 @@ class Network:
                 # because a drop or rewrite rule may schedule too.
                 seq = simulator._seq
                 simulator._seq = seq + 1
-                heappush(queue, (now + delivery_delay, 0, seq, (deliver, (sender, receiver, message))))
+                heappush(queue, (now + delivery_delay, 0, seq, deliverers[receiver], (sender, message)))
             sent += 1
         return sent
 
-    def _deliver(self, sender: int, receiver: int, payload: object) -> None:
-        if receiver in self._down_nodes:
-            self._c_dropped.value += 1
-            return
-        actor = self._actors.get(receiver)
-        if actor is None:
-            return
-        self._c_delivered.value += 1
-        actor.on_message(sender, payload)
+    def _deliverer(self, receiver: int) -> Callable[[int, object], None]:
+        """The callable a delivery to ``receiver`` fires: a message reaching
+        a down receiver is dropped, one to an unregistered id vanishes.  It
+        closes over the down set, the actor table and the counters, which
+        are only ever mutated in place."""
+        down = self._down_nodes
+        actors = self._actors
+        delivered = self._c_delivered
+        dropped = self._c_dropped
+
+        def deliver(sender: int, payload: object) -> None:
+            if receiver in down:
+                dropped.value += 1
+                return
+            actor = actors.get(receiver)
+            if actor is None:
+                return
+            delivered.value += 1
+            actor.on_message(sender, payload)
+
+        return deliver
 
     def _deliver_traced(self, flow_id: int, sender: int, receiver: int, payload: object) -> None:
         """Traced delivery: closes the flow edge, then delivers normally."""
         tracer = self.tracer
         if tracer is not None:
             tracer.flow_end(flow_id, receiver, payload.__class__.__name__)
-        self._deliver(sender, receiver, payload)
+        self._deliverers[receiver](sender, payload)
 
 
 __all__ = [

@@ -1,5 +1,7 @@
 """Unit and property-based tests for the crypto layer."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,3 +78,33 @@ def test_certificate_quorum_counts_distinct_signers():
     certificate = Certificate(statement=("x",), signatures=signatures)
     assert certificate.has_quorum(2)
     assert not certificate.has_quorum(3)
+
+
+def test_certificate_counts_its_signers_once_and_a_replace_recounts():
+    signatures = tuple(Signature(f"replica:{index}", b"") for index in range(3))
+    certificate = Certificate(statement=(1, b"d"), signatures=signatures)
+    assert certificate._signer_count is None
+    assert certificate.has_quorum(3)
+    assert certificate._signer_count == 3
+    # The memo answers every later query; it is what is read, not the tuple.
+    object.__setattr__(certificate, "_signer_count", 0)
+    assert not certificate.has_quorum(1)
+    object.__setattr__(certificate, "_signer_count", 3)
+    # Never compared, hashed or printed.
+    fresh = Certificate(statement=(1, b"d"), signatures=signatures)
+    assert certificate == fresh and hash(certificate) == hash(fresh)
+    assert "_signer_count" not in repr(certificate)
+    # dataclasses.replace builds a certificate without the memo.
+    fewer = dataclasses.replace(certificate, signatures=signatures[:2])
+    assert fewer._signer_count is None
+    assert not fewer.has_quorum(3)
+    assert fewer.has_quorum(2)
+
+
+def test_n_minus_f_signatures_from_f_plus_one_signers_are_no_quorum():
+    # n = 4, f = 1: three signatures, but only two distinct signers.
+    signatures = (Signature("replica:0", b""), Signature("replica:1", b""), Signature("replica:0", b""))
+    certificate = Certificate(statement=(1, b"d"), signatures=signatures)
+    assert not certificate.has_quorum(3)
+    assert not certificate.has_quorum(3)  # the memoized answer agrees
+    assert certificate.has_quorum(2)

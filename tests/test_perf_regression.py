@@ -156,11 +156,15 @@ def test_pinned_cell_replays_byte_identically():
 #: later); testing one-line guards before the call brought it to 9.44
 #: (9.31 measured later).  Keeping each instance's execution frontier as a
 #: number that only moves up, extended whenever it is below the view to
-#: execute instead of memoised, raised it to 9.55 (CPython 3.11).
-#: Re-deriving settled facts on every Sync again trips this long before a
-#: wall clock could tell.  A call count cannot see the cost of an attribute
-#: load, which is why ``test_no_enum_member_load_in_a_hot_function`` exists.
-CORE_CALLS_PER_EVENT_BUDGET = 10.4
+#: execute instead of memoised, raised it to 9.55 (CPython 3.11), and 9.70
+#: was measured later.  Testing Syncing -> Certifying before the call,
+#: committing on the committed tip without the walk and testing rule A3
+#: before A2's walk brought it to 7.78; the budget keeps about the old one's
+#: relative margin.  Re-deriving settled facts on every Sync again
+#: trips this long before a wall clock could tell.  A call count cannot see
+#: the cost of an attribute load, which is why
+#: ``test_no_enum_member_load_in_a_hot_function`` exists.
+CORE_CALLS_PER_EVENT_BUDGET = 8.3
 
 
 def _calls_while_running(cluster, horizon, counted, name_counted=lambda name: not name.startswith("<")):
@@ -395,8 +399,11 @@ def test_cancelled_timers_do_not_pile_up_in_the_event_heap():
 #: PBFT read 9.2 and HotStuff 14.9; now 4.7 and 7.9 (a block, its slot entry
 #: and record, the entry's tuple — and for HotStuff the chain node, its QC
 #: and the proof).  The budgets sit between, with room for interpreters that
-#: give every chain node a dict.
-TRACKED_OBJECTS_PER_BLOCK_BUDGET = {"pbft": (0.2, 6.5), "hotstuff": (0.4, 11.0)}
+#: give every chain node a dict.  SpotLess read 13.4 while each view's
+#: proposal digests were kept in a list; as a tuple of bytes, which the
+#: collector does not track, it reads 11.6, and its budget sits below the
+#: list's reading.
+TRACKED_OBJECTS_PER_BLOCK_BUDGET = {"pbft": (0.2, 6.5), "hotstuff": (0.4, 11.0), "spotless": (0.4, 12.5)}
 
 
 def test_tracked_objects_per_ledger_block_stay_within_budget():
@@ -415,6 +422,20 @@ def test_tracked_objects_per_ledger_block_stay_within_budget():
         (objects_before, blocks_before), (objects_after, blocks_after) = readings
         assert blocks_after - blocks_before > 500  # enough blocks to average over
         assert (objects_after - objects_before) / (blocks_after - blocks_before) < budget, protocol
+
+
+def test_no_instance_keeps_its_own_proposal_views_below_the_execution_floor():
+    """An instance records the views it proposed in only to test the entered
+    view and the next one; the checkpoint compaction that drops the view
+    tallies below the floor drops those views too."""
+    cluster = _cell("spotless")
+    cluster.run(duration=0.8)
+    for replica in cluster.replicas:
+        floor = replica._execution_floor_view
+        assert floor > 0  # checkpoints went stable, so compaction ran
+        for instance in replica.instances.values():
+            assert instance._own_proposals
+            assert min(instance._own_proposals) >= floor
 
 
 def test_proof_memo_keeps_one_proof_per_instance_and_still_hits_in_a_steady_view():

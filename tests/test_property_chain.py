@@ -247,3 +247,173 @@ def test_acceptance_rule_accepts_children_of_the_lock_chain(shape):
         parent_view=tip.view,
     )
     assert store.is_acceptable(message)
+
+
+# ---------------------------------------------------------------------------
+# the store's shortcuts decide what the full walks decide
+# ---------------------------------------------------------------------------
+
+
+def _walk_commit_chain(store: ProposalStore, proposal):
+    """``ProposalStore._commit_chain`` as the full walk, without the
+    committed-tip shortcut: the reference the shortcut must match."""
+    if proposal.status >= ProposalStatus.COMMITTED:
+        return []
+    chain = [proposal]
+    seen = {proposal.digest}
+    anchor = None
+    current = store.parent_of(proposal)
+    while current is not None and current.digest not in seen:
+        if current.status >= ProposalStatus.COMMITTED:
+            anchor = current
+            break
+        chain.append(current)
+        seen.add(current.digest)
+        current = store.parent_of(current)
+    if store.commit_rule != "two-view" and store._committed_order:
+        if anchor is None or anchor.digest != store._committed_order[-1]:
+            return []
+    newly = []
+    for node in reversed(chain):
+        if node.is_genesis:
+            continue
+        if node.status < ProposalStatus.COMMITTED:
+            if node.status < ProposalStatus.CONDITIONALLY_PREPARED:
+                store._note_prepared(node)
+            node.status = ProposalStatus.COMMITTED
+            store._committed_order.append(node.digest)
+            newly.append(node)
+    return newly
+
+
+#: One step of a store's history: an operation, which known proposal it
+#: applies to (0 = genesis), and a view gap for a new proposal.
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["propose", "propose", "reference", "self-parent", "prepare", "prepare", "commit"]),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=2),
+    ),
+    max_size=30,
+)
+
+
+def _replay(steps, commit_rule, walk):
+    """Apply ``steps`` to a fresh store; with ``walk`` every commit (the
+    cascade's own included) goes through :func:`_walk_commit_chain`.  Returns
+    what each step returned and what the store holds after each."""
+    store = ProposalStore(commit_rule=commit_rule)
+    if walk:
+        store._commit_chain = lambda proposal: _walk_commit_chain(store, proposal)
+    nodes = [store.genesis]
+    trace = []
+    for index, (operation, pick, gap) in enumerate(steps):
+        target = nodes[pick % len(nodes)]
+        returned = None
+        if operation == "propose":
+            message = ProposeMessage(
+                instance=0,
+                view=target.view + gap,
+                transaction_digests=(b"%d" % index,),
+                parent_digest=target.digest,
+                parent_view=target.view,
+            )
+            nodes.append(store.record_message(message))
+        elif operation == "reference":
+            nodes.append(store.record_reference(bytes([index]) * 32, target.view + gap))
+        elif operation == "self-parent":
+            # A digest that names itself as its parent; the walk must stop.
+            if target.parent_digest is None and not target.is_genesis:
+                target.parent_digest, target.parent_view = target.digest, target.view
+        elif operation == "prepare":
+            returned = store.mark_conditionally_prepared(target)
+        else:
+            returned = store._commit_chain(target)
+        trace.append(
+            (
+                None if returned is None else [proposal.digest for proposal in returned],
+                list(store._committed_order),
+                {proposal.digest: proposal.status for proposal in store.proposals()},
+                store.lock.digest,
+                [(view, [(e.view, e.digest) for e in bucket]) for view, bucket in sorted(store._prepared_by_view.items())],
+                store._max_prepared_view,
+            )
+        )
+    return trace
+
+
+# A chain 1 <- 2 <- 3 in consecutive views commits 1 through the cascade with
+# genesis as its parent, then 2 on the committed tip; 4 forks off 1 (a
+# committed parent that is not the tip) and is refused; 5 names itself.
+_COMMIT_PATHS = [
+    ("propose", 0, 1), ("propose", 1, 1), ("propose", 2, 1), ("prepare", 1, 0), ("prepare", 2, 0),
+    ("prepare", 3, 0), ("propose", 3, 1), ("prepare", 4, 0), ("propose", 1, 2), ("commit", 5, 0),
+    ("reference", 4, 1), ("self-parent", 6, 0), ("commit", 6, 0),
+]
+
+
+@given(_STEPS, st.sampled_from(["three-view", "two-view"]))
+@example(_COMMIT_PATHS, "three-view")
+@example(_COMMIT_PATHS, "two-view")
+@settings(max_examples=200, deadline=None)
+def test_committing_on_the_committed_tip_matches_the_full_walk(steps, commit_rule):
+    assert _replay(steps, commit_rule, walk=False) == _replay(steps, commit_rule, walk=True)
+
+
+@given(_STEPS)
+@example(_COMMIT_PATHS)
+@settings(max_examples=120, deadline=None)
+def test_acceptability_is_rule_a1_and_either_a2_or_a3(steps):
+    store = ProposalStore()
+    nodes = [store.genesis]
+    for index, (operation, pick, gap) in enumerate(steps):
+        target = nodes[pick % len(nodes)]
+        if operation in ("propose", "reference"):
+            message = ProposeMessage(
+                instance=0,
+                view=target.view + gap,
+                transaction_digests=(b"%d" % index,),
+                parent_digest=target.digest,
+                parent_view=target.view,
+            )
+            nodes.append(store.record_message(message))
+        elif operation != "self-parent":
+            store.mark_conditionally_prepared(target)
+        lock = store.lock
+        for parent in nodes:
+            child = ProposeMessage(
+                instance=0, view=parent.view + 1, transaction_digests=(), parent_digest=parent.digest, parent_view=parent.view
+            )
+            expected = parent.status >= ProposalStatus.CONDITIONALLY_PREPARED and (
+                store.extends(parent, lock) or parent.view > lock.view
+            )
+            assert store.is_acceptable(child) == expected
+
+
+@given(_STEPS)
+@settings(max_examples=80, deadline=None)
+def test_proposals_in_view_keep_their_recording_order(steps):
+    store = ProposalStore()
+    nodes = [store.genesis]
+    recorded: Dict[int, List[bytes]] = {store.genesis.view: [store.genesis.digest]}
+    for index, (operation, pick, gap) in enumerate(steps):
+        target = nodes[pick % len(nodes)]
+        if operation == "reference":
+            proposal = store.record_reference(bytes([index]) * 32, target.view + gap)
+        else:
+            message = ProposeMessage(
+                instance=0,
+                view=target.view + gap,
+                transaction_digests=(b"%d" % index,),
+                parent_digest=target.digest,
+                parent_view=target.view,
+            )
+            proposal = store.record_message(message)
+        nodes.append(proposal)
+        recorded.setdefault(proposal.view, []).append(proposal.digest)
+        if target.message is not None:
+            # Recording a known proposal again adds nothing.
+            store.record_message(target.message)
+    for view, digests in recorded.items():
+        assert [proposal.digest for proposal in store.proposals_in_view(view)] == digests
+    assert store.proposals_in_view(max(recorded) + 1) == ()

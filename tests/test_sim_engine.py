@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.actor import Timer
-from repro.sim.engine import _SWEEP_FLOOR, SimulationError, Simulator
+from repro.sim.engine import _SWEEP_FLOOR, Event, SimulationError, Simulator
 from repro.sim.network import Network, NetworkConfig
 
 
@@ -169,6 +169,27 @@ def test_cancelled_entries_are_swept_once_they_outnumber_the_live_ones():
     assert sim.processed_events == len(keep)
 
 
+def test_an_event_entry_holds_no_args_and_a_sweep_keeps_exactly_the_live_entries():
+    sim = Simulator()
+    fired = []
+    calls = [(1.0 + index, fired.append, (index,)) for index in range(5)]
+    for delay, callback, args in calls:
+        sim.schedule_call(delay, callback, args)
+    kept = [sim.schedule(3.0, lambda: None) for _ in range(5)]
+    doomed = [sim.schedule(2.0, lambda: None) for _ in range(_SWEEP_FLOOR + 1)]
+    # One entry shape: an Event sits in the callback slot over None args.
+    events = {id(entry[3]): entry for entry in sim._queue if entry[4] is None}
+    assert len(events) == len(kept) + len(doomed)
+    assert all(entry[3].__class__ is Event for entry in events.values())
+    live = sorted(
+        [entry for entry in sim._queue if entry[4] is not None] + [events[id(event)] for event in kept]
+    )
+    # The last cancel crosses the floor with a dead majority: one sweep.
+    sim.drain(doomed)
+    assert sorted(sim._queue) == live
+    assert [(time, callback, args) for time, _, _, callback, args in live if args is not None] == calls
+
+
 def test_a_majority_of_live_entries_keeps_the_heap_lazy():
     sim = Simulator()
     for _ in range(3 * _SWEEP_FLOOR):
@@ -185,7 +206,8 @@ class _ReferenceSimulator:
     ``(time, priority, seq)`` whenever one is wanted.  A cancelled entry is
     removed on the spot, so there is nothing to sweep and nothing to skip.
     ``_now``, ``_seq`` and ``_queue`` are what ``Network.broadcast`` reads and
-    writes; an entry it appends holds a ``(callback, args)`` pair."""
+    writes; an entry it appends is ``(time, priority, seq, callback, args)``,
+    the shape every entry here has."""
 
     class _Handle:
         def __init__(self, owner, entry):
@@ -215,13 +237,16 @@ class _ReferenceSimulator:
         return self._live
 
     def schedule(self, delay, callback, *, priority=0, label=""):
-        entry = (self.now + delay, priority, self._seq, callback)
+        return self._push(delay, callback, (), priority)
+
+    def schedule_call(self, delay, callback, args=(), *, priority=0):
+        self._push(delay, callback, args, priority)
+
+    def _push(self, delay, callback, args, priority):
+        entry = (self.now + delay, priority, self._seq, callback, args)
         self._seq += 1
         self._live.append(entry)
         return self._Handle(self, entry)
-
-    def schedule_call(self, delay, callback, args=(), *, priority=0):
-        self.schedule(delay, lambda: callback(*args), priority=priority)
 
     def drain(self, handles):
         for handle in handles:
@@ -236,11 +261,7 @@ class _ReferenceSimulator:
             self._live.remove(entry)
             self.now = entry[0]
             self.processed_events += 1
-            if callable(entry[3]):
-                entry[3]()
-            else:
-                callback, args = entry[3]
-                callback(*args)
+            entry[3](*entry[4])
         self.now = until
 
 

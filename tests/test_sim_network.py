@@ -298,10 +298,12 @@ def _fabric(jitter, down, busy_until):
 
 
 def _state(sim, network):
-    """What a fan-out may leave behind, with each heap entry's bound
-    delivery method replaced by its name (the two networks differ)."""
+    """What a fan-out may leave behind, with each heap entry's delivery
+    callable replaced by the receiver it is the network's deliverer of (the
+    two networks differ)."""
+    receiver_of = {deliver: receiver for receiver, deliver in network._deliverers.items()}
     entries = sorted(
-        (time, priority, seq, item[0].__name__, item[1]) for time, priority, seq, item in sim._queue
+        (time, priority, seq, receiver_of[callback], args) for time, priority, seq, callback, args in sim._queue
     )
     return (
         entries,
@@ -362,3 +364,21 @@ def test_send_is_a_one_receiver_fan_out(jitter, down, sends):
         delivered = sent_net.send(sender, receiver, "payload", size)
         assert delivered == (fanned_net.broadcast(sender, [receiver], "payload", size) == 1)
         assert _state(sent_sim, sent_net) == _state(fanned_sim, fanned_net)
+
+
+def test_an_unfaulted_fan_out_shares_one_args_tuple_and_binds_one_deliverer_per_receiver():
+    sim, network = _fabric(0.0, {5}, [0.0] * 7)
+    payload = ("payload", 1)
+    assert network.broadcast(2, [0, 1, 3, 4, 5, 6], payload, 100) == 5
+    entries = sorted(sim._queue)
+    assert len(entries) == 5
+    # One (sender, payload) tuple for the whole fan-out.
+    assert entries[0][4] == (2, payload)
+    assert all(entry[4] is entries[0][4] for entry in entries)
+    # Each receiver's entry fires that receiver's deliverer, the same one
+    # every later delivery to it uses.
+    assert [entry[3] for entry in entries] == [network._deliverers[receiver] for receiver in (0, 1, 3, 4, 6)]
+    network.broadcast(3, [0], payload, 100)
+    assert max(sim._queue, key=lambda entry: entry[2])[3] is network._deliverers[0]
+    sim.run()
+    assert [len(actor.received) for actor in network._actors.values()] == [2, 1, 0, 1, 1, 0, 1]
