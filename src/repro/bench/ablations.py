@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.chain import ProposalStatus, ProposalStore, proposal_digest
+from repro.core.chain import ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
 from repro.core.messages import ProposeMessage
 from repro.bench.cluster import SimulatedCluster
@@ -91,8 +91,8 @@ def example_3_6_conflict(commit_rule: str) -> CommitRuleOutcome:
     _scripted_branch(store_a, (1, 4, 5), tag="branch-a")
     _scripted_branch(store_b, (2, 6, 7), tag="branch-b")
 
-    commits_a = tuple(p.digest for p in store_a.committed_proposals())
-    commits_b = tuple(p.digest for p in store_b.committed_proposals())
+    commits_a = tuple(p.digest for p in store_a.committed)
+    commits_b = tuple(p.digest for p in store_b.committed)
     # The two branches only share the genesis proposal, so any pair of
     # non-genesis commits across the two replicas is a conflicting commit.
     conflicting = bool(commits_a) and bool(commits_b) and not set(commits_a) & set(commits_b)

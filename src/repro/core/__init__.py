@@ -22,14 +22,13 @@ from repro.core.messages import AskMessage, Claim, CpEntry, InformMessage, Propo
 from repro.core.chain import Proposal, ProposalStatus, ProposalStore, GENESIS_PROPOSAL_ID
 from repro.core.timeouts import AdaptiveTimeout
 from repro.core.instance import InstanceEnvironment, SpotLessInstance, ViewState
-from repro.core.node import CommitRecord, SpotLessReplica
+from repro.core.node import SpotLessReplica
 from repro.core.client import SpotLessClient
 
 __all__ = [
     "AdaptiveTimeout",
     "AskMessage",
     "Claim",
-    "CommitRecord",
     "CpEntry",
     "GENESIS_PROPOSAL_ID",
     "InformMessage",

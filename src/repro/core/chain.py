@@ -71,11 +71,6 @@ class Proposal:
         return self.message is not None or self.is_genesis
 
 
-def proposal_digest(message: ProposeMessage) -> bytes:
-    """Digest identifying a Propose message (the paper's ``digest(P)``)."""
-    return message.digest()
-
-
 class ProposalStore:
     """Tree of proposals with the status transitions of Definition 3.3.
 
@@ -107,7 +102,9 @@ class ProposalStore:
         self._by_view: Dict[int, Tuple[bytes, ...]] = {GENESIS_VIEW: (GENESIS_PROPOSAL_ID,)}
         # P_lock itself: a proposal object is never replaced once recorded.
         self._lock: Proposal = genesis
-        self._committed_order: List[bytes] = []
+        # Every committed proposal, in commit order (oldest first); only
+        # appended to.  Genesis is not in it.
+        self.committed: List[Proposal] = []
         # The CP entry of every non-genesis proposal that reached
         # CONDITIONALLY_PREPARED at or above the lock, keyed by view, each
         # bucket in digest order: the CP set query concatenates the buckets
@@ -356,12 +353,12 @@ class ProposalStore:
         """
         if proposal.status >= _COMMITTED:
             return []
-        committed_order = self._committed_order
-        if proposal.parent_digest == (committed_order[-1] if committed_order else GENESIS_PROPOSAL_ID):
+        committed = self.committed
+        if proposal.parent_digest == (committed[-1].digest if committed else GENESIS_PROPOSAL_ID):
             if proposal.status < _PREPARED:
                 self._note_prepared(proposal)
             proposal.status = _COMMITTED
-            committed_order.append(proposal.digest)
+            committed.append(proposal)
             return [proposal]
         # Walk only the uncommitted suffix: committing a proposal always
         # commits its entire ancestor chain, so everything below the first
@@ -380,8 +377,8 @@ class ProposalStore:
             chain.append(current)
             seen.add(current.digest)
             current = self.parent_of(current)
-        if self.commit_rule != "two-view" and self._committed_order:
-            if anchor is None or anchor.digest != self._committed_order[-1]:
+        if self.commit_rule != "two-view" and committed:
+            if anchor is not committed[-1]:
                 return []
         newly: List[Proposal] = []
         for node in reversed(chain):
@@ -391,7 +388,7 @@ class ProposalStore:
                 if node.status < _PREPARED:
                     self._note_prepared(node)
                 node.status = _COMMITTED
-                self._committed_order.append(node.digest)
+                committed.append(node)
                 newly.append(node)
         return newly
 
@@ -417,9 +414,18 @@ class ProposalStore:
             newly.extend(self._apply_prepare_consequences(proposal))
         return newly
 
-    def committed_proposals(self) -> List[Proposal]:
-        """All committed proposals in commit order."""
-        return [self._proposals[d] for d in self._committed_order]
+    def committed_in_view(self, view: int) -> Optional[Proposal]:
+        """The committed proposal of ``view``, or None.
+
+        The committed proposals form one chain (under the paper's rule), so a
+        view holds at most one of them.
+        """
+        proposals = self._proposals
+        for digest in self._by_view.get(view, ()):
+            proposal = proposals[digest]
+            if proposal.status >= _COMMITTED:
+                return proposal
+        return None
 
     # -- queries used by the instance --------------------------------------
 
@@ -463,5 +469,4 @@ __all__ = [
     "Proposal",
     "ProposalStatus",
     "ProposalStore",
-    "proposal_digest",
 ]

@@ -861,7 +861,7 @@ class SpotLessInstance:
 
     def committed_count(self) -> int:
         """Number of committed proposals in this instance."""
-        return len(self.store.committed_proposals())
+        return len(self.store.committed)
 
     def locked_view(self) -> int:
         """View of the current lock P_lock."""

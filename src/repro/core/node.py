@@ -14,20 +14,22 @@ clients and folds it into the checkpoint digest.  This module keeps only
 what is SpotLess-specific: the chained instances, the commit log, and one
 execution frontier per instance that decides when a view is complete.
 
-A frontier is the highest view up to which an instance's committed chain is
-contiguous, and it only moves up: each instance's proposal store commits
-one chain, oldest first, and refuses a commit that is not anchored at its
-committed tip, so no record ever lands inside a prefix already found
-contiguous.  A frontier therefore resumes from where it stopped instead of
-being re-derived from the execution floor, and the committed views above it
-wait in commit order, which is view order, for it to reach them.
+Commits live in each instance's proposal store alone: the store's
+``committed`` list holds the committed proposals in commit order, and the
+replica reads them live through one cursor per instance, so a payload or
+parent link that Ask-recovery attaches later is seen without a copy to
+refresh.  A frontier is the highest view up to which an instance's committed
+chain is contiguous, and it only moves up: the store commits one chain,
+oldest first, and refuses a commit that is not anchored at its committed
+tip, so no commit ever lands inside a prefix already found contiguous.  A
+frontier therefore resumes from where it stopped, and its cursor from the
+first commit it could not absorb, instead of being re-derived from the
+execution floor.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.chain import Proposal
 from repro.core.config import SpotLessConfig
@@ -35,7 +37,6 @@ from repro.core.instance import InstanceEnvironment, SpotLessInstance
 from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
 from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
-from repro.net.record import record
 from repro.net.sizes import MessageSizeModel
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
 from repro.runtime.mempool import AdmitResult
@@ -47,25 +48,6 @@ from repro.workload.requests import Transaction
 # Enum members bound once: a ``Class.MEMBER`` load in a function costs about
 # 100 ns on CPython 3.10/3.11, and no call count shows it.
 _NEW = AdmitResult.NEW
-
-
-@record(slots=True)
-class CommitRecord:
-    """A committed proposal placed into the global total order.
-
-    ``parent_view`` and ``has_payload`` support the execution frontier: a
-    replica only executes a view once its committed chain is known
-    contiguously up to that view and the proposal payloads are available
-    (Section 3.4 — replicas must recover full proposals via Ask before
-    executing them).
-    """
-
-    view: int
-    instance: int
-    proposal_digest: bytes
-    transaction_digests: Tuple[bytes, ...]
-    parent_view: Optional[int] = None
-    has_payload: bool = True
 
 
 #: Handler of each consensus message, by exact class (the types are final),
@@ -105,21 +87,20 @@ class SpotLessReplica(ReplicaRuntime):
     ) -> None:
         super().__init__(node_id, config, simulator, network, size_model)
 
-        # Commit tracking for the cross-instance total order.
-        self._committed_by_view: Dict[int, Dict[int, CommitRecord]] = {
-            i: {} for i in range(config.num_instances)
-        }
-        self.commit_log: List[CommitRecord] = []
+        # Every commit, in the order this replica learnt of it: the commits
+        # of its instances' stores, and the records a state transfer brought
+        # that no store here had committed.
+        self.commit_log: List[SlotRecord] = []
         # Views strictly below this floor are settled — either executed here
         # in contiguous order, or covered by a verified state transfer whose
         # records were ingested — so delivery below the floor needs no
-        # per-instance contiguity proof and records below it may be GC'd.
+        # per-instance contiguity proof.
         self._execution_floor_view = 0
-        # Execution frontier of each instance; only _extend_frontier moves it.
+        # Execution frontier of each instance, and the index of the first
+        # commit in its store's commit order the frontier has not passed;
+        # only _extend_frontier moves them.
         self._frontiers: List[int] = [-1] * config.num_instances
-        # Each instance's committed views not yet passed by its frontier, in
-        # commit order: _commit appends, _extend_frontier pops from the front.
-        self._above_frontier: List[Deque[int]] = [deque() for _ in range(config.num_instances)]
+        self._cursors: List[int] = [0] * config.num_instances
         # Wire size of each consensus message class (a certificate adds its
         # signatures to a Propose); the size model is fixed per deployment.
         control = self.size_model.control_bytes
@@ -229,15 +210,14 @@ class SpotLessReplica(ReplicaRuntime):
         transactions: Tuple[bytes, ...] = ()
         if proposal.message is not None:
             transactions = proposal.message.transaction_digests
-        record = CommitRecord(
-            view=proposal.view,
-            instance=instance_id,
-            proposal_digest=proposal.digest,
-            transaction_digests=transactions,
-            parent_view=proposal.parent_view,
-            has_payload=proposal.message is not None,
+        self.commit_log.append(
+            SlotRecord(
+                view=proposal.view,
+                instance=instance_id,
+                transaction_digests=transactions,
+                slot_digest=proposal.digest,
+            )
         )
-        self._commit(record)
         if self.tracer is not None:
             self.tracer.instant(
                 self.node_id,
@@ -249,73 +229,58 @@ class SpotLessReplica(ReplicaRuntime):
             )
         self._advance_execution()
 
-    def _commit(self, record: CommitRecord) -> None:
-        """Log a record its instance's store just committed, and queue its
-        view for the instance's execution frontier."""
-        self._committed_by_view[record.instance][record.view] = record
-        self.commit_log.append(record)
-        self._above_frontier[record.instance].append(record.view)
-
     def _extend_frontier(self, instance_id: int) -> int:
         """Move this instance's execution frontier up as far as it goes.
 
         The frontier is the highest view up to which the instance's committed
-        chain is contiguous.  Records above it are taken in ascending view
-        order; a record extends the prefix only when its parent is the
+        chain is contiguous.  Commits above it are taken in ascending view
+        order; a commit extends the prefix only when its parent is the
         genesis proposal or lies inside the prefix (below the execution
-        floor, or a committed record at a lower or equal view).  Views inside
-        the prefix that have no record provably carry no committed proposal
-        (the chain jumps over them), so execution may skip them; views
-        beyond it must wait until Ask-recovery fills the gap, otherwise a
-        recovering replica could execute a subsequence of the order its
+        floor, or a committed proposal at a lower or equal view).  Views
+        inside the prefix that hold no commit provably carry no committed
+        proposal (the chain jumps over them), so execution may skip them;
+        views beyond it must wait until Ask-recovery fills the gap, otherwise
+        a recovering replica could execute a subsequence of the order its
         peers executed.
 
         The walk resumes from the last frontier (or from just below the
         floor, when the floor has passed it) because a contiguous prefix
         stays contiguous: the store commits one chain, oldest first, and
-        refuses a commit not anchored at its committed tip, so a new record
-        always lands above every committed view; state transfer only adds
-        records below the new floor; and a higher floor only weakens the
-        conditions the prefix already met.  The argument needs the store's
-        anchor guard, which only the paper's three-view rule applies; every
-        instance's store runs that rule (the ``"two-view"`` rule of Example
-        3.6 exists only on stores the ablation builds directly).
+        refuses a commit not anchored at its committed tip, so a new commit
+        always lands above every committed view; and a higher floor only
+        weakens the conditions the prefix already met.  The argument needs
+        the store's anchor guard, which only the paper's three-view rule
+        applies; every instance's store runs that rule (the ``"two-view"``
+        rule of Example 3.6 exists only on stores the ablation builds
+        directly).
 
-        For the same reason the records above the frontier need no sort and
-        no search: they are the views :meth:`_commit` queued, in commit
-        order, which is ascending view order.  The walk is a cursor over
-        that queue.  It drops the views the frontier (or the floor) has
-        already passed, pops each view the prefix absorbs, and leaves the
-        first view it cannot absorb at the front for the next call.  A view
-        is read once when it joins the prefix, plus once per call that finds
-        it still blocked.
+        For the same reason the store's commit order is ascending view order,
+        and the walk is a cursor into it: it steps over the commits the
+        frontier (or the floor) has already passed and each commit the
+        prefix absorbs, and stops at the first commit it cannot absorb.  A
+        commit is read once when it joins the prefix, plus once per call
+        that finds it still blocked.  Its parent link is read live, so a
+        link Ask-recovery attached since the last call counts.
         """
         floor = self._execution_floor_view
         frontier = self._frontiers[instance_id]
         if frontier < floor - 1:
             frontier = floor - 1
-        queued = self._above_frontier[instance_id]
-        if queued:
-            records = self._committed_by_view[instance_id]
-            store = self.instances[instance_id].store
-            while queued:
-                view = queued[0]
-                if view > frontier:
-                    record = records[view]
-                    parent_view = record.parent_view
-                    if parent_view is None:
-                        # Committed by reference before the parent link was
-                        # known; Ask-recovery may have attached it to the
-                        # store since then.
-                        proposal = store.get(record.proposal_digest)
-                        if proposal is not None:
-                            parent_view = proposal.parent_view
-                    if parent_view is None or parent_view > frontier:
-                        break
-                    if parent_view >= floor and parent_view not in records:
-                        break
-                    frontier = view
-                queued.popleft()
+        store = self.instances[instance_id].store
+        committed = store.committed
+        cursor = self._cursors[instance_id]
+        while cursor < len(committed):
+            proposal = committed[cursor]
+            view = proposal.view
+            if view > frontier:
+                parent_view = proposal.parent_view
+                if parent_view is None or parent_view > frontier:
+                    break
+                if parent_view >= floor and store.committed_in_view(parent_view) is None:
+                    break
+                frontier = view
+            cursor += 1
+        self._cursors[instance_id] = cursor
         self._frontiers[instance_id] = frontier
         return frontier
 
@@ -338,7 +303,7 @@ class SpotLessReplica(ReplicaRuntime):
         checkpoint certificate already attests the exact content.
         """
         pipeline = self.pipeline
-        committed = self._committed_by_view
+        instances = self.instances
         frontiers = self._frontiers
         instance_ids = range(self.config.num_instances)
         while True:
@@ -356,23 +321,18 @@ class SpotLessReplica(ReplicaRuntime):
             else:
                 records: List[SlotRecord] = []
                 for instance_id in instance_ids:
-                    record = committed[instance_id].get(view)
-                    if record is None:
+                    proposal = instances[instance_id].store.committed_in_view(view)
+                    if proposal is None:
                         continue
-                    digests = record.transaction_digests
-                    if not record.has_payload:
-                        # Committed by reference; Ask-recovery may have
-                        # attached the payload to the instance store since.
-                        proposal = self.instances[instance_id].store.get(record.proposal_digest)
-                        if proposal is None or proposal.message is None:
-                            return
-                        digests = proposal.message.transaction_digests
+                    message = proposal.message
+                    if message is None:
+                        return  # committed by reference: waits for Ask-recovery
                     records.append(
                         SlotRecord(
                             view=view,
                             instance=instance_id,
-                            transaction_digests=digests,
-                            slot_digest=record.proposal_digest,
+                            transaction_digests=message.transaction_digests,
+                            slot_digest=proposal.digest,
                         )
                     )
                 pipeline.deliver_entry(SlotEntry(position=view, records=tuple(records)))
@@ -403,37 +363,31 @@ class SpotLessReplica(ReplicaRuntime):
     def _apply_state_entries(
         self, entries: Tuple[SlotEntry, ...], certificate: CheckpointCertificate
     ) -> None:
-        """Ingest verified transferred views into the commit log, then replay.
+        """Log the verified transferred views this replica lacks, then replay.
 
         Each entry is one view of the global order with the records the
-        cluster committed across instances.  Records this replica already
-        holds are upgraded in place (a commit known only by reference gains
-        its certified digests); missing ones are created.  The certificate's
-        position then becomes the execution floor, the runtime replays the
-        entries through the pipeline, and delivery resumes above the floor.
+        cluster committed across instances.  A record joins the commit log
+        when its view is not yet decided here and its instance's store has
+        not committed that view.  The certificate's position then becomes the
+        execution floor, the runtime replays the entries through the
+        pipeline, and delivery resumes above the floor.
         """
+        pipeline = self.pipeline
         for entry in entries:
+            if pipeline.is_decided(entry.position):
+                continue
             for record in entry.records:
-                by_view = self._committed_by_view.get(record.instance)
-                if by_view is None:
+                instance = self.instances.get(record.instance)
+                if instance is None:
                     continue  # instance id outside this deployment
-                existing = by_view.get(entry.position)
-                if existing is None:
-                    commit = CommitRecord(
-                        view=entry.position,
-                        instance=record.instance,
-                        proposal_digest=record.slot_digest,
-                        transaction_digests=record.transaction_digests,
-                        parent_view=None,
-                        has_payload=True,
-                    )
-                    by_view[entry.position] = commit
-                    self.commit_log.append(commit)
-                elif not existing.has_payload:
-                    by_view[entry.position] = replace(
-                        existing,
-                        transaction_digests=record.transaction_digests,
-                        has_payload=True,
+                if instance.store.committed_in_view(entry.position) is None:
+                    self.commit_log.append(
+                        SlotRecord(
+                            view=entry.position,
+                            instance=record.instance,
+                            transaction_digests=record.transaction_digests,
+                            slot_digest=record.slot_digest,
+                        )
                     )
         self._execution_floor_view = max(self._execution_floor_view, certificate.position)
         super()._apply_state_entries(entries, certificate)
@@ -446,9 +400,6 @@ class SpotLessReplica(ReplicaRuntime):
             self._execution_floor_view, min(certificate.position, executed)
         )
         gc_floor = min(self._execution_floor_view, executed)
-        for records in self._committed_by_view.values():
-            for view in [v for v in records if v < gc_floor]:
-                del records[view]
         for instance in self.instances.values():
             instance.compact_below_view(gc_floor)
 
@@ -497,8 +448,8 @@ class SpotLessReplica(ReplicaRuntime):
         """
         mapping: Dict[Tuple[int, int], bytes] = {}
         for record in self.commit_log:
-            mapping[(record.view, record.instance)] = record.proposal_digest
+            mapping[(record.view, record.instance)] = record.slot_digest
         return mapping
 
 
-__all__ = ["CommitRecord", "SpotLessReplica"]
+__all__ = ["SpotLessReplica"]

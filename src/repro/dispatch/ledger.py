@@ -123,7 +123,6 @@ class CampaignLedger:
         self.heartbeat_interval = heartbeat_interval
         self.meta = dict(meta or {})
         self._last_heartbeat = 0.0
-        self._began = False
 
     # ------------------------------------------------------------------
 
@@ -138,7 +137,6 @@ class CampaignLedger:
         # Truncate: one ledger file == one campaign.  Append-only refers to
         # the event stream within a campaign, not across re-runs of a path.
         self.path.write_text("", encoding="utf-8")
-        self._began = True
         self._last_heartbeat = time.time()
         self._append(
             {

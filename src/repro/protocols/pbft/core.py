@@ -133,7 +133,6 @@ class PbftInstanceCore:
         self.view_changes = 0
         self.decided_batches = 0
         self.preprepares_sent = 0
-        self.views_adopted = 0
         # Liveness-machinery trace counters: deadline re-arms granted to a
         # frontier that kept advancing (partial progress that would have
         # silently suppressed a view change under cancel-on-any-PrePrepare),
@@ -258,7 +257,6 @@ class PbftInstanceCore:
         if target <= self.view:
             return
         self.view = target
-        self.views_adopted += 1
         self._cancel_progress_timer()
         self._view_change_timer.cancel()
         if self.tracer is not None:

@@ -81,7 +81,6 @@ class StateTransferEngine:
             candidates=lambda _floor: manager.stable.signers,
         )
 
-        self.responses_applied = 0
         self.responses_rejected = 0
         self.transfers_completed = 0
 
@@ -130,7 +129,6 @@ class StateTransferEngine:
         self.manager.adopt_certificate(certificate)
         if self.manager.frontier >= certificate.position:
             self.transfers_completed += 1
-        self.responses_applied += 1
         if self.manager.frontier < self.manager.stable_position():
             # Partial transfer: an honest responder whose own stable floor
             # lags the certificate we adopted can only serve part of the gap.

@@ -50,7 +50,6 @@ class Mempool:
     def __init__(self, num_shards: int = 1) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be positive")
-        self.num_shards = num_shards
         self._payloads: Dict[bytes, Transaction] = {}
         self._queues: Dict[int, Deque[bytes]] = {shard: deque() for shard in range(num_shards)}
         self._queued: Set[bytes] = set()

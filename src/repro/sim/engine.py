@@ -1,9 +1,9 @@
 """Core discrete-event engine.
 
 The engine is a priority queue of heap entries ordered by
-``(time, priority, sequence)``.  The sequence number makes the ordering of
-simultaneous events deterministic, which in turn makes every simulation run
-reproducible for a fixed seed.
+``(time, sequence)``.  The sequence number makes the ordering of
+simultaneous events deterministic (insertion order), which in turn makes
+every simulation run reproducible for a fixed seed.
 
 Two scheduling paths share one queue:
 
@@ -12,13 +12,12 @@ Two scheduling paths share one queue:
   label is what ``repr(event)`` shows in a debugger.
 * :meth:`Simulator.schedule_call` pushes a bare callback and its argument
   tuple — the delivery path: fire-and-forget deliveries allocate no
-  :class:`Event`.  :meth:`repro.sim.network.Network.broadcast` and a
-  SpotLess replica's self-delivery push the same entries onto ``_queue``
-  themselves (advancing ``_seq`` as this method does), one frame fewer per
-  entry.
+  :class:`Event`.  :meth:`repro.sim.network.Network.broadcast` pushes the
+  same entries onto ``_queue`` itself (advancing ``_seq`` as this method
+  does), one frame fewer per receiver.
 
-The heap stores ``(time, priority, seq, callback, args)`` tuples so ordering
-is resolved by native tuple comparison on the three leading numbers;
+The heap stores ``(time, seq, callback, args)`` tuples so ordering is
+resolved by native tuple comparison on the two leading numbers;
 ``callback`` and ``args`` are never compared because ``seq`` is unique.  An
 :class:`Event` entry holds the event in the ``callback`` slot and ``None``
 in the ``args`` slot, so the run loop tells the two paths apart by that one
@@ -28,7 +27,7 @@ A cancelled event stays in the heap until it reaches the head, unless
 cancelled entries come to outnumber live ones: then they are swept out in one
 pass (see :data:`_SWEEP_FLOOR`), so a timer re-armed on every message does
 not keep thousands of dead entries, each holding its callback, queued behind
-a deadline seconds away.  ``(time, priority, seq)`` is a total order, so the
+a deadline seconds away.  ``(time, seq)`` is a total order, so the
 pop order depends on the live entries alone and a sweep never changes a
 schedule.  The simulator counts the dead entries still in the heap, not the
 live ones: a cancel raises the count, popping or sweeping a dead entry
@@ -48,26 +47,19 @@ class SimulationError(RuntimeError):
 class Event:
     """A single scheduled callback with a cancellable handle.
 
-    Events fire in ``(time, priority, seq)`` order so that ties at the same
-    simulated instant are broken first by explicit priority and then by
-    insertion order.  Ordering lives in the heap entry tuple, not on the
-    event itself.
+    Events fire in ``(time, seq)`` order, so ties at the same simulated
+    instant fire in insertion order.  Ordering lives in the heap entry tuple,
+    not on the event itself.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "label", "cancelled", "executed", "owner")
+    __slots__ = ("callback", "label", "cancelled", "executed", "owner")
 
     def __init__(
         self,
-        time: float,
-        priority: int,
-        seq: int,
         callback: Callable[[], None],
         label: str = "",
         owner: Optional["Simulator"] = None,
     ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
         self.label = label
         self.cancelled = False
@@ -75,10 +67,7 @@ class Event:
         self.owner = owner
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Event(time={self.time!r}, priority={self.priority!r}, seq={self.seq!r}, "
-            f"label={self.label!r}, cancelled={self.cancelled!r}, executed={self.executed!r})"
-        )
+        return f"Event(label={self.label!r}, cancelled={self.cancelled!r}, executed={self.executed!r})"
 
     def cancel(self) -> None:
         """Mark the event so the engine skips it when it is popped.
@@ -98,10 +87,10 @@ class Event:
                 owner._sweep_if_mostly_cancelled()
 
 
-#: A heap entry: ``(time, priority, seq, callback, args)``.  A cancellable
-#: entry holds its :class:`Event` as ``callback`` and ``None`` as ``args``;
-#: every other entry fires ``callback(*args)``.
-_Entry = Tuple[float, int, int, Any, Optional[Tuple[Any, ...]]]
+#: A heap entry: ``(time, seq, callback, args)``.  A cancellable entry holds
+#: its :class:`Event` as ``callback`` and ``None`` as ``args``; every other
+#: entry fires ``callback(*args)``.
+_Entry = Tuple[float, int, Any, Optional[Tuple[Any, ...]]]
 
 #: Cancelled entries are swept out of the heap once there are more than this
 #: many of them *and* more of them than live entries (the majority rule of
@@ -165,7 +154,7 @@ class Simulator:
         queue = self._queue
         dead = self._dead
         if dead > _SWEEP_FLOOR and dead + dead > len(queue):
-            queue[:] = [entry for entry in queue if not (entry[4] is None and entry[3].cancelled)]
+            queue[:] = [entry for entry in queue if not (entry[3] is None and entry[2].cancelled)]
             heapq.heapify(queue)
             self._dead = 0
 
@@ -174,7 +163,6 @@ class Simulator:
         delay: float,
         callback: Callable[[], None],
         *,
-        priority: int = 0,
         label: str = "",
     ) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -182,9 +170,8 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        time = self._now + delay
-        event = Event(time, priority, seq, callback, label, self)
-        heapq.heappush(self._queue, (time, priority, seq, event, None))
+        event = Event(callback, label, self)
+        heapq.heappush(self._queue, (self._now + delay, seq, event, None))
         return event
 
     def schedule_call(
@@ -192,8 +179,6 @@ class Simulator:
         delay: float,
         callback: Callable[..., None],
         args: Tuple[Any, ...] = (),
-        *,
-        priority: int = 0,
     ) -> None:
         """Schedule ``callback(*args)`` with no Event allocation.
 
@@ -204,7 +189,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = self._seq
         self._seq = seq + 1
-        heapq.heappush(self._queue, (self._now + delay, priority, seq, callback, args))
+        heapq.heappush(self._queue, (self._now + delay, seq, callback, args))
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` is reached.
@@ -224,7 +209,7 @@ class Simulator:
             time = queue[0][0]
             if until is not None and time > until:
                 break
-            _, _, _, callback, args = heappop(queue)
+            _, _, callback, args = heappop(queue)
             if args is None:
                 if callback.cancelled:
                     self._dead -= 1

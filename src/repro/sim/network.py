@@ -294,10 +294,10 @@ class Network:
                         propagation = 0.0
                 else:
                     propagation = delay
-                # Simulator.schedule_call inlined: the same (time, priority,
-                # seq) key, without a frame per receiver.  The delay is never
-                # negative (departure >= now, propagation >= 0).
-                heappush(queue, (now + ((departure - now) + propagation), 0, seq, deliverers[receiver], args))
+                # Simulator.schedule_call inlined: the same (time, seq) key,
+                # without a frame per receiver.  The delay is never negative
+                # (departure >= now, propagation >= 0).
+                heappush(queue, (now + ((departure - now) + propagation), seq, deliverers[receiver], args))
                 seq += 1
             if handled:
                 simulator._seq = seq
@@ -355,7 +355,7 @@ class Network:
                 # because a drop or rewrite rule may schedule too.
                 seq = simulator._seq
                 simulator._seq = seq + 1
-                heappush(queue, (now + delivery_delay, 0, seq, deliverers[receiver], (sender, message)))
+                heappush(queue, (now + delivery_delay, seq, deliverers[receiver], (sender, message)))
             sent += 1
         return sent
 

@@ -59,7 +59,6 @@ class YcsbWorkload:
         # hot ranks land on unrelated records, as YCSB's scrambled zipfian does.
         self._stride = max(1, self.config.record_count // hot)
         self._sequences = itertools.count()
-        self.generated = 0
 
     def _sample_key(self) -> int:
         rng, stride = self.rng, self._stride
@@ -79,7 +78,6 @@ class YcsbWorkload:
                 operations.append(Operation.write(key, self._sample_value()))
             else:
                 operations.append(Operation.read(key))
-        self.generated += 1
         return Transaction(
             client_id=client_id,
             sequence=next(self._sequences),

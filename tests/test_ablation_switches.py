@@ -8,7 +8,7 @@ Rapid View Synchronization from looping.
 
 import pytest
 
-from repro.core.chain import ProposalStatus, ProposalStore, proposal_digest
+from repro.core.chain import ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
 from repro.core.messages import Claim, ProposeMessage, SyncMessage
 from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
@@ -84,7 +84,7 @@ def test_three_view_rule_needs_three_consecutive_views():
     store = ProposalStore(commit_rule="three-view")
     first, second = _chain_on(store, (1, 2))
     assert first.status == ProposalStatus.CONDITIONALLY_COMMITTED
-    assert not store.committed_proposals()
+    assert not store.committed
     (third,) = _chain_on_extend(store, second, 3)
     assert first.status == ProposalStatus.COMMITTED
 
@@ -106,7 +106,7 @@ def test_two_view_rule_skips_commit_when_views_not_consecutive():
     store = ProposalStore(commit_rule="two-view")
     first, second = _chain_on(store, (1, 4))
     assert first.status == ProposalStatus.CONDITIONALLY_COMMITTED
-    assert not store.committed_proposals()
+    assert not store.committed
 
 
 def test_two_view_commits_are_a_superset_of_three_view_commits():
@@ -116,8 +116,8 @@ def test_two_view_commits_are_a_superset_of_three_view_commits():
     two = ProposalStore(commit_rule="two-view")
     _chain_on(three, views)
     _chain_on(two, views)
-    committed_three = {p.view for p in three.committed_proposals()}
-    committed_two = {p.view for p in two.committed_proposals()}
+    committed_three = {p.view for p in three.committed}
+    committed_two = {p.view for p in two.committed}
     assert committed_three <= committed_two
 
 

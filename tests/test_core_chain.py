@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chain import GENESIS_PROPOSAL_ID, ProposalStatus, ProposalStore, proposal_digest
+from repro.core.chain import GENESIS_PROPOSAL_ID, ProposalStatus, ProposalStore
 from repro.core.messages import ProposeMessage
 
 
@@ -46,7 +46,7 @@ def test_record_message_is_idempotent():
     first = store.record_message(message)
     second = store.record_message(message)
     assert first is second
-    assert proposal_digest(message) == first.digest
+    assert message.digest() == first.digest
 
 
 def test_precedes_and_depth_follow_the_chain():
@@ -82,7 +82,7 @@ def test_three_consecutive_views_commit_the_grandparent():
     proposals, committed = extend_chain(store, [0, 1, 2])
     assert proposals[0].status == ProposalStatus.COMMITTED
     assert [p.view for p in committed] == [0]
-    assert store.committed_proposals() == [proposals[0]]
+    assert store.committed == [proposals[0]]
 
 
 def test_non_consecutive_views_do_not_commit():
@@ -158,7 +158,7 @@ def test_record_reference_and_missing_payload_tracking():
 def test_reference_payload_attached_later():
     store = ProposalStore()
     message = propose(0, GENESIS_PROPOSAL_ID, -1)
-    digest = proposal_digest(message)
+    digest = message.digest()
     reference = store.record_reference(digest, view=0)
     assert not reference.has_payload()
     recorded = store.record_message(message)
@@ -197,7 +197,7 @@ def test_chain_commit_invariants_hold_for_arbitrary_view_gaps(view_steps):
         views.append(current)
     proposals, _ = extend_chain(store, views)
 
-    committed_views = [p.view for p in store.committed_proposals()]
+    committed_views = [p.view for p in store.committed]
     assert committed_views == sorted(committed_views)
     # Every committed proposal (except via cascade) is justified by two
     # consecutive successors somewhere up the chain.

@@ -23,12 +23,14 @@ CELL = {
     "json": "0123456789abcdef",
 }
 
+EXAMPLE = {"protocol": "example", "exit": 0, "stdout": "0123456789abcdef"}
+
 
 def _compare(tmp_path, first, second):
     paths = []
     for name, cells in (("a.json", first), ("b.json", second)):
         path = tmp_path / name
-        path.write_text(json.dumps({"format": 1, "cells": cells}))
+        path.write_text(json.dumps({"format": 4, "cells": cells}))
         paths.append(str(path))
     return subprocess.run(
         [sys.executable, str(TOOL), "compare", *paths], capture_output=True, text=True, check=False
@@ -48,3 +50,16 @@ def test_compare_exits_one_and_names_the_field_on_any_difference(tmp_path):
     assert "[rcc] 1 differing cell(s)" in done.stdout
     assert "events 10 -> 11" in done.stdout and "counters" in done.stdout
     assert _compare(tmp_path, {"cell": CELL}, {}).returncode == 1
+
+
+def test_compare_names_a_differing_example_by_its_script(tmp_path):
+    cells = {"cell": CELL, "example:quickstart.py": EXAMPLE}
+    same = _compare(tmp_path, cells, {"cell": dict(CELL), "example:quickstart.py": dict(EXAMPLE)})
+    assert same.returncode == 0 and "2 cells, 0 differ" in same.stdout
+    moved = dict(EXAMPLE, stdout="fedcba9876543210")
+    done = _compare(tmp_path, cells, {"cell": CELL, "example:quickstart.py": moved})
+    assert done.returncode == 1
+    assert "[example] 1 differing cell(s)" in done.stdout
+    assert "example:quickstart.py: stdout" in done.stdout
+    failed = _compare(tmp_path, cells, {"cell": CELL, "example:quickstart.py": dict(EXAMPLE, exit=1)})
+    assert "example:quickstart.py: exit 0 -> 1" in failed.stdout

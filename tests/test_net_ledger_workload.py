@@ -158,7 +158,6 @@ def test_transaction_digest_matches_the_canonical_encoding(client_id, sequence, 
 
 def _position_records():
     """One instance of each record a run keeps per executed position."""
-    from repro.core.node import CommitRecord
     from repro.recovery.messages import SlotEntry, SlotRecord
 
     operation = Operation.write(5, b"v" * 48)
@@ -173,7 +172,6 @@ def _position_records():
         block,
         record,
         SlotEntry(position=7, records=(record,)),
-        CommitRecord(view=3, instance=1, proposal_digest=b"p", transaction_digests=block.transactions),
     ]
 
 
@@ -181,7 +179,7 @@ def test_position_records_carry_no_instance_dict_even_with_the_memo_filled():
     from dataclasses import replace
 
     records = _position_records()
-    assert len({type(record) for record in records}) == 7
+    assert len({type(record) for record in records}) == 6
     for record in records:
         for memoised in ("digest", "encoded"):
             if hasattr(record, memoised):

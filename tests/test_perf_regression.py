@@ -98,7 +98,7 @@ def test_cancelled_head_does_not_leak_into_window_accounting():
 
 def test_shared_sequence_keeps_mixed_scheduling_deterministic():
     # schedule() and schedule_call() share one sequence counter, so ties at
-    # the same (time, priority) fire in insertion order across both paths.
+    # the same time fire in insertion order across both paths.
     sim = Simulator()
     order = []
     sim.schedule(1.0, lambda: order.append("event-a"))

@@ -89,7 +89,7 @@ def test_three_view_commits_have_two_consecutive_descendants(shape):
     for node in nodes:
         if node.parent_digest is not None:
             children.setdefault(node.parent_digest, []).append(node)
-    for committed in store.committed_proposals():
+    for committed in store.committed:
         descendants_ok = False
         for child in children.get(committed.digest, []):
             if child.view != committed.view + 1:
@@ -105,7 +105,7 @@ def test_three_view_commits_have_two_consecutive_descendants(shape):
                 store.extends(other, committed)
                 and other.digest != committed.digest
                 and other.status >= ProposalStatus.COMMITTED
-                for other in store.committed_proposals()
+                for other in store.committed
             )
         assert descendants_ok
 
@@ -115,7 +115,7 @@ def test_three_view_commits_have_two_consecutive_descendants(shape):
 def test_committed_proposals_never_conflict_within_one_store(shape):
     store = ProposalStore()
     _build_tree(store, shape)
-    committed = store.committed_proposals()
+    committed = store.committed
     for first in committed:
         for second in committed:
             assert not store.conflicts(first, second)
@@ -127,8 +127,8 @@ def test_commit_order_respects_the_chain_order(shape):
     """A proposal is always committed after every ancestor it extends."""
     store = ProposalStore()
     _build_tree(store, shape)
-    order = {proposal.digest: index for index, proposal in enumerate(store.committed_proposals())}
-    for proposal in store.committed_proposals():
+    order = {proposal.digest: index for index, proposal in enumerate(store.committed)}
+    for proposal in store.committed:
         for ancestor in store.precedes_chain(proposal):
             if ancestor.is_genesis:
                 continue
@@ -227,8 +227,8 @@ def test_two_view_rule_commits_at_least_as_much_as_three_view(shape):
     two = ProposalStore(commit_rule="two-view")
     _build_tree(three, shape)
     _build_tree(two, shape)
-    committed_three = {proposal.digest for proposal in three.committed_proposals()}
-    committed_two = {proposal.digest for proposal in two.committed_proposals()}
+    committed_three = {proposal.digest for proposal in three.committed}
+    committed_two = {proposal.digest for proposal in two.committed}
     assert committed_three <= committed_two
 
 
@@ -270,8 +270,8 @@ def _walk_commit_chain(store: ProposalStore, proposal):
         chain.append(current)
         seen.add(current.digest)
         current = store.parent_of(current)
-    if store.commit_rule != "two-view" and store._committed_order:
-        if anchor is None or anchor.digest != store._committed_order[-1]:
+    if store.commit_rule != "two-view" and store.committed:
+        if anchor is None or anchor.digest != store.committed[-1].digest:
             return []
     newly = []
     for node in reversed(chain):
@@ -281,7 +281,7 @@ def _walk_commit_chain(store: ProposalStore, proposal):
             if node.status < ProposalStatus.CONDITIONALLY_PREPARED:
                 store._note_prepared(node)
             node.status = ProposalStatus.COMMITTED
-            store._committed_order.append(node.digest)
+            store.committed.append(node)
             newly.append(node)
     return newly
 
@@ -332,7 +332,7 @@ def _replay(steps, commit_rule, walk):
         trace.append(
             (
                 None if returned is None else [proposal.digest for proposal in returned],
-                list(store._committed_order),
+                [proposal.digest for proposal in store.committed],
                 {proposal.digest: proposal.status for proposal in store.proposals()},
                 store.lock.digest,
                 [(view, [(e.view, e.digest) for e in bucket]) for view, bucket in sorted(store._prepared_by_view.items())],

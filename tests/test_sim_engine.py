@@ -19,12 +19,12 @@ def test_events_run_in_time_order():
     assert order == ["a", "b", "c"]
 
 
-def test_simultaneous_events_break_ties_by_priority_then_insertion():
+def test_simultaneous_events_break_ties_by_insertion():
     sim = Simulator()
     order = []
-    sim.schedule(1.0, lambda: order.append("second"), priority=1)
-    sim.schedule(1.0, lambda: order.append("first"), priority=0)
-    sim.schedule(1.0, lambda: order.append("third"), priority=1)
+    sim.schedule(1.0, lambda: order.append("first"))
+    sim.schedule(1.0, lambda: order.append("second"))
+    sim.schedule(1.0, lambda: order.append("third"))
     sim.run()
     assert order == ["first", "second", "third"]
 
@@ -178,16 +178,16 @@ def test_an_event_entry_holds_no_args_and_a_sweep_keeps_exactly_the_live_entries
     kept = [sim.schedule(3.0, lambda: None) for _ in range(5)]
     doomed = [sim.schedule(2.0, lambda: None) for _ in range(_SWEEP_FLOOR + 1)]
     # One entry shape: an Event sits in the callback slot over None args.
-    events = {id(entry[3]): entry for entry in sim._queue if entry[4] is None}
+    events = {id(entry[2]): entry for entry in sim._queue if entry[3] is None}
     assert len(events) == len(kept) + len(doomed)
-    assert all(entry[3].__class__ is Event for entry in events.values())
+    assert all(entry[2].__class__ is Event for entry in events.values())
     live = sorted(
-        [entry for entry in sim._queue if entry[4] is not None] + [events[id(event)] for event in kept]
+        [entry for entry in sim._queue if entry[3] is not None] + [events[id(event)] for event in kept]
     )
     # The last cancel crosses the floor with a dead majority: one sweep.
     sim.drain(doomed)
     assert sorted(sim._queue) == live
-    assert [(time, callback, args) for time, _, _, callback, args in live if args is not None] == calls
+    assert [(time, callback, args) for time, _, callback, args in live if args is not None] == calls
 
 
 def test_a_majority_of_live_entries_keeps_the_heap_lazy():
@@ -203,11 +203,11 @@ def test_a_majority_of_live_entries_keeps_the_heap_lazy():
 
 class _ReferenceSimulator:
     """The engine's contract without a heap: the live entries, sorted by
-    ``(time, priority, seq)`` whenever one is wanted.  A cancelled entry is
+    ``(time, seq)`` whenever one is wanted.  A cancelled entry is
     removed on the spot, so there is nothing to sweep and nothing to skip.
     ``_now``, ``_seq`` and ``_queue`` are what ``Network.broadcast`` reads and
-    writes; an entry it appends is ``(time, priority, seq, callback, args)``,
-    the shape every entry here has."""
+    writes; an entry it appends is ``(time, seq, callback, args)``, the shape
+    every entry here has."""
 
     class _Handle:
         def __init__(self, owner, entry):
@@ -236,14 +236,14 @@ class _ReferenceSimulator:
     def _queue(self):
         return self._live
 
-    def schedule(self, delay, callback, *, priority=0, label=""):
-        return self._push(delay, callback, (), priority)
+    def schedule(self, delay, callback, *, label=""):
+        return self._push(delay, callback, ())
 
-    def schedule_call(self, delay, callback, args=(), *, priority=0):
-        self._push(delay, callback, args, priority)
+    def schedule_call(self, delay, callback, args=()):
+        self._push(delay, callback, args)
 
-    def _push(self, delay, callback, args, priority):
-        entry = (self.now + delay, priority, self._seq, callback, args)
+    def _push(self, delay, callback, args):
+        entry = (self.now + delay, self._seq, callback, args)
         self._seq += 1
         self._live.append(entry)
         return self._Handle(self, entry)
@@ -255,13 +255,13 @@ class _ReferenceSimulator:
     def run_for(self, duration):
         until = self.now + duration
         while self._live:
-            entry = min(self._live, key=lambda e: e[:3])
+            entry = min(self._live, key=lambda e: e[:2])
             if entry[0] > until:
                 break
             self._live.remove(entry)
             self.now = entry[0]
             self.processed_events += 1
-            entry[3](*entry[4])
+            entry[2](*entry[3])
         self.now = until
 
 
@@ -298,13 +298,13 @@ def _drive(sim, operations):
         for step in range(_BURST):
             timers[tag % 3].start(1.0 + step * 1e-3)
 
-    for number, (kind, index, delay, priority) in enumerate(operations):
+    for number, (kind, index, delay) in enumerate(operations):
         if kind == "schedule":
-            handles.append(sim.schedule(delay, lambda number=number: fired.append(("event", number)), priority=priority))
+            handles.append(sim.schedule(delay, lambda number=number: fired.append(("event", number))))
         elif kind == "call":
-            sim.schedule_call(delay, fired.append, (("call", number),), priority=priority)
+            sim.schedule_call(delay, fired.append, (("call", number),))
         elif kind == "burst":
-            sim.schedule_call(delay, burst, (number,), priority=priority)
+            sim.schedule_call(delay, burst, (number,))
         elif kind == "fanout":
             network.broadcast(index % 4, range(4), ("fanout", number), 10 * (index + 1))
         elif kind == "start":
@@ -329,16 +329,15 @@ _OPERATIONS = st.lists(
         st.sampled_from(["schedule", "call", "burst", "fanout", "start", "stop", "cancel", "drain", "run"]),
         st.integers(min_value=0, max_value=50),
         st.sampled_from([0.0, 0.1, 0.25, 0.25, 0.5, 1.0, 2.5]),
-        st.integers(min_value=0, max_value=2),
     ),
     max_size=40,
 )
 
 
 @given(_OPERATIONS)
-@example([("start", 0, 2.5, 0), ("burst", 0, 0.1, 0), ("call", 0, 0.5, 0), ("run", 0, 0.25, 0), ("run", 0, 1.0, 0)])
-@example([("schedule", 0, 0.5, 1)] * 150 + [("schedule", 0, 2.5, 0), ("drain", 1, 0.0, 0), ("run", 0, 1.0, 0)])
-@example([("start", 1, 0.25, 0), ("burst", 1, 0.1, 0), ("fanout", 7, 0.0, 0), ("run", 0, 0.25, 0), ("fanout", 2, 0.0, 0)])
+@example([("start", 0, 2.5), ("burst", 0, 0.1), ("call", 0, 0.5), ("run", 0, 0.25), ("run", 0, 1.0)])
+@example([("schedule", 0, 0.5)] * 150 + [("schedule", 0, 2.5), ("drain", 1, 0.0), ("run", 0, 1.0)])
+@example([("start", 1, 0.25), ("burst", 1, 0.1), ("fanout", 7, 0.0), ("run", 0, 0.25), ("fanout", 2, 0.0)])
 @settings(max_examples=150, deadline=None)
 def test_any_interleaving_fires_what_a_sorted_list_of_live_entries_would(operations):
     assert _drive(Simulator(), operations) == _drive(_ReferenceSimulator(), operations)

@@ -303,7 +303,7 @@ def _state(sim, network):
     two networks differ)."""
     receiver_of = {deliver: receiver for receiver, deliver in network._deliverers.items()}
     entries = sorted(
-        (time, priority, seq, receiver_of[callback], args) for time, priority, seq, callback, args in sim._queue
+        (time, seq, receiver_of[callback], args) for time, seq, callback, args in sim._queue
     )
     return (
         entries,
@@ -373,12 +373,12 @@ def test_an_unfaulted_fan_out_shares_one_args_tuple_and_binds_one_deliverer_per_
     entries = sorted(sim._queue)
     assert len(entries) == 5
     # One (sender, payload) tuple for the whole fan-out.
-    assert entries[0][4] == (2, payload)
-    assert all(entry[4] is entries[0][4] for entry in entries)
+    assert entries[0][3] == (2, payload)
+    assert all(entry[3] is entries[0][3] for entry in entries)
     # Each receiver's entry fires that receiver's deliverer, the same one
     # every later delivery to it uses.
-    assert [entry[3] for entry in entries] == [network._deliverers[receiver] for receiver in (0, 1, 3, 4, 6)]
+    assert [entry[2] for entry in entries] == [network._deliverers[receiver] for receiver in (0, 1, 3, 4, 6)]
     network.broadcast(3, [0], payload, 100)
-    assert max(sim._queue, key=lambda entry: entry[2])[3] is network._deliverers[0]
+    assert max(sim._queue, key=lambda entry: entry[1])[2] is network._deliverers[0]
     sim.run()
     assert [len(actor.received) for actor in network._actors.values()] == [2, 1, 0, 1, 1, 0, 1]

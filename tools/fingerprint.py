@@ -18,11 +18,14 @@ stragglers, and per replica the liveness counters, the state digest and the
 checkpoint fold (frontier, stable position, rolling execution digest), plus
 ``json``: a short sha256 of the result's archived form (its canonical
 ``to_json_dict()``), so a change to how a spec or result encodes shows too; per
-ablation cell it keeps the rows ``repro ablation NAME`` prints.
+ablation cell it keeps the rows ``repro ablation NAME`` prints.  Each script of
+the recorded tree's ``examples/`` is one more cell: it runs against that tree's
+``src`` with ``PYTHONHASHSEED=0``, and the cell keeps its exit code and a short
+sha256 of its stdout.
 
 ``compare A B`` prints every cell whose fields differ (and cells only one
-record has), grouped by protocol, and exits 1 on any difference, 0 when the
-records agree.
+record has), grouped by protocol (an example cell is named by its script), and
+exits 1 on any difference, 0 when the records agree.
 """
 
 from __future__ import annotations
@@ -30,15 +33,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
-FORMAT = 3
+FORMAT = 4
 TASK = "fingerprint-cell"
-# Scalars are printed old -> new on a difference; the lists only by name.
-SCALARS = ("events", "messages", "bytes", "dropped", "rewritten", "confirmed", "summary")
-FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "checkpoints", "json", "rows")
+EXAMPLE_TASK = "fingerprint-example"
+# Scalars are printed old -> new on a difference; the rest only by name.
+SCALARS = ("events", "messages", "bytes", "dropped", "rewritten", "confirmed", "summary", "exit")
+FIELDS = SCALARS + ("violations", "stragglers", "counters", "state", "checkpoints", "json", "rows", "stdout")
 
 
 def cell_specs() -> List[Any]:
@@ -99,6 +105,30 @@ def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def _examples_dir() -> Path:
+    """``examples/`` of the tree whose ``repro`` package is imported."""
+    import repro
+
+    return Path(repro.__file__).resolve().parent.parent.parent / "examples"
+
+
+def run_example(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one example script of the recorded tree and hash its stdout."""
+    examples = _examples_dir()
+    done = subprocess.run(
+        [sys.executable, str(examples / payload["example"])],
+        cwd=examples.parent,
+        env=dict(os.environ, PYTHONPATH=str(examples.parent / "src"), PYTHONHASHSEED="0"),
+        capture_output=True,
+        check=False,
+    )
+    return {
+        "protocol": "example",
+        "exit": done.returncode,
+        "stdout": hashlib.sha256(done.stdout).hexdigest()[:16],
+    }
+
+
 def _register() -> None:
     from repro.dispatch.tasks import DispatchTask, register_task
 
@@ -113,6 +143,16 @@ def _register() -> None:
             encode=identity,
             decode=identity,
             describe=lambda payload: payload["spec"]["name"],
+        )
+    )
+    register_task(
+        DispatchTask(
+            name=EXAMPLE_TASK,
+            run=run_example,
+            payload_json=identity,
+            encode=identity,
+            decode=identity,
+            describe=lambda payload: payload["example"],
         )
     )
 
@@ -134,8 +174,23 @@ def record(out: Path, workers: int, use_cache: bool) -> int:
     rows = dispatcher.run("ablation", [{"name": name} for name in names])
     for name, table in zip(names, rows):
         cells[f"ablation:{name}"] = {"protocol": "spotless", "rows": table}
+    ablation_stats = dispatcher.last_stats.summary()
+    # The script's text is in the payload, so an edited example is re-run.
+    scripts = sorted(_examples_dir().glob("*.py"))
+    outputs = dispatcher.run(
+        EXAMPLE_TASK,
+        [
+            {"format": FORMAT, "example": script.name, "script": hashlib.sha256(script.read_bytes()).hexdigest()}
+            for script in scripts
+        ],
+    )
+    for script, output in zip(scripts, outputs):
+        cells[f"example:{script.name}"] = output
     out.write_text(json.dumps({"format": FORMAT, "cells": cells}, indent=1, sort_keys=True) + "\n")
-    print(f"{len(cells)} cells -> {out} (scenarios: {scenario_stats}; ablations: {dispatcher.last_stats.summary()})")
+    print(
+        f"{len(cells)} cells -> {out} (scenarios: {scenario_stats}; ablations: {ablation_stats}; "
+        f"examples: {dispatcher.last_stats.summary()})"
+    )
     return 0
 
 

@@ -11,8 +11,13 @@ handler) are, and so is any identifier-shaped string in the caller directories
 (``perfbench`` reads counters by name).  Dunder methods live and die with
 their class.  Same-named definitions in different modules share one verdict.
 
-    python tools/unreached.py            # list what is unreached
-    python tools/unreached.py --check    # exit 1 unless every one is allow-listed
+The same scan lists write-only state: a ``self.name`` store (``+=``
+included) in ``src/repro`` whose attribute no Python file in the repository,
+tests included, loads as ``x.name`` or names in an identifier-shaped string.
+
+    python tools/unreached.py            # list what is unreached or write-only
+    python tools/unreached.py --check    # exit 1 on any write-only store, or
+                                         # unless every unreached one is allow-listed
 
 ``tools/unreached_allow.txt`` holds one ``Qualified.name — reason`` line per
 definition kept on purpose as test API; an entry that no longer names an
@@ -108,6 +113,32 @@ def unreached() -> list:
             reached |= definitions.pop(qualified)[1]
 
 
+def write_only() -> list:
+    """``path:line self.name`` of every store in ``src/repro`` to an
+    attribute that no Python file of the repository reads."""
+    stores = []
+    loaded = set()
+    for path in sorted(ROOT.rglob("*.py")):
+        relative = path.relative_to(ROOT)
+        if any(part.startswith(".") for part in relative.parts):
+            continue
+        in_source = SOURCE in path.parents
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    loaded.add(node.attr)
+                elif (
+                    in_source
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    stores.append((relative, node.lineno, node.attr))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                loaded.add(node.value)
+    return [f"{path}:{line} self.{name}" for path, line, name in stores if name not in loaded]
+
+
 def main(argv) -> int:
     found = unreached()
     allowed = {}
@@ -122,8 +153,15 @@ def main(argv) -> int:
         print(name if name in offenders else f"{name}   (allowed: {allowed[name]})")
     for name in stale:
         print(f"stale allow-list entry: {name}")
-    if "--check" in argv and (offenders or stale):
-        print(f"{len(offenders)} unreached, {len(stale)} stale; see tools/unreached_allow.txt", file=sys.stderr)
+    unread = write_only()
+    for store in unread:
+        print(f"write-only: {store}")
+    if "--check" in argv and (offenders or stale or unread):
+        print(
+            f"{len(offenders)} unreached, {len(stale)} stale, {len(unread)} write-only; "
+            "see tools/unreached_allow.txt",
+            file=sys.stderr,
+        )
         return 1
     return 0
 
