@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.chain import ProposalStatus, ProposalStore
+from repro.core.chain import Proposal, ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
 from repro.core.messages import ProposeMessage
 from repro.bench.cluster import SimulatedCluster
@@ -43,6 +43,32 @@ class CommitRuleOutcome:
     commits_replica_a: Tuple[bytes, ...]
     commits_replica_b: Tuple[bytes, ...]
     conflicting: bool
+
+
+class TwoViewStore(ProposalStore):
+    """Example 3.6's unsafe two-view rule: a conditionally prepared proposal
+    also commits its parent when their views are consecutive, and no commit is
+    checked against the committed chain.  Only this ablation builds one."""
+
+    def _apply_prepare_consequences(self, proposal: Proposal) -> List[Proposal]:
+        newly = super()._apply_prepare_consequences(proposal)
+        parent = self.get(proposal.parent_digest)
+        if parent is None or parent.is_genesis or proposal.view != parent.view + 1:
+            return newly
+        return newly + self._commit_chain(parent)
+
+    def _commit_chain(self, proposal: Proposal) -> List[Proposal]:
+        chain: List[Proposal] = []
+        node = proposal
+        while node is not None and node.status < ProposalStatus.COMMITTED and node not in chain:
+            chain.insert(0, node)
+            node = self.parent_of(node)
+        for node in chain:
+            if node.status < ProposalStatus.CONDITIONALLY_PREPARED:
+                self._note_prepared(node)
+            node.status = ProposalStatus.COMMITTED
+        self.committed += chain
+        return chain
 
 
 def _scripted_branch(store: ProposalStore, views: Sequence[int], tag: str) -> List[bytes]:
@@ -86,8 +112,9 @@ def example_3_6_conflict(commit_rule: str) -> CommitRuleOutcome:
     conflicting v2 proposal.  Under the paper's three-view rule neither
     branch has three consecutive views, so nothing commits and safety holds.
     """
-    store_a = ProposalStore(instance=0, commit_rule=commit_rule)
-    store_b = ProposalStore(instance=0, commit_rule=commit_rule)
+    store_type = TwoViewStore if commit_rule == "two-view" else ProposalStore
+    store_a = store_type(instance=0)
+    store_b = store_type(instance=0)
     _scripted_branch(store_a, (1, 4, 5), tag="branch-a")
     _scripted_branch(store_b, (2, 6, 7), tag="branch-b")
 

@@ -80,11 +80,8 @@ class ProposalStore:
     proposal acceptable?", and "which proposals are newly committed?".
     """
 
-    def __init__(self, instance: int = 0, commit_rule: str = "three-view") -> None:
-        if commit_rule not in ("three-view", "two-view"):
-            raise ValueError("commit_rule must be 'three-view' or 'two-view'")
+    def __init__(self, instance: int = 0) -> None:
         self.instance = instance
-        self.commit_rule = commit_rule
         genesis = Proposal(
             digest=GENESIS_PROPOSAL_ID,
             view=GENESIS_VIEW,
@@ -288,11 +285,6 @@ class ProposalStore:
         * the grandparent becomes committed when the three views are
           consecutive (v, v+1, v+2), and committing a proposal commits its
           entire ancestor chain.
-
-        Under the (unsafe) ``"two-view"`` ablation rule, the parent commits
-        as soon as a consecutive-view child is conditionally prepared; the
-        Example 3.6 test and ablation bench use this to show why the paper
-        needs three consecutive views.
         """
         if not self._promote(proposal, _PREPARED):
             return []
@@ -304,11 +296,10 @@ class ProposalStore:
         Parent and grandparent are read by digest (a missing link is None,
         which no proposal is keyed by).
         """
-        newly_committed: List[Proposal] = []
         proposals = self._proposals
         parent = proposals.get(proposal.parent_digest)
         if parent is None or parent.digest == GENESIS_PROPOSAL_ID:
-            return newly_committed
+            return []
 
         if proposal.view > parent.view:
             self._promote(parent, _CONDITIONALLY_COMMITTED)
@@ -318,11 +309,6 @@ class ProposalStore:
                 for view in range(max(lock_view, 0), parent.view):
                     self._prepared_by_view.pop(view, None)
 
-        if self.commit_rule == "two-view":
-            if proposal.view == parent.view + 1:
-                newly_committed = self._commit_chain(parent)
-            return newly_committed
-
         grandparent = proposals.get(parent.parent_digest)
         if (
             grandparent is not None
@@ -330,22 +316,20 @@ class ProposalStore:
             and proposal.view == parent.view + 1
             and parent.view == grandparent.view + 1
         ):
-            newly_committed = self._commit_chain(grandparent)
-        return newly_committed
+            return self._commit_chain(grandparent)
+        return []
 
     def _commit_chain(self, proposal: Proposal) -> List[Proposal]:
         """Commit ``proposal`` and every not-yet-committed ancestor, oldest first.
 
-        Under the paper's rule the store enforces its own safety invariant:
-        a proposal conflicting with the committed chain is refused.  Honest
-        quorum evidence can never produce such a commit (two same-view n − f
-        quorums intersect in f + 1 replicas, so one would need > f Byzantine
-        voters), which makes the refusal a guard against being driven with
-        Byzantine evidence rather than a reachable honest code path.  All
-        committed proposals lie on one chain, so conflict with the *newest*
-        committed proposal implies conflict with the chain.  The unsafe
-        ``"two-view"`` ablation rule stays unguarded — demonstrating that it
-        admits conflicting commits is exactly its purpose (Example 3.6).
+        The store enforces its own safety invariant: a proposal conflicting
+        with the committed chain is refused.  Honest quorum evidence can never
+        produce such a commit (two same-view n − f quorums intersect in f + 1
+        replicas, so one would need > f Byzantine voters), which makes the
+        refusal a guard against being driven with Byzantine evidence rather
+        than a reachable honest code path.  All committed proposals lie on one
+        chain, so conflict with the *newest* committed proposal implies
+        conflict with the chain.
 
         In the common case the parent is the committed tip (genesis before
         the first commit): the walk below would stop at it at once and commit
@@ -377,9 +361,8 @@ class ProposalStore:
             chain.append(current)
             seen.add(current.digest)
             current = self.parent_of(current)
-        if self.commit_rule != "two-view" and committed:
-            if anchor is not committed[-1]:
-                return []
+        if committed and anchor is not committed[-1]:
+            return []
         newly: List[Proposal] = []
         for node in reversed(chain):
             if node.is_genesis:
@@ -417,8 +400,8 @@ class ProposalStore:
     def committed_in_view(self, view: int) -> Optional[Proposal]:
         """The committed proposal of ``view``, or None.
 
-        The committed proposals form one chain (under the paper's rule), so a
-        view holds at most one of them.
+        The committed proposals form one chain, so a view holds at most one
+        of them.
         """
         proposals = self._proposals
         for digest in self._by_view.get(view, ()):

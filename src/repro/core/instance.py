@@ -42,6 +42,7 @@ from repro.core.messages import (
 )
 from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
 from repro.crypto.certificates import Certificate, Signature
+from repro.runtime.quorum import view_reached_by
 from repro.runtime.retry import RetryingPull
 
 
@@ -163,13 +164,14 @@ class SpotLessInstance:
         self.store = ProposalStore(instance=instance_id)
 
         self.current_view = 0
+        # A replica leaves a view only after broadcasting its Sync for it, and
+        # views only move up: it has synced view v exactly when v is below the
+        # current view, or is the current view and the state is past Recording.
         self.state = _RECORDING
         self.started = False
 
         # Per-view Sync bookkeeping; compact_below_view drops whole views.
         self._views: Dict[int, _ViewTally] = defaultdict(_ViewTally)
-        # Views in which this replica already broadcast a Sync message.
-        self._synced_views: Set[int] = set()
         # Highest view observed per sender (for the f+1 view-skip rule).
         self._highest_view_seen: Dict[int, int] = {}
         # Max over _highest_view_seen.values(); lets _maybe_skip_views bail
@@ -184,10 +186,10 @@ class SpotLessInstance:
             candidates=lambda key: (_EVERYONE,),
             fanout=config.weak_quorum,
         )
-        # Views this replica proposed in as primary.  Only the entered view
-        # and the next one are ever tested, and views only move up, so
-        # compact_below_view drops the views below the floor.
-        self._own_proposals: Set[int] = set()
+        # The highest view this replica proposed in as primary.  It proposes
+        # only in the entered view or, through the fast path, the next one, so
+        # a view at or below this one already has its proposal.
+        self._last_proposed_view = -1
         # The certificate entry standing in for a vote recorded without a
         # signature, one per sender, shared by every certificate.
         self._unsigned: Dict[int, Signature] = {}
@@ -260,11 +262,10 @@ class SpotLessInstance:
             self._run_primary_role(view)
 
         # Backups (and the primary acting as its own backup) arm t_R.
-        if view not in self._synced_views:
-            self._recording_timer.start(self._recording_timeout.interval)
+        self._recording_timer.start(self._recording_timeout.interval)
         # A proposal (or enough Syncs) may already have arrived for this view;
         # each callee's first test is made here, before the call.
-        if view not in self._synced_views and view in self.store._by_view:
+        if view in self.store._by_view:
             self._maybe_accept_pending()
         if self.state is _SYNCING:
             self._check_sync_quorum()
@@ -279,7 +280,7 @@ class SpotLessInstance:
         benefit is purely the earlier proposal broadcast.  The fast path is
         abandoned as soon as this replica observes failure evidence.
         """
-        if view in self._own_proposals:
+        if view <= self._last_proposed_view:
             # Already proposed optimistically through the fast path.
             return
         parent, certificate, claim_quorum = self._highest_extendable(view)
@@ -294,7 +295,7 @@ class SpotLessInstance:
             parent_claim_quorum=claim_quorum,
         )
         self.proposals_made += 1
-        self._own_proposals.add(view)
+        self._last_proposed_view = view
         self.env.broadcast(message)
 
     def _highest_extendable(self, view: int) -> Tuple[Proposal, Optional[Certificate], Tuple[int, ...]]:
@@ -338,7 +339,7 @@ class SpotLessInstance:
         next_view = accepted.view + 1
         if accepted.view != self.current_view or not self.is_primary(next_view):
             return
-        if next_view in self._own_proposals:
+        if next_view <= self._last_proposed_view:
             return
         if not self.env.has_pending(self.instance_id):
             return
@@ -354,7 +355,7 @@ class SpotLessInstance:
         )
         self.proposals_made += 1
         self.fast_path_proposals += 1
-        self._own_proposals.add(next_view)
+        self._last_proposed_view = next_view
         self.env.broadcast(message)
 
     def _poison_fast_path(self) -> None:
@@ -445,8 +446,6 @@ class SpotLessInstance:
         """Accept the proposal if it is for the current view and passes A1-A3."""
         if message.view != self.current_view:
             return
-        if self.current_view in self._synced_views:
-            return
         if self.state is not _RECORDING:
             return
         if not self.store.is_acceptable(message):
@@ -457,14 +456,12 @@ class SpotLessInstance:
         self._maybe_fast_path_propose(proposal)
 
     def _maybe_accept_pending(self) -> None:
-        """Accept a proposal of the current view that arrived before it could be."""
-        view = self.current_view
-        if view in self._synced_views or view not in self.store._by_view:
-            return
-        for proposal in self.store.proposals_in_view(view):
+        """Accept a proposal of the current view that arrived before it could
+        be; each caller first tests that the view is Recording and has one."""
+        for proposal in self.store.proposals_in_view(self.current_view):
             if proposal.message is not None:
                 self._maybe_accept(proposal, proposal.message)
-                if view in self._synced_views:
+                if self.state is not _RECORDING:
                     return
 
     def _note_recording_progress(self) -> None:
@@ -477,10 +474,9 @@ class SpotLessInstance:
     # ------------------------------------------------------------------
 
     def _broadcast_sync(self, claim: Claim, retransmit_flag: bool = False, view: Optional[int] = None) -> None:
-        """Broadcast this replica's Sync message for ``view`` (once per view)."""
+        """Broadcast this replica's Sync message for ``view``; every caller
+        first tests that it has not synced ``view`` yet (once per view)."""
         view = self.current_view if view is None else view
-        if view in self._synced_views and not retransmit_flag:
-            return
         message = SyncMessage(
             instance=self.instance_id,
             view=view,
@@ -488,7 +484,6 @@ class SpotLessInstance:
             cp_set=self.store.cp_set(),
             retransmit_flag=retransmit_flag,
         )
-        self._synced_views.add(view)
         if view == self.current_view and self.state is _RECORDING:
             self.state = _SYNCING
         self.syncs_sent += 1
@@ -500,13 +495,12 @@ class SpotLessInstance:
         Both view timers are cancelled on every view entry, so an expiry
         always belongs to the current view.
         """
-        view = self.current_view
-        if view in self._synced_views:
+        if self.state is not _RECORDING:
             return
         self.timeouts += 1
         self._recording_timeout.on_timeout()
         self._poison_fast_path()
-        self._broadcast_sync(Claim.failure(view))
+        self._broadcast_sync(Claim.failure(self.current_view))
 
     # ------------------------------------------------------------------
     # handling Sync
@@ -557,7 +551,9 @@ class SpotLessInstance:
             votes = tally.votes.get(digest)
 
         # Υ flag: retransmit the Sync we broadcast in this view to the sender.
-        if message.retransmit_flag and view in self._synced_views:
+        if message.retransmit_flag and (
+            view < self.current_view or (view == self.current_view and self.state is not _RECORDING)
+        ):
             self._retransmit_own_sync(tally, view, sender)
 
         # Re-evaluate every rule the Sync's statements take part in.  The
@@ -571,7 +567,7 @@ class SpotLessInstance:
             count = len(votes)
             # Rule: f+1 same-claim Syncs in our current view let us echo the
             # claim even without the primary's proposal (Figure 3, lines 24-28).
-            if count >= self._weak_quorum and view == self.current_view and view not in self._synced_views:
+            if count >= self._weak_quorum and view == self.current_view and self.state is _RECORDING:
                 self._echo_claim(view, digest, votes)
             # Rule: n−f same-claim Syncs conditionally prepare the proposal
             # (Figure 3, lines 20-21): in full at the crossing; a later vote
@@ -586,8 +582,7 @@ class SpotLessInstance:
                     self._conditionally_prepare(proposal)
                 else:
                     # _maybe_accept_pending's first test, made before the call.
-                    pending_view = self.current_view
-                    if pending_view not in self._synced_views and pending_view in store._by_view:
+                    if self.state is _RECORDING and self.current_view in store._by_view:
                         self._maybe_accept_pending()
                 # The n−f same-claim quorum for the current view completes
                 # the Certifying state and advances to the next view.
@@ -602,8 +597,7 @@ class SpotLessInstance:
         # record payload-less references in it, after which a prepared entry
         # has nothing left to accept, so the condition is decided once, and
         # picks the loop.
-        current = self.current_view
-        if current in self._synced_views or current not in store._by_view:
+        if self.state is not _RECORDING or self.current_view not in store._by_view:
             for entry in message.cp_set:
                 proposal = proposals.get(entry.digest)
                 if proposal is None or proposal.status < _PREPARED:
@@ -654,8 +648,10 @@ class SpotLessInstance:
             )
             self.env.send(requester, reply)
             return
-        # We claimed the view but did not store our own copy (self-delivery
-        # disabled); rebuild an equivalent failure-claim Sync.
+        # We synced the view but hold no copy of our Sync: compact_below_view
+        # dropped the view's tally once a stable checkpoint passed it, and this
+        # request made a fresh one (or our self-delivery is still queued).
+        # Rebuild a failure-claim Sync for the view.
         rebuilt = SyncMessage(
             instance=self.instance_id,
             view=view,
@@ -713,8 +709,7 @@ class SpotLessInstance:
         # A proposal of the current view may have been recorded before its
         # parent was conditionally prepared; rule A1 can now be satisfied, so
         # re-evaluate acceptance (otherwise t_R would expire spuriously).
-        view = self.current_view
-        if view not in self._synced_views and view in self.store._by_view:
+        if self.state is _RECORDING and self.current_view in self.store._by_view:
             self._maybe_accept_pending()
 
     def _maybe_skip_views(self) -> None:
@@ -727,20 +722,16 @@ class SpotLessInstance:
         """
         if self.config.view_sync_mode == "gst":
             return
-        higher_views = sorted(
-            (view for view in self._highest_view_seen.values() if view > self.current_view),
-            reverse=True,
-        )
-        if len(higher_views) < self._weak_quorum:
-            return
-        target_view = higher_views[self._weak_quorum - 1]
-        if target_view <= self.current_view:
+        current = self.current_view
+        target_view = view_reached_by(self._highest_view_seen.values(), current, self._weak_quorum)
+        if target_view is None:
             return
         self.view_skips += 1
-        # Broadcast catch-up Syncs with the Υ flag for every skipped view.
-        for view in range(self.current_view, target_view):
-            if view not in self._synced_views:
-                self._broadcast_sync(Claim.failure(view), retransmit_flag=True, view=view)
+        # Broadcast catch-up Syncs with the Υ flag for every skipped view not
+        # yet synced: the current one while still Recording, and each above.
+        first = current if self.state is _RECORDING else current + 1
+        for view in range(first, target_view):
+            self._broadcast_sync(Claim.failure(view), retransmit_flag=True, view=view)
         self._advance_view(target_view, fast=False)
 
     def _check_sync_quorum(self) -> None:
@@ -845,15 +836,9 @@ class SpotLessInstance:
         below the floor can never influence a future quorum: the floor is
         quorum-attested executed, so any view change or certificate built
         from here on references views at or above it.
-
-        The views this replica proposed in go with them, up to the current
-        view: only the current and the next view are ever tested again.
         """
         for view in [view for view in self._views if view < floor_view]:
             del self._views[view]
-        own_floor = min(floor_view, self.current_view)
-        own = self._own_proposals
-        own.difference_update([view for view in own if view < own_floor])
 
     # ------------------------------------------------------------------
     # introspection helpers used by the node, tests and experiments

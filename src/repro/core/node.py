@@ -248,11 +248,7 @@ class SpotLessReplica(ReplicaRuntime):
         stays contiguous: the store commits one chain, oldest first, and
         refuses a commit not anchored at its committed tip, so a new commit
         always lands above every committed view; and a higher floor only
-        weakens the conditions the prefix already met.  The argument needs
-        the store's anchor guard, which only the paper's three-view rule
-        applies; every instance's store runs that rule (the ``"two-view"``
-        rule of Example 3.6 exists only on stores the ablation builds
-        directly).
+        weakens the conditions the prefix already met.
 
         For the same reason the store's commit order is ascending view order,
         and the walk is a cursor into it: it steps over the commits the

@@ -21,6 +21,7 @@ from repro.protocols.pbft.messages import (
     ViewChangeMessage,
 )
 from repro.recovery.messages import CheckpointCertificate
+from repro.runtime.quorum import view_reached_by
 
 NOOP_BATCH: Tuple[bytes, ...] = ()
 
@@ -247,14 +248,8 @@ class PbftInstanceCore:
         legitimate and we can join it (missed re-proposals below the floor
         are recovered through state transfer).
         """
-        higher = sorted(
-            (view for view in self._future_view_seen.values() if view > self.view),
-            reverse=True,
-        )
-        if len(higher) < self.config.weak_quorum:
-            return
-        target = higher[self.config.weak_quorum - 1]
-        if target <= self.view:
+        target = view_reached_by(self._future_view_seen.values(), self.view, self.config.weak_quorum)
+        if target is None:
             return
         self.view = target
         self._cancel_progress_timer()

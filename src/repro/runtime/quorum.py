@@ -11,6 +11,7 @@ property re-derived in every config class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Optional
 
 
 @dataclass(frozen=True)
@@ -88,4 +89,14 @@ class DeploymentConfig:
         return range(self.num_replicas)
 
 
-__all__ = ["DeploymentConfig", "QuorumParams"]
+def view_reached_by(views: Iterable[int], above: int, weak_quorum: int) -> Optional[int]:
+    """The highest view above ``above`` that ``weak_quorum`` = f + 1 of
+    ``views`` (each replica's highest view seen) reach, or None.  One of those
+    f + 1 replicas is non-faulty, so a lagging replica may join the view: the
+    rule of SpotLess's view skip (Figure 4) and the PBFT family's view adoption.
+    """
+    higher = sorted((view for view in views if view > above), reverse=True)
+    return higher[weak_quorum - 1] if len(higher) >= weak_quorum else None
+
+
+__all__ = ["DeploymentConfig", "QuorumParams", "view_reached_by"]

@@ -1,15 +1,17 @@
 """Tests for the configurable design-choice switches added for the ablations.
 
-Covers the two-view commit rule (Example 3.6), the GST-style pacemaker mode,
-the exponential timeout policy, the RCC-style client-to-instance assignment,
-the Section 6.1 geo fast path, and the Υ retransmission hardening that keeps
-Rapid View Synchronization from looping.
+Covers the two-view commit rule (Example 3.6) on the ablation's own store,
+the GST-style pacemaker mode, the exponential timeout policy, the RCC-style
+client-to-instance assignment, the Section 6.1 geo fast path, and the Υ
+retransmission hardening that keeps Rapid View Synchronization from looping.
 """
 
 import pytest
 
+from repro.bench.ablations import TwoViewStore
 from repro.core.chain import ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
+from repro.core.instance import ViewState
 from repro.core.messages import Claim, ProposeMessage, SyncMessage
 from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
 from repro.workload.requests import Operation, Transaction
@@ -46,7 +48,7 @@ def test_config_defaults_match_the_paper():
 
 
 # ---------------------------------------------------------------------------
-# two-view commit rule on the proposal store
+# the two-view commit rule of the ablation's store against the paper's rule
 # ---------------------------------------------------------------------------
 
 
@@ -68,20 +70,15 @@ def _chain_on(store: ProposalStore, views, tag="x"):
     return proposals
 
 
-def test_store_rejects_unknown_commit_rule():
-    with pytest.raises(ValueError):
-        ProposalStore(commit_rule="zero-view")
-
-
 def test_two_view_rule_commits_parent_on_consecutive_child():
-    store = ProposalStore(commit_rule="two-view")
+    store = TwoViewStore()
     first, second = _chain_on(store, (1, 2))
     assert first.status == ProposalStatus.COMMITTED
     assert second.status == ProposalStatus.CONDITIONALLY_PREPARED
 
 
 def test_three_view_rule_needs_three_consecutive_views():
-    store = ProposalStore(commit_rule="three-view")
+    store = ProposalStore()
     first, second = _chain_on(store, (1, 2))
     assert first.status == ProposalStatus.CONDITIONALLY_COMMITTED
     assert not store.committed
@@ -103,7 +100,7 @@ def _chain_on_extend(store: ProposalStore, parent, view, tag="x"):
 
 
 def test_two_view_rule_skips_commit_when_views_not_consecutive():
-    store = ProposalStore(commit_rule="two-view")
+    store = TwoViewStore()
     first, second = _chain_on(store, (1, 4))
     assert first.status == ProposalStatus.CONDITIONALLY_COMMITTED
     assert not store.committed
@@ -112,8 +109,8 @@ def test_two_view_rule_skips_commit_when_views_not_consecutive():
 def test_two_view_commits_are_a_superset_of_three_view_commits():
     """Whatever the safe rule commits, the unsafe rule also commits."""
     views = (1, 2, 3, 5, 6, 7)
-    three = ProposalStore(commit_rule="three-view")
-    two = ProposalStore(commit_rule="two-view")
+    three = ProposalStore()
+    two = TwoViewStore()
     _chain_on(three, views)
     _chain_on(two, views)
     committed_three = {p.view for p in three.committed}
@@ -294,7 +291,8 @@ def test_retransmitted_sync_does_not_carry_the_retransmit_flag():
     harness.start()
     harness.deliver_all()
     target = harness.instances[0]
-    synced_view = max(target._synced_views)
+    # The highest view it synced: past Recording, the current one.
+    synced_view = target.current_view if target.state is not ViewState.RECORDING else target.current_view - 1
     harness.queues.clear()
     flagged = SyncMessage(
         instance=0,
@@ -315,7 +313,8 @@ def test_retransmission_served_once_per_requester_and_never_to_self():
     harness.start()
     harness.deliver_all()
     target = harness.instances[0]
-    synced_view = max(target._synced_views)
+    # The highest view it synced: past Recording, the current one.
+    synced_view = target.current_view if target.state is not ViewState.RECORDING else target.current_view - 1
     flagged = SyncMessage(
         instance=0,
         view=synced_view,

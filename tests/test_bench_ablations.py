@@ -3,6 +3,8 @@
 import pytest
 
 from repro.bench import ablations
+from repro.core.chain import GENESIS_PROPOSAL_ID, GENESIS_VIEW
+from repro.core.messages import ProposeMessage
 
 
 # ---------------------------------------------------------------------------
@@ -10,11 +12,39 @@ from repro.bench import ablations
 # ---------------------------------------------------------------------------
 
 
+def _branch_digests(views, tag):
+    """Digests of Example 3.6's scripted branch: one proposal per view, each
+    extending the previous one, the first extending genesis."""
+    digests = []
+    parent_digest, parent_view = GENESIS_PROPOSAL_ID, GENESIS_VIEW
+    for view in views:
+        message = ProposeMessage(
+            instance=0,
+            view=view,
+            transaction_digests=(f"{tag}:{view}".encode(),),
+            parent_digest=parent_digest,
+            parent_view=parent_view,
+        )
+        digests.append(message.digest())
+        parent_digest, parent_view = digests[-1], view
+    return digests
+
+
 def test_example_3_6_two_view_rule_commits_conflicting_proposals():
     outcome = ablations.example_3_6_conflict("two-view")
     assert outcome.conflicting
     assert outcome.commits_replica_a and outcome.commits_replica_b
     assert not set(outcome.commits_replica_a) & set(outcome.commits_replica_b)
+
+
+def test_example_3_6_two_view_rule_commits_the_two_proposals_below_each_tip_pair():
+    """A's branch v1 ← v4 ← v5 commits v1 then v4 once v5 is prepared; B's
+    branch v2 ← v6 ← v7 commits v2 then v6."""
+    v1, v4, _v5 = _branch_digests((1, 4, 5), "branch-a")
+    v2, v6, _v7 = _branch_digests((2, 6, 7), "branch-b")
+    outcome = ablations.example_3_6_conflict("two-view")
+    assert outcome.commits_replica_a == (v1, v4)
+    assert outcome.commits_replica_b == (v2, v6)
 
 
 def test_example_3_6_three_view_rule_commits_nothing_on_either_branch():

@@ -7,9 +7,12 @@ exercises the normal-case protocol, the acceptance rules, Ask-recovery and
 Rapid View Synchronization in isolation.
 """
 
+import random
 from typing import Dict, List, Optional, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.chain import ProposalStatus
 from repro.core.config import SpotLessConfig
@@ -341,6 +344,30 @@ def test_retransmit_flag_triggers_resend_of_own_sync():
     assert directed, "replica 0 should retransmit its view-0 Sync to the requester"
 
 
+def test_retransmission_of_a_compacted_view_is_a_failure_claim_served_once_per_requester():
+    """A Υ request for a view whose tally a stable checkpoint compacted away
+    finds no copy of the replica's own Sync: the reply is a rebuilt
+    failure-claim Sync, without the Υ flag, sent once to each requester."""
+    harness = Harness()
+    sent = _record_broadcasts(harness)
+    harness.start()
+    for _ in range(3):
+        harness.deliver_all()
+    replica0 = harness.instances[0]
+    assert replica0.current_view > 2
+    (own,) = [m for m in sent[0] if isinstance(m, SyncMessage) and m.view == 0]
+    assert own.claim.digest is not None  # its view-0 Sync claimed the proposal
+    replica0.compact_below_view(2)
+    harness.queues.clear()
+    for requester in (2, 3, 2, 3):
+        replica0.on_sync(requester, SyncMessage(instance=0, view=0, claim=Claim.failure(0), retransmit_flag=True))
+    replies = [(receiver, m) for _s, receiver, m in harness.queues]
+    assert [receiver for receiver, _m in replies] == [2, 3]
+    for _receiver, reply in replies:
+        assert isinstance(reply, SyncMessage)
+        assert (reply.view, reply.claim.digest, reply.retransmit_flag) == (0, None, False)
+
+
 def test_proposal_from_wrong_primary_is_ignored():
     harness = Harness()
     harness.start()
@@ -355,10 +382,70 @@ def test_proposal_from_wrong_primary_is_ignored():
         parent_digest=instance.store.lock.digest,
         parent_view=instance.store.lock.view,
     )
-    synced_before = view in instance._synced_views
+    synced_before = instance.state is not ViewState.RECORDING
     instance.on_propose(wrong_sender, bogus)
     if not synced_before:
-        assert view not in instance._synced_views
+        assert instance.current_view == view and instance.state is ViewState.RECORDING
+
+
+# ---------------------------------------------------------------------------
+# what an instance sends follows its view state machine
+# ---------------------------------------------------------------------------
+
+
+def _record_broadcasts(harness):
+    """Log every message each instance broadcasts, in order, on the way out."""
+    sent = {replica: [] for replica in harness.instances}
+    for replica, instance in harness.instances.items():
+        def recording(message, _broadcast=instance.env.broadcast, _log=sent[replica]):
+            _log.append(message)
+            _broadcast(message)
+
+        instance.env.broadcast = recording
+    return sent
+
+
+#: One step of a run: deliver a few rounds of queued messages, each dropped
+#: with the given percent chance (the seed picks which and sets the rounds),
+#: deliver them while one replica receives nothing, or fire one replica's
+#: armed timers.
+_RUN_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("deliver"), st.sampled_from([0, 10, 30, 60]), st.integers(0, 2**16)),
+        st.tuples(st.just("isolate"), st.integers(0, 3), st.integers(0, 2**16)),
+        st.tuples(st.just("fire"), st.integers(0, 3), st.just(0)),
+    ),
+    max_size=40,
+)
+
+
+@given(_RUN_STEPS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_an_instance_syncs_exactly_the_views_its_state_has_left_behind(steps, fast_path):
+    """Rapid View Synchronization leaves a view only after this replica sent its
+    Sync for it, and views only move up.  So, whatever gets dropped and
+    whichever timers fire, the views an instance broadcast a Sync for are
+    every view below its current one, in order, plus the current view once
+    its state is past Recording; and the views it proposed in rise."""
+    harness = Harness(enable_fast_path=fast_path)
+    sent = _record_broadcasts(harness)
+    harness.start()
+    for operation, arg, seed in steps:
+        if operation == "deliver":
+            rng = random.Random(seed)
+            harness.deliver_all(drop=lambda *_message: rng.randrange(100) < arg, max_rounds=1 + seed % 4)
+        elif operation == "isolate":
+            harness.deliver_all(drop=lambda _s, receiver, _m: receiver == arg, max_rounds=1 + seed % 4)
+        else:
+            harness.fire_timers(arg)
+        for replica, instance in harness.instances.items():
+            synced = [m.view for m in sent[replica] if isinstance(m, SyncMessage)]
+            expected = list(range(instance.current_view))
+            if instance.state is not ViewState.RECORDING:
+                expected.append(instance.current_view)
+            assert synced == expected, replica
+            proposed = [m.view for m in sent[replica] if isinstance(m, ProposeMessage)]
+            assert proposed == sorted(set(proposed)), replica
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +492,7 @@ def test_proposal_with_an_invalid_parent_certificate_is_dropped(statement, signe
     instance, harness, message = _propose_with_certificate(statement, signers)
     assert instance.store.get(message.digest()) is None
     assert instance.store.get(_UNSEEN_PARENT) is None
-    assert 1 not in instance._synced_views
+    assert instance.current_view == 1 and instance.state is ViewState.RECORDING
     assert harness.queues == []
 
 

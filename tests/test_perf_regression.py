@@ -424,20 +424,6 @@ def test_tracked_objects_per_ledger_block_stay_within_budget():
         assert (objects_after - objects_before) / (blocks_after - blocks_before) < budget, protocol
 
 
-def test_no_instance_keeps_its_own_proposal_views_below_the_execution_floor():
-    """An instance records the views it proposed in only to test the entered
-    view and the next one; the checkpoint compaction that drops the view
-    tallies below the floor drops those views too."""
-    cluster = _cell("spotless")
-    cluster.run(duration=0.8)
-    for replica in cluster.replicas:
-        floor = replica._execution_floor_view
-        assert floor > 0  # checkpoints went stable, so compaction ran
-        for instance in replica.instances.values():
-            assert instance._own_proposals
-            assert min(instance._own_proposals) >= floor
-
-
 def test_proof_memo_keeps_one_proof_per_instance_and_still_hits_in_a_steady_view():
     # HotStuff's view moves with every block: no proof is ever asked for
     # twice, so none but the last is worth keeping.

@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.ablations import TwoViewStore
 from repro.core.chain import ProposalStatus, ProposalStore
 from repro.core.messages import CpEntry, ProposeMessage
 
@@ -223,8 +224,8 @@ def test_depth_equals_length_of_precedes(shape):
 @settings(max_examples=60, deadline=None)
 def test_two_view_rule_commits_at_least_as_much_as_three_view(shape):
     """The unsafe two-view rule is strictly more eager than the paper's rule."""
-    three = ProposalStore(commit_rule="three-view")
-    two = ProposalStore(commit_rule="two-view")
+    three = ProposalStore()
+    two = TwoViewStore()
     _build_tree(three, shape)
     _build_tree(two, shape)
     committed_three = {proposal.digest for proposal in three.committed}
@@ -270,9 +271,8 @@ def _walk_commit_chain(store: ProposalStore, proposal):
         chain.append(current)
         seen.add(current.digest)
         current = store.parent_of(current)
-    if store.commit_rule != "two-view" and store.committed:
-        if anchor is None or anchor.digest != store.committed[-1].digest:
-            return []
+    if store.committed and (anchor is None or anchor.digest != store.committed[-1].digest):
+        return []
     newly = []
     for node in reversed(chain):
         if node.is_genesis:
@@ -298,11 +298,11 @@ _STEPS = st.lists(
 )
 
 
-def _replay(steps, commit_rule, walk):
+def _replay(steps, walk):
     """Apply ``steps`` to a fresh store; with ``walk`` every commit (the
     cascade's own included) goes through :func:`_walk_commit_chain`.  Returns
     what each step returned and what the store holds after each."""
-    store = ProposalStore(commit_rule=commit_rule)
+    store = ProposalStore()
     if walk:
         store._commit_chain = lambda proposal: _walk_commit_chain(store, proposal)
     nodes = [store.genesis]
@@ -352,12 +352,11 @@ _COMMIT_PATHS = [
 ]
 
 
-@given(_STEPS, st.sampled_from(["three-view", "two-view"]))
-@example(_COMMIT_PATHS, "three-view")
-@example(_COMMIT_PATHS, "two-view")
+@given(_STEPS)
+@example(_COMMIT_PATHS)
 @settings(max_examples=200, deadline=None)
-def test_committing_on_the_committed_tip_matches_the_full_walk(steps, commit_rule):
-    assert _replay(steps, commit_rule, walk=False) == _replay(steps, commit_rule, walk=True)
+def test_committing_on_the_committed_tip_matches_the_full_walk(steps):
+    assert _replay(steps, walk=False) == _replay(steps, walk=True)
 
 
 @given(_STEPS)
