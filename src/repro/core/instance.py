@@ -125,8 +125,9 @@ class _ViewTally:
         self.senders: Set[int] = set()
         # This replica's own Sync for this view, once self-delivered.
         self.own: Optional[SyncMessage] = None
-        # Claimed digest -> sender -> signature evidence.
-        self.votes: Dict[bytes, Dict[int, Optional[Signature]]] = {}
+        # Claimed digest -> its senders, in arrival order (a dict used as an
+        # ordered set: counting a vote is a store, not a call).
+        self.votes: Dict[bytes, Dict[int, None]] = {}
         # Number of claim(∅) Syncs, for fast-path poisoning.
         self.failure_claims = 0
         # Digest of a proposal *of this view* -> sender -> view of the Sync
@@ -190,8 +191,9 @@ class SpotLessInstance:
         # only in the entered view or, through the fast path, the next one, so
         # a view at or below this one already has its proposal.
         self._last_proposed_view = -1
-        # The certificate entry standing in for a vote recorded without a
-        # signature, one per sender, shared by every certificate.
+        # The certificate entry standing in for a sender's Sync signature
+        # (the simulator computes none), one per sender, shared by every
+        # certificate.
         self._unsigned: Dict[int, Signature] = {}
 
         if config.timeout_policy == "exponential":
@@ -363,7 +365,7 @@ class SpotLessInstance:
         self._fast_path_active = False
 
     def _build_certificate(self, proposal: Proposal) -> Optional[Certificate]:
-        """Build cert(P) from n − f recorded same-claim Sync signatures (E1)."""
+        """Build cert(P) from the n − f lowest-id senders of same-claim Syncs (E1)."""
         if proposal.is_genesis:
             return Certificate(statement=(proposal.view, proposal.digest), signatures=())
         votes = self._votes(proposal.view, proposal.digest)
@@ -371,16 +373,14 @@ class SpotLessInstance:
             return None
         signatures = []
         for sender in sorted(votes)[: self._quorum]:
-            signature = votes[sender]
+            signature = self._unsigned.get(sender)
             if signature is None:
-                signature = self._unsigned.get(sender)
-                if signature is None:
-                    signature = self._unsigned[sender] = Signature(signer=f"replica:{sender}", tag=b"")
+                signature = self._unsigned[sender] = Signature(signer=f"replica:{sender}", tag=b"")
             signatures.append(signature)
         return Certificate(statement=(proposal.view, proposal.digest), signatures=tuple(signatures))
 
-    def _votes(self, view: int, digest: bytes) -> Dict[int, Optional[Signature]]:
-        """Senders whose first Sync of ``view`` claimed ``digest``, with evidence."""
+    def _votes(self, view: int, digest: bytes) -> Dict[int, None]:
+        """Senders whose first Sync of ``view`` claimed ``digest``, in arrival order."""
         tally = self._views.get(view)
         return tally.votes.get(digest, {}) if tally is not None else {}
 
@@ -450,7 +450,7 @@ class SpotLessInstance:
             return
         if not self.store.is_acceptable(message):
             return
-        claim = Claim(view=message.view, digest=proposal.digest, primary_signature=None)
+        claim = Claim(view=message.view, digest=proposal.digest)
         self._note_recording_progress()
         self._broadcast_sync(claim)
         self._maybe_fast_path_propose(proposal)
@@ -506,12 +506,7 @@ class SpotLessInstance:
     # handling Sync
     # ------------------------------------------------------------------
 
-    def on_sync(
-        self,
-        sender: int,
-        message: SyncMessage,
-        signature: Optional[Signature] = None,
-    ) -> None:
+    def on_sync(self, sender: int, message: SyncMessage) -> None:
         """Handle a Sync message: quorum counting, CP bookkeeping, RVS rules."""
         if message.instance != self.instance_id:
             return
@@ -538,7 +533,7 @@ class SpotLessInstance:
                 votes = tally.votes.get(digest)
                 if votes is None:
                     votes = tally.votes[digest] = {}
-                votes[sender] = signature
+                votes[sender] = None
             # Every entry of the CP set endorses that proposal.
             views = self._views
             for entry in message.cp_set:
@@ -660,10 +655,10 @@ class SpotLessInstance:
         )
         self.env.send(requester, rebuilt)
 
-    def _echo_claim(self, view: int, digest: bytes, votes: Dict[int, Optional[Signature]]) -> None:
+    def _echo_claim(self, view: int, digest: bytes, votes: Dict[int, None]) -> None:
         """Echo an f+1 claim of the un-synced current view; Ask for its payload."""
         self._note_recording_progress()
-        self._broadcast_sync(Claim(view=view, digest=digest, primary_signature=None))
+        self._broadcast_sync(Claim(view=view, digest=digest))
         proposal = self.store.get(digest)
         if proposal is None or not proposal.has_payload():
             self._send_ask(view, digest, list(votes))

@@ -44,31 +44,22 @@ class Claim:
     """``claim(P) = (v, digest(P), ⟦P⟧_P)``: a claim that proposal P was
     the well-formed proposal received in view v.
 
-    ``claim(∅)`` (a failure claim) is represented by ``digest = None``.
+    ``claim(∅)`` (a failure claim) is represented by ``digest = None``.  The
+    primary's signature ``⟦P⟧_P`` is not carried: the simulator computes none.
     """
 
     view: int
     digest: Optional[bytes]
-    primary_signature: Optional[Signature] = None
 
     @property
     def is_failure(self) -> bool:
         """True for ``claim(∅)`` — the replica saw no acceptable proposal."""
         return self.digest is None
 
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding for hashing and signing."""
-        signature_fields = self.primary_signature.canonical_fields() if self.primary_signature else None
-        return (self.view, self.digest, signature_fields)
-
-    def statement(self) -> tuple:
-        """The (view, digest) statement this claim makes, for quorum counting."""
-        return (self.view, self.digest)
-
     @staticmethod
     def failure(view: int) -> "Claim":
         """Build a ``claim(∅)`` for ``view``."""
-        return Claim(view=view, digest=None, primary_signature=None)
+        return Claim(view=view, digest=None)
 
 
 @record(slots=True)
@@ -77,10 +68,6 @@ class CpEntry:
 
     view: int
     digest: bytes
-
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding for hashing."""
-        return (self.view, self.digest)
 
 
 @record
@@ -168,17 +155,6 @@ class SyncMessage(Message):
     cp_set: Tuple[CpEntry, ...] = ()
     retransmit_flag: bool = False
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by the sender's MAC and signature."""
-        return (
-            "sync",
-            self.instance,
-            self.view,
-            self.claim.canonical_fields(),
-            tuple(entry.canonical_fields() for entry in self.cp_set),
-            self.retransmit_flag,
-        )
-
 
 @record
 class AskMessage(Message):
@@ -188,10 +164,6 @@ class AskMessage(Message):
     view: int
     claim: Claim
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("ask", self.instance, self.view, self.claim.canonical_fields())
-
 
 @record
 class ProposalForward(Message):
@@ -200,11 +172,6 @@ class ProposalForward(Message):
     instance: int
     propose: ProposeMessage
     primary_signature: Optional[Signature] = None
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        signature_fields = self.primary_signature.canonical_fields() if self.primary_signature else None
-        return ("forward", self.instance, self.propose.canonical_fields(), signature_fields)
 
 
 __all__ = [

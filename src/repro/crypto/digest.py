@@ -15,9 +15,14 @@ from typing import Any
 def _canonical_bytes(value: Any) -> bytes:
     """Encode ``value`` into a canonical byte string for hashing.
 
-    Supports the small universe of types that appear in protocol messages:
+    Supports the small universe of types that appear in hashed records:
     bytes, strings, integers, floats, None, and (nested) tuples/lists/dicts
-    of those.  Dataclass-like objects can supply ``canonical_fields()``.
+    of those.  An object is encoded as the tuple its ``canonical_fields()``
+    returns; only the nine records whose hash is assembled inline elsewhere
+    define one, as that encoder's reference: ``Transaction``, ``Operation``,
+    ``ProposeMessage``, ``Certificate``, ``Signature``, ``Block``,
+    ``BlockProof``, ``SlotRecord`` and ``SlotEntry``.  Wire messages have no
+    canonical form (the simulator authenticates nothing).
     """
     if isinstance(value, bytes):
         return b"b" + value
@@ -54,8 +59,10 @@ def digest_to_int(digest: bytes) -> int:
 
 
 #: Public alias: the reference encoding that the encoders assembled inline on
-#: the hot path (``Transaction.digest``, ``BlockProof.encoded``,
-#: ``Block.digest``, ``fold_entry``) are tested against.
+#: the hot path are tested against — ``Transaction.digest`` (with its
+#: ``Operation``s), ``ProposeMessage.digest`` (with its ``Certificate`` and
+#: ``Signature``s), ``Block.digest``, ``BlockProof.encoded`` and
+#: ``fold_entry`` (``SlotEntry`` and its ``SlotRecord``s).
 canonical_bytes = _canonical_bytes
 
 

@@ -96,11 +96,7 @@ class EquivocationAttack(AttackScenario):
         if sender not in self.attackers or receiver not in self.victims:
             return None
         if isinstance(message, SyncMessage) and not message.claim.is_failure:
-            claim = Claim(
-                view=message.claim.view,
-                digest=conflicting_digest(message.claim.digest),
-                primary_signature=None,
-            )
+            claim = Claim(view=message.claim.view, digest=conflicting_digest(message.claim.digest))
             return replace(message, claim=claim)
         if isinstance(message, (PrepareMessage, CommitMessage)):
             return replace(message, batch_digest=conflicting_digest(message.batch_digest))

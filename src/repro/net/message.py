@@ -10,14 +10,11 @@ class Message:
     """Base class for protocol messages.
 
     Concrete message types are frozen dataclasses built by
-    :func:`repro.net.record.record`; ``canonical_fields``
-    returns the tuple of fields that identify the message — what a digest of
-    it covers (the simulator computes no MAC or signature over them).
+    :func:`repro.net.record.record`.  A message on the wire is its fields:
+    the simulator computes no MAC or signature over it, so it has no
+    canonical encoding.  Only the records a run hashes have one
+    (``canonical_fields``, see :mod:`repro.crypto.digest`).
     """
-
-    def canonical_fields(self) -> tuple:
-        """Tuple of identifying fields; overridden by subclasses."""
-        raise NotImplementedError
 
 
 @record
@@ -31,11 +28,6 @@ class InformMessage(Message):
     replica: int
     client_id: int
     transaction_digest: bytes
-    success: bool = True
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("inform", self.replica, self.client_id, self.transaction_digest, self.success)
 
 
 __all__ = ["InformMessage", "Message"]

@@ -22,10 +22,6 @@ class QuorumCert:
     node_digest: bytes
     signers: Tuple[int, ...]
 
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding for hashing."""
-        return (self.view, self.node_digest, self.signers)
-
     def is_valid(self, quorum: int) -> bool:
         """True when the certificate has at least ``quorum`` distinct signers."""
         return len(set(self.signers)) >= quorum
@@ -41,18 +37,6 @@ class HsProposal(Message):
     transaction_digests: Tuple[bytes, ...]
     justify: Optional[QuorumCert]
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by the leader's signature."""
-        justify_fields = self.justify.canonical_fields() if self.justify else None
-        return (
-            "hs-proposal",
-            self.view,
-            self.node_digest,
-            self.parent_digest,
-            self.transaction_digests,
-            justify_fields,
-        )
-
 
 @record
 class HsVote(Message):
@@ -62,10 +46,6 @@ class HsVote(Message):
     node_digest: bytes
     voter: int
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by the voter's signature."""
-        return ("hs-vote", self.view, self.node_digest, self.voter)
-
 
 @record
 class HsNewView(Message):
@@ -73,11 +53,6 @@ class HsNewView(Message):
 
     view: int
     high_qc: Optional[QuorumCert]
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        qc_fields = self.high_qc.canonical_fields() if self.high_qc else None
-        return ("hs-newview", self.view, qc_fields)
 
 
 @record
@@ -95,18 +70,6 @@ class HsNodeData(Message):
     transaction_digests: Tuple[bytes, ...]
     justify: Optional[QuorumCert] = None
 
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding for authentication."""
-        justify_fields = self.justify.canonical_fields() if self.justify else None
-        return (
-            "hs-node-data",
-            self.digest,
-            self.view,
-            self.parent_digest,
-            self.transaction_digests,
-            justify_fields,
-        )
-
 
 @record
 class HsChainRequest(Message):
@@ -121,27 +84,19 @@ class HsChainRequest(Message):
     node_digest: bytes
     want_payloads: bool = False
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("hs-chain-request", self.node_digest, self.want_payloads)
-
 
 @record
 class HsChainResponse(Message):
     """A chain segment walking certified ancestors toward the committed prefix.
 
-    ``payloads`` is only populated for ``want_payloads`` requests.  Payloads
-    are deliberately outside the canonical fields: the receiver re-hashes
-    each one and only registers those referenced by a digest-verified node,
-    so a Byzantine responder cannot smuggle forged request bodies.
+    ``payloads`` is only populated for ``want_payloads`` requests.  The
+    receiver re-hashes each payload and only registers those referenced by a
+    digest-verified node, so a Byzantine responder cannot smuggle forged
+    request bodies.
     """
 
     nodes: Tuple[HsNodeData, ...]
     payloads: Tuple[Transaction, ...] = ()
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("hs-chain-response", tuple(node.canonical_fields() for node in self.nodes))
 
 
 __all__ = [

@@ -22,10 +22,6 @@ class PrePrepareMessage(Message):
     sequence: int
     transaction_digests: Tuple[bytes, ...]
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("preprepare", self.instance, self.view, self.sequence, self.transaction_digests)
-
     def batch_digest(self) -> bytes:
         """Digest identifying the proposed batch."""
         return b"".join(self.transaction_digests)
@@ -40,10 +36,6 @@ class PrepareMessage(Message):
     sequence: int
     batch_digest: bytes
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("prepare", self.instance, self.view, self.sequence, self.batch_digest)
-
 
 @record
 class CommitMessage(Message):
@@ -53,10 +45,6 @@ class CommitMessage(Message):
     view: int
     sequence: int
     batch_digest: bytes
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("commit", self.instance, self.view, self.sequence, self.batch_digest)
 
 
 @record
@@ -80,19 +68,6 @@ class ViewChangeMessage(Message):
     checkpoint_floor: int = 0
     checkpoint: Optional[CheckpointCertificate] = None
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        checkpoint_fields = self.checkpoint.canonical_fields() if self.checkpoint else None
-        return (
-            "viewchange",
-            self.instance,
-            self.new_view,
-            self.last_executed,
-            self.prepared_slots,
-            self.checkpoint_floor,
-            checkpoint_fields,
-        )
-
 
 @record
 class NewViewMessage(Message):
@@ -108,10 +83,6 @@ class NewViewMessage(Message):
     new_view: int
     reproposals: Tuple[Tuple[int, Tuple[bytes, ...]], ...]
     supporters: Tuple[int, ...]
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("newview", self.instance, self.new_view, self.reproposals, self.supporters)
 
 
 __all__ = [

@@ -81,10 +81,6 @@ class CheckpointVote(Message):
     digest: bytes
     voter: int
 
-    def canonical_fields(self) -> tuple:
-        """Fields covered by the voter's signature."""
-        return ("checkpoint-vote", self.position, self.digest, self.voter)
-
 
 @record
 class CheckpointCertificate(Message):
@@ -103,20 +99,12 @@ class CheckpointCertificate(Message):
             return False
         return len(distinct) >= quorum
 
-    def canonical_fields(self) -> tuple:
-        """Canonical encoding for embedding into other messages."""
-        return ("checkpoint-cert", self.position, self.digest, self.signers)
-
 
 @record
 class StateRequest(Message):
     """Pull request for the decided content from ``from_position`` upward."""
 
     from_position: int
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        return ("state-request", self.from_position)
 
 
 @record
@@ -132,16 +120,6 @@ class StateResponse(Message):
     entries: Tuple[SlotEntry, ...]
     certificate: Optional[CheckpointCertificate]
     payloads: Tuple[Transaction, ...] = ()
-
-    def canonical_fields(self) -> tuple:
-        """Fields covered by authentication."""
-        certificate_fields = self.certificate.canonical_fields() if self.certificate else None
-        return (
-            "state-response",
-            self.from_position,
-            tuple(entry.canonical_fields() for entry in self.entries),
-            certificate_fields,
-        )
 
 
 __all__ = [

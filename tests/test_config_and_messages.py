@@ -6,15 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SpotLessConfig
-from repro.core.messages import (
-    AskMessage,
-    Claim,
-    CpEntry,
-    InformMessage,
-    ProposalForward,
-    ProposeMessage,
-    SyncMessage,
-)
+from repro.core.messages import Claim, ProposeMessage
 from repro.crypto.certificates import Certificate, Signature
 from repro.crypto.digest import digest_bytes
 
@@ -77,24 +69,12 @@ def test_failure_claim_has_no_digest():
     claim = Claim.failure(7)
     assert claim.is_failure
     assert claim.view == 7
-    assert claim.statement() == (7, None)
 
 
 def test_regular_claim_statement_pairs_view_and_digest():
     claim = Claim(view=3, digest=b"abc")
     assert not claim.is_failure
-    assert claim.statement() == (3, b"abc")
-
-
-def test_claims_with_different_digests_have_different_canonical_fields():
-    first = Claim(view=3, digest=b"abc")
-    second = Claim(view=3, digest=b"abd")
-    assert first.canonical_fields() != second.canonical_fields()
-
-
-def test_cp_entry_canonical_fields_round_trip():
-    entry = CpEntry(view=5, digest=b"xyz")
-    assert entry.canonical_fields() == (5, b"xyz")
+    assert (claim.view, claim.digest) == (3, b"abc")
 
 
 # ---------------------------------------------------------------------------
@@ -181,42 +161,6 @@ def test_proposal_digest_matches_the_canonical_encoding(
         parent_claim_quorum=tuple(claim_quorum),
     )
     assert message.digest() == digest_bytes(message.canonical_fields())
-
-
-@given(
-    st.integers(min_value=0, max_value=1000),
-    st.lists(st.binary(min_size=1, max_size=8), min_size=0, max_size=5),
-)
-@settings(max_examples=50, deadline=None)
-def test_sync_canonical_fields_reflect_view_and_cp_set(view, digests):
-    cp_set = tuple(CpEntry(view=index, digest=digest) for index, digest in enumerate(digests))
-    message = SyncMessage(instance=0, view=view, claim=Claim.failure(view), cp_set=cp_set)
-    fields = message.canonical_fields()
-    assert fields[0] == "sync"
-    assert fields[2] == view
-    assert len(fields[4]) == len(cp_set)
-
-
-def test_sync_retransmit_flag_is_part_of_the_canonical_encoding():
-    plain = SyncMessage(instance=0, view=1, claim=Claim.failure(1))
-    flagged = SyncMessage(instance=0, view=1, claim=Claim.failure(1), retransmit_flag=True)
-    assert plain.canonical_fields() != flagged.canonical_fields()
-
-
-def test_ask_and_forward_wrap_the_underlying_claim_and_proposal():
-    claim = Claim(view=4, digest=b"p4")
-    ask = AskMessage(instance=2, view=4, claim=claim)
-    assert ask.canonical_fields()[0] == "ask"
-    assert ask.canonical_fields()[3] == claim.canonical_fields()
-    forward = ProposalForward(instance=2, propose=_propose())
-    assert forward.canonical_fields()[0] == "forward"
-    assert forward.canonical_fields()[2] == _propose().canonical_fields()
-
-
-def test_inform_message_identifies_replica_client_and_transaction():
-    inform = InformMessage(replica=3, client_id=9, transaction_digest=b"d")
-    fields = inform.canonical_fields()
-    assert fields == ("inform", 3, 9, b"d", True)
 
 
 def test_messages_are_hashable_and_frozen():

@@ -166,6 +166,26 @@ def test_reference_payload_attached_later():
     assert reference.has_payload()
 
 
+def test_recheck_commits_applies_a_link_filled_after_the_prepare():
+    # A <- B <- C in views 0, 1, 2; C was prepared while known by reference
+    # only, so its prepare could not reach B or A.
+    store = ProposalStore()
+    (first, second), committed = extend_chain(store, [0, 1])
+    assert committed == [] and store.lock is first
+    message = propose(2, second.digest, 1)
+    third = store.record_reference(message.digest(), view=2)
+    assert store.mark_conditionally_prepared(third) == []
+    # Filling the link applies none of its consequences by itself.
+    assert store.record_message(message) is third
+    assert store.committed == [] and store.lock is first
+    assert second.status == ProposalStatus.CONDITIONALLY_PREPARED
+    # The recheck does: B is locked, and three consecutive views commit A.
+    assert store.recheck_commits() == [first]
+    assert store.committed == [first] and first.status == ProposalStatus.COMMITTED
+    assert store.lock is second and second.status == ProposalStatus.CONDITIONALLY_COMMITTED
+    assert store.recheck_commits() == []
+
+
 def test_highest_conditionally_prepared_and_per_view_lookup():
     store = ProposalStore()
     proposals, _ = extend_chain(store, [0, 1, 2])

@@ -49,6 +49,43 @@ def test_canonical_encoding_treats_subclasses_as_their_base_type():
     assert canonical_bytes(Pair(b"l", "r")) == canonical_bytes((b"l", "r"))
 
 
+#: The records that define ``canonical_fields``: each is the reference that an
+#: encoder assembled inline on the hot path is tested against, in the test
+#: named next to it.  A wire message is its fields and has no canonical form.
+CANONICAL_REFERENCES = {
+    "Transaction": "test_net_ledger_workload.py::test_transaction_digest_matches_the_canonical_encoding",
+    "Operation": "test_net_ledger_workload.py::test_transaction_digest_matches_the_canonical_encoding",
+    "ProposeMessage": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
+    "Certificate": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
+    "Signature": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
+    "Block": "test_net_ledger_workload.py::test_block_digest_matches_canonical_encoding",
+    "BlockProof": "test_net_ledger_workload.py::test_block_proof_encoding_matches_canonical_bytes",
+    "SlotRecord": "test_recovery.py::test_fold_entry_equals_the_generic_canonical_encoding",
+    "SlotEntry": "test_recovery.py::test_fold_entry_equals_the_generic_canonical_encoding",
+}
+
+
+def test_only_the_inline_encoders_references_define_a_canonical_form():
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    defining = set()
+    for path in Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "canonical_fields" for item in node.body
+            ):
+                defining.add(node.name)
+    assert defining == set(CANONICAL_REFERENCES)
+    tests = Path(__file__).parent
+    for reference in set(CANONICAL_REFERENCES.values()):
+        filename, test = reference.split("::")
+        module = ast.parse((tests / filename).read_text(encoding="utf-8"))
+        assert any(isinstance(node, ast.FunctionDef) and node.name == test for node in module.body), reference
+
+
 def test_digest_rejects_unencodable_types():
     with pytest.raises(TypeError):
         digest_bytes(object())
