@@ -12,7 +12,8 @@ single benchmark round; the printed tables are the artefacts to compare.
 
 from repro.analysis.report import format_table
 from repro.bench import ablations
-from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
+from repro.bench.ablations import ExponentialBackoff
+from repro.core.timeouts import AdaptiveTimeout
 from repro.workload.requests import Operation, Transaction
 
 
@@ -25,7 +26,7 @@ def test_ablation_timeout_policy_stability(benchmark):
     """Constant-ε timeouts recover far faster than exponential back-off."""
 
     def run():
-        adaptive = AdaptiveTimeout(initial=0.05, increment=0.01)
+        adaptive = AdaptiveTimeout(initial=0.05)
         backoff = ExponentialBackoff(initial=0.05)
         for _ in range(10):
             adaptive.on_timeout()

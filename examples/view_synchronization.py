@@ -12,8 +12,9 @@ lagging replica catches up using the two RVS mechanisms of Section 3.4:
   conditionally prepare (and execute) the chain it was absent for.
 
 The script prints the view lag of the isolated replica over time for both
-Rapid View Synchronization and the GST-style pacemaker ablation, which has
-to walk the missed views one timeout at a time.
+Rapid View Synchronization and the GST-style pacemaker ablation
+(``repro.bench.ablations.GstPacemakerReplica``), which has to walk the
+missed views one timeout at a time.
 
 Run with::
 
@@ -22,8 +23,10 @@ Run with::
 
 from __future__ import annotations
 
+from repro.bench.ablations import GstPacemakerReplica
 from repro.bench.cluster import SimulatedCluster
 from repro.core.config import SpotLessConfig
+from repro.core.node import SpotLessReplica
 from repro.faults.injector import FaultEvent, FaultInjector
 
 NUM_REPLICAS = 4
@@ -39,10 +42,10 @@ def max_view(cluster: SimulatedCluster, replica_id: int) -> int:
     return max(instance.current_view for instance in replica.instances.values())
 
 
-def run(view_sync_mode: str) -> list[tuple[float, int]]:
-    """Run one cluster and sample the isolated replica's view lag over time."""
-    config = SpotLessConfig(num_replicas=NUM_REPLICAS, num_instances=1, view_sync_mode=view_sync_mode)
-    cluster = SimulatedCluster.spotless(config, clients=2, outstanding_per_client=4)
+def run(replica_class: type) -> list[tuple[float, int]]:
+    """Run one cluster of ``replica_class`` and sample the isolated replica's view lag over time."""
+    config = SpotLessConfig(num_replicas=NUM_REPLICAS, num_instances=1)
+    cluster = SimulatedCluster.build(replica_class, config, clients=2, outstanding_per_client=4)
     others = tuple(replica for replica in range(NUM_REPLICAS) if replica != ISOLATED)
     FaultInjector(cluster).schedule(
         FaultEvent(
@@ -67,9 +70,9 @@ def main() -> None:
         f"Replica {ISOLATED} partitioned from t={PARTITION_START}s to t={PARTITION_END}s; "
         f"view lag of the isolated replica over time\n"
     )
-    runs = {mode: run(mode) for mode in ("rvs", "gst")}
+    rvs, gst = run(SpotLessReplica), run(GstPacemakerReplica)
     print(f"{'time (s)':>9}  {'RVS lag':>8}  {'GST-pacemaker lag':>18}")
-    for (time, rvs_lag), (_, gst_lag) in zip(runs["rvs"], runs["gst"]):
+    for (time, rvs_lag), (_, gst_lag) in zip(rvs, gst):
         marker = ""
         if PARTITION_START <= time <= PARTITION_END:
             marker = "  <- partitioned"

@@ -1,6 +1,6 @@
 """Ablation experiments for the design choices EXPERIMENTS.md ("Ablations") lists.
 
-The paper motivates four design decisions that are not covered by its
+The paper motivates five design decisions that are not covered by its
 headline figures:
 
 * the **three-consecutive-view commit rule** (Example 3.6 shows that a
@@ -9,7 +9,12 @@ headline figures:
 * the **constant-ε adaptive timeout** instead of exponential back-off
   (the mechanism behind the Figure 12 stability contrast with RCC);
 * the **digest-based request-to-instance assignment** instead of RCC's
-  static client-to-primary binding.
+  static client-to-primary binding;
+* the **geo fast path** (Section 6.1), on against off.
+
+A SpotLess replica runs only the paper's rules: each counterfactual is a
+subclass here, beside the experiment that measures it, overriding one method.
+The fast path is the paper's own and stays a ``SpotLessConfig`` field.
 
 Each function in this module runs the two variants of one decision and
 returns rows suitable for :func:`repro.analysis.report.format_table`; the
@@ -23,11 +28,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.chain import Proposal, ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
+from repro.core.instance import InstanceEnvironment, SpotLessInstance
 from repro.core.messages import ProposeMessage
+from repro.core.node import SpotLessReplica
 from repro.bench.cluster import SimulatedCluster
 from repro.bench.experiments import Experiment
 from repro.faults.injector import FaultEvent, FaultInjector
 from repro.sim.network import NetworkConfig, RegionTopology
+from repro.workload.requests import Transaction
 
 
 # ----------------------------------------------------------------------
@@ -153,6 +161,24 @@ def commit_rule_safety() -> List[Dict[str, object]]:
 # ----------------------------------------------------------------------
 
 
+class GstPacemakerInstance(SpotLessInstance):
+    """A GST-style pacemaker: views advance only through this replica's own
+    quorum progress and timer expiry, never by the f + 1 higher-view skip."""
+
+    def _maybe_skip_views(self) -> None:
+        return
+
+
+class GstPacemakerReplica(SpotLessReplica):
+    """A SpotLess replica whose instances run the GST-style pacemaker."""
+
+    instance_class = GstPacemakerInstance
+
+
+#: ``view_sync_mode`` -> the replica class that runs it.
+VIEW_SYNC_REPLICAS = {"rvs": SpotLessReplica, "gst": GstPacemakerReplica}
+
+
 def _max_view(cluster: SimulatedCluster, replica_id: int) -> int:
     """Highest view any instance of ``replica_id`` has reached."""
     replica = cluster.replicas[replica_id]
@@ -177,8 +203,10 @@ def view_synchronization_recovery(
     """
     rows = []
     for mode in view_sync_modes:
-        config = SpotLessConfig(num_replicas=num_replicas, num_instances=1, view_sync_mode=mode)
-        cluster = SimulatedCluster.spotless(config, clients=2, outstanding_per_client=4)
+        config = SpotLessConfig(num_replicas=num_replicas, num_instances=1)
+        cluster = SimulatedCluster.build(
+            VIEW_SYNC_REPLICAS[mode], config, clients=2, outstanding_per_client=4
+        )
         injector = FaultInjector(cluster)
         isolated = num_replicas - 1
         others = tuple(r for r in range(num_replicas) if r != isolated)
@@ -204,6 +232,58 @@ def view_synchronization_recovery(
 # ----------------------------------------------------------------------
 
 
+#: Growth factor and upper bound (seconds) of :class:`ExponentialBackoff`.
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAXIMUM = 60.0
+
+
+class ExponentialBackoff:
+    """Classic exponential back-off, the timer the constant-ε rule is measured
+    against (the PBFT/RCC baselines use fixed timeouts)."""
+
+    def __init__(self, initial: float) -> None:
+        if initial <= 0:
+            raise ValueError("initial timeout must be positive")
+        self.initial = initial
+        self._interval = initial
+
+    @property
+    def interval(self) -> float:
+        """Current timeout interval in seconds."""
+        return self._interval
+
+    def on_timeout(self) -> float:
+        """Multiply the interval by ``BACKOFF_FACTOR`` after an expiry."""
+        self._interval = min(BACKOFF_MAXIMUM, self._interval * BACKOFF_FACTOR)
+        return self._interval
+
+    def on_progress(self, waited: float) -> float:
+        """Reset the interval once progress is observed."""
+        self._interval = self.initial
+        return self._interval
+
+
+class BackoffInstance(SpotLessInstance):
+    """A SpotLess instance whose two view timers back off exponentially."""
+
+    def __init__(
+        self, instance_id: int, config: SpotLessConfig, environment: InstanceEnvironment
+    ) -> None:
+        super().__init__(instance_id, config, environment)
+        self._recording_timeout = ExponentialBackoff(config.recording_timeout)
+        self._certifying_timeout = ExponentialBackoff(config.certifying_timeout)
+
+
+class BackoffReplica(SpotLessReplica):
+    """A SpotLess replica whose instances back off exponentially."""
+
+    instance_class = BackoffInstance
+
+
+#: ``timeout_policy`` -> the replica class that runs it.
+TIMEOUT_REPLICAS = {"adaptive": SpotLessReplica, "exponential": BackoffReplica}
+
+
 def timeout_policy_stability(
     policies: Sequence[str] = ("adaptive", "exponential"),
     num_replicas: int = 4,
@@ -224,11 +304,12 @@ def timeout_policy_stability(
         config = SpotLessConfig(
             num_replicas=num_replicas,
             num_instances=num_replicas,
-            timeout_policy=policy,
             recording_timeout=0.02,
             certifying_timeout=0.02,
         )
-        cluster = SimulatedCluster.spotless(config, clients=4, outstanding_per_client=6)
+        cluster = SimulatedCluster.build(
+            TIMEOUT_REPLICAS[policy], config, clients=4, outstanding_per_client=6
+        )
         injector = FaultInjector(cluster)
         injector.schedule(FaultEvent("crash", crash_at, replicas=(num_replicas - 1,)))
         cluster.start()
@@ -263,6 +344,20 @@ def timeout_policy_stability(
 # ----------------------------------------------------------------------
 
 
+class ClientBoundReplica(SpotLessReplica):
+    """RCC-style assignment: every client is bound to one instance."""
+
+    def _assign_shard(self, transaction: Transaction) -> int:
+        # No-op transactions (client id below 0) keep the digest rule.
+        if transaction.client_id >= 0:
+            return transaction.client_id % self.config.num_instances
+        return super()._assign_shard(transaction)
+
+
+#: ``assignment_policy`` -> the replica class that runs it.
+ASSIGNMENT_REPLICAS = {"digest": SpotLessReplica, "client": ClientBoundReplica}
+
+
 def assignment_load_balance(
     policies: Sequence[str] = ("digest", "client"),
     num_replicas: int = 4,
@@ -283,9 +378,10 @@ def assignment_load_balance(
             num_replicas=num_replicas,
             num_instances=num_replicas,
             batch_size=1,
-            assignment_policy=policy,
         )
-        cluster = SimulatedCluster.spotless(config, clients=clients, outstanding_per_client=6)
+        cluster = SimulatedCluster.build(
+            ASSIGNMENT_REPLICAS[policy], config, clients=clients, outstanding_per_client=6
+        )
         cluster.run(duration=duration)
         replica = cluster.replicas[0]
         per_instance = replica.committed_client_transactions_per_instance()

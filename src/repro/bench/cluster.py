@@ -87,15 +87,15 @@ class SimulatedCluster:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _build(
+    def build(
         replica_class: type,
         config: object,
-        clients: int,
-        outstanding_per_client: int,
-        network_config: Optional[NetworkConfig],
-        workload_config: Optional[YcsbConfig],
-        seed: int,
-        arrival: Optional[LoadProfile],
+        clients: int = 4,
+        outstanding_per_client: int = 8,
+        network_config: Optional[NetworkConfig] = None,
+        workload_config: Optional[YcsbConfig] = None,
+        seed: int = 1,
+        arrival: Optional[LoadProfile] = None,
     ) -> "SimulatedCluster":
         """The one place a replica or a client is constructed (fork names are pinned)."""
         simulator = Simulator()
@@ -140,7 +140,7 @@ class SimulatedCluster:
         open-loop client pool driven by that load
         profile (``clients``/``outstanding_per_client`` are then ignored).
         """
-        return SimulatedCluster._build(
+        return SimulatedCluster.build(
             SpotLessReplica, config, clients, outstanding_per_client, network_config,
             workload_config, seed, arrival,
         )
@@ -196,7 +196,7 @@ class SimulatedCluster:
                 num_instances=num_instances or (num_replicas if name == "rcc" else 1),
                 **overrides,
             )
-        return SimulatedCluster._build(
+        return SimulatedCluster.build(
             REPLICA_CLASSES[name], config, clients, outstanding_per_client, network_config,
             None, seed, arrival,
         )

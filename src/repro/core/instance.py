@@ -40,7 +40,7 @@ from repro.core.messages import (
     ProposeMessage,
     SyncMessage,
 )
-from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
+from repro.core.timeouts import AdaptiveTimeout
 from repro.crypto.certificates import Certificate, Signature
 from repro.runtime.quorum import view_reached_by
 from repro.runtime.retry import RetryingPull
@@ -196,12 +196,8 @@ class SpotLessInstance:
         # certificate.
         self._unsigned: Dict[int, Signature] = {}
 
-        if config.timeout_policy == "exponential":
-            self._recording_timeout = ExponentialBackoff(initial=config.recording_timeout)
-            self._certifying_timeout = ExponentialBackoff(initial=config.certifying_timeout)
-        else:
-            self._recording_timeout = AdaptiveTimeout(initial=config.recording_timeout)
-            self._certifying_timeout = AdaptiveTimeout(initial=config.certifying_timeout)
+        self._recording_timeout = AdaptiveTimeout(config.recording_timeout)
+        self._certifying_timeout = AdaptiveTimeout(config.certifying_timeout)
         self._recording_timer = environment.make_timer(
             f"i{instance_id}:recording", self._on_recording_timeout
         )
@@ -710,13 +706,8 @@ class SpotLessInstance:
     def _maybe_skip_views(self) -> None:
         """The f+1 higher-view skip of Rapid View Synchronization.
 
-        In the ``"gst"`` ablation mode this rule is disabled: replicas only
-        advance views through their own quorum progress and timer expiry, as
-        a Global-Synchronization-Time pacemaker would.  Called only when
-        some sender's Sync is ahead of the current view.
+        Called only when some sender's Sync is ahead of the current view.
         """
-        if self.config.view_sync_mode == "gst":
-            return
         current = self.current_view
         target_view = view_reached_by(self._highest_view_seen.values(), current, self._weak_quorum)
         if target_view is None:

@@ -76,6 +76,8 @@ class SpotLessReplica(ReplicaRuntime):
     """
 
     protocol_name = "spotless"
+    #: The class of each hosted consensus instance.
+    instance_class = SpotLessInstance
 
     def __init__(
         self,
@@ -113,7 +115,7 @@ class SpotLessReplica(ReplicaRuntime):
 
         self.instances: Dict[int, SpotLessInstance] = {}
         for instance_id in range(config.num_instances):
-            self.instances[instance_id] = SpotLessInstance(
+            self.instances[instance_id] = self.instance_class(
                 instance_id=instance_id,
                 config=config,
                 environment=self._make_environment(),
@@ -179,13 +181,8 @@ class SpotLessReplica(ReplicaRuntime):
         """Instance responsible for proposing ``transaction``.
 
         The paper assigns requests to instances by digest (Section 5), which
-        load-balances requests from the same client across instances.  The
-        ``"client"`` ablation policy instead binds every client to one
-        instance, RCC-style, so the load-balance ablation can compare the
-        two.  No-op transactions always use the digest rule.
+        load-balances requests from the same client across instances.
         """
-        if self.config.assignment_policy == "client" and transaction.client_id >= 0:
-            return transaction.client_id % self.config.num_instances
         return transaction.instance_assignment(self.config.num_instances)
 
     def _next_batch(self, instance_id: int, view: int) -> Tuple[bytes, ...]:

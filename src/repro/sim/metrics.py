@@ -80,10 +80,6 @@ class Histogram:
         """Largest sample (0.0 when empty)."""
         return max(self._samples) if self._samples else 0.0
 
-    def minimum(self) -> float:
-        """Smallest sample (0.0 when empty)."""
-        return min(self._samples) if self._samples else 0.0
-
     def reset(self) -> None:
         """Discard all samples."""
         self._samples.clear()

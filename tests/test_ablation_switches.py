@@ -1,50 +1,76 @@
-"""Tests for the configurable design-choice switches added for the ablations.
+"""Tests for the ablations' protocol variants and the paper's own switches.
 
-Covers the two-view commit rule (Example 3.6) on the ablation's own store,
-the GST-style pacemaker mode, the exponential timeout policy, the RCC-style
-client-to-instance assignment, the Section 6.1 geo fast path, and the Υ
-retransmission hardening that keeps Rapid View Synchronization from looping.
+Covers the variant classes of ``repro.bench.ablations`` (the two-view commit
+rule of Example 3.6 on the ablation's own store, the GST-style pacemaker, the
+exponential back-off timer and the RCC-style client-to-instance binding), the
+Section 6.1 geo fast path, and the Υ retransmission hardening that keeps
+Rapid View Synchronization from looping.
 """
 
 import pytest
 
-from repro.bench.ablations import TwoViewStore
+from repro.bench.ablations import (
+    BackoffInstance,
+    BackoffReplica,
+    ClientBoundReplica,
+    ExponentialBackoff,
+    GstPacemakerInstance,
+    GstPacemakerReplica,
+    TwoViewStore,
+)
+from repro.bench.cluster import SimulatedCluster
 from repro.core.chain import ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
-from repro.core.instance import ViewState
+from repro.core.instance import SpotLessInstance, ViewState
 from repro.core.messages import Claim, ProposeMessage, SyncMessage
-from repro.core.timeouts import AdaptiveTimeout, ExponentialBackoff
+from repro.core.node import SpotLessReplica
+from repro.core.timeouts import AdaptiveTimeout
 from repro.workload.requests import Operation, Transaction
 
 from tests.test_core_instance import Harness
 
 
 # ---------------------------------------------------------------------------
-# configuration validation for the new switches
+# the paper's defaults, and the shape of each ablation variant
 # ---------------------------------------------------------------------------
-
-
-def test_config_rejects_unknown_view_sync_mode():
-    with pytest.raises(ValueError):
-        SpotLessConfig(num_replicas=4, view_sync_mode="pacemaker")
-
-
-def test_config_rejects_unknown_timeout_policy():
-    with pytest.raises(ValueError):
-        SpotLessConfig(num_replicas=4, timeout_policy="fibonacci")
-
-
-def test_config_rejects_unknown_assignment_policy():
-    with pytest.raises(ValueError):
-        SpotLessConfig(num_replicas=4, assignment_policy="round-robin")
 
 
 def test_config_defaults_match_the_paper():
     config = SpotLessConfig(num_replicas=4)
-    assert config.view_sync_mode == "rvs"
-    assert config.timeout_policy == "adaptive"
-    assert config.assignment_policy == "digest"
     assert config.enable_fast_path is False
+
+
+def _own_names(cls):
+    return {name for name in vars(cls) if not (name.startswith("__") and name.endswith("__"))}
+
+
+@pytest.mark.parametrize(
+    "variant, overrides",
+    [
+        (TwoViewStore, {"_apply_prepare_consequences", "_commit_chain"}),
+        (GstPacemakerInstance, {"_maybe_skip_views"}),
+        (BackoffInstance, set()),
+        (GstPacemakerReplica, {"instance_class"}),
+        (BackoffReplica, {"instance_class"}),
+        (ClientBoundReplica, {"_assign_shard"}),
+    ],
+)
+def test_each_ablation_variant_overrides_only_what_it_names(variant, overrides):
+    # A variant changes one rule of the protocol; it must not grow into a
+    # second copy of it.
+    assert _own_names(variant) == overrides
+
+
+def test_variant_replicas_build_their_variant_instances():
+    config = SpotLessConfig(num_replicas=4, num_instances=2)
+    for replica_class, instance_class in (
+        (SpotLessReplica, SpotLessInstance),
+        (GstPacemakerReplica, GstPacemakerInstance),
+        (BackoffReplica, BackoffInstance),
+    ):
+        cluster = SimulatedCluster.build(replica_class, config, clients=1, outstanding_per_client=1)
+        for replica in cluster.replicas:
+            assert {type(instance) for instance in replica.instances.values()} == {instance_class}
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +145,7 @@ def test_two_view_commits_are_a_superset_of_three_view_commits():
 
 
 # ---------------------------------------------------------------------------
-# GST-style pacemaker mode disables the f+1 view skip
+# the GST-style pacemaker instance disables the f+1 view skip
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +165,7 @@ def test_rvs_mode_skips_ahead_on_f_plus_1_higher_views():
 
 
 def test_gst_mode_never_skips_views():
-    harness = Harness(num_replicas=4, view_sync_mode="gst")
+    harness = Harness(num_replicas=4, instance_class=GstPacemakerInstance)
     harness.start([0])
     target = harness.instances[0]
     target.on_sync(1, _sync(7))
@@ -150,14 +176,14 @@ def test_gst_mode_never_skips_views():
 
 
 def test_gst_mode_still_advances_through_quorum_progress():
-    harness = Harness(num_replicas=4, view_sync_mode="gst")
+    harness = Harness(num_replicas=4, instance_class=GstPacemakerInstance)
     harness.start()
     harness.deliver_all()
     assert all(instance.current_view >= 1 for instance in harness.instances.values())
 
 
 # ---------------------------------------------------------------------------
-# timeout policy selection
+# the timer type: adaptive in the protocol, back-off in the ablation
 # ---------------------------------------------------------------------------
 
 
@@ -167,9 +193,10 @@ def test_adaptive_policy_is_the_default_timer_type():
 
 
 def test_exponential_policy_swaps_the_timer_type_and_doubles():
-    harness = Harness(num_replicas=4, timeout_policy="exponential", recording_timeout=0.1)
+    harness = Harness(num_replicas=4, instance_class=BackoffInstance, recording_timeout=0.1)
     timer = harness.instances[0]._recording_timeout
     assert isinstance(timer, ExponentialBackoff)
+    assert isinstance(harness.instances[0]._certifying_timeout, ExponentialBackoff)
     start = timer.interval
     timer.on_timeout()
     timer.on_timeout()
@@ -177,7 +204,7 @@ def test_exponential_policy_swaps_the_timer_type_and_doubles():
 
 
 # ---------------------------------------------------------------------------
-# request-to-instance assignment policy
+# request-to-instance assignment: by digest, or bound per client
 # ---------------------------------------------------------------------------
 
 
@@ -189,11 +216,9 @@ def _transaction(client_id, sequence):
     )
 
 
-def _fresh_replica(policy):
-    from repro.bench.cluster import SimulatedCluster
-
-    config = SpotLessConfig(num_replicas=4, num_instances=4, assignment_policy=policy)
-    cluster = SimulatedCluster.spotless(config, clients=1, outstanding_per_client=1)
+def _fresh_replica(replica_class):
+    config = SpotLessConfig(num_replicas=4, num_instances=4)
+    cluster = SimulatedCluster.build(replica_class, config, clients=1, outstanding_per_client=1)
     return cluster.replicas[0]
 
 
@@ -202,7 +227,7 @@ def _pending_per_instance(replica):
 
 
 def test_client_assignment_binds_each_client_to_one_instance():
-    replica = _fresh_replica("client")
+    replica = _fresh_replica(ClientBoundReplica)
     for sequence in range(6):
         replica.submit_transaction(_transaction(client_id=1, sequence=sequence))
     pending = _pending_per_instance(replica)
@@ -211,7 +236,7 @@ def test_client_assignment_binds_each_client_to_one_instance():
 
 
 def test_digest_assignment_spreads_one_clients_requests():
-    replica = _fresh_replica("digest")
+    replica = _fresh_replica(SpotLessReplica)
     for sequence in range(32):
         replica.submit_transaction(_transaction(client_id=1, sequence=sequence))
     pending = _pending_per_instance(replica)
@@ -221,7 +246,7 @@ def test_digest_assignment_spreads_one_clients_requests():
 
 
 def test_digest_assignment_matches_transaction_instance_assignment():
-    replica = _fresh_replica("digest")
+    replica = _fresh_replica(SpotLessReplica)
     transaction = _transaction(client_id=3, sequence=0)
     replica.submit_transaction(transaction)
     expected = transaction.instance_assignment(4)

@@ -1,14 +1,22 @@
 """Unit and property-based tests for the deployment configuration and the
 SpotLess message vocabulary."""
 
+import dataclasses
+import inspect
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SpotLessConfig
 from repro.core.messages import Claim, ProposeMessage
+from repro.core.timeouts import AdaptiveTimeout
 from repro.crypto.certificates import Certificate, Signature
 from repro.crypto.digest import digest_bytes
+from repro.runtime.quorum import DeploymentConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +66,23 @@ def test_instance_count_validation():
         SpotLessConfig(num_replicas=3)
     with pytest.raises(ValueError):
         SpotLessConfig(num_replicas=4, batch_size=0)
+
+
+def test_spotless_knob_inventory_holds_only_the_papers_parameters():
+    """A SpotLess replica runs only the paper's rules: the counterfactuals the
+    ablations measure (GST pacemaker, exponential back-off, client binding)
+    are classes in ``repro.bench.ablations``, never a config switch."""
+    base = {field.name for field in dataclasses.fields(DeploymentConfig)}
+    own = {field.name for field in dataclasses.fields(SpotLessConfig)} - base
+    assert own == {"recording_timeout", "certifying_timeout", "enable_fast_path"}
+    assert list(inspect.signature(AdaptiveTimeout).parameters) == ["initial"]
+    naming = [
+        str(path.relative_to(SRC))
+        for package in ("core", "runtime", "protocols")
+        for path in sorted((SRC / package).rglob("*.py"))
+        if "ExponentialBackoff" in path.read_text(encoding="utf-8")
+    ]
+    assert naming == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from tests.manual_timer import TimerBoard
 class Harness:
     """Connects a group of SpotLess instances through manual message queues."""
 
-    def __init__(self, num_replicas=4, instance_id=0, **config_kwargs):
+    def __init__(self, num_replicas=4, instance_id=0, instance_class=SpotLessInstance, **config_kwargs):
         self.config = SpotLessConfig(num_replicas=num_replicas, num_instances=1, **config_kwargs)
         self.queues: List[Tuple[int, Optional[int], object]] = []
         self.commits: Dict[int, List] = {r: [] for r in range(num_replicas)}
@@ -34,7 +34,7 @@ class Harness:
         self.time = 0.0
         self.instances: Dict[int, SpotLessInstance] = {}
         for replica in range(num_replicas):
-            self.instances[replica] = SpotLessInstance(
+            self.instances[replica] = instance_class(
                 instance_id=instance_id,
                 config=self.config,
                 environment=self._environment(replica),

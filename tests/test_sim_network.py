@@ -181,7 +181,6 @@ def test_histogram_statistics():
     assert percentile([1.0, 2.0, 3.0, 4.0], 0.99) == percentile([1.0, 2.0, 3.0, 4.0], 1.0) == 4.0
     assert percentile([], 0.5) == 0.0
     assert histogram.maximum() == 4.0
-    assert histogram.minimum() == 1.0
     histogram.reset()
     assert histogram.count == 0
 

@@ -10,9 +10,9 @@ it is parallel with ``--workers`` and served from the result cache unless
 how one copy of this tool records two source trees.  The cell set is the
 smoke matrix at seeds 1-3, every fault kind x every protocol at f = 1 and
 f = 2 (seed 1), ``fuzz_matrix(50, seed=1)``, and one cell per ablation of
-``repro.bench.ablations.ABLATIONS`` (Example 3.6's two-view commit rule on the
-ablation's own store, and the config-gated SpotLess paths: GST view sync,
-exponential timeouts, client assignment, fast path off).
+``repro.bench.ablations.ABLATIONS`` (each runs the paper's SpotLess against one
+ablation variant: Example 3.6's ``TwoViewStore``, ``GstPacemakerReplica``,
+``BackoffReplica``, ``ClientBoundReplica``, and the fast path off).
 Per scenario cell it keeps the processed events, messages, bytes, dropped and
 rewritten messages, the confirmed count, the summary digest, violations,
 stragglers, and per replica the liveness counters, the state digest and the
