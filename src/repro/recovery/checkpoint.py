@@ -7,15 +7,18 @@ subsystem shared by every protocol stack.  It maintains three things:
   order unit, so two replicas with the same digest at the same position
   provably executed identical prefixes;
 * the **slot archive** — the decided content of every executed order unit,
-  kept so lagging replicas can be served (the in-memory analogue of the
-  on-disk ledger a production replica would read back);
+  in position order, kept so lagging replicas can be served (the in-memory
+  analogue of the on-disk ledger a production replica would read back).  It
+  is the replica's one record of what it executed: the execution pipeline
+  forgets an entry once it ran, and the archive grows with or without
+  checkpointing;
 * the **checkpoint protocol** — every ``interval`` executed units the
   replica emits a :class:`CheckpointVote`; 2f + 1 matching votes form a
   :class:`CheckpointCertificate`, the *stable checkpoint* that garbage
   collection and state transfer anchor on.
 
-Per-slot protocol state (PBFT slots, Sync logs, vote tallies, decided maps)
-is only ever garbage-collected below a stable checkpoint: uncertified slots
+Per-slot protocol state (PBFT slots, Sync logs, vote tallies) is only ever
+garbage-collected below a stable checkpoint: uncertified slots
 are never dropped, because a replica that discarded content no quorum has
 attested to could neither serve state transfer nor survive a view change.
 """
@@ -23,7 +26,7 @@ attested to could neither serve state transfer nor survive a view change.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto.digest import digest_bytes
 from repro.recovery.messages import (
@@ -66,7 +69,7 @@ class CheckpointManager:
         Cluster size and the 2f + 1 agreement quorum votes must reach.
     interval:
         Checkpoint interval K in executed order units; ``0`` disables
-        checkpointing (and with it state transfer) entirely.
+        checkpointing (and with it state transfer), but not the archive.
     """
 
     def __init__(self, node_id: int, num_replicas: int, quorum: int, interval: int) -> None:
@@ -77,10 +80,10 @@ class CheckpointManager:
         self.quorum = quorum
         self.interval = interval
 
-        self.frontier = 0
         self.rolling = GENESIS_EXECUTION_DIGEST
         self.stable: Optional[CheckpointCertificate] = None
-        self._archive: Dict[int, SlotEntry] = {}
+        # Entry ``p`` is the order unit executed at position ``p``.
+        self.archive: List[SlotEntry] = []
         self._votes: Dict[Tuple[int, bytes], Dict[int, CheckpointVote]] = {}
 
         self.votes_sent = 0
@@ -91,6 +94,11 @@ class CheckpointManager:
         """True when checkpointing (and state transfer) is active."""
         return self.interval > 0
 
+    @property
+    def frontier(self) -> int:
+        """Lowest position not yet executed."""
+        return len(self.archive)
+
     def stable_position(self) -> int:
         """Certified floor: every order unit below it is quorum-attested."""
         return self.stable.position if self.stable is not None else 0
@@ -100,29 +108,28 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def record_execution(self, entry: SlotEntry) -> Optional[CheckpointVote]:
-        """Fold one executed order unit; returns a vote at interval crossings.
+        """Archive and fold one executed order unit; returns a vote at
+        interval crossings.
 
         Entries must arrive strictly in frontier order — the rolling digest
         is a chain, so an out-of-order fold would silently diverge from every
-        other replica instead of failing loudly here.
+        other replica instead of failing loudly here.  With checkpointing
+        disabled the unit is archived but not hashed.
         """
-        if entry.position != self.frontier:
+        archive = self.archive
+        if entry.position != len(archive):
             raise ValueError(
-                f"out-of-order execution fold: expected position {self.frontier}, "
+                f"out-of-order execution fold: expected position {len(archive)}, "
                 f"got {entry.position}"
             )
+        archive.append(entry)
         if not self.enabled:
-            # Fully dormant: no hashing and no archive growth on the
-            # execution hot path when checkpointing is disabled (the frontier
-            # still tracks so re-enabling semantics stay well-defined).
-            self.frontier += 1
             return None
         self.rolling = fold_entry(self.rolling, entry)
-        self._archive[entry.position] = entry
-        self.frontier += 1
-        if self.frontier % self.interval == 0:
+        frontier = len(archive)
+        if frontier % self.interval == 0:
             self.votes_sent += 1
-            return CheckpointVote(position=self.frontier, digest=self.rolling, voter=self.node_id)
+            return CheckpointVote(position=frontier, digest=self.rolling, voter=self.node_id)
         return None
 
     # ------------------------------------------------------------------
@@ -181,15 +188,12 @@ class CheckpointManager:
         above the stable checkpoint is never served, because the requester
         could not verify it against a quorum attestation.
         """
-        if self.stable is None or from_position >= self.stable.position:
+        stable = self.stable
+        if stable is None or from_position >= stable.position:
             return None
-        entries = []
-        for position in range(max(0, from_position), self.stable.position):
-            entry = self._archive.get(position)
-            if entry is None:  # pragma: no cover - archive is append-only
-                return None
-            entries.append(entry)
-        return tuple(entries), self.stable
+        if stable.position > len(self.archive):
+            return None  # adopted ahead of our own execution: not ours to serve
+        return tuple(self.archive[max(0, from_position) : stable.position]), stable
 
 
 __all__ = ["CheckpointManager", "GENESIS_EXECUTION_DIGEST", "fold_entry"]

@@ -3,7 +3,7 @@
 One :class:`Mempool` backs every protocol stack: it stores request payloads
 (ResilientDB disseminates payloads ahead of consensus, so every replica holds
 them), keeps per-instance FIFO queues of digests awaiting proposal, and
-tracks which digests have been proposed or executed.
+tracks which digests have been executed, or proposed and not yet executed.
 
 The queues are :class:`collections.deque`\\ s and every membership check goes
 through a set, so the hot-path operations — admit and take-batch — are
@@ -81,8 +81,13 @@ class Mempool:
     # ------------------------------------------------------------------
 
     def mark_proposed(self, digests: Iterable[bytes]) -> None:
-        """Record that ``digests`` were placed into a proposal."""
-        self._proposed.update(digests)
+        """Record that ``digests`` were placed into a proposal.
+
+        An executed digest is skipped: a repeated proposal of executed
+        content (RCC re-marks every content it receives) must not bring it
+        back into the proposed set, which holds unexecuted digests only.
+        """
+        self._proposed.update(set(digests).difference(self._executed))
 
     def claim_unexecuted(self, transactions: Sequence[Transaction]) -> List[Transaction]:
         """Mark a decided batch executed; return the part not executed before.
@@ -93,7 +98,8 @@ class Mempool:
         this an executed request would sit in ``pending_count`` forever and
         the progress-deadline machinery would see phantom outstanding work in
         a drained system.  The deque entry itself is pruned lazily by
-        ``take_batch``.
+        ``take_batch``.  They leave the proposed set too: every read of it
+        tests the executed set first, or requires a queued digest.
         """
         executed = self._executed
         fresh = [t for t in transactions if t.digest() not in executed]
@@ -101,6 +107,7 @@ class Mempool:
             digests = [t.digest() for t in fresh]
             executed.update(digests)
             self._queued.difference_update(digests)
+            self._proposed.difference_update(digests)
         return fresh
 
     # ------------------------------------------------------------------

@@ -14,7 +14,11 @@ only in *how* a position gets decided; from there on there is one path:
 * execute: each record runs under its own (view, instance) block proof,
   skipping transactions an earlier position already executed, and the owning
   client of every fresh non-no-op transaction is informed;
-* fold: the same entry goes to the recovery layer's checkpoint fold.
+* fold: the same entry goes to the recovery layer, whose checkpoint archive
+  is the replica's one record of executed entries.
+
+The pipeline itself holds only decided positions that have not executed yet:
+an entry leaves it the moment it runs.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ class ExecutionPipeline:
         digest; a position whose payloads can neither be found nor
         reconstructed stalls the execution frontier until they arrive.
     fold:
-        Callback receiving each executed entry (the checkpoint fold).
+        Callback receiving each executed entry (the checkpoint archive and
+        fold).
     """
 
     def __init__(
@@ -84,7 +89,8 @@ class ExecutionPipeline:
         self._resolve_noop = resolve_noop
         self._fold = fold
 
-        self._decided: Dict[int, SlotEntry] = {}
+        # Decided entries not yet executed, by position.
+        self.pending: Dict[int, SlotEntry] = {}
         # Lowest position not yet executed (the execution frontier); only
         # ``advance`` moves it.
         self.next_execution_position = 0
@@ -114,15 +120,15 @@ class ExecutionPipeline:
 
     def deliver_entry(self, entry: SlotEntry) -> None:
         """Record that ``entry`` is decided; a position is decided once."""
-        if entry.position in self._decided:
+        if self.is_decided(entry.position):
             return
-        self._decided[entry.position] = entry
+        self.pending[entry.position] = entry
         self.decided_batches += len(entry.records)
         self.advance()
 
     def is_decided(self, position: int) -> bool:
-        """True while ``position`` holds a decided entry (until compacted)."""
-        return position in self._decided
+        """True once ``position`` is decided: executed, or pending."""
+        return position < self.next_execution_position or position in self.pending
 
     # ------------------------------------------------------------------
     # execution
@@ -130,11 +136,11 @@ class ExecutionPipeline:
 
     def advance(self) -> None:
         """Execute the contiguous decided prefix; gaps stall the frontier."""
-        decided = self._decided
+        pending = self.pending
         get = self.mempool.get
-        while self.next_execution_position in decided:
+        while self.next_execution_position in pending:
             position = self.next_execution_position
-            entry = decided[position]
+            entry = pending[position]
             batches: List[List[Transaction]] = []
             for record in entry.records:
                 transactions: List[Transaction] = []
@@ -153,6 +159,7 @@ class ExecutionPipeline:
                 batches.append(transactions)
             for record, transactions in zip(entry.records, batches):
                 self._execute(transactions, view=record.view, instance=record.instance)
+            del pending[position]
             self.next_execution_position = position + 1
             if self._fold is not None:
                 self._fold(entry)
@@ -183,41 +190,6 @@ class ExecutionPipeline:
             self.executed_transactions += 1
             if inform is not None:
                 inform(transaction)
-
-    # ------------------------------------------------------------------
-    # garbage collection
-    # ------------------------------------------------------------------
-
-    def compact_below(self, position: int) -> int:
-        """Drop decided-slot state below ``position``; returns slots dropped.
-
-        Only the executed prefix may be compacted, and callers only compact
-        below a stable checkpoint: refusing to GC unexecuted (and therefore
-        uncertified) slots here is the last line of defence against a bug
-        that would discard content the cluster still needs.
-        """
-        if position > self.next_execution_position:
-            raise ValueError(
-                f"refusing to GC slots up to {position}: execution frontier is at "
-                f"{self.next_execution_position} and uncertified slots must be kept"
-            )
-        stale = [decided for decided in self._decided if decided < position]
-        for decided in stale:
-            del self._decided[decided]
-        return len(stale)
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def committed_map(self) -> Dict[Tuple[int, int], bytes]:
-        """Mapping of decided position to a digest of the decided batches."""
-        return {
-            (position, 0): b"".join(
-                digest for record in entry.records for digest in record.transaction_digests
-            )
-            for position, entry in self._decided.items()
-        }
 
 
 __all__ = ["ExecutionPipeline"]

@@ -29,6 +29,7 @@ Protocol hooks
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.ledger.execution import ExecutionEngine
@@ -273,13 +274,6 @@ class ReplicaRuntime(Actor):
             self.state_transfer.maybe_request()
 
     def _on_new_stable_checkpoint(self, certificate: CheckpointCertificate) -> None:
-        # Per-slot protocol state below the floor is garbage: the content is
-        # quorum-attested and archived, so nobody needs the votes any more.
-        # Only the executed prefix is compacted — a floor ahead of the local
-        # frontier GCs nothing until state transfer catches execution up.
-        self.pipeline.compact_below(
-            min(certificate.position, self.pipeline.next_execution_position)
-        )
         if self.tracer is not None:
             self.tracer.instant(
                 self.node_id, "checkpoint", "stable-checkpoint", position=certificate.position
@@ -437,8 +431,20 @@ class ReplicaRuntime(Actor):
     # ------------------------------------------------------------------
 
     def committed_map(self) -> Dict[Tuple[int, int], bytes]:
-        """Mapping of decided position to a digest of the decided batch."""
-        return self.pipeline.committed_map()
+        """Mapping of decided position to a digest of the decided batches.
+
+        Executed positions are read from the checkpoint archive from the
+        stable floor up (those below it are quorum-attested), pending ones
+        from the pipeline; with checkpointing off that is every position.
+        """
+        checkpoints = self.checkpoints
+        executed = checkpoints.archive[checkpoints.stable_position() :]
+        return {
+            (entry.position, 0): b"".join(
+                digest for record in entry.records for digest in record.transaction_digests
+            )
+            for entry in chain(executed, self.pipeline.pending.values())
+        }
 
     def executed_transaction_digests(self) -> List[bytes]:
         """Executed transaction digests in ledger order."""

@@ -260,7 +260,7 @@ def test_for_protocol_rejects_unknown_names():
 
 
 def test_rcc_routes_requests_to_instances_and_resolves_noops():
-    # No checkpoints, so every decided position is still in the pipeline.
+    # No checkpoints: every executed position is in the archive from 0 up.
     cluster = SimulatedCluster.for_protocol(
         "rcc", num_replicas=4, clients=2, outstanding_per_client=2, batch_size=5, checkpoint_interval=0
     )
@@ -269,7 +269,9 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
     assert replica.num_instances == 4
     assert replica.decided_batches > 0
     noops, real_high = [], {}
-    for position, entry in replica.pipeline._decided.items():
+    decided = [*replica.checkpoints.archive, *replica.pipeline.pending.values()]
+    for entry in decided:
+        position = entry.position
         sequence, instance = divmod(position, replica.num_instances)
         (record,) = entry.records
         assert record.instance == instance

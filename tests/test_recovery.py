@@ -1,7 +1,8 @@
 """Unit tests for the checkpoint / state-transfer subsystem.
 
-Covers the :class:`CheckpointManager` (certificate quorum, GC strictly below
-the certified floor, refusal to GC or serve uncertified slots) and the
+Covers the :class:`CheckpointManager` (certificate quorum, vote-tally GC
+strictly below the certified floor, the archive, refusal to serve
+uncertified slots) and the
 :class:`StateTransferEngine` (gap detection, verified replay, rejection of
 uncertified and forged responses from a Byzantine peer), plus the PBFT
 view-change bound the checkpoint floor buys: ViewChange votes carry O(K)
@@ -19,6 +20,7 @@ from repro.recovery import (
     CheckpointCertificate,
     CheckpointManager,
     CheckpointVote,
+    GENESIS_EXECUTION_DIGEST,
     SlotEntry,
     SlotRecord,
     StateRequest,
@@ -131,6 +133,19 @@ def test_interval_zero_disables_checkpointing():
     vote = CheckpointVote(position=4, digest=b"d", voter=1)
     assert manager.on_vote(1, vote) is None
     assert not manager.enabled
+    # Nothing is hashed, but every executed unit is still archived.
+    assert manager.rolling == GENESIS_EXECUTION_DIGEST
+    assert manager.frontier == 20
+    assert manager.archive == [make_entry(position) for position in range(20)]
+
+
+def test_serve_refuses_a_floor_beyond_its_own_archive():
+    manager = make_manager()
+    advance(manager, 3)
+    certificate = CheckpointCertificate(position=8, digest=b"d", signers=(1, 2, 3))
+    assert manager.adopt_certificate(certificate)
+    # Certified, but positions 3..7 never executed here: nothing to serve.
+    assert manager.serve(0) is None
 
 
 def test_serve_refuses_uncertified_content():
@@ -149,37 +164,6 @@ def test_serve_refuses_uncertified_content():
     # Positions 8 and 9 are executed locally but uncertified: not served.
     assert [entry.position for entry in entries] == [3, 4, 5, 6, 7]
     assert certificate.position == 8
-
-
-def test_pipeline_refuses_to_gc_beyond_the_executed_frontier():
-    from repro.ledger.execution import ExecutionEngine
-    from repro.ledger.kvtable import KeyValueTable
-    from repro.ledger.ledger import Ledger
-    from repro.runtime import ExecutionPipeline, Mempool
-    from repro.workload.requests import Operation, Transaction
-
-    pool = Mempool()
-    pipeline = ExecutionPipeline(
-        mempool=pool,
-        engine=ExecutionEngine(table=KeyValueTable(), ledger=Ledger()),
-        protocol_name="test",
-        quorum=3,
-    )
-    for position in range(4):
-        txn = Transaction(
-            client_id=1, sequence=position, operations=(Operation.write(position, b"v"),)
-        )
-        pool.admit(txn)
-        pipeline.deliver(position, (txn.digest(),))
-    assert pipeline.next_execution_position == 4
-    # GC below the frontier drops decided-slot state ...
-    assert pipeline.compact_below(3) == 3
-    assert list(pipeline.committed_map()) == [(3, 0)]
-    # ... but slots at or beyond the frontier are uncertified by definition
-    # and must never be dropped.
-    with pytest.raises(ValueError):
-        pipeline.compact_below(9)
-    assert list(pipeline.committed_map()) == [(3, 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.protocols.common import BftConfig
-from repro.recovery import SlotEntry, SlotRecord
+from repro.recovery import CheckpointManager, SlotEntry, SlotRecord
 from repro.runtime import AdmitResult, ExecutionPipeline, Mempool, QuorumParams
 from repro.workload.requests import Operation, Transaction
 
@@ -182,7 +182,7 @@ def test_mempool_register_payload_does_not_queue():
 # ---------------------------------------------------------------------------
 
 
-def make_pipeline(num_shards=1, resolve_noop=None, inform=None):
+def make_pipeline(num_shards=1, resolve_noop=None, inform=None, fold=None):
     pool = Mempool(num_shards=num_shards)
     table = KeyValueTable()
     engine = ExecutionEngine(table=table, ledger=Ledger())
@@ -193,22 +193,36 @@ def make_pipeline(num_shards=1, resolve_noop=None, inform=None):
         quorum=3,
         inform=inform,
         resolve_noop=resolve_noop,
+        fold=fold,
     )
     return pool, pipeline
 
 
+def make_archived_pipeline():
+    """A pipeline folding into a checkpoint manager with checkpointing off,
+    whose archive then records every executed entry."""
+    checkpoints = CheckpointManager(node_id=0, num_replicas=4, quorum=3, interval=0)
+    pool, pipeline = make_pipeline(fold=checkpoints.record_execution)
+    return pool, pipeline, checkpoints
+
+
 def test_pipeline_gap_stalls_execution_until_filled():
-    pool, pipeline = make_pipeline()
+    pool, pipeline, checkpoints = make_archived_pipeline()
     first, second = make_txn(0), make_txn(1)
     pool.admit(first)
     pool.admit(second)
     pipeline.deliver(1, (second.digest(),))
     assert pipeline.executed_transactions == 0
     assert pipeline.next_execution_position == 0
+    assert list(pipeline.pending) == [1] and checkpoints.archive == []
+    assert pipeline.is_decided(1) and not pipeline.is_decided(0)
     pipeline.deliver(0, (first.digest(),))
     assert pipeline.executed_transactions == 2
     assert pipeline.next_execution_position == 2
-    assert sorted(pipeline.committed_map()) == [(0, 0), (1, 0)]
+    # Executed entries leave the pipeline: the archive is their one record.
+    assert pipeline.pending == {}
+    assert [entry.position for entry in checkpoints.archive] == [0, 1]
+    assert pipeline.is_decided(0) and pipeline.is_decided(1) and not pipeline.is_decided(2)
 
 
 def test_pipeline_missing_payload_stalls_then_resumes():
@@ -250,14 +264,22 @@ def test_pipeline_informs_clients_once_per_fresh_transaction():
 
 
 def test_pipeline_duplicate_position_is_ignored():
-    pool, pipeline = make_pipeline()
+    pool, pipeline, checkpoints = make_archived_pipeline()
     first, second = make_txn(0), make_txn(1)
     pool.admit(first)
     pool.admit(second)
     pipeline.deliver(0, (first.digest(),))
+    # Position 0 executed and left the pipeline; it is still decided once.
     pipeline.deliver(0, (second.digest(),))
     assert pipeline.decided_batches == 1
-    assert pipeline.committed_map() == {(0, 0): first.digest()}
+    assert [entry.records[0].transaction_digests for entry in checkpoints.archive] == [
+        (first.digest(),)
+    ]
+    # A pending position is decided once as well.
+    pipeline.deliver(2, (first.digest(),))
+    pipeline.deliver(2, (second.digest(),))
+    assert pipeline.decided_batches == 2
+    assert pipeline.pending[2].records[0].transaction_digests == (first.digest(),)
 
 
 def test_pipeline_resolves_a_whole_entry_before_executing_and_folds_that_entry():
@@ -297,6 +319,68 @@ def test_every_protocol_executes_and_folds_through_the_one_pipeline(protocol):
         assert replica.decided_batches > 0
         # Every executed position was folded, and nothing else was.
         assert replica.pipeline.next_execution_position == replica.checkpoints.frontier > 0
+
+
+#: Entries a replica may hold in its pending map or proposed set beyond what
+#: it held at half the horizon: the requests in flight (3 clients x 4
+#: outstanding) and the RCC no-ops filling their rounds, with room to spare.
+#: The executed history itself (hundreds of positions per 0.3 s) is not in
+#: either.
+RETAINED_SLACK = 32
+
+
+@pytest.mark.parametrize("protocol", ["spotless", "pbft", "rcc", "hotstuff", "narwhal-hs"])
+def test_pipeline_and_proposed_set_do_not_grow_with_the_history(protocol):
+    cluster = SimulatedCluster.for_protocol(
+        protocol,
+        num_replicas=4,
+        batch_size=8,
+        clients=3,
+        outstanding_per_client=4,
+        seed=7,
+        checkpoint_interval=0,
+    )
+
+    def retained():
+        return [
+            (len(replica.pipeline.pending), len(replica.mempool._proposed))
+            for replica in cluster.replicas
+        ]
+
+    cluster.run(duration=0.3)
+    half = retained()
+    frontier = cluster.replicas[0].checkpoints.frontier
+    cluster.run_additional(0.3)
+    assert cluster.replicas[0].checkpoints.frontier > 2 * RETAINED_SLACK + frontier
+    for (pending_before, proposed_before), (pending, proposed) in zip(half, retained()):
+        assert pending <= pending_before + RETAINED_SLACK
+        assert proposed <= proposed_before + RETAINED_SLACK
+
+
+@pytest.mark.parametrize("interval", [16, 0])
+def test_committed_map_covers_the_stable_floor_up_and_the_pending_positions(interval):
+    cluster = SimulatedCluster.for_protocol(
+        "rcc",
+        num_replicas=4,
+        batch_size=8,
+        clients=3,
+        outstanding_per_client=4,
+        seed=7,
+        checkpoint_interval=interval,
+    )
+    cluster.run(duration=0.3)
+    replica = cluster.replicas[0]
+    checkpoints, pending = replica.checkpoints, replica.pipeline.pending
+    floor = checkpoints.stable_position()
+    assert pending and (floor > 0) == (interval > 0)
+    committed = replica.committed_map()
+    # With checkpointing off the floor is 0: every decided position.
+    assert sorted(committed) == [
+        (position, 0) for position in [*range(floor, checkpoints.frontier), *sorted(pending)]
+    ]
+    for entry in [*checkpoints.archive[floor:], *pending.values()]:
+        (record,) = entry.records
+        assert committed[(entry.position, 0)] == b"".join(record.transaction_digests)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,12 @@ alone while a cell runs, so the counts are what a benchmark repeat sees.
 Printed per cell: collections, seconds and ``collected`` per generation (from
 ``gc.callbacks``), the objects the collector tracks at the end and how many
 appeared per ledger block appended (all replicas), the commonest types among
-them, event-heap entries against live ones, how many unreachable objects one
-``gc.collect()`` finds once the cell is dropped (a finished cluster is cyclic
-garbage, so only a collection frees it), and the dataclass instances built
-per class while the cell ran.
+them, event-heap entries against live ones, what replica 0 retains (its
+checkpoint archive, the pipeline's pending map, each mempool set and, on
+SpotLess, the proposals in each instance's store), how many unreachable
+objects one ``gc.collect()`` finds once the cell is dropped (a finished
+cluster is cyclic garbage, so only a collection frees it), and the dataclass
+instances built per class while the cell ran.
 
 The constructions come from a second run of an identically seeded copy of
 the cell under a profile hook, so the collector figures stay those of an
@@ -73,6 +75,22 @@ def tracked_by_type() -> collections.Counter:
     return collections.Counter(type(obj).__name__ for obj in gc.get_objects())
 
 
+def retained(replica: Any) -> str:
+    """What one replica holds that can grow with the executed history."""
+    pool = replica.mempool
+    counts = [
+        ("archive", replica.checkpoints.frontier),
+        ("pending", len(replica.pipeline.pending)),
+        ("payloads", len(pool._payloads)),
+        ("queued", len(pool._queued)),
+        ("proposed", len(pool._proposed)),
+        ("executed", len(pool._executed)),
+    ]
+    for instance_id, instance in sorted(getattr(replica, "instances", {}).items()):
+        counts.append((f"store[{instance_id}]", len(instance.store.proposals())))
+    return ", ".join(f"{name} {count}" for name, count in counts)
+
+
 def census_cell(run: Any, top: int) -> None:
     """Run one built cell and print what it leaves; the caller drops it."""
     before = len(gc.get_objects())
@@ -91,6 +109,7 @@ def census_cell(run: Any, top: int) -> None:
           + (f"  ({(total - before) / blocks:.2f} per ledger block)" if blocks else ""))
     print("  commonest: " + ", ".join(f"{kind} {count}" for kind, count in after.most_common(top)))
     print(f"  event heap: {simulator.scheduled_events} entries, {simulator.pending_events} live")
+    print(f"  replica 0 retains: {retained(run.cluster.replicas[0])}")
 
 
 def constructions(cell: Any, seed: int) -> Tuple[collections.Counter, int]:
