@@ -90,6 +90,9 @@ class InstanceEnvironment:
         primary propose a no-op (Section 5).
     on_commit:
         Called once per newly committed proposal, in commit order.
+    on_accept:
+        Called once per proposal this replica accepts (the proposal it claims
+        in its Sync), before a fast-path proposal of the next view is built.
     verify:
         The paper's signature check at S1 and on a forwarded proposal.  The
         simulator computes no tags: its host leaves the default, which accepts.
@@ -105,9 +108,11 @@ class InstanceEnvironment:
     on_commit: Callable[[int, Proposal], None]
     verify: Callable[[object, Optional[Signature], int], bool] = lambda message, signature, sender: True
     now: Callable[[], float] = lambda: 0.0
-    # True when the hosting replica has client work queued for this instance;
-    # the fast path only proposes early when there is something useful to
-    # propose (an early no-op would waste the optimisation).
+    on_accept: Callable[[int, Proposal], None] = lambda instance_id, proposal: None
+    # True when the hosting replica has client work queued for this instance
+    # that no accepted proposal covers; the fast path only proposes early
+    # when there is something useful to propose (an early no-op would waste
+    # the optimisation).
     has_pending: Callable[[int], bool] = lambda instance_id: True
 
 
@@ -448,6 +453,7 @@ class SpotLessInstance:
             return
         claim = Claim(view=message.view, digest=proposal.digest)
         self._note_recording_progress()
+        self.env.on_accept(self.instance_id, proposal)
         self._broadcast_sync(claim)
         self._maybe_fast_path_propose(proposal)
 

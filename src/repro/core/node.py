@@ -29,9 +29,10 @@ execution floor.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.core.chain import Proposal
+from repro.core.chain import Proposal, ProposalStatus
 from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance
 from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
@@ -48,6 +49,7 @@ from repro.workload.requests import Transaction
 # Enum members bound once: a ``Class.MEMBER`` load in a function costs about
 # 100 ns on CPython 3.10/3.11, and no call count shows it.
 _NEW = AdmitResult.NEW
+_COMMITTED = ProposalStatus.COMMITTED
 
 
 #: Handler of each consensus message, by exact class (the types are final),
@@ -103,6 +105,10 @@ class SpotLessReplica(ReplicaRuntime):
         # only _extend_frontier moves them.
         self._frontiers: List[int] = [-1] * config.num_instances
         self._cursors: List[int] = [0] * config.num_instances
+        # The proposals each instance accepted that its frontier has not
+        # passed, in view order: their requests count as proposed here, and
+        # go back to the queue if the frontier passes one uncommitted.
+        self._accepted: List[Deque[Proposal]] = [deque() for _ in range(config.num_instances)]
         # Wire size of each consensus message class (a certificate adds its
         # signatures to a Propose); the size model is fixed per deployment.
         control = self.size_model.control_bytes
@@ -135,8 +141,9 @@ class SpotLessReplica(ReplicaRuntime):
             make_timer=self.timer,
             next_batch=self._next_batch,
             on_commit=self._on_instance_commit,
+            on_accept=self._on_instance_accept,
             now=lambda: self.simulator.now,
-            has_pending=self.mempool.has_pending,
+            has_pending=self.mempool.has_unproposed,
         )
 
     def _message_size(self, message: Message) -> int:
@@ -189,6 +196,19 @@ class SpotLessReplica(ReplicaRuntime):
         return self.take_batch_or_noop(
             instance_id, lambda: make_noop_transaction(instance_id, view)
         )
+
+    def _on_instance_accept(self, instance_id: int, proposal: Proposal) -> None:
+        """An instance accepted ``proposal``: its requests are in flight.
+
+        Each request goes to exactly one instance (Section 5), and every
+        replica holds it (Section 6.1), so a primary must not propose again
+        what an earlier primary's accepted proposal carries.  The proposal
+        waits in view order until the instance's frontier passes its view;
+        if it was not committed by then, ``_extend_frontier`` queues its
+        unexecuted requests again.
+        """
+        self.mempool.mark_proposed(proposal.message.transaction_digests)
+        self._accepted[instance_id].append(proposal)
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -254,9 +274,13 @@ class SpotLessReplica(ReplicaRuntime):
         commit is read once when it joins the prefix, plus once per call
         that finds it still blocked.  Its parent link is read live, so a
         link Ask-recovery attached since the last call counts.
+
+        Once the frontier passes an accepted proposal's view, that proposal
+        is committed or never will be: the requests of one that was not go
+        back to the mempool.
         """
         floor = self._execution_floor_view
-        frontier = self._frontiers[instance_id]
+        start = frontier = self._frontiers[instance_id]
         if frontier < floor - 1:
             frontier = floor - 1
         store = self.instances[instance_id].store
@@ -275,6 +299,12 @@ class SpotLessReplica(ReplicaRuntime):
             cursor += 1
         self._cursors[instance_id] = cursor
         self._frontiers[instance_id] = frontier
+        if frontier > start:
+            accepted = self._accepted[instance_id]
+            while accepted and accepted[0].view <= frontier:
+                proposal = accepted.popleft()
+                if proposal.status is not _COMMITTED:
+                    self.mempool.requeue(proposal.message.transaction_digests, instance_id)
         return frontier
 
     def _advance_execution(self) -> None:

@@ -44,7 +44,9 @@ class ExecutionEngine:
 
         Only writes touch the table: a read changes no state, and an Inform
         carries the transaction digest, never a read value.  Every other
-        operation kind (a no-op included) writes its value, or an empty one.
+        operation kind writes its value, or an empty one.  A no-op never
+        gets here: the execution pipeline drops it from the batch, and a
+        batch of no-ops appends no block.
         """
         write = self.table.write
         for transaction in transactions:

@@ -134,6 +134,25 @@ class Mempool:
         self._enqueue(shard, digest)
         return _NEW
 
+    def requeue(self, digests: Iterable[bytes], shard: int) -> None:
+        """Queue again the client requests of a proposal that was abandoned.
+
+        Each digest still proposed (so unexecuted) leaves the proposed set; a
+        client request whose payload is held goes back into ``shard``, at
+        the tail unless it is still queued.  A no-op never does: peers
+        rebuild one only for the (instance, view) that proposed it, so a
+        no-op proposed anywhere else names a payload nobody can resolve.
+        """
+        proposed = self._proposed
+        payloads = self._payloads
+        for digest in digests:
+            if digest not in proposed:
+                continue
+            proposed.discard(digest)
+            transaction = payloads.get(digest)
+            if transaction is not None and not transaction.is_noop() and digest not in self._queued:
+                self._enqueue(shard, digest)
+
     def _enqueue(self, shard: int, digest: bytes) -> None:
         self._queues[shard].append(digest)
         self._queued.add(digest)
@@ -167,10 +186,6 @@ class Mempool:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def has_pending(self, shard: int = 0) -> bool:
-        """True while ``shard``'s queue is non-empty."""
-        return bool(self._queues[shard])
 
     def has_unproposed(self, shard: int) -> bool:
         """True while ``shard`` queues a request no proposal has covered yet.

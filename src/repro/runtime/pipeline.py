@@ -11,9 +11,10 @@ only in *how* a position gets decided; from there on there is one path:
 * resolve: every record's payloads are looked up in the mempool, falling
   back to the protocol's deterministic no-op, before any record executes —
   a payload that is neither known nor reconstructible stalls the frontier;
-* execute: each record runs under its own (view, instance) block proof,
-  skipping transactions an earlier position already executed, and the owning
-  client of every fresh non-no-op transaction is informed;
+* execute: each record's client transactions run under its own (view,
+  instance) block proof, skipping those an earlier position already
+  executed, and the owning client of each is informed; a no-op only fills
+  its slot of the order, so it writes nothing and appends no block;
 * fold: the same entry goes to the recovery layer, whose checkpoint archive
   is the replica's one record of executed entries.
 
@@ -167,10 +168,16 @@ class ExecutionPipeline:
     def _execute(self, transactions: List[Transaction], view: int, instance: int) -> None:
         """Apply a decided batch to the ledger and inform clients.
 
-        Transactions executed earlier (under another position) are skipped;
-        the fresh remainder is executed under one block proof.
+        Transactions executed earlier (under another position) are skipped,
+        and so are no-ops, though they count as executed; the fresh client
+        transactions are executed under one block proof, and a batch with
+        none appends no block.
         """
-        fresh = self.mempool.claim_unexecuted(transactions)
+        fresh = [
+            transaction
+            for transaction in self.mempool.claim_unexecuted(transactions)
+            if not transaction.is_noop()
+        ]
         if not fresh:
             return
         proof = self._proof_cache.get(instance)
@@ -183,12 +190,10 @@ class ExecutionPipeline:
             )
             self._proof_cache[instance] = proof
         self.engine.execute_batch(fresh, proof=proof)
+        self.executed_transactions += len(fresh)
         inform = self._inform
-        for transaction in fresh:
-            if transaction.is_noop():
-                continue
-            self.executed_transactions += 1
-            if inform is not None:
+        if inform is not None:
+            for transaction in fresh:
                 inform(transaction)
 
 

@@ -206,7 +206,6 @@ class ReplicaRuntime(Actor):
         batch = self.mempool.take_batch(self.config.batch_size, shard=shard)
         if batch is None:
             batch = (self.mempool.register_payload(make_noop()),)
-            self.mempool.mark_proposed(batch)
         return batch
 
     # ------------------------------------------------------------------

@@ -242,7 +242,7 @@ def single_fault_spec(
 #: cannot both saturate RCC and let HotStuff recover — the overload specs
 #: anchor their rates to this table (base = 0.4x, spike = 2.0x capacity).
 PROTOCOL_CAPACITY: Dict[str, float] = {
-    "spotless": 2200.0,
+    "spotless": 7900.0,
     "pbft": 21000.0,
     "rcc": 84000.0,
     "hotstuff": 690.0,

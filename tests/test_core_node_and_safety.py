@@ -119,11 +119,104 @@ def test_idle_instances_propose_reconstructible_noops():
     cluster = small_cluster(clients=0)
     cluster.start()
     cluster.simulator.run_for(0.5)
-    replica = cluster.replicas[0]
-    # Without client load the committed batches are no-ops, yet all replicas
-    # execute the same ledger.
-    assert replica.ledger.height > 0
+    # Without client load every committed batch is a no-op: execution passes
+    # the views they fill, yet writes nothing and appends no block.
+    for replica in cluster.replicas:
+        assert replica.pipeline.next_execution_position > 10
+        assert replica.ledger.height == 0
+        assert replica.table.writes == 0
+        assert replica.state_digest() == cluster.replicas[0].state_digest()
     cluster.assert_no_divergence()
+
+
+def _proposals_carrying(replica, instance_id, digest):
+    return sorted(
+        proposal.view
+        for proposal in replica.instances[instance_id].store.proposals()
+        if proposal.message is not None and digest in proposal.message.transaction_digests
+    )
+
+
+def test_accepted_requests_are_proposed_once():
+    """Every replica holds every request (Section 6.1), but once one
+    accepted a proposal carrying it, no later primary proposes it again."""
+    cluster = SimulatedCluster.for_protocol(
+        "spotless", num_replicas=4, batch_size=10, clients=16, outstanding_per_client=2, seed=1
+    )
+    result = cluster.run(duration=0.5)
+    slots = 0
+    for replica in cluster.replicas:
+        for instance in replica.instances.values():
+            for proposal in instance.store.proposals():
+                if proposal.message is None or instance.primary_of_view(proposal.view) != replica.node_id:
+                    continue
+                for digest in proposal.message.transaction_digests:
+                    transaction = replica.mempool.get(digest)
+                    if transaction is not None and not transaction.is_noop():
+                        slots += 1
+    assert result.confirmed_transactions > 1000
+    # 3.79 slots per confirmed transaction while backups re-proposed
+    # whatever was still in flight.
+    assert slots / result.confirmed_transactions <= 1.1
+
+
+def test_abandoned_proposal_requests_are_proposed_again_once():
+    """A request whose accepted proposal is orphaned goes back to the queue
+    once the instance's frontier passes that view, with no client to
+    retransmit it, and is proposed again exactly once."""
+    cluster = small_cluster(clients=0)
+    request = Transaction(client_id=9, sequence=1, operations=(Operation.write(7, b"x"),))
+    instance_id = request.instance_assignment(4)
+
+    def extend_genesis(sender, receiver, message):
+        # The primary of view 1 extends genesis, not the view-0 proposal
+        # every replica accepted, so the view-0 proposal never commits.
+        if (
+            isinstance(message, ProposeMessage)
+            and message.instance == instance_id
+            and message.view == 1
+            and message.parent_digest != GENESIS_PROPOSAL_ID
+        ):
+            return ProposeMessage(
+                instance=instance_id,
+                view=1,
+                transaction_digests=message.transaction_digests,
+                parent_digest=GENESIS_PROPOSAL_ID,
+                parent_view=-1,
+            )
+        return None
+
+    cluster.network.add_rewrite_rule(extend_genesis)
+    for replica in cluster.replicas:
+        replica.submit_transaction(request)
+    cluster.start()
+    cluster.simulator.run_for(0.5)
+    cluster.assert_no_divergence()
+    digest = request.digest()
+    (abandoned,) = cluster.replicas[0].instances[instance_id].store.proposals_in_view(0)
+    assert abandoned.message.transaction_digests == (digest,)
+    assert abandoned.status is not ProposalStatus.COMMITTED
+    for replica in cluster.replicas:
+        # Proposed in view 0, then once more after the frontier passed it.
+        views = _proposals_carrying(replica, instance_id, digest)
+        assert len(views) == 2 and views[0] == 0, views
+        assert replica.executed_transaction_digests().count(digest) == 1
+
+
+def test_fast_path_proposes_no_early_noop_while_only_in_flight_requests_are_queued():
+    """The next primary still queues the request the view-0 proposal carries
+    (accepted digests leave the queue lazily), yet has nothing to propose:
+    the Section 6.1 fast path must not fire with a no-op."""
+    cluster = small_cluster(clients=0, enable_fast_path=True)
+    request = Transaction(client_id=9, sequence=1, operations=(Operation.write(7, b"x"),))
+    for replica in cluster.replicas:
+        replica.submit_transaction(request)
+    cluster.start()
+    cluster.simulator.run_for(0.3)
+    cluster.assert_no_divergence()
+    for replica in cluster.replicas:
+        assert replica.executed_transaction_digests() == [request.digest()]
+        assert all(instance.fast_path_proposals == 0 for instance in replica.instances.values())
 
 
 def test_replica_state_digests_match_at_equal_ledger_heights():

@@ -63,3 +63,26 @@ def test_compare_names_a_differing_example_by_its_script(tmp_path):
     assert "example:quickstart.py: stdout" in done.stdout
     failed = _compare(tmp_path, cells, {"cell": CELL, "example:quickstart.py": dict(EXAMPLE, exit=1)})
     assert "example:quickstart.py: exit 0 -> 1" in failed.stdout
+
+
+def test_compare_ends_with_each_protocols_cells_counted_by_field_set(tmp_path):
+    state = dict(CELL, state=["01"])
+    both = dict(CELL, state=["01"], events=11)
+    spotless = dict(CELL, protocol="spotless")
+    first = {"r1": CELL, "r2": CELL, "r3": CELL, "r4": CELL, "s1": spotless, "example:quickstart.py": EXAMPLE}
+    second = {
+        "r1": state,
+        "r2": state,
+        "r3": both,
+        "r4": CELL,
+        "s2": spotless,
+        "example:quickstart.py": dict(EXAMPLE, stdout="fedcba9876543210"),
+    }
+    done = _compare(tmp_path, first, second)
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-4:] == [
+        "7 cells, 6 differ",
+        "example: 1 × {stdout}",
+        "rcc: 2 × {state}, 1 × {events, state}",
+        "spotless: 2 × {only in one record}",
+    ]

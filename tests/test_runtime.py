@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.cluster import REPLICA_CLASSES, SimulatedCluster
 from repro.core.config import SpotLessConfig
-from repro.ledger.execution import ExecutionEngine
+from repro.ledger.execution import ExecutionEngine, make_noop_transaction
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.protocols.common import BftConfig
@@ -154,6 +154,38 @@ def test_mempool_has_unproposed_skips_like_take_batch():
     assert pool.take_batch(1) == (txn.digest(),)
 
 
+def test_mempool_requeue_returns_abandoned_requests_but_never_a_noop():
+    pool = Mempool(num_shards=2)
+    request = make_txn(0)
+    pool.admit(request, shard=1)
+    noop = make_noop_transaction(1, 5)
+    noop_digest = pool.register_payload(noop)
+    # A backup accepted a proposal carrying the request and a no-op.
+    pool.mark_proposed((request.digest(), noop_digest))
+    assert not pool.has_unproposed(1)
+    assert pool.pending_count() == 0
+    # Its view was abandoned: the request is queued again, the no-op is not.
+    pool.requeue((request.digest(), noop_digest), shard=1)
+    assert pool.pending_count() == 1
+    assert pool.take_batch(10, shard=1) == (request.digest(),)
+    assert pool.take_batch(10, shard=1) is None
+    # A requeue of an executed (so no longer proposed) request is ignored.
+    pool.claim_unexecuted([request])
+    pool.requeue((request.digest(),), shard=1)
+    assert pool.pending_count() == 0
+
+
+def test_mempool_requeue_of_a_still_queued_request_keeps_its_place():
+    pool = Mempool()
+    first, second = make_txn(0), make_txn(1)
+    pool.admit(first)
+    pool.admit(second)
+    pool.mark_proposed((first.digest(),))
+    pool.requeue((first.digest(),), shard=0)
+    assert pool.pending_count() == 2
+    assert pool.take_batch(10) == (first.digest(), second.digest())
+
+
 def test_mempool_per_shard_isolation():
     pool = Mempool(num_shards=3)
     by_shard = {0: make_txn(0), 1: make_txn(1), 2: make_txn(2)}
@@ -161,9 +193,9 @@ def test_mempool_per_shard_isolation():
         pool.admit(txn, shard=shard)
     assert [pool.pending_count(shard=shard) for shard in range(3)] == [1, 1, 1]
     assert pool.pending_count() == 3
-    assert pool.has_pending(1)
+    assert pool.has_unproposed(1)
     assert pool.take_batch(10, shard=1) == (by_shard[1].digest(),)
-    assert not pool.has_pending(1)
+    assert not pool.has_unproposed(1)
     assert pool.pending_count(shard=0) == 1
     assert pool.pending_count() == 2
 
@@ -248,6 +280,31 @@ def test_pipeline_resolves_reconstructible_noops():
     assert pipeline.next_execution_position == 1
     assert pipeline.executed_transactions == 0
     assert pool.get(noop.digest()) is noop
+
+
+def test_pipeline_noop_writes_no_record_and_appends_no_block():
+    """A no-op of instance 2 fills its slot and leaves record 2 as it was."""
+    noops = {make_noop_transaction(2, view).digest(): make_noop_transaction(2, view) for view in (1, 2)}
+    pool, pipeline = make_pipeline(resolve_noop=lambda digest, position, instance: noops.get(digest))
+    engine = pipeline.engine
+    request = make_txn(2)  # writes record 2
+    pool.admit(request)
+    pipeline.deliver(0, (request.digest(),))
+    written, state = engine.table.read(2), engine.state_digest()
+    first, second = noops
+    pipeline.deliver(1, (first,), view=1, instance=2)
+    assert pipeline.next_execution_position == 2
+    assert engine.table.read(2) == written and engine.state_digest() == state
+    assert engine.ledger.height == 1
+    # Beside a request, the block carries the request alone.
+    other = make_txn(3)
+    pool.admit(other)
+    pipeline.deliver(2, (second, other.digest()), view=2, instance=2)
+    assert pipeline.next_execution_position == 3
+    assert engine.ledger.height == 2
+    assert engine.ledger.head.transactions == (other.digest(),)
+    assert engine.table.writes == 2
+    assert pipeline.executed_transactions == 2
 
 
 def test_pipeline_informs_clients_once_per_fresh_transaction():
@@ -443,10 +500,12 @@ def test_transaction_digest_is_memoized():
 # ---------------------------------------------------------------------------
 
 GOLDEN_STATE = {
-    "spotless": ("8210f86bffb315451ab841e1cedf0bc36055dda7887d552938142a4c4f178dcd", 392),
+    # SpotLess and RCC re-pinned when a no-op stopped writing record
+    # ``instance`` (the executed counts did not move).
+    "spotless": ("6aeeea951ee02af32d1f312837eacf8cdbce6b0069ab55e799256db305a0e2d5", 392),
     "pbft": ("ba5344eabfba8c0b66e1b896fc167ac850d297a8062e252c420366286690eccf", 969),
     # Re-pinned when RCC stopped proposing no-ops no round needs.
-    "rcc": ("ed9bacf7b24f7f60a6a79d62d5ce3c0e4ca5a27a85f22f7b308c69eb86740cdc", 875),
+    "rcc": ("18b451df0f36cdab98227a82ac7a4969c7a890f9f98409136083c9baf8804e30", 875),
     "hotstuff": ("ce6dd1287feb8a446767a693debc56ee70f78dcaa3761b10218fa7c90383ba32", 411),
     "narwhal-hs": ("013921b3afb74e8a49e267687e071bfd611da027dd617845449c751ecc8ea97b", 407),
 }
@@ -518,10 +577,12 @@ def test_fixed_seed_hotstuff_family_schedule_is_pinned(protocol):
 #: replica 0 with checkpointing at its default interval.  The three stacks
 #: fold the three record shapes: a node digest per position (HotStuff), an
 #: empty slot digest (PBFT), several records or none per view (SpotLess).
+#: SpotLess re-pinned when its primaries stopped re-proposing requests an
+#: accepted proposal carries: a slot that repeated one now holds a no-op.
 GOLDEN_ROLLING = {
     "hotstuff": ("451b80c896c95194e43c87411ff6f3ae1ea8ad774d8fc0285292424932a1fe25", 204, 12),
     "pbft": ("7e19b707d97a363a64e3873d9291ead2b8b2661c805ad8be939f8e4bd5b7508c", 970, 60),
-    "spotless": ("6d3c6c206a4659975f3564653a1af586d1ec87d47118de0b627b6eabee61c030", 203, 12),
+    "spotless": ("7fffdf27a88ff485e18569c87705dd98eadf2d00c59a52f063ed0b7a70555e51", 203, 12),
 }
 
 

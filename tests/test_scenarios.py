@@ -337,7 +337,9 @@ GOLDEN_SMOKE = {
     ("spotless", "A3"): "e76fb133daac",
     ("spotless", "A4"): "c5ae3beeb27d",
     ("spotless", "crash"): "adc1adf1e1db",
-    ("spotless", "partition"): "cd28eaf66d82",
+    # Re-pinned when SpotLess primaries stopped re-proposing requests an
+    # accepted proposal carries (105 -> 106 confirmed).
+    ("spotless", "partition"): "e38218b01b34",
     ("pbft", "A1"): "418756454b39",
     ("pbft", "A2"): "656a15e94f9d",
     ("pbft", "A3"): "13671144afb7",

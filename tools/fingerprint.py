@@ -25,8 +25,10 @@ the recorded tree's ``examples/`` is one more cell: it runs against that tree's
 sha256 of its stdout.
 
 ``compare A B`` prints every cell whose fields differ (and cells only one
-record has), grouped by protocol (an example cell is named by its script), and
-exits 1 on any difference, 0 when the records agree.
+record has), grouped by protocol (an example cell is named by its script),
+then the cell count and one line per protocol that counts its differing cells
+by the set of fields they differ in (``rcc: 36 × {state}``), and exits 1 on
+any difference, 0 when the records agree.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Dict, List, Sequence
 
@@ -199,26 +202,32 @@ def compare(first: Path, second: Path) -> int:
     a = json.loads(first.read_text())["cells"]
     b = json.loads(second.read_text())["cells"]
     by_protocol: Dict[str, List[str]] = {}
+    # Protocol -> the set of differing fields -> how many cells differ in it.
+    field_sets: Dict[str, Counter] = {}
     for name in sorted(set(a) | set(b)):
         if name not in a or name not in b:
             line = f"{name}: only in {first if name in a else second}"
+            fields = "only in one record"
         else:
-            changed = [
-                f"{field} {a[name].get(field)!r} -> {b[name].get(field)!r}" if field in SCALARS else field
-                for field in FIELDS
-                if a[name].get(field) != b[name].get(field)
-            ]
-            if not changed:
+            moved = [field for field in FIELDS if a[name].get(field) != b[name].get(field)]
+            if not moved:
                 continue
-            line = f"{name}: " + "; ".join(changed)
+            line = f"{name}: " + "; ".join(
+                f"{field} {a[name].get(field)!r} -> {b[name].get(field)!r}" if field in SCALARS else field
+                for field in moved
+            )
+            fields = ", ".join(moved)
         protocol = (a.get(name) or b.get(name)).get("protocol", "?")
         by_protocol.setdefault(protocol, []).append(line)
+        field_sets.setdefault(protocol, Counter())[fields] += 1
     for protocol, lines in sorted(by_protocol.items()):
         print(f"[{protocol}] {len(lines)} differing cell(s)")
         for line in lines:
             print(f"  {line}")
     differing = sum(len(lines) for lines in by_protocol.values())
     print(f"{len(set(a) | set(b))} cells, {differing} differ")
+    for protocol, counts in sorted(field_sets.items()):
+        print(f"{protocol}: " + ", ".join(f"{count} × {{{fields}}}" for fields, count in counts.most_common()))
     return 1 if differing else 0
 
 

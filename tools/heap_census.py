@@ -13,7 +13,8 @@ alone while a cell runs, so the counts are what a benchmark repeat sees.
 
 Printed per cell: collections, seconds and ``collected`` per generation (from
 ``gc.callbacks``), the objects the collector tracks at the end and how many
-appeared per ledger block appended (all replicas), the commonest types among
+appeared per executed position of the global order (all replicas; a no-op
+position appends no ledger block), the commonest types among
 them, event-heap entries against live ones, what replica 0 retains (its
 checkpoint archive, the pipeline's pending map, each mempool set and, on
 SpotLess, the proposals in each instance's store), how many unreachable
@@ -99,14 +100,17 @@ def census_cell(run: Any, top: int) -> None:
             step()
     after = tracked_by_type()
     simulator = run.cluster.simulator
-    blocks = sum(replica.ledger.height for replica in run.cluster.replicas)
+    replicas = run.cluster.replicas
+    blocks = sum(replica.ledger.height for replica in replicas)
+    positions = sum(replica.pipeline.next_execution_position for replica in replicas)
     total = sum(after.values())
-    print(f"\n{run.cell.name}: {run.events()} events, {blocks} ledger blocks over all replicas")
+    print(f"\n{run.cell.name}: {run.events()} events, {positions} executed positions"
+          f" and {blocks} ledger blocks over all replicas")
     for generation in range(3):
         print(f"  gen {generation}: {log.runs[generation]:4d} collections  "
               f"{log.seconds[generation]:.3f} s  collected {log.collected[generation]}")
     print(f"  tracked objects: {before} -> {total}"
-          + (f"  ({(total - before) / blocks:.2f} per ledger block)" if blocks else ""))
+          + (f"  ({(total - before) / positions:.2f} per executed position)" if positions else ""))
     print("  commonest: " + ", ".join(f"{kind} {count}" for kind, count in after.most_common(top)))
     print(f"  event heap: {simulator.scheduled_events} entries, {simulator.pending_events} live")
     print(f"  replica 0 retains: {retained(run.cluster.replicas[0])}")
