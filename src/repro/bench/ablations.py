@@ -358,6 +358,23 @@ class ClientBoundReplica(SpotLessReplica):
 ASSIGNMENT_REPLICAS = {"digest": SpotLessReplica, "client": ClientBoundReplica}
 
 
+def _committed_client_transactions(replica: SpotLessReplica) -> Dict[int, int]:
+    """Committed client transactions per instance at ``replica``; no-op
+    filler proposals are left out, so each count is useful work."""
+    get = replica.mempool.get
+    counts: Dict[int, int] = {}
+    for instance_id, instance in replica.instances.items():
+        counts[instance_id] = 0
+        for proposal in instance.store.committed:
+            if proposal.message is None:
+                continue
+            for digest in proposal.message.transaction_digests:
+                transaction = get(digest)
+                if transaction is not None and not transaction.is_noop():
+                    counts[instance_id] += 1
+    return counts
+
+
 def assignment_load_balance(
     policies: Sequence[str] = ("digest", "client"),
     num_replicas: int = 4,
@@ -384,7 +401,7 @@ def assignment_load_balance(
         )
         cluster.run(duration=duration)
         replica = cluster.replicas[0]
-        per_instance = replica.committed_client_transactions_per_instance()
+        per_instance = _committed_client_transactions(replica)
         loads = sorted(per_instance.values())
         busiest = loads[-1] if loads else 0
         idlest = loads[0] if loads else 0

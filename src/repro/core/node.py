@@ -11,8 +11,9 @@ replica delivers it to the :class:`~repro.runtime.pipeline.ExecutionPipeline`
 as one :class:`~repro.recovery.SlotEntry` at position ``view``, and the
 pipeline resolves its payloads (rebuilding no-ops), executes it, informs
 clients and folds it into the checkpoint digest.  This module keeps only
-what is SpotLess-specific: the chained instances, the commit log, and one
-execution frontier per instance that decides when a view is complete.
+what is SpotLess-specific: the chained instances and one execution frontier
+per instance that decides when a view is complete; the stores, the pipeline
+and the checkpoint archive keep the decided order itself.
 
 Commits live in each instance's proposal store alone: the store's
 ``committed`` list holds the committed proposals in commit order, and the
@@ -91,14 +92,9 @@ class SpotLessReplica(ReplicaRuntime):
     ) -> None:
         super().__init__(node_id, config, simulator, network, size_model)
 
-        # Every commit, in the order this replica learnt of it: the commits
-        # of its instances' stores, and the records a state transfer brought
-        # that no store here had committed.
-        self.commit_log: List[SlotRecord] = []
         # Views strictly below this floor are settled — either executed here
-        # in contiguous order, or covered by a verified state transfer whose
-        # records were ingested — so delivery below the floor needs no
-        # per-instance contiguity proof.
+        # in contiguous order, or covered by a verified state transfer — so
+        # delivery below the floor needs no per-instance contiguity proof.
         self._execution_floor_view = 0
         # Execution frontier of each instance, and the index of the first
         # commit in its store's commit order the frontier has not passed;
@@ -224,25 +220,15 @@ class SpotLessReplica(ReplicaRuntime):
     # ------------------------------------------------------------------
 
     def _on_instance_commit(self, instance_id: int, proposal: Proposal) -> None:
-        transactions: Tuple[bytes, ...] = ()
-        if proposal.message is not None:
-            transactions = proposal.message.transaction_digests
-        self.commit_log.append(
-            SlotRecord(
-                view=proposal.view,
-                instance=instance_id,
-                transaction_digests=transactions,
-                slot_digest=proposal.digest,
-            )
-        )
         if self.tracer is not None:
+            message = proposal.message
             self.tracer.instant(
                 self.node_id,
                 "consensus",
                 "decide",
                 view=proposal.view,
                 instance=instance_id,
-                batch=len(transactions),
+                batch=len(message.transaction_digests) if message is not None else 0,
             )
         self._advance_execution()
 
@@ -386,32 +372,13 @@ class SpotLessReplica(ReplicaRuntime):
     def _apply_state_entries(
         self, entries: Tuple[SlotEntry, ...], certificate: CheckpointCertificate
     ) -> None:
-        """Log the verified transferred views this replica lacks, then replay.
+        """Replay the verified transferred views, then resume delivery.
 
         Each entry is one view of the global order with the records the
-        cluster committed across instances.  A record joins the commit log
-        when its view is not yet decided here and its instance's store has
-        not committed that view.  The certificate's position then becomes the
-        execution floor, the runtime replays the entries through the
-        pipeline, and delivery resumes above the floor.
+        cluster committed across instances.  The certificate's position
+        becomes the execution floor, the runtime replays the entries through
+        the pipeline, and delivery resumes above the floor.
         """
-        pipeline = self.pipeline
-        for entry in entries:
-            if pipeline.is_decided(entry.position):
-                continue
-            for record in entry.records:
-                instance = self.instances.get(record.instance)
-                if instance is None:
-                    continue  # instance id outside this deployment
-                if instance.store.committed_in_view(entry.position) is None:
-                    self.commit_log.append(
-                        SlotRecord(
-                            view=entry.position,
-                            instance=record.instance,
-                            transaction_digests=record.transaction_digests,
-                            slot_digest=record.slot_digest,
-                        )
-                    )
         self._execution_floor_view = max(self._execution_floor_view, certificate.position)
         super()._apply_state_entries(entries, certificate)
         self._advance_execution()
@@ -448,30 +415,26 @@ class SpotLessReplica(ReplicaRuntime):
             instance_id: instance.current_view for instance_id, instance in self.instances.items()
         }
 
-    def committed_client_transactions_per_instance(self) -> Dict[int, int]:
-        """Committed non-no-op transaction count per instance.
-
-        Used by the assignment-policy ablation: no-op filler proposals are
-        excluded so the count reflects how much useful work each instance
-        carried.
-        """
-        counts: Dict[int, int] = {i: 0 for i in range(self.config.num_instances)}
-        for record in self.commit_log:
-            for digest in record.transaction_digests:
-                transaction = self.mempool.get(digest)
-                if transaction is not None and not transaction.is_noop():
-                    counts[record.instance] += 1
-        return counts
-
     def committed_map(self) -> Dict[Tuple[int, int], bytes]:
         """Mapping ``(view, instance) -> proposal digest`` of committed slots.
 
         Non-divergence requires that any slot committed by two non-faulty
-        replicas holds the same proposal.
+        replicas holds the same proposal.  The decided views are read from
+        the stable floor up (see :meth:`_decided_entries`), and the commits not
+        yet executed from the tail of each instance's store, whose commit
+        order is ascending view order.
         """
-        mapping: Dict[Tuple[int, int], bytes] = {}
-        for record in self.commit_log:
-            mapping[(record.view, record.instance)] = record.slot_digest
+        mapping = {
+            (entry.position, record.instance): record.slot_digest
+            for entry in self._decided_entries()
+            for record in entry.records
+        }
+        frontier = self.pipeline.next_execution_position
+        for instance_id, instance in self.instances.items():
+            for proposal in reversed(instance.store.committed):
+                if proposal.view < frontier:
+                    break
+                mapping[(proposal.view, instance_id)] = proposal.digest
         return mapping
 
 

@@ -33,7 +33,6 @@ class ExecutionEngine:
 
     table: KeyValueTable
     ledger: Ledger
-    executed_transactions: int = 0
 
     def execute_batch(
         self,
@@ -53,7 +52,6 @@ class ExecutionEngine:
             for operation in transaction.operations:
                 if operation.kind != "read":
                     write(operation.key, operation.value or b"")
-        self.executed_transactions += len(transactions)
         self.ledger.append(tuple([transaction.digest() for transaction in transactions]), proof=proof)
 
     def state_digest(self) -> bytes:

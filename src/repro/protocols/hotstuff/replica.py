@@ -92,9 +92,6 @@ class HotStuffReplica(ReplicaRuntime):
         self._votes: Dict[Tuple[int, bytes], Set[int]] = {}
         self._new_views: Dict[int, Set[int]] = {}
         self._proposed_in_view: Set[int] = set()
-        # Digest of the committed chain node at each global-order position;
-        # state transfer re-anchors the chain by reconstructing this list.
-        self._position_digests: List[bytes] = []
         # Nodes whose commit cascaded into a dangling (unconnected) chain;
         # retried once chain sync or state transfer fills the gap.
         self._pending_commit_roots: Set[bytes] = set()
@@ -421,21 +418,22 @@ class HotStuffReplica(ReplicaRuntime):
             self._pending_commit_roots.add(node.digest)
             return missing
         self._pending_commit_roots.discard(node.digest)
+        position = self.committed_chain_height()
         for member in reversed(chain):
             member.committed = True
-            self._position_digests.append(member.digest)
             # The node digest rides as the record's slot digest, so the
             # checkpoint fold certifies the chain anchor itself: a state
             # transfer responder cannot tamper with any anchoring input (the
             # ``view`` field alone is excluded from the fold, but the node
             # digest covers it).
             self.deliver_batch(
-                len(self._position_digests) - 1,
+                position,
                 member.transaction_digests,
                 view=member.view,
                 instance=0,
                 slot_digest=member.digest,
             )
+            position += 1
         # Committing can outrun execution when a payload is locally missing;
         # start pulling it immediately instead of waiting for the retry timer.
         self._maybe_pull_payloads()
@@ -480,10 +478,9 @@ class HotStuffReplica(ReplicaRuntime):
         A replica that was partitioned can commit positions whose client
         broadcasts it missed; consensus-level sync cannot unwedge it.
         """
-        position = self.pipeline.next_execution_position
-        if position < len(self._position_digests):
-            return self._position_digests[position]
-        return None
+        pipeline = self.pipeline
+        entry = pipeline.pending.get(pipeline.next_execution_position)
+        return entry.records[0].slot_digest if entry is not None else None
 
     def _maybe_pull_payloads(self) -> None:
         """Pull the payloads execution is stalled on, once per stalled node;
@@ -653,19 +650,26 @@ class HotStuffReplica(ReplicaRuntime):
         committed anchor that later proposals' ancestor walks connect to,
         which keeps position numbering identical to the rest of the cluster.
         """
+        # The next position to decide and the node decided just below it.
+        position = self.committed_chain_height()
+        tip = GENESIS_NODE_DIGEST
+        if position:
+            below = self.pipeline.pending.get(position - 1)
+            if below is None:
+                below = self.checkpoints.archive[position - 1]
+            tip = below.records[0].slot_digest
         replayed: List[SlotEntry] = []
         for entry in entries:
             replayed.append(entry)
-            if entry.position != len(self._position_digests) or not entry.records:
+            if entry.position != position or not entry.records:
                 continue  # position already delivered by our own chain
             record = entry.records[0]
-            parent = self._position_digests[-1] if self._position_digests else GENESIS_NODE_DIGEST
             # The certified slot digest is authoritative; recomputation from
             # the record's fields is only a fallback for responses that did
             # not carry one, and the recomputed digest is what gets folded.
             digest = record.slot_digest
             if not digest:
-                digest = chain_node_digest(record.view, parent, record.transaction_digests)
+                digest = chain_node_digest(record.view, tip, record.transaction_digests)
                 replayed[-1] = SlotEntry(
                     position=entry.position, records=(replace(record, slot_digest=digest),)
                 )
@@ -674,7 +678,7 @@ class HotStuffReplica(ReplicaRuntime):
                 node = ChainNode(
                     digest=digest,
                     view=record.view,
-                    parent_digest=parent,
+                    parent_digest=tip,
                     transaction_digests=record.transaction_digests,
                     justify=None,
                     committed=True,
@@ -682,7 +686,8 @@ class HotStuffReplica(ReplicaRuntime):
                 self.nodes[digest] = node
             else:
                 node.committed = True
-            self._position_digests.append(digest)
+            position += 1
+            tip = digest
         super()._apply_state_entries(tuple(replayed), certificate)
         # The new anchor may connect previously dangling commit cascades.
         self._retry_parked_commits()
@@ -705,8 +710,10 @@ class HotStuffReplica(ReplicaRuntime):
         return {0: self.view}
 
     def committed_chain_height(self) -> int:
-        """Number of committed chain nodes (excluding genesis)."""
-        return len(self._position_digests)
+        """Number of committed chain nodes (excluding genesis): positions are
+        decided contiguously, so the executed ones plus the pending ones."""
+        pipeline = self.pipeline
+        return pipeline.next_execution_position + len(pipeline.pending)
 
     def liveness_counters(self) -> Dict[str, int]:
         """Liveness-machinery counters surfaced in scenario results."""

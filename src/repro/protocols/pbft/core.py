@@ -132,7 +132,6 @@ class PbftInstanceCore:
         self._future_view_seen: Dict[int, int] = {}
 
         self.view_changes = 0
-        self.decided_batches = 0
         self.preprepares_sent = 0
         # Liveness-machinery trace counters: deadline re-arms granted to a
         # frontier that kept advancing (partial progress that would have
@@ -388,7 +387,6 @@ class PbftInstanceCore:
             return
         slot.committed = True
         self._inflight.discard(slot.sequence)
-        self.decided_batches += 1
         self.last_decided_sequence = max(self.last_decided_sequence, slot.sequence)
         frontier_before = self.decided_frontier
         while True:

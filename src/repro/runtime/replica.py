@@ -19,9 +19,11 @@ Protocol hooks
 ``resolve_noop``
     Reconstruct the protocol's deterministic no-op for an unknown digest.
 ``_apply_state_entries``
-    Replay verified transferred entries; a protocol that keeps its own view
-    of the order (SpotLess's commit log, HotStuff's chain) updates it first
-    and then calls the runtime's replay.
+    Replay verified transferred entries; a protocol whose consensus state
+    must learn of them (SpotLess's execution floor, HotStuff's committed
+    chain anchor) updates it first and then calls the runtime's replay.  The
+    replayed entries land in the pipeline and the checkpoint archive, the
+    one record of the decided order.
 ``_assign_shard``
     Mempool shard (consensus instance) responsible for a transaction.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
@@ -429,20 +431,25 @@ class ReplicaRuntime(Actor):
     # introspection used by tests and the cluster harness
     # ------------------------------------------------------------------
 
-    def committed_map(self) -> Dict[Tuple[int, int], bytes]:
-        """Mapping of decided position to a digest of the decided batches.
+    def _decided_entries(self) -> Iterator[SlotEntry]:
+        """The decided entries from the stable floor up.
 
-        Executed positions are read from the checkpoint archive from the
-        stable floor up (those below it are quorum-attested), pending ones
-        from the pipeline; with checkpointing off that is every position.
+        Executed ones are read from the checkpoint archive (those below the
+        floor are quorum-attested), pending ones from the pipeline; with
+        checkpointing off that is every decided position.
         """
         checkpoints = self.checkpoints
         executed = checkpoints.archive[checkpoints.stable_position() :]
+        return chain(executed, self.pipeline.pending.values())
+
+    def committed_map(self) -> Dict[Tuple[int, int], bytes]:
+        """Mapping of decided position to a digest of the decided batches,
+        from the stable floor up (see :meth:`_decided_entries`)."""
         return {
             (entry.position, 0): b"".join(
                 digest for record in entry.records for digest in record.transaction_digests
             )
-            for entry in chain(executed, self.pipeline.pending.values())
+            for entry in self._decided_entries()
         }
 
     def executed_transaction_digests(self) -> List[bytes]:

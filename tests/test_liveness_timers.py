@@ -210,7 +210,7 @@ def test_straggler_pulls_missing_payloads_behind_the_committed_frontier(protocol
             committed=committed,
         )
     server.mempool.register_payload(tx)
-    server._position_digests.append(node_digest)
+    server.deliver_batch(0, (tx.digest(),), view=1, slot_digest=node_digest)
     straggler._commit_chain(straggler.nodes[node_digest])
     # Committed but unexecutable: the payload pull went out eagerly.
     assert straggler.pipeline.next_execution_position == 0

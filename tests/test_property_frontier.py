@@ -211,28 +211,34 @@ def test_a_state_transfer_below_queued_views_lets_the_frontier_pass_them():
     assert replica.pipeline.next_execution_position == 3
     assert replica._frontiers[0] == _walk_from_floor(replica) == 5
     assert replica._cursors[0] == len(chain.store.committed)
-    # The store had committed view 2 itself, so the log gained nothing.
-    assert replica.commit_log == []
+    # View 2 is read from the transferred record, views 3 and 5 (above the
+    # execution frontier) from the store: the two agree on view 2.
+    assert replica.committed_map() == {
+        (proposal.view, 0): proposal.digest for proposal in chain.store.committed
+    }
 
 
-def test_a_state_transfer_logs_only_the_records_no_store_here_committed():
+def test_committed_map_reads_transferred_records_and_the_commits_not_yet_executed():
     replica = _replica(num_instances=2)
     chain = _Chain(replica, GENESIS_VIEW)
     proposal = chain.commit(1, payload=())  # instance 0, view 0
     replica._on_instance_commit(0, proposal)
     assert replica.pipeline.next_execution_position == 0  # instance 1 is short
-    logged = SlotRecord(0, 0, (), proposal.digest)
-    assert replica.commit_log == [logged]
+    # Committed, not executed: the store answers for it.
+    assert replica.committed_map() == {(0, 0): proposal.digest}
+    record = SlotRecord(0, 0, (), proposal.digest)
     other = SlotRecord(0, 1, (), b"instance-1-view-0")
-    entries = (SlotEntry(position=0, records=(logged, other)),)
-    # Instance 0 committed view 0 here: only instance 1's record is logged.
+    entries = (SlotEntry(position=0, records=(record, other)),)
+    # Instance 1's record is known only from the transfer, and the archive
+    # now answers for both.
     replica._apply_state_entries(entries, _certificate(1))
     assert replica.pipeline.next_execution_position == 1
-    assert replica.commit_log == [logged, other]
-    # The position is decided now: the same transfer again logs nothing.
+    committed = {(0, 0): proposal.digest, (0, 1): b"instance-1-view-0"}
+    assert replica.committed_map() == committed
+    # The position is decided now: the same transfer again changes nothing.
     replica._apply_state_entries(entries, _certificate(1))
-    assert replica.commit_log == [logged, other]
-    assert replica.committed_map() == {(0, 0): proposal.digest, (0, 1): b"instance-1-view-0"}
+    assert replica.checkpoints.frontier == 1
+    assert replica.committed_map() == committed
 
 
 class _CountingCommits(list):
@@ -275,7 +281,11 @@ def _store_reads_per_commit(checkpoint_interval: int) -> float:
     ]
     cluster.run(duration=0.8)
     reads = sum(commits.reads for commits in counted)
-    commits = sum(len(replica.commit_log) for replica in cluster.replicas)
+    commits = sum(
+        instance.committed_count()
+        for replica in cluster.replicas
+        for instance in replica.instances.values()
+    )
     assert commits > 6000  # enough commits to average over
     return reads / commits
 

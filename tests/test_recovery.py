@@ -454,4 +454,10 @@ def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record
     target._apply_state_entries(entries, certificate)
     assert target.checkpoints.frontier == certificate.position > 0
     assert target.checkpoints.rolling == certificate.digest
-    assert target._position_digests == source._position_digests[: certificate.position]
+    # The committed chain is re-anchored on the source's node digests.
+    anchored = [entry.records[0].slot_digest for entry in target.checkpoints.archive]
+    assert anchored == [
+        entry.records[0].slot_digest for entry in source.checkpoints.archive[: certificate.position]
+    ]
+    assert target.committed_chain_height() == certificate.position
+    assert all(target.nodes[digest].committed for digest in anchored)

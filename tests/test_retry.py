@@ -194,7 +194,7 @@ def _chain_fixture(protocol, *, known_to_requester):
         )
         if replica is not requester:
             replica.mempool.register_payload(transaction)
-            replica._position_digests.append(digest)
+            replica.deliver_batch(0, (transaction.digest(),), view=1, slot_digest=digest)
     silenced = Silenced(0, HsChainRequest)
     cluster.network.add_drop_rule(silenced)
 
