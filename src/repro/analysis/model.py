@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
-from repro.net.sizes import MessageSizeModel
+from repro.net.sizes import TRANSACTION_BYTES, MessageSizeModel
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Scenario:
     num_replicas: int
     num_instances: Optional[int] = None
     batch_size: int = 100
-    transaction_bytes: int = 48
+    transaction_bytes: int = TRANSACTION_BYTES
     faulty_replicas: int = 0
     attack: str = "A1"
     offered_client_batches_per_primary: Optional[int] = None

@@ -31,7 +31,7 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import DeterministicRng
 from repro.workload.arrival import LoadProfile
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import YcsbWorkload
 
 #: Replica class of every implemented protocol, by name.
 REPLICA_CLASSES = {
@@ -93,7 +93,6 @@ class SimulatedCluster:
         clients: int = 4,
         outstanding_per_client: int = 8,
         network_config: Optional[NetworkConfig] = None,
-        workload_config: Optional[YcsbConfig] = None,
         seed: int = 1,
         arrival: Optional[LoadProfile] = None,
     ) -> "SimulatedCluster":
@@ -113,7 +112,7 @@ class SimulatedCluster:
             )
             for replica_id in config.replica_ids()
         ]
-        workload = YcsbWorkload(workload_config or YcsbConfig(), rng=rng)
+        workload = YcsbWorkload(rng=rng)
         shared = dict(config=config, simulator=simulator, network=network, workload=workload)
         if arrival is not None:
             pool = OpenLoopClientPool(0, arrival=arrival, rng=rng.fork("client-pool"), **shared)
@@ -130,7 +129,6 @@ class SimulatedCluster:
         clients: int = 4,
         outstanding_per_client: int = 8,
         network_config: Optional[NetworkConfig] = None,
-        workload_config: Optional[YcsbConfig] = None,
         seed: int = 1,
         arrival: Optional[LoadProfile] = None,
     ) -> "SimulatedCluster":
@@ -141,8 +139,7 @@ class SimulatedCluster:
         profile (``clients``/``outstanding_per_client`` are then ignored).
         """
         return SimulatedCluster.build(
-            SpotLessReplica, config, clients, outstanding_per_client, network_config,
-            workload_config, seed, arrival,
+            SpotLessReplica, config, clients, outstanding_per_client, network_config, seed, arrival
         )
 
     @staticmethod
@@ -197,8 +194,8 @@ class SimulatedCluster:
                 **overrides,
             )
         return SimulatedCluster.build(
-            REPLICA_CLASSES[name], config, clients, outstanding_per_client, network_config,
-            None, seed, arrival,
+            REPLICA_CLASSES[name], config, clients, outstanding_per_client, network_config, seed,
+            arrival,
         )
 
     # ------------------------------------------------------------------

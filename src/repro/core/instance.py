@@ -746,7 +746,7 @@ class SpotLessInstance:
     def _advance_view(self, new_view: int, fast: bool) -> None:
         if new_view <= self.current_view:
             return
-        if fast and self._certifying_timer.running:
+        if fast and self.state is _CERTIFYING:
             waited = self.env.now() - self._view_entered_at
             self._certifying_timeout.on_progress(waited)
         self._enter_view(new_view)
@@ -831,6 +831,9 @@ class SpotLessInstance:
         """
         for view in [view for view in self._views if view < floor_view]:
             del self._views[view]
+        # The Ask latch forgets answered keys: a recorded payload never goes
+        # away, and every request or retry tests it before the latch.
+        self._asks.missing()
 
     # ------------------------------------------------------------------
     # introspection helpers used by the node, tests and experiments

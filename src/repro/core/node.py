@@ -39,7 +39,7 @@ from repro.core.instance import InstanceEnvironment, SpotLessInstance
 from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
 from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
-from repro.net.sizes import MessageSizeModel
+from repro.net.sizes import SIGNATURE_BYTES, MessageSizeModel
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
 from repro.runtime.mempool import AdmitResult
 from repro.runtime.replica import ReplicaRuntime
@@ -145,7 +145,7 @@ class SpotLessReplica(ReplicaRuntime):
     def _message_size(self, message: Message) -> int:
         size = self._wire_bytes[message.__class__]
         if message.__class__ is ProposeMessage and message.parent_certificate:
-            size += self.config.quorum * self.size_model.constants.signature_bytes
+            size += self.config.quorum * SIGNATURE_BYTES
         return size
 
     def _deliver_to_self(self, message: Message) -> None:

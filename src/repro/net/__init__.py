@@ -15,10 +15,9 @@ enveloped, tagged or held in a send buffer.
 """
 
 from repro.net.message import Message
-from repro.net.sizes import MessageSizeModel, SizeConstants
+from repro.net.sizes import MessageSizeModel
 
 __all__ = [
     "Message",
     "MessageSizeModel",
-    "SizeConstants",
 ]

@@ -12,20 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
-class SizeConstants:
-    """Raw size constants taken from the ResilientDB deployment."""
-
-    reference_batch_size: int = 100
-    reference_transaction_bytes: int = 48
-    proposal_bytes_at_reference: int = 5400
-    reply_bytes_at_reference: int = 1748
-    control_message_bytes: int = 432
-    signature_bytes: int = 64
-    mac_bytes: int = 32
-    digest_bytes: int = 32
-    header_bytes: int = 72
+# Raw size constants taken from the ResilientDB deployment.
+REFERENCE_BATCH_SIZE = 100
+TRANSACTION_BYTES = 48
+PROPOSAL_BYTES_AT_REFERENCE = 5400
+REPLY_BYTES_AT_REFERENCE = 1748
+CONTROL_MESSAGE_BYTES = 432
+SIGNATURE_BYTES = 64
+DIGEST_BYTES = 32
+HEADER_BYTES = 72
 
 
 @dataclass(frozen=True)
@@ -34,29 +29,28 @@ class MessageSizeModel:
 
     The proposal size decomposes into a fixed header plus per-transaction
     payload; the reference constants pin the decomposition so that the
-    default configuration (100 txn/batch, 48 B transactions) reproduces the
-    paper's numbers exactly.
+    default configuration (100 txn/batch, ``TRANSACTION_BYTES`` per
+    transaction) reproduces the paper's numbers exactly.
     """
 
-    constants: SizeConstants = SizeConstants()
-    batch_size: int = 100
-    transaction_bytes: int = 48
+    batch_size: int = REFERENCE_BATCH_SIZE
+    transaction_bytes: int = TRANSACTION_BYTES
 
     def _per_transaction_overhead(self) -> float:
-        payload = self.constants.reference_batch_size * self.constants.reference_transaction_bytes
-        overhead = self.constants.proposal_bytes_at_reference - self.constants.header_bytes - payload
-        return overhead / self.constants.reference_batch_size
+        payload = REFERENCE_BATCH_SIZE * TRANSACTION_BYTES
+        overhead = PROPOSAL_BYTES_AT_REFERENCE - HEADER_BYTES - payload
+        return overhead / REFERENCE_BATCH_SIZE
 
     def proposal_bytes(self) -> int:
         """Size of a Propose/PrePrepare message carrying one batch."""
         per_txn = self.transaction_bytes + self._per_transaction_overhead()
-        return int(round(self.constants.header_bytes + self.batch_size * per_txn))
+        return int(round(HEADER_BYTES + self.batch_size * per_txn))
 
     def reply_bytes(self) -> int:
         """Size of a client reply (Inform) covering one batch."""
-        scale = self.batch_size / self.constants.reference_batch_size
-        payload = self.constants.reply_bytes_at_reference - self.constants.header_bytes
-        return int(round(self.constants.header_bytes + payload * scale))
+        scale = self.batch_size / REFERENCE_BATCH_SIZE
+        payload = REPLY_BYTES_AT_REFERENCE - HEADER_BYTES
+        return int(round(HEADER_BYTES + payload * scale))
 
     def control_bytes(self, signatures: int = 0) -> int:
         """Size of a control message carrying ``signatures`` embedded signatures.
@@ -65,24 +59,29 @@ class MessageSizeModel:
         this bucket; certificates and emulated threshold signatures add one
         signature worth of bytes per aggregated partial.
         """
-        return self.constants.control_message_bytes + signatures * self.constants.signature_bytes
+        return CONTROL_MESSAGE_BYTES + signatures * SIGNATURE_BYTES
 
     def certificate_bytes(self, quorum: int) -> int:
         """Size of a quorum certificate with ``quorum`` signatures."""
-        return self.constants.digest_bytes + quorum * self.constants.signature_bytes
+        return DIGEST_BYTES + quorum * SIGNATURE_BYTES
 
     def request_bytes(self) -> int:
         """Size of a single signed client request."""
-        return (
-            self.constants.header_bytes
-            + self.transaction_bytes
-            + self.constants.signature_bytes
-            + self.constants.digest_bytes
-        )
+        return HEADER_BYTES + self.transaction_bytes + SIGNATURE_BYTES + DIGEST_BYTES
 
     def batch_payload_bytes(self) -> int:
         """Raw payload bytes of one batch of client transactions."""
         return self.batch_size * self.transaction_bytes
 
 
-__all__ = ["MessageSizeModel", "SizeConstants"]
+__all__ = [
+    "CONTROL_MESSAGE_BYTES",
+    "DIGEST_BYTES",
+    "HEADER_BYTES",
+    "MessageSizeModel",
+    "PROPOSAL_BYTES_AT_REFERENCE",
+    "REFERENCE_BATCH_SIZE",
+    "REPLY_BYTES_AT_REFERENCE",
+    "SIGNATURE_BYTES",
+    "TRANSACTION_BYTES",
+]

@@ -88,7 +88,8 @@ class HotStuffReplica(ReplicaRuntime):
         self.view = 0
         self.high_qc = QuorumCert(view=-1, node_digest=GENESIS_NODE_DIGEST, signers=tuple(config.replica_ids()))
         self.locked_qc = self.high_qc
-        self.voted_views: Set[int] = set()
+        # The highest view this replica voted in (HotStuff's vheight).
+        self.voted_view = -1
         self._votes: Dict[Tuple[int, bytes], Set[int]] = {}
         self._new_views: Dict[int, Set[int]] = {}
         self._proposed_in_view: Set[int] = set()
@@ -299,11 +300,11 @@ class HotStuffReplica(ReplicaRuntime):
         if proposal.parent_digest not in self.nodes:
             self._request_chain((sender,), proposal.parent_digest)
         self._apply_commit_rules(node, sender)
-        if proposal.view < self.view or proposal.view in self.voted_views:
+        if proposal.view < self.view or proposal.view <= self.voted_view:
             return
         if not self._safe_node(node, proposal.justify):
             return
-        self.voted_views.add(proposal.view)
+        self.voted_view = proposal.view
         self._enter_view(max(self.view, proposal.view))
         vote = HsVote(view=proposal.view, node_digest=proposal.node_digest, voter=self.node_id)
         next_leader = self.leader_of(proposal.view + 1)
@@ -697,7 +698,6 @@ class HotStuffReplica(ReplicaRuntime):
         horizon = self.view - 2
         self._votes = {key: voters for key, voters in self._votes.items() if key[0] >= horizon}
         self._new_views = {view: s for view, s in self._new_views.items() if view >= horizon}
-        self.voted_views = {view for view in self.voted_views if view >= horizon}
         self._proposed_in_view = {view for view in self._proposed_in_view if view >= horizon}
         self._chain_requested = {
             digest: view for digest, view in self._chain_requested.items() if view >= horizon

@@ -97,7 +97,6 @@ class PbftInstanceCore:
         # maintained incrementally at every digests/committed transition so
         # the pipeline-window check is O(1) instead of a full slot scan.
         self._inflight: Set[int] = set()
-        self.active = True
         self.started = False
 
         self._view_change_votes: Dict[int, Dict[int, ViewChangeMessage]] = {}
@@ -178,7 +177,7 @@ class PbftInstanceCore:
 
     def try_propose(self) -> None:
         """Propose new slots while the pipeline window has room (out-of-order)."""
-        if not self.active or not self.started or not self.is_primary():
+        if not self.started or not self.is_primary():
             return
         while self.outstanding_slots() < self.config.pipeline_depth:
             batch = self.env.next_batch(self.instance_id)
@@ -279,7 +278,7 @@ class PbftInstanceCore:
 
     def on_preprepare(self, sender: int, message: PrePrepareMessage) -> None:
         """Handle the primary's proposal for a slot."""
-        if not self.active or message.instance != self.instance_id:
+        if message.instance != self.instance_id:
             return
         if message.view > self.view:
             self._buffer_future(sender, message)
@@ -314,7 +313,7 @@ class PbftInstanceCore:
 
     def on_prepare(self, sender: int, message: PrepareMessage) -> None:
         """Handle a Prepare vote."""
-        if not self.active or message.instance != self.instance_id:
+        if message.instance != self.instance_id:
             return
         if message.view > self.view:
             self._buffer_future(sender, message)
@@ -361,7 +360,7 @@ class PbftInstanceCore:
 
     def on_commit(self, sender: int, message: CommitMessage) -> None:
         """Handle a Commit vote; decide the slot at 2f + 1 votes."""
-        if not self.active or message.instance != self.instance_id:
+        if message.instance != self.instance_id:
             return
         if message.view > self.view:
             self._buffer_future(sender, message)
@@ -426,7 +425,7 @@ class PbftInstanceCore:
         The timer never survives a view adoption (adoption paths cancel and
         re-arm), so a timeout always escalates from the view it was armed in.
         """
-        if self._progress_timer.running or self.is_primary() or not self.active:
+        if self._progress_timer.running or self.is_primary():
             return
         self._deadline_frontier = self.decided_frontier
         self._progress_timer.start(self.config.request_timeout)
@@ -473,8 +472,6 @@ class PbftInstanceCore:
         if self.tracer is not None and self._progress_span is not None:
             self.tracer.end(self._progress_span, fired=True)
             self._progress_span = None
-        if not self.active:
-            return
         if not self._awaiting_progress():
             return  # workload drained while the deadline was pending
         if self.decided_frontier > self._deadline_frontier:
@@ -553,7 +550,7 @@ class PbftInstanceCore:
         self._view_change_timer.start(self.config.view_change_timeout)
 
     def _on_view_change_timeout(self) -> None:
-        if not self.active or self.view >= self._awaited_view:
+        if self.view >= self._awaited_view:
             return
         self.request_view_change(self._awaited_view + 1)
 

@@ -96,7 +96,6 @@ class ExecutionPipeline:
         # ``advance`` moves it.
         self.next_execution_position = 0
         self.executed_transactions = 0
-        self.decided_batches = 0
 
     # ------------------------------------------------------------------
     # decisions
@@ -124,7 +123,6 @@ class ExecutionPipeline:
         if self.is_decided(entry.position):
             return
         self.pending[entry.position] = entry
-        self.decided_batches += len(entry.records)
         self.advance()
 
     def is_decided(self, position: int) -> bool:

@@ -422,11 +422,6 @@ class ReplicaRuntime(Actor):
         """Executed non-no-op transactions."""
         return self.pipeline.executed_transactions
 
-    @property
-    def decided_batches(self) -> int:
-        """Batches decided at some position of the global order."""
-        return self.pipeline.decided_batches
-
     # ------------------------------------------------------------------
     # introspection used by tests and the cluster harness
     # ------------------------------------------------------------------

@@ -103,18 +103,18 @@ _SWEEP_FLOOR = 100
 class Simulator:
     """Deterministic discrete-event simulator.
 
+    Simulated time starts at 0 s.
+
     Parameters
     ----------
-    start_time:
-        Initial simulated time in seconds.
     max_events:
         Safety valve: the run aborts with :class:`SimulationError` if more
         than this many events are processed, which catches accidental
         infinite message loops in protocol code.
     """
 
-    def __init__(self, start_time: float = 0.0, max_events: int = 50_000_000) -> None:
-        self._now = start_time
+    def __init__(self, max_events: int = 50_000_000) -> None:
+        self._now = 0.0
         self._queue: list[_Entry] = []
         self._seq = 0
         self._processed = 0

@@ -8,7 +8,7 @@ for f + 1 matching Informs, fail over with a doubled timeout).
 """
 
 from repro.workload.requests import Operation, Transaction
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import YcsbWorkload
 from repro.workload.arrival import (
     LoadPhase,
     LoadProfile,
@@ -22,7 +22,6 @@ __all__ = [
     "Operation",
     "PHASE_SHAPES",
     "Transaction",
-    "YcsbConfig",
     "YcsbWorkload",
     "overload_profile",
 ]

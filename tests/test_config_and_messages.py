@@ -14,7 +14,13 @@ from repro.core.messages import Claim, ProposeMessage
 from repro.core.timeouts import AdaptiveTimeout
 from repro.crypto.certificates import Certificate, Signature
 from repro.crypto.digest import digest_bytes
+from repro.ledger.kvtable import KeyValueTable
+from repro.net import sizes
+from repro.net.sizes import MessageSizeModel
 from repro.runtime.quorum import DeploymentConfig
+from repro.sim.engine import Simulator
+from repro.workload import ycsb
+from repro.workload.ycsb import YcsbWorkload
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -83,6 +89,27 @@ def test_spotless_knob_inventory_holds_only_the_papers_parameters():
         if "ExponentialBackoff" in path.read_text(encoding="utf-8")
     ]
     assert naming == []
+
+
+def test_workload_and_wire_size_inventory_holds_only_the_model_sweeps():
+    """The Section 6 workload and the Section 6.1 wire sizes are module
+    constants: only the model's Figure 7(b)/(d) sweeps vary a size, and the
+    YCSB generator, the table and the simulator take no workload setting."""
+    assert list(inspect.signature(YcsbWorkload).parameters) == ["rng"]
+    assert list(inspect.signature(KeyValueTable).parameters) == []
+    assert {field.name for field in dataclasses.fields(MessageSizeModel)} == {
+        "batch_size",
+        "transaction_bytes",
+    }
+    assert list(inspect.signature(Simulator).parameters) == ["max_events"]
+    # No settings class is left beside them in the modules that define them.
+    defined = {
+        name
+        for module in (ycsb, sizes)
+        for name, value in vars(module).items()
+        if inspect.isclass(value) and value.__module__ == module.__name__
+    }
+    assert defined == {"YcsbWorkload", "MessageSizeModel"}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from repro.sim.engine import Simulator
 from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import DeterministicRng
 from repro.workload.requests import Transaction
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import YcsbWorkload
 
 
 class StubReplica(Actor):
@@ -62,7 +62,7 @@ def _setup(responding_replicas, num_replicas=4, outstanding=2, request_timeout=0
         )
         for replica_id in range(num_replicas)
     ]
-    workload = YcsbWorkload(YcsbConfig(record_count=1000), rng=DeterministicRng(3))
+    workload = YcsbWorkload(rng=DeterministicRng(3))
     client = SpotLessClient(
         client_id=0,
         config=config,

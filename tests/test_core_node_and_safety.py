@@ -12,8 +12,12 @@ import pytest
 from repro.bench.cluster import SimulatedCluster
 from repro.core.chain import GENESIS_PROPOSAL_ID, ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
+from repro.core.instance import SpotLessInstance
 from repro.core.messages import ProposeMessage
 from repro.faults.injector import FaultEvent, FaultInjector
+from repro.ledger.kvtable import KeyValueTable
+from repro.scenarios import single_fault_spec
+from repro.scenarios.runner import ScenarioRunner
 from repro.sim.network import NetworkConfig
 from repro.workload.requests import Operation, Transaction
 
@@ -124,7 +128,7 @@ def test_idle_instances_propose_reconstructible_noops():
     for replica in cluster.replicas:
         assert replica.pipeline.next_execution_position > 10
         assert replica.ledger.height == 0
-        assert replica.table.writes == 0
+        assert replica.table.state_digest() == KeyValueTable().state_digest()
         assert replica.state_digest() == cluster.replicas[0].state_digest()
     cluster.assert_no_divergence()
 
@@ -300,6 +304,26 @@ def test_safety_holds_even_when_liveness_is_lost():
     # With only 2 of 4 replicas alive no new three-view chains can complete
     # far beyond what was in flight.
     assert all(after >= before for before, after in zip(committed_before, committed_after))
+
+
+@pytest.mark.parametrize("fault", ["A2", "A1", "crash", "partition"])
+def test_a_stable_checkpoint_leaves_only_unanswered_keys_in_the_ask_latch(fault, monkeypatch):
+    """Ask-recovery's latch is bounded: each compaction at a stable checkpoint
+    drops every key whose payload arrived, so what it keeps is what is still
+    missing, not every proposal ever asked for."""
+    compactions = []
+    compact = SpotLessInstance.compact_below_view
+
+    def checked(instance, floor_view):
+        compact(instance, floor_view)
+        answered = [key for key in instance._asks._outstanding if instance._has_payload(key)]
+        compactions.append(floor_view)
+        assert answered == []
+
+    monkeypatch.setattr(SpotLessInstance, "compact_below_view", checked)
+    runner = ScenarioRunner(single_fault_spec("spotless", fault, f=2))
+    assert runner.run().ok
+    assert compactions
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from repro.crypto.digest import canonical_bytes, digest_bytes, digest_to_int
 from repro.ledger.execution import ExecutionEngine, make_noop_transaction
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
-from repro.net.sizes import MessageSizeModel
+from repro.net.sizes import SIGNATURE_BYTES, MessageSizeModel
 from repro.workload.requests import Operation, Transaction
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import RECORD_COUNT, VALUE_BYTES, YcsbWorkload
 from repro.sim.rng import DeterministicRng
 
 
@@ -38,7 +38,7 @@ def test_proposal_size_scales_with_batch_and_transaction_size():
 
 def test_control_and_certificate_sizes_grow_with_signatures():
     sizes = MessageSizeModel()
-    assert sizes.control_bytes(signatures=2) == sizes.control_bytes() + 2 * sizes.constants.signature_bytes
+    assert sizes.control_bytes(signatures=2) == sizes.control_bytes() + 2 * SIGNATURE_BYTES
     assert sizes.certificate_bytes(85) > sizes.certificate_bytes(3)
 
 
@@ -47,30 +47,37 @@ def test_control_and_certificate_sizes_grow_with_signatures():
 # ---------------------------------------------------------------------------
 
 
-def test_table_initial_values_are_deterministic_across_replicas():
-    a = KeyValueTable(record_count=100, value_size=16)
-    b = KeyValueTable(record_count=100, value_size=16)
-    assert a.read(7) == b.read(7)
-    assert len(a.read(7)) == 16
-
-
 def test_table_write_then_read_round_trip_and_padding():
-    table = KeyValueTable(record_count=10, value_size=8)
-    table.write(3, b"xy")
-    assert table.read(3) == b"xy" + b"\x00" * 6
+    """A short value is stored zero-padded to the record size."""
+    short, padded = KeyValueTable(), KeyValueTable()
+    short.write(3, b"xy")
+    padded.write(3, b"xy" + b"\x00" * (VALUE_BYTES - 2))
+    assert short.state_digest() == padded.state_digest()
 
 
 def test_table_rejects_out_of_range_keys():
-    table = KeyValueTable(record_count=10)
     with pytest.raises(KeyError):
-        table.read(10)
+        KeyValueTable().write(-1, b"v")
+
+
+def test_workload_values_and_table_bounds_are_the_section_6_constants():
+    """A write carries one transaction's wire payload, and the table holds
+    exactly the workload's key range."""
+    workload = YcsbWorkload(rng=DeterministicRng(4))
+    write = next(
+        op for t in workload.transactions(client_id=0, count=20) for op in t.operations
+        if op.kind == "write"
+    )
+    assert len(write.value) == MessageSizeModel().transaction_bytes
+    table = KeyValueTable()
+    table.write(RECORD_COUNT - 1, write.value)
     with pytest.raises(KeyError):
-        table.write(-1, b"v")
+        table.write(RECORD_COUNT, write.value)
 
 
 def test_table_state_digest_reflects_writes_only():
-    a = KeyValueTable(record_count=10)
-    b = KeyValueTable(record_count=10)
+    a = KeyValueTable()
+    b = KeyValueTable()
     assert a.state_digest() == b.state_digest()
     a.write(1, b"x" * 48)
     assert a.state_digest() != b.state_digest()
@@ -221,7 +228,7 @@ def test_position_records_survive_pickle_and_deepcopy():
 
 
 def make_engine():
-    table = KeyValueTable(record_count=1000)
+    table = KeyValueTable()
     return ExecutionEngine(table=table, ledger=Ledger())
 
 
@@ -234,10 +241,11 @@ def test_execution_applies_writes_and_appends_block():
     assert engine.ledger.head.transactions == (txn.digest(), read.digest())
     # A read changes no state and its value reaches no one (an Inform carries
     # the digest), so only the write touched the table ...
-    assert (engine.table.reads, engine.table.writes) == (0, 1)
-    assert engine.table.read(5) == b"v" * 48
-    # ... and nothing is kept per transaction: the engine holds the table,
-    # the ledger and a count.
+    expected = KeyValueTable()
+    expected.write(5, b"v" * 48)
+    assert engine.state_digest() == expected.state_digest()
+    # ... and nothing is kept per transaction: the engine holds the table
+    # and the ledger.
     assert not hasattr(engine, "results") and not hasattr(engine, "_results")
 
 
@@ -265,30 +273,23 @@ def test_noop_transactions_are_deterministic_per_slot():
 
 
 def test_ycsb_write_fraction_roughly_matches_configuration():
-    workload = YcsbWorkload(YcsbConfig(record_count=10_000, write_fraction=0.9), rng=DeterministicRng(1))
+    workload = YcsbWorkload(rng=DeterministicRng(1))
     transactions = workload.transactions(client_id=0, count=500)
     writes = sum(1 for t in transactions for op in t.operations if op.kind == "write")
     assert 0.8 < writes / 500 < 1.0
 
 
 def test_ycsb_keys_stay_within_the_table():
-    workload = YcsbWorkload(YcsbConfig(record_count=1000), rng=DeterministicRng(2))
+    workload = YcsbWorkload(rng=DeterministicRng(2))
     for transaction in workload.transactions(client_id=0, count=200):
         for operation in transaction.operations:
-            assert 0 <= operation.key < 1000
+            assert 0 <= operation.key < RECORD_COUNT
 
 
 def test_ycsb_transactions_are_unique_per_sequence():
     workload = YcsbWorkload(rng=DeterministicRng(3))
     digests = {t.digest() for t in workload.transactions(client_id=0, count=100)}
     assert len(digests) == 100
-
-
-def test_ycsb_config_validation():
-    with pytest.raises(ValueError):
-        YcsbConfig(record_count=0).validate()
-    with pytest.raises(ValueError):
-        YcsbConfig(write_fraction=1.5).validate()
 
 
 @given(st.integers(min_value=0, max_value=1_000_000), st.integers(min_value=1, max_value=128))

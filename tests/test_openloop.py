@@ -31,7 +31,7 @@ from repro.sim.network import Network, NetworkConfig
 from repro.sim.rng import DeterministicRng
 from repro.workload.arrival import LoadPhase, LoadProfile, overload_profile
 from repro.workload.requests import Transaction
-from repro.workload.ycsb import YcsbConfig, YcsbWorkload
+from repro.workload.ycsb import YcsbWorkload
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,7 @@ def _pool_setup(arrival):
         _EchoReplica(node_id=replica_id, simulator=simulator, network=network)
         for replica_id in range(4)
     ]
-    workload = YcsbWorkload(YcsbConfig(record_count=1000), rng=DeterministicRng(3))
+    workload = YcsbWorkload(rng=DeterministicRng(3))
     pool = OpenLoopClientPool(
         client_id=0,
         config=config,

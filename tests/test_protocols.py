@@ -267,9 +267,9 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
     cluster.run(duration=0.3)
     replica = cluster.replicas[0]
     assert replica.num_instances == 4
-    assert replica.decided_batches > 0
     noops, real_high = [], {}
     decided = [*replica.checkpoints.archive, *replica.pipeline.pending.values()]
+    assert decided
     for entry in decided:
         position = entry.position
         sequence, instance = divmod(position, replica.num_instances)
@@ -481,10 +481,10 @@ def test_hotstuff_locks_on_the_two_chain_and_refuses_a_fork_below_it():
     stale_qc = locked_node.justify  # certifies the lock's parent
     assert stale_qc.view < lock.view
     replica.on_message(replica.leader_of(view), fork(stale_qc))
-    assert view not in replica.voted_views
+    assert replica.voted_view < view
     assert replica.locked_qc == lock
     replica.on_message(replica.leader_of(view), fork(replica.high_qc))
-    assert view in replica.voted_views
+    assert replica.voted_view == view
 
 
 @pytest.mark.parametrize("carrier", ["new-view", "proposal"])

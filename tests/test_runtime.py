@@ -290,11 +290,11 @@ def test_pipeline_noop_writes_no_record_and_appends_no_block():
     request = make_txn(2)  # writes record 2
     pool.admit(request)
     pipeline.deliver(0, (request.digest(),))
-    written, state = engine.table.read(2), engine.state_digest()
+    state = engine.state_digest()
     first, second = noops
     pipeline.deliver(1, (first,), view=1, instance=2)
     assert pipeline.next_execution_position == 2
-    assert engine.table.read(2) == written and engine.state_digest() == state
+    assert engine.state_digest() == state
     assert engine.ledger.height == 1
     # Beside a request, the block carries the request alone.
     other = make_txn(3)
@@ -303,7 +303,11 @@ def test_pipeline_noop_writes_no_record_and_appends_no_block():
     assert pipeline.next_execution_position == 3
     assert engine.ledger.height == 2
     assert engine.ledger.head.transactions == (other.digest(),)
-    assert engine.table.writes == 2
+    # The table holds the two requests' writes and nothing else.
+    expected = KeyValueTable()
+    for operation in (*request.operations, *other.operations):
+        expected.write(operation.key, operation.value)
+    assert engine.state_digest() == expected.state_digest()
     assert pipeline.executed_transactions == 2
 
 
@@ -317,7 +321,7 @@ def test_pipeline_informs_clients_once_per_fresh_transaction():
     pipeline.deliver(1, (txn.digest(),))
     assert informed == [txn]
     assert pipeline.executed_transactions == 1
-    assert pipeline.decided_batches == 2
+    assert pipeline.next_execution_position == 2 and pipeline.pending == {}
 
 
 def test_pipeline_duplicate_position_is_ignored():
@@ -328,14 +332,14 @@ def test_pipeline_duplicate_position_is_ignored():
     pipeline.deliver(0, (first.digest(),))
     # Position 0 executed and left the pipeline; it is still decided once.
     pipeline.deliver(0, (second.digest(),))
-    assert pipeline.decided_batches == 1
+    assert pipeline.next_execution_position == 1 and pipeline.pending == {}
     assert [entry.records[0].transaction_digests for entry in checkpoints.archive] == [
         (first.digest(),)
     ]
     # A pending position is decided once as well.
     pipeline.deliver(2, (first.digest(),))
     pipeline.deliver(2, (second.digest(),))
-    assert pipeline.decided_batches == 2
+    assert list(pipeline.pending) == [2] and len(checkpoints.archive) == 1
     assert pipeline.pending[2].records[0].transaction_digests == (first.digest(),)
 
 
@@ -355,7 +359,7 @@ def test_pipeline_resolves_a_whole_entry_before_executing_and_folds_that_entry()
     )
     pipeline.deliver_entry(entry)
     # The second record's payload is missing: nothing of the entry executes.
-    assert pipeline.decided_batches == 2
+    assert pipeline.pending == {0: entry}
     assert pipeline.executed_transactions == 0 and folded == []
     pool.admit(second)
     pipeline.advance()
@@ -373,7 +377,8 @@ def test_every_protocol_executes_and_folds_through_the_one_pipeline(protocol):
     cluster.run(duration=0.3)
     for replica in cluster.replicas:
         assert replica.checkpoints.enabled
-        assert replica.decided_batches > 0
+        decided = [*replica.checkpoints.archive, *replica.pipeline.pending.values()]
+        assert sum(len(entry.records) for entry in decided) > 0
         # Every executed position was folded, and nothing else was.
         assert replica.pipeline.next_execution_position == replica.checkpoints.frontier > 0
 

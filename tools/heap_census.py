@@ -17,8 +17,9 @@ appeared per executed position of the global order (all replicas; a no-op
 position appends no ledger block), the commonest types among
 them, event-heap entries against live ones, what replica 0 retains (its
 checkpoint archive, the pipeline's pending map, each mempool set, on
-SpotLess the proposals and the commits in each instance's store, and on
-HotStuff and Narwhal-HS the chain nodes), how many unreachable
+SpotLess the proposals and the commits in each instance's store and the
+keys its Ask latch holds, and on HotStuff and Narwhal-HS the chain
+nodes), how many unreachable
 objects one ``gc.collect()`` finds once the cell is dropped (a finished
 cluster is cyclic garbage, so only a collection frees it), and the dataclass
 instances built per class while the cell ran.
@@ -91,6 +92,7 @@ def retained(replica: Any) -> str:
     for instance_id, instance in sorted(getattr(replica, "instances", {}).items()):
         counts.append((f"store[{instance_id}]", len(instance.store.proposals())))
         counts.append((f"committed[{instance_id}]", len(instance.store.committed)))
+        counts.append((f"asks[{instance_id}]", len(instance._asks._outstanding)))
     if hasattr(replica, "nodes"):
         counts.append(("nodes", len(replica.nodes)))
     return ", ".join(f"{name} {count}" for name, count in counts)
