@@ -348,10 +348,7 @@ class ClientBoundReplica(SpotLessReplica):
     """RCC-style assignment: every client is bound to one instance."""
 
     def _assign_shard(self, transaction: Transaction) -> int:
-        # No-op transactions (client id below 0) keep the digest rule.
-        if transaction.client_id >= 0:
-            return transaction.client_id % self.config.num_instances
-        return super()._assign_shard(transaction)
+        return transaction.client_id % self.config.num_instances
 
 
 #: ``assignment_policy`` -> the replica class that runs it.
@@ -359,9 +356,9 @@ ASSIGNMENT_REPLICAS = {"digest": SpotLessReplica, "client": ClientBoundReplica}
 
 
 def _committed_client_transactions(replica: SpotLessReplica) -> Dict[int, int]:
-    """Committed client transactions per instance at ``replica``; no-op
-    filler proposals are left out, so each count is useful work."""
-    get = replica.mempool.get
+    """Committed client transactions per instance at ``replica``; a no-op
+    proposal carries none, so each count is useful work."""
+    mempool = replica.mempool
     counts: Dict[int, int] = {}
     for instance_id, instance in replica.instances.items():
         counts[instance_id] = 0
@@ -369,8 +366,7 @@ def _committed_client_transactions(replica: SpotLessReplica) -> Dict[int, int]:
             if proposal.message is None:
                 continue
             for digest in proposal.message.transaction_digests:
-                transaction = get(digest)
-                if transaction is not None and not transaction.is_noop():
+                if digest in mempool:
                     counts[instance_id] += 1
     return counts
 

@@ -385,14 +385,13 @@ class SpotLessInstance:
         tally = self._views.get(view)
         return tally.votes.get(digest, {}) if tally is not None else {}
 
-    def _cp_endorsers(self, proposal: Proposal, below_view: Optional[int] = None) -> Set[int]:
-        """Replicas whose Sync messages carried ``proposal`` in their CP set."""
+    def _cp_endorsers(self, proposal: Proposal, below_view: int) -> Set[int]:
+        """Replicas whose Syncs of a view below ``below_view`` carried
+        ``proposal`` in their CP set."""
         if proposal.is_genesis:
             return set(self.config.replica_ids())
         tally = self._views.get(proposal.view)
         endorsements = tally.endorsements.get(proposal.digest, {}) if tally is not None else {}
-        if below_view is None:
-            return set(endorsements)
         return {sender for sender, sync_view in endorsements.items() if sync_view < below_view}
 
     # ------------------------------------------------------------------

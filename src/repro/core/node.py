@@ -9,11 +9,12 @@ Everything after the order is the shared :mod:`repro.runtime` fabric the
 baseline replicas run on: once a view is complete across instances, the
 replica delivers it to the :class:`~repro.runtime.pipeline.ExecutionPipeline`
 as one :class:`~repro.recovery.SlotEntry` at position ``view``, and the
-pipeline resolves its payloads (rebuilding no-ops), executes it, informs
-clients and folds it into the checkpoint digest.  This module keeps only
-what is SpotLess-specific: the chained instances and one execution frontier
-per instance that decides when a view is complete; the stores, the pipeline
-and the checkpoint archive keep the decided order itself.
+pipeline resolves its payloads, executes it, informs clients and folds it
+into the checkpoint digest.  A no-op is a proposal with an empty batch.
+This module keeps only what is SpotLess-specific: the chained instances and
+one execution frontier per instance that decides when a view is complete;
+the stores, the pipeline and the checkpoint archive keep the decided order
+itself.
 
 Commits live in each instance's proposal store alone: the store's
 ``committed`` list holds the committed proposals in commit order, and the
@@ -37,7 +38,6 @@ from repro.core.chain import Proposal, ProposalStatus
 from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance
 from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, SyncMessage
-from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
 from repro.net.sizes import SIGNATURE_BYTES, MessageSizeModel
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
@@ -189,9 +189,10 @@ class SpotLessReplica(ReplicaRuntime):
         return transaction.instance_assignment(self.config.num_instances)
 
     def _next_batch(self, instance_id: int, view: int) -> Tuple[bytes, ...]:
-        return self.take_batch_or_noop(
-            instance_id, lambda: make_noop_transaction(instance_id, view)
-        )
+        """Up to a batch of the instance's requests; with none, the empty
+        batch of a no-op, so the view's other proposals can execute
+        (Section 5)."""
+        return self.mempool.take_batch(self.config.batch_size, shard=instance_id, allow_empty=True)
 
     def _on_instance_accept(self, instance_id: int, proposal: Proposal) -> None:
         """An instance accepted ``proposal``: its requests are in flight.
@@ -305,8 +306,8 @@ class SpotLessReplica(ReplicaRuntime):
         instance's frontier only moves up, so it is extended only when it is
         below the view to execute.  The pipeline then stalls the view until
         each transaction's payload is local (pre-disseminated by clients;
-        no-ops are rebuilt by :meth:`resolve_noop`), exactly as the paper
-        requires replicas to recover full proposals before executing them.
+        a no-op carries none), exactly as the paper requires replicas to
+        recover full proposals before executing them.
         Views below the execution floor are covered by a verified state
         transfer and need no per-instance contiguity proof, because the
         checkpoint certificate already attests the exact content.
@@ -347,11 +348,6 @@ class SpotLessReplica(ReplicaRuntime):
                 pipeline.deliver_entry(SlotEntry(position=view, records=tuple(records)))
             if pipeline.next_execution_position == view:
                 return
-
-    def resolve_noop(self, digest: bytes, position: int, instance: int) -> Optional[Transaction]:
-        """The no-op ``instance`` proposed in view ``position``, if it has ``digest``."""
-        noop = make_noop_transaction(instance, position)
-        return noop if noop.digest() == digest else None
 
     def _record_executed_entry(self, entry: SlotEntry) -> None:
         """Trace the executed view, then fold it like any order unit."""

@@ -10,13 +10,12 @@ analytical model, as in Figure 7(a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from repro.ledger.block import BlockProof
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
-from repro.workload.requests import Operation, Transaction
+from repro.workload.requests import Transaction
 
 
 @dataclass
@@ -44,8 +43,8 @@ class ExecutionEngine:
         Only writes touch the table: a read changes no state, and an Inform
         carries the transaction digest, never a read value.  Every other
         operation kind writes its value, or an empty one.  A no-op never
-        gets here: the execution pipeline drops it from the batch, and a
-        batch of no-ops appends no block.
+        gets here: its batch is empty, and the execution pipeline appends no
+        block for a batch with nothing fresh to execute.
         """
         write = self.table.write
         for transaction in transactions:
@@ -59,19 +58,4 @@ class ExecutionEngine:
         return self.table.state_digest()
 
 
-@lru_cache(maxsize=65536)
-def make_noop_transaction(instance: int, view: int) -> Transaction:
-    """Build the no-op transaction a primary proposes when it has no requests.
-
-    Section 5: a primary with no pending client transactions proposes a no-op
-    so that execution of the other instances' proposals in the same view is
-    not blocked.
-
-    The transaction is fully determined by ``(instance, view)`` and frozen,
-    so interning it shares one object (and one memoized digest) across every
-    replica that proposes, resolves or re-executes the same no-op.
-    """
-    return Transaction(client_id=-1, sequence=view, operations=(Operation.noop(instance),))
-
-
-__all__ = ["ExecutionEngine", "make_noop_transaction"]
+__all__ = ["ExecutionEngine"]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, Optional, Tuple
 
-from repro.ledger.execution import make_noop_transaction
 from repro.net.message import Message
 from repro.net.sizes import MessageSizeModel
 from repro.protocols.common import BftConfig
@@ -32,9 +31,10 @@ class RccReplica(ReplicaRuntime):
     * client requests are assigned to instances by digest, as in SpotLess,
       so every primary proposes a disjoint share of the load;
     * decisions are ordered globally by ``(sequence, instance)``; a primary
-      whose shard is empty proposes a no-op for sequence ``s`` only once
-      another instance holds accepted content at a sequence ``>= s``, so a
-      round that has work closes and an idle cluster proposes nothing;
+      whose shard is empty proposes a no-op (an empty batch) for sequence
+      ``s`` only once another instance holds accepted content at a sequence
+      ``>= s``, so a round that has work closes and an idle cluster proposes
+      nothing;
     * a faulty primary is detected per instance by PBFT's own progress
       deadline and replaced by that instance's PBFT view change.  Instance
       ``i``'s deadline counts only what ``i`` owes: its slots in flight, its
@@ -129,7 +129,8 @@ class RccReplica(ReplicaRuntime):
         return noops + self.mempool.has_unproposed(instance_id)
 
     def _next_instance_batch(self, instance_id: int) -> Optional[Tuple[bytes, ...]]:
-        """A batch of the shard's requests, else a no-op when the round needs one.
+        """A batch of the shard's requests, else the empty batch of a no-op
+        when the round needs one.
 
         Only another instance's content at or above this sequence calls for
         a no-op: the round cannot execute until this instance fills it.
@@ -137,7 +138,7 @@ class RccReplica(ReplicaRuntime):
         sequence = self.cores[instance_id].next_sequence
         if self._round_high(instance_id) < sequence and not self.mempool.has_unproposed(instance_id):
             return None
-        return self.take_batch_or_noop(instance_id, lambda: make_noop_transaction(instance_id, sequence))
+        return self.mempool.take_batch(self.config.batch_size, shard=instance_id, allow_empty=True)
 
     def _on_content(self, instance_id: int, sequence: int, digests: Tuple[bytes, ...]) -> None:
         """An instance accepted content: its requests are covered, and a new
@@ -159,14 +160,6 @@ class RccReplica(ReplicaRuntime):
                     core.try_propose()
             elif sequence > core.decided_frontier:
                 core.arm_progress_timer()
-
-    def resolve_noop(self, digest: bytes, position: int, instance: int) -> Optional[Transaction]:
-        """Reconstruct the deterministic no-op ``instance`` proposed for the
-        sequence of ``position``."""
-        noop = make_noop_transaction(instance, position // self.num_instances)
-        if noop.digest() == digest:
-            return noop
-        return None
 
     # ------------------------------------------------------------------
     # message plumbing

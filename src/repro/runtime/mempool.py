@@ -71,7 +71,7 @@ class Mempool:
         return len(self._payloads)
 
     def register_payload(self, transaction: Transaction) -> bytes:
-        """Store a payload without queueing it (reconstructed no-ops)."""
+        """Store a payload without queueing it (one a peer shipped)."""
         digest = transaction.digest()
         self._payloads[digest] = transaction
         return digest
@@ -95,11 +95,12 @@ class Mempool:
         Whether a transaction is fresh is decided against what was executed
         before this batch.  Claimed digests never re-queue and also leave the
         queued set immediately: backups never call ``take_batch``, so without
-        this an executed request would sit in ``pending_count`` forever and
-        the progress-deadline machinery would see phantom outstanding work in
-        a drained system.  The deque entry itself is pruned lazily by
-        ``take_batch``.  They leave the proposed set too: every read of it
-        tests the executed set first, or requires a queued digest.
+        this an executed request would keep ``has_unproposed`` true forever,
+        and RCC's owed work, so the progress deadline, would see phantom
+        outstanding work in a drained system.  The deque entry itself is
+        pruned lazily by ``take_batch``.  They leave the proposed set too:
+        every read of it tests the executed set first, or requires a queued
+        digest.
         """
         executed = self._executed
         fresh = [t for t in transactions if t.digest() not in executed]
@@ -138,10 +139,8 @@ class Mempool:
         """Queue again the client requests of a proposal that was abandoned.
 
         Each digest still proposed (so unexecuted) leaves the proposed set; a
-        client request whose payload is held goes back into ``shard``, at
-        the tail unless it is still queued.  A no-op never does: peers
-        rebuild one only for the (instance, view) that proposed it, so a
-        no-op proposed anywhere else names a payload nobody can resolve.
+        request whose payload is held goes back into ``shard``, at the tail
+        unless it is still queued.
         """
         proposed = self._proposed
         payloads = self._payloads
@@ -149,8 +148,7 @@ class Mempool:
             if digest not in proposed:
                 continue
             proposed.discard(digest)
-            transaction = payloads.get(digest)
-            if transaction is not None and not transaction.is_noop() and digest not in self._queued:
+            if digest in payloads and digest not in self._queued:
                 self._enqueue(shard, digest)
 
     def _enqueue(self, shard: int, digest: bytes) -> None:

@@ -8,13 +8,13 @@ the records committed across its instances (possibly none), and hands the
 whole entry to :meth:`ExecutionPipeline.deliver_entry`.  Protocols differ
 only in *how* a position gets decided; from there on there is one path:
 
-* resolve: every record's payloads are looked up in the mempool, falling
-  back to the protocol's deterministic no-op, before any record executes —
-  a payload that is neither known nor reconstructible stalls the frontier;
+* resolve: every record's payloads are looked up in the mempool before any
+  record executes — a payload not yet known stalls the frontier;
 * execute: each record's client transactions run under its own (view,
   instance) block proof, skipping those an earlier position already
-  executed, and the owning client of each is informed; a no-op only fills
-  its slot of the order, so it writes nothing and appends no block;
+  executed, and the owning client of each is informed; a no-op is an empty
+  record that only fills its slot of the order, so it writes nothing and
+  appends no block;
 * fold: the same entry goes to the recovery layer, whose checkpoint archive
   is the replica's one record of executed entries.
 
@@ -32,8 +32,6 @@ from repro.recovery.messages import SlotEntry, SlotRecord
 from repro.runtime.mempool import Mempool
 from repro.workload.requests import Transaction
 
-# (digest, position, instance) -> the protocol's no-op with that digest.
-ResolveNoop = Callable[[bytes, int, int], Optional[Transaction]]
 Inform = Callable[[Transaction], None]
 # Called with each entry once it executed, in position order.
 Fold = Callable[[SlotEntry], None]
@@ -55,10 +53,6 @@ class ExecutionPipeline:
         Agreement quorum recorded in block proofs.
     inform:
         Callback informing the owning client of an executed transaction.
-    resolve_noop:
-        Hook reconstructing a protocol's deterministic no-op for a missing
-        digest; a position whose payloads can neither be found nor
-        reconstructed stalls the execution frontier until they arrive.
     fold:
         Callback receiving each executed entry (the checkpoint archive and
         fold).
@@ -71,7 +65,6 @@ class ExecutionPipeline:
         protocol_name: str,
         quorum: int,
         inform: Optional[Inform] = None,
-        resolve_noop: Optional[ResolveNoop] = None,
         fold: Optional[Fold] = None,
     ) -> None:
         self.mempool = mempool
@@ -87,7 +80,6 @@ class ExecutionPipeline:
         # older proof is never asked for again, so none is kept.
         self._proof_cache: Dict[int, BlockProof] = {}
         self._inform = inform
-        self._resolve_noop = resolve_noop
         self._fold = fold
 
         # Decided entries not yet executed, by position.
@@ -146,14 +138,7 @@ class ExecutionPipeline:
                 for digest in record.transaction_digests:
                     transaction = get(digest)
                     if transaction is None:
-                        transaction = (
-                            self._resolve_noop(digest, position, record.instance)
-                            if self._resolve_noop
-                            else None
-                        )
-                        if transaction is None:
-                            return
-                        self.mempool.register_payload(transaction)
+                        return
                     transactions.append(transaction)
                 batches.append(transactions)
             for record, transactions in zip(entry.records, batches):
@@ -166,16 +151,11 @@ class ExecutionPipeline:
     def _execute(self, transactions: List[Transaction], view: int, instance: int) -> None:
         """Apply a decided batch to the ledger and inform clients.
 
-        Transactions executed earlier (under another position) are skipped,
-        and so are no-ops, though they count as executed; the fresh client
-        transactions are executed under one block proof, and a batch with
-        none appends no block.
+        Transactions executed earlier (under another position) are skipped;
+        the fresh ones are executed under one block proof, and a batch with
+        none (a no-op's empty one among them) appends no block.
         """
-        fresh = [
-            transaction
-            for transaction in self.mempool.claim_unexecuted(transactions)
-            if not transaction.is_noop()
-        ]
+        fresh = self.mempool.claim_unexecuted(transactions)
         if not fresh:
             return
         proof = self._proof_cache.get(instance)

@@ -16,8 +16,6 @@ Protocol hooks
 ``on_request_arrival``
     Called with its shard when a genuinely new request is queued (primaries
     may propose).
-``resolve_noop``
-    Reconstruct the protocol's deterministic no-op for an unknown digest.
 ``_apply_state_entries``
     Replay verified transferred entries; a protocol whose consensus state
     must learn of them (SpotLess's execution floor, HotStuff's committed
@@ -114,7 +112,6 @@ class ReplicaRuntime(Actor):
             protocol_name=self.protocol_name,
             quorum=config.quorum,
             inform=self._inform_client,
-            resolve_noop=self.resolve_noop,
             fold=self._record_executed_entry,
         )
 
@@ -194,21 +191,6 @@ class ReplicaRuntime(Actor):
 
     def on_request_arrival(self, shard: int) -> None:
         """Hook: a new request was queued in ``shard`` (primaries may propose)."""
-
-    def take_batch_or_noop(
-        self, shard: int, make_noop: Callable[[], Transaction]
-    ) -> Tuple[bytes, ...]:
-        """Batch for a proposal, falling back to a reconstructible no-op.
-
-        Multi-instance protocols propose a no-op for an instance with no
-        load so execution of the other instances is not blocked (Section 5);
-        the no-op payload is registered locally and peers reconstruct it
-        deterministically.
-        """
-        batch = self.mempool.take_batch(self.config.batch_size, shard=shard)
-        if batch is None:
-            batch = (self.mempool.register_payload(make_noop()),)
-        return batch
 
     # ------------------------------------------------------------------
     # message plumbing
@@ -399,11 +381,6 @@ class ReplicaRuntime(Actor):
             position, transaction_digests, view=view, instance=instance, slot_digest=slot_digest
         )
 
-    def resolve_noop(self, digest: bytes, position: int, instance: int) -> Optional[Transaction]:
-        """Hook for protocols that propose reconstructible no-op batches: the
-        no-op with ``digest`` that ``instance`` decided at ``position``."""
-        return None
-
     def instance_views(self) -> Dict[int, int]:
         """Hook: the current view of each consensus instance, by instance id."""
         raise NotImplementedError
@@ -419,7 +396,7 @@ class ReplicaRuntime(Actor):
 
     @property
     def executed_transactions(self) -> int:
-        """Executed non-no-op transactions."""
+        """Executed client transactions."""
         return self.pipeline.executed_transactions
 
     # ------------------------------------------------------------------

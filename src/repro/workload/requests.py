@@ -32,19 +32,13 @@ class Operation:
         """A write of ``value`` to ``key``."""
         return Operation(kind="write", key=key, value=value)
 
-    @staticmethod
-    def noop(tag: int = 0) -> "Operation":
-        """A no-op operation (used for the no-op transactions of Section 5)."""
-        return Operation(kind="noop", key=tag)
-
 
 @record(slots=True)
 class Transaction:
     """A client transaction: an ordered list of operations.
 
     ``client_id`` and ``sequence`` make transactions from the same client
-    distinct; the no-op transactions proposed by idle primaries use
-    ``client_id = -1``.
+    distinct.
     """
 
     client_id: int
@@ -83,10 +77,6 @@ class Transaction:
             cached = hashlib.sha256(body).digest()
             object.__setattr__(self, "_digest", cached)
         return cached
-
-    def is_noop(self) -> bool:
-        """True for the no-op filler transactions."""
-        return self.client_id < 0
 
     def instance_assignment(self, num_instances: int) -> int:
         """Instance that may propose this transaction (Section 5).

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.ledger.block import Block, BlockProof
 from repro.crypto.digest import canonical_bytes, digest_bytes, digest_to_int
-from repro.ledger.execution import ExecutionEngine, make_noop_transaction
+from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.net.sizes import SIGNATURE_BYTES, MessageSizeModel
@@ -139,10 +139,9 @@ _keys = st.integers(min_value=-(2 ** 40), max_value=2 ** 40)
 _operations = st.one_of(
     st.builds(Operation.read, _keys),
     st.builds(Operation.write, _keys, st.binary(max_size=64)),
-    st.builds(Operation.noop, _keys),
     st.builds(
         Operation,
-        st.sampled_from(["read", "write", "noop"]),
+        st.sampled_from(["read", "write"]),
         _keys,
         st.one_of(st.none(), st.binary(max_size=64)),
     ),
@@ -259,12 +258,6 @@ def test_identical_batches_produce_identical_state_digests():
     first.execute_batch(txns)
     second.execute_batch(txns)
     assert first.state_digest() == second.state_digest()
-
-
-def test_noop_transactions_are_deterministic_per_slot():
-    assert make_noop_transaction(2, 7).digest() == make_noop_transaction(2, 7).digest()
-    assert make_noop_transaction(2, 7).digest() != make_noop_transaction(3, 7).digest()
-    assert make_noop_transaction(2, 7).is_noop()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.bench.cluster import SimulatedCluster
+from repro.core.messages import ProposeMessage
 from repro.protocols.common import BftConfig
-from repro.protocols.hotstuff.messages import QuorumCert
+from repro.protocols.hotstuff.messages import HsProposal, QuorumCert
 from repro.protocols.hotstuff.replica import GENESIS_NODE_DIGEST
 from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
@@ -275,13 +276,12 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
         sequence, instance = divmod(position, replica.num_instances)
         (record,) = entry.records
         assert record.instance == instance
-        digests = record.transaction_digests
-        if any(replica.resolve_noop(digest, position, instance) is not None for digest in digests):
+        if not record.transaction_digests:
             noops.append((sequence, instance))
         else:
             real_high[instance] = max(real_high.get(instance, -1), sequence)
-    # A no-op fills a round only up to another instance's client content,
-    # and every replica reconstructs it.
+    # A no-op (an empty record) fills a round only up to another instance's
+    # client content, and every replica executes past it alike.
     assert noops
     for sequence, instance in noops:
         assert max(high for other, high in real_high.items() if other != instance) >= sequence
@@ -313,6 +313,37 @@ def test_one_request_makes_every_other_instance_fill_its_round_once():
     assert _preprepares_by_instance(cluster) == {0: 1, 1: 1, 2: 1, 3: 1}
     assert [replica.executed_transactions for replica in cluster.replicas] == [1, 1, 1, 1]
     assert [replica.pipeline.next_execution_position for replica in cluster.replicas] == [4, 4, 4, 4]
+
+
+#: The message each stack's primary proposes a batch in.
+PROPOSAL_CLASSES = {"hotstuff": HsProposal, "rcc": PrePrepareMessage, "spotless": ProposeMessage}
+
+
+@pytest.mark.parametrize("protocol", sorted(PROPOSAL_CLASSES))
+def test_an_idle_primary_proposes_the_empty_batch(protocol):
+    """A no-op is written one way in every stack: the empty batch, whose
+    payload no replica holds, rebuilds or ships."""
+    cluster = SimulatedCluster.for_protocol(protocol, num_replicas=4, clients=0)
+    proposals = []
+    for replica in cluster.replicas:
+
+        def capture(receivers, payload, size, _broadcast=replica.broadcast):
+            if isinstance(payload, PROPOSAL_CLASSES[protocol]):
+                proposals.append(payload.transaction_digests)
+            return _broadcast(receivers, payload, size)
+
+        replica.broadcast = capture
+    requests = ()
+    if protocol == "rcc":
+        # RCC's idle primary waits for a round to fill: one request opens it.
+        requests = (Transaction(client_id=0, sequence=0, operations=(Operation.write(1, b"v"),)),)
+        for replica in cluster.replicas:
+            replica.submit_transaction(requests[0])
+    cluster.run(duration=0.1)
+    request_batches = [(request.digest(),) for request in requests]
+    assert proposals.count(()) >= 3
+    assert [batch for batch in proposals if batch] == request_batches
+    assert [len(replica.mempool) for replica in cluster.replicas] == [len(requests)] * 4
 
 
 def test_rcc_crash_changes_view_only_on_the_crashed_primarys_instance():

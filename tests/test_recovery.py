@@ -461,3 +461,39 @@ def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record
     ]
     assert target.committed_chain_height() == certificate.position
     assert all(target.nodes[digest].committed for digest in anchored)
+
+
+def test_spotless_state_response_ships_client_payloads_only():
+    # A no-op is an empty record: it travels in the certified entries and
+    # ships no payload, so a response is priced by the client payloads the
+    # records name, each one once.
+    from repro.scenarios import ScenarioRunner, single_fault_spec
+
+    runner = ScenarioRunner(single_fault_spec("spotless", "crash", f=1))
+    cluster = runner.cluster
+    shipped = []
+    for replica in cluster.replicas:
+
+        def capture(receiver, payload, size, _send=replica.send, _replica=replica):
+            if isinstance(payload, StateResponse):
+                shipped.append((_replica, payload, size))
+            return _send(receiver, payload, size)
+
+        replica.send = capture
+    runner.run()
+    assert shipped
+    clients = {client.client_id for client in cluster.clients}
+    served_noops = 0
+    for replica, response, size in shipped:
+        records = [record for entry in response.entries for record in entry.records]
+        served_noops += sum(not record.transaction_digests for record in records)
+        named = {digest for record in records for digest in record.transaction_digests}
+        assert all(transaction.client_id in clients for transaction in response.payloads)
+        assert [transaction.digest() for transaction in response.payloads] == list(
+            dict.fromkeys(digest for record in records for digest in record.transaction_digests)
+        )
+        model = replica.size_model
+        assert size == (
+            model.control_bytes(signatures=replica.config.quorum) + len(named) * model.request_bytes()
+        )
+    assert served_noops > 0

@@ -11,7 +11,7 @@ import pytest
 
 from repro.bench.cluster import REPLICA_CLASSES, SimulatedCluster
 from repro.core.config import SpotLessConfig
-from repro.ledger.execution import ExecutionEngine, make_noop_transaction
+from repro.ledger.execution import ExecutionEngine
 from repro.ledger.kvtable import KeyValueTable
 from repro.ledger.ledger import Ledger
 from repro.protocols.common import BftConfig
@@ -158,14 +158,15 @@ def test_mempool_requeue_returns_abandoned_requests_but_never_a_noop():
     pool = Mempool(num_shards=2)
     request = make_txn(0)
     pool.admit(request, shard=1)
-    noop = make_noop_transaction(1, 5)
-    noop_digest = pool.register_payload(noop)
-    # A backup accepted a proposal carrying the request and a no-op.
-    pool.mark_proposed((request.digest(), noop_digest))
+    # A backup accepted a proposal carrying the request, then a no-op.
+    pool.mark_proposed((request.digest(),))
+    pool.mark_proposed(())
     assert not pool.has_unproposed(1)
     assert pool.pending_count() == 0
-    # Its view was abandoned: the request is queued again, the no-op is not.
-    pool.requeue((request.digest(), noop_digest), shard=1)
+    # Both views were abandoned: the request is queued again, and the
+    # no-op's empty batch queues nothing.
+    pool.requeue((request.digest(),), shard=1)
+    pool.requeue((), shard=1)
     assert pool.pending_count() == 1
     assert pool.take_batch(10, shard=1) == (request.digest(),)
     assert pool.take_batch(10, shard=1) is None
@@ -214,7 +215,7 @@ def test_mempool_register_payload_does_not_queue():
 # ---------------------------------------------------------------------------
 
 
-def make_pipeline(num_shards=1, resolve_noop=None, inform=None, fold=None):
+def make_pipeline(num_shards=1, inform=None, fold=None):
     pool = Mempool(num_shards=num_shards)
     table = KeyValueTable()
     engine = ExecutionEngine(table=table, ledger=Ledger())
@@ -224,7 +225,6 @@ def make_pipeline(num_shards=1, resolve_noop=None, inform=None, fold=None):
         protocol_name="test",
         quorum=3,
         inform=inform,
-        resolve_noop=resolve_noop,
         fold=fold,
     )
     return pool, pipeline
@@ -267,39 +267,34 @@ def test_pipeline_missing_payload_stalls_then_resumes():
     assert pipeline.executed_transactions == 1
 
 
-def test_pipeline_resolves_reconstructible_noops():
-    noop = Transaction(client_id=-1, sequence=0, operations=(Operation.noop(),))
-
-    def resolve(digest, position, instance):
-        return noop if digest == noop.digest() else None
-
-    pool, pipeline = make_pipeline(resolve_noop=resolve)
-    pipeline.deliver(0, (noop.digest(),))
-    # The no-op executes (unblocking later positions) but is not counted or
-    # informed, and its payload is now locally known.
-    assert pipeline.next_execution_position == 1
-    assert pipeline.executed_transactions == 0
-    assert pool.get(noop.digest()) is noop
-
-
 def test_pipeline_noop_writes_no_record_and_appends_no_block():
-    """A no-op of instance 2 fills its slot and leaves record 2 as it was."""
-    noops = {make_noop_transaction(2, view).digest(): make_noop_transaction(2, view) for view in (1, 2)}
-    pool, pipeline = make_pipeline(resolve_noop=lambda digest, position, instance: noops.get(digest))
+    """A no-op of instance 2 (an empty record) fills its slot and leaves
+    record 2 as it was."""
+    informed = []
+    pool, pipeline = make_pipeline(inform=informed.append)
     engine = pipeline.engine
     request = make_txn(2)  # writes record 2
     pool.admit(request)
     pipeline.deliver(0, (request.digest(),))
     state = engine.state_digest()
-    first, second = noops
-    pipeline.deliver(1, (first,), view=1, instance=2)
+    pipeline.deliver(1, (), view=1, instance=2)
     assert pipeline.next_execution_position == 2
     assert engine.state_digest() == state
     assert engine.ledger.height == 1
-    # Beside a request, the block carries the request alone.
+    assert informed == [request]
+    # Beside another instance's request in one entry, the block carries the
+    # request alone.
     other = make_txn(3)
     pool.admit(other)
-    pipeline.deliver(2, (second, other.digest()), view=2, instance=2)
+    pipeline.deliver_entry(
+        SlotEntry(
+            position=2,
+            records=(
+                SlotRecord(view=2, instance=2, transaction_digests=(), slot_digest=b""),
+                SlotRecord(view=2, instance=3, transaction_digests=(other.digest(),), slot_digest=b""),
+            ),
+        )
+    )
     assert pipeline.next_execution_position == 3
     assert engine.ledger.height == 2
     assert engine.ledger.head.transactions == (other.digest(),)
@@ -489,6 +484,30 @@ def test_committed_map_does_not_grow_with_the_history(protocol):
 
 
 # ---------------------------------------------------------------------------
+# A no-op is the empty batch
+# ---------------------------------------------------------------------------
+
+
+def test_a_noop_is_the_empty_batch_and_nothing_fakes_a_transaction_for_it():
+    """No stack builds, registers, rebuilds or filters a no-op transaction:
+    no name of the modules and classes that once did so speaks of one."""
+    from repro.ledger import execution
+    from repro.runtime import pipeline, replica
+
+    owners = (execution, pipeline, replica.ReplicaRuntime, *REPLICA_CLASSES.values(), Operation, Transaction)
+    for owner in owners:
+        assert [name for name in dir(owner) if "noop" in name.lower()] == [], owner
+    assert list(inspect.signature(ExecutionPipeline).parameters) == [
+        "mempool",
+        "engine",
+        "protocol_name",
+        "quorum",
+        "inform",
+        "fold",
+    ]
+
+
+# ---------------------------------------------------------------------------
 # One host constructor; PBFT is the host's one-instance case
 # ---------------------------------------------------------------------------
 
@@ -626,11 +645,12 @@ def test_fixed_seed_hotstuff_family_schedule_is_pinned(protocol):
 #: fold the three record shapes: a node digest per position (HotStuff), an
 #: empty slot digest (PBFT), several records or none per view (SpotLess).
 #: SpotLess re-pinned when its primaries stopped re-proposing requests an
-#: accepted proposal carries: a slot that repeated one now holds a no-op.
+#: accepted proposal carries: a slot that repeated one now holds a no-op;
+#: and again when a no-op became an empty batch, so its record folds no digest.
 GOLDEN_ROLLING = {
     "hotstuff": ("451b80c896c95194e43c87411ff6f3ae1ea8ad774d8fc0285292424932a1fe25", 204, 12),
     "pbft": ("7e19b707d97a363a64e3873d9291ead2b8b2661c805ad8be939f8e4bd5b7508c", 970, 60),
-    "spotless": ("7fffdf27a88ff485e18569c87705dd98eadf2d00c59a52f063ed0b7a70555e51", 203, 12),
+    "spotless": ("25796a98d700051029d6d3a909f02136d12a939a465273c2ae3b5e70d7500ba1", 203, 12),
 }
 
 

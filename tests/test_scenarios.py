@@ -332,14 +332,16 @@ def test_oracle_liveness_passes_when_progress_resumes():
 # recorded with the recovery subsystem active (checkpoint_interval=8) and
 # strict liveness on.  Regenerate with: python -m repro scenario --matrix smoke
 GOLDEN_SMOKE = {
-    ("spotless", "A1"): "e048207bd370",
+    # SpotLess and RCC cells with a state transfer re-pinned when a no-op
+    # became an empty batch: a StateResponse no longer ships no-op payloads.
+    ("spotless", "A1"): "b529975b3044",
     ("spotless", "A2"): "efb5b2248545",
     ("spotless", "A3"): "e76fb133daac",
     ("spotless", "A4"): "c5ae3beeb27d",
-    ("spotless", "crash"): "adc1adf1e1db",
+    ("spotless", "crash"): "c32fc90916b9",
     # Re-pinned when SpotLess primaries stopped re-proposing requests an
     # accepted proposal carries (105 -> 106 confirmed).
-    ("spotless", "partition"): "e38218b01b34",
+    ("spotless", "partition"): "9471fd6dc860",
     ("pbft", "A1"): "418756454b39",
     ("pbft", "A2"): "656a15e94f9d",
     ("pbft", "A3"): "13671144afb7",
@@ -348,12 +350,12 @@ GOLDEN_SMOKE = {
     ("pbft", "partition"): "99cfafc352e4",
     # Re-pinned when RCC stopped proposing no-ops no round needs
     # (`tools/fingerprint.py compare` lists each cell; EXPERIMENTS.md).
-    ("rcc", "A1"): "42c2c67533d2",
-    ("rcc", "A2"): "047c187d61b2",
+    ("rcc", "A1"): "5b73d3d742ae",
+    ("rcc", "A2"): "da74a17c4f3f",
     ("rcc", "A3"): "7b3fae4244fe",
     ("rcc", "A4"): "916f43d8f280",
-    ("rcc", "crash"): "79b8488acdfb",
-    ("rcc", "partition"): "40981613961d",
+    ("rcc", "crash"): "917b8f4a5148",
+    ("rcc", "partition"): "617cd20bec2e",
     ("hotstuff", "A1"): "f86794d31ef9",
     ("hotstuff", "A2"): "7b3fad2ec75c",
     ("hotstuff", "A3"): "b82adfaef396",
