@@ -22,6 +22,9 @@ govern the evaluation, and takes the tightest bound:
 
 Failures and Byzantine attacks scale the result according to the fraction of
 views led by faulty primaries and the timeout overhead of detecting them.
+Every proposal is priced at a full batch of ``batch_size``: the model
+describes a saturated system, whose primaries always have a full batch to
+propose.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ class PerformanceModel:
     def _spotless_profile(self, scenario: Scenario) -> _CostProfile:
         n = scenario.n
         sizes = scenario.size_model()
-        proposal = sizes.proposal_bytes()
+        proposal = sizes.proposal_bytes(sizes.batch_size)
         sync = sizes.control_bytes(signatures=1)
         reply = sizes.reply_bytes()
         primary_bytes = (n - 1) * (proposal + sync) + reply
@@ -239,7 +242,7 @@ class PerformanceModel:
     def _rcc_profile(self, scenario: Scenario) -> _CostProfile:
         n = scenario.n
         sizes = scenario.size_model()
-        proposal = sizes.proposal_bytes()
+        proposal = sizes.proposal_bytes(sizes.batch_size)
         control = sizes.control_bytes()
         reply = sizes.reply_bytes()
         primary_bytes = (n - 1) * proposal + 2.0 * (n - 1) * control + reply
@@ -263,7 +266,7 @@ class PerformanceModel:
     def _pbft_profile(self, scenario: Scenario) -> _CostProfile:
         n = scenario.n
         sizes = scenario.size_model()
-        proposal = sizes.proposal_bytes()
+        proposal = sizes.proposal_bytes(sizes.batch_size)
         control = sizes.control_bytes()
         reply = sizes.reply_bytes()
         # The single primary is the busiest replica: it broadcasts the
@@ -287,7 +290,7 @@ class PerformanceModel:
         n = scenario.n
         quorum = n - scenario.f
         sizes = scenario.size_model()
-        proposal = sizes.proposal_bytes() + sizes.certificate_bytes(quorum)
+        proposal = sizes.proposal_bytes(sizes.batch_size) + sizes.certificate_bytes(quorum)
         vote = sizes.control_bytes(signatures=1)
         reply = sizes.reply_bytes()
         resources = scenario.resources

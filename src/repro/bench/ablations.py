@@ -35,7 +35,7 @@ from repro.bench.cluster import SimulatedCluster
 from repro.bench.experiments import Experiment
 from repro.faults.injector import FaultEvent, FaultInjector
 from repro.sim.network import NetworkConfig, RegionTopology
-from repro.workload.requests import Transaction
+from repro.workload.requests import Operation, Transaction
 
 
 # ----------------------------------------------------------------------
@@ -83,7 +83,7 @@ def _scripted_branch(store: ProposalStore, views: Sequence[int], tag: str) -> Li
     """Record and conditionally prepare a chain of proposals on ``store``.
 
     The chain starts at the genesis proposal and adds one proposal per view
-    in ``views``; the transaction digest embeds ``tag`` so branches built
+    in ``views``; the transaction it carries embeds ``tag`` so branches built
     with different tags are guaranteed to conflict.
     """
     parent_digest = store.genesis.digest
@@ -93,7 +93,11 @@ def _scripted_branch(store: ProposalStore, views: Sequence[int], tag: str) -> Li
         message = ProposeMessage(
             instance=store.instance,
             view=view,
-            transaction_digests=(f"{tag}:{view}".encode(),),
+            transactions=(
+                Transaction(
+                    client_id=0, sequence=0, operations=(Operation.write(0, f"{tag}:{view}".encode()),)
+                ),
+            ),
             parent_digest=parent_digest,
             parent_view=parent_view,
         )
@@ -356,19 +360,17 @@ ASSIGNMENT_REPLICAS = {"digest": SpotLessReplica, "client": ClientBoundReplica}
 
 
 def _committed_client_transactions(replica: SpotLessReplica) -> Dict[int, int]:
-    """Committed client transactions per instance at ``replica``; a no-op
-    proposal carries none, so each count is useful work."""
-    mempool = replica.mempool
-    counts: Dict[int, int] = {}
-    for instance_id, instance in replica.instances.items():
-        counts[instance_id] = 0
-        for proposal in instance.store.committed:
-            if proposal.message is None:
-                continue
-            for digest in proposal.message.transaction_digests:
-                if digest in mempool:
-                    counts[instance_id] += 1
-    return counts
+    """Committed client transactions per instance at ``replica``: those its
+    committed proposals carry.  A no-op proposal carries none, so each count
+    is useful work."""
+    return {
+        instance_id: sum(
+            len(proposal.message.transactions)
+            for proposal in instance.store.committed
+            if proposal.message is not None
+        )
+        for instance_id, instance in replica.instances.items()
+    }
 
 
 def assignment_load_balance(

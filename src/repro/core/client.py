@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.core.config import SpotLessConfig
 from repro.core.messages import InformMessage
+from repro.net.sizes import MessageSizeModel
 from repro.sim.actor import Actor
 from repro.sim.engine import Event, Simulator
 from repro.sim.metrics import Histogram
@@ -83,7 +84,7 @@ class SpotLessClient(Actor):
         self.confirmed_digests: List[bytes] = []
         self.retransmissions = 0
         self._pending: Dict[bytes, _PendingRequest] = {}
-        self._request_size_bytes = 160
+        self._request_size_bytes = MessageSizeModel().request_bytes()
         self._replica_ids = tuple(config.replica_ids())
 
     # ------------------------------------------------------------------

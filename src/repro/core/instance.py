@@ -44,6 +44,7 @@ from repro.core.timeouts import AdaptiveTimeout
 from repro.crypto.certificates import Certificate, Signature
 from repro.runtime.quorum import view_reached_by
 from repro.runtime.retry import RetryingPull
+from repro.workload.requests import Transaction
 
 
 class ViewState(enum.Enum):
@@ -85,9 +86,9 @@ class InstanceEnvironment:
         like :class:`repro.sim.actor.Timer` (``start`` / ``cancel`` /
         ``running``); the instance never blocks.
     next_batch:
-        Called when this replica is the primary and needs a batch of
-        transaction digests to propose.  Returning an empty tuple makes the
-        primary propose a no-op (Section 5).
+        ``next_batch(instance)`` is called when this replica is the primary
+        and needs a batch of client transactions to propose.  Returning an
+        empty tuple makes the primary propose a no-op (Section 5).
     on_commit:
         Called once per newly committed proposal, in commit order.
     on_accept:
@@ -104,7 +105,7 @@ class InstanceEnvironment:
     broadcast: Callable[[object], None]
     send: Callable[[int, object], None]
     make_timer: Callable[[str, Callable[[], None]], object]
-    next_batch: Callable[[int, int], Tuple[bytes, ...]]
+    next_batch: Callable[[int], Tuple[Transaction, ...]]
     on_commit: Callable[[int, Proposal], None]
     verify: Callable[[object, Optional[Signature], int], bool] = lambda message, signature, sender: True
     now: Callable[[], float] = lambda: 0.0
@@ -287,11 +288,10 @@ class SpotLessInstance:
             # Already proposed optimistically through the fast path.
             return
         parent, certificate, claim_quorum = self._highest_extendable(view)
-        batch = tuple(self.env.next_batch(self.instance_id, view))
         message = ProposeMessage(
             instance=self.instance_id,
             view=view,
-            transaction_digests=batch,
+            transactions=self.env.next_batch(self.instance_id),
             parent_digest=parent.digest,
             parent_view=parent.view,
             parent_certificate=certificate,
@@ -346,11 +346,10 @@ class SpotLessInstance:
             return
         if not self.env.has_pending(self.instance_id):
             return
-        batch = tuple(self.env.next_batch(self.instance_id, next_view))
         message = ProposeMessage(
             instance=self.instance_id,
             view=next_view,
-            transaction_digests=batch,
+            transactions=self.env.next_batch(self.instance_id),
             parent_digest=accepted.digest,
             parent_view=accepted.view,
             parent_certificate=None,

@@ -37,6 +37,7 @@ from repro.recovery.messages import (
     StateRequest,
     StateResponse,
 )
+from repro.workload.requests import Transaction
 
 
 @record(slots=True)
@@ -74,15 +75,16 @@ class CpEntry:
 class ProposeMessage(Message):
     """``Propose(v, τ, cert(P′))`` broadcast by the primary of view ``v``.
 
-    ``parent_digest`` identifies the preceding proposal P′.  Exactly one of
-    ``parent_certificate`` (rule E1) or ``parent_claim_quorum`` (rule E2 — a
-    tuple of replica ids whose Sync messages claimed P′ in their CP sets) is
-    set for non-genesis parents.
+    ``transactions`` is the batch τ itself: the client transactions the
+    proposal carries (none for a no-op).  ``parent_digest`` identifies the
+    preceding proposal P′.  Exactly one of ``parent_certificate`` (rule E1)
+    or ``parent_claim_quorum`` (rule E2 — a tuple of replica ids whose Sync
+    messages claimed P′ in their CP sets) is set for non-genesis parents.
     """
 
     instance: int
     view: int
-    transaction_digests: Tuple[bytes, ...]
+    transactions: Tuple[Transaction, ...]
     parent_digest: bytes
     parent_view: int
     parent_certificate: Optional[Certificate] = None
@@ -91,13 +93,14 @@ class ProposeMessage(Message):
     _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_fields(self) -> tuple:
-        """Fields covered by the primary's signature."""
+        """Fields covered by the primary's signature; the batch is covered
+        by its transactions' digests."""
         certificate_fields = self.parent_certificate.canonical_fields() if self.parent_certificate else None
         return (
             "propose",
             self.instance,
             self.view,
-            self.transaction_digests,
+            tuple(transaction.digest() for transaction in self.transactions),
             self.parent_digest,
             self.parent_view,
             certificate_fields,
@@ -117,7 +120,7 @@ class ProposeMessage(Message):
         """
         cached = self._digest
         if cached is None:
-            batch = self.transaction_digests
+            batch = self.transactions
             certificate = self.parent_certificate
             if certificate:
                 signatures = certificate.signatures
@@ -133,7 +136,7 @@ class ProposeMessage(Message):
             body = b"".join(
                 [
                     b"t8:sproposei%di%dt%d:" % (self.instance, self.view, len(batch)),
-                    b"".join([b"b" + digest for digest in batch]),
+                    b"".join([b"b" + transaction.digest() for transaction in batch]),
                     b"b%si%d" % (self.parent_digest, self.parent_view),
                     certificate_bytes,
                     b"t%d:" % len(quorum),

@@ -9,8 +9,9 @@ Everything after the order is the shared :mod:`repro.runtime` fabric the
 baseline replicas run on: once a view is complete across instances, the
 replica delivers it to the :class:`~repro.runtime.pipeline.ExecutionPipeline`
 as one :class:`~repro.recovery.SlotEntry` at position ``view``, and the
-pipeline resolves its payloads, executes it, informs clients and folds it
-into the checkpoint digest.  A no-op is a proposal with an empty batch.
+pipeline executes the transactions its proposals carry, informs clients and
+folds it into the checkpoint digest.  A no-op is a proposal with an empty
+batch.
 This module keeps only what is SpotLess-specific: the chained instances and
 one execution frontier per instance that decides when a view is complete;
 the stores, the pipeline and the checkpoint archive keep the decided order
@@ -18,7 +19,7 @@ itself.
 
 Commits live in each instance's proposal store alone: the store's
 ``committed`` list holds the committed proposals in commit order, and the
-replica reads them live through one cursor per instance, so a payload or
+replica reads them live through one cursor per instance, so a proposal or
 parent link that Ask-recovery attaches later is seen without a copy to
 refresh.  A frontier is the highest view up to which an instance's committed
 chain is contiguous, and it only moves up: the store commits one chain,
@@ -41,7 +42,6 @@ from repro.core.messages import AskMessage, ProposalForward, ProposeMessage, Syn
 from repro.net.message import Message
 from repro.net.sizes import SIGNATURE_BYTES, MessageSizeModel
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
-from repro.runtime.mempool import AdmitResult
 from repro.runtime.replica import ReplicaRuntime
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -49,7 +49,6 @@ from repro.workload.requests import Transaction
 
 # Enum members bound once: a ``Class.MEMBER`` load in a function costs about
 # 100 ns on CPython 3.10/3.11, and no call count shows it.
-_NEW = AdmitResult.NEW
 _COMMITTED = ProposalStatus.COMMITTED
 
 
@@ -105,15 +104,13 @@ class SpotLessReplica(ReplicaRuntime):
         # passed, in view order: their requests count as proposed here, and
         # go back to the queue if the frontier passes one uncommitted.
         self._accepted: List[Deque[Proposal]] = [deque() for _ in range(config.num_instances)]
-        # Wire size of each consensus message class (a certificate adds its
-        # signatures to a Propose); the size model is fixed per deployment.
+        # Wire size of the control messages; a Propose and a forward are
+        # priced by the batch they carry.  The size model is fixed per
+        # deployment.
         control = self.size_model.control_bytes
-        self._wire_bytes = {
-            ProposeMessage: self.size_model.proposal_bytes(),
-            ProposalForward: self.size_model.proposal_bytes(),
-            SyncMessage: control(signatures=1),
-            AskMessage: control(),
-        }
+        self._sync_bytes = control(signatures=1)
+        self._ask_bytes = control()
+        self._certificate_bytes = config.quorum * SIGNATURE_BYTES
 
         self.instances: Dict[int, SpotLessInstance] = {}
         for instance_id in range(config.num_instances):
@@ -143,9 +140,18 @@ class SpotLessReplica(ReplicaRuntime):
         )
 
     def _message_size(self, message: Message) -> int:
-        size = self._wire_bytes[message.__class__]
-        if message.__class__ is ProposeMessage and message.parent_certificate:
-            size += self.config.quorum * SIGNATURE_BYTES
+        """Wire size of ``message``: a Propose, forwarded or not, pays for
+        the transactions it carries and for a parent certificate's
+        signatures."""
+        cls = message.__class__
+        if cls is SyncMessage:
+            return self._sync_bytes
+        if cls is AskMessage:
+            return self._ask_bytes
+        propose = message.propose if cls is ProposalForward else message
+        size = self.size_model.proposal_bytes(len(propose.transactions))
+        if cls is ProposeMessage and propose.parent_certificate:
+            size += self._certificate_bytes
         return size
 
     def _deliver_to_self(self, message: Message) -> None:
@@ -169,17 +175,6 @@ class SpotLessReplica(ReplicaRuntime):
     # client requests and batching
     # ------------------------------------------------------------------
 
-    def _after_submit(self, outcome: AdmitResult) -> None:
-        """A newly arrived payload may unblock a stalled execution frontier.
-
-        ResilientDB broadcasts request payloads ahead of consensus, so every
-        replica holds the payload and the instance responsible for the digest
-        queues it for proposal (Section 5/6.1); admission itself is handled
-        by the shared mempool.
-        """
-        if outcome is _NEW:
-            self._advance_execution()
-
     def _assign_shard(self, transaction: Transaction) -> int:
         """Instance responsible for proposing ``transaction``.
 
@@ -188,7 +183,7 @@ class SpotLessReplica(ReplicaRuntime):
         """
         return transaction.instance_assignment(self.config.num_instances)
 
-    def _next_batch(self, instance_id: int, view: int) -> Tuple[bytes, ...]:
+    def _next_batch(self, instance_id: int) -> Tuple[Transaction, ...]:
         """Up to a batch of the instance's requests; with none, the empty
         batch of a no-op, so the view's other proposals can execute
         (Section 5)."""
@@ -204,7 +199,7 @@ class SpotLessReplica(ReplicaRuntime):
         if it was not committed by then, ``_extend_frontier`` queues its
         unexecuted requests again.
         """
-        self.mempool.mark_proposed(proposal.message.transaction_digests)
+        self.mempool.mark_proposed(proposal.message.transactions)
         self._accepted[instance_id].append(proposal)
 
     # ------------------------------------------------------------------
@@ -229,7 +224,7 @@ class SpotLessReplica(ReplicaRuntime):
                 "decide",
                 view=proposal.view,
                 instance=instance_id,
-                batch=len(message.transaction_digests) if message is not None else 0,
+                batch=len(message.transactions) if message is not None else 0,
             )
         self._advance_execution()
 
@@ -291,7 +286,7 @@ class SpotLessReplica(ReplicaRuntime):
             while accepted and accepted[0].view <= frontier:
                 proposal = accepted.popleft()
                 if proposal.status is not _COMMITTED:
-                    self.mempool.requeue(proposal.message.transaction_digests, instance_id)
+                    self.mempool.requeue(proposal.message.transactions, instance_id)
         return frontier
 
     def _advance_execution(self) -> None:
@@ -300,14 +295,13 @@ class SpotLessReplica(ReplicaRuntime):
         The cursor is the pipeline's execution frontier.  A view is complete
         once (a) every instance's execution frontier has reached it, so the
         total order for the view is fixed and gaps are provably empty, and
-        (b) the transaction digests of every record in it are known (a
-        proposal committed by reference waits for Ask-recovery to attach its
-        payload).  Execution thus moves at the slowest instance's clock; an
-        instance's frontier only moves up, so it is extended only when it is
-        below the view to execute.  The pipeline then stalls the view until
-        each transaction's payload is local (pre-disseminated by clients;
-        a no-op carries none), exactly as the paper requires replicas to
-        recover full proposals before executing them.
+        (b) every proposal committed in it is held in full (a proposal
+        committed by reference waits for Ask-recovery to attach it, exactly
+        as the paper requires replicas to recover full proposals before
+        executing them).  Execution thus moves at the slowest instance's
+        clock; an instance's frontier only moves up, so it is extended only
+        when it is below the view to execute.  A delivered view executes at
+        once: its records carry their transactions.
         Views below the execution floor are covered by a verified state
         transfer and need no per-instance contiguity proof, because the
         checkpoint certificate already attests the exact content.
@@ -324,30 +318,23 @@ class SpotLessReplica(ReplicaRuntime):
                 for instance_id in instance_ids:
                     if frontiers[instance_id] < view and self._extend_frontier(instance_id) < view:
                         return
-            if pipeline.is_decided(view):
-                # Delivered before, still waiting on a payload that may
-                # have arrived since.
-                pipeline.advance()
-            else:
-                records: List[SlotRecord] = []
-                for instance_id in instance_ids:
-                    proposal = instances[instance_id].store.committed_in_view(view)
-                    if proposal is None:
-                        continue
-                    message = proposal.message
-                    if message is None:
-                        return  # committed by reference: waits for Ask-recovery
-                    records.append(
-                        SlotRecord(
-                            view=view,
-                            instance=instance_id,
-                            transaction_digests=message.transaction_digests,
-                            slot_digest=proposal.digest,
-                        )
+            records: List[SlotRecord] = []
+            for instance_id in instance_ids:
+                proposal = instances[instance_id].store.committed_in_view(view)
+                if proposal is None:
+                    continue
+                message = proposal.message
+                if message is None:
+                    return  # committed by reference: waits for Ask-recovery
+                records.append(
+                    SlotRecord(
+                        view=view,
+                        instance=instance_id,
+                        transactions=message.transactions,
+                        slot_digest=proposal.digest,
                     )
-                pipeline.deliver_entry(SlotEntry(position=view, records=tuple(records)))
-            if pipeline.next_execution_position == view:
-                return
+                )
+            pipeline.deliver_entry(SlotEntry(position=view, records=tuple(records)))
 
     def _record_executed_entry(self, entry: SlotEntry) -> None:
         """Trace the executed view, then fold it like any order unit."""

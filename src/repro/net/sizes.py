@@ -11,7 +11,6 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
 # Raw size constants taken from the ResilientDB deployment.
 REFERENCE_BATCH_SIZE = 100
 TRANSACTION_BYTES = 48
@@ -41,10 +40,19 @@ class MessageSizeModel:
         overhead = PROPOSAL_BYTES_AT_REFERENCE - HEADER_BYTES - payload
         return overhead / REFERENCE_BATCH_SIZE
 
-    def proposal_bytes(self) -> int:
-        """Size of a Propose/PrePrepare message carrying one batch."""
+    def proposal_bytes(self, carried: int) -> int:
+        """Size of a proposal carrying ``carried`` client transactions.
+
+        A proposal carries its transactions, so it is priced by what it
+        carries: the header plus each transaction with its share of the
+        per-transaction overhead, 5,400 B for the paper's 100.  Every
+        proposal-shaped thing on the wire pays it — a Propose, PrePrepare or
+        HotStuff proposal, a forwarded proposal, a chain-sync node, a
+        re-proposed view-change slot and a state-transfer record — so an
+        empty no-op batch costs the header alone.
+        """
         per_txn = self.transaction_bytes + self._per_transaction_overhead()
-        return int(round(HEADER_BYTES + self.batch_size * per_txn))
+        return int(round(HEADER_BYTES + carried * per_txn))
 
     def reply_bytes(self) -> int:
         """Size of a client reply (Inform) covering one batch."""

@@ -29,12 +29,13 @@ class QuorumCert:
 
 @record
 class HsProposal(Message):
-    """The leader's proposal for one view: a chain node extending ``justify``."""
+    """The leader's proposal for one view: a chain node extending ``justify``,
+    carrying its batch of client transactions."""
 
     view: int
     node_digest: bytes
     parent_digest: bytes
-    transaction_digests: Tuple[bytes, ...]
+    transactions: Tuple[Transaction, ...]
     justify: Optional[QuorumCert]
 
 
@@ -59,44 +60,30 @@ class HsNewView(Message):
 class HsNodeData(Message):
     """One chain node shipped during chain synchronisation.
 
-    The receiver recomputes the node digest from (view, parent, batch) and
-    discards entries whose digest does not match — a Byzantine responder
-    cannot forge chain content.
+    The node carries its batch's transactions.  The receiver recomputes the
+    node digest from (view, parent, batch) and discards entries whose digest
+    does not match — a Byzantine responder cannot forge chain content.
     """
 
     digest: bytes
     view: int
     parent_digest: bytes
-    transaction_digests: Tuple[bytes, ...]
+    transactions: Tuple[Transaction, ...]
     justify: Optional[QuorumCert] = None
 
 
 @record
 class HsChainRequest(Message):
-    """Ask a peer for the ancestors of a chain node we only know by QC.
-
-    ``want_payloads`` additionally asks for the transaction payloads of the
-    returned segment: a straggler whose commits outran its payload store
-    (it missed the client broadcasts while partitioned) uses this to pull
-    the bodies it needs to execute an already-committed prefix.
-    """
+    """Ask a peer for the ancestors of a chain node we only know by QC."""
 
     node_digest: bytes
-    want_payloads: bool = False
 
 
 @record
 class HsChainResponse(Message):
-    """A chain segment walking certified ancestors toward the committed prefix.
-
-    ``payloads`` is only populated for ``want_payloads`` requests.  The
-    receiver re-hashes each payload and only registers those referenced by a
-    digest-verified node, so a Byzantine responder cannot smuggle forged
-    request bodies.
-    """
+    """A chain segment walking certified ancestors toward the committed prefix."""
 
     nodes: Tuple[HsNodeData, ...]
-    payloads: Tuple[Transaction, ...] = ()
 
 
 __all__ = [

@@ -23,15 +23,19 @@ from repro.runtime.replica import ReplicaRuntime
 from repro.runtime.retry import RetryingPull
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
+from repro.workload.requests import Transaction
 
 
-def chain_node_digest(view: int, parent_digest: bytes, transaction_digests: Tuple[bytes, ...]) -> bytes:
-    """The content-derived digest of a chain node.
+def chain_node_digest(view: int, parent_digest: bytes, transactions: Tuple[Transaction, ...]) -> bytes:
+    """The content-derived digest of a chain node; its batch is hashed as
+    its transactions' digests.
 
     Exposed as a function so chain sync and state transfer can *recompute*
     digests from shipped content instead of trusting a peer's claim.
     """
-    return digest_bytes(("hs-node", view, parent_digest, tuple(transaction_digests)))
+    return digest_bytes(
+        ("hs-node", view, parent_digest, tuple(transaction.digest() for transaction in transactions))
+    )
 
 
 #: Longest ancestor segment shipped per chain-sync response.
@@ -43,12 +47,13 @@ GENESIS_NODE_DIGEST = digest_bytes(("hotstuff-genesis",))
 
 @dataclass
 class ChainNode:
-    """One node of the HotStuff chain known to this replica."""
+    """One node of the HotStuff chain known to this replica, with the client
+    transactions its batch carries."""
 
     digest: bytes
     view: int
     parent_digest: Optional[bytes]
-    transaction_digests: Tuple[bytes, ...]
+    transactions: Tuple[Transaction, ...]
     justify: Optional[QuorumCert]
     committed: bool = False
 
@@ -80,7 +85,7 @@ class HotStuffReplica(ReplicaRuntime):
             digest=GENESIS_NODE_DIGEST,
             view=-1,
             parent_digest=None,
-            transaction_digests=(),
+            transactions=(),
             justify=None,
             committed=True,
         )
@@ -101,9 +106,8 @@ class HotStuffReplica(ReplicaRuntime):
         # and an unknown digest is requested at most once per view.
         self._chain_requested: Dict[bytes, int] = {}
         self._view_timer = self.timer("view", self._on_view_timeout)
-        # One pull for both kinds of gap, keyed by chain-node digest: an
-        # unknown node is fetched with its ancestors, a known node stalling
-        # execution behind the committed frontier with its payload bodies.
+        # Keyed by chain-node digest: an unknown node is fetched with its
+        # ancestors.
         self._sync = RetryingPull(
             node_id,
             send=self._send_chain_request,
@@ -113,13 +117,10 @@ class HotStuffReplica(ReplicaRuntime):
             interval=config.request_timeout,
             category="chain-sync",
         )
-        # Node whose payload bodies are being pulled, None while not stalled.
-        self._payload_pull_digest: Optional[bytes] = None
         self.view_timeouts = 0
         self.proposals_made = 0
         self.chain_syncs_requested = 0
         self.chain_syncs_served = 0
-        self.payload_pulls = 0
         self._routes.update(
             {
                 HsProposal: (self._on_proposal, None),
@@ -191,12 +192,12 @@ class HotStuffReplica(ReplicaRuntime):
             # a later proposal's justify chain back-fills the gap.
             return
         batch = self.mempool.take_batch(self.config.batch_size, allow_empty=True)
-        digest = chain_node_digest(view, parent.digest, tuple(batch))
+        digest = chain_node_digest(view, parent.digest, batch)
         proposal = HsProposal(
             view=view,
             node_digest=digest,
             parent_digest=parent.digest,
-            transaction_digests=tuple(batch),
+            transactions=batch,
             justify=self.high_qc,
         )
         self._proposed_in_view.add(view)
@@ -218,18 +219,19 @@ class HotStuffReplica(ReplicaRuntime):
     # ------------------------------------------------------------------
 
     def _size_of(self, message: Message) -> int:
-        qc_signatures = self.config.num_replicas - self.config.f
+        """Wire size of ``message``: a proposal, and each node a chain sync
+        ships, pays for the transactions it carries."""
+        size_model = self.size_model
+        qc_bytes = size_model.certificate_bytes(self.config.num_replicas - self.config.f)
         if isinstance(message, HsProposal):
-            return self.size_model.proposal_bytes() + self.size_model.certificate_bytes(qc_signatures)
+            return size_model.proposal_bytes(len(message.transactions)) + qc_bytes
         if isinstance(message, HsNewView):
-            return self.size_model.control_bytes() + self.size_model.certificate_bytes(qc_signatures)
+            return size_model.control_bytes() + qc_bytes
         if isinstance(message, HsChainResponse):
-            return (
-                self.size_model.control_bytes()
-                + len(message.nodes) * self.size_model.proposal_bytes()
-                + len(message.payloads) * self.size_model.request_bytes()
+            return size_model.control_bytes() + sum(
+                size_model.proposal_bytes(len(data.transactions)) for data in message.nodes
             )
-        return self.size_model.control_bytes(signatures=1)
+        return size_model.control_bytes(signatures=1)
 
     # -- proposals ------------------------------------------------------
 
@@ -253,7 +255,7 @@ class HotStuffReplica(ReplicaRuntime):
             digest=proposal.node_digest,
             view=proposal.view,
             parent_digest=proposal.parent_digest,
-            transaction_digests=proposal.transaction_digests,
+            transactions=proposal.transactions,
             justify=proposal.justify,
         )
         self.nodes[proposal.node_digest] = node
@@ -429,15 +431,12 @@ class HotStuffReplica(ReplicaRuntime):
             # digest covers it).
             self.deliver_batch(
                 position,
-                member.transaction_digests,
+                member.transactions,
                 view=member.view,
                 instance=0,
                 slot_digest=member.digest,
             )
             position += 1
-        # Committing can outrun execution when a payload is locally missing;
-        # start pulling it immediately instead of waiting for the retry timer.
-        self._maybe_pull_payloads()
         return None
 
     # ------------------------------------------------------------------
@@ -451,48 +450,15 @@ class HotStuffReplica(ReplicaRuntime):
         self._sync.request(node_digest, prefer=holders, again=True)
 
     def _send_chain_request(self, target: int, node_digest: bytes) -> None:
-        """Put one pull on the wire: the chain of an unknown node, or the
-        payload bodies of a known one (chain nodes only carry digests)."""
-        want_payloads = node_digest in self.nodes
-        if want_payloads:
-            self.payload_pulls += 1
-            if self.tracer is not None:
-                self.tracer.instant(
-                    self.node_id,
-                    "chain-sync",
-                    "payload-pull",
-                    position=self.pipeline.next_execution_position,
-                )
-        else:
-            self.chain_syncs_requested += 1
+        """Put one pull on the wire: the chain of an unknown node."""
+        self.chain_syncs_requested += 1
         self._chain_requested[node_digest] = self.view  # admit the response
-        request = HsChainRequest(node_digest=node_digest, want_payloads=want_payloads)
+        request = HsChainRequest(node_digest=node_digest)
         self.send(target, request, self._size_of(request))
 
     def _gap_closed(self, node_digest: bytes) -> bool:
-        """A digest needs no pull once its node is known and executable."""
-        return node_digest in self.nodes and node_digest != self._stalled_digest()
-
-    def _stalled_digest(self) -> Optional[bytes]:
-        """Committed node whose missing payload blocks execution, if any.
-
-        A replica that was partitioned can commit positions whose client
-        broadcasts it missed; consensus-level sync cannot unwedge it.
-        """
-        pipeline = self.pipeline
-        entry = pipeline.pending.get(pipeline.next_execution_position)
-        return entry.records[0].slot_digest if entry is not None else None
-
-    def _maybe_pull_payloads(self) -> None:
-        """Pull the payloads execution is stalled on, once per stalled node;
-        the retry timer rotates the target while the stall lasts."""
-        digest = self._stalled_digest()
-        if digest != self._payload_pull_digest:
-            self._payload_pull_digest = digest
-            if digest is not None:
-                # ``again``: the digest may still be latched from the chain
-                # sync that delivered the node without its payload bodies.
-                self._sync.request(digest, again=True)
+        """A digest needs no pull once its node is known."""
+        return node_digest in self.nodes
 
     def _on_sync_retry(self) -> None:
         """Straggler self-check: re-derive every gap from local state.
@@ -500,14 +466,12 @@ class HotStuffReplica(ReplicaRuntime):
         The request paths above react to message *receipt*; a withholding
         responder defeats them by never answering.  This timer reacts to the
         state gaps themselves — an unknown high-QC node, a parked commit
-        cascade, a payload hole behind the committed frontier — and
-        re-requests each from a rotated target so the silent first responder
-        cannot wedge the replica.
+        cascade — and re-requests each from a rotated target so the silent
+        first responder cannot wedge the replica.
         """
         gaps = {self.high_qc.node_digest, *self._sync.missing()}
         gaps.update(self._retry_parked_commits())
         self._sync.retry(sorted(gaps))
-        self._maybe_pull_payloads()
         self._maybe_propose_after_sync()
 
     def _retry_parked_commits(self) -> List[bytes]:
@@ -546,7 +510,7 @@ class HotStuffReplica(ReplicaRuntime):
                     digest=current.digest,
                     view=current.view,
                     parent_digest=current.parent_digest or GENESIS_NODE_DIGEST,
-                    transaction_digests=current.transaction_digests,
+                    transactions=current.transactions,
                     justify=current.justify,
                 )
             )
@@ -558,18 +522,7 @@ class HotStuffReplica(ReplicaRuntime):
         if not segment:
             return
         self.chain_syncs_served += 1
-        payloads: List = []
-        if request.want_payloads:
-            seen: Set[bytes] = set()
-            for data in segment:
-                for tx_digest in data.transaction_digests:
-                    if tx_digest in seen:
-                        continue
-                    seen.add(tx_digest)
-                    payload = self.mempool.get(tx_digest)
-                    if payload is not None:
-                        payloads.append(payload)
-        response = HsChainResponse(nodes=tuple(segment), payloads=tuple(payloads))
+        response = HsChainResponse(nodes=tuple(segment))
         self.send(sender, response, self._size_of(response))
 
     def _on_chain_response(self, sender: int, response: HsChainResponse) -> None:
@@ -584,18 +537,16 @@ class HotStuffReplica(ReplicaRuntime):
             # starts at a digest this replica asked for.
             return
         deepest_missing: Optional[bytes] = None
-        verified_tx_digests: Set[bytes] = set()
         for data in reversed(response.nodes):
             # Recompute the digest from content: forged nodes are discarded,
             # and a node carrying a below-quorum justify is dropped outright
             # (honest genesis-pointing QCs always carry a full signer set).
-            if data.digest != chain_node_digest(data.view, data.parent_digest, data.transaction_digests):
+            if data.digest != chain_node_digest(data.view, data.parent_digest, data.transactions):
                 continue
             if data.justify is not None and not data.justify.is_valid(
                 self.config.num_replicas - self.config.f
             ):
                 continue
-            verified_tx_digests.update(data.transaction_digests)
             existing = self.nodes.get(data.digest)
             if existing is not None:
                 self._upgrade_justify(existing, data.justify)
@@ -604,7 +555,7 @@ class HotStuffReplica(ReplicaRuntime):
                     digest=data.digest,
                     view=data.view,
                     parent_digest=data.parent_digest,
-                    transaction_digests=data.transaction_digests,
+                    transactions=data.transactions,
                     justify=data.justify,
                 )
             if (
@@ -615,24 +566,12 @@ class HotStuffReplica(ReplicaRuntime):
                 # Oldest-first iteration: the first missing parent is the
                 # deepest gap to keep walking toward.
                 deepest_missing = data.parent_digest
-        # Payloads ride alongside a want_payloads segment.  Only bodies
-        # referenced by a digest-verified node are registered — the mempool
-        # keys them by recomputed hash, so forged bodies are unreachable.
-        if response.payloads:
-            registered = False
-            for payload in response.payloads:
-                if payload.digest() in verified_tx_digests:
-                    self.mempool.register_payload(payload)
-                    registered = True
-            if registered:
-                self.pipeline.advance()
         head = self.nodes.get(response.nodes[0].digest)
         if head is not None:
             # The synced head may complete a three-chain the cluster has
             # already moved past; no future proposal will re-present it.
             self._apply_commit_rules(head, sender)
         self._retry_parked_commits()
-        self._maybe_pull_payloads()
         self._maybe_propose_after_sync()
         if deepest_missing is not None and self._pending_commit_roots:
             # Still not connected: keep walking the chain backwards.
@@ -670,7 +609,7 @@ class HotStuffReplica(ReplicaRuntime):
             # not carry one, and the recomputed digest is what gets folded.
             digest = record.slot_digest
             if not digest:
-                digest = chain_node_digest(record.view, tip, record.transaction_digests)
+                digest = chain_node_digest(record.view, tip, record.transactions)
                 replayed[-1] = SlotEntry(
                     position=entry.position, records=(replace(record, slot_digest=digest),)
                 )
@@ -680,7 +619,7 @@ class HotStuffReplica(ReplicaRuntime):
                     digest=digest,
                     view=record.view,
                     parent_digest=tip,
-                    transaction_digests=record.transaction_digests,
+                    transactions=record.transactions,
                     justify=None,
                     committed=True,
                 )
@@ -722,7 +661,6 @@ class HotStuffReplica(ReplicaRuntime):
             "chain_syncs_served": self.chain_syncs_served,
             "chain_sync_retries": self._sync.retries,
             "chain_sync_rotations": self._sync.rotations,
-            "payload_pulls": self.payload_pulls,
             "view_timeouts": self.view_timeouts,
         }
 

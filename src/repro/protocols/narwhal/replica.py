@@ -25,16 +25,14 @@ class NarwhalHsReplica(HotStuffReplica):
             2 * self.config.f + 1
         )
         if isinstance(message, HsProposal):
-            return self.size_model.proposal_bytes() + certified_batch
+            return self.size_model.proposal_bytes(len(message.transactions)) + certified_batch
         if isinstance(message, (HsVote, HsNewView)):
             return self.size_model.control_bytes(signatures=1) + certified_batch
         if isinstance(message, HsChainResponse):
-            # Chain sync ships each synced node as a certified batch, plus
-            # any payload bodies a straggler pulled behind its frontier.
-            return (
-                self.size_model.control_bytes()
-                + len(message.nodes) * certified_batch
-                + len(message.payloads) * self.size_model.request_bytes()
+            # Chain sync ships each synced node as a proposal does.
+            return self.size_model.control_bytes() + sum(
+                self.size_model.proposal_bytes(len(data.transactions)) + certified_batch
+                for data in message.nodes
             )
         return self.size_model.control_bytes()
 

@@ -19,11 +19,13 @@ from repro.protocols.pbft.messages import (
     PrepareMessage,
     PrePrepareMessage,
     ViewChangeMessage,
+    batch_digest_of,
 )
 from repro.recovery.messages import CheckpointCertificate
 from repro.runtime.quorum import view_reached_by
+from repro.workload.requests import Transaction
 
-NOOP_BATCH: Tuple[bytes, ...] = ()
+NOOP_BATCH: Tuple[Transaction, ...] = ()
 
 
 @dataclass
@@ -35,16 +37,16 @@ class PbftEnvironment:
     # ``make_timer(name, callback)`` hands out one restartable timer shaped
     # like :class:`repro.sim.actor.Timer` (``start`` / ``cancel`` / ``running``).
     make_timer: Callable[[str, Callable[[], None]], object]
-    next_batch: Callable[[int], Optional[Tuple[bytes, ...]]]
-    on_decide: Callable[[int, int, int, Tuple[bytes, ...]], None]
+    next_batch: Callable[[int], Optional[Tuple[Transaction, ...]]]
+    on_decide: Callable[[int, int, int, Tuple[Transaction, ...]], None]
     now: Callable[[], float] = lambda: 0.0
     # Work the primary owes this replica beyond the slots in flight (zero
     # when none): the progress deadline only stays armed while it is owed.
     owed_work: Callable[[], int] = lambda: 0
-    # ``on_content(instance, sequence, digests)``: the core accepted content
+    # ``on_content(instance, sequence, transactions)``: the core accepted content
     # for a slot (a PrePrepare or a NewView re-proposal).  RCC uses it to
     # fill rounds; None where no other instance needs to know.
-    on_content: Optional[Callable[[int, int, Tuple[bytes, ...]], None]] = None
+    on_content: Optional[Callable[[int, int, Tuple[Transaction, ...]], None]] = None
 
 
 @dataclass
@@ -61,7 +63,7 @@ class SlotState:
 
     sequence: int
     view: int
-    digests: Optional[Tuple[bytes, ...]] = None
+    transactions: Optional[Tuple[Transaction, ...]] = None
     batch_digest: Optional[bytes] = None
     prepares: Dict[int, bytes] = field(default_factory=dict)
     commits: Dict[int, bytes] = field(default_factory=dict)
@@ -94,7 +96,7 @@ class PbftInstanceCore:
         self._on_content = environment.on_content
         self.slots: Dict[int, SlotState] = {}
         # Sequences whose slot holds content but is not yet committed,
-        # maintained incrementally at every digests/committed transition so
+        # maintained incrementally at every content/committed transition so
         # the pipeline-window check is O(1) instead of a full slot scan.
         self._inflight: Set[int] = set()
         self.started = False
@@ -187,7 +189,7 @@ class PbftInstanceCore:
                 instance=self.instance_id,
                 view=self.view,
                 sequence=self.next_sequence,
-                transaction_digests=tuple(batch),
+                transactions=batch,
             )
             self.next_sequence += 1
             self.preprepares_sent += 1
@@ -212,7 +214,7 @@ class PbftInstanceCore:
         # A committed slot is immutable: a later-view message for it must not
         # wipe the decided state (it could then be re-decided differently).
         if slot is None or (slot.view < view and not slot.committed):
-            if slot is not None and slot.digests is not None:
+            if slot is not None and slot.transactions is not None:
                 # The rebuilt slot starts with no content.
                 self._inflight.discard(sequence)
             slot = SlotState(sequence=sequence, view=view)
@@ -287,12 +289,12 @@ class PbftInstanceCore:
             return
         slot = self._slot(message.sequence, message.view)
         batch_digest = message.batch_digest()
-        if slot.digests is not None and slot.batch_digest != batch_digest:
+        if slot.transactions is not None and slot.batch_digest != batch_digest:
             # Equivocating primary: ignore the second proposal for the slot.
             return
-        if slot.digests is None and not slot.committed:
+        if slot.transactions is None and not slot.committed:
             self._inflight.add(slot.sequence)
-        slot.digests = message.transaction_digests
+        slot.transactions = message.transactions
         slot.batch_digest = batch_digest
         # A PrePrepare is a commit *obligation*, not commit *progress*: a
         # partially-responsive primary that drip-feeds proposals must not be
@@ -309,7 +311,7 @@ class PbftInstanceCore:
         self.env.broadcast(prepare)
         self._check_prepared(slot)
         if self._on_content is not None:
-            self._on_content(self.instance_id, message.sequence, message.transaction_digests)
+            self._on_content(self.instance_id, message.sequence, message.transactions)
 
     def on_prepare(self, sender: int, message: PrepareMessage) -> None:
         """Handle a Prepare vote."""
@@ -335,11 +337,11 @@ class PbftInstanceCore:
         # Straggler votes on an already-prepared slot are the common case at
         # n > quorum; the guard here skips a call _check_prepared would
         # no-op anyway.
-        if not slot.prepared and slot.digests is not None:
+        if not slot.prepared and slot.transactions is not None:
             self._check_prepared(slot)
 
     def _check_prepared(self, slot: SlotState) -> None:
-        if slot.prepared or slot.digests is None:
+        if slot.prepared or slot.transactions is None:
             return
         # The PrePrepare counts as the primary's Prepare; only votes for this
         # slot's digest count toward the quorum.
@@ -376,11 +378,11 @@ class PbftInstanceCore:
                 counts[previous] -= 1
             slot.commits[sender] = digest
             counts[digest] = counts.get(digest, 0) + 1
-        if not slot.committed and slot.prepared and slot.digests is not None:
+        if not slot.committed and slot.prepared and slot.transactions is not None:
             self._check_committed(slot)
 
     def _check_committed(self, slot: SlotState) -> None:
-        if slot.committed or not slot.prepared or slot.digests is None:
+        if slot.committed or not slot.prepared or slot.transactions is None:
             return
         if slot.commit_counts.get(slot.batch_digest, 0) < self._quorum:
             return
@@ -404,7 +406,7 @@ class PbftInstanceCore:
                 sequence=slot.sequence,
                 view=slot.view,
             )
-        self.env.on_decide(self.instance_id, slot.sequence, slot.view, slot.digests)
+        self.env.on_decide(self.instance_id, slot.sequence, slot.view, slot.transactions)
         self.try_propose()
 
     # ------------------------------------------------------------------
@@ -512,9 +514,9 @@ class PbftInstanceCore:
         if new_view <= self.view and self.started:
             new_view = self.view + 1
         prepared_slots = tuple(
-            (slot.sequence, slot.view, slot.digests)
+            (slot.sequence, slot.view, slot.transactions)
             for slot in self.slots.values()
-            if slot.digests is not None and slot.sequence >= self.checkpoint_floor
+            if slot.transactions is not None and slot.sequence >= self.checkpoint_floor
         )
         message = ViewChangeMessage(
             instance=self.instance_id,
@@ -626,23 +628,23 @@ class PbftInstanceCore:
         # the highest-view certificate per slot (PBFT's selection rule): an
         # older-view preparation may have been superseded by content that
         # some replica already committed.
-        best: Dict[int, Tuple[int, Tuple[bytes, ...]]] = {}
+        best: Dict[int, Tuple[int, Tuple[Transaction, ...]]] = {}
         for vote in votes.values():
-            for sequence, view, digests in vote.prepared_slots:
+            for sequence, view, transactions in vote.prepared_slots:
                 current = best.get(sequence)
                 if current is None or view > current[0]:
-                    best[sequence] = (view, digests)
+                    best[sequence] = (view, transactions)
         # Merge the primary's own slot store: it may have learned or decided
         # content after broadcasting its vote, and that content must not
         # vanish from the new view's re-proposals.
         for slot in self.slots.values():
-            if slot.digests is not None:
+            if slot.transactions is not None:
                 current = best.get(slot.sequence)
                 if current is None or slot.view > current[0]:
-                    best[slot.sequence] = (slot.view, slot.digests)
-        reproposals: Dict[int, Tuple[bytes, ...]] = {
-            sequence: digests
-            for sequence, (_view, digests) in best.items()
+                    best[slot.sequence] = (slot.view, slot.transactions)
+        reproposals: Dict[int, Tuple[Transaction, ...]] = {
+            sequence: transactions
+            for sequence, (_view, transactions) in best.items()
             if sequence >= certified_floor
         }
         # Fill the remaining holes with no-ops (PBFT's null requests): slots
@@ -661,7 +663,7 @@ class PbftInstanceCore:
         claimed = sorted((vote.last_executed for vote in votes.values()), reverse=True)
         supported_executed = claimed[min(self.config.f, len(claimed) - 1)]
         floor = max(self.decided_frontier, certified_floor - 1, supported_executed)
-        known = [s.sequence for s in self.slots.values() if s.digests is not None]
+        known = [s.sequence for s in self.slots.values() if s.transactions is not None]
         top = max([floor] + list(reproposals) + known)
         for sequence in range(max(floor + 1, certified_floor), top + 1):
             reproposals.setdefault(sequence, NOOP_BATCH)
@@ -696,7 +698,7 @@ class PbftInstanceCore:
                 primary=sender,
             )
         self._view_change_votes = {v: votes for v, votes in self._view_change_votes.items() if v > self.view}
-        for sequence, digests in message.reproposals:
+        for sequence, transactions in message.reproposals:
             slot = self._slot(sequence, self.view)
             if slot.committed:
                 # Already decided here, but some quorum members may not be:
@@ -721,10 +723,10 @@ class PbftInstanceCore:
                 continue
             # _slot() returned a freshly rebuilt SlotState for this view (only
             # committed slots survive a view bump), so votes start empty.
-            if slot.digests is None:
+            if slot.transactions is None:
                 self._inflight.add(slot.sequence)
-            slot.digests = digests
-            slot.batch_digest = b"".join(digests)
+            slot.transactions = transactions
+            slot.batch_digest = batch_digest_of(transactions)
             prepare = PrepareMessage(
                 instance=self.instance_id,
                 view=self.view,
@@ -733,7 +735,7 @@ class PbftInstanceCore:
             )
             self.env.broadcast(prepare)
             if self._on_content is not None:
-                self._on_content(self.instance_id, sequence, digests)
+                self._on_content(self.instance_id, sequence, transactions)
         if self.is_primary():
             self.next_sequence = max(self.next_sequence, self.last_decided_sequence + 1)
             existing = max(self.slots.keys(), default=-1)

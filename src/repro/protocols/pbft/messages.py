@@ -11,20 +11,27 @@ from typing import Optional, Tuple
 from repro.net.message import Message
 from repro.net.record import record
 from repro.recovery.messages import CheckpointCertificate
+from repro.workload.requests import Transaction
+
+
+def batch_digest_of(transactions: Tuple[Transaction, ...]) -> bytes:
+    """Digest identifying a proposed batch: its transactions' digests, joined."""
+    return b"".join([transaction.digest() for transaction in transactions])
 
 
 @record
 class PrePrepareMessage(Message):
-    """Primary's proposal for a sequence slot (carries the batch digests)."""
+    """Primary's proposal for a sequence slot (carries the batch's client
+    transactions)."""
 
     instance: int
     view: int
     sequence: int
-    transaction_digests: Tuple[bytes, ...]
+    transactions: Tuple[Transaction, ...]
 
     def batch_digest(self) -> bytes:
         """Digest identifying the proposed batch."""
-        return b"".join(self.transaction_digests)
+        return batch_digest_of(self.transactions)
 
 
 @record
@@ -53,7 +60,7 @@ class ViewChangeMessage(Message):
 
     ``prepared_slots`` carries, for every slot *above the sender's stable
     checkpoint floor* that the sender knows content for, the ``(sequence,
-    view, batch digests)`` triple — the information the new primary needs to
+    view, transactions)`` triple — the information the new primary needs to
     re-propose unfinished slots.  ``checkpoint`` is the sender's stable
     checkpoint certificate: everything below ``checkpoint_floor`` is quorum
     attested and recoverable via state transfer, so it does not travel with
@@ -64,7 +71,7 @@ class ViewChangeMessage(Message):
     instance: int
     new_view: int
     last_executed: int
-    prepared_slots: Tuple[Tuple[int, int, Tuple[bytes, ...]], ...]
+    prepared_slots: Tuple[Tuple[int, int, Tuple[Transaction, ...]], ...]
     checkpoint_floor: int = 0
     checkpoint: Optional[CheckpointCertificate] = None
 
@@ -81,11 +88,12 @@ class NewViewMessage(Message):
 
     instance: int
     new_view: int
-    reproposals: Tuple[Tuple[int, Tuple[bytes, ...]], ...]
+    reproposals: Tuple[Tuple[int, Tuple[Transaction, ...]], ...]
     supporters: Tuple[int, ...]
 
 
 __all__ = [
+    "batch_digest_of",
     "CommitMessage",
     "NewViewMessage",
     "PrePrepareMessage",

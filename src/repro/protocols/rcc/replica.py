@@ -11,7 +11,6 @@ from repro.protocols.common import BftConfig
 from repro.protocols.pbft.core import HANDLERS, PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
     CommitMessage,
-    NewViewMessage,
     PrepareMessage,
     PrePrepareMessage,
     ViewChangeMessage,
@@ -62,16 +61,11 @@ class RccReplica(ReplicaRuntime):
         self._content_high = -1
         self._content_high_instance: Optional[int] = None
         self._runner_up_high = -1
-        # Wire size of each consensus message class; the size model is fixed
-        # per deployment.
+        # Wire size of the votes, and the control part of a view change;
+        # the size model is fixed per deployment.
         control = self.size_model.control_bytes
-        self._wire_bytes = {
-            PrePrepareMessage: self.size_model.proposal_bytes(),
-            PrepareMessage: control(),
-            CommitMessage: control(),
-            ViewChangeMessage: control(signatures=config.quorum),
-            NewViewMessage: control(signatures=config.quorum),
-        }
+        self._vote_bytes = {PrepareMessage: control(), CommitMessage: control()}
+        self._view_change_bytes = control(signatures=config.quorum)
 
         self.cores: Dict[int, PbftInstanceCore] = {}
         for instance_id in range(self.num_instances):
@@ -128,7 +122,7 @@ class RccReplica(ReplicaRuntime):
         noops = max(0, self._round_high(instance_id) - core.decided_frontier)
         return noops + self.mempool.has_unproposed(instance_id)
 
-    def _next_instance_batch(self, instance_id: int) -> Optional[Tuple[bytes, ...]]:
+    def _next_instance_batch(self, instance_id: int) -> Optional[Tuple[Transaction, ...]]:
         """A batch of the shard's requests, else the empty batch of a no-op
         when the round needs one.
 
@@ -140,10 +134,12 @@ class RccReplica(ReplicaRuntime):
             return None
         return self.mempool.take_batch(self.config.batch_size, shard=instance_id, allow_empty=True)
 
-    def _on_content(self, instance_id: int, sequence: int, digests: Tuple[bytes, ...]) -> None:
+    def _on_content(
+        self, instance_id: int, sequence: int, transactions: Tuple[Transaction, ...]
+    ) -> None:
         """An instance accepted content: its requests are covered, and a new
         high-water mark obliges every other instance to fill the round."""
-        self.mempool.mark_proposed(digests)
+        self.mempool.mark_proposed(transactions)
         if sequence <= self._content_high:
             if instance_id != self._content_high_instance and sequence > self._runner_up_high:
                 self._runner_up_high = sequence
@@ -165,10 +161,27 @@ class RccReplica(ReplicaRuntime):
     # message plumbing
     # ------------------------------------------------------------------
 
+    def _content_size(self, message: Message) -> int:
+        """Wire size of a message that carries content: a PrePrepare pays for
+        its batch, a view change for each slot it carries on top of its
+        control size."""
+        proposal_bytes = self.size_model.proposal_bytes
+        cls = message.__class__
+        if cls is PrePrepareMessage:
+            return proposal_bytes(len(message.transactions))
+        if cls is ViewChangeMessage:
+            slots = [transactions for _sequence, _view, transactions in message.prepared_slots]
+        else:
+            slots = [transactions for _sequence, transactions in message.reproposals]
+        return self._view_change_bytes + sum(proposal_bytes(len(batch)) for batch in slots)
+
     def _broadcast_core(self, message: Message) -> None:
         """A core's broadcast: the fan-out to the peers, then the local
         delivery, routed as a peer's copy is."""
-        self.broadcast(self._broadcast_peers, message, self._wire_bytes[message.__class__])
+        size = self._vote_bytes.get(message.__class__)
+        if size is None:
+            size = self._content_size(message)
+        self.broadcast(self._broadcast_peers, message, size)
         self.on_message(self.node_id, message)
 
     def _on_tracer_attached(self) -> None:
@@ -193,9 +206,11 @@ class RccReplica(ReplicaRuntime):
     # decisions: total order by (sequence, instance)
     # ------------------------------------------------------------------
 
-    def _on_instance_decide(self, instance: int, sequence: int, view: int, digests: Tuple[bytes, ...]) -> None:
+    def _on_instance_decide(
+        self, instance: int, sequence: int, view: int, transactions: Tuple[Transaction, ...]
+    ) -> None:
         position = sequence * self.num_instances + instance
-        self.deliver_batch(position, digests, view=view, instance=instance)
+        self.deliver_batch(position, transactions, view=view, instance=instance)
 
     # ------------------------------------------------------------------
     # recovery

@@ -50,7 +50,7 @@ def fold_entry(rolling: bytes, entry: SlotEntry) -> bytes:
     records = entry.records
     parts = [b"t3:sexecb", rolling, b"t2:i%dt%d:" % (entry.position, len(records))]
     for record in records:
-        digests = record.transaction_digests
+        digests = [transaction.digest() for transaction in record.transactions]
         parts.append(b"t3:i%dt%d:" % (record.instance, len(digests)))
         # Joining on b"b" after an empty head tags every digest, then the
         # slot digest, as bytes.

@@ -15,8 +15,8 @@ RCC, HotStuff, Narwhal-HS) exchanges them through the shared
   certificate) that the cluster executed past its own frontier asks a
   certificate signer for the decided content it is missing.
 * ``StateResponse`` — the certified slot content (:class:`SlotEntry` per
-  order unit, full transaction payloads attached) up to the responder's
-  stable checkpoint.
+  order unit, each record carrying its client transactions) up to the
+  responder's stable checkpoint.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from repro.workload.requests import Transaction
 class SlotRecord:
     """One decided batch inside an order unit.
 
+    ``transactions`` are the client transactions the decided proposal
+    carried (none for a no-op), which is what execution runs;
     ``view``/``instance`` reproduce the block-proof metadata of the original
     execution; ``slot_digest`` identifies the decided proposal (SpotLess's
     proposal digest — baselines leave it empty and identify slots by their
@@ -40,20 +42,25 @@ class SlotRecord:
 
     view: int
     instance: int
-    transaction_digests: Tuple[bytes, ...]
+    transactions: Tuple[Transaction, ...]
     slot_digest: bytes = b""
 
     def canonical_fields(self) -> tuple:
         """Canonical encoding folded into the rolling execution digest.
 
-        Only agreement-fixed content is folded: the batch content and slot
-        identity.  The ``view`` is deliberately excluded — a PBFT slot can
-        legitimately be decided at view v on one replica and re-affirmed at
-        v + 1 on a replica that lagged through the view change, and folding
-        it would make the rolling digests of honestly identical prefixes
-        diverge, wedging checkpoint quorums forever.
+        Only agreement-fixed content is folded: the batch content, as its
+        transactions' digests, and slot identity.  The ``view`` is
+        deliberately excluded — a PBFT slot can legitimately be decided at
+        view v on one replica and re-affirmed at v + 1 on a replica that
+        lagged through the view change, and folding it would make the
+        rolling digests of honestly identical prefixes diverge, wedging
+        checkpoint quorums forever.
         """
-        return (self.instance, self.transaction_digests, self.slot_digest)
+        return (
+            self.instance,
+            tuple(transaction.digest() for transaction in self.transactions),
+            self.slot_digest,
+        )
 
 
 @record(slots=True)
@@ -112,14 +119,13 @@ class StateResponse(Message):
     """Certified slot content answering a :class:`StateRequest`.
 
     ``entries`` cover ``from_position`` up to (excluding) the certificate's
-    position; ``payloads`` carry every transaction the entries reference, so
-    the requester can execute without further round trips.
+    position; their records carry the decided transactions, so the
+    requester executes them as they are, without further round trips.
     """
 
     from_position: int
     entries: Tuple[SlotEntry, ...]
     certificate: Optional[CheckpointCertificate]
-    payloads: Tuple[Transaction, ...] = ()
 
 
 __all__ = [

@@ -50,11 +50,6 @@ class StateTransferEngine:
         Callback replaying verified entries through the shared execution
         pipeline.  It must advance ``manager.frontier`` via
         ``record_execution`` for every applied unit.
-    on_verified:
-        Optional callback invoked with the response after verification
-        succeeds and before replay — the runtime registers the shipped
-        transaction payloads here, so a rejected response never touches any
-        replica state (not even the payload store).
     """
 
     def __init__(
@@ -64,11 +59,9 @@ class StateTransferEngine:
         make_pull: Callable[..., object],
         send_request: SendRequest,
         apply_entries: ApplyEntries,
-        on_verified: Optional[Callable[[StateResponse], None]] = None,
     ) -> None:
         self.manager = manager
         self._apply_entries = apply_entries
-        self._on_verified = on_verified
         # Keyed by stable-floor position.  A round can legitimately yield
         # nothing (signers faulty, still partitioned away, or their own
         # stable certificate lags the one we adopted), so the pull re-asks a
@@ -123,8 +116,6 @@ class StateTransferEngine:
         entries, certificate = verified
         if not entries:
             return False
-        if self._on_verified is not None:
-            self._on_verified(response)
         self._apply_entries(entries, certificate)
         self.manager.adopt_certificate(certificate)
         if self.manager.frontier >= certificate.position:

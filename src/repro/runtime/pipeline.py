@@ -2,19 +2,19 @@
 
 The unit of the global order is a :class:`~repro.recovery.SlotEntry`: a
 position plus the :class:`~repro.recovery.SlotRecord` batches decided at it.
-A baseline decides one batch per position (:meth:`ExecutionPipeline.deliver`
-builds the one-record entry); SpotLess decides one view per position, with
-the records committed across its instances (possibly none), and hands the
-whole entry to :meth:`ExecutionPipeline.deliver_entry`.  Protocols differ
+A baseline decides one batch per position
+(:meth:`~repro.runtime.replica.ReplicaRuntime.deliver_batch` builds the
+one-record entry); SpotLess decides one view per position, with the records
+committed across its instances (possibly none).  Either hands the entry to
+:meth:`ExecutionPipeline.deliver_entry`.  Protocols differ
 only in *how* a position gets decided; from there on there is one path:
 
-* resolve: every record's payloads are looked up in the mempool before any
-  record executes — a payload not yet known stalls the frontier;
-* execute: each record's client transactions run under its own (view,
-  instance) block proof, skipping those an earlier position already
-  executed, and the owning client of each is informed; a no-op is an empty
-  record that only fills its slot of the order, so it writes nothing and
-  appends no block;
+* execute: each record's client transactions — carried by the decided
+  proposal, so nothing is looked up and only an undecided position stalls
+  the frontier — run under its own (view, instance) block proof, skipping
+  those an earlier position already executed, and the owning client of
+  each is informed; a no-op is an empty record that only fills its slot of
+  the order, so it writes nothing and appends no block;
 * fold: the same entry goes to the recovery layer, whose checkpoint archive
   is the replica's one record of executed entries.
 
@@ -24,7 +24,7 @@ an entry leaves it the moment it runs.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.ledger.block import BlockProof
 from repro.ledger.execution import ExecutionEngine
@@ -43,8 +43,7 @@ class ExecutionPipeline:
     Parameters
     ----------
     mempool:
-        The replica's request pool; payloads are looked up here and executed
-        digests are recorded here.
+        The replica's request pool; executed digests are recorded here.
     engine:
         The ledger execution engine the batches are applied to.
     protocol_name:
@@ -93,21 +92,14 @@ class ExecutionPipeline:
     # decisions
     # ------------------------------------------------------------------
 
-    def deliver(
-        self,
-        position: int,
-        transaction_digests: Tuple[bytes, ...],
-        view: int = 0,
-        instance: int = 0,
-        slot_digest: bytes = b"",
-    ) -> None:
-        """Record that one batch is decided at ``position`` in the global order."""
-        record = SlotRecord(
-            view=view,
-            instance=instance,
-            transaction_digests=tuple(transaction_digests),
-            slot_digest=slot_digest,
-        )
+    def deliver(self, position: int, digests: Tuple[bytes, ...]) -> None:
+        """Decide the queued requests ``digests`` as one batch at ``position``.
+
+        For a caller that admitted the requests to the pool and names them
+        by digest (the pipeline probe of ``perfbench/probes.py``); a replica
+        delivers entries whose records carry their transactions.
+        """
+        record = SlotRecord(view=0, instance=0, transactions=self.mempool.take_queued(digests))
         self.deliver_entry(SlotEntry(position=position, records=(record,)))
 
     def deliver_entry(self, entry: SlotEntry) -> None:
@@ -128,27 +120,17 @@ class ExecutionPipeline:
     def advance(self) -> None:
         """Execute the contiguous decided prefix; gaps stall the frontier."""
         pending = self.pending
-        get = self.mempool.get
         while self.next_execution_position in pending:
             position = self.next_execution_position
             entry = pending[position]
-            batches: List[List[Transaction]] = []
             for record in entry.records:
-                transactions: List[Transaction] = []
-                for digest in record.transaction_digests:
-                    transaction = get(digest)
-                    if transaction is None:
-                        return
-                    transactions.append(transaction)
-                batches.append(transactions)
-            for record, transactions in zip(entry.records, batches):
-                self._execute(transactions, view=record.view, instance=record.instance)
+                self._execute(record.transactions, view=record.view, instance=record.instance)
             del pending[position]
             self.next_execution_position = position + 1
             if self._fold is not None:
                 self._fold(entry)
 
-    def _execute(self, transactions: List[Transaction], view: int, instance: int) -> None:
+    def _execute(self, transactions: Tuple[Transaction, ...], view: int, instance: int) -> None:
         """Apply a decided batch to the ledger and inform clients.
 
         Transactions executed earlier (under another position) are skipped;

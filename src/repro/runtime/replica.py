@@ -42,6 +42,7 @@ from repro.recovery import (
     CheckpointManager,
     CheckpointVote,
     SlotEntry,
+    SlotRecord,
     StateRequest,
     StateResponse,
     StateTransferEngine,
@@ -58,7 +59,6 @@ from repro.workload.requests import Transaction
 # Enum members bound once: a ``Class.MEMBER`` load in a function costs about
 # 100 ns on CPython 3.10/3.11, and no call count shows it.
 _NEW = AdmitResult.NEW
-_EXECUTED = AdmitResult.EXECUTED
 
 
 class ReplicaRuntime(Actor):
@@ -135,7 +135,6 @@ class ReplicaRuntime(Actor):
             ),
             send_request=self._send_state_request,
             apply_entries=self._apply_state_entries,
-            on_verified=self._register_transferred_payloads,
         )
         # The handler of each message class, by exact class (message types
         # are final).  ``(handler, None)`` is called as ``handler(sender,
@@ -175,15 +174,8 @@ class ReplicaRuntime(Actor):
     def submit_transaction(self, transaction: Transaction) -> None:
         """Accept a client transaction into the request pool."""
         shard = self._assign_shard(transaction)
-        outcome = self.mempool.admit(transaction, shard)
-        if outcome is _NEW:
+        if self.mempool.admit(transaction, shard) is _NEW:
             self.on_request_arrival(shard)
-        self._after_submit(outcome)
-
-    def _after_submit(self, outcome: AdmitResult) -> None:
-        """Advance execution after a submission (a payload may unblock it)."""
-        if outcome is not _EXECUTED:
-            self.pipeline.advance()
 
     def _assign_shard(self, transaction: Transaction) -> int:
         """Mempool shard responsible for ``transaction`` (default: shard 0)."""
@@ -267,55 +259,20 @@ class ReplicaRuntime(Actor):
         self.send(target, request, self.size_model.control_bytes(signatures=1))
 
     def _serve_state_request(self, sender: int, request: StateRequest) -> None:
-        """Answer a pull request with certified slot content and payloads."""
+        """Answer a pull request with the certified slot content, priced by
+        the transactions its records carry."""
         served = self.checkpoints.serve(request.from_position)
         if served is None:
             return
         entries, certificate = served
-        payloads: List[Transaction] = []
-        seen: set = set()
-        for entry in entries:
-            for record in entry.records:
-                for digest in record.transaction_digests:
-                    if digest in seen:
-                        continue
-                    seen.add(digest)
-                    transaction = self.mempool.get(digest)
-                    if transaction is None:  # pragma: no cover - executed => held
-                        return
-                    payloads.append(transaction)
         response = StateResponse(
-            from_position=request.from_position,
-            entries=entries,
-            certificate=certificate,
-            payloads=tuple(payloads),
+            from_position=request.from_position, entries=entries, certificate=certificate
         )
-        size = self.size_model.control_bytes(
-            signatures=self.config.quorum
-        ) + len(payloads) * self.size_model.request_bytes()
+        proposal_bytes = self.size_model.proposal_bytes
+        size = self.size_model.control_bytes(signatures=self.config.quorum) + sum(
+            proposal_bytes(len(record.transactions)) for entry in entries for record in entry.records
+        )
         self.send(sender, response, size)
-
-    def _register_transferred_payloads(self, response: StateResponse) -> None:
-        """Store a *verified* response's payloads ahead of its replay.
-
-        Called by the transfer engine only after certificate and digest-chain
-        verification, so a rejected response never touches replica state —
-        not even the payload store.  The payload list itself is not covered
-        by the digest chain, so only payloads the certified entries actually
-        reference are kept: the mempool never evicts, and a Byzantine peer
-        could otherwise bloat it by padding a genuine response with junk.
-        The mempool re-hashes each payload on registration, so a forged
-        payload can never masquerade as a referenced digest either.
-        """
-        referenced = {
-            digest
-            for entry in response.entries
-            for record in entry.records
-            for digest in record.transaction_digests
-        }
-        for transaction in response.payloads:
-            if transaction.digest() in referenced:
-                self.mempool.register_payload(transaction)
 
     def _on_state_response(self, sender: int, response: StateResponse) -> None:
         if self.state_transfer.on_response(sender, response):
@@ -326,16 +283,10 @@ class ReplicaRuntime(Actor):
     def _apply_state_entries(
         self, entries: Tuple[SlotEntry, ...], certificate: CheckpointCertificate
     ) -> None:
-        """Replay verified entries through the shared execution pipeline.
-
-        ``deliver_entry`` deduplicates positions this replica already
-        decided, and the final ``advance`` re-kicks execution in case the
-        entries only supplied payloads that an earlier stalled position was
-        waiting for.
-        """
+        """Replay verified entries through the shared execution pipeline;
+        ``deliver_entry`` skips positions this replica already decided."""
         for entry in entries:
             self.pipeline.deliver_entry(entry)
-        self.pipeline.advance()
 
     def on_stable_checkpoint(self, certificate: CheckpointCertificate) -> None:
         """Hook: a new stable checkpoint formed (protocols GC their state)."""
@@ -361,7 +312,7 @@ class ReplicaRuntime(Actor):
     def deliver_batch(
         self,
         position: int,
-        transaction_digests: Tuple[bytes, ...],
+        transactions: Tuple[Transaction, ...],
         view: int = 0,
         instance: int = 0,
         slot_digest: bytes = b"",
@@ -375,11 +326,12 @@ class ReplicaRuntime(Actor):
                 position=position,
                 view=view,
                 instance=instance,
-                batch=len(transaction_digests),
+                batch=len(transactions),
             )
-        self.pipeline.deliver(
-            position, transaction_digests, view=view, instance=instance, slot_digest=slot_digest
+        record = SlotRecord(
+            view=view, instance=instance, transactions=transactions, slot_digest=slot_digest
         )
+        self.pipeline.deliver_entry(SlotEntry(position=position, records=(record,)))
 
     def instance_views(self) -> Dict[int, int]:
         """Hook: the current view of each consensus instance, by instance id."""
@@ -419,7 +371,7 @@ class ReplicaRuntime(Actor):
         from the stable floor up (see :meth:`_decided_entries`)."""
         return {
             (entry.position, 0): b"".join(
-                digest for record in entry.records for digest in record.transaction_digests
+                t.digest() for record in entry.records for t in record.transactions
             )
             for entry in self._decided_entries()
         }

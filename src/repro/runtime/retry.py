@@ -1,8 +1,8 @@
 """The one catch-up policy: who to ask next, and when to ask again.
 
-State transfer, HotStuff/Narwhal chain sync and payload pull, and SpotLess
-Ask-recovery all do the same thing — ask a peer for something this replica
-is missing, wait, ask a different peer.  :class:`RetryingPull` is that
+State transfer, HotStuff/Narwhal chain sync and SpotLess Ask-recovery all
+do the same thing — ask a peer for something this replica is missing, wait,
+ask a different peer.  :class:`RetryingPull` is that
 policy, once: it owns the outstanding-key latch, the per-key last target,
 the round counter that rotates over candidate peers, the retry
 :class:`~repro.sim.actor.Timer`, the counters and the tracer episode span.

@@ -45,9 +45,9 @@ class ScenarioResult(JsonRecord):
     # a hard invariant violation.
     stragglers: Tuple[int, ...] = ()
     # Liveness-machinery counters summed over replicas (deadline extensions,
-    # timeout fires, chain-sync retries/rotations, payload pulls).  Kept out
-    # of the summary digest and the row: they make wedges in this bug family
-    # observable without repinning goldens each time a counter is added.
+    # timeout fires, chain-sync retries/rotations).  Kept out of the summary
+    # digest and the row: they make wedges in this bug family observable
+    # without repinning goldens each time a counter is added.
     counters: Dict[str, int] = field(default_factory=dict)
     # SLO breach episodes observed by the oracle (empty without an SloSpec).
     # Like counters, excluded from the summary digest: episode timing is an

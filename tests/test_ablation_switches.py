@@ -28,6 +28,7 @@ from repro.core.timeouts import AdaptiveTimeout
 from repro.workload.requests import Operation, Transaction
 
 from tests.test_core_instance import Harness
+from tests.transactions import txn
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def _chain_on(store: ProposalStore, views, tag="x"):
         message = ProposeMessage(
             instance=0,
             view=view,
-            transaction_digests=(f"{tag}:{view}".encode(),),
+            transactions=(txn(f"{tag}:{view}".encode()),),
             parent_digest=parent.digest,
             parent_view=parent.view,
         )
@@ -116,7 +117,7 @@ def _chain_on_extend(store: ProposalStore, parent, view, tag="x"):
     message = ProposeMessage(
         instance=0,
         view=view,
-        transaction_digests=(f"{tag}:{view}".encode(),),
+        transactions=(txn(f"{tag}:{view}".encode()),),
         parent_digest=parent.digest,
         parent_view=parent.view,
     )
@@ -262,7 +263,7 @@ def test_fast_path_primary_proposes_before_entering_the_view():
     harness = Harness(num_replicas=4, enable_fast_path=True)
     # Queue a real batch at the replica that will be primary of view 1, so
     # the fast path has something useful to propose.
-    harness.batches[1].append((b"fast-batch",))
+    harness.batches[1].append((txn(b"fast-batch"),))
     harness.start()
     harness.deliver_all()
     primary_of_view_1 = harness.instances[1]

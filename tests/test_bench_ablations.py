@@ -5,6 +5,7 @@ import pytest
 from repro.bench import ablations
 from repro.core.chain import GENESIS_PROPOSAL_ID, GENESIS_VIEW
 from repro.core.messages import ProposeMessage
+from tests.transactions import txn
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +22,7 @@ def _branch_digests(views, tag):
         message = ProposeMessage(
             instance=0,
             view=view,
-            transaction_digests=(f"{tag}:{view}".encode(),),
+            transactions=(txn(f"{tag}:{view}".encode()),),
             parent_digest=parent_digest,
             parent_view=parent_view,
         )

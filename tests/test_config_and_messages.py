@@ -21,6 +21,7 @@ from repro.runtime.quorum import DeploymentConfig
 from repro.sim.engine import Simulator
 from repro.workload import ycsb
 from repro.workload.ycsb import YcsbWorkload
+from tests.transactions import txn
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -138,7 +139,7 @@ def _propose(view=1, batch=(b"t",), parent=b"genesis", parent_view=0, instance=0
     return ProposeMessage(
         instance=instance,
         view=view,
-        transaction_digests=tuple(batch),
+        transactions=tuple(txn(tag) for tag in batch),
         parent_digest=parent,
         parent_view=parent_view,
     )
@@ -169,7 +170,7 @@ def test_proposal_digest_memo_is_per_object_and_never_inherited():
     assert message.digest() == digest_bytes(message.canonical_fields())
     # An in-flight rewrite (the faults layer uses dataclasses.replace) builds
     # a new object: it gets its own digest, not the original's cached one.
-    rewritten = replace(message, transaction_digests=(b"phantom",))
+    rewritten = replace(message, transactions=(txn(b"phantom"),))
     assert "_digest" not in rewritten.__dict__
     assert rewritten.digest() == _propose(batch=(b"phantom",)).digest()
     assert rewritten.digest() != message.digest()
@@ -206,13 +207,36 @@ def test_proposal_digest_matches_the_canonical_encoding(
     message = ProposeMessage(
         instance=instance,
         view=view,
-        transaction_digests=tuple(batch),
+        transactions=tuple(txn(tag) for tag in batch),
         parent_digest=parent,
         parent_view=parent_view,
         parent_certificate=certificate,
         parent_claim_quorum=tuple(claim_quorum),
     )
     assert message.digest() == digest_bytes(message.canonical_fields())
+
+
+def test_proposal_identities_hash_the_carried_transactions_digests():
+    """A proposal carries its transactions but is named by their digests:
+    the values below are what the same batch hashed to when a proposal
+    named it by transaction digest, so carrying the transactions left every
+    proposal, PrePrepare batch and chain node digest as it was."""
+    from repro.protocols.hotstuff.replica import chain_node_digest
+    from repro.protocols.pbft.messages import PrePrepareMessage
+    from repro.workload.requests import Operation, Transaction
+
+    batch = (
+        Transaction(client_id=1, sequence=2, operations=(Operation.write(5, b"v"),)),
+        Transaction(client_id=2, sequence=0, operations=(Operation.read(6),)),
+    )
+    propose = ProposeMessage(instance=1, view=3, transactions=batch, parent_digest=b"p" * 32, parent_view=2)
+    assert propose.digest().hex() == "6904882fae2b8774255ecd2b78d8bbaaf601c6bc00c53b2424043718af028ad3"
+    preprepare = PrePrepareMessage(instance=0, view=0, sequence=1, transactions=batch)
+    assert preprepare.batch_digest() == b"".join(transaction.digest() for transaction in batch)
+    assert preprepare.batch_digest().hex().startswith("c7b6d2647e299f6fc2c2dfae64dc86b7")
+    assert chain_node_digest(4, b"p" * 32, batch).hex() == (
+        "fb7762f46434dc7a779714878086ef2b8e87add8ca7270a039c2f6a84b00e06f"
+    )
 
 
 def test_messages_are_hashable_and_frozen():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.chain import GENESIS_PROPOSAL_ID, ProposalStatus, ProposalStore
 from repro.core.messages import ProposeMessage
+from tests.transactions import txn
 
 
 def propose(view, parent_digest, parent_view, instance=0, payload=b"tx"):
@@ -13,7 +14,7 @@ def propose(view, parent_digest, parent_view, instance=0, payload=b"tx"):
     return ProposeMessage(
         instance=instance,
         view=view,
-        transaction_digests=(payload + bytes([view % 256]),),
+        transactions=(txn(payload + bytes([view % 256])),),
         parent_digest=parent_digest,
         parent_view=parent_view,
     )

@@ -19,7 +19,9 @@ from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance, ViewState
 from repro.core.messages import AskMessage, Claim, ProposalForward, ProposeMessage, SyncMessage
 from repro.crypto.certificates import Certificate, Signature
+from repro.workload.requests import Transaction
 from tests.manual_timer import TimerBoard
+from tests.transactions import txn
 
 
 class Harness:
@@ -29,7 +31,8 @@ class Harness:
         self.config = SpotLessConfig(num_replicas=num_replicas, num_instances=1, **config_kwargs)
         self.queues: List[Tuple[int, Optional[int], object]] = []
         self.commits: Dict[int, List] = {r: [] for r in range(num_replicas)}
-        self.batches: Dict[int, List[Tuple[bytes, ...]]] = {r: [] for r in range(num_replicas)}
+        self.batches: Dict[int, List[Tuple[Transaction, ...]]] = {r: [] for r in range(num_replicas)}
+        self.proposed: Dict[int, int] = {r: 0 for r in range(num_replicas)}
         self.timers: Dict[int, TimerBoard] = {r: TimerBoard() for r in range(num_replicas)}
         self.time = 0.0
         self.instances: Dict[int, SpotLessInstance] = {}
@@ -41,11 +44,12 @@ class Harness:
             )
 
     def _environment(self, replica):
-        def next_batch(instance, view):
+        def next_batch(instance):
             queued = self.batches[replica]
             if queued:
                 return queued.pop(0)
-            return (bytes([replica]) + view.to_bytes(4, "big"),)
+            self.proposed[replica] += 1
+            return (txn(b"%d:%d" % (replica, self.proposed[replica])),)
 
         return InstanceEnvironment(
             replica_id=replica,
@@ -378,7 +382,7 @@ def test_proposal_from_wrong_primary_is_ignored():
     bogus = ProposeMessage(
         instance=0,
         view=view,
-        transaction_digests=(b"evil",),
+        transactions=(txn(b"evil"),),
         parent_digest=instance.store.lock.digest,
         parent_view=instance.store.lock.view,
     )
@@ -468,7 +472,7 @@ def _propose_with_certificate(statement, signers):
     message = ProposeMessage(
         instance=0,
         view=1,
-        transaction_digests=(b"batch",),
+        transactions=(txn(b"batch"),),
         parent_digest=_UNSEEN_PARENT,
         parent_view=0,
         parent_certificate=Certificate(
@@ -520,7 +524,7 @@ def test_instance_ignores_messages_for_other_instances():
         ProposeMessage(
             instance=7,
             view=0,
-            transaction_digests=(),
+            transactions=(),
             parent_digest=instance.store.lock.digest,
             parent_view=-1,
         ),

@@ -20,6 +20,7 @@ from repro.scenarios import single_fault_spec
 from repro.scenarios.runner import ScenarioRunner
 from repro.sim.network import NetworkConfig
 from repro.workload.requests import Operation, Transaction
+from tests.transactions import txn
 
 
 def small_cluster(num_replicas=4, clients=3, outstanding=4, seed=1, **config_kwargs):
@@ -124,12 +125,11 @@ def test_idle_instances_propose_empty_batches():
     cluster.start()
     cluster.simulator.run_for(0.5)
     # Without client load every committed batch is a no-op, an empty one:
-    # execution passes the views they fill, yet holds no payload, writes
+    # execution passes the views they fill, yet runs nothing, writes
     # nothing and appends no block.
     for replica in cluster.replicas:
         committed = [p for i in replica.instances.values() for p in i.store.committed]
-        assert committed and all(p.message.transaction_digests == () for p in committed)
-        assert len(replica.mempool) == 0
+        assert committed and all(p.message.transactions == () for p in committed)
         assert replica.pipeline.next_execution_position > 10
         assert replica.ledger.height == 0
         assert replica.table.state_digest() == KeyValueTable().state_digest()
@@ -137,11 +137,11 @@ def test_idle_instances_propose_empty_batches():
     cluster.assert_no_divergence()
 
 
-def _proposals_carrying(replica, instance_id, digest):
+def _proposals_carrying(replica, instance_id, request):
     return sorted(
         proposal.view
         for proposal in replica.instances[instance_id].store.proposals()
-        if proposal.message is not None and digest in proposal.message.transaction_digests
+        if proposal.message is not None and request in proposal.message.transactions
     )
 
 
@@ -158,7 +158,7 @@ def test_accepted_requests_are_proposed_once():
             for proposal in instance.store.proposals():
                 if proposal.message is None or instance.primary_of_view(proposal.view) != replica.node_id:
                     continue
-                slots += len(proposal.message.transaction_digests)
+                slots += len(proposal.message.transactions)
     assert result.confirmed_transactions > 1000
     # 3.79 slots per confirmed transaction while backups re-proposed
     # whatever was still in flight.
@@ -185,7 +185,7 @@ def test_abandoned_proposal_requests_are_proposed_again_once():
             return ProposeMessage(
                 instance=instance_id,
                 view=1,
-                transaction_digests=message.transaction_digests,
+                transactions=message.transactions,
                 parent_digest=GENESIS_PROPOSAL_ID,
                 parent_view=-1,
             )
@@ -199,11 +199,11 @@ def test_abandoned_proposal_requests_are_proposed_again_once():
     cluster.assert_no_divergence()
     digest = request.digest()
     (abandoned,) = cluster.replicas[0].instances[instance_id].store.proposals_in_view(0)
-    assert abandoned.message.transaction_digests == (digest,)
+    assert abandoned.message.transactions == (request,)
     assert abandoned.status is not ProposalStatus.COMMITTED
     for replica in cluster.replicas:
         # Proposed in view 0, then once more after the frontier passed it.
-        views = _proposals_carrying(replica, instance_id, digest)
+        views = _proposals_carrying(replica, instance_id, request)
         assert len(views) == 2 and views[0] == 0, views
         assert replica.executed_transaction_digests().count(digest) == 1
 
@@ -336,7 +336,7 @@ def _propose(view, parent, payload):
     return ProposeMessage(
         instance=0,
         view=view,
-        transaction_digests=(payload,),
+        transactions=(txn(payload),),
         parent_digest=parent.digest,
         parent_view=parent.view,
     )

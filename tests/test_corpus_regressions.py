@@ -46,15 +46,14 @@ def test_fuzz_1_44_min_narwhal_post_heal_catchup_stays_clean():
     """Healed partition + A2 against Narwhal-HS: no permanent stragglers.
 
     Root cause was chain sync only asking the revealing peer with no retry,
-    plus no way to pull transaction payloads missed during the partition.
-    The QC-gap request, target rotation and payload pull must all engage.
+    plus no way to pull transaction payloads missed during the partition;
+    the synced chain nodes now carry their transactions, so the QC-gap
+    request alone catches the healed replicas up.
     """
     result = _replay("fuzz-1-44-min")
     assert result.violations == ()
     assert result.stragglers == ()
     assert result.counters["chain_syncs_requested"] > 0
-    assert result.counters["chain_sync_rotations"] > 0
-    assert result.counters["payload_pulls"] > 0
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CORPUS.glob("*.json")))

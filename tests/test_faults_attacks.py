@@ -15,6 +15,7 @@ from repro.faults.attacks import (
 )
 from repro.protocols.hotstuff.messages import HsVote
 from repro.protocols.pbft.messages import CommitMessage, PrePrepareMessage, PrepareMessage
+from repro.workload.requests import Operation, Transaction
 
 
 def sync_message(digest=b"honest"):
@@ -23,7 +24,7 @@ def sync_message(digest=b"honest"):
 
 def propose_message():
     return ProposeMessage(
-        instance=0, view=1, transaction_digests=(), parent_digest=b"p", parent_view=0
+        instance=0, view=1, transactions=(), parent_digest=b"p", parent_view=0
     )
 
 
@@ -38,7 +39,7 @@ def test_darkness_attack_drops_proposals_to_victims_only():
     assert not attack.should_drop(0, 1, propose_message())
     assert not attack.should_drop(0, 2, sync_message())
     # Also applies to PBFT PrePrepare messages.
-    preprepare = PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=())
+    preprepare = PrePrepareMessage(instance=0, view=0, sequence=0, transactions=())
     assert attack.should_drop(0, 2, preprepare)
 
 
@@ -158,3 +159,48 @@ def test_attack_by_name_is_case_insensitive_and_sets_groups():
 def test_attack_by_name_rejects_unknown_labels(bad):
     with pytest.raises(ValueError):
         attack_by_name(bad, attackers=[1])
+
+
+# ---------------------------------------------------------------------------
+# a primary proposing a request no client sent
+# ---------------------------------------------------------------------------
+
+
+def _primary_env(replica):
+    """The environment through which ``replica`` proposes on instance 0."""
+    cores = getattr(replica, "instances", None) or replica.cores
+    return cores[0].env
+
+
+@pytest.mark.parametrize("protocol", ["spotless", "pbft"])
+def test_a_request_only_the_proposing_primary_holds_executes_everywhere(protocol):
+    """A Byzantine primary adds to its next batch a request no client sent
+    and ships it to no peer outside the proposal.  The proposal carries it,
+    so every replica executes it and the run keeps confirming requests; a
+    proposal that named it only by digest left the peers' frontiers stalled
+    on a payload no replica but the primary held."""
+    cluster = SimulatedCluster.for_protocol(
+        protocol, num_replicas=4, clients=2, outstanding_per_client=2, batch_size=5, seed=3
+    )
+    injected = Transaction(client_id=0, sequence=10**6, operations=(Operation.write(7, b"unsent"),))
+    env = _primary_env(cluster.replicas[0])
+    honest_next_batch = env.next_batch
+    unsent = [injected]
+
+    def next_batch(instance):
+        batch = honest_next_batch(instance)
+        if batch and unsent:
+            batch = tuple(batch) + (unsent.pop(),)
+        return batch
+
+    cluster.start()
+    cluster.run_additional(0.1)
+    env.next_batch = next_batch
+    cluster.run_additional(0.1)
+    assert not unsent, "the primary proposed the injected request"
+    confirmed = sum(client.confirmed_transactions for client in cluster.clients)
+    cluster.run_additional(0.3)
+    for replica in cluster.replicas:
+        assert replica.executed_transaction_digests().count(injected.digest()) == 1
+    assert sum(client.confirmed_transactions for client in cluster.clients) > confirmed + 20
+    cluster.assert_no_divergence()

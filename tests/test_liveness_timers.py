@@ -32,6 +32,7 @@ from repro.protocols.pbft.messages import (
 )
 from repro.workload.requests import Operation, Transaction
 from tests.manual_timer import TimerBoard
+from tests.transactions import txn
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def test_drip_fed_preprepares_do_not_reset_the_progress_deadline():
     (armed,) = h.live_progress_timers()
     for sequence in range(3):
         h.core.on_preprepare(
-            0, PrePrepareMessage(instance=0, view=0, sequence=sequence, transaction_digests=(b"x",))
+            0, PrePrepareMessage(instance=0, view=0, sequence=sequence, transactions=(txn(b"x"),))
         )
     # The original deadline is still live: receiving proposals is a commit
     # *obligation*, not commit *progress*.
@@ -95,7 +96,7 @@ def test_commit_with_outstanding_work_extends_the_deadline():
     h.core.arm_progress_timer()
     (armed,) = h.live_progress_timers()
     h.core.on_preprepare(
-        0, PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=(b"x",))
+        0, PrePrepareMessage(instance=0, view=0, sequence=0, transactions=(txn(b"x"),))
     )
     for sender in (0, 2, 3):
         h.core.on_prepare(
@@ -148,7 +149,7 @@ def test_rcc_cores_share_the_progress_deadline_semantics():
     (armed,) = h.live_progress_timers()
     for sequence in range(2):
         h.core.on_preprepare(
-            1, PrePrepareMessage(instance=1, view=0, sequence=sequence, transaction_digests=(b"x",))
+            1, PrePrepareMessage(instance=1, view=0, sequence=sequence, transactions=(txn(b"x"),))
         )
     assert armed.running
     armed.fire()
@@ -187,53 +188,48 @@ class QuietCluster:
 
 
 @pytest.mark.parametrize("protocol", ["hotstuff", "narwhal-hs"])
-def test_straggler_pulls_missing_payloads_behind_the_committed_frontier(protocol):
-    """A committed position with a locally-missing payload self-heals.
-
-    A replica that missed the client broadcasts while partitioned can
-    commit positions it cannot execute; consensus-level sync cannot help
-    because chain nodes only carry digests.  The payload pull must fetch
-    the bodies and unblock execution.
-    """
+def test_straggler_executes_a_committed_node_whose_requests_it_missed(protocol):
+    """A replica that missed the client broadcasts while partitioned still
+    executes what it commits: the chain node carries its transactions, so
+    nothing is left to fetch and nothing stalls."""
     cluster = QuietCluster(protocol)
-    straggler, server = cluster.replicas[0], cluster.replicas[1]
+    straggler = cluster.replicas[0]
     straggler.view = 2  # not a view the straggler leads (see rotation test)
     tx = Transaction(client_id=9, sequence=0, operations=(Operation.write(1, b"v"),))
-    node_digest = chain_node_digest(1, GENESIS_NODE_DIGEST, (tx.digest(),))
-    for replica, committed in ((straggler, False), (server, True)):
-        replica.nodes[node_digest] = ChainNode(
-            digest=node_digest,
-            view=1,
-            parent_digest=GENESIS_NODE_DIGEST,
-            transaction_digests=(tx.digest(),),
-            justify=None,
-            committed=committed,
-        )
-    server.mempool.register_payload(tx)
-    server.deliver_batch(0, (tx.digest(),), view=1, slot_digest=node_digest)
+    node_digest = chain_node_digest(1, GENESIS_NODE_DIGEST, (tx,))
+    straggler.nodes[node_digest] = ChainNode(
+        digest=node_digest,
+        view=1,
+        parent_digest=GENESIS_NODE_DIGEST,
+        transactions=(tx,),
+        justify=None,
+    )
     straggler._commit_chain(straggler.nodes[node_digest])
-    # Committed but unexecutable: the payload pull went out eagerly.
-    assert straggler.pipeline.next_execution_position == 0
-    assert straggler.payload_pulls == 1
-    cluster.simulator.run_for(straggler.config.request_timeout * 3)
     assert straggler.pipeline.next_execution_position == 1
     assert straggler.executed_transactions == 1
+    assert straggler.mempool.pending_count() == 0  # the request never arrived
+    cluster.simulator.run_for(straggler.config.request_timeout * 3)
+    assert straggler.chain_syncs_requested == 0
 
 
 @pytest.mark.parametrize("protocol", ["hotstuff", "narwhal-hs"])
 def test_unsolicited_chain_payloads_are_not_registered(protocol):
-    """A forged payload not referenced by a verified node never lands."""
+    """A node whose transactions do not hash to its digest never lands, so
+    a forged request body cannot reach execution."""
     cluster = QuietCluster(protocol)
     victim, attacker = cluster.replicas[0], cluster.replicas[3]
+    genuine = Transaction(client_id=9, sequence=0, operations=(Operation.write(5, b"v"),))
     forged = Transaction(client_id=66, sequence=0, operations=(Operation.write(5, b"evil"),))
     from repro.protocols.hotstuff.messages import HsChainResponse, HsNodeData
 
+    digest = chain_node_digest(2, GENESIS_NODE_DIGEST, (genuine,))
     bogus = HsNodeData(
-        digest=b"not-the-content-hash",
+        digest=digest,
         view=2,
         parent_digest=GENESIS_NODE_DIGEST,
-        transaction_digests=(forged.digest(),),
+        transactions=(forged,),
     )
-    victim._chain_requested[b"not-the-content-hash"] = victim.view
-    victim._on_chain_response(attacker.node_id, HsChainResponse(nodes=(bogus,), payloads=(forged,)))
-    assert forged.digest() not in victim.mempool
+    victim._chain_requested[digest] = victim.view
+    victim._on_chain_response(attacker.node_id, HsChainResponse(nodes=(bogus,)))
+    assert digest not in victim.nodes
+    assert victim.executed_transactions == 0

@@ -22,7 +22,7 @@ from repro.sim.rng import DeterministicRng
 
 def test_reference_sizes_match_the_paper():
     sizes = MessageSizeModel(batch_size=100, transaction_bytes=48)
-    assert sizes.proposal_bytes() == 5400
+    assert sizes.proposal_bytes(100) == 5400
     assert sizes.reply_bytes() == 1748
     assert sizes.control_bytes() == 432
 
@@ -31,9 +31,17 @@ def test_proposal_size_scales_with_batch_and_transaction_size():
     base = MessageSizeModel(batch_size=100, transaction_bytes=48)
     bigger_batch = MessageSizeModel(batch_size=200, transaction_bytes=48)
     bigger_txn = MessageSizeModel(batch_size=100, transaction_bytes=1600)
-    assert bigger_batch.proposal_bytes() > base.proposal_bytes()
-    assert bigger_txn.proposal_bytes() > base.proposal_bytes()
+    assert bigger_txn.proposal_bytes(100) > base.proposal_bytes(100)
     assert bigger_batch.reply_bytes() > base.reply_bytes()
+
+
+def test_a_proposal_is_priced_by_the_transactions_it_carries():
+    sizes = MessageSizeModel(batch_size=100, transaction_bytes=48)
+    # A no-op carries nothing and pays the header alone; each transaction
+    # adds its bytes and its share of the per-transaction overhead.
+    assert sizes.proposal_bytes(0) == 72
+    assert sizes.proposal_bytes(50) == (72 + 5400) / 2
+    assert sizes.proposal_bytes(200) - sizes.proposal_bytes(100) == 5400 - 72
 
 
 def test_control_and_certificate_sizes_grow_with_signatures():
@@ -170,7 +178,7 @@ def _position_records():
     transaction = Transaction(client_id=1, sequence=3, operations=(operation, Operation.read(6)))
     proof = BlockProof(protocol="pbft", view=3, instance=1, quorum=("replica:0", "replica:1"))
     block = Block(height=7, parent_digest=b"\x11" * 32, transactions=(transaction.digest(),), proof=proof)
-    record = SlotRecord(view=3, instance=1, transaction_digests=block.transactions, slot_digest=b"s")
+    record = SlotRecord(view=3, instance=1, transactions=(transaction,), slot_digest=b"s")
     return [
         operation,
         transaction,

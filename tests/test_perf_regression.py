@@ -199,7 +199,7 @@ def test_core_call_budget_per_event():
     cluster.start()
     calls = _calls_while_running(cluster, 0.1, lambda path: path.startswith(core_dir))
     events = cluster.simulator.processed_events
-    assert events == 5092  # same schedule, so the ratio compares like with like
+    assert events == 5162  # same schedule, so the ratio compares like with like
     assert calls / events < CORE_CALLS_PER_EVENT_BUDGET
 
 
@@ -276,7 +276,7 @@ def test_core_constructions_per_event():
         lambda name: name == "__init__",
     )
     events = cluster.simulator.processed_events
-    assert events == 5092
+    assert events == 5162
     assert constructions / events < CORE_CONSTRUCTIONS_PER_EVENT_BUDGET
 
 
@@ -304,7 +304,7 @@ def test_lifecycle_call_budget_per_confirmed_transaction():
     )
     confirmed = sum(c.confirmed_transactions for c in cluster.clients)
     # Same schedule and the same transactions, so the ratio compares like with like.
-    assert (cluster.simulator.processed_events, confirmed) == (17305, 481)
+    assert (cluster.simulator.processed_events, confirmed) == (17331, 481)
     assert calls / confirmed < LIFECYCLE_CALLS_PER_TXN_BUDGET
 
 
@@ -328,7 +328,7 @@ def test_message_hop_call_budget_per_event():
     cluster.start()
     calls = _calls_while_running(cluster, 0.2, lambda path: path.startswith(layers))
     events = cluster.simulator.processed_events
-    assert events == 17305
+    assert events == 17331
     assert calls / events < HOP_CALLS_PER_EVENT_BUDGET
 
 

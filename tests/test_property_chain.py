@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.bench.ablations import TwoViewStore
 from repro.core.chain import ProposalStatus, ProposalStore
 from repro.core.messages import CpEntry, ProposeMessage
+from tests.transactions import txn
 
 
 # A tree shape is a list of (parent_index, view_gap) pairs: proposal k attaches
@@ -43,7 +44,7 @@ def _build_tree(store: ProposalStore, shape: List[Tuple[int, int]]):
         message = ProposeMessage(
             instance=0,
             view=view,
-            transaction_digests=(f"txn-{index}".encode(),),
+            transactions=(txn(f"txn-{index}".encode()),),
             parent_digest=parent.digest,
             parent_view=parent.view,
         )
@@ -191,7 +192,7 @@ def test_cp_set_equals_the_sorted_prepared_proposals_at_or_above_the_lock(shape,
         message = ProposeMessage(
             instance=0,
             view=parent.view + view_gap,
-            transaction_digests=(f"txn-{index}".encode(),),
+            transactions=(txn(f"txn-{index}".encode()),),
             parent_digest=parent.digest,
             parent_view=parent.view,
         )
@@ -243,7 +244,7 @@ def test_acceptance_rule_accepts_children_of_the_lock_chain(shape):
     message = ProposeMessage(
         instance=0,
         view=tip.view + 1,
-        transaction_digests=(b"next",),
+        transactions=(txn(b"next"),),
         parent_digest=tip.digest,
         parent_view=tip.view,
     )
@@ -314,7 +315,7 @@ def _replay(steps, walk):
             message = ProposeMessage(
                 instance=0,
                 view=target.view + gap,
-                transaction_digests=(b"%d" % index,),
+                transactions=(txn(b"%d" % index),),
                 parent_digest=target.digest,
                 parent_view=target.view,
             )
@@ -371,7 +372,7 @@ def test_acceptability_is_rule_a1_and_either_a2_or_a3(steps):
             message = ProposeMessage(
                 instance=0,
                 view=target.view + gap,
-                transaction_digests=(b"%d" % index,),
+                transactions=(txn(b"%d" % index),),
                 parent_digest=target.digest,
                 parent_view=target.view,
             )
@@ -381,7 +382,7 @@ def test_acceptability_is_rule_a1_and_either_a2_or_a3(steps):
         lock = store.lock
         for parent in nodes:
             child = ProposeMessage(
-                instance=0, view=parent.view + 1, transaction_digests=(), parent_digest=parent.digest, parent_view=parent.view
+                instance=0, view=parent.view + 1, transactions=(), parent_digest=parent.digest, parent_view=parent.view
             )
             expected = parent.status >= ProposalStatus.CONDITIONALLY_PREPARED and (
                 store.extends(parent, lock) or parent.view > lock.view
@@ -403,7 +404,7 @@ def test_proposals_in_view_keep_their_recording_order(steps):
             message = ProposeMessage(
                 instance=0,
                 view=target.view + gap,
-                transaction_digests=(b"%d" % index,),
+                transactions=(txn(b"%d" % index),),
                 parent_digest=target.digest,
                 parent_view=target.view,
             )

@@ -21,6 +21,7 @@ from repro.bench.cluster import SimulatedCluster
 from repro.core.chain import GENESIS_PROPOSAL_ID, GENESIS_VIEW, ProposalStatus
 from repro.core.messages import ProposeMessage
 from repro.recovery.messages import CheckpointCertificate, SlotEntry, SlotRecord
+from tests.transactions import txn
 
 
 def _replica(num_instances: int = 1):
@@ -72,7 +73,7 @@ class _Chain:
         return ProposeMessage(
             instance=0,
             view=view,
-            transaction_digests=(b"txn-%d" % self.made,) if payload is None else payload,
+            transactions=(txn(b"txn-%d" % self.made),) if payload is None else payload,
             parent_digest=parent_digest,
             parent_view=parent_view,
         )
@@ -208,11 +209,12 @@ def test_a_state_transfer_below_queued_views_lets_the_frontier_pass_them():
         SlotEntry(position=2, records=(SlotRecord(2, 0, (), view_2.digest),)),
     )
     replica._apply_state_entries(entries, _certificate(3))
-    assert replica.pipeline.next_execution_position == 3
     assert replica._frontiers[0] == _walk_from_floor(replica) == 5
     assert replica._cursors[0] == len(chain.store.committed)
-    # View 2 is read from the transferred record, views 3 and 5 (above the
-    # execution frontier) from the store: the two agree on view 2.
+    # Views 3 to 5 carry their transactions, so they execute at once.
+    assert replica.pipeline.next_execution_position == 6
+    # View 2 is read from the transferred record, views 3 and 5 from the
+    # archive: the record and the store agree on view 2.
     assert replica.committed_map() == {
         (proposal.view, 0): proposal.digest for proposal in chain.store.committed
     }

@@ -19,6 +19,7 @@ from repro.scenarios.runner import ScenarioRunner
 from repro.scenarios.spec import single_fault_spec
 from repro.workload.requests import Operation, Transaction
 from tests.manual_timer import TimerBoard
+from tests.transactions import txn
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +50,7 @@ class PbftHarness:
         self.config = BftConfig(num_replicas=num_replicas, pipeline_depth=4, **config_kwargs)
         self.queues = []
         self.decisions = {r: [] for r in range(num_replicas)}
-        self.batches = {r: list(batches or []) for r in range(num_replicas)}
+        self.batches = {r: [tuple(txn(tag) for tag in batch) for batch in batches or []] for r in range(num_replicas)}
         self.timers = {r: TimerBoard() for r in range(num_replicas)}
         self.cores = {}
         for replica in range(num_replicas):
@@ -95,7 +96,7 @@ def test_pbft_normal_case_decides_the_batch_everywhere():
         core.start()
     harness.deliver_all()
     for replica, decisions in harness.decisions.items():
-        assert decisions == [(0, 0, (b"t1", b"t2"))]
+        assert decisions == [(0, 0, (txn(b"t1"), txn(b"t2")))]
 
 
 def test_pbft_out_of_order_processing_runs_slots_concurrently():
@@ -125,17 +126,17 @@ def test_pbft_requires_quorum_before_deciding():
 def test_pbft_ignores_equivocating_second_preprepare():
     harness = PbftHarness(batches=[(b"a",)])
     backup = harness.cores[1]
-    backup.on_preprepare(0, PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=(b"x",)))
-    backup.on_preprepare(0, PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=(b"y",)))
+    backup.on_preprepare(0, PrePrepareMessage(instance=0, view=0, sequence=0, transactions=(txn(b"x"),)))
+    backup.on_preprepare(0, PrePrepareMessage(instance=0, view=0, sequence=0, transactions=(txn(b"y"),)))
     slot = backup.slots[0]
-    assert slot.digests == (b"x",)
+    assert slot.transactions == (txn(b"x"),)
 
 
 def test_pbft_rejects_preprepare_from_non_primary():
     harness = PbftHarness()
     backup = harness.cores[1]
-    backup.on_preprepare(2, PrePrepareMessage(instance=0, view=0, sequence=0, transaction_digests=(b"x",)))
-    assert 0 not in backup.slots or backup.slots[0].digests is None
+    backup.on_preprepare(2, PrePrepareMessage(instance=0, view=0, sequence=0, transactions=(txn(b"x"),)))
+    assert 0 not in backup.slots or backup.slots[0].transactions is None
 
 
 def test_pbft_view_change_replaces_silent_primary():
@@ -165,7 +166,7 @@ def test_pbft_view_change_reproposes_prepared_slots():
         harness.cores[replica].request_view_change(1)
     harness.deliver_all()
     for replica in (1, 2, 3):
-        assert any(seq == 0 and digests == (b"a",) for seq, _view, digests in harness.decisions[replica])
+        assert any(seq == 0 and batch == (txn(b"a"),) for seq, _view, batch in harness.decisions[replica])
 
 
 def test_pbft_equivocating_votes_do_not_count_toward_honest_quorum():
@@ -177,7 +178,7 @@ def test_pbft_equivocating_votes_do_not_count_toward_honest_quorum():
     phantom = PrepareMessage(instance=0, view=0, sequence=0, batch_digest=b"phantom")
     victim.on_prepare(3, phantom)  # equivocating vote lands first
     preprepare = PrePrepareMessage(
-        instance=0, view=0, sequence=0, transaction_digests=(b"a",)
+        instance=0, view=0, sequence=0, transactions=(txn(b"a"),)
     )
     victim.on_preprepare(0, preprepare)
     honest = PrepareMessage(
@@ -199,14 +200,14 @@ def test_pbft_view_change_vote_carries_unprepared_content():
     harness = PbftHarness()
     backup = harness.cores[1]
     preprepare = PrePrepareMessage(
-        instance=0, view=0, sequence=0, transaction_digests=(b"a",)
+        instance=0, view=0, sequence=0, transactions=(txn(b"a"),)
     )
     backup.on_preprepare(0, preprepare)
     assert not backup.slots[0].prepared
     harness.queues.clear()
     backup.request_view_change(1)
     votes = [m for _s, _r, m in harness.queues if isinstance(m, ViewChangeMessage)]
-    assert votes and votes[0].prepared_slots == ((0, 0, (b"a",)),)
+    assert votes and votes[0].prepared_slots == ((0, 0, (txn(b"a"),)),)
 
 
 def test_pbft_view_change_backfills_replica_that_missed_decisions():
@@ -229,7 +230,7 @@ def test_pbft_view_change_backfills_replica_that_missed_decisions():
         harness.cores[replica].request_view_change(1)
     harness.deliver_all()
     assert [seq for seq, _, _ in sorted(harness.decisions[3])] == [0, 1]
-    for sequence, reference in ((0, (b"a",)), (1, (b"b",))):
+    for sequence, reference in ((0, (txn(b"a"),)), (1, (txn(b"b"),))):
         decided = [d for s, _v, d in harness.decisions[3] if s == sequence]
         assert decided == [reference]
 
@@ -276,7 +277,7 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
         sequence, instance = divmod(position, replica.num_instances)
         (record,) = entry.records
         assert record.instance == instance
-        if not record.transaction_digests:
+        if not record.transactions:
             noops.append((sequence, instance))
         else:
             real_high[instance] = max(real_high.get(instance, -1), sequence)
@@ -285,7 +286,7 @@ def test_rcc_routes_requests_to_instances_and_resolves_noops():
     assert noops
     for sequence, instance in noops:
         assert max(high for other, high in real_high.items() if other != instance) >= sequence
-    assert len({r.state_digest() for r in cluster.replicas}) == 1
+    cluster.assert_no_divergence()
 
 
 def _preprepares_by_instance(cluster):
@@ -321,15 +322,15 @@ PROPOSAL_CLASSES = {"hotstuff": HsProposal, "rcc": PrePrepareMessage, "spotless"
 
 @pytest.mark.parametrize("protocol", sorted(PROPOSAL_CLASSES))
 def test_an_idle_primary_proposes_the_empty_batch(protocol):
-    """A no-op is written one way in every stack: the empty batch, whose
-    payload no replica holds, rebuilds or ships."""
+    """A no-op is written one way in every stack: the empty batch, which
+    carries nothing."""
     cluster = SimulatedCluster.for_protocol(protocol, num_replicas=4, clients=0)
     proposals = []
     for replica in cluster.replicas:
 
         def capture(receivers, payload, size, _broadcast=replica.broadcast):
             if isinstance(payload, PROPOSAL_CLASSES[protocol]):
-                proposals.append(payload.transaction_digests)
+                proposals.append(payload.transactions)
             return _broadcast(receivers, payload, size)
 
         replica.broadcast = capture
@@ -340,10 +341,9 @@ def test_an_idle_primary_proposes_the_empty_batch(protocol):
         for replica in cluster.replicas:
             replica.submit_transaction(requests[0])
     cluster.run(duration=0.1)
-    request_batches = [(request.digest(),) for request in requests]
     assert proposals.count(()) >= 3
-    assert [batch for batch in proposals if batch] == request_batches
-    assert [len(replica.mempool) for replica in cluster.replicas] == [len(requests)] * 4
+    assert [batch for batch in proposals if batch] == [(request,) for request in requests]
+    assert [replica.executed_transactions for replica in cluster.replicas] == [len(requests)] * 4
 
 
 def test_rcc_crash_changes_view_only_on_the_crashed_primarys_instance():
@@ -398,13 +398,13 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
         "hotstuff", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5
     )
     replica = cluster.replicas[0]
-    batch = (b"sync-batch",)
+    batch = (txn(b"sync-batch"),)
     digest = chain_node_digest(5, GENESIS_NODE_DIGEST, batch)
     stripped = HsNodeData(
         digest=digest,
         view=5,
         parent_digest=GENESIS_NODE_DIGEST,
-        transaction_digests=batch,
+        transactions=batch,
         justify=None,
     )
     # Unsolicited response: dropped entirely.
@@ -420,7 +420,7 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
         digest=digest,
         view=5,
         parent_digest=GENESIS_NODE_DIGEST,
-        transaction_digests=batch,
+        transactions=batch,
         justify=qc,
     )
     replica._on_chain_response(2, HsChainResponse(nodes=(full,)))
@@ -431,7 +431,7 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
         digest=child_digest,
         view=6,
         parent_digest=digest,
-        transaction_digests=batch,
+        transactions=batch,
         justify=None,
     )
     replica._chain_requested[child_digest] = replica.view
@@ -443,7 +443,7 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
             view=6,
             node_digest=child_digest,
             parent_digest=digest,
-            transaction_digests=batch,
+            transactions=batch,
             justify=child_qc,
         )
     )
@@ -465,7 +465,7 @@ def test_hotstuff_counts_votes_under_the_authenticated_sender():
             view=0,
             node_digest=digest,
             parent_digest=GENESIS_NODE_DIGEST,
-            transaction_digests=(),
+            transactions=(),
             justify=leader.high_qc,
         )
     )
@@ -498,14 +498,14 @@ def test_hotstuff_locks_on_the_two_chain_and_refuses_a_fork_below_it():
     assert lock.view == replica.high_qc.view - 1 > 0
     below_lock = replica.nodes[locked_node.parent_digest]
     view = replica.view + 4
-    batch = (b"fork",)
+    batch = (txn(b"fork"),)
 
     def fork(justify):
         return HsProposal(
             view=view,
             node_digest=chain_node_digest(view, below_lock.digest, batch),
             parent_digest=below_lock.digest,
-            transaction_digests=batch,
+            transactions=batch,
             justify=justify,
         )
 
@@ -550,7 +550,7 @@ def test_hotstuff_adopts_no_quorum_cert_without_a_quorum(protocol, carrier):
                 view=view,
                 node_digest=chain_node_digest(view, GENESIS_NODE_DIGEST, ()),
                 parent_digest=GENESIS_NODE_DIGEST,
-                transaction_digests=(),
+                transactions=(),
                 justify=forged,
             )
         replica.on_message(byzantine, message)

@@ -29,13 +29,15 @@ from repro.recovery import (
     fold_entry,
 )
 from repro.runtime.retry import RetryingPull
+from repro.workload.requests import Operation, Transaction
+from tests.transactions import txn
 
 
 def make_entry(position, payload=None):
-    digests = (f"txn-{position}".encode(),) if payload is None else payload
+    tags = (f"txn-{position}".encode(),) if payload is None else payload
     return SlotEntry(
         position=position,
-        records=(SlotRecord(view=position, instance=0, transaction_digests=tuple(digests)),),
+        records=(SlotRecord(view=position, instance=0, transactions=tuple(txn(tag) for tag in tags)),),
     )
 
 
@@ -347,7 +349,7 @@ _records = st.builds(
     SlotRecord,
     view=st.integers(0, 10**6),
     instance=st.integers(0, 127),
-    transaction_digests=st.lists(_digests, max_size=4).map(tuple),
+    transactions=st.lists(st.binary(max_size=8).map(txn), max_size=4).map(tuple),
     slot_digest=st.just(b"") | _digests,
 )
 
@@ -365,6 +367,25 @@ def test_fold_entry_equals_the_generic_canonical_encoding(rolling, position, rec
     recursive encoder is the reference it must reproduce byte for byte."""
     entry = SlotEntry(position=position, records=records)
     assert fold_entry(rolling, entry) == digest_bytes(("exec", rolling, entry.canonical_fields()))
+
+
+def test_fold_of_a_record_carrying_transactions_is_pinned():
+    """A record carries its transactions but folds their digests: the value
+    below is what the same entry folded to when records named their batch
+    by transaction digest, so carrying the transactions left every
+    checkpoint digest as it was."""
+    first = Transaction(client_id=1, sequence=2, operations=(Operation.write(5, b"v"),))
+    second = Transaction(client_id=2, sequence=0, operations=(Operation.read(6),))
+    entry = SlotEntry(
+        position=7,
+        records=(
+            SlotRecord(view=3, instance=1, transactions=(first, second), slot_digest=b"s" * 32),
+            SlotRecord(view=3, instance=2, transactions=(), slot_digest=b""),
+        ),
+    )
+    assert fold_entry(b"\x00" * 32, entry).hex() == (
+        "928ad63ed4e7feaf0ad6d6829d6ec8c6f5bffdfc5bcfb916d4f5b6cf1f646f73"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +469,6 @@ def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record
             for entry in entries
         )
     target = SimulatedCluster.for_protocol("hotstuff", num_replicas=4, clients=0).replicas[1]
-    for entry in entries:
-        for digest in entry.records[0].transaction_digests:
-            target.mempool.register_payload(source.mempool.get(digest))
     target._apply_state_entries(entries, certificate)
     assert target.checkpoints.frontier == certificate.position > 0
     assert target.checkpoints.rolling == certificate.digest
@@ -464,9 +482,9 @@ def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record
 
 
 def test_spotless_state_response_ships_client_payloads_only():
-    # A no-op is an empty record: it travels in the certified entries and
-    # ships no payload, so a response is priced by the client payloads the
-    # records name, each one once.
+    # Each record carries its client transactions, and a no-op is an empty
+    # record: a response is priced by what its records carry, so a no-op
+    # costs a header alone.
     from repro.scenarios import ScenarioRunner, single_fault_spec
 
     runner = ScenarioRunner(single_fault_spec("spotless", "crash", f=1))
@@ -486,14 +504,12 @@ def test_spotless_state_response_ships_client_payloads_only():
     served_noops = 0
     for replica, response, size in shipped:
         records = [record for entry in response.entries for record in entry.records]
-        served_noops += sum(not record.transaction_digests for record in records)
-        named = {digest for record in records for digest in record.transaction_digests}
-        assert all(transaction.client_id in clients for transaction in response.payloads)
-        assert [transaction.digest() for transaction in response.payloads] == list(
-            dict.fromkeys(digest for record in records for digest in record.transaction_digests)
+        served_noops += sum(not record.transactions for record in records)
+        assert all(
+            transaction.client_id in clients for record in records for transaction in record.transactions
         )
         model = replica.size_model
-        assert size == (
-            model.control_bytes(signatures=replica.config.quorum) + len(named) * model.request_bytes()
+        assert size == model.control_bytes(signatures=replica.config.quorum) + sum(
+            model.proposal_bytes(len(record.transactions)) for record in records
         )
     assert served_noops > 0

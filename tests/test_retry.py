@@ -1,9 +1,11 @@
 """Tests for the one catch-up policy, :class:`repro.runtime.retry.RetryingPull`.
 
 Unit tests pin the primitive itself; one scenario then runs it through every
-path built on it — state transfer, HotStuff chain sync, Narwhal payload pull
-and SpotLess Ask — with the peers asked first staying silent.
+path built on it — state transfer, HotStuff and Narwhal-HS chain sync and
+SpotLess Ask — with the peers asked first staying silent.
 """
+
+from functools import partial
 
 import pytest
 
@@ -161,9 +163,7 @@ def _state_transfer():
     cluster.network.add_drop_rule(silenced)
     for replica in cluster.replicas[1:]:
         for position in range(4):
-            transaction = _transaction(position)
-            replica.mempool.register_payload(transaction)
-            replica.deliver_batch(position, (transaction.digest(),))
+            replica.deliver_batch(position, (_transaction(position),))
     # The checkpoint votes arrive, the laggard sees the gap and asks.
     cluster.simulator.run_for(laggard.config.request_timeout / 2)
 
@@ -173,28 +173,25 @@ def _state_transfer():
     return silenced, second_round, lambda: laggard.executed_transactions == 4
 
 
-def _chain_fixture(protocol, *, known_to_requester):
-    """Replicas 1-3 hold a committed node replica 0 needs (or needs the body of)."""
+def _chain_fixture(protocol):
+    """Replicas 1-3 hold a committed node replica 0 needs."""
     cluster = QuietCluster(protocol)
     requester = cluster.replicas[0]
     # Park the requester in a view it does not lead: sync completion would
     # otherwise (correctly) trigger a proposal and spin up consensus.
     requester.view = 1
     transaction = _transaction(0)
-    digest = chain_node_digest(1, GENESIS_NODE_DIGEST, (transaction.digest(),))
-    holders = cluster.replicas[1:] + ([requester] if known_to_requester else [])
-    for replica in holders:
+    digest = chain_node_digest(1, GENESIS_NODE_DIGEST, (transaction,))
+    for replica in cluster.replicas[1:]:
         replica.nodes[digest] = ChainNode(
             digest=digest,
             view=1,
             parent_digest=GENESIS_NODE_DIGEST,
-            transaction_digests=(transaction.digest(),),
+            transactions=(transaction,),
             justify=None,
-            committed=replica is not requester,
+            committed=True,
         )
-        if replica is not requester:
-            replica.mempool.register_payload(transaction)
-            replica.deliver_batch(0, (transaction.digest(),), view=1, slot_digest=digest)
+        replica.deliver_batch(0, (transaction,), view=1, slot_digest=digest)
     silenced = Silenced(0, HsChainRequest)
     cluster.network.add_drop_rule(silenced)
 
@@ -204,20 +201,10 @@ def _chain_fixture(protocol, *, known_to_requester):
     return requester, digest, silenced, second_round
 
 
-def _hotstuff_chain_sync():
-    requester, digest, silenced, second_round = _chain_fixture(
-        "hotstuff", known_to_requester=False
-    )
+def _chain_sync(protocol):
+    requester, digest, silenced, second_round = _chain_fixture(protocol)
     requester._request_chain((1,), digest)  # replica 1 revealed the gap
     return silenced, second_round, lambda: digest in requester.nodes
-
-
-def _narwhal_payload_pull():
-    straggler, digest, silenced, second_round = _chain_fixture(
-        "narwhal-hs", known_to_requester=True
-    )
-    straggler._commit_chain(straggler.nodes[digest])  # committed, body missing
-    return silenced, second_round, lambda: straggler.executed_transactions == 1
 
 
 def _spotless_ask():
@@ -247,8 +234,8 @@ def _spotless_ask():
 
 @pytest.mark.parametrize(
     "build",
-    [_state_transfer, _hotstuff_chain_sync, _narwhal_payload_pull, _spotless_ask],
-    ids=["state-transfer", "hotstuff-chain-sync", "narwhal-payload-pull", "spotless-ask"],
+    [_state_transfer, partial(_chain_sync, "hotstuff"), partial(_chain_sync, "narwhal-hs"), _spotless_ask],
+    ids=["state-transfer", "hotstuff-chain-sync", "narwhal-chain-sync", "spotless-ask"],
 )
 def test_silent_first_round_then_second_round_reaches_other_peers(build):
     silenced, second_round, converged = build()

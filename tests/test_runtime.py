@@ -100,8 +100,8 @@ def test_mempool_fifo_order():
     for txn in txns:
         assert pool.admit(txn) is AdmitResult.NEW
     batch = pool.take_batch(3)
-    assert batch == tuple(t.digest() for t in txns[:3])
-    assert pool.take_batch(10) == tuple(t.digest() for t in txns[3:])
+    assert batch == tuple(txns[:3])
+    assert pool.take_batch(10) == tuple(txns[3:])
     assert pool.take_batch(10) is None
     assert pool.take_batch(10, allow_empty=True) == ()
 
@@ -126,7 +126,7 @@ def test_mempool_retransmission_requeues_abandoned_proposal():
     pool = Mempool()
     txn = make_txn(0)
     pool.admit(txn)
-    assert pool.take_batch(1) == (txn.digest(),)
+    assert pool.take_batch(1) == (txn,)
     assert pool.pending_count() == 0
     # A retransmission of a proposed-but-unexecuted request queues it again
     # so a proposal that died on an abandoned branch is eventually retried.
@@ -136,7 +136,7 @@ def test_mempool_retransmission_requeues_abandoned_proposal():
     pool.admit(txn)
     assert pool.pending_count() == 1
     # It is no longer marked proposed, so the next batch takes it.
-    assert pool.take_batch(1) == (txn.digest(),)
+    assert pool.take_batch(1) == (txn,)
 
 
 def test_mempool_has_unproposed_skips_like_take_batch():
@@ -145,13 +145,13 @@ def test_mempool_has_unproposed_skips_like_take_batch():
     pool.admit(txn)
     assert pool.has_unproposed(0)
     # A backup saw another replica's proposal cover the request.
-    pool.mark_proposed((txn.digest(),))
+    pool.mark_proposed((txn,))
     assert not pool.has_unproposed(0)
     assert pool.pending_count() == 0
     # The proposal was abandoned: a retransmission queues it again.
     assert pool.admit(txn) is AdmitResult.DUPLICATE
     assert pool.has_unproposed(0)
-    assert pool.take_batch(1) == (txn.digest(),)
+    assert pool.take_batch(1) == (txn,)
 
 
 def test_mempool_requeue_returns_abandoned_requests_but_never_a_noop():
@@ -159,20 +159,20 @@ def test_mempool_requeue_returns_abandoned_requests_but_never_a_noop():
     request = make_txn(0)
     pool.admit(request, shard=1)
     # A backup accepted a proposal carrying the request, then a no-op.
-    pool.mark_proposed((request.digest(),))
+    pool.mark_proposed((request,))
     pool.mark_proposed(())
     assert not pool.has_unproposed(1)
     assert pool.pending_count() == 0
     # Both views were abandoned: the request is queued again, and the
     # no-op's empty batch queues nothing.
-    pool.requeue((request.digest(),), shard=1)
+    pool.requeue((request,), shard=1)
     pool.requeue((), shard=1)
     assert pool.pending_count() == 1
-    assert pool.take_batch(10, shard=1) == (request.digest(),)
+    assert pool.take_batch(10, shard=1) == (request,)
     assert pool.take_batch(10, shard=1) is None
     # A requeue of an executed (so no longer proposed) request is ignored.
     pool.claim_unexecuted([request])
-    pool.requeue((request.digest(),), shard=1)
+    pool.requeue((request,), shard=1)
     assert pool.pending_count() == 0
 
 
@@ -181,10 +181,10 @@ def test_mempool_requeue_of_a_still_queued_request_keeps_its_place():
     first, second = make_txn(0), make_txn(1)
     pool.admit(first)
     pool.admit(second)
-    pool.mark_proposed((first.digest(),))
-    pool.requeue((first.digest(),), shard=0)
+    pool.mark_proposed((first,))
+    pool.requeue((first,), shard=0)
     assert pool.pending_count() == 2
-    assert pool.take_batch(10) == (first.digest(), second.digest())
+    assert pool.take_batch(10) == (first, second)
 
 
 def test_mempool_per_shard_isolation():
@@ -195,19 +195,20 @@ def test_mempool_per_shard_isolation():
     assert [pool.pending_count(shard=shard) for shard in range(3)] == [1, 1, 1]
     assert pool.pending_count() == 3
     assert pool.has_unproposed(1)
-    assert pool.take_batch(10, shard=1) == (by_shard[1].digest(),)
+    assert pool.take_batch(10, shard=1) == (by_shard[1],)
     assert not pool.has_unproposed(1)
     assert pool.pending_count(shard=0) == 1
     assert pool.pending_count() == 2
 
 
-def test_mempool_register_payload_does_not_queue():
+def test_mempool_mark_proposed_does_not_queue():
+    """A backup that accepts a proposal marks what it carries proposed:
+    nothing is queued for it to propose."""
     pool = Mempool()
     txn = make_txn(0)
-    digest = pool.register_payload(txn)
-    assert pool.get(digest) is txn
-    assert digest in pool
-    assert pool.pending_count() == 0
+    pool.mark_proposed((txn,))
+    assert pool.pending_count() == 0 and not pool.has_unproposed(0)
+    assert pool.take_batch(10) is None
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +258,21 @@ def test_pipeline_gap_stalls_execution_until_filled():
     assert pipeline.is_decided(0) and pipeline.is_decided(1) and not pipeline.is_decided(2)
 
 
-def test_pipeline_missing_payload_stalls_then_resumes():
+def decide(pipeline, position, transactions, view=0, instance=0):
+    """Deliver one decided batch carrying ``transactions`` at ``position``."""
+    record = SlotRecord(view=view, instance=instance, transactions=tuple(transactions))
+    pipeline.deliver_entry(SlotEntry(position=position, records=(record,)))
+
+
+def test_pipeline_executes_carried_transactions_the_pool_never_held():
+    """A decided batch carries its transactions: it executes at once, with
+    nothing admitted to the pool, and claims them executed there."""
     pool, pipeline = make_pipeline()
     txn = make_txn(0)
-    pipeline.deliver(0, (txn.digest(),))
-    assert pipeline.executed_transactions == 0
-    pool.admit(txn)  # late payload dissemination
-    pipeline.advance()
+    decide(pipeline, 0, (txn,))
     assert pipeline.executed_transactions == 1
+    assert pipeline.next_execution_position == 1 and pipeline.pending == {}
+    assert pool.admit(txn) is AdmitResult.EXECUTED
 
 
 def test_pipeline_noop_writes_no_record_and_appends_no_block():
@@ -274,10 +282,9 @@ def test_pipeline_noop_writes_no_record_and_appends_no_block():
     pool, pipeline = make_pipeline(inform=informed.append)
     engine = pipeline.engine
     request = make_txn(2)  # writes record 2
-    pool.admit(request)
-    pipeline.deliver(0, (request.digest(),))
+    decide(pipeline, 0, (request,))
     state = engine.state_digest()
-    pipeline.deliver(1, (), view=1, instance=2)
+    decide(pipeline, 1, (), view=1, instance=2)
     assert pipeline.next_execution_position == 2
     assert engine.state_digest() == state
     assert engine.ledger.height == 1
@@ -285,13 +292,12 @@ def test_pipeline_noop_writes_no_record_and_appends_no_block():
     # Beside another instance's request in one entry, the block carries the
     # request alone.
     other = make_txn(3)
-    pool.admit(other)
     pipeline.deliver_entry(
         SlotEntry(
             position=2,
             records=(
-                SlotRecord(view=2, instance=2, transaction_digests=(), slot_digest=b""),
-                SlotRecord(view=2, instance=3, transaction_digests=(other.digest(),), slot_digest=b""),
+                SlotRecord(view=2, instance=2, transactions=(), slot_digest=b""),
+                SlotRecord(view=2, instance=3, transactions=(other,), slot_digest=b""),
             ),
         )
     )
@@ -310,10 +316,9 @@ def test_pipeline_informs_clients_once_per_fresh_transaction():
     informed = []
     pool, pipeline = make_pipeline(inform=informed.append)
     txn = make_txn(0)
-    pool.admit(txn)
-    pipeline.deliver(0, (txn.digest(),))
-    # A second decision carrying the same digest does not re-execute it.
-    pipeline.deliver(1, (txn.digest(),))
+    decide(pipeline, 0, (txn,))
+    # A second decision carrying the same transaction does not re-execute it.
+    decide(pipeline, 1, (txn,))
     assert informed == [txn]
     assert pipeline.executed_transactions == 1
     assert pipeline.next_execution_position == 2 and pipeline.pending == {}
@@ -322,46 +327,42 @@ def test_pipeline_informs_clients_once_per_fresh_transaction():
 def test_pipeline_duplicate_position_is_ignored():
     pool, pipeline, checkpoints = make_archived_pipeline()
     first, second = make_txn(0), make_txn(1)
-    pool.admit(first)
-    pool.admit(second)
-    pipeline.deliver(0, (first.digest(),))
+    decide(pipeline, 0, (first,))
     # Position 0 executed and left the pipeline; it is still decided once.
-    pipeline.deliver(0, (second.digest(),))
+    decide(pipeline, 0, (second,))
     assert pipeline.next_execution_position == 1 and pipeline.pending == {}
-    assert [entry.records[0].transaction_digests for entry in checkpoints.archive] == [
-        (first.digest(),)
-    ]
+    assert [entry.records[0].transactions for entry in checkpoints.archive] == [(first,)]
     # A pending position is decided once as well.
-    pipeline.deliver(2, (first.digest(),))
-    pipeline.deliver(2, (second.digest(),))
+    decide(pipeline, 2, (first,))
+    decide(pipeline, 2, (second,))
     assert list(pipeline.pending) == [2] and len(checkpoints.archive) == 1
-    assert pipeline.pending[2].records[0].transaction_digests == (first.digest(),)
+    assert pipeline.pending[2].records[0].transactions == (first,)
 
 
 def test_pipeline_resolves_a_whole_entry_before_executing_and_folds_that_entry():
+    """An entry waits for the positions below it, then every record of it
+    runs and the entry itself is folded."""
     folded = []
     pool = Mempool()
     engine = ExecutionEngine(table=KeyValueTable(), ledger=Ledger())
     pipeline = ExecutionPipeline(pool, engine, "test", quorum=3, fold=folded.append)
-    first, second = make_txn(0), make_txn(1)
-    pool.admit(first)
+    first, second, earlier = make_txn(0), make_txn(1), make_txn(2)
     entry = SlotEntry(
-        position=0,
+        position=1,
         records=(
-            SlotRecord(view=0, instance=0, transaction_digests=(first.digest(),)),
-            SlotRecord(view=0, instance=1, transaction_digests=(second.digest(),)),
+            SlotRecord(view=1, instance=0, transactions=(first,)),
+            SlotRecord(view=1, instance=1, transactions=(second,)),
         ),
     )
     pipeline.deliver_entry(entry)
-    # The second record's payload is missing: nothing of the entry executes.
-    assert pipeline.pending == {0: entry}
+    # Position 0 is not decided yet: nothing of the entry executes.
+    assert pipeline.pending == {1: entry}
     assert pipeline.executed_transactions == 0 and folded == []
-    pool.admit(second)
-    pipeline.advance()
-    assert pipeline.executed_transactions == 2
-    assert folded == [entry] and folded[0] is entry
+    decide(pipeline, 0, (earlier,))
+    assert pipeline.executed_transactions == 3
+    assert folded[1] is entry
     # Each record ran under its own (view, instance) block proof.
-    assert [block.proof.instance for block in engine.ledger.blocks()[1:]] == [0, 1]
+    assert [block.proof.instance for block in engine.ledger.blocks()[2:]] == [0, 1]
 
 
 @pytest.mark.parametrize("protocol", ["spotless", "pbft", "rcc", "hotstuff", "narwhal-hs"])
@@ -431,6 +432,11 @@ def test_committed_map_covers_the_stable_floor_up_and_the_pending_positions(prot
     )
     cluster.run(duration=0.3)
     replica = cluster.replicas[0]
+    if protocol == "rcc":
+        # Run on to a moment when a decided position waits on a gap, so the
+        # map's pending part is exercised.
+        while not replica.pipeline.pending:
+            cluster.run_additional(0.005)
     checkpoints, pending = replica.checkpoints, replica.pipeline.pending
     floor = checkpoints.stable_position()
     assert (floor > 0) == (interval > 0)
@@ -454,7 +460,7 @@ def test_committed_map_covers_the_stable_floor_up_and_the_pending_positions(prot
     ]
     for entry in [*checkpoints.archive[floor:], *pending.values()]:
         (record,) = entry.records
-        assert committed[(entry.position, 0)] == b"".join(record.transaction_digests)
+        assert committed[(entry.position, 0)] == b"".join(t.digest() for t in record.transactions)
 
 
 #: Slots a committed map may gain between 0.3 s and 0.6 s at a checkpoint
@@ -567,12 +573,13 @@ def test_transaction_digest_is_memoized():
 # ---------------------------------------------------------------------------
 
 GOLDEN_STATE = {
-    # SpotLess and RCC re-pinned when a no-op stopped writing record
-    # ``instance`` (the executed counts did not move).
-    "spotless": ("6aeeea951ee02af32d1f312837eacf8cdbce6b0069ab55e799256db305a0e2d5", 392),
-    "pbft": ("ba5344eabfba8c0b66e1b896fc167ac850d297a8062e252c420366286690eccf", 969),
-    # Re-pinned when RCC stopped proposing no-ops no round needs.
-    "rcc": ("18b451df0f36cdab98227a82ac7a4969c7a890f9f98409136083c9baf8804e30", 875),
+    # SpotLess, PBFT and RCC re-pinned when a proposal came to be priced by
+    # the transactions it carries and a SpotLess request by its 216 B: an
+    # empty or partial batch stopped paying for a full one (SpotLess
+    # executes 392 -> 470, PBFT 969 -> 968, RCC 875 -> 874).
+    "spotless": ("b2bb284817cbfb61ad1ab2cfc10ffa7b5361c8aadaa7b7442b6a35c6e26adae7", 470),
+    "pbft": ("3543566fa25ccea3b4d28c3bfee2730a723e191a15e4bc6f7880440aaab4b027", 968),
+    "rcc": ("8dc8c7de5763c003cc1aed2fbdf6e4c31f6382f65cd9a26cf19dbbac9e757c3c", 874),
     "hotstuff": ("ce6dd1287feb8a446767a693debc56ee70f78dcaa3761b10218fa7c90383ba32", 411),
     "narwhal-hs": ("013921b3afb74e8a49e267687e071bfd611da027dd617845449c751ecc8ea97b", 407),
 }
@@ -608,22 +615,25 @@ def test_fixed_seed_spotless_schedule_is_pinned():
 
     An optimisation of ``core/`` may not add, drop or reorder a single event
     or message: these values were recorded before the per-Sync path was
-    reworked and every later change to it is held to them.
+    reworked and every later change to it is held to them.  Re-pinned when a
+    proposal came to be priced by the transactions it carries.
     """
     cluster = _run_golden_cell("spotless")
-    assert cluster.simulator.processed_events == 19764
-    assert cluster.metrics.counter("network.messages_sent").value == 15639
-    assert cluster.metrics.counter("network.bytes_sent").value == 7245398
+    assert cluster.simulator.processed_events == 20450
+    assert cluster.metrics.counter("network.messages_sent").value == 16324
+    assert cluster.metrics.counter("network.bytes_sent").value == 6506833
     per_replica = [list(replica.instances.values()) for replica in cluster.replicas]
-    assert [sum(i.views_entered for i in instances) for instances in per_replica] == [833] * 4
-    assert [sum(i.syncs_sent for i in instances) for instances in per_replica] == [829, 831, 830, 830]
+    assert [sum(i.views_entered for i in instances) for instances in per_replica] == [834, 835, 835, 835]
+    assert [sum(i.syncs_sent for i in instances) for instances in per_replica] == [834, 835, 834, 834]
 
 
 #: protocol -> (events, messages, bytes, per-replica view, per-replica
-#: committed chain height), recorded before the lock was made to move.
+#: committed chain height), recorded before the lock was made to move.  The
+#: bytes were re-pinned when a proposal came to be priced by the
+#: transactions it carries.
 HOTSTUFF_FAMILY_SCHEDULE = {
-    "hotstuff": (4555, 4566, 1363842, [206] * 4, [204] * 4),
-    "narwhal-hs": (4531, 4539, 1967306, [204, 205, 204, 204], [202, 203, 202, 202]),
+    "hotstuff": (4555, 4566, 1455525, [206] * 4, [204] * 4),
+    "narwhal-hs": (4531, 4539, 2058765, [204, 205, 204, 204], [202, 203, 202, 202]),
 }
 
 
@@ -644,13 +654,14 @@ def test_fixed_seed_hotstuff_family_schedule_is_pinned(protocol):
 #: replica 0 with checkpointing at its default interval.  The three stacks
 #: fold the three record shapes: a node digest per position (HotStuff), an
 #: empty slot digest (PBFT), several records or none per view (SpotLess).
-#: SpotLess re-pinned when its primaries stopped re-proposing requests an
-#: accepted proposal carries: a slot that repeated one now holds a no-op;
-#: and again when a no-op became an empty batch, so its record folds no digest.
+#: All three re-pinned when a proposal came to be priced by the transactions
+#: it carries, which moves what each replica has executed by the cut-off;
+#: the fold's format itself is pinned by
+#: ``test_fold_of_a_record_carrying_transactions_is_pinned``.
 GOLDEN_ROLLING = {
-    "hotstuff": ("451b80c896c95194e43c87411ff6f3ae1ea8ad774d8fc0285292424932a1fe25", 204, 12),
-    "pbft": ("7e19b707d97a363a64e3873d9291ead2b8b2661c805ad8be939f8e4bd5b7508c", 970, 60),
-    "spotless": ("25796a98d700051029d6d3a909f02136d12a939a465273c2ae3b5e70d7500ba1", 203, 12),
+    "hotstuff": ("a4c5157921d178712c1aae02d46de11608742d33eae7134f3b05ae39a976ae9c", 204, 12),
+    "pbft": ("225c741a6a6fc79e358a51e4a54feb8f3497382f7ed556341a97561b92fdd31f", 969, 60),
+    "spotless": ("832f69a8d4e143114d9b8264d1722ebbb1ca6ba8ca9d4a00e3108c9656142de5", 205, 12),
 }
 
 

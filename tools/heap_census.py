@@ -16,10 +16,10 @@ Printed per cell: collections, seconds and ``collected`` per generation (from
 appeared per executed position of the global order (all replicas; a no-op
 position appends no ledger block), the commonest types among
 them, event-heap entries against live ones, what replica 0 retains (its
-checkpoint archive, the pipeline's pending map, each mempool set, on
-SpotLess the proposals and the commits in each instance's store and the
-keys its Ask latch holds, and on HotStuff and Narwhal-HS the chain
-nodes), how many unreachable
+checkpoint archive and the transactions its records carry, the pipeline's
+pending map, each mempool set, on SpotLess the proposals and the commits in
+each instance's store and the keys its Ask latch holds, and on HotStuff and
+Narwhal-HS the chain nodes), how many unreachable
 objects one ``gc.collect()`` finds once the cell is dropped (a finished
 cluster is cyclic garbage, so only a collection frees it), and the dataclass
 instances built per class while the cell ran.
@@ -81,11 +81,13 @@ def tracked_by_type() -> collections.Counter:
 def retained(replica: Any) -> str:
     """What one replica holds that can grow with the executed history."""
     pool = replica.mempool
+    archive = replica.checkpoints.archive
     counts = [
         ("archive", replica.checkpoints.frontier),
+        ("archived transactions", sum(len(r.transactions) for e in archive for r in e.records)),
         ("pending", len(replica.pipeline.pending)),
-        ("payloads", len(pool._payloads)),
         ("queued", len(pool._queued)),
+        ("received", len(pool._received)),
         ("proposed", len(pool._proposed)),
         ("executed", len(pool._executed)),
     ]
