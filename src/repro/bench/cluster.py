@@ -209,7 +209,8 @@ class SimulatedCluster:
         send→deliver flow edges, propagates the tracer into each replica's
         protocol sub-components, and (when ``telemetry_interval`` is given)
         starts a :class:`~repro.obs.tracer.TelemetrySampler` recording
-        per-replica commit-frontier / view / queue-depth time series.
+        per-replica commit-frontier / view / instance-skew / queue-depth time
+        series.
 
         Returns the sampler (or ``None`` when no interval was given).
         """

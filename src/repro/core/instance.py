@@ -134,7 +134,8 @@ class _ViewTally:
         # Claimed digest -> its senders, in arrival order (a dict used as an
         # ordered set: counting a vote is a store, not a call).
         self.votes: Dict[bytes, Dict[int, None]] = {}
-        # Number of claim(∅) Syncs, for fast-path poisoning.
+        # Number of claim(∅) Syncs: f + 1 poison the fast path, n − f end
+        # the view.
         self.failure_claims = 0
         # Digest of a proposal *of this view* -> sender -> view of the Sync
         # whose CP set carried it.
@@ -583,6 +584,17 @@ class SpotLessInstance:
                 # the Certifying state and advances to the next view.
                 if view == self.current_view:
                     self._advance_view(view + 1, fast=True)
+        elif (
+            digest is None
+            and tally.failure_claims >= quorum
+            and view == self.current_view
+            and self.state is not _RECORDING
+        ):
+            # n − f claim(∅) Syncs are a same-claim quorum too: with at most f
+            # replicas left, no proposal of the view can still gather n − f
+            # claims, so a synced current view ends here, not on t_A's expiry
+            # (Figure 4, line 10).
+            self._advance_view(view + 1, fast=True)
 
         # Rule: f+1 CP endorsements with higher views conditionally prepare
         # an older proposal (Figure 3, lines 22-23).  An entry already
@@ -734,7 +746,12 @@ class SpotLessInstance:
             self._certifying_timer.start(self._certifying_timeout.interval)
 
     def _on_certifying_timeout(self) -> None:
-        """t_A expired without an n−f same-claim quorum: move on (Figure 4 line 10)."""
+        """t_A expired without an n−f same-claim quorum: move on (Figure 4 line 10).
+
+        A quorum of either kind ends the view before this can fire: n − f
+        claims of one proposal, or n − f claim(∅) Syncs (``on_sync``).  So t_A
+        expires only when the view's claims are split, none reaching n − f.
+        """
         if self.state is not _CERTIFYING:
             return
         self.timeouts += 1
@@ -744,7 +761,7 @@ class SpotLessInstance:
     def _advance_view(self, new_view: int, fast: bool) -> None:
         if new_view <= self.current_view:
             return
-        if fast and self.state is _CERTIFYING:
+        if fast:
             waited = self.env.now() - self._view_entered_at
             self._certifying_timeout.on_progress(waited)
         self._enter_view(new_view)

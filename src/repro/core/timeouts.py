@@ -7,6 +7,15 @@ halves it.  This keeps the timeout close to the true message delay, which is
 what gives SpotLess its stable post-failure throughput (Figure 12) compared
 to RCC's exponential penalty mechanism.  The back-off it is measured against
 exists only as the timeout ablation's timer (:mod:`repro.bench.ablations`).
+
+A view has two timers.  t_R awaits the primary's proposal.  t_A awaits the
+view's n − f same-claim Sync quorum, and claim(∅) counts as a claim: under
+a crashed primary, the live replicas' failure claims are that quorum.  Every
+view that ends on its quorum credits t_A, whether the quorum completes
+while the view is still Syncing (before t_A is armed, as in every healthy
+view) or in Certifying.  t_A therefore expires, and grows by ε, only in a
+view whose claims are split so that no claim reaches n − f (some replicas
+claim the proposal, the rest claim ∅).
 """
 
 from __future__ import annotations

@@ -234,7 +234,8 @@ class TelemetrySampler:
 
     Every ``interval`` of simulated time it samples, for each replica, the
     commit frontier (executed transactions), the highest current view of
-    its consensus instances, and the mempool queue depth, plus the
+    its consensus instances, their skew (highest minus lowest current view;
+    0 for a single-instance protocol), and the mempool queue depth, plus the
     cluster-wide in-flight message count — each as a trace counter series
     *and* a :class:`repro.sim.metrics.TimeSeries` in the cluster registry
     (bucket width = the sampling interval, one sample per bucket), which
@@ -269,13 +270,17 @@ class TelemetrySampler:
         for replica in cluster.replicas:
             rid = replica.node_id
             frontier = replica.executed_transactions
-            view = max(replica.instance_views().values())
+            views = replica.instance_views().values()
+            view = max(views)
+            skew = view - min(views)
             depth = replica.mempool.pending_count()
             tracer.counter(f"commit-frontier/r{rid}", frontier)
             tracer.counter(f"view/r{rid}", view)
+            tracer.counter(f"instance-skew/r{rid}", skew)
             tracer.counter(f"queue-depth/r{rid}", depth)
             series(f"obs.frontier.r{rid}", interval).record(now, frontier)
             series(f"obs.view.r{rid}", interval).record(now, view)
+            series(f"obs.instance_skew.r{rid}", interval).record(now, skew)
             series(f"obs.queue_depth.r{rid}", interval).record(now, depth)
         network = cluster.network
         in_flight = (

@@ -107,8 +107,8 @@ class ScenarioRunner:
     violation.  Passing an explicit ``tracer`` (e.g. an unbounded one for
     ``repro trace``) overrides ``flight``; the caller then owns the dump.
     ``telemetry_interval`` additionally samples per-replica commit-frontier
-    / view / queue-depth time series into the tracer and the cluster's
-    metrics registry.
+    / view / instance-skew / queue-depth time series into the tracer and the
+    cluster's metrics registry.
     """
 
     def __init__(

@@ -256,6 +256,93 @@ def test_silent_primary_leads_to_failure_claims_and_view_advance():
         assert instance.timeouts >= 1
 
 
+_OTHER_PROPOSAL = b"\x33" * 32
+
+
+def _synced_view_zero_at_replica_1(harness):
+    """Replica 1 alone, t_R expired in view 0: it claimed ∅ and counts its own Sync."""
+    harness.start(replicas=[1])
+    instance = harness.instances[1]
+    harness.fire_timers(1)
+    (own,) = [m for _s, _r, m in harness.queues if isinstance(m, SyncMessage)]
+    instance.on_sync(1, own)
+    assert (instance.current_view, instance.state) == (0, ViewState.SYNCING)
+    return instance
+
+
+@pytest.mark.parametrize(
+    "claims, state",
+    [
+        # n − f claim(∅) Syncs complete while the view is still Syncing.
+        pytest.param([(2, None), (3, None)], ViewState.SYNCING, id="syncing"),
+        # A digest claim makes n − f senders first: Certifying, t_A armed.
+        pytest.param([(2, _OTHER_PROPOSAL), (3, None), (0, None)], ViewState.CERTIFYING, id="certifying"),
+    ],
+)
+def test_n_minus_f_failure_claims_end_the_view_without_a_certifying_expiry(claims, state):
+    """claim(∅) is a claim: n − f equal ones leave at most f replicas that could
+    still claim a proposal of the view, so the view ends on the quorum, not on
+    t_A (Figure 4, line 10)."""
+    harness = Harness()
+    instance = _synced_view_zero_at_replica_1(harness)
+    *before, last = claims
+    for sender, digest in before:
+        instance.on_sync(sender, SyncMessage(instance=0, view=0, claim=Claim(view=0, digest=digest)))
+    assert (instance.current_view, instance.state) == (0, state)
+    sender, digest = last
+    instance.on_sync(sender, SyncMessage(instance=0, view=0, claim=Claim(view=0, digest=digest)))
+    assert (instance.current_view, instance.state) == (1, ViewState.RECORDING)
+    assert instance.timeouts == 1  # t_R in view 0; t_A never expired
+    assert not harness.timers[1].running("certifying")
+
+
+@pytest.mark.parametrize(
+    "claims",
+    [
+        pytest.param([(2, None)], id="syncing"),
+        pytest.param([(2, None), (3, _OTHER_PROPOSAL)], id="certifying"),
+    ],
+)
+def test_n_minus_f_minus_1_failure_claims_do_not_move_the_view(claims):
+    harness = Harness()
+    instance = _synced_view_zero_at_replica_1(harness)
+    for sender, digest in claims:
+        instance.on_sync(sender, SyncMessage(instance=0, view=0, claim=Claim(view=0, digest=digest)))
+    # A duplicate claim(∅) from a counted sender is not a new claim.
+    instance.on_sync(2, SyncMessage(instance=0, view=0, claim=Claim.failure(0)))
+    assert instance.current_view == 0
+    assert instance._views[0].failure_claims == 2
+
+
+def test_a_recording_replica_waits_for_its_own_claim_before_leaving_the_view():
+    """n − f claim(∅) Syncs from others do not end a view this replica has not
+    synced yet: it leaves a view only after broadcasting its Sync for it."""
+    harness = Harness()
+    harness.start(replicas=[1])
+    instance = harness.instances[1]
+    for sender in (0, 2, 3):
+        instance.on_sync(sender, SyncMessage(instance=0, view=0, claim=Claim.failure(0)))
+    assert (instance.current_view, instance.state) == (0, ViewState.RECORDING)
+    harness.fire_timers(1)
+    (own,) = [m for _s, _r, m in harness.queues if isinstance(m, SyncMessage)]
+    instance.on_sync(1, own)
+    assert (instance.current_view, instance.state) == (1, ViewState.RECORDING)
+
+
+def test_a_fast_advance_from_syncing_shrinks_the_certifying_timeout():
+    """A healthy view ends on its n − f same-claim quorum while still Syncing,
+    before t_A is armed: the awaited quorum came within half the interval, so
+    t_A halves (core/timeouts.py)."""
+    harness = Harness()
+    initial = harness.config.certifying_timeout
+    harness.start()
+    harness.time = 0.002
+    harness.deliver_all(max_rounds=2)
+    for instance in harness.instances.values():
+        assert instance.current_view == 1 and instance.timeouts == 0
+        assert instance._certifying_timeout.interval == initial / 2
+
+
 def test_progress_resumes_after_faulty_view():
     harness = Harness()
     harness.start(replicas=[1, 2, 3])

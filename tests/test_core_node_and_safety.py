@@ -259,6 +259,21 @@ def test_progress_with_one_crashed_replica():
     assert result.confirmed_transactions > 5
 
 
+def test_certifying_timeout_stays_bounded_under_a_crashed_primary():
+    # Every view replica 3 leads ends on n − f failure claims, so t_A never
+    # expires there, and each healthy view's fast advance shrinks it.
+    cluster = SimulatedCluster.for_protocol(
+        "spotless", 4, batch_size=10, clients=4, outstanding_per_client=8, seed=1
+    )
+    FaultInjector(cluster).schedule(FaultEvent(kind="crash", at=0.0, replicas=(3,)))
+    cluster.run(duration=1.5)
+    cluster.assert_no_divergence()
+    for replica in cluster.replicas[:3]:
+        for instance in replica.instances.values():
+            assert instance._certifying_timeout.interval <= instance.config.certifying_timeout
+            assert instance.current_view > 100
+
+
 def test_crash_mid_run_keeps_consistency_and_reduces_throughput():
     cluster = small_cluster(num_replicas=4, clients=4, outstanding=6)
     FaultInjector(cluster).schedule(FaultEvent(kind="crash", at=0.5, replicas=(2,)))

@@ -223,6 +223,25 @@ def test_telemetry_samples_the_spotless_view_as_its_highest_instance_view():
     assert sampled == sorted(sampled)
 
 
+def test_telemetry_samples_instance_skew_as_the_spread_of_instance_views():
+    # Execution of a view waits for every instance to reach it, so the gap
+    # between a replica's fastest and slowest instance is sampled per tick.
+    from repro.bench.cluster import SimulatedCluster
+
+    cluster = SimulatedCluster.for_protocol("spotless", num_replicas=4, clients=3, seed=1)
+    tracer = Tracer(cluster.simulator, capacity=None)
+    cluster.attach_tracer(tracer, telemetry_interval=0.05)
+    cluster.run(duration=0.3)
+    for replica in cluster.replicas:
+        rid = replica.node_id
+        sampled = [r["value"] for r in tracer.records() if r["name"] == f"instance-skew/r{rid}"]
+        views = replica.instance_views().values()
+        assert len(sampled) == 6
+        assert sampled[-1] == max(views) - min(views)
+        series = cluster.metrics.time_series(f"obs.instance_skew.r{rid}", 0.05)
+        assert series.total() == sum(sampled)
+
+
 @pytest.mark.parametrize("protocol,fault", [("pbft", "crash"), ("rcc", "A2")])
 def test_flight_recording_preserves_golden_digests(protocol, fault):
     spec = single_fault_spec(protocol, fault, f=1, duration=0.2, seed=7)

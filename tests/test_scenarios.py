@@ -335,12 +335,14 @@ GOLDEN_SMOKE = {
     # Re-pinned when a proposal came to carry its transactions and be priced
     # by them (every SpotLess, PBFT and RCC cell, HotStuff A3, Narwhal-HS
     # A1, A4, crash and partition): CHANGES.md names the cause per cell.
-    ("spotless", "A1"): "87408e9fc695",
+    # SpotLess A1, crash and partition were re-pinned again when n − f
+    # failure claims came to end a view (confirmed 102/102/103 → 128/128/121).
+    ("spotless", "A1"): "573c726ee554",
     ("spotless", "A2"): "329b1034f059",
     ("spotless", "A3"): "d23d15cc9351",
     ("spotless", "A4"): "6282c489bf6a",
-    ("spotless", "crash"): "b72fa6d28d7f",
-    ("spotless", "partition"): "517567ad3c1d",
+    ("spotless", "crash"): "ec2c04042425",
+    ("spotless", "partition"): "bb58f250f839",
     ("pbft", "A1"): "a2651cdf1f4c",
     ("pbft", "A2"): "5995ecb2a591",
     ("pbft", "A3"): "d680d5051143",
