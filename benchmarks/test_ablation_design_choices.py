@@ -82,7 +82,14 @@ def test_ablation_timeout_policy_after_crash(benchmark):
     print(
         format_table(
             rows,
-            ["timeout_policy", "confirmed_total", "post_failure_min", "post_failure_max", "post_failure_spread"],
+            [
+                "timeout_policy",
+                "confirmed_total",
+                "post_failure_min",
+                "post_failure_max",
+                "post_failure_spread",
+                "post_failure_spread_share",
+            ],
         )
     )
     by_policy = {row["timeout_policy"]: row for row in rows}

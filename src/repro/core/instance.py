@@ -99,6 +99,12 @@ class InstanceEnvironment:
         simulator computes no tags: its host leaves the default, which accepts.
     now:
         Current time, used only for adaptive timeout bookkeeping.
+    admit:
+        ``admit(instance, view, skip)`` is asked before the instance leaves
+        its current view for ``view``.  True: the host counts it in ``view``
+        and it enters.  False: the host holds it, and calls :meth:`release`
+        once it may enter.  A ``skip`` (the f + 1 higher-view skip) is always
+        admitted.
     """
 
     replica_id: int
@@ -115,6 +121,7 @@ class InstanceEnvironment:
     # when there is something useful to propose (an early no-op would waste
     # the optimisation).
     has_pending: Callable[[int], bool] = lambda instance_id: True
+    admit: Callable[[int, int, bool], bool] = lambda instance_id, view, skip: True
 
 
 class _ViewTally:
@@ -172,6 +179,9 @@ class SpotLessInstance:
         self.store = ProposalStore(instance=instance_id)
 
         self.current_view = 0
+        # The view the host holds this instance out of (``env.admit``); the
+        # instance is held while it is above the current view.
+        self._held_view = 0
         # A replica leaves a view only after broadcasting its Sync for it, and
         # views only move up: it has synced view v exactly when v is below the
         # current view, or is the current view and the state is past Recording.
@@ -734,7 +744,7 @@ class SpotLessInstance:
         first = current if self.state is _RECORDING else current + 1
         for view in range(first, target_view):
             self._broadcast_sync(Claim.failure(view), retransmit_flag=True, view=view)
-        self._advance_view(target_view, fast=False)
+        self._advance_view(target_view, fast=False, skip=True)
 
     def _check_sync_quorum(self) -> None:
         """Figure 4 lines 7-11: Syncing -> Certifying -> next view."""
@@ -743,7 +753,9 @@ class SpotLessInstance:
         tally = self._views.get(self.current_view)
         if tally is not None and len(tally.senders) >= self._quorum:
             self.state = _CERTIFYING
-            self._certifying_timer.start(self._certifying_timeout.interval)
+            # A held view has reached its quorum already: nothing is awaited.
+            if self._held_view <= self.current_view:
+                self._certifying_timer.start(self._certifying_timeout.interval)
 
     def _on_certifying_timeout(self) -> None:
         """t_A expired without an n−f same-claim quorum: move on (Figure 4 line 10).
@@ -758,13 +770,29 @@ class SpotLessInstance:
         self._certifying_timeout.on_timeout()
         self._advance_view(self.current_view + 1, fast=False)
 
-    def _advance_view(self, new_view: int, fast: bool) -> None:
-        if new_view <= self.current_view:
+    def _advance_view(self, new_view: int, fast: bool, skip: bool = False) -> None:
+        """Leave the current view for ``new_view`` once the host admits it.
+
+        ``fast``: the view ended on its quorum, which credits t_A once.  A
+        held instance keeps its current view with both timers stopped, so a
+        held view neither expires t_R or t_A nor grows t_A; only the host's
+        :meth:`release` or an f + 1 ``skip``, which is never held, moves it.
+        """
+        if new_view <= self.current_view or (new_view <= self._held_view and not skip):
             return
         if fast:
             waited = self.env.now() - self._view_entered_at
             self._certifying_timeout.on_progress(waited)
-        self._enter_view(new_view)
+        if self.env.admit(self.instance_id, new_view, skip):
+            self._enter_view(new_view)
+            return
+        self._held_view = new_view
+        self._recording_timer.cancel()
+        self._certifying_timer.cancel()
+
+    def release(self) -> None:
+        """Enter the view the host held this instance out of."""
+        self._enter_view(self._held_view)
 
     # ------------------------------------------------------------------
     # Ask-recovery

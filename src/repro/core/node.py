@@ -112,6 +112,12 @@ class SpotLessReplica(ReplicaRuntime):
         self._ask_bytes = control()
         self._certificate_bytes = config.quorum * SIGNATURE_BYTES
 
+        # How many instances are in each view, the slowest instance's view,
+        # and each held instance's target view (see _admit).
+        self._instances_in_view: Dict[int, int] = {0: config.num_instances}
+        self._slowest_view = 0
+        self._held: Dict[int, int] = {}
+
         self.instances: Dict[int, SpotLessInstance] = {}
         for instance_id in range(config.num_instances):
             self.instances[instance_id] = self.instance_class(
@@ -137,6 +143,7 @@ class SpotLessReplica(ReplicaRuntime):
             on_accept=self._on_instance_accept,
             now=lambda: self.simulator.now,
             has_pending=self.mempool.has_unproposed,
+            admit=self._admit,
         )
 
     def _message_size(self, message: Message) -> int:
@@ -201,6 +208,62 @@ class SpotLessReplica(ReplicaRuntime):
         """
         self.mempool.mark_proposed(proposal.message.transactions)
         self._accepted[instance_id].append(proposal)
+
+    # ------------------------------------------------------------------
+    # keeping the instances in step
+    # ------------------------------------------------------------------
+
+    def _admit(self, instance_id: int, view: int, skip: bool) -> bool:
+        """An instance enters view v + 1 only once every instance here has
+        entered view v.
+
+        View v executes only once every instance has committed through v
+        (§4–5), so an instance running further ahead only makes its own
+        transactions wait longer.  A held instance enters its target view
+        when the slowest instance's view reaches the one below it.  The f + 1
+        higher-view skip is never held, so a replica behind its peers still
+        catches up; and the lowest view of any instance at any replica is
+        never held, while every Sync it needs was sent by replicas at or past
+        it, so the rule costs no liveness.
+        """
+        slowest = self._slowest_view
+        if view > slowest + 1 and not skip:
+            self._held[instance_id] = view
+            return False
+        if skip:
+            self._held.pop(instance_id, None)
+        counts = self._instances_in_view
+        old = self.instances[instance_id].current_view
+        counts[view] = counts.get(view, 0) + 1
+        left = counts[old] - 1
+        if left:
+            counts[old] = left
+        else:
+            del counts[old]
+            if old == slowest:
+                self._raise_slowest_view(old + 1)
+        return True
+
+    def _raise_slowest_view(self, view: int) -> None:
+        """The last instance in the slowest view left it: find the next one up,
+        and release the held instances it lets in.
+
+        Views only move up, so the search steps up from the last slowest
+        view: O(1) amortised per view entered.
+        """
+        counts = self._instances_in_view
+        while view not in counts:
+            view += 1
+        self._slowest_view = view
+        held = self._held
+        for instance_id in [i for i, target in held.items() if target <= view + 1]:
+            # A release below may already have released it, by raising the
+            # slowest view again.
+            target = held.pop(instance_id, None)
+            if target is not None:
+                # Counted in its target view the way a skip is: never held.
+                self._admit(instance_id, target, True)
+                self.instances[instance_id].release()
 
     # ------------------------------------------------------------------
     # message dispatch

@@ -252,18 +252,29 @@ class TelemetrySampler:
         self.tracer = tracer
         self.interval = interval
         self._started = False
+        # Index of the last tick: tick k fires at k · interval and records
+        # into bucket k, so no two ticks share a bucket.
+        self._ticks = 0
 
     def start(self) -> None:
         """Arm the self-scheduling probe (idempotent)."""
         if self._started:
             return
         self._started = True
-        self.cluster.simulator.schedule(self.interval, self._tick, label="obs:telemetry")
+        self._ticks = int(self.cluster.simulator.now // self.interval)
+        self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        simulator = self.cluster.simulator
+        # k · interval, rounded to the nanosecond so that a decimal interval
+        # lands on its decimal multiples (6 × 0.05 is 0.30000000000000004).
+        at = round((self._ticks + 1) * self.interval, 9)
+        simulator.schedule(max(0.0, at - simulator.now), self._tick, label="obs:telemetry")
 
     def _tick(self) -> None:
         cluster = self.cluster
         tracer = self.tracer
-        now = cluster.simulator.now
+        self._ticks = bucket = self._ticks + 1
         metrics = cluster.metrics
         series = metrics.time_series
         interval = self.interval
@@ -278,10 +289,10 @@ class TelemetrySampler:
             tracer.counter(f"view/r{rid}", view)
             tracer.counter(f"instance-skew/r{rid}", skew)
             tracer.counter(f"queue-depth/r{rid}", depth)
-            series(f"obs.frontier.r{rid}", interval).record(now, frontier)
-            series(f"obs.view.r{rid}", interval).record(now, view)
-            series(f"obs.instance_skew.r{rid}", interval).record(now, skew)
-            series(f"obs.queue_depth.r{rid}", interval).record(now, depth)
+            series(f"obs.frontier.r{rid}", interval).record_in_bucket(bucket, frontier)
+            series(f"obs.view.r{rid}", interval).record_in_bucket(bucket, view)
+            series(f"obs.instance_skew.r{rid}", interval).record_in_bucket(bucket, skew)
+            series(f"obs.queue_depth.r{rid}", interval).record_in_bucket(bucket, depth)
         network = cluster.network
         in_flight = (
             network._c_sent.value
@@ -289,8 +300,8 @@ class TelemetrySampler:
             - network._c_dropped.value
         )
         tracer.counter("in-flight-messages", in_flight)
-        series("obs.in_flight", interval).record(now, in_flight)
-        cluster.simulator.schedule(self.interval, self._tick, label="obs:telemetry")
+        series("obs.in_flight", interval).record_in_bucket(bucket, in_flight)
+        self._schedule_next()
 
 
 __all__ = ["DEFAULT_CAPACITY", "DUMP_FORMAT", "Tracer", "TelemetrySampler"]

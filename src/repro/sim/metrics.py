@@ -95,7 +95,12 @@ class TimeSeries:
 
     def record(self, time: float, amount: float = 1.0) -> None:
         """Add ``amount`` to the bucket containing ``time``."""
-        index = int(time // self.bucket_width)
+        self.record_in_bucket(int(time // self.bucket_width), amount)
+
+    def record_in_bucket(self, index: int, amount: float = 1.0) -> None:
+        """Add ``amount`` to bucket ``index``, the one starting at
+        ``index * bucket_width``: a sampler that counts its ticks names the
+        bucket exactly, where ``time // width`` can round a tick down."""
         self._buckets[index] = self._buckets.get(index, 0.0) + amount
 
     def buckets(self) -> List[Tuple[float, float]]:

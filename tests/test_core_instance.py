@@ -27,7 +27,8 @@ from tests.transactions import txn
 class Harness:
     """Connects a group of SpotLess instances through manual message queues."""
 
-    def __init__(self, num_replicas=4, instance_id=0, instance_class=SpotLessInstance, **config_kwargs):
+    def __init__(self, num_replicas=4, instance_id=0, instance_class=SpotLessInstance, admit=None, **config_kwargs):
+        self.admit = admit
         self.config = SpotLessConfig(num_replicas=num_replicas, num_instances=1, **config_kwargs)
         self.queues: List[Tuple[int, Optional[int], object]] = []
         self.commits: Dict[int, List] = {r: [] for r in range(num_replicas)}
@@ -51,7 +52,9 @@ class Harness:
             self.proposed[replica] += 1
             return (txn(b"%d:%d" % (replica, self.proposed[replica])),)
 
+        extra = {} if self.admit is None else {"admit": self.admit}
         return InstanceEnvironment(
+            **extra,
             replica_id=replica,
             broadcast=lambda message, _r=replica: self.queues.append((_r, None, message)),
             send=lambda receiver, message, _r=replica: self.queues.append((_r, receiver, message)),
@@ -341,6 +344,89 @@ def test_a_fast_advance_from_syncing_shrinks_the_certifying_timeout():
     for instance in harness.instances.values():
         assert instance.current_view == 1 and instance.timeouts == 0
         assert instance._certifying_timeout.interval == initial / 2
+
+
+# ---------------------------------------------------------------------------
+# keeping a replica's instances in step (the host's admit hook)
+# ---------------------------------------------------------------------------
+
+
+def _held_out_of_view_2():
+    """Every replica's instance completes view 1's quorum while a sibling
+    instance (played by the gate) is still in view 0."""
+    asked, highest = [], [1]
+
+    def admit(instance, view, skip):
+        asked.append((view, skip))
+        return view <= highest[0] or skip
+
+    harness = Harness(admit=admit)
+    harness.start()
+    harness.time = 0.002
+    harness.deliver_all()
+    return harness, asked, highest
+
+
+def test_an_instance_that_completes_a_view_ahead_of_its_siblings_is_held():
+    harness, asked, _highest = _held_out_of_view_2()
+    assert (2, False) in asked
+    for replica, instance in harness.instances.items():
+        # View 1 reached its quorum, but the instance stays in it.
+        assert instance.current_view == 1
+        assert instance._held_view == 2
+        assert len(instance._votes(1, instance.store.proposals_in_view(1)[0].digest)) >= 3
+        assert not harness.timers[replica].running()
+
+
+def test_a_held_view_expires_no_timer_and_grows_no_certifying_timeout():
+    harness, _asked, _highest = _held_out_of_view_2()
+    intervals = {r: i._certifying_timeout.interval for r, i in harness.instances.items()}
+    # A repeated quorum Sync neither re-arms t_A nor credits it again (a
+    # second credit this soon would halve it again).
+    (proposal,) = harness.instances[0].store.proposals_in_view(1)
+    for instance in harness.instances.values():
+        instance.on_sync(3, SyncMessage(instance=0, view=1, claim=Claim(view=1, digest=proposal.digest)))
+    # Long after any timer would have expired, nothing fires and nothing grows.
+    harness.time = 10.0
+    for _ in range(3):
+        harness.fire_timers()
+        harness.deliver_all()
+    for replica, instance in harness.instances.items():
+        assert (instance.current_view, instance.timeouts) == (1, 0)
+        assert instance._certifying_timeout.interval == intervals[replica]
+        assert not harness.timers[replica].running()
+
+
+def test_a_released_instance_enters_the_view_it_was_held_out_of():
+    harness, _asked, highest = _held_out_of_view_2()
+    # The sibling enters view 1: the host admits view 2, and releases.
+    highest[0] = 2
+    for replica, instance in harness.instances.items():
+        instance.release()
+        assert (instance.current_view, instance.state) == (2, ViewState.RECORDING)
+        assert harness.timers[replica].running("recording")
+    harness.deliver_all()
+    # View 2 reaches its quorum, and view 3 is held until the sibling moves.
+    assert all(
+        (instance.current_view, instance._held_view) == (2, 3) for instance in harness.instances.values()
+    )
+
+
+def test_the_f_plus_1_higher_view_skip_is_never_held():
+    asked = []
+
+    def admit(instance, view, skip):
+        asked.append((view, skip))
+        return skip
+
+    harness = Harness(admit=admit)
+    harness.start()
+    lagging = harness.instances[3]
+    for sender in (0, 1):
+        lagging.on_sync(sender, SyncMessage(instance=0, view=5, claim=Claim.failure(5)))
+    assert asked == [(5, True)]
+    assert (lagging.current_view, lagging.state) == (5, ViewState.RECORDING)
+    assert harness.timers[3].running("recording")
 
 
 def test_progress_resumes_after_faulty_view():

@@ -12,8 +12,8 @@ import pytest
 from repro.bench.cluster import SimulatedCluster
 from repro.core.chain import GENESIS_PROPOSAL_ID, ProposalStatus, ProposalStore
 from repro.core.config import SpotLessConfig
-from repro.core.instance import SpotLessInstance
-from repro.core.messages import ProposeMessage
+from repro.core.instance import SpotLessInstance, ViewState
+from repro.core.messages import Claim, ProposeMessage, SyncMessage
 from repro.faults.injector import FaultEvent, FaultInjector
 from repro.ledger.kvtable import KeyValueTable
 from repro.scenarios import single_fault_spec
@@ -249,6 +249,71 @@ def test_client_failover_retransmits_after_timeout():
 # ---------------------------------------------------------------------------
 # behaviour under crash faults and partitions
 # ---------------------------------------------------------------------------
+
+
+# ---------------------------------------------------------------------------
+# a replica keeps its instances in step
+# ---------------------------------------------------------------------------
+
+
+def _started_replica():
+    """Replica 0 of an n = 4 cell, every instance in view 0, nothing delivered."""
+    cluster = small_cluster()
+    replica = cluster.replicas[0]
+    replica.start()
+    return replica, replica.instances
+
+
+def test_an_instance_is_held_until_every_sibling_has_entered_its_view():
+    replica, instances = _started_replica()
+    lead = instances[1]
+    lead._advance_view(1, fast=True)
+    # View 1's quorum completes while instances 0, 2 and 3 are in view 0.
+    lead._advance_view(2, fast=True)
+    assert replica.instance_views() == {0: 0, 1: 1, 2: 0, 3: 0}
+    assert not lead._recording_timer.running and not lead._certifying_timer.running
+    for instance_id in (0, 2):
+        instances[instance_id]._advance_view(1, fast=True)
+        assert lead.current_view == 1
+    # The last sibling enters view 1: the held instance enters view 2.
+    instances[3]._advance_view(1, fast=True)
+    assert replica.instance_views() == {0: 1, 1: 2, 2: 1, 3: 1}
+    assert lead.state is ViewState.RECORDING and lead._recording_timer.running
+    # View 3 waits for view 2 in every instance again.
+    lead._advance_view(3, fast=True)
+    assert lead.current_view == 2
+
+
+def test_a_held_instance_skips_on_f_plus_1_higher_views_and_stays_counted():
+    replica, instances = _started_replica()
+    lead = instances[1]
+    lead._advance_view(1, fast=True)
+    lead._advance_view(2, fast=True)
+    assert lead.current_view == 1
+    for sender in (2, 3):
+        lead.on_sync(sender, SyncMessage(instance=1, view=5, claim=Claim.failure(5)))
+    assert lead.current_view == 5 and lead.view_skips == 1
+    # It is no longer held: the siblings' entries do not move it again.
+    for instance_id in (0, 2, 3):
+        instances[instance_id]._advance_view(1, fast=True)
+    assert replica.instance_views() == {0: 1, 1: 5, 2: 1, 3: 1}
+    for instance_id in (0, 2, 3):
+        instances[instance_id]._advance_view(2, fast=True)
+    assert replica.instance_views() == {0: 2, 1: 5, 2: 2, 3: 2}
+
+
+def test_instance_views_stay_within_one_view_of_each_other():
+    cluster = SimulatedCluster.for_protocol(
+        "spotless", 4, batch_size=10, clients=16, outstanding_per_client=2, seed=1
+    )
+    cluster.start()
+    for _ in range(15):
+        cluster.run_additional(0.02)
+        for replica in cluster.replicas:
+            views = replica.instance_views().values()
+            assert max(views) - min(views) <= 1, (replica.node_id, cluster.simulator.now)
+    assert min(cluster.replicas[0].instance_views().values()) > 50
+    cluster.assert_no_divergence()
 
 
 def test_progress_with_one_crashed_replica():

@@ -240,6 +240,8 @@ def test_telemetry_samples_instance_skew_as_the_spread_of_instance_views():
         assert sampled[-1] == max(views) - min(views)
         series = cluster.metrics.time_series(f"obs.instance_skew.r{rid}", 0.05)
         assert series.total() == sum(sampled)
+        # Tick k fires at k · 0.05 s and fills bucket k alone.
+        assert series.buckets() == [(k * 0.05, value) for k, value in enumerate(sampled, start=1)]
 
 
 @pytest.mark.parametrize("protocol,fault", [("pbft", "crash"), ("rcc", "A2")])

@@ -199,7 +199,7 @@ def test_core_call_budget_per_event():
     cluster.start()
     calls = _calls_while_running(cluster, 0.1, lambda path: path.startswith(core_dir))
     events = cluster.simulator.processed_events
-    assert events == 5162  # same schedule, so the ratio compares like with like
+    assert events == 5163  # same schedule, so the ratio compares like with like
     assert calls / events < CORE_CALLS_PER_EVENT_BUDGET
 
 
@@ -276,7 +276,7 @@ def test_core_constructions_per_event():
         lambda name: name == "__init__",
     )
     events = cluster.simulator.processed_events
-    assert events == 5162
+    assert events == 5163
     assert constructions / events < CORE_CONSTRUCTIONS_PER_EVENT_BUDGET
 
 

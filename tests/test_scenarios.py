@@ -337,12 +337,16 @@ GOLDEN_SMOKE = {
     # A1, A4, crash and partition): CHANGES.md names the cause per cell.
     # SpotLess A1, crash and partition were re-pinned again when n − f
     # failure claims came to end a view (confirmed 102/102/103 → 128/128/121).
-    ("spotless", "A1"): "573c726ee554",
-    ("spotless", "A2"): "329b1034f059",
-    ("spotless", "A3"): "d23d15cc9351",
-    ("spotless", "A4"): "6282c489bf6a",
-    ("spotless", "crash"): "ec2c04042425",
-    ("spotless", "partition"): "bb58f250f839",
+    # Every SpotLess cell was re-pinned when an instance came to enter view
+    # v + 1 only once every instance at its replica had entered view v
+    # (confirmed A1..A4, crash, partition 128/159/168/157/128/121 →
+    # 114/168/166/165/114/128).
+    ("spotless", "A1"): "d891c6bbd8ed",
+    ("spotless", "A2"): "dabab8531392",
+    ("spotless", "A3"): "592ae5e72500",
+    ("spotless", "A4"): "6949eff46828",
+    ("spotless", "crash"): "2a23b156a4b3",
+    ("spotless", "partition"): "93301beffa49",
     ("pbft", "A1"): "a2651cdf1f4c",
     ("pbft", "A2"): "5995ecb2a591",
     ("pbft", "A3"): "d680d5051143",
