@@ -32,7 +32,8 @@ def crashed_primary_windows(n, crashed, windows):
     cluster = SimulatedCluster.for_protocol(
         "spotless", n, batch_size=10, clients=4, outstanding_per_client=8, seed=1
     )
-    FaultInjector(cluster).schedule(FaultEvent("crash", 0.0, replicas=crashed))
+    if crashed:
+        FaultInjector(cluster).schedule(FaultEvent("crash", 0.0, replicas=crashed))
     cluster.start()
     rates, confirmed = [], 0
     for _ in range(windows):
@@ -55,3 +56,25 @@ def test_a_crashed_primary_costs_t_r_not_a_growing_t_a(n, crashed, windows, floo
         for replica in live:
             for instance in replica.instances.values():
                 assert instance._certifying_timeout.interval <= instance.config.certifying_timeout
+
+
+#: Six windows: 3 s of the n = 4 cell, healthy and with replica 3 crashed.
+RATIO_WINDOWS = 6
+
+
+def test_a_crashed_primary_costs_a_steady_share_of_healthy_throughput():
+    """The n = 4 cell keeps the same share of its healthy throughput for
+    3 s: nothing that a crashed primary costs grows.  Measured (txn/s per
+    0.5 s window): healthy 3,310–3,356, replica 3 crashed 1,264–1,318, a
+    ratio of 0.382–0.395 in every window.  n = 7 with replicas 5 and 6
+    crashed reads 0.136–0.155 of its healthy throughput: every view there
+    has two crashed-primary instances and every instance waits for them
+    (``SpotLessReplica._admit``); that cell is recorded, not asserted."""
+    healthy, _ = crashed_primary_windows(4, (), RATIO_WINDOWS)
+    degraded, _ = crashed_primary_windows(4, (3,), RATIO_WINDOWS)
+    ratios = [d / h for d, h in zip(degraded, healthy)]
+    print(f"\nn = 4 txn/s per {WINDOW_S} s window: healthy {[round(r) for r in healthy]},"
+          f" replica 3 crashed {[round(r) for r in degraded]}, ratio {[round(r, 3) for r in ratios]}")
+    assert min(ratios) >= 0.35, ratios
+    for rates in (healthy, degraded):
+        assert rates[-1] / rates[0] >= 0.9, rates

@@ -41,7 +41,7 @@ from repro.core.messages import (
     SyncMessage,
 )
 from repro.core.timeouts import AdaptiveTimeout
-from repro.crypto.certificates import Certificate, Signature
+from repro.crypto.certificates import QuorumCert
 from repro.runtime.quorum import view_reached_by
 from repro.runtime.retry import RetryingPull
 from repro.workload.requests import Transaction
@@ -94,9 +94,6 @@ class InstanceEnvironment:
     on_accept:
         Called once per proposal this replica accepts (the proposal it claims
         in its Sync), before a fast-path proposal of the next view is built.
-    verify:
-        The paper's signature check at S1 and on a forwarded proposal.  The
-        simulator computes no tags: its host leaves the default, which accepts.
     now:
         Current time, used only for adaptive timeout bookkeeping.
     admit:
@@ -113,7 +110,6 @@ class InstanceEnvironment:
     make_timer: Callable[[str, Callable[[], None]], object]
     next_batch: Callable[[int], Tuple[Transaction, ...]]
     on_commit: Callable[[int, Proposal], None]
-    verify: Callable[[object, Optional[Signature], int], bool] = lambda message, signature, sender: True
     now: Callable[[], float] = lambda: 0.0
     on_accept: Callable[[int, Proposal], None] = lambda instance_id, proposal: None
     # True when the hosting replica has client work queued for this instance
@@ -208,10 +204,6 @@ class SpotLessInstance:
         # only in the entered view or, through the fast path, the next one, so
         # a view at or below this one already has its proposal.
         self._last_proposed_view = -1
-        # The certificate entry standing in for a sender's Sync signature
-        # (the simulator computes none), one per sender, shared by every
-        # certificate.
-        self._unsigned: Dict[int, Signature] = {}
 
         self._recording_timeout = AdaptiveTimeout(config.recording_timeout)
         self._certifying_timeout = AdaptiveTimeout(config.certifying_timeout)
@@ -312,7 +304,7 @@ class SpotLessInstance:
         self._last_proposed_view = view
         self.env.broadcast(message)
 
-    def _highest_extendable(self, view: int) -> Tuple[Proposal, Optional[Certificate], Tuple[int, ...]]:
+    def _highest_extendable(self, view: int) -> Tuple[Proposal, Optional[QuorumCert], Tuple[int, ...]]:
         """HighestExtendable() of Figure 3 (lines 5-11).
 
         Walks views downward looking for a conditionally prepared proposal
@@ -375,20 +367,14 @@ class SpotLessInstance:
         """Fall back to the slow path after observing failure evidence."""
         self._fast_path_active = False
 
-    def _build_certificate(self, proposal: Proposal) -> Optional[Certificate]:
+    def _build_certificate(self, proposal: Proposal) -> Optional[QuorumCert]:
         """Build cert(P) from the n − f lowest-id senders of same-claim Syncs (E1)."""
         if proposal.is_genesis:
-            return Certificate(statement=(proposal.view, proposal.digest), signatures=())
+            return QuorumCert(view=proposal.view, digest=proposal.digest, signers=())
         votes = self._votes(proposal.view, proposal.digest)
         if len(votes) < self._quorum:
             return None
-        signatures = []
-        for sender in sorted(votes)[: self._quorum]:
-            signature = self._unsigned.get(sender)
-            if signature is None:
-                signature = self._unsigned[sender] = Signature(signer=f"replica:{sender}", tag=b"")
-            signatures.append(signature)
-        return Certificate(statement=(proposal.view, proposal.digest), signatures=tuple(signatures))
+        return QuorumCert(view=proposal.view, digest=proposal.digest, signers=tuple(sorted(votes)[: self._quorum]))
 
     def _votes(self, view: int, digest: bytes) -> Dict[int, None]:
         """Senders whose first Sync of ``view`` claimed ``digest``, in arrival order."""
@@ -408,17 +394,13 @@ class SpotLessInstance:
     # handling Propose
     # ------------------------------------------------------------------
 
-    def on_propose(
-        self,
-        sender: int,
-        message: ProposeMessage,
-        signature: Optional[Signature] = None,
-    ) -> None:
-        """Handle a Propose message (checks S1-S4, then the backup role)."""
+    def on_propose(self, sender: int, message: ProposeMessage) -> None:
+        """Handle a Propose message (checks S3-S4, then the backup role).
+
+        S1, the primary's signature, is not checked: the simulator computes
+        none, and the sender is whoever the network delivered from.
+        """
         if message.instance != self.instance_id:
-            return
-        # (S1) signature of the primary over the proposal.
-        if not self.env.verify(message, signature, sender):
             return
         # (S3) the proposal must name its primary correctly; stale or future
         # proposals are recorded so they can be recovered later, but only the
@@ -437,13 +419,13 @@ class SpotLessInstance:
         proposal = self.store.record_message(message)
         self._maybe_accept(proposal, message)
 
-    def _certificate_valid(self, certificate: Certificate, digest: bytes, view: int) -> bool:
+    def _certificate_valid(self, certificate: QuorumCert, digest: bytes, view: int) -> bool:
         """Validity check for cert(P′): right statement and an n − f quorum."""
         if digest == GENESIS_PROPOSAL_ID:
             return True
-        if certificate.statement != (view, digest):
+        if certificate.view != view or certificate.digest != digest:
             return False
-        return certificate.has_quorum(self._quorum)
+        return certificate.has_quorum(self._quorum, self.config.num_replicas)
 
     def _conditionally_prepare_reference(self, digest: bytes, view: int) -> None:
         """Conditionally prepare a proposal known (at least) by reference."""
@@ -820,9 +802,6 @@ class SpotLessInstance:
         if message.instance != self.instance_id:
             return
         propose = message.propose
-        expected_primary = self.primary_of_view(propose.view)
-        if not self.env.verify(propose, message.primary_signature, expected_primary):
-            return
         proposal = self.store.record_message(propose)
         # If the proposal already has enough claim votes, conditionally prepare it.
         if len(self._votes(propose.view, proposal.digest)) >= self._quorum:

@@ -27,8 +27,7 @@ import hashlib
 from dataclasses import field
 from typing import Optional, Tuple
 
-from repro.crypto.certificates import Certificate, Signature
-from repro.crypto.digest import canonical_bytes
+from repro.crypto.certificates import QuorumCert
 from repro.net.message import InformMessage, Message
 from repro.net.record import record
 from repro.recovery.messages import (
@@ -87,7 +86,7 @@ class ProposeMessage(Message):
     transactions: Tuple[Transaction, ...]
     parent_digest: bytes
     parent_view: int
-    parent_certificate: Optional[Certificate] = None
+    parent_certificate: Optional[QuorumCert] = None
     parent_claim_quorum: Tuple[int, ...] = ()
     # Memo of digest(): never passed in, printed, compared or hashed.
     _digest: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
@@ -123,12 +122,13 @@ class ProposeMessage(Message):
             batch = self.transactions
             certificate = self.parent_certificate
             if certificate:
-                signatures = certificate.signatures
-                certificate_bytes = (
-                    b"t2:"
-                    + canonical_bytes(certificate.statement)
-                    + b"t%d:" % len(signatures)
-                    + b"".join([b"t2:s%sb%s" % (s.signer.encode("utf-8"), s.tag) for s in signatures])
+                signers = certificate.signers
+                certificate_bytes = b"".join(
+                    [
+                        b"t2:t2:i%db%s" % (certificate.view, certificate.digest),
+                        b"t%d:" % len(signers),
+                        b"".join([b"t2:sreplica:%db" % signer for signer in signers]),
+                    ]
                 )
             else:
                 certificate_bytes = b"n"
@@ -174,7 +174,6 @@ class ProposalForward(Message):
 
     instance: int
     propose: ProposeMessage
-    primary_signature: Optional[Signature] = None
 
 
 __all__ = [

@@ -18,10 +18,10 @@ def _canonical_bytes(value: Any) -> bytes:
     Supports the small universe of types that appear in hashed records:
     bytes, strings, integers, floats, None, and (nested) tuples/lists/dicts
     of those.  An object is encoded as the tuple its ``canonical_fields()``
-    returns; only the nine records whose hash is assembled inline elsewhere
+    returns; only the eight records whose hash is assembled inline elsewhere
     define one, as that encoder's reference: ``Transaction``, ``Operation``,
-    ``ProposeMessage``, ``Certificate``, ``Signature``, ``Block``,
-    ``BlockProof``, ``SlotRecord`` and ``SlotEntry``.  Wire messages have no
+    ``ProposeMessage``, ``QuorumCert``, ``Block``, ``BlockProof``,
+    ``SlotRecord`` and ``SlotEntry``.  Wire messages have no
     canonical form (the simulator authenticates nothing).
     """
     if isinstance(value, bytes):
@@ -60,8 +60,8 @@ def digest_to_int(digest: bytes) -> int:
 
 #: Public alias: the reference encoding that the encoders assembled inline on
 #: the hot path are tested against — ``Transaction.digest`` (with its
-#: ``Operation``s), ``ProposeMessage.digest`` (with its ``Certificate`` and
-#: ``Signature``s), ``Block.digest``, ``BlockProof.encoded`` and
+#: ``Operation``s), ``ProposeMessage.digest`` (with its ``QuorumCert``),
+#: ``Block.digest``, ``BlockProof.encoded`` and
 #: ``fold_entry`` (``SlotEntry`` and its ``SlotRecord``s).
 canonical_bytes = _canonical_bytes
 

@@ -7,7 +7,7 @@ because true threshold signatures were too slow), and the three-chain commit
 rule.  A simple timeout pacemaker provides view synchronisation.
 """
 
-from repro.protocols.hotstuff.messages import HsNewView, HsProposal, HsVote, QuorumCert
+from repro.protocols.hotstuff.messages import HsNewView, HsProposal, HsVote
 from repro.protocols.hotstuff.replica import HotStuffReplica
 
-__all__ = ["HotStuffReplica", "HsNewView", "HsProposal", "HsVote", "QuorumCert"]
+__all__ = ["HotStuffReplica", "HsNewView", "HsProposal", "HsVote"]

@@ -4,27 +4,10 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.crypto.certificates import QuorumCert
 from repro.net.message import Message
 from repro.net.record import record
 from repro.workload.requests import Transaction
-
-
-@record
-class QuorumCert:
-    """A quorum certificate over ``(view, node_digest)``.
-
-    The paper's implementation represents threshold signatures as lists of
-    n − f secp256k1 signatures; ``signers`` records who contributed, and the
-    certificate's wire size and verification cost scale with that list.
-    """
-
-    view: int
-    node_digest: bytes
-    signers: Tuple[int, ...]
-
-    def is_valid(self, quorum: int) -> bool:
-        """True when the certificate has at least ``quorum`` distinct signers."""
-        return len(set(self.signers)) >= quorum
 
 
 @record
@@ -93,5 +76,4 @@ __all__ = [
     "HsNodeData",
     "HsProposal",
     "HsVote",
-    "QuorumCert",
 ]

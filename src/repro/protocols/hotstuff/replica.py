@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.crypto.certificates import QuorumCert
 from repro.crypto.digest import digest_bytes
 from repro.net.message import Message
 from repro.net.sizes import MessageSizeModel
@@ -16,7 +17,6 @@ from repro.protocols.hotstuff.messages import (
     HsNodeData,
     HsProposal,
     HsVote,
-    QuorumCert,
 )
 from repro.recovery.messages import CheckpointCertificate, SlotEntry
 from repro.runtime.replica import ReplicaRuntime
@@ -91,7 +91,7 @@ class HotStuffReplica(ReplicaRuntime):
         )
         self.nodes: Dict[bytes, ChainNode] = {GENESIS_NODE_DIGEST: genesis}
         self.view = 0
-        self.high_qc = QuorumCert(view=-1, node_digest=GENESIS_NODE_DIGEST, signers=tuple(config.replica_ids()))
+        self.high_qc = QuorumCert(view=-1, digest=GENESIS_NODE_DIGEST, signers=tuple(config.replica_ids()))
         self.locked_qc = self.high_qc
         # The highest view this replica voted in (HotStuff's vheight).
         self.voted_view = -1
@@ -184,7 +184,7 @@ class HotStuffReplica(ReplicaRuntime):
     def _propose(self, view: int) -> None:
         if view in self._proposed_in_view or not self.is_leader(view):
             return
-        parent = self.nodes.get(self.high_qc.node_digest)
+        parent = self.nodes.get(self.high_qc.digest)
         if parent is None:
             # A vote quorum can certify a node this replica never received
             # (e.g. an A2 attacker withheld the proposal from us).  We cannot
@@ -282,7 +282,7 @@ class HotStuffReplica(ReplicaRuntime):
 
     def _safe_node(self, node: ChainNode, justify: Optional[QuorumCert]) -> bool:
         """HotStuff's safeNode predicate: safety rule OR liveness rule."""
-        locked_node = self.nodes.get(self.locked_qc.node_digest)
+        locked_node = self.nodes.get(self.locked_qc.digest)
         safety = locked_node is not None and self._extends(node, locked_node)
         liveness = justify is not None and justify.view > self.locked_qc.view
         return safety or liveness
@@ -290,15 +290,15 @@ class HotStuffReplica(ReplicaRuntime):
     def _on_proposal(self, sender: int, proposal: HsProposal) -> None:
         if sender != self.leader_of(proposal.view):
             return
-        if proposal.justify is not None and not proposal.justify.is_valid(self.config.num_replicas - self.config.f):
+        if proposal.justify is not None and not self._certified(proposal.justify):
             return
         self._update_high_qc(proposal.justify)
         node = self._record_node(proposal)
         # Chain sync: a proposal referencing ancestors we never received
         # (crash, partition, or an A2 attacker withholding proposals) walks
         # the certified chain back from the received QC.
-        if proposal.justify is not None and proposal.justify.node_digest not in self.nodes:
-            self._request_chain((sender,), proposal.justify.node_digest)
+        if proposal.justify is not None and proposal.justify.digest not in self.nodes:
+            self._request_chain((sender,), proposal.justify.digest)
         if proposal.parent_digest not in self.nodes:
             self._request_chain((sender,), proposal.parent_digest)
         self._apply_commit_rules(node, sender)
@@ -328,12 +328,17 @@ class HotStuffReplica(ReplicaRuntime):
         quorum = self.config.num_replicas - self.config.f
         if len(voters) < quorum:
             return
-        qc = QuorumCert(view=vote.view, node_digest=vote.node_digest, signers=tuple(sorted(voters)))
+        qc = QuorumCert(view=vote.view, digest=vote.node_digest, signers=tuple(sorted(voters)))
         self._update_high_qc(qc)
         next_view = vote.view + 1
         if self.is_leader(next_view):
             self._enter_view(max(self.view, next_view))
             self._propose(next_view)
+
+    def _certified(self, qc: QuorumCert) -> bool:
+        """True when ``qc`` carries n − f distinct in-range signers."""
+        n = self.config.num_replicas
+        return qc.has_quorum(n - self.config.f, n)
 
     def _update_high_qc(self, qc: Optional[QuorumCert]) -> None:
         """Adopt ``qc`` when it is newer than ``high_qc`` and carries a quorum.
@@ -344,15 +349,15 @@ class HotStuffReplica(ReplicaRuntime):
         """
         if qc is None:
             return
-        if qc.view > self.high_qc.view and qc.is_valid(self.config.num_replicas - self.config.f):
+        if qc.view > self.high_qc.view and self._certified(qc):
             self.high_qc = qc
-            if qc.node_digest not in self.nodes and qc.node_digest != GENESIS_NODE_DIGEST:
+            if qc.digest not in self.nodes and qc.digest != GENESIS_NODE_DIGEST:
                 # A quorum certified a node this replica never received (an
                 # A2 attacker withheld the proposal).  Votes only flow to the
                 # next leader, so no broadcast will back-fill the gap — pull
                 # the chain from a QC signer: every signer voted for the node,
                 # so every signer has it, unlike the leader that withheld it.
-                self._request_chain(qc.signers, qc.node_digest)
+                self._request_chain(qc.signers, qc.digest)
 
     # -- pacemaker new-view ------------------------------------------------
 
@@ -378,17 +383,17 @@ class HotStuffReplica(ReplicaRuntime):
         """
         if node.justify is None:
             return
-        parent = self.nodes.get(node.justify.node_digest)
+        parent = self.nodes.get(node.justify.digest)
         if parent is None or parent.justify is None:
             return
-        grandparent = self.nodes.get(parent.justify.node_digest)
+        grandparent = self.nodes.get(parent.justify.digest)
         if grandparent is None:
             return
         if parent.justify.view > self.locked_qc.view:
             self.locked_qc = parent.justify
         if grandparent.justify is None:
             return
-        great = self.nodes.get(grandparent.justify.node_digest)
+        great = self.nodes.get(grandparent.justify.digest)
         if great is None:
             return
         if parent.view == grandparent.view + 1 and grandparent.view == great.view + 1:
@@ -469,7 +474,7 @@ class HotStuffReplica(ReplicaRuntime):
         cascade — and re-requests each from a rotated target so the silent
         first responder cannot wedge the replica.
         """
-        gaps = {self.high_qc.node_digest, *self._sync.missing()}
+        gaps = {self.high_qc.digest, *self._sync.missing()}
         gaps.update(self._retry_parked_commits())
         self._sync.retry(sorted(gaps))
         self._maybe_propose_after_sync()
@@ -489,7 +494,7 @@ class HotStuffReplica(ReplicaRuntime):
         view = self.view
         if not self.is_leader(view) or view in self._proposed_in_view:
             return
-        if self.high_qc.node_digest not in self.nodes:
+        if self.high_qc.digest not in self.nodes:
             return
         quorum = self.config.num_replicas - self.config.f
         has_new_view_quorum = len(self._new_views.get(view, set())) >= quorum
@@ -543,9 +548,7 @@ class HotStuffReplica(ReplicaRuntime):
             # (honest genesis-pointing QCs always carry a full signer set).
             if data.digest != chain_node_digest(data.view, data.parent_digest, data.transactions):
                 continue
-            if data.justify is not None and not data.justify.is_valid(
-                self.config.num_replicas - self.config.f
-            ):
+            if data.justify is not None and not self._certified(data.justify):
                 continue
             existing = self.nodes.get(data.digest)
             if existing is not None:
@@ -598,21 +601,13 @@ class HotStuffReplica(ReplicaRuntime):
             if below is None:
                 below = self.checkpoints.archive[position - 1]
             tip = below.records[0].slot_digest
-        replayed: List[SlotEntry] = []
         for entry in entries:
-            replayed.append(entry)
             if entry.position != position or not entry.records:
                 continue  # position already delivered by our own chain
             record = entry.records[0]
-            # The certified slot digest is authoritative; recomputation from
-            # the record's fields is only a fallback for responses that did
-            # not carry one, and the recomputed digest is what gets folded.
+            # Every committed record carries its node's digest, and the
+            # transfer verified it as folded into the certified checkpoint.
             digest = record.slot_digest
-            if not digest:
-                digest = chain_node_digest(record.view, tip, record.transactions)
-                replayed[-1] = SlotEntry(
-                    position=entry.position, records=(replace(record, slot_digest=digest),)
-                )
             node = self.nodes.get(digest)
             if node is None:
                 node = ChainNode(
@@ -628,7 +623,7 @@ class HotStuffReplica(ReplicaRuntime):
                 node.committed = True
             position += 1
             tip = digest
-        super()._apply_state_entries(tuple(replayed), certificate)
+        super()._apply_state_entries(entries, certificate)
         # The new anchor may connect previously dangling commit cascades.
         self._retry_parked_commits()
 

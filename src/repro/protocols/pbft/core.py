@@ -3,8 +3,9 @@
 The core is a pure state machine (no I/O), shared by the standalone PBFT
 replica and by RCC, which runs one core per concurrent instance.  It
 implements the three normal-case phases (PrePrepare, Prepare, Commit) with
-out-of-order processing — the primary keeps up to ``pipeline_depth`` slots in
-flight — and the view-change protocol for replacing an unresponsive primary.
+out-of-order processing — the primary keeps up to :data:`PIPELINE_DEPTH`
+slots in flight — and the view-change protocol for replacing an
+unresponsive primary.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from repro.runtime.quorum import view_reached_by
 from repro.workload.requests import Transaction
 
 NOOP_BATCH: Tuple[Transaction, ...] = ()
+
+#: Slots a primary keeps proposed but undecided at once.
+PIPELINE_DEPTH = 16
 
 
 @dataclass
@@ -181,7 +185,7 @@ class PbftInstanceCore:
         """Propose new slots while the pipeline window has room (out-of-order)."""
         if not self.started or not self.is_primary():
             return
-        while self.outstanding_slots() < self.config.pipeline_depth:
+        while self.outstanding_slots() < PIPELINE_DEPTH:
             batch = self.env.next_batch(self.instance_id)
             if batch is None:
                 return

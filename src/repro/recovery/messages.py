@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.crypto.certificates import is_quorum
 from repro.net.message import Message
 from repro.net.record import record
 from repro.workload.requests import Transaction
@@ -97,14 +98,10 @@ class CheckpointCertificate(Message):
     digest: bytes
     signers: Tuple[int, ...]
 
-    def has_quorum(self, quorum: int, num_replicas: Optional[int] = None) -> bool:
-        """True when the certificate carries ``quorum`` distinct valid signers."""
-        distinct = set(self.signers)
-        if num_replicas is not None and any(
-            not 0 <= signer < num_replicas for signer in distinct
-        ):
-            return False
-        return len(distinct) >= quorum
+    def has_quorum(self, quorum: int, num_replicas: int) -> bool:
+        """True when the certificate carries ``quorum`` distinct in-range
+        signers: the rule of every quorum certificate."""
+        return is_quorum(self.signers, quorum, num_replicas)
 
 
 @record

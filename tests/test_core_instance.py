@@ -18,7 +18,7 @@ from repro.core.chain import ProposalStatus
 from repro.core.config import SpotLessConfig
 from repro.core.instance import InstanceEnvironment, SpotLessInstance, ViewState
 from repro.core.messages import AskMessage, Claim, ProposalForward, ProposeMessage, SyncMessage
-from repro.crypto.certificates import Certificate, Signature
+from repro.crypto.certificates import QuorumCert
 from repro.workload.requests import Transaction
 from tests.manual_timer import TimerBoard
 from tests.transactions import txn
@@ -648,10 +648,7 @@ def _propose_with_certificate(statement, signers):
         transactions=(txn(b"batch"),),
         parent_digest=_UNSEEN_PARENT,
         parent_view=0,
-        parent_certificate=Certificate(
-            statement=statement,
-            signatures=tuple(Signature(signer=f"replica:{s}", tag=b"") for s in signers),
-        ),
+        parent_certificate=QuorumCert(view=statement[0], digest=statement[1], signers=signers),
     )
     instance.on_propose(instance.primary_of_view(1), message)
     return instance, harness, message
@@ -663,6 +660,8 @@ def _propose_with_certificate(statement, signers):
         pytest.param((0, b"\xa5" * 32), (0, 1, 3), id="statement-names-another-proposal"),
         pytest.param((1, _UNSEEN_PARENT), (0, 1, 3), id="statement-names-another-view"),
         pytest.param((0, _UNSEEN_PARENT), (0, 0, 3), id="duplicate-signers-padded-to-quorum"),
+        pytest.param((0, _UNSEEN_PARENT), (0, 1, 4), id="a-signer-id-is-no-replica"),
+        pytest.param((0, _UNSEEN_PARENT), (0, 3, 7, 9), id="fewer-than-a-quorum-of-replicas"),
     ],
 )
 def test_proposal_with_an_invalid_parent_certificate_is_dropped(statement, signers):

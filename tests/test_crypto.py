@@ -1,12 +1,10 @@
 """Unit and property-based tests for the crypto layer."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.certificates import Certificate, Signature
+from repro.crypto.certificates import QuorumCert
 from repro.crypto.digest import canonical_bytes, digest_bytes, digest_to_int
 
 
@@ -56,8 +54,7 @@ CANONICAL_REFERENCES = {
     "Transaction": "test_net_ledger_workload.py::test_transaction_digest_matches_the_canonical_encoding",
     "Operation": "test_net_ledger_workload.py::test_transaction_digest_matches_the_canonical_encoding",
     "ProposeMessage": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
-    "Certificate": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
-    "Signature": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
+    "QuorumCert": "test_config_and_messages.py::test_proposal_digest_matches_the_canonical_encoding",
     "Block": "test_net_ledger_workload.py::test_block_digest_matches_canonical_encoding",
     "BlockProof": "test_net_ledger_workload.py::test_block_proof_encoding_matches_canonical_bytes",
     "SlotRecord": "test_recovery.py::test_fold_entry_equals_the_generic_canonical_encoding",
@@ -111,37 +108,22 @@ def test_digest_to_int_modulo_assigns_within_range(modulus):
 
 
 def test_certificate_quorum_counts_distinct_signers():
-    signatures = (Signature("a", b"1"), Signature("a", b"1"), Signature("b", b"2"))
-    certificate = Certificate(statement=("x",), signatures=signatures)
-    assert certificate.has_quorum(2)
-    assert not certificate.has_quorum(3)
+    certificate = QuorumCert(view=1, digest=b"d", signers=(0, 0, 1))
+    assert certificate.has_quorum(2, 4)
+    assert not certificate.has_quorum(3, 4)
 
 
-def test_certificate_counts_its_signers_once_and_a_replace_recounts():
-    signatures = tuple(Signature(f"replica:{index}", b"") for index in range(3))
-    certificate = Certificate(statement=(1, b"d"), signatures=signatures)
-    assert certificate._signer_count is None
-    assert certificate.has_quorum(3)
-    assert certificate._signer_count == 3
-    # The memo answers every later query; it is what is read, not the tuple.
-    object.__setattr__(certificate, "_signer_count", 0)
-    assert not certificate.has_quorum(1)
-    object.__setattr__(certificate, "_signer_count", 3)
-    # Never compared, hashed or printed.
-    fresh = Certificate(statement=(1, b"d"), signatures=signatures)
-    assert certificate == fresh and hash(certificate) == hash(fresh)
-    assert "_signer_count" not in repr(certificate)
-    # dataclasses.replace builds a certificate without the memo.
-    fewer = dataclasses.replace(certificate, signatures=signatures[:2])
-    assert fewer._signer_count is None
-    assert not fewer.has_quorum(3)
-    assert fewer.has_quorum(2)
+def test_certificate_quorum_requires_every_signer_to_be_a_replica():
+    """A signer id outside 0..n − 1 names no replica: the certificate is
+    rejected even when the other signers alone would make the quorum."""
+    assert QuorumCert(view=1, digest=b"d", signers=(0, 1, 2)).has_quorum(3, 4)
+    for stranger in (4, 7, -1):
+        assert not QuorumCert(view=1, digest=b"d", signers=(0, 1, 2, stranger)).has_quorum(3, 4)
+    assert not QuorumCert(view=1, digest=b"d", signers=(5, 6, 7)).has_quorum(3, 4)
 
 
 def test_n_minus_f_signatures_from_f_plus_one_signers_are_no_quorum():
     # n = 4, f = 1: three signatures, but only two distinct signers.
-    signatures = (Signature("replica:0", b""), Signature("replica:1", b""), Signature("replica:0", b""))
-    certificate = Certificate(statement=(1, b"d"), signatures=signatures)
-    assert not certificate.has_quorum(3)
-    assert not certificate.has_quorum(3)  # the memoized answer agrees
-    assert certificate.has_quorum(2)
+    certificate = QuorumCert(view=1, digest=b"d", signers=(0, 1, 0))
+    assert not certificate.has_quorum(3, 4)
+    assert certificate.has_quorum(2, 4)

@@ -49,7 +49,7 @@ class CoreHarness:
         self.pending = pending
         self.core = PbftInstanceCore(
             instance_id=instance_id,
-            config=BftConfig(num_replicas=num_replicas, pipeline_depth=4),
+            config=BftConfig(num_replicas=num_replicas),
             environment=PbftEnvironment(
                 replica_id=replica_id,
                 broadcast=lambda m: self.sent.append((None, m)),

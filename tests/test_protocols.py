@@ -4,8 +4,9 @@ import pytest
 
 from repro.bench.cluster import SimulatedCluster
 from repro.core.messages import ProposeMessage
+from repro.crypto.certificates import QuorumCert
 from repro.protocols.common import BftConfig
-from repro.protocols.hotstuff.messages import HsProposal, QuorumCert
+from repro.protocols.hotstuff.messages import HsProposal
 from repro.protocols.hotstuff.replica import GENESIS_NODE_DIGEST
 from repro.protocols.pbft.core import PbftEnvironment, PbftInstanceCore
 from repro.protocols.pbft.messages import (
@@ -34,8 +35,6 @@ def test_bft_config_quorums_and_validation():
     assert config.weak_quorum == 3
     with pytest.raises(ValueError):
         BftConfig(num_replicas=2)
-    with pytest.raises(ValueError):
-        BftConfig(num_replicas=4, pipeline_depth=0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +46,7 @@ class PbftHarness:
     """Connects PBFT cores of all replicas with manual delivery queues."""
 
     def __init__(self, num_replicas=4, batches=None, **config_kwargs):
-        self.config = BftConfig(num_replicas=num_replicas, pipeline_depth=4, **config_kwargs)
+        self.config = BftConfig(num_replicas=num_replicas, **config_kwargs)
         self.queues = []
         self.decisions = {r: [] for r in range(num_replicas)}
         self.batches = {r: [tuple(txn(tag) for tag in batch) for batch in batches or []] for r in range(num_replicas)}
@@ -374,11 +373,11 @@ def test_hotstuff_three_chain_commit_and_leader_rotation():
 
 
 def test_hotstuff_quorum_cert_validation():
-    qc = QuorumCert(view=3, node_digest=b"d", signers=(0, 1, 2))
-    assert qc.is_valid(3)
-    assert not qc.is_valid(4)
-    duplicate_signers = QuorumCert(view=3, node_digest=b"d", signers=(0, 0, 0))
-    assert not duplicate_signers.is_valid(2)
+    qc = QuorumCert(view=3, digest=b"d", signers=(0, 1, 2))
+    assert qc.has_quorum(3, 4)
+    assert not qc.has_quorum(4, 4)
+    duplicate_signers = QuorumCert(view=3, digest=b"d", signers=(0, 0, 0))
+    assert not duplicate_signers.has_quorum(2, 4)
 
 
 def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
@@ -415,7 +414,7 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
     replica._on_chain_response(1, HsChainResponse(nodes=(stripped,)))
     assert replica.nodes[digest].justify is None
     # ...that a validated QC in a later segment heals...
-    qc = QuorumCert(view=4, node_digest=GENESIS_NODE_DIGEST, signers=(0, 1, 2))
+    qc = QuorumCert(view=4, digest=GENESIS_NODE_DIGEST, signers=(0, 1, 2))
     full = HsNodeData(
         digest=digest,
         view=5,
@@ -437,7 +436,7 @@ def test_hotstuff_chain_sync_drops_unsolicited_and_heals_stripped_justify():
     replica._chain_requested[child_digest] = replica.view
     replica._on_chain_response(1, HsChainResponse(nodes=(stripped_child,)))
     assert replica.nodes[child_digest].justify is None
-    child_qc = QuorumCert(view=5, node_digest=digest, signers=(1, 2, 3))
+    child_qc = QuorumCert(view=5, digest=digest, signers=(1, 2, 3))
     node = replica._record_node(
         HsProposal(
             view=6,
@@ -493,7 +492,7 @@ def test_hotstuff_locks_on_the_two_chain_and_refuses_a_fork_below_it():
     cluster.run(duration=0.3)
     replica = cluster.replicas[0]
     lock = replica.locked_qc
-    locked_node = replica.nodes[lock.node_digest]
+    locked_node = replica.nodes[lock.digest]
     # Fault-free, the lock trails the newest QC by exactly one view.
     assert lock.view == replica.high_qc.view - 1 > 0
     below_lock = replica.nodes[locked_node.parent_digest]
@@ -537,7 +536,7 @@ def test_hotstuff_adopts_no_quorum_cert_without_a_quorum(protocol, carrier):
     cluster.start()
     cluster.run_additional(0.3)
     confirmed = sum(client.confirmed_transactions for client in cluster.clients)
-    forged = QuorumCert(view=10**9, node_digest=GENESIS_NODE_DIGEST, signers=())
+    forged = QuorumCert(view=10**9, digest=GENESIS_NODE_DIGEST, signers=())
     byzantine = 3
     victims = [replica for replica in cluster.replicas if replica.node_id != byzantine]
     before = [replica.high_qc for replica in victims]
@@ -574,3 +573,45 @@ def test_narwhal_vote_is_heavier_than_a_hotstuff_vote():
 
     vote = HsVote(view=1, node_digest=b"d", voter=0)
     assert nw_replica._size_of(vote) > hs_replica._size_of(vote)
+
+
+@pytest.mark.parametrize("carrier", ["new-view", "proposal", "chain-response"])
+@pytest.mark.parametrize(
+    "signers",
+    [
+        pytest.param((0, 1, 4), id="a-signer-id-is-no-replica"),
+        pytest.param((1, 2, 9, 10), id="fewer-than-a-quorum-of-replicas"),
+    ],
+)
+def test_hotstuff_rejects_a_quorum_cert_naming_signers_that_are_no_replicas(carrier, signers):
+    """A QC counts only signers that are replicas (ids 0..n − 1): n − f
+    distinct ids are no quorum when some of them name nobody.  A NewView's
+    ``high_qc`` (``_update_high_qc``), a proposal's ``justify`` and a
+    chain-response node's ``justify`` are each refused."""
+    from repro.protocols.hotstuff.messages import HsChainResponse, HsNewView, HsNodeData
+    from repro.protocols.hotstuff.replica import chain_node_digest
+
+    cluster = SimulatedCluster.for_protocol(
+        "hotstuff", num_replicas=4, clients=1, outstanding_per_client=1, batch_size=5
+    )
+    replica = cluster.replicas[0]
+    forged = QuorumCert(view=10**9, digest=GENESIS_NODE_DIGEST, signers=signers)
+    byzantine = 3
+    before = replica.high_qc
+    view = next(v for v in range(replica.view + 1, replica.view + 5) if replica.leader_of(v) == byzantine)
+    digest = chain_node_digest(view, GENESIS_NODE_DIGEST, ())
+    if carrier == "new-view":
+        replica.on_message(byzantine, HsNewView(view=replica.view, high_qc=forged))
+    elif carrier == "proposal":
+        replica.on_message(
+            byzantine,
+            HsProposal(
+                view=view, node_digest=digest, parent_digest=GENESIS_NODE_DIGEST, transactions=(), justify=forged
+            ),
+        )
+    else:
+        replica._chain_requested[digest] = replica.view
+        node = HsNodeData(digest=digest, view=view, parent_digest=GENESIS_NODE_DIGEST, transactions=(), justify=forged)
+        replica._on_chain_response(byzantine, HsChainResponse(nodes=(node,)))
+    assert replica.high_qc is before
+    assert digest not in replica.nodes

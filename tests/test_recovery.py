@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.digest import digest_bytes
+from repro.protocols.pbft.core import PIPELINE_DEPTH
 from repro.recovery import (
     CheckpointCertificate,
     CheckpointManager,
@@ -429,7 +430,7 @@ def test_pbft_view_change_votes_are_bounded_by_the_checkpoint_interval():
     assert vote.checkpoint is not None and vote.checkpoint.has_quorum(core.quorum, 4)
     # The vote carries only slots above the stable floor: O(K) plus the
     # in-flight pipeline window — never the full committed history.
-    bound = interval + core.config.pipeline_depth
+    bound = interval + PIPELINE_DEPTH
     assert len(vote.prepared_slots) <= bound
     assert all(sequence >= vote.checkpoint_floor for sequence, _v, _d in vote.prepared_slots)
     # Slot state below the floor was garbage-collected with it.
@@ -450,9 +451,10 @@ def test_pbft_view_change_without_checkpoints_grows_with_history():
 
 @pytest.mark.parametrize("strip", [False, True])
 def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record(strip):
-    # A transferred HotStuff record names its chain node by ``slot_digest``;
-    # one that carries none is folded under the digest recomputed from its
-    # content, so the replay still reproduces the certified rolling digest.
+    # A transferred HotStuff record names its chain node by ``slot_digest``,
+    # and the fold covers it: the replay reproduces the certified rolling
+    # digest, and a record stripped of its digest folds to another one, so
+    # the transfer refuses it before any replay.
     from dataclasses import replace
 
     from repro.bench.cluster import SimulatedCluster
@@ -469,7 +471,11 @@ def test_hotstuff_replay_folds_the_chain_node_digest_of_every_transferred_record
             for entry in entries
         )
     target = SimulatedCluster.for_protocol("hotstuff", num_replicas=4, clients=0).replicas[1]
-    target._apply_state_entries(entries, certificate)
+    response = StateResponse(from_position=0, entries=entries, certificate=certificate)
+    assert target.state_transfer.on_response(0, response) is not strip
+    if strip:
+        assert target.checkpoints.frontier == 0 and not target.checkpoints.archive
+        return
     assert target.checkpoints.frontier == certificate.position > 0
     assert target.checkpoints.rolling == certificate.digest
     # The committed chain is re-anchored on the source's node digests.
